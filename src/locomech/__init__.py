@@ -30,7 +30,6 @@ from .connection import (
     apply,
     jacobian_connection_eval,
     linear_constraint_connection,
-    piecewise_connection_eval,
 )
 from .integrator import (
     EventRecord,
@@ -93,7 +92,6 @@ from .shapespace import (
     FourierGait,
     Gait,
     WaypointGait,
-    gait_eval,
     reparameterize,
     reversed_gait,
 )

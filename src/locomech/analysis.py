@@ -16,7 +16,7 @@ import numpy as np
 
 from .connection import SingularConstraint
 from .integrator import integrate_gait, net_displacement
-from .liegroup import Twist, bracket
+from .liegroup import Twist
 from .shapespace import WaypointGait
 
 
@@ -128,12 +128,35 @@ class CurvatureField:
 
 
 def _column_bracket(a: np.ndarray, i1: int, i2: int) -> np.ndarray:
-    c1, c2 = a[:, i1], a[:, i2]
-    return bracket(Twist.from_array(c1), Twist.from_array(c2)).to_array()
+    """liegroup.bracket of connection columns i1 and i2, over any leading grid axes."""
+    c1, c2 = a[..., :, i1], a[..., :, i2]
+    out = np.zeros(c1.shape)
+    out[..., 0] = c2[..., 2] * c1[..., 1] - c1[..., 2] * c2[..., 1]
+    out[..., 1] = c1[..., 2] * c2[..., 0] - c2[..., 2] * c1[..., 0]
+    return out
+
+
+def _derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Centered differences along `axis`, (-3, 4, -1)/(2h) one-sided at the ends."""
+    f = np.moveaxis(f, axis, 0)
+    d = np.empty_like(f)
+    d[1:-1] = (f[2:] - f[:-2]) / (2 * h)
+    d[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
+    d[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
+    return np.moveaxis(d, 0, axis)
+
+
+def _stencil_neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two other nodes of each node's stencil along one axis."""
+    a = np.arange(n) - 1
+    b = np.arange(n) + 1
+    a[0], b[0] = 1, 2
+    a[-1], b[-1] = n - 3, n - 2
+    return a, b
 
 
 def curvature(field: FieldGrid) -> CurvatureField:
-    """Curl of the swept connection columns plus their bracket, node by node.
+    """Curl of the swept connection columns plus their bracket at every node.
 
     Interior nodes use centered differences, boundary nodes one-sided ones
     (flagged).  A stencil touching a singular node or mixing stance pieces is
@@ -145,53 +168,28 @@ def curvature(field: FieldGrid) -> CurvatureField:
     a1, a2 = field.axes
     h1 = field.axis1[1] - field.axis1[0]
     h2 = field.axis2[1] - field.axis2[0]
-    values = np.zeros((n1, n2, 3))
-    valid = np.ones((n1, n2), dtype=bool)
     boundary = np.zeros((n1, n2), dtype=bool)
+    boundary[[0, -1], :] = True
+    boundary[:, [0, -1]] = True
 
-    def stencil_ok(i, j, pts) -> bool:
-        if field.singular[i, j]:
-            return False
-        for (pi, pj) in pts:
-            if field.singular[pi, pj]:
-                return False
-            if field.contacts is not None and field.contacts[pi, pj] != field.contacts[i, j]:
-                return False
-        return True
+    ia, ib = _stencil_neighbours(n1)
+    ja, jb = _stencil_neighbours(n2)
 
-    for i in range(n1):
-        for j in range(n2):
-            if i == 0:
-                i_pts = [(0, j), (1, j), (2, j)]
-            elif i == n1 - 1:
-                i_pts = [(n1 - 3, j), (n1 - 2, j), (n1 - 1, j)]
-            else:
-                i_pts = [(i - 1, j), (i + 1, j)]
-            if j == 0:
-                j_pts = [(i, 0), (i, 1), (i, 2)]
-            elif j == n2 - 1:
-                j_pts = [(i, n2 - 3), (i, n2 - 2), (i, n2 - 1)]
-            else:
-                j_pts = [(i, j - 1), (i, j + 1)]
-            on_edge = i in (0, n1 - 1) or j in (0, n2 - 1)
-            boundary[i, j] = on_edge
-            if not stencil_ok(i, j, i_pts + j_pts):
-                valid[i, j] = False
-                values[i, j] = np.nan
-                continue
-            if i == 0:
-                d1_col2 = (-3 * field.conn[0, j, :, a2] + 4 * field.conn[1, j, :, a2] - field.conn[2, j, :, a2]) / (2 * h1)
-            elif i == n1 - 1:
-                d1_col2 = (3 * field.conn[i, j, :, a2] - 4 * field.conn[i - 1, j, :, a2] + field.conn[i - 2, j, :, a2]) / (2 * h1)
-            else:
-                d1_col2 = (field.conn[i + 1, j, :, a2] - field.conn[i - 1, j, :, a2]) / (2 * h1)
-            if j == 0:
-                d2_col1 = (-3 * field.conn[i, 0, :, a1] + 4 * field.conn[i, 1, :, a1] - field.conn[i, 2, :, a1]) / (2 * h2)
-            elif j == n2 - 1:
-                d2_col1 = (3 * field.conn[i, j, :, a1] - 4 * field.conn[i, j - 1, :, a1] + field.conn[i, j - 2, :, a1]) / (2 * h2)
-            else:
-                d2_col1 = (field.conn[i, j + 1, :, a1] - field.conn[i, j - 1, :, a1]) / (2 * h2)
-            values[i, j] = d1_col2 - d2_col1 + _column_bracket(field.conn[i, j], a1, a2)
+    def stencil(f: np.ndarray) -> tuple:
+        return f[ia, :], f[ib, :], f[:, ja], f[:, jb]
+
+    valid = ~field.singular
+    for other in stencil(field.singular):
+        valid &= ~other
+    if field.contacts is not None:
+        for other in stencil(field.contacts):
+            valid &= other == field.contacts
+
+    conn = field.conn
+    d1_col2 = _derivative(conn[:, :, :, a2], h1, axis=0)
+    d2_col1 = _derivative(conn[:, :, :, a1], h2, axis=1)
+    values = d1_col2 - d2_col1 + _column_bracket(conn, a1, a2)
+    values[~valid] = np.nan
     return CurvatureField(values=values, valid=valid, boundary=boundary)
 
 

@@ -108,13 +108,12 @@ def cmd_simulate(scenario: Scenario) -> int:
     )
     lines = _meta_lines(scenario, "simulate", (f"# dim={dim}",))
     lines.append(",".join(header))
-    contacts = traj.contacts if traj.contacts is not None else [None] * len(traj.times)
     for k, t in enumerate(traj.times):
         pose = traj.poses[k]
         cells = [_fmt(t), _fmt(pose.x), _fmt(pose.y), _fmt(pose.theta)]
         cells.extend(_fmt(v) for v in traj.shapes[k])
         cells.extend(_fmt(v) for v in traj.twists[k])
-        cells.append(_contact_str(contacts[k]))
+        cells.append(_contact_str(traj.contacts[k]))
         lines.append(",".join(cells))
     _write_text(os.path.join(scenario.out_dir, "trajectory.csv"), lines)
 

@@ -5,6 +5,17 @@ rate to a body twist, body_twist = A(r) @ rdot, with rows ordered (vx, vy,
 omega).  Three construction routes are covered: differentiating a pose map
 through the group, solving a linear force or constraint balance, and
 dispatching over the holonomic pieces of a contact-switching model.
+
+Provider protocol.  Everything that consumes A(r) (integrator, field
+sampling, optimizer, verify suites) talks to a provider through:
+
+- ``dim``: the number of shape coordinates d;
+- ``contacts_at(r)``: the hashable stance label selected at shape r, and
+  None for a provider with a single piece;
+- ``connection_at(r)``: A(r) of the piece selected at r;
+- ``connection_for(label, r)``: A(r) of the named piece, possibly evaluated
+  past that piece's switching surface; only needed when contacts_at can
+  return a label other than None.
 """
 
 from __future__ import annotations
@@ -128,12 +139,6 @@ def apply(a: ConnectionMatrix, rdot) -> Twist:
     if rdot.shape != (a.shape[1],):
         raise ValueError(f"shape rate has {rdot.shape} entries, connection expects {a.shape[1]}")
     return Twist.from_array(a @ rdot)
-
-
-def piecewise_connection_eval(model, r, h: float = 1e-5) -> tuple[ContactSet, ConnectionMatrix]:
-    """Active contact set and the connection of the selected holonomic piece."""
-    c = model.select_contacts(r)
-    return c, jacobian_connection_eval(model.contact_map(c), r, h)
 
 
 class JacobianConnection:

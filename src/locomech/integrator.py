@@ -3,15 +3,18 @@
 The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
 Munthe-Kaas scheme: stage twists are combined in the velocity algebra through
 the truncated inverse differential of exp and applied with one group
-exponential per step.  For contact-switching providers, steps that straddle a
-stance change are split at the switch time (located by bisection on the
-selector) and integration resumes with the new piece from the same pose, so
-the pose path stays continuous.
+exponential per step.  Every step compares the provider's stance label at
+its midpoint and end with the active one; a step that straddles a stance
+change is split at the switch time (located by bisection on the selector)
+and integration resumes with the new piece from the same pose, so the pose
+path stays continuous.  A single-piece provider labels every shape None and
+so never splits a step.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,27 +60,35 @@ def _dexpinv(u: Twist, v: Twist) -> Twist:
 
 
 class _TwistField:
-    """Stage-twist evaluator; tracks the largest twist norm it has produced."""
+    """Stage-twist evaluator; tracks the largest stage twist norm it has produced.
+
+    This is the one place a stance label picks the connection: None is the
+    label of a single-piece provider, any other label names a piece.
+    """
 
     def __init__(self, provider, gait):
         self.provider = provider
         self.gait = gait
         self.max_norm = 0.0
 
-    def __call__(self, t: float, piece, side: str = "right") -> Twist:
+    def twist(self, t: float, piece, side: str = "right") -> Twist:
         r, rdot = self.gait.evaluate(t, side)
         if piece is None:
             a = self.provider.connection_at(r)
         else:
             a = self.provider.connection_for(piece, r)
-        xi = apply_connection(a, rdot)
+        return apply_connection(a, rdot)
+
+    def __call__(self, t: float, piece, side: str = "right") -> Twist:
+        xi = self.twist(t, piece, side)
         norm = xi.norm()
         if norm > self.max_norm:
             self.max_norm = norm
         return xi
 
 
-def _rkmk4_step(g: Pose, t0: float, t1: float, piece, xi_at: _TwistField) -> Pose:
+def _rkmk4_step(g: Pose, t0: float, t1: float, piece, xi_at: _TwistField) -> tuple[Pose, Twist]:
+    """One step from (t0, g); returns the end pose and the start twist k1."""
     # the end stage takes the left-limit rate: t1 may be a waypoint corner
     h = t1 - t0
     k1 = xi_at(t0, piece)
@@ -85,16 +96,16 @@ def _rkmk4_step(g: Pose, t0: float, t1: float, piece, xi_at: _TwistField) -> Pos
     k3 = _dexpinv((0.5 * h) * k2, xi_at(t0 + 0.5 * h, piece))
     k4 = _dexpinv(h * k3, xi_at(t1, piece, "left"))
     u = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return compose(g, exp(u, 1.0))
+    return compose(g, exp(u, 1.0)), k1
 
 
 def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_tol: float = 1e-10) -> Trajectory:
     """Integrate `cycles` periods of the gait from the identity pose.
 
     The step is snapped to an integer count per cycle so cycle boundaries are
-    sample points.  Piecewise providers get their stance switches located to
-    event_tol (in time) by bisection; a step containing several switches is
-    split recursively at each located switch.
+    sample points.  Stance switches are located to event_tol (in time) by
+    bisection; a step containing several switches is split at each located
+    switch.  A single-piece provider never switches.
     """
     if cycles < 1:
         raise ValueError(f"cycle count must be at least 1, got {cycles}")
@@ -108,24 +119,29 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
 
     xi_at = _TwistField(provider, gait)
     r0, _ = gait.evaluate(0.0)
-    piecewise = provider.contacts_at(r0) is not None
 
     times = [0.0]
     poses = [Pose()]
     shapes = [r0]
     contacts = [provider.contacts_at(r0)]
+    # row k's twist is the k1 stage of the step leaving row k, kept as flat
+    # floats so long trajectories hold no per-row objects
+    twists = array("d")
     events: list[EventRecord] = []
     cycle_indices = [0]
 
     g = Pose()
     active = contacts[0]
 
-    def record(t: float, pose: Pose, piece) -> None:
-        times.append(t)
-        poses.append(pose)
-        r, _ = gait.evaluate(t)
-        shapes.append(r)
-        contacts.append(piece)
+    def step_to(t0: float, t1: float, r1: np.ndarray, after) -> None:
+        """Advance g over [t0, t1] on the active piece; the new row is labelled `after`."""
+        nonlocal g
+        g, k1 = _rkmk4_step(g, t0, t1, active, xi_at)
+        twists.extend((k1.vx, k1.vy, k1.omega))
+        times.append(t1)
+        poses.append(g)
+        shapes.append(r1)
+        contacts.append(after)
 
     def locate_switch(t0: float, t1: float, c0):
         """First time in (t0, t1] whose selected stance differs from c0."""
@@ -138,45 +154,46 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
                 hi = mid
         return lo, hi
 
-    def advance(t0: float, t1: float, depth: int = 0) -> None:
-        nonlocal g, active
-        if not piecewise:
-            g = _rkmk4_step(g, t0, t1, None, xi_at)
-            record(t1, g, None)
-            return
-        # check the midpoint too: a stance entered and left inside one step
-        # would be invisible to an endpoint-only comparison
-        t_mid = t0 + 0.5 * (t1 - t0)
-        c_mid = provider.contacts_at(gait.evaluate(t_mid)[0])
-        c_end = provider.contacts_at(gait.evaluate(t1)[0])
-        if c_mid == active and c_end == active:
-            g = _rkmk4_step(g, t0, t1, active, xi_at)
-            record(t1, g, active)
-            return
-        lo, hi = locate_switch(t0, t_mid if c_mid != active else t1, active)
-        t_switch = hi
-        g = _rkmk4_step(g, t0, t_switch, active, xi_at)
-        new_piece = provider.contacts_at(gait.evaluate(hi)[0])
-        events.append(
-            EventRecord(
-                time=t_switch,
-                before=active,
-                after=new_piece,
-                shape=gait.evaluate(t_switch)[0],
-                window=(lo, hi),
+    def advance(t0: float, t1: float) -> None:
+        nonlocal active
+        # a loop, not recursion: a self-referencing closure would keep the
+        # whole trajectory alive until the cyclic collector ran
+        splits = 0
+        while True:
+            # check the midpoint too: a stance entered and left inside one
+            # step would be invisible to an endpoint-only comparison
+            t_mid = t0 + 0.5 * (t1 - t0)
+            c_mid = provider.contacts_at(gait.evaluate(t_mid)[0])
+            r1 = gait.evaluate(t1)[0]
+            c_end = provider.contacts_at(r1)
+            if c_mid == active and c_end == active:
+                step_to(t0, t1, r1, active)
+                return
+            lo, t_switch = locate_switch(t0, t_mid if c_mid != active else t1, active)
+            r_switch = gait.evaluate(t_switch)[0]
+            new_piece = provider.contacts_at(r_switch)
+            events.append(
+                EventRecord(
+                    time=t_switch,
+                    before=active,
+                    after=new_piece,
+                    shape=r_switch,
+                    window=(lo, t_switch),
+                )
             )
-        )
-        active = new_piece
-        record(t_switch, g, active)
-        if t_switch < t1:
-            if depth > 0:
+            step_to(t0, t_switch, r_switch, new_piece)
+            active = new_piece
+            if t_switch >= t1:
+                return
+            if splits > 0:
                 warnings.warn(
                     f"multiple stance switches inside one step near t={t_switch:.6g}; "
-                    "splitting recursively",
+                    "splitting at each switch",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            advance(t_switch, t1, depth + 1)
+            splits += 1
+            t0 = t_switch
 
     # Waypoint knots are rate corners; a stage sampled across one would cost
     # the scheme its order, so knots are forced onto the step grid.
@@ -201,22 +218,16 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
             advance(t0, t1)
         cycle_indices.append(len(times) - 1)
 
-    shapes_arr = np.stack(shapes)
-    twists = np.empty((len(times), 3))
-    for idx, t in enumerate(times):
-        r, rdot = gait.evaluate(t)
-        piece = contacts[idx]
-        if piece is None:
-            a = provider.connection_at(r)
-        else:
-            a = provider.connection_for(piece, r)
-        twists[idx] = apply_connection(a, rdot).to_array()
+    # no step leaves the last row; its twist is not a stage, so it stays out
+    # of max_norm
+    last = xi_at.twist(times[-1], active)
+    twists.extend((last.vx, last.vy, last.omega))
 
     return Trajectory(
         times=np.array(times),
         poses=poses,
-        shapes=shapes_arr,
-        twists=twists,
+        shapes=np.stack(shapes),
+        twists=np.frombuffer(twists).reshape(-1, 3),
         contacts=contacts,
         events=events,
         cycle_indices=cycle_indices,

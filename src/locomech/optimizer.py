@@ -19,7 +19,7 @@ from .integrator import integrate_gait, net_displacement
 from .models import DegenerateStance
 from .shapespace import FourierGait
 
-_DIRECTIONS = ("x", "y", "theta", "speed")
+DIRECTIONS = ("x", "y", "theta", "speed")
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ def objective_displacement(
 
     Singular configurations score -inf so the search simply avoids them.
     """
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     try:
         traj = integrate_gait(provider, gait, cycles=cycles, step=step)
         disp = net_displacement(traj)

@@ -29,21 +29,15 @@ from .models import (
     two_leg_crawler,
     wavy_pose_map,
 )
+from .optimizer import DIRECTIONS, amplitude_phase_family, fourier_slot_family
 from .shapespace import FourierGait, WaypointGait
+from .verify import _SUITES
 
 SCHEMA_VERSION = 1
 
 MODEL_KINDS = ("jacobian", "swimmer", "crawler", "slip_walker", "many_legged")
 GAIT_KINDS = ("fourier", "waypoint")
-VERIFY_SUITES = (
-    "loop_closure",
-    "single_piece",
-    "reversal",
-    "pacing",
-    "continuity",
-    "residual",
-)
-DIRECTIONS = ("x", "y", "theta", "speed")
+VERIFY_SUITES = tuple(_SUITES)
 
 
 class ScenarioError(Exception):
@@ -124,17 +118,25 @@ def _as_int(block: dict, path: str, key: str, default=None, minimum=None):
     return int(value)
 
 
+def _number_row(value, path: str, message: str, length=None) -> list[float]:
+    """Floats of a list of plain numbers (bools excluded), else ScenarioError(path, message)."""
+    if (
+        not isinstance(value, list)
+        or (length is not None and len(value) != length)
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+    ):
+        raise ScenarioError(path, message)
+    return [float(v) for v in value]
+
+
 def _as_float_list(block: dict, path: str, key: str, length=None, default=None):
     value = block.get(key, default)
     if value is None:
         raise ScenarioError(f"{path}.{key}", "missing value")
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        raise ScenarioError(f"{path}.{key}", "expected a list of numbers")
-    if length is not None and len(value) != length:
+    floats = _number_row(value, f"{path}.{key}", "expected a list of numbers")
+    if length is not None and len(floats) != length:
         raise ScenarioError(f"{path}.{key}", f"expected {length} entries")
-    return [float(v) for v in value]
+    return floats
 
 
 def _as_matrix(block: dict, path: str, key: str, width: int):
@@ -143,14 +145,10 @@ def _as_matrix(block: dict, path: str, key: str, width: int):
         return None
     if not isinstance(value, list):
         raise ScenarioError(f"{path}.{key}", "expected a list of rows")
-    rows = []
-    for idx, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != width:
-            raise ScenarioError(
-                f"{path}.{key}[{idx}]", f"expected a row of {width} numbers"
-            )
-        rows.append([float(v) for v in row])
-    return rows
+    return [
+        _number_row(row, f"{path}.{key}[{idx}]", f"expected a row of {width} numbers", width)
+        for idx, row in enumerate(value)
+    ]
 
 
 def _build_model(block: dict):
@@ -304,14 +302,10 @@ def _build_gait(block: dict, dim: int):
     points = block.get("points")
     if not isinstance(points, list) or not points:
         raise ScenarioError(f"{path}.points", "expected a non-empty list of shapes")
-    pts = []
-    for idx, row in enumerate(points):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ScenarioError(
-                f"{path}.points[{idx}]",
-                f"expected a shape with {dim} coordinates",
-            )
-        pts.append([float(v) for v in row])
+    pts = [
+        _number_row(row, f"{path}.points[{idx}]", f"expected a shape with {dim} coordinates", dim)
+        for idx, row in enumerate(points)
+    ]
     times = _as_float_list(block, path, "times", length=len(pts) + 1)
     try:
         gait = WaypointGait(points=pts, times=times)
@@ -546,8 +540,6 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
 
 def build_family(scenario: Scenario):
     """Materialize the optimize block's gait family."""
-    from .optimizer import amplitude_phase_family, fourier_slot_family
-
     block = scenario.optimize
     if block is None:
         raise ScenarioError("optimize", "scenario has no optimize block")

@@ -119,11 +119,6 @@ class WaypointGait:
 Gait = FourierGait | WaypointGait
 
 
-def gait_eval(gait: Gait, t: float, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
-    """Shape and shape rate at time t (periodic in the gait period)."""
-    return gait.evaluate(t, side)
-
-
 def reparameterize(gait: Gait, warp: Callable[[float], float], samples: int = 4096) -> WaypointGait:
     """Retime a gait through a strictly increasing warp of [0, T] onto [0, warp(T)].
 

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from locomech import (
+    CurvatureField,
+    FieldGrid,
     FourierGait,
     GridSpec,
     LoopOutsideGrid,
     SingularConstraint,
     SingularStencil,
+    Twist,
     WaypointGait,
+    bracket,
     curvature,
     curvature_at,
     holonomy_vs_area,
@@ -86,6 +90,44 @@ def smooth_synthetic_curvature(r0, r1):
             0.0,
         ]
     )
+
+
+def per_node_curvature(field):
+    """Curvature written out node by node: one-sided (-3, 4, -1)/(2h) stencils
+    on the edges, centered ones inside, invalid where a stencil node is
+    singular or carries another stance label."""
+    n1, n2 = field.conn.shape[:2]
+    a1, a2 = field.axes
+    h1 = field.axis1[1] - field.axis1[0]
+    h2 = field.axis2[1] - field.axis2[0]
+
+    def diff(f, k, h):
+        n = f.shape[0]
+        if k == 0:
+            return (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h), (0, 1, 2)
+        if k == n - 1:
+            return (3 * f[k] - 4 * f[k - 1] + f[k - 2]) / (2 * h), (k - 2, k - 1, k)
+        return (f[k + 1] - f[k - 1]) / (2 * h), (k - 1, k, k + 1)
+
+    values = np.full((n1, n2, 3), np.nan)
+    valid = np.zeros((n1, n2), dtype=bool)
+    boundary = np.zeros((n1, n2), dtype=bool)
+    for i in range(n1):
+        for j in range(n2):
+            d1, rows = diff(field.conn[:, j, :, a2], i, h1)
+            d2, cols = diff(field.conn[i, :, :, a1], j, h2)
+            nodes = [(p, j) for p in rows] + [(i, q) for q in cols]
+            boundary[i, j] = i in (0, n1 - 1) or j in (0, n2 - 1)
+            valid[i, j] = all(
+                not field.singular[node]
+                and (field.contacts is None or field.contacts[node] == field.contacts[i, j])
+                for node in nodes
+            )
+            if valid[i, j]:
+                c1 = Twist.from_array(field.conn[i, j, :, a1])
+                c2 = Twist.from_array(field.conn[i, j, :, a2])
+                values[i, j] = d1 - d2 + bracket(c1, c2).to_array()
+    return CurvatureField(values=values, valid=valid, boundary=boundary)
 
 
 def square_loop_gait(a):
@@ -307,6 +349,29 @@ class TestCurvature:
         assert np.isfinite(value).all()
         with pytest.raises(SingularStencil):
             curvature_at(result, 5, 5)
+
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_matches_per_node_reference(self, with_labels):
+        rng = np.random.default_rng(20)
+        n1, n2 = 9, 7
+        labels = np.array([frozenset({0}), frozenset({1})], dtype=object)
+        field = FieldGrid(
+            axis1=np.linspace(-1.0, 0.6, n1),
+            axis2=np.linspace(0.2, 1.5, n2),
+            axes=(2, 0),
+            base=np.zeros(3),
+            conn=rng.normal(size=(n1, n2, 3, 3)),
+            contacts=labels[(rng.uniform(size=(n1, n2)) < 0.1).astype(int)]
+            if with_labels
+            else None,
+            singular=rng.uniform(size=(n1, n2)) < 0.05,
+        )
+        result = curvature(field)
+        ref = per_node_curvature(field)
+        assert 0 < result.valid.sum() < n1 * n2
+        assert np.array_equal(result.valid, ref.valid)
+        assert np.array_equal(result.boundary, ref.boundary)
+        assert np.array_equal(result.values, ref.values, equal_nan=True)
 
     def test_rejects_tiny_grids(self):
         field = sample_field(

@@ -259,6 +259,23 @@ class TestExitCodes:
         assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 2
         assert "model.paddle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["a", True])
+    @pytest.mark.parametrize("key", ["cos", "sin"])
+    def test_malformed_harmonic_entry_is_two(self, tmp_path, capsys, key, bad):
+        doc = swimmer_doc()
+        doc["gait"][key] = [[0.0, bad]]
+        path = write_scenario(tmp_path, doc)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 2
+        assert f"gait.{key}[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["x", False])
+    def test_malformed_waypoint_entry_is_two(self, tmp_path, capsys, bad):
+        doc = crawler_doc()
+        doc["gait"]["points"][0] = [-0.375, bad]
+        path = write_scenario(tmp_path, doc)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 2
+        assert "gait.points[0]" in capsys.readouterr().err
+
     def test_missing_file_is_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.yaml")]) == 2
 

@@ -18,7 +18,6 @@ from locomech import (
     compose,
     jacobian_connection_eval,
     linear_constraint_connection,
-    piecewise_connection_eval,
     rotate_translate_map,
     three_link_swimmer,
     two_leg_crawler,
@@ -179,7 +178,8 @@ def test_apply_dimension_mismatch():
 def test_single_piece_reduces_to_jacobian_route():
     model = two_leg_crawler()
     r = np.array([0.4, -0.1])
-    c, a = piecewise_connection_eval(model, r)
+    piecewise = PiecewiseConnection(model)
+    c, a = piecewise.contacts_at(r), piecewise.connection_at(r)
     assert c == frozenset({0})
     direct = jacobian_connection_eval(model.contact_map(frozenset({0})), r)
     assert np.array_equal(a, direct)
@@ -189,7 +189,9 @@ def test_single_piece_reduces_to_jacobian_route():
 
 def test_two_piece_interior_selection():
     model = two_leg_crawler()
-    c, a = piecewise_connection_eval(model, np.array([-0.5, 0.3]))
+    piecewise = PiecewiseConnection(model)
+    r = np.array([-0.5, 0.3])
+    c, a = piecewise.contacts_at(r), piecewise.connection_at(r)
     assert c == frozenset({1})
     piece = PiecewiseConnection(model).connection_for(frozenset({1}), np.array([-0.5, 0.3]))
     assert np.array_equal(a, piece)
@@ -226,8 +228,8 @@ def test_anchor_independence():
     rng = np.random.default_rng(12)
     for _ in range(20):
         r = rng.uniform(-1, 1, 2)
-        _, a0 = piecewise_connection_eval(base, r)
-        _, a1 = piecewise_connection_eval(Shifted(), r)
+        a0 = PiecewiseConnection(base).connection_at(r)
+        a1 = PiecewiseConnection(Shifted()).connection_at(r)
         assert np.abs(a0 - a1).max() < 1e-10
 
 

@@ -13,6 +13,7 @@ from locomech import (
     Trajectory,
     Twist,
     WaypointGait,
+    apply,
     JacobianConnection,
     build_contact_map,
     compose,
@@ -320,3 +321,61 @@ def test_multi_switch_step_warns_and_recovers():
     assert abs(traj.events[1].time - (t1 + 0.5)) <= 1e-9
     assert traj.events[0].before == frozenset({1})
     assert traj.events[0].after == frozenset({0})
+
+
+class CountingProvider:
+    """Single-piece provider wrapper that counts connection evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.evaluations = 0
+
+    def connection_at(self, r):
+        self.evaluations += 1
+        return self.inner.connection_at(r)
+
+    def contacts_at(self, r):
+        return self.inner.contacts_at(r)
+
+
+def test_smooth_integration_makes_four_evaluations_per_step():
+    # four RKMK4 stages per step; every row's twist is the first stage of
+    # the step leaving it, so only the final row costs one more evaluation
+    provider = CountingProvider(three_link_swimmer().provider())
+    gait = FourierGait(1.0, [0.0, 0.0], cos=[[0.0, -0.5]], sin=[[0.5, 0.0]])
+    traj = integrate_gait(provider, gait, cycles=2, step=0.05)
+    n = len(traj.times) - 1
+    assert n == 40
+    assert provider.evaluations == 4 * n + 1
+
+
+@pytest.mark.parametrize(
+    "provider, gait",
+    [
+        (
+            PiecewiseConnection(two_leg_crawler()),
+            WaypointGait(
+                points=[[-0.375, -0.375], [0.375, -0.375], [0.375, 0.375], [-0.375, 0.375]],
+                times=[0.0, 0.25, 0.5, 0.75, 1.0],
+            ),
+        ),
+        (
+            three_link_swimmer().provider(),
+            FourierGait(1.0, [0.0, 0.0], cos=[[0.0, -0.5]], sin=[[0.5, 0.0]]),
+        ),
+    ],
+    ids=["crawler_square", "swimmer"],
+)
+def test_twist_rows_are_right_side_twists_on_the_row_stance(provider, gait):
+    traj = integrate_gait(provider, gait, cycles=2, step=0.03)
+    if isinstance(gait, WaypointGait):
+        assert len(traj.events) == 4
+        assert {e.time for e in traj.events} <= set(traj.times)
+        assert set(gait.times[1:-1]) <= set(traj.times)
+    for k, t in enumerate(traj.times):
+        r = traj.shapes[k]
+        piece = traj.contacts[k]
+        a = provider.connection_at(r) if piece is None else provider.connection_for(piece, r)
+        expected = apply(a, gait.evaluate(t, "right")[1]).to_array()
+        assert np.array_equal(traj.twists[k], expected), k

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from locomech import FourierGait, WaypointGait, gait_eval, reparameterize, reversed_gait
+from locomech import FourierGait, WaypointGait, reparameterize, reversed_gait
 
 
 def square_loop():
@@ -18,7 +18,7 @@ def square_loop():
 
 def test_fourier_single_harmonic_rate_at_zero():
     g = FourierGait(1.0, [0.0], sin=[[0.5]])
-    r, rdot = gait_eval(g, 0.0)
+    r, rdot = g.evaluate(0.0)
     assert r[0] == 0.0
     assert abs(rdot[0] - math.pi) < 1e-14
 
@@ -47,7 +47,7 @@ def test_periodicity():
 
 
 def test_waypoint_interpolation_example():
-    r, rdot = gait_eval(square_loop(), 0.5)
+    r, rdot = square_loop().evaluate(0.5)
     np.testing.assert_allclose(r, [0.5, 0.0], atol=0)
     np.testing.assert_allclose(rdot, [1.0, 0.0], atol=0)
 
