@@ -21,12 +21,12 @@ import sys
 
 import numpy as np
 
-from .analysis import GridSpec, curvature, sample_field
+from .analysis import curvature, sample_field
 from .connection import SingularConstraint
 from .integrator import integrate_gait, net_displacement, per_cycle_displacements
 from .models import DegenerateStance
 from .optimizer import optimize as run_optimize
-from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, build_family, load_scenario
+from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, load_scenario
 from .verify import run_verify
 
 _TWIST_AXES = ("vx", "vy", "om")
@@ -142,17 +142,9 @@ def cmd_simulate(scenario: Scenario) -> int:
 def cmd_sweep(scenario: Scenario) -> int:
     if scenario.sweep is None:
         raise ScenarioError("sweep", "scenario has no sweep block")
-    block = scenario.sweep
-    spec = GridSpec(
-        lo=tuple(block["lo"]),
-        hi=tuple(block["hi"]),
-        counts=tuple(block["counts"]),
-        axes=tuple(block.get("axes", (0, 1))),
-        base=tuple(block["base"]) if "base" in block else None,
-    )
-    field = sample_field(scenario.provider, spec)
+    field = sample_field(scenario.provider, scenario.grid)
     curv = None
-    if block["curvature"]:
+    if scenario.sweep["curvature"]:
         try:
             curv = curvature(field)
         except ValueError as exc:
@@ -195,7 +187,7 @@ def cmd_optimize(scenario: Scenario) -> int:
     if scenario.optimize is None:
         raise ScenarioError("optimize", "scenario has no optimize block")
     block = scenario.optimize
-    family = build_family(scenario)
+    family = scenario.family
     report = run_optimize(
         scenario.provider,
         family,

@@ -54,12 +54,17 @@ def fourier_slot_family(template: FourierGait, slots, lower, upper) -> GaitFamil
     """Family varying chosen Fourier coefficient slots of a template gait.
 
     Slots are ("mean", i), ("cos", k, i), or ("sin", k, i) with harmonic index
-    k starting at 1.
+    k in 1..K of the template and coordinate i in 0..d-1.
     """
     slots = tuple(slots)
+    harmonics, d = template.cos.shape
     for s in slots:
         if s[0] not in ("mean", "cos", "sin"):
             raise ValueError(f"unknown slot kind {s[0]!r}")
+        if s[0] != "mean" and not 1 <= s[1] <= harmonics:
+            raise ValueError(f"slot {s}: harmonic index must be in 1..{harmonics}")
+        if not 0 <= s[-1] < d:
+            raise ValueError(f"slot {s}: coordinate must be in 0..{d - 1}")
 
     def build(p: np.ndarray) -> FourierGait:
         mean = template.mean.copy()

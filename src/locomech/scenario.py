@@ -5,23 +5,27 @@ settings, and per-command blocks.  Parsing is strict: unknown keys anywhere
 are errors, every diagnostic carries the dotted path of the offending field,
 and the fully resolved document (defaults filled in, command-line overrides
 applied) is hashed so output files can state exactly what produced them.
+Every library object a command needs is built and checked at load, so a
+malformed scenario fails before any command runs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import yaml
 
-from .connection import ConstraintConnection, JacobianConnection, PiecewiseConnection
+from .analysis import GridSpec
+from .connection import ConstraintConnection, JacobianConnection
 from .models import (
     arm_com_pose_map,
-    build_drag_constraints,
-    build_slip_constraints,
     many_legged_drag_surrogate,
     mirrored_slip_walker,
     rotate_translate_map,
@@ -29,13 +33,12 @@ from .models import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from .optimizer import DIRECTIONS, amplitude_phase_family, fourier_slot_family
+from .optimizer import DIRECTIONS, GaitFamily, amplitude_phase_family, fourier_slot_family
 from .shapespace import FourierGait, WaypointGait
 from .verify import _SUITES
 
 SCHEMA_VERSION = 1
 
-MODEL_KINDS = ("jacobian", "swimmer", "crawler", "slip_walker", "many_legged")
 GAIT_KINDS = ("fourier", "waypoint")
 VERIFY_SUITES = tuple(_SUITES)
 
@@ -56,7 +59,6 @@ class Scenario:
     out_dir: str
     model_kind: str
     provider: object
-    constraint_builder: Callable[[np.ndarray], object] | None
     gait: object
     step: float
     event_tol: float
@@ -64,10 +66,19 @@ class Scenario:
     sweep: dict | None = None
     optimize: dict | None = None
     verify: dict | None = None
+    grid: GridSpec | None = None
+    family: GaitFamily | None = None
 
     @property
     def dim(self) -> int:
         return self.provider.dim
+
+    @property
+    def constraint_builder(self) -> Callable[[np.ndarray], object] | None:
+        """The provider's balance builder r -> ConstraintSystem, None for pose-map models."""
+        if isinstance(self.provider, ConstraintConnection):
+            return self.provider.builder
+        return None
 
     @property
     def sha(self) -> str:
@@ -76,6 +87,15 @@ class Scenario:
         doc = {k: v for k, v in self.raw.items() if k != "out"}
         canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+@contextlib.contextmanager
+def _errors_at(path: str):
+    """Report a library constructor's ValueError as a ScenarioError at path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from exc
 
 
 def _expect_mapping(value, path: str) -> dict:
@@ -93,15 +113,23 @@ def _check_keys(block: dict, path: str, allowed, required=()) -> None:
             raise ScenarioError(path, f"missing required key {key!r}")
 
 
+def _finite(value, path: str) -> float:
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(path, "must be finite")
+    return value
+
+
 def _as_float(block: dict, path: str, key: str, default=None, positive=False):
     value = block.get(key, default)
     if value is None:
         raise ScenarioError(f"{path}.{key}", "missing value")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}.{key}", "expected a number")
-    value = float(value)
-    if not np.isfinite(value):
-        raise ScenarioError(f"{path}.{key}", "must be finite")
+    value = _finite(value, f"{path}.{key}")
     if positive and value <= 0.0:
         raise ScenarioError(f"{path}.{key}", "must be positive")
     return value
@@ -119,14 +147,14 @@ def _as_int(block: dict, path: str, key: str, default=None, minimum=None):
 
 
 def _number_row(value, path: str, message: str, length=None) -> list[float]:
-    """Floats of a list of plain numbers (bools excluded), else ScenarioError(path, message)."""
+    """Finite floats of a list of plain numbers (bools excluded), else ScenarioError at path."""
     if (
         not isinstance(value, list)
         or (length is not None and len(value) != length)
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise ScenarioError(path, message)
-    return [float(v) for v in value]
+    return [_finite(v, path) for v in value]
 
 
 def _as_float_list(block: dict, path: str, key: str, length=None, default=None):
@@ -137,6 +165,24 @@ def _as_float_list(block: dict, path: str, key: str, length=None, default=None):
     if length is not None and len(floats) != length:
         raise ScenarioError(f"{path}.{key}", f"expected {length} entries")
     return floats
+
+
+def _as_interval(block: dict, path: str, key: str, default) -> list[float]:
+    lo, hi = _as_float_list(block, path, key, length=2, default=default)
+    if not lo < hi:
+        raise ScenarioError(f"{path}.{key}", "need lower < upper")
+    return [lo, hi]
+
+
+def _as_int_pair(block: dict, path: str, key: str) -> list[int]:
+    value = block.get(key)
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
+    ):
+        raise ScenarioError(f"{path}.{key}", "expected two integers")
+    return [int(v) for v in value]
 
 
 def _as_matrix(block: dict, path: str, key: str, width: int):
@@ -151,123 +197,93 @@ def _as_matrix(block: dict, path: str, key: str, width: int):
     ]
 
 
-def _build_model(block: dict):
-    """Return (resolved_block, provider, constraint_builder)."""
-    path = "model"
-    _expect_mapping(block, path)
-    kind = block.get("kind")
-    if kind not in MODEL_KINDS:
-        raise ScenarioError(f"{path}.kind", f"expected one of {MODEL_KINDS}")
+# Typed readers, each called as reader(block, path, key, resolved) where
+# resolved holds the keys of its row that were read before it.
+def _number(default=None, positive=False):
+    return lambda block, path, key, resolved: _as_float(block, path, key, default, positive)
 
-    if kind == "jacobian":
-        _check_keys(block, path, ("kind", "map", "lengths", "masses", "fd_step"), ("map",))
-        name = block.get("map")
-        fd_step = _as_float(block, path, "fd_step", default=1e-5, positive=True)
-        resolved = {"kind": kind, "map": name, "fd_step": fd_step}
-        if name == "rotate_translate":
-            pose_map = rotate_translate_map()
-        elif name == "wavy":
-            pose_map = wavy_pose_map()
-        elif name == "arm_com":
-            lengths = _as_float_list(block, path, "lengths")
-            masses = _as_float_list(block, path, "masses", length=len(lengths))
-            resolved["lengths"] = lengths
-            resolved["masses"] = masses
-            try:
-                pose_map = arm_com_pose_map(lengths, masses)
-            except ValueError as exc:
-                raise ScenarioError(path, str(exc)) from exc
-        else:
-            raise ScenarioError(
-                f"{path}.map", "expected one of ('rotate_translate', 'wavy', 'arm_com')"
-            )
-        return resolved, JacobianConnection(pose_map, h=fd_step), None
 
-    if kind == "swimmer":
-        _check_keys(
-            block,
-            path,
-            ("kind", "link_length", "drag_tangential", "drag_normal", "quadrature"),
-        )
-        params = {
-            "link_length": _as_float(block, path, "link_length", 1.0, positive=True),
-            "drag_tangential": _as_float(
-                block, path, "drag_tangential", 1.0, positive=True
-            ),
-            "drag_normal": _as_float(block, path, "drag_normal", 2.0, positive=True),
-            "quadrature": _as_int(block, path, "quadrature", 8, minimum=1),
-        }
-        try:
-            model = three_link_swimmer(**params)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from exc
-        builder = lambda r: build_drag_constraints(model, r)
-        return {"kind": kind, **params}, model.provider(), builder
+_positive = functools.partial(_number, positive=True)
 
-    if kind == "crawler":
-        _check_keys(block, path, ("kind", "hip_spacing", "leg_length"))
-        params = {
-            "hip_spacing": _as_float(block, path, "hip_spacing", 1.0, positive=True),
-            "leg_length": _as_float(block, path, "leg_length", 1.0, positive=True),
-        }
-        try:
-            model = two_leg_crawler(**params)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from exc
-        return {"kind": kind, **params}, model.provider(), None
 
-    if kind == "slip_walker":
-        _check_keys(
-            block,
-            path,
-            (
-                "kind",
-                "hip_offset",
-                "half_width",
-                "leg_length",
-                "slip_tangential",
-                "slip_normal",
-                "slip_yaw",
-            ),
-        )
-        params = {
-            "hip_offset": _as_float(block, path, "hip_offset", 0.3),
-            "half_width": _as_float(block, path, "half_width", 0.4, positive=True),
-            "leg_length": _as_float(block, path, "leg_length", 1.0, positive=True),
-            "slip_tangential": _as_float(
-                block, path, "slip_tangential", 1.0, positive=True
-            ),
-            "slip_normal": _as_float(block, path, "slip_normal", 3.0, positive=True),
-            "slip_yaw": _as_float(block, path, "slip_yaw", 0.5, positive=True),
-        }
-        try:
-            model = mirrored_slip_walker(**params)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from exc
-        contacts = model.geometry.fixed_contacts
-        builder = lambda r: build_slip_constraints(model, contacts, r)
-        return {"kind": kind, **params}, model.provider(), builder
+def _integer(default=None, minimum=None):
+    return lambda block, path, key, resolved: _as_int(block, path, key, default, minimum)
 
-    # many_legged: drag chain probed through the m-footed surrogate
-    _check_keys(
-        block,
-        path,
-        ("kind", "feet", "link_length", "drag_tangential", "drag_normal", "quadrature"),
+
+def _numbers(same_length_as=None):
+    return lambda block, path, key, resolved: _as_float_list(
+        block, path, key, length=len(resolved[same_length_as]) if same_length_as else None
     )
-    feet = _as_int(block, path, "feet", minimum=2)
-    params = {
-        "link_length": _as_float(block, path, "link_length", 1.0, positive=True),
-        "drag_tangential": _as_float(block, path, "drag_tangential", 1.0, positive=True),
-        "drag_normal": _as_float(block, path, "drag_normal", 2.0, positive=True),
-        "quadrature": _as_int(block, path, "quadrature", 8, minimum=1),
-    }
-    try:
-        model = three_link_swimmer(**params)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
-    builder = lambda r: many_legged_drag_surrogate(model, feet, r)
-    provider = ConstraintConnection(builder, dim=2)
-    return {"kind": kind, "feet": feet, **params}, provider, builder
+
+
+# A table row is (readers, factory) or (readers, factory, (key, table)).  The
+# nested selector names a row of another table whose keys live in the same
+# block; the object it builds is the factory's first argument.
+_POSE_MAPS = {
+    "rotate_translate": ({}, rotate_translate_map),
+    "wavy": ({}, wavy_pose_map),
+    "arm_com": ({"lengths": _numbers(), "masses": _numbers("lengths")}, arm_com_pose_map),
+}
+
+_DRAG_CHAIN = {
+    "link_length": _positive(1.0),
+    "drag_tangential": _positive(1.0),
+    "drag_normal": _positive(2.0),
+    "quadrature": _integer(8, minimum=2),
+}
+
+
+def _many_legged(feet: int, **chain) -> ConstraintConnection:
+    """Swimmer drag chain probed through `feet` slipping point contacts per link."""
+    model = three_link_swimmer(**chain)
+    return ConstraintConnection(
+        lambda r: many_legged_drag_surrogate(model, feet, r), model.shape_dim
+    )
+
+
+_MODELS = {
+    "jacobian": (
+        {"fd_step": _positive(1e-5)},
+        lambda pose_map, fd_step: JacobianConnection(pose_map, h=fd_step),
+        ("map", _POSE_MAPS),
+    ),
+    "swimmer": (_DRAG_CHAIN, lambda **p: three_link_swimmer(**p).provider()),
+    "crawler": (
+        {"hip_spacing": _positive(1.0), "leg_length": _positive(1.0)},
+        lambda **p: two_leg_crawler(**p).provider(),
+    ),
+    "slip_walker": (
+        {
+            "hip_offset": _number(0.3),
+            "half_width": _positive(0.4),
+            "leg_length": _positive(1.0),
+            "slip_tangential": _positive(1.0),
+            "slip_normal": _positive(3.0),
+            "slip_yaw": _positive(0.5),
+        },
+        lambda **p: mirrored_slip_walker(**p).provider(),
+    ),
+    "many_legged": ({"feet": _integer(minimum=2), **_DRAG_CHAIN}, _many_legged),
+}
+
+MODEL_KINDS = tuple(_MODELS)
+
+
+def _read_row(block: dict, path: str, key: str, table: dict):
+    """(resolved keys, built object) of the row that block[key] names in table."""
+    name = block.get(key)
+    if not isinstance(name, str) or name not in table:
+        raise ScenarioError(f"{path}.{key}", f"expected one of {tuple(table)}")
+    readers, factory, *nested = table[name]
+    resolved, args = {key: name}, []
+    for selector in nested:
+        sub, built = _read_row(block, path, *selector)
+        resolved.update(sub)
+        args.append(built)
+    for k, read in readers.items():
+        resolved[k] = read(block, path, k, resolved)
+    with _errors_at(path):
+        return resolved, factory(*args, **{k: resolved[k] for k in readers})
 
 
 def _build_gait(block: dict, dim: int):
@@ -280,11 +296,7 @@ def _build_gait(block: dict, dim: int):
     if kind == "fourier":
         _check_keys(block, path, ("kind", "period", "mean", "cos", "sin"), ("mean",))
         period = _as_float(block, path, "period", 1.0, positive=True)
-        mean = _as_float_list(block, path, "mean")
-        if len(mean) != dim:
-            raise ScenarioError(
-                f"{path}.mean", f"gait dimension {len(mean)} != model dimension {dim}"
-            )
+        mean = _as_float_list(block, path, "mean", length=dim)
         cos = _as_matrix(block, path, "cos", len(mean))
         sin = _as_matrix(block, path, "sin", len(mean))
         resolved = {"kind": kind, "period": period, "mean": mean}
@@ -292,11 +304,8 @@ def _build_gait(block: dict, dim: int):
             resolved["cos"] = cos
         if sin is not None:
             resolved["sin"] = sin
-        try:
-            gait = FourierGait(period, mean, cos=cos, sin=sin)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from exc
-        return resolved, gait
+        with _errors_at(path):
+            return resolved, FourierGait(period, mean, cos=cos, sin=sin)
 
     _check_keys(block, path, ("kind", "points", "times"), ("points", "times"))
     points = block.get("points")
@@ -307,14 +316,12 @@ def _build_gait(block: dict, dim: int):
         for idx, row in enumerate(points)
     ]
     times = _as_float_list(block, path, "times", length=len(pts) + 1)
-    try:
-        gait = WaypointGait(points=pts, times=times)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
-    return {"kind": kind, "points": pts, "times": times}, gait
+    with _errors_at(path):
+        return {"kind": kind, "points": pts, "times": times}, WaypointGait(points=pts, times=times)
 
 
 def _build_sweep(block: dict, dim: int):
+    """Return (resolved_block, GridSpec)."""
     path = "sweep"
     _expect_mapping(block, path)
     _check_keys(
@@ -322,31 +329,35 @@ def _build_sweep(block: dict, dim: int):
     )
     lo = _as_float_list(block, path, "lo", length=2)
     hi = _as_float_list(block, path, "hi", length=2)
-    counts_raw = block.get("counts")
-    if (
-        not isinstance(counts_raw, list)
-        or len(counts_raw) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in counts_raw)
-    ):
-        raise ScenarioError(f"{path}.counts", "expected two integers")
-    counts = [int(v) for v in counts_raw]
+    if not (lo[0] < hi[0] and lo[1] < hi[1]):
+        raise ScenarioError(f"{path}.hi", "must exceed sweep.lo on both axes")
+    counts = _as_int_pair(block, path, "counts")
+    if min(counts) < 2:
+        raise ScenarioError(f"{path}.counts", "need at least 2 nodes per axis")
     resolved = {"lo": lo, "hi": hi, "counts": counts}
-    axes = block.get("axes")
-    if axes is not None:
-        if (
-            not isinstance(axes, list)
-            or len(axes) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in axes)
-        ):
-            raise ScenarioError(f"{path}.axes", "expected two integers")
-        resolved["axes"] = [int(v) for v in axes]
+    axes = [0, 1]
+    if block.get("axes") is not None:
+        axes = resolved["axes"] = _as_int_pair(block, path, "axes")
+    if axes[0] == axes[1] or not all(0 <= a < dim for a in axes):
+        raise ScenarioError(
+            f"{path}.axes", f"expected two different model coordinates in 0..{dim - 1}"
+        )
+    base = None
     if block.get("base") is not None:
-        resolved["base"] = _as_float_list(block, path, "base", length=dim)
+        base = resolved["base"] = _as_float_list(block, path, "base", length=dim)
     curvature = block.get("curvature", False)
     if not isinstance(curvature, bool):
         raise ScenarioError(f"{path}.curvature", "expected true or false")
     resolved["curvature"] = curvature
-    return resolved
+    with _errors_at(path):
+        grid = GridSpec(
+            lo=tuple(lo),
+            hi=tuple(hi),
+            counts=tuple(counts),
+            axes=tuple(axes),
+            base=None if base is None else tuple(base),
+        )
+    return resolved, grid
 
 
 def _build_optimize(block: dict, gait_block: dict):
@@ -369,18 +380,15 @@ def _build_optimize(block: dict, gait_block: dict):
             path,
             ("family", "direction", "budget", "restarts", "period", "amplitude", "phase"),
         )
-        resolved = {
+        return {
             "family": family,
             "direction": direction,
             "budget": budget,
             "restarts": restarts,
             "period": _as_float(block, path, "period", 1.0, positive=True),
-            "amplitude": _as_float_list(block, path, "amplitude", 2, default=[0.1, 1.2]),
-            "phase": _as_float_list(
-                block, path, "phase", 2, default=[-float(np.pi), float(np.pi)]
-            ),
+            "amplitude": _as_interval(block, path, "amplitude", [0.1, 1.2]),
+            "phase": _as_interval(block, path, "phase", [-float(np.pi), float(np.pi)]),
         }
-        return resolved
 
     _check_keys(
         block, path, ("family", "direction", "budget", "restarts", "slots", "lower", "upper"),
@@ -406,6 +414,8 @@ def _build_optimize(block: dict, gait_block: dict):
         slots.append([slot[0]] + [int(v) for v in slot[1:]])
     lower = _as_float_list(block, path, "lower", length=len(slots))
     upper = _as_float_list(block, path, "upper", length=len(slots))
+    if not all(lo < hi for lo, hi in zip(lower, upper)):
+        raise ScenarioError(f"{path}.upper", "need lower < upper in every slot")
     return {
         "family": family,
         "direction": direction,
@@ -465,41 +475,30 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         ("schema", "seed", "out", "model", "gait", "integrator", "sweep", "optimize", "verify"),
         ("model", "gait"),
     )
-    overrides = dict(overrides or {})
+    # command-line flags replace the fields they name before validation
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    doc = {**doc, **{k: flags[k] for k in ("seed", "out") if k in flags}}
 
     schema = doc.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ScenarioError("schema", f"unsupported schema version {schema!r}")
-
     seed = _as_int(doc, "<root>", "seed", default=0, minimum=0)
-    if overrides.get("seed") is not None:
-        seed = int(overrides["seed"])
-        if seed < 0:
-            raise ScenarioError("seed", "must be at least 0")
-
     out_dir = doc.get("out", "out")
-    if overrides.get("out") is not None:
-        out_dir = overrides["out"]
     if not isinstance(out_dir, str) or not out_dir:
         raise ScenarioError("out", "expected a non-empty string")
 
-    model_block, provider, constraint_builder = _build_model(doc.get("model"))
+    model = _expect_mapping(doc.get("model"), "model")
+    model_block, provider = _read_row(model, "model", "kind", _MODELS)
+    # a row resolves every key it reads, so its resolved keys are the allowed ones
+    _check_keys(model, "model", model_block)
     gait_block, gait = _build_gait(doc.get("gait"), provider.dim)
 
-    integ = doc.get("integrator", {})
-    _expect_mapping(integ, "integrator")
+    integ = _expect_mapping(doc.get("integrator", {}), "integrator")
     _check_keys(integ, "integrator", ("step", "event_tol", "cycles"))
+    integ = {**integ, **{k: flags[k] for k in ("step", "cycles") if k in flags}}
     step = _as_float(integ, "integrator", "step", 1e-2, positive=True)
-    if overrides.get("step") is not None:
-        step = float(overrides["step"])
-        if not (np.isfinite(step) and step > 0.0):
-            raise ScenarioError("integrator.step", "must be positive")
     event_tol = _as_float(integ, "integrator", "event_tol", 1e-10, positive=True)
     cycles = _as_int(integ, "integrator", "cycles", 1, minimum=1)
-    if overrides.get("cycles") is not None:
-        cycles = int(overrides["cycles"])
-        if cycles < 1:
-            raise ScenarioError("integrator.cycles", "must be at least 1")
 
     resolved = {
         "schema": SCHEMA_VERSION,
@@ -509,33 +508,33 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         "gait": gait_block,
         "integrator": {"step": step, "event_tol": event_tol, "cycles": cycles},
     }
-
-    sweep = optimize = verify = None
-    if "sweep" in doc:
-        sweep = _build_sweep(doc["sweep"], provider.dim)
-        resolved["sweep"] = sweep
-    if "optimize" in doc:
-        optimize = _build_optimize(doc["optimize"], gait_block)
-        resolved["optimize"] = optimize
-    if "verify" in doc:
-        verify = _build_verify(doc["verify"], constraint_builder is not None)
-        resolved["verify"] = verify
-
-    return Scenario(
+    scenario = Scenario(
         raw=resolved,
         seed=seed,
         out_dir=out_dir,
         model_kind=model_block["kind"],
         provider=provider,
-        constraint_builder=constraint_builder,
         gait=gait,
         step=step,
         event_tol=event_tol,
         cycles=cycles,
-        sweep=sweep,
-        optimize=optimize,
-        verify=verify,
     )
+
+    if "sweep" in doc:
+        scenario.sweep, scenario.grid = _build_sweep(doc["sweep"], provider.dim)
+        resolved["sweep"] = scenario.sweep
+    if "optimize" in doc:
+        scenario.optimize = resolved["optimize"] = _build_optimize(doc["optimize"], gait_block)
+        # bounds are checked above, so only a slot can still be rejected
+        with _errors_at("optimize.slots"):
+            scenario.family = build_family(scenario)
+        simplex = scenario.family.n_params + 1
+        if scenario.optimize["budget"] < simplex:
+            raise ScenarioError("optimize.budget", f"must be at least {simplex}, one simplex")
+    if "verify" in doc:
+        has_constraints = isinstance(provider, ConstraintConnection)
+        scenario.verify = resolved["verify"] = _build_verify(doc["verify"], has_constraints)
+    return scenario
 
 
 def build_family(scenario: Scenario):

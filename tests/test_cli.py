@@ -276,6 +276,89 @@ class TestExitCodes:
         assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 2
         assert "gait.points[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "window, field",
+        [
+            ({"lo": [1.0, -1.0], "hi": [1.0, 1.0]}, "sweep.hi"),
+            ({"lo": [-1.0, 0.5], "hi": [1.0, 0.2]}, "sweep.hi"),
+            ({"counts": [5, 1]}, "sweep.counts"),
+            ({"axes": [1, 1]}, "sweep.axes"),
+            ({"axes": [0, 2]}, "sweep.axes"),
+            ({"axes": [-1, 0]}, "sweep.axes"),
+        ],
+    )
+    def test_malformed_sweep_window_is_two(self, tmp_path, capsys, window, field):
+        sweep = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [5, 5], **window}
+        path = write_scenario(tmp_path, swimmer_doc(sweep=sweep))
+        assert main(["sweep", path, "--out", str(tmp_path / "run")]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block, field",
+        [
+            ({"slots": [["cos", 0, 0]]}, "optimize.slots"),
+            ({"slots": [["sin", 2, 0]]}, "optimize.slots"),
+            ({"slots": [["cos", 1, 2]]}, "optimize.slots"),
+            ({"slots": [["mean", 2]]}, "optimize.slots"),
+            ({"slots": [["mean", -1]]}, "optimize.slots"),
+            ({"lower": [1.0], "upper": [-1.0]}, "optimize.upper"),
+            ({"family": "amplitude_phase", "amplitude": [1.2, 0.1]}, "optimize.amplitude"),
+            ({"family": "amplitude_phase", "phase": [1.0, -1.0]}, "optimize.phase"),
+            ({"family": "amplitude_phase", "budget": 2}, "optimize.budget"),
+            (
+                {
+                    "budget": 2,
+                    "slots": [["sin", 1, 0], ["cos", 1, 1]],
+                    "lower": [-1.0, -1.0],
+                    "upper": [1.0, 1.0],
+                },
+                "optimize.budget",
+            ),
+        ],
+    )
+    def test_malformed_optimize_block_is_two(self, tmp_path, capsys, block, field):
+        optimize = {
+            "family": "fourier_slots",
+            "budget": 20,
+            "restarts": 1,
+            "slots": [["sin", 1, 0]],
+            "lower": [-1.0],
+            "upper": [1.0],
+            **block,
+        }
+        if optimize["family"] == "amplitude_phase":
+            for key in ("slots", "lower", "upper"):
+                del optimize[key]
+        path = write_scenario(tmp_path, swimmer_doc(optimize=optimize))
+        assert main(["optimize", path, "--out", str(tmp_path / "run")]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["gait.mean", "gait.cos[0]", "gait.points[1]", "sweep.base"])
+    def test_non_finite_list_entry_is_two(self, tmp_path, capsys, field, bad):
+        command = "simulate"
+        if field == "gait.points[1]":
+            doc = crawler_doc()
+            doc["gait"]["points"][1] = [bad, -0.375]
+        else:
+            doc = swimmer_doc()
+            doc["model"] = {"kind": "jacobian", "map": "wavy"}
+            if field == "gait.mean":
+                doc["gait"]["mean"] = [0.0, bad]
+            elif field == "gait.cos[0]":
+                doc["gait"]["cos"] = [[bad, -0.5]]
+            else:
+                command = "sweep"
+                doc["sweep"] = {
+                    "lo": [-1.0, -1.0],
+                    "hi": [1.0, 1.0],
+                    "counts": [3, 3],
+                    "base": [bad, 0.0],
+                }
+        path = write_scenario(tmp_path, doc)
+        assert main([command, path, "--out", str(tmp_path / "run")]) == 2
+        assert f"{field}: must be finite" in capsys.readouterr().err
+
     def test_missing_file_is_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.yaml")]) == 2
 

@@ -141,6 +141,23 @@ class TestFamilies:
         with pytest.raises(ValueError):
             fourier_slot_family(template, [("freq", 0)], [-1], [1])
 
+    @pytest.mark.parametrize(
+        "slot, what",
+        [
+            (("cos", 0, 0), "harmonic"),
+            (("sin", 2, 1), "harmonic"),
+            (("cos", 1, 2), "coordinate"),
+            (("sin", 1, -1), "coordinate"),
+            (("mean", 2), "coordinate"),
+            (("mean", -1), "coordinate"),
+        ],
+    )
+    def test_slot_indices_outside_the_template(self, slot, what):
+        # index 0 or -1 would otherwise edit the last harmonic or coordinate
+        template = FourierGait(1.0, [0.0, 0.0], cos=[[0.1, 0.1]])
+        with pytest.raises(ValueError, match=what):
+            fourier_slot_family(template, [slot], [-1.0], [1.0])
+
     def test_family_bounds_validation(self):
         with pytest.raises(ValueError):
             GaitFamily(build=lambda p: None, lower=[0.0, 0.0], upper=[1.0])

@@ -1,14 +1,25 @@
+import copy
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from locomech import (
     ConstraintConnection,
+    GaitFamily,
+    GridSpec,
     JacobianConnection,
     PiecewiseConnection,
     ScenarioError,
     build_family,
     load_scenario,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def minimal(**extra):
@@ -316,3 +327,160 @@ class TestOverridesAndHash:
         a = load_scenario(minimal(), overrides={"out": "run_a"})
         b = load_scenario(minimal(), overrides={"out": "run_b"})
         assert a.sha == b.sha
+
+
+class TestTableRows:
+    def test_quadrature_bound_is_reported_at_its_key(self):
+        doc = minimal()
+        doc["model"]["quadrature"] = 1
+        with pytest.raises(ScenarioError, match="model.quadrature: must be at least 2"):
+            load_scenario(doc)
+
+    def test_keys_of_another_map_are_unknown(self):
+        doc = minimal()
+        doc["model"] = {"kind": "jacobian", "map": "wavy", "lengths": [1.0, 1.0]}
+        with pytest.raises(ScenarioError, match="model.lengths: unknown key"):
+            load_scenario(doc)
+
+    def test_masses_follow_lengths(self):
+        doc = minimal()
+        doc["model"] = {
+            "kind": "jacobian",
+            "map": "arm_com",
+            "lengths": [1.0, 0.8],
+            "masses": [1.0, 0.5, 0.7],
+        }
+        with pytest.raises(ScenarioError, match="model.masses: expected 2 entries"):
+            load_scenario(doc)
+
+    def test_constraint_builder_is_the_providers(self):
+        sc = load_scenario(minimal())
+        assert sc.constraint_builder is sc.provider.builder
+
+    def test_command_objects_built_at_load(self):
+        doc = minimal(
+            sweep={"lo": [-1, -1], "hi": [1, 1], "counts": [5, 4], "axes": [1, 0]},
+            optimize={"family": "amplitude_phase"},
+        )
+        sc = load_scenario(doc)
+        assert sc.grid == GridSpec(lo=(-1.0, -1.0), hi=(1.0, 1.0), counts=(5, 4), axes=(1, 0))
+        assert isinstance(sc.family, GaitFamily)
+        assert sc.family.names == ("amplitude", "phase")
+        assert load_scenario(minimal()).grid is None
+        assert load_scenario(minimal()).family is None
+
+
+# Scenario.sha of the shipped scenarios.  A table row that changes a default or
+# a key set, or any change to the resolved layout, changes one of these.
+SHIPPED_SHA = {
+    "crawler_square.yaml": "5752ffe6499a495e7977d72246145f60c088f0081ee7eda447779a5c7072bf9a",
+    "rotate_translate_closure.yaml": (
+        "6d350ecca36f495c5f3bdf6cb4768df93fabd6a7acc102fe804c75bc66c3ecf5"
+    ),
+    "swimmer_circle.yaml": "f4c7e57fbe8c948ee6a0018215049fc50039f08c36ad98e7d580b6f1860c65a1",
+    "swimmer_optimize.yaml": "db1a01e78e2285437998c9413ff4e3ed18a41acc0bc2fc64e0b82a33d27ae469",
+    "walker_mirror.yaml": "a8245eccb80aaee6e9d5fe360e9625e2408a2d675de8e33e5c630953f5c49525",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SHA))
+def test_shipped_scenario_hash_is_pinned(name):
+    assert load_scenario(str(SCENARIOS / name)).sha == SHIPPED_SHA[name]
+
+
+def test_every_shipped_scenario_is_pinned():
+    assert sorted(p.name for p in SCENARIOS.glob("*.yaml")) == sorted(SHIPPED_SHA)
+
+
+SHIPPED_DOCS = [yaml.safe_load(path.read_text()) for path in sorted(SCENARIOS.glob("*.yaml"))]
+
+# every key the scenario format knows, for the "add a key" mutation
+SCENARIO_KEYS = """
+    schema seed out model gait integrator sweep optimize verify
+    kind map lengths masses fd_step feet quadrature link_length drag_tangential drag_normal
+    hip_spacing leg_length hip_offset half_width slip_tangential slip_normal slip_yaw
+    period mean cos sin points times step event_tol cycles
+    lo hi counts axes base curvature family direction budget restarts amplitude phase
+    slots lower upper suites shapes box
+""".split()
+
+_numbers = st.one_of(
+    st.integers(-3, 40),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+_scalars = st.one_of(
+    _numbers,
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(["x", "mean", "cos", "fourier", "swimmer", "residual"]),
+)
+_values = st.one_of(
+    _numbers,
+    _scalars,
+    st.lists(_numbers, min_size=1, max_size=3),
+    st.lists(_scalars, max_size=3),
+    st.lists(st.lists(_numbers, min_size=1, max_size=3), max_size=3),
+)
+
+
+def _positions(node):
+    """(container, key) of every entry below node, mappings and lists alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _positions(value)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED_DOCS)))
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "replace":
+            leaves = [
+                (c, k) for c, k in _positions(doc) if not isinstance(c[k], (dict, list))
+            ]
+            container, key = draw(st.sampled_from(leaves))
+            container[key] = draw(_values)
+        elif op == "delete":
+            keyed = [(c, k) for c, k in _positions(doc) if isinstance(c, dict)]
+            container, key = draw(st.sampled_from(keyed))
+            del container[key]
+        else:
+            blocks = [doc] + [c[k] for c, k in _positions(doc) if isinstance(c[k], dict)]
+            block = draw(st.sampled_from(blocks))
+            block[draw(st.sampled_from(SCENARIO_KEYS))] = draw(_values)
+    return doc
+
+
+def _floats(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for value in node:
+            yield from _floats(value)
+    elif isinstance(node, float):
+        yield node
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutated_documents())
+def test_mutated_shipped_scenarios_load_or_raise_scenario_error(doc):
+    try:
+        sc = load_scenario(doc)
+    except ScenarioError:
+        return
+    assert all(math.isfinite(v) for v in _floats(sc.raw))
+    if sc.optimize is not None:
+        family = build_family(sc)
+        family.build(family.lower)
