@@ -21,6 +21,7 @@ from .analysis import (
 )
 from .connection import (
     ConnectionMatrix,
+    ConnectionProvider,
     ConstraintConnection,
     ConstraintSystem,
     JacobianConnection,

@@ -12,10 +12,18 @@ sampling, optimizer, verify suites) talks to a provider through:
 - ``dim``: the number of shape coordinates d;
 - ``contacts_at(r)``: the hashable stance label selected at shape r, and
   None for a provider with a single piece;
-- ``connection_at(r)``: A(r) of the piece selected at r;
-- ``connection_for(label, r)``: A(r) of the named piece, possibly evaluated
-  past that piece's switching surface; only needed when contacts_at can
-  return a label other than None.
+- ``connection_many(label, shapes)``: A of the named piece at every shape
+  of a (..., d) array, typically (N, d), as a (..., 3, d) array whose entry
+  at each leading index is bitwise the single-shape result; the piece may be
+  evaluated past its switching surface.
+
+``ConnectionProvider`` derives ``connection_for(label, r)`` and
+``connection_at(r)`` (the piece selected at r) from ``connection_many`` as
+its single-shape case, a (d,) shape with no leading axes, so there is one
+evaluation path.  Constraint builders and ``ConstraintSystem`` broadcast the
+same way: a builder maps shapes (..., d) to blocks m (..., 3, 3) and
+n (..., 3, d), and ``linear_constraint_connection`` solves every leading
+index at once.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ ConnectionMatrix = np.ndarray  # (3, d), rows vx, vy, omega
 ContactSet = frozenset
 
 _COND_LIMIT = 1e12
+
+# rows per constraint assembly: enough to amortise the per-call overhead
+_CHUNK_ROWS = 64
 
 
 class SingularConstraint(RuntimeError):
@@ -51,7 +62,10 @@ class PoseMap:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Linear balance m @ xi + n @ rdot = 0 with m (3, 3) and n (3, d)."""
+    """Linear balance m @ xi + n @ rdot = 0 with m (..., 3, 3) and n (..., 3, d).
+
+    Leading axes index independent balances, one per shape.
+    """
 
     m: np.ndarray
     n: np.ndarray
@@ -59,9 +73,9 @@ class ConstraintSystem:
     def __post_init__(self) -> None:
         m = np.asarray(self.m, dtype=float)
         n = np.asarray(self.n, dtype=float)
-        if m.shape != (3, 3):
+        if m.shape[-2:] != (3, 3):
             raise ValueError(f"twist coefficient block must be 3x3, got {m.shape}")
-        if n.ndim != 2 or n.shape[0] != 3:
+        if n.ndim != m.ndim or n.shape[:-1] != m.shape[:-1]:
             raise ValueError(f"shape-rate coefficient block must be 3xd, got {n.shape}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -87,46 +101,62 @@ def jacobian_connection_eval(pose_map: PoseMap, r, h: float = 1e-5) -> Connectio
     return a
 
 
-def _cond_estimate(m: np.ndarray) -> float:
-    """1-norm condition estimate of the 3x3 twist block via its adjugate.
+def _cond_estimate(m: np.ndarray):
+    """1-norm condition estimate of each 3x3 twist block via its adjugate.
 
     Cheaper than an SVD by an order of magnitude, which matters because this
     guard sits inside every integrator stage of the force-balance models.
+    Returns a float for one block and an array over leading axes otherwise.
     """
-    (a, b, c), (d, e, f), (g, h, i) = m
+    m = np.asarray(m, dtype=float)
+    # m.T puts the block indices first (transposed) and the leading axes
+    # last; one block is read as plain floats, which are cheaper to combine
+    (a, d, g), (b, e, h), (c, f, i) = m.T.tolist() if m.ndim == 2 else m.T
     c00 = e * i - f * h
     c01 = f * g - d * i
     c02 = d * h - e * g
     det = a * c00 + b * c01 + c * c02
-    if det == 0.0 or not np.isfinite(det):
-        return np.inf
-    adj = np.array([
-        [c00, c * h - b * i, b * f - c * e],
-        [c01, a * i - c * g, c * d - a * f],
-        [c02, b * g - a * h, a * e - b * d],
+    adj1 = np.maximum.reduce([
+        abs(c00) + abs(c01) + abs(c02),
+        abs(c * h - b * i) + abs(a * i - c * g) + abs(b * g - a * h),
+        abs(b * f - c * e) + abs(c * d - a * f) + abs(a * e - b * d),
     ])
-    norm1 = np.abs(m).sum(axis=0).max()
-    inv_norm1 = np.abs(adj).sum(axis=0).max() / abs(det)
-    return float(norm1 * inv_norm1)
+    norm1 = abs(m).sum(axis=-2).max(axis=-1).T
+    usable = np.isfinite(det) & (det != 0.0)
+    cond = np.where(usable, norm1 * (adj1 / abs(np.where(usable, det, 1.0))), np.inf)
+    return float(cond) if m.ndim == 2 else cond.T
+
+
+def _max_abs(x: np.ndarray):
+    """Largest |entry| of each trailing 2-D block, 0 for an empty block."""
+    return np.abs(x).max(axis=(-2, -1), initial=0.0)
 
 
 def linear_constraint_connection(system: ConstraintSystem) -> ConnectionMatrix:
-    """Solve the balance for A = -m^-1 n via a pivoted solve.
+    """Solve every balance for A = -m^-1 n via a pivoted solve.
 
-    One refinement pass keeps the residual ||m A + n||_inf at roundoff level;
-    a condition estimate above 1e12 raises SingularConstraint.
+    One refinement pass, taken only by the balances that need it, keeps the
+    residual ||m A + n||_inf at roundoff level; a condition estimate above
+    1e12 raises SingularConstraint.  Each leading index gives bitwise the
+    result of solving its balance alone.
     """
     m, n = system.m, system.n
-    if not np.all(np.isfinite(m)) or not np.all(np.isfinite(n)):
+    if not (np.isfinite(m).all() and np.isfinite(n).all()):
         raise SingularConstraint("constraint blocks contain non-finite entries")
     cond = _cond_estimate(m)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularConstraint(f"twist coefficient block has condition {cond:.3e}")
+    usable = cond <= _COND_LIMIT
+    if not np.all(usable):
+        worst = np.asarray(cond)[~np.asarray(usable)][0]
+        raise SingularConstraint(f"twist coefficient block has condition {worst:.3e}")
     a = np.linalg.solve(m, -n)
     resid = m @ a + n
-    scale = max(np.abs(n).max(initial=0.0), np.abs(m).max() * max(np.abs(a).max(initial=0.0), 1.0))
-    if np.abs(resid).max(initial=0.0) > 1e-13 * max(scale, 1.0):
-        a -= np.linalg.solve(m, resid)
+    resid_max = _max_abs(resid)
+    # the threshold is at least 1e-13, so only larger residuals need the scale
+    if np.any(resid_max > 1e-13):
+        scale = np.maximum(_max_abs(n), _max_abs(m) * np.maximum(_max_abs(a), 1.0))
+        refine = resid_max > 1e-13 * np.maximum(scale, 1.0)
+        if refine.any():
+            a[refine] -= np.linalg.solve(m[refine], resid[refine])
     return a
 
 
@@ -141,7 +171,33 @@ def apply(a: ConnectionMatrix, rdot) -> Twist:
     return Twist.from_array(a @ rdot)
 
 
-class JacobianConnection:
+class ConnectionProvider:
+    """Shared single-shape access for providers that define connection_many.
+
+    Subclasses supply dim, contacts_at and connection_many; the single-shape
+    calls here are its case without leading axes, not a second evaluation
+    path.
+    """
+
+    def connection_for(self, label, r) -> ConnectionMatrix:
+        return self.connection_many(label, np.asarray(r, dtype=float))
+
+    def connection_at(self, r) -> ConnectionMatrix:
+        return self.connection_for(self.contacts_at(r), r)
+
+
+def _jacobian_many(pose_map: PoseMap, shapes, h: float) -> np.ndarray:
+    """jacobian_connection_eval at every shape of a (..., d) array."""
+    shapes = np.asarray(shapes, dtype=float)
+    if shapes.ndim == 1:
+        return jacobian_connection_eval(pose_map, shapes, h)
+    out = np.empty(shapes.shape[:-1] + (3, pose_map.dim))
+    for idx in np.ndindex(shapes.shape[:-1]):
+        out[idx] = jacobian_connection_eval(pose_map, shapes[idx], h)
+    return out
+
+
+class JacobianConnection(ConnectionProvider):
     """Provider backed by a single smooth pose map."""
 
     def __init__(self, pose_map: PoseMap, h: float = 1e-5):
@@ -152,15 +208,19 @@ class JacobianConnection:
     def dim(self) -> int:
         return self.pose_map.dim
 
-    def connection_at(self, r) -> ConnectionMatrix:
-        return jacobian_connection_eval(self.pose_map, r, self.h)
-
     def contacts_at(self, r) -> None:
         return None
 
+    def connection_many(self, label, shapes) -> np.ndarray:
+        return _jacobian_many(self.pose_map, shapes, self.h)
 
-class ConstraintConnection:
-    """Provider solving a shape-dependent linear balance."""
+
+class ConstraintConnection(ConnectionProvider):
+    """Provider solving a shape-dependent linear balance.
+
+    The builder must broadcast: shapes (..., d) give blocks (..., 3, 3) and
+    (..., 3, d).
+    """
 
     def __init__(self, builder: Callable[[np.ndarray], ConstraintSystem], dim: int):
         self.builder = builder
@@ -170,14 +230,21 @@ class ConstraintConnection:
     def dim(self) -> int:
         return self._dim
 
-    def connection_at(self, r) -> ConnectionMatrix:
-        return linear_constraint_connection(self.builder(np.asarray(r, dtype=float)))
-
     def contacts_at(self, r) -> None:
         return None
 
+    def connection_many(self, label, shapes) -> np.ndarray:
+        shapes = np.asarray(shapes, dtype=float)
+        if shapes.ndim < 2 or len(shapes) <= _CHUNK_ROWS:
+            return linear_constraint_connection(self.builder(shapes))
+        # row blocks bound the assembly's temporaries on long integrations
+        out = np.empty(shapes.shape[:-1] + (3, shapes.shape[-1]))
+        for i in range(0, len(shapes), _CHUNK_ROWS):
+            out[i:i + _CHUNK_ROWS] = linear_constraint_connection(self.builder(shapes[i:i + _CHUNK_ROWS]))
+        return out
 
-class PiecewiseConnection:
+
+class PiecewiseConnection(ConnectionProvider):
     """Provider dispatching on a contact model's selected stance.
 
     The model must offer select_contacts(r), contact_map(c), and shape_dim.
@@ -205,8 +272,5 @@ class PiecewiseConnection:
             self._maps[c] = m
         return m
 
-    def connection_for(self, c: ContactSet, r) -> ConnectionMatrix:
-        return jacobian_connection_eval(self.piece_map(c), np.asarray(r, dtype=float), self.h)
-
-    def connection_at(self, r) -> ConnectionMatrix:
-        return self.connection_for(self.contacts_at(r), r)
+    def connection_many(self, c: ContactSet, shapes) -> np.ndarray:
+        return _jacobian_many(self.piece_map(c), shapes, self.h)

@@ -3,7 +3,9 @@
 The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
 Munthe-Kaas scheme: stage twists are combined in the velocity algebra through
 the truncated inverse differential of exp and applied with one group
-exponential per step.  Every step compares the provider's stance label at
+exponential per step.  The shape path r(t) is prescribed, so within a stance
+piece every stage twist depends on t alone and the whole stage grid is
+planned and evaluated before any group arithmetic.  Every step compares the provider's stance label at
 its midpoint and end with the active one; a step that straddles a stance
 change is split at the switch time (located by bisection on the selector)
 and integration resumes with the new piece from the same pose, so the pose
@@ -13,13 +15,14 @@ so never splits a step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import apply as apply_connection
+from .connection import SingularConstraint, apply as apply_connection
 from .liegroup import Pose, Twist, bracket, compose, exp, inverse, log
 
 
@@ -59,44 +62,66 @@ def _dexpinv(u: Twist, v: Twist) -> Twist:
     return v + 0.5 * uv + (1.0 / 12.0) * bracket(u, uv)
 
 
-class _TwistField:
-    """Stage-twist evaluator; tracks the largest stage twist norm it has produced.
+def _require_finite(values: np.ndarray, what: str, where) -> None:
+    """Raise SingularConstraint at the first non-finite row; where(i) gives its (t, shape)."""
+    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if not finite.all():
+        t, r = where(int(np.argmin(finite)))
+        raise SingularConstraint(f"non-finite {what} at t={t!r}, shape {r.tolist()}")
 
-    This is the one place a stance label picks the connection: None is the
-    label of a single-piece provider, any other label names a piece.
+
+def _distinct_rows(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each bytewise-distinct row, and each row's distinct index."""
+    n, d = shapes.shape
+    if d == 0:
+        return np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.int32)
+    keys = np.ascontiguousarray(shapes).view(np.dtype((np.void, shapes.itemsize * d)))[:, 0]
+    # a stable sort keeps each run of equal keys in first-seen order; this
+    # holds about half the memory np.unique does on long integrations
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    del ordered
+    inverse = np.empty(n, dtype=np.int32)
+    inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
+    return order[starts], inverse
+
+
+def _evaluate_stages(provider, contacts: list, stage_r: np.ndarray, where):
+    """Evaluate the connection once per bytewise-distinct (stance, stage shape).
+
+    A depends on the stance and the shape only.  Stages 3j, 3j + 1 and
+    3j + 2 belong to step j, on the stance of row j; the final stage is the
+    last row's.  Each stance gets one connection_many call.  Returns those
+    calls' results, and for every stage the index of its stance's result and
+    its row in it; where(i) names stage i in errors.
     """
-
-    def __init__(self, provider, gait):
-        self.provider = provider
-        self.gait = gait
-        self.max_norm = 0.0
-
-    def twist(self, t: float, piece, side: str = "right") -> Twist:
-        r, rdot = self.gait.evaluate(t, side)
-        if piece is None:
-            a = self.provider.connection_at(r)
-        else:
-            a = self.provider.connection_for(piece, r)
-        return apply_connection(a, rdot)
-
-    def __call__(self, t: float, piece, side: str = "right") -> Twist:
-        xi = self.twist(t, piece, side)
-        norm = xi.norm()
-        if norm > self.max_norm:
-            self.max_norm = norm
-        return xi
+    ids: dict = {}
+    row_ids = np.array([ids.setdefault(c, len(ids)) for c in contacts], dtype=np.int32)
+    stage_ids = np.append(np.repeat(row_ids[:-1], 3), row_ids[-1])
+    stage_rows = np.empty(len(stage_ids), dtype=np.int32)
+    blocks = []
+    for label, lid in ids.items():
+        sel = np.flatnonzero(stage_ids == lid)
+        first, stage_rows[sel] = _distinct_rows(stage_r[sel])
+        blocks.append(provider.connection_many(label, stage_r[sel[first]]))
+        _require_finite(blocks[-1], "connection", lambda i: where(sel[first[i]]))
+    return blocks, stage_ids, stage_rows
 
 
-def _rkmk4_step(g: Pose, t0: float, t1: float, piece, xi_at: _TwistField) -> tuple[Pose, Twist]:
-    """One step from (t0, g); returns the end pose and the start twist k1."""
-    # the end stage takes the left-limit rate: t1 may be a waypoint corner
-    h = t1 - t0
-    k1 = xi_at(t0, piece)
-    k2 = _dexpinv((0.5 * h) * k1, xi_at(t0 + 0.5 * h, piece))
-    k3 = _dexpinv((0.5 * h) * k2, xi_at(t0 + 0.5 * h, piece))
-    k4 = _dexpinv(h * k3, xi_at(t1, piece, "left"))
+def _rkmk4_step(g: Pose, h: float, k1: Twist, mid: Twist, end: Twist) -> Pose:
+    """One step of length h from g, given the start, midpoint and end stage twists.
+
+    k2 and k3 share the midpoint twist; the end twist takes the left-limit
+    rate, because the step end may be a waypoint corner.
+    """
+    k2 = _dexpinv((0.5 * h) * k1, mid)
+    k3 = _dexpinv((0.5 * h) * k2, mid)
+    k4 = _dexpinv(h * k3, end)
     u = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return compose(g, exp(u, 1.0)), k1
+    return compose(g, exp(u, 1.0))
 
 
 def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_tol: float = 1e-10) -> Trajectory:
@@ -106,6 +131,13 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     sample points.  Stance switches are located to event_tol (in time) by
     bisection; a step containing several switches is split at each located
     switch.  A single-piece provider never switches.
+
+    The shape path is prescribed, so the work runs in three phases: plan the
+    accepted steps and events from the stance selector alone, evaluate the
+    connection once per distinct (stance, stage shape) with one
+    connection_many call per stance, then combine the stage twists into
+    poses.  A non-finite connection entry, shape rate or stage twist raises
+    SingularConstraint naming its time and shape.
     """
     if cycles < 1:
         raise ValueError(f"cycle count must be at least 1, got {cycles}")
@@ -117,29 +149,43 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     n_steps = max(1, round(period / step))
     h = period / n_steps
 
-    xi_at = _TwistField(provider, gait)
-    r0, _ = gait.evaluate(0.0)
+    # every (t, side) that one step asks for is evaluated once; the memo
+    # only ever holds the step being planned
+    evaluated: dict = {}
 
+    def at(t: float, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+        key = (t, side)
+        out = evaluated.get(key)
+        if out is None:
+            out = evaluated[key] = gait.evaluate(t, side)
+        return out
+
+    # -- plan: accepted steps and events; no connection call.  Step j runs
+    # from row j to row j + 1 on row j's stance.
+    r0 = at(0.0)[0]
     times = [0.0]
-    poses = [Pose()]
     shapes = [r0]
     contacts = [provider.contacts_at(r0)]
-    # row k's twist is the k1 stage of the step leaving row k, kept as flat
-    # floats so long trajectories hold no per-row objects
-    twists = array("d")
     events: list[EventRecord] = []
     cycle_indices = [0]
-
-    g = Pose()
     active = contacts[0]
+    # shape and rate of every stage, flat: start, midpoint and end of each
+    # step, then the last row, whose twist is no stage
+    stage_shapes = array("d")
+    stage_rates = array("d")
+
+    def add_stage(t: float, side: str) -> None:
+        r, rdot = at(t, side)
+        stage_shapes.frombytes(np.asarray(r, dtype=float).tobytes())
+        stage_rates.frombytes(np.asarray(rdot, dtype=float).tobytes())
 
     def step_to(t0: float, t1: float, r1: np.ndarray, after) -> None:
-        """Advance g over [t0, t1] on the active piece; the new row is labelled `after`."""
-        nonlocal g
-        g, k1 = _rkmk4_step(g, t0, t1, active, xi_at)
-        twists.extend((k1.vx, k1.vy, k1.omega))
+        """Accept [t0, t1] on the active piece; the new row is labelled `after`."""
+        # the end stage takes the left-limit rate: t1 may be a waypoint corner
+        add_stage(t0, "right")
+        add_stage(t0 + 0.5 * (t1 - t0), "right")
+        add_stage(t1, "left")
         times.append(t1)
-        poses.append(g)
         shapes.append(r1)
         contacts.append(after)
 
@@ -148,7 +194,7 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         lo, hi = t0, t1
         while hi - lo > event_tol:
             mid = 0.5 * (lo + hi)
-            if provider.contacts_at(gait.evaluate(mid)[0]) == c0:
+            if provider.contacts_at(at(mid)[0]) == c0:
                 lo = mid
             else:
                 hi = mid
@@ -156,6 +202,9 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
 
     def advance(t0: float, t1: float) -> None:
         nonlocal active
+        start = evaluated[(t0, "right")]
+        evaluated.clear()
+        evaluated[(t0, "right")] = start
         # a loop, not recursion: a self-referencing closure would keep the
         # whole trajectory alive until the cyclic collector ran
         splits = 0
@@ -163,14 +212,14 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
             # check the midpoint too: a stance entered and left inside one
             # step would be invisible to an endpoint-only comparison
             t_mid = t0 + 0.5 * (t1 - t0)
-            c_mid = provider.contacts_at(gait.evaluate(t_mid)[0])
-            r1 = gait.evaluate(t1)[0]
+            c_mid = provider.contacts_at(at(t_mid)[0])
+            r1 = at(t1)[0]
             c_end = provider.contacts_at(r1)
             if c_mid == active and c_end == active:
                 step_to(t0, t1, r1, active)
                 return
             lo, t_switch = locate_switch(t0, t_mid if c_mid != active else t1, active)
-            r_switch = gait.evaluate(t_switch)[0]
+            r_switch = at(t_switch)[0]
             new_piece = provider.contacts_at(r_switch)
             events.append(
                 EventRecord(
@@ -217,17 +266,63 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         for t0, t1 in zip(grid[:-1], grid[1:]):
             advance(t0, t1)
         cycle_indices.append(len(times) - 1)
+    add_stage(times[-1], "right")
+    evaluated.clear()
 
-    # no step leaves the last row; its twist is not a stage, so it stays out
-    # of max_norm
-    last = xi_at.twist(times[-1], active)
-    twists.extend((last.vx, last.vy, last.omega))
+    # -- evaluate
+    def stage_time(i: int) -> float:
+        j, k = divmod(i, 3)
+        return times[j] if k == 0 else times[j + 1] if k == 2 else times[j] + 0.5 * (times[j + 1] - times[j])
+
+    def where(i: int) -> tuple[float, np.ndarray]:
+        t = stage_time(i)
+        return t, gait.evaluate(t, "left" if i % 3 == 2 else "right")[0]
+
+    rates = np.frombuffer(stage_rates).reshape(3 * len(times) - 2, len(r0))
+    _require_finite(rates, "shape rate", where)
+    blocks, stage_ids, stage_rows = _evaluate_stages(
+        provider, contacts, np.frombuffer(stage_shapes).reshape(rates.shape), where
+    )
+    stage_shapes = None  # the shapes live on in the blocks' rows
+    # stage twists as flat (vx, vy, omega) floats, so long trajectories hold
+    # no per-stage objects
+    stage_twists = array("d")
+
+    def add_twist(i: int) -> Twist:
+        xi = apply_connection(blocks[stage_ids[i]][stage_rows[i]], rates[i])
+        if not (math.isfinite(xi.vx) and math.isfinite(xi.vy) and math.isfinite(xi.omega)):
+            t, r = where(i)
+            raise SingularConstraint(f"non-finite stage twist at t={t!r}, shape {r.tolist()}")
+        stage_twists.extend((xi.vx, xi.vy, xi.omega))
+        return xi
+
+    max_norm = 0.0
+    for i in range(len(rates) - 1):
+        max_norm = max(max_norm, add_twist(i).norm())
+    # the last row's twist is no stage, so it stays out of the largest norm
+    add_twist(len(rates) - 1)
+    n_shapes = sum(len(block) for block in blocks)
+    del blocks, rates, stage_ids, stage_rows
+    stage_rates = None
+
+    # -- combine: RKMK4 group arithmetic, step by step
+    def stage(i: int) -> Twist:
+        return Twist(stage_twists[3 * i], stage_twists[3 * i + 1], stage_twists[3 * i + 2])
+
+    g = Pose()
+    poses = [g]
+    for j in range(len(times) - 1):
+        g = _rkmk4_step(g, times[j + 1] - times[j], stage(3 * j), stage(3 * j + 1), stage(3 * j + 2))
+        poses.append(g)
+    # row k's twist is the start stage of the step leaving row k
+    twists = np.frombuffer(stage_twists).reshape(-1, 3)[::3].copy()
+    stage_twists = None
 
     return Trajectory(
         times=np.array(times),
         poses=poses,
         shapes=np.stack(shapes),
-        twists=np.frombuffer(twists).reshape(-1, 3),
+        twists=twists,
         contacts=contacts,
         events=events,
         cycle_indices=cycle_indices,
@@ -240,7 +335,8 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
             "cycles": int(cycles),
             "period": float(period),
             "event_tol": float(event_tol),
-            "max_twist_norm": float(xi_at.max_norm),
+            "max_twist_norm": float(max_norm),
+            "stage_shapes": int(n_shapes),
         },
     )
 

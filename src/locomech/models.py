@@ -27,7 +27,7 @@ from .connection import (
     PiecewiseConnection,
     PoseMap,
 )
-from .liegroup import Pose, compose, inverse
+from .liegroup import Pose, compose, inverse, normalize_angle
 
 
 class DegenerateStance(RuntimeError):
@@ -73,29 +73,76 @@ class ChainModel:
         return self.n_links // 2
 
 
+def _wrap(theta):
+    """normalize_angle over an array, bitwise: only |theta| >= pi needs a wrap."""
+    far = np.abs(theta) >= math.pi
+    if not far.any():
+        return theta
+    out = np.array(theta, dtype=float)
+    out[far] = [normalize_angle(t) for t in out[far]]
+    return out
+
+
+def _compose(g1, g2, wrap: bool = True):
+    """compose() on (x, y, theta) arrays, in its float order.
+
+    wrap=False skips the angle wrap, for callers that know |theta| < pi.
+    """
+    x1, y1, t1 = g1
+    x2, y2, t2 = g2
+    c, s = np.cos(t1), np.sin(t1)
+    t = t1 + t2
+    return x1 + c * x2 - s * y2, y1 + s * x2 + c * y2, _wrap(t) if wrap else t
+
+
+def _link_frames(chain: ChainModel, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Body-frame (x, y, theta) of every link midpoint, each (..., n_links).
+
+    The middle link is the identity.  Frames are chained outward from it with
+    the same products chain_frames makes with Pose objects, so every entry
+    is bitwise equal to the single-shape Pose result.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.shape[-1:] != (chain.shape_dim,):
+        raise ValueError(f"chain expects {chain.shape_dim} joint angles, got {r.shape}")
+    n, mid, half = chain.n_links, chain.mid, 0.5 * chain.lengths
+    x, y, th = (np.zeros(r.shape[:-1] + (n,)) for _ in range(3))
+    # every frame angle is a partial sum of joint angles, so below pi in
+    # total (with a margin for rounding) no angle needs a wrap
+    wrap = not np.all(np.abs(r).sum(axis=-1) < 3.0)
+    # (source link, new link, joint, side): frames[new] = frames[source] *
+    # Pose(+-L_source/2, 0, +-r_joint) * Pose(+-L_new/2, 0, 0)
+    hops = [(k, k + 1, k, 1.0) for k in range(mid, n - 1)]
+    hops += [(k + 1, k, k, -1.0) for k in range(mid - 1, -1, -1)]
+    for src, new, j, sign in hops:
+        angle = sign * r[..., j]
+        joint = (sign * half[src], 0.0, _wrap(angle) if wrap else angle)
+        hop = _compose(joint, (sign * half[new], 0.0, 0.0), wrap)
+        x[..., new], y[..., new], th[..., new] = _compose((x[..., src], y[..., src], th[..., src]), hop, wrap)
+    return x, y, th
+
+
 def chain_frames(chain: ChainModel, r) -> list[Pose]:
     """Body-frame pose of every link midpoint; the middle link is the identity."""
     r = np.asarray(r, dtype=float)
     if r.shape != (chain.shape_dim,):
         raise ValueError(f"chain expects {chain.shape_dim} joint angles, got {r.shape}")
-    n, mid, lengths = chain.n_links, chain.mid, chain.lengths
-    frames: list[Pose] = [Pose()] * n
-    for k in range(mid, n - 1):
-        hop = compose(Pose(0.5 * lengths[k], 0.0, r[k]), Pose(0.5 * lengths[k + 1], 0.0, 0.0))
-        frames[k + 1] = compose(frames[k], hop)
-    for k in range(mid - 1, -1, -1):
-        hop = compose(Pose(-0.5 * lengths[k + 1], 0.0, -r[k]), Pose(-0.5 * lengths[k], 0.0, 0.0))
-        frames[k] = compose(frames[k + 1], hop)
-    return frames
+    return [Pose(*f) for f in zip(*_link_frames(chain, r))]
 
 
-def _chain_joint_positions(chain: ChainModel, frames: list[Pose]) -> np.ndarray:
-    """Hinge positions in the body frame; joint k is the +x tip of link k."""
-    tips = np.empty((chain.shape_dim, 2))
-    for k in range(chain.shape_dim):
-        f = frames[k]
-        tips[k] = f.apply_point((0.5 * chain.lengths[k], 0.0))
-    return tips
+@functools.lru_cache(maxsize=32)
+def _swing_signs(n_links: int, q0: int) -> np.ndarray:
+    """(d, n_links * q0) sign with which joint k swings each station.
+
+    Joint k swings link j iff j is outboard of k relative to the middle link;
+    the sign follows which side of the chain the joint drives.
+    """
+    mid, ks = n_links // 2, np.arange(n_links - 1)[:, None]
+    own = np.repeat(np.arange(n_links), q0)[None, :]
+    coef = ((ks >= mid) & (own >= ks + 1)).astype(float)
+    coef -= ((ks < mid) & (own <= ks)).astype(float)
+    coef.setflags(write=False)
+    return coef
 
 
 def _viscous_balance(chain: ChainModel, r, c_t: float, c_n: float, nodes_fn) -> ConstraintSystem:
@@ -104,49 +151,48 @@ def _viscous_balance(chain: ChainModel, r, c_t: float, c_n: float, nodes_fn) -> 
     nodes_fn(lengths) yields per-link stations and weights, both (n_links, q0),
     stations measured from each link midpoint.  The station velocity is affine
     in (body twist, shape rate); resistance is -c_t tangential - c_n normal per
-    unit weight, and the assembled balance is m @ xi + n @ rdot = 0.
+    unit weight, and the assembled balance is m @ xi + n @ rdot = 0.  Shapes
+    (..., d) give blocks (..., 3, 3) and (..., 3, d).
     """
     r = np.asarray(r, dtype=float)
     n_links, mid, d = chain.n_links, chain.mid, chain.shape_dim
-    frames = chain_frames(chain, r)
-    joints = _chain_joint_positions(chain, frames)
+    x, y, th = _link_frames(chain, r)
+    batch = r.shape[:-1]
+    # joint k is the +x tip of link k
+    jx, jy, _ = _compose((x[..., :d], y[..., :d], th[..., :d]), (0.5 * chain.lengths[:d], 0.0, 0.0), False)
 
     s, w_link = nodes_fn(chain.lengths)
     q0 = s.shape[1]
-    th = np.array([f.theta for f in frames])
-    org = np.array([[f.x, f.y] for f in frames])
-    tang_link = np.stack([np.cos(th), np.sin(th)], axis=1)
-    p = (org[:, None, :] + s[:, :, None] * tang_link[:, None, :]).reshape(-1, 2)
+    cos_th, sin_th = np.cos(th), np.sin(th)
+    px = (x[..., :, None] + s * cos_th[..., :, None]).reshape(batch + (-1,))
+    py = (y[..., :, None] + s * sin_th[..., :, None]).reshape(batch + (-1,))
     w = w_link.reshape(-1)
-    tang = np.repeat(tang_link, q0, axis=0)
-    own = np.repeat(np.arange(n_links), q0)
-    nrm = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-    q = p.shape[0]
+    tang = np.repeat(np.stack([cos_th, sin_th], axis=-1), q0, axis=-2)
+    nrm = np.stack([-tang[..., 1], tang[..., 0]], axis=-1)
+    q = px.shape[-1]
 
-    drag = c_t * tang[:, :, None] * tang[:, None, :] + c_n * nrm[:, :, None] * nrm[:, None, :]
+    drag = (
+        c_t * tang[..., :, :, None] * tang[..., :, None, :]
+        + c_n * nrm[..., :, :, None] * nrm[..., :, None, :]
+    )
 
-    bxi = np.zeros((q, 2, 3))
-    bxi[:, 0, 0] = 1.0
-    bxi[:, 1, 1] = 1.0
-    bxi[:, 0, 2] = -p[:, 1]
-    bxi[:, 1, 2] = p[:, 0]
+    # station velocity = bxi @ xi + br @ rdot, one (2, 3 + d) block per station
+    b_all = np.zeros(batch + (q, 2, 3 + d))
+    b_all[..., 0, 0] = 1.0
+    b_all[..., 1, 1] = 1.0
+    b_all[..., 0, 2] = -py
+    b_all[..., 1, 2] = px
 
-    # joint k swings link j iff j is outboard of k relative to the middle link;
-    # the sign follows which side of the chain the joint drives
-    ks = np.arange(d)[:, None]
-    coef = ((ks >= mid) & (own[None, :] >= ks + 1)).astype(float)
-    coef -= ((ks < mid) & (own[None, :] <= ks)).astype(float)
-    u = p[None, :, :] - joints[:, None, :]
-    swung = np.empty_like(u)
-    swung[..., 0] = -u[..., 1]
-    swung[..., 1] = u[..., 0]
-    br = np.transpose(coef[:, :, None] * swung, (1, 2, 0))
+    coef = _swing_signs(n_links, q0)
+    # the station's offset from joint k, turned a quarter
+    b_all[..., 0, 3:] = np.swapaxes(coef * -(py[..., None, :] - jy[..., :, None]), -1, -2)
+    b_all[..., 1, 3:] = np.swapaxes(coef * (px[..., None, :] - jx[..., :, None]), -1, -2)
 
-    # single GEMM for both blocks: columns [m | n] = -sum_q bxi^T (w drag) [bxi | br]
-    b_all = np.concatenate([bxi, br], axis=2)
+    # one GEMM per shape for both blocks: columns [m | n] = -sum_q bxi^T (w drag) [bxi | br]
     weighted = (w[:, None, None] * drag) @ b_all
-    blocks = bxi.reshape(2 * q, 3).T @ weighted.reshape(2 * q, 3 + d)
-    return ConstraintSystem(-blocks[:, :3], -blocks[:, 3:])
+    bxi_t = np.swapaxes(b_all[..., :3].reshape(batch + (2 * q, 3)), -1, -2)
+    blocks = bxi_t @ weighted.reshape(batch + (2 * q, 3 + d))
+    return ConstraintSystem(-blocks[..., :3], -blocks[..., 3:])
 
 
 @dataclass(frozen=True)
@@ -372,7 +418,8 @@ def build_slip_constraints(model: SlipModel, c, r) -> ConstraintSystem:
 
     Each contacting foot resists its planar velocity anisotropically along the
     foot frame and its spin (body rate plus leg rate) with the yaw
-    coefficient; swing feet contribute nothing.
+    coefficient; swing feet contribute nothing.  Shapes (..., d) give blocks
+    (..., 3, 3) and (..., 3, d).
     """
     geo = model.geometry
     c = sorted(int(i) for i in c)
@@ -381,27 +428,33 @@ def build_slip_constraints(model: SlipModel, c, r) -> ConstraintSystem:
     if not set(c) <= set(range(geo.n_feet)):
         raise ValueError(f"contact set {c} outside feet 0..{geo.n_feet - 1}")
     r = np.asarray(r, dtype=float)
-    if r.shape != (geo.shape_dim,):
+    if r.shape[-1:] != (geo.shape_dim,):
         raise ValueError(f"model expects {geo.shape_dim} leg angles, got {r.shape}")
     d = geo.shape_dim
-    m = np.zeros((3, 3))
-    n = np.zeros((3, d))
+    m = np.zeros(r.shape[:-1] + (3, 3))
+    n = np.zeros(r.shape[:-1] + (3, d))
     for i in c:
-        ang = float(geo.rest_angles[i] + r[i])
-        p = geo.hips[i] + geo.leg_lengths[i] * np.array([math.cos(ang), math.sin(ang)])
-        tx, ty = math.cos(r[i]), math.sin(r[i])
-        tang = np.array([tx, ty])
-        nrm = np.array([-ty, tx])
+        ang = geo.rest_angles[i] + r[..., i]
+        ca, sa = np.cos(ang), np.sin(ang)
+        p = geo.hips[i] + geo.leg_lengths[i] * np.stack([ca, sa], axis=-1)
+        tx, ty = np.cos(r[..., i]), np.sin(r[..., i])
+        tang = np.stack([tx, ty], axis=-1)
+        nrm = np.stack([-ty, tx], axis=-1)
         drag = (
-            model.slip_tangential[i] * np.outer(tang, tang)
-            + model.slip_normal[i] * np.outer(nrm, nrm)
+            model.slip_tangential[i] * (tang[..., :, None] * tang[..., None, :])
+            + model.slip_normal[i] * (nrm[..., :, None] * nrm[..., None, :])
         )
-        bxi = np.array([[1.0, 0.0, -p[1]], [0.0, 1.0, p[0]]])
-        dpdr = geo.leg_lengths[i] * np.array([-math.sin(ang), math.cos(ang)])
-        m += bxi.T @ drag @ bxi
-        n[:, i] += bxi.T @ drag @ dpdr
-        m[2, 2] += model.slip_yaw[i]
-        n[2, i] += model.slip_yaw[i]
+        bxi = np.zeros(r.shape[:-1] + (2, 3))
+        bxi[..., 0, 0] = 1.0
+        bxi[..., 1, 1] = 1.0
+        bxi[..., 0, 2] = -p[..., 1]
+        bxi[..., 1, 2] = p[..., 0]
+        dpdr = geo.leg_lengths[i] * np.stack([-sa, ca], axis=-1)
+        bxi_t_drag = np.swapaxes(bxi, -1, -2) @ drag
+        m += bxi_t_drag @ bxi
+        n[..., :, i] += (bxi_t_drag @ dpdr[..., None])[..., 0]
+        m[..., 2, 2] += model.slip_yaw[i]
+        n[..., 2, i] += model.slip_yaw[i]
     return ConstraintSystem(-m, -n)
 
 

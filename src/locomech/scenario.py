@@ -480,7 +480,8 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     doc = {**doc, **{k: flags[k] for k in ("seed", "out") if k in flags}}
 
     schema = doc.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
+    # True == 1 and 1.0 == 1 in Python; only the integer names a version
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ScenarioError("schema", f"unsupported schema version {schema!r}")
     seed = _as_int(doc, "<root>", "seed", default=0, minimum=0)
     out_dir = doc.get("out", "out")

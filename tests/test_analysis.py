@@ -23,7 +23,14 @@ from locomech import (
 )
 
 
-class ConstantCommuting:
+class Pointwise:
+    """Batched connection_many for a test provider defined by connection_at."""
+
+    def connection_many(self, label, shapes):
+        return np.stack([self.connection_at(r) for r in shapes])
+
+
+class ConstantCommuting(Pointwise):
     """Constant connection whose columns are pure translations."""
 
     dim = 2
@@ -35,7 +42,7 @@ class ConstantCommuting:
         return None
 
 
-class ConstantNoncommuting:
+class ConstantNoncommuting(Pointwise):
     # columns e_vx and e_omega, so the column bracket is (0, -1, 0)
     dim = 2
 
@@ -46,7 +53,7 @@ class ConstantNoncommuting:
         return None
 
 
-class LinearCurl:
+class LinearCurl(Pointwise):
     """vx row is (r2, 0): the only curvature term is -d(vx_1)/dr2 = -1."""
 
     dim = 2
@@ -58,7 +65,7 @@ class LinearCurl:
         return None
 
 
-class SmoothSynthetic:
+class SmoothSynthetic(Pointwise):
     """Dense analytic connection used for convergence checks."""
 
     dim = 2

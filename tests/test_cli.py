@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,7 +8,16 @@ import pytest
 import yaml
 
 import locomech.cli as cli
-from locomech import GridSpec, SingularConstraint, integrate_gait, load_scenario, sample_field
+import locomech.scenario as scenario_module
+from locomech import (
+    GridSpec,
+    Pose,
+    PoseMap,
+    SingularConstraint,
+    integrate_gait,
+    load_scenario,
+    sample_field,
+)
 from locomech.cli import load_field_csv, load_trajectory_csv, main
 
 
@@ -53,6 +63,15 @@ def crawler_doc(**extra):
 
 
 class TestSimulate:
+    def test_summary_counts_stage_shapes(self, tmp_path):
+        # 100 steps of one smooth cycle: 100 row shapes and 100 midpoints
+        # (the cycle end is the shape at t = 0)
+        path = write_scenario(tmp_path, swimmer_doc())
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["meta"]["steps_per_cycle"] == 100
+        assert summary["meta"]["stage_shapes"] == 200
+
     def test_zero_gait_identity_column(self, tmp_path):
         doc = swimmer_doc()
         doc["gait"] = {"kind": "fourier", "period": 1.0, "mean": [0.1, -0.3]}
@@ -359,6 +378,12 @@ class TestExitCodes:
         assert main([command, path, "--out", str(tmp_path / "run")]) == 2
         assert f"{field}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schema", [True, 1.0, "1"])
+    def test_schema_must_be_the_integer_version(self, tmp_path, capsys, schema):
+        path = write_scenario(tmp_path, swimmer_doc(schema=schema))
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 2
+        assert "schema" in capsys.readouterr().err
+
     def test_missing_file_is_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.yaml")]) == 2
 
@@ -370,6 +395,22 @@ class TestExitCodes:
         path = write_scenario(tmp_path, swimmer_doc())
         assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 3
         assert "abort" in capsys.readouterr().err
+
+    def test_non_finite_connection_is_three(self, tmp_path, monkeypatch, capsys):
+        def nan_outside_disc():
+            def fn(r):
+                if math.hypot(r[0], r[1]) > 0.45:
+                    return Pose(math.nan, 0.0, 0.0)
+                return Pose(r[0], r[1], 0.0)
+
+            return PoseMap(fn, 2)
+
+        monkeypatch.setitem(scenario_module._POSE_MAPS, "wavy", ({}, nan_outside_disc))
+        doc = swimmer_doc()
+        doc["model"] = {"kind": "jacobian", "map": "wavy"}
+        path = write_scenario(tmp_path, doc)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 3
+        assert "non-finite connection at t=" in capsys.readouterr().err
 
 
 class TestDeterminismAndOverrides:

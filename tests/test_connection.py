@@ -18,11 +18,13 @@ from locomech import (
     compose,
     jacobian_connection_eval,
     linear_constraint_connection,
+    load_scenario,
     rotate_translate_map,
     three_link_swimmer,
     two_leg_crawler,
 )
 from locomech.connection import _cond_estimate
+from locomech.scenario import MODEL_KINDS
 
 
 def curved_map():
@@ -241,3 +243,103 @@ def test_provider_dim_and_contacts():
     j = JacobianConnection(rotate_translate_map())
     assert j.dim == 2
     assert j.contacts_at(np.zeros(2)) is None
+
+
+# one scenario model block per provider kind, every jacobian map included
+_KIND_BLOCKS = {
+    "swimmer": {"kind": "swimmer"},
+    "many_legged": {"kind": "many_legged", "feet": 3},
+    "slip_walker": {"kind": "slip_walker"},
+    "crawler": {"kind": "crawler"},
+    "jacobian:rotate_translate": {"kind": "jacobian", "map": "rotate_translate"},
+    "jacobian:wavy": {"kind": "jacobian", "map": "wavy"},
+    "jacobian:arm_com": {
+        "kind": "jacobian", "map": "arm_com", "lengths": [1.0, 0.7, 0.4], "masses": [1.0, 2.0, 1.0]
+    },
+}
+
+
+def test_kind_blocks_cover_every_model_kind():
+    assert {name.split(":")[0] for name in _KIND_BLOCKS} == set(MODEL_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(_KIND_BLOCKS))
+def test_connection_many_rows_are_single_shape_evaluations(name):
+    dim = 3 if name == "jacobian:arm_com" else 2
+    gait = {"kind": "fourier", "period": 1.0, "mean": [0.0] * dim}
+    provider = load_scenario({"model": _KIND_BLOCKS[name], "gait": gait}).provider
+    shapes = np.random.default_rng(17).uniform(-1.0, 1.0, (9, provider.dim))
+    labels = {provider.contacts_at(r) for r in shapes}
+    for label in labels:
+        many = provider.connection_many(label, shapes)
+        assert many.shape == (9, 3, provider.dim)
+        for i, r in enumerate(shapes):
+            assert np.array_equal(many[i], provider.connection_for(label, r)), (label, i)
+    for r in shapes:
+        assert np.array_equal(
+            provider.connection_at(r), provider.connection_for(provider.contacts_at(r), r)
+        )
+
+
+def test_batched_solve_rows_match_single_solves():
+    rng = np.random.default_rng(4)
+    m = rng.uniform(-1, 1, (4, 5, 3, 3)) + 3.0 * np.eye(3)
+    n = rng.uniform(-1, 1, (4, 5, 3, 2))
+    batch = linear_constraint_connection(ConstraintSystem(m, n))
+    assert batch.shape == (4, 5, 3, 2)
+    for idx in np.ndindex(4, 5):
+        assert np.array_equal(batch[idx], linear_constraint_connection(ConstraintSystem(m[idx], n[idx])))
+
+
+def test_refinement_pass_takes_only_the_failing_rows(monkeypatch):
+    rng = np.random.default_rng(3)
+    m = rng.uniform(-1, 1, (6, 3, 3)) + 3.0 * np.eye(3)
+    m[[1, 4], 0, 0] = 7.0
+    n = rng.uniform(-1, 1, (6, 3, 2))
+    solve = np.linalg.solve
+    rows = []
+
+    def sloppy(a, b):
+        # a pivoted solve already meets the residual test, so a miss is
+        # made on purpose for the balances whose m[0, 0] is 7
+        rows.append(a.shape[0] if a.ndim == 3 else 1)
+        x = solve(a, b)
+        x[..., 0, 0] += np.where(a[..., 0, 0] == 7.0, 1e-6, 0.0)
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", sloppy)
+    batch = linear_constraint_connection(ConstraintSystem(m, n))
+    assert rows == [6, 2]
+    for i in range(6):
+        assert np.array_equal(batch[i], linear_constraint_connection(ConstraintSystem(m[i], n[i])))
+
+
+def test_one_singular_row_fails_the_batch():
+    m = np.stack([np.eye(3)] * 4)
+    m[2] = np.diag([1.0, 1.0, 1e-14])
+    with pytest.raises(SingularConstraint, match="condition"):
+        linear_constraint_connection(ConstraintSystem(m, np.ones((4, 3, 2))))
+    m[2] = np.eye(3)
+    m[1, 0, 1] = np.inf
+    with pytest.raises(SingularConstraint, match="non-finite"):
+        linear_constraint_connection(ConstraintSystem(m, np.ones((4, 3, 2))))
+
+
+def test_constraint_system_leading_axes_must_agree():
+    with pytest.raises(ValueError):
+        ConstraintSystem(np.zeros((4, 3, 3)), np.zeros((5, 3, 2)))
+    with pytest.raises(ValueError):
+        ConstraintSystem(np.zeros((4, 3, 3)), np.zeros((3, 2)))
+    system = ConstraintSystem(np.zeros((4, 2, 3, 3)), np.zeros((4, 2, 3, 1)))
+    assert system.n.shape == (4, 2, 3, 1)
+
+
+def test_cond_estimate_over_leading_axes():
+    rng = np.random.default_rng(10)
+    m = rng.uniform(-1, 1, (6, 3, 3))
+    m[3] = 0.0
+    est = _cond_estimate(m)
+    assert est.shape == (6,)
+    for i in range(6):
+        assert est[i] == _cond_estimate(m[i])
+    assert est[3] == np.inf

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from locomech import (
+    ChainModel,
+    DragModel,
     FourierGait,
     PiecewiseConnection,
     Pose,
+    PoseMap,
+    SingularConstraint,
     Trajectory,
     Twist,
     WaypointGait,
@@ -36,7 +40,14 @@ from locomech.optimizer import amplitude_phase_family
 TWO_PI = 2.0 * math.pi
 
 
-class ExactFlow:
+class Pointwise:
+    """Batched connection_many for a test provider defined by connection_at."""
+
+    def connection_many(self, label, shapes):
+        return np.stack([self.connection_at(r) for r in shapes])
+
+
+class ExactFlow(Pointwise):
     """Provider whose integral curve is known in closed form.
 
     Along the unit-circle gait r(t) = (sin, -cos)(2 pi t) the body twist
@@ -68,6 +79,7 @@ class ExactFlow:
 
 
 CIRCLE = FourierGait(1.0, [0.0, 0.0], cos=[[0.0, -1.0]], sin=[[1.0, 0.0]])
+CIRCLE_HALF = FourierGait(1.0, [0.0, 0.0], cos=[[0.0, -0.5]], sin=[[0.5, 0.0]])
 
 
 def square_gait():
@@ -77,7 +89,7 @@ def square_gait():
     )
 
 
-class ConstantColumn:
+class ConstantColumn(Pointwise):
     dim = 1
 
     def connection_at(self, r):
@@ -324,30 +336,122 @@ def test_multi_switch_step_warns_and_recovers():
 
 
 class CountingProvider:
-    """Single-piece provider wrapper that counts connection evaluations."""
+    """Single-piece provider wrapper that counts batched calls and shape rows."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
-        self.evaluations = 0
+        self.calls = 0
+        self.rows = 0
 
-    def connection_at(self, r):
-        self.evaluations += 1
-        return self.inner.connection_at(r)
+    def connection_many(self, label, shapes):
+        self.calls += 1
+        self.rows += len(shapes)
+        return self.inner.connection_many(label, shapes)
 
     def contacts_at(self, r):
         return self.inner.contacts_at(r)
 
 
-def test_smooth_integration_makes_four_evaluations_per_step():
-    # four RKMK4 stages per step; every row's twist is the first stage of
-    # the step leaving it, so only the final row costs one more evaluation
+def test_smooth_integration_makes_two_evaluations_per_step():
+    # a smooth gait's stage shapes are the n + 1 row shapes and the n step
+    # midpoints: k2 and k3 share the midpoint, and a step's end shape is the
+    # next step's start.  All of them go to the provider in one call, once
+    # each; shapes repeat when the gait revisits them, since it reduces t
+    # modulo its period (every cycle end is the shape at t = 0)
     provider = CountingProvider(three_link_swimmer().provider())
     gait = FourierGait(1.0, [0.0, 0.0], cos=[[0.0, -0.5]], sin=[[0.5, 0.0]])
     traj = integrate_gait(provider, gait, cycles=2, step=0.05)
     n = len(traj.times) - 1
     assert n == 40
-    assert provider.evaluations == 4 * n + 1
+    mids = traj.times[:-1] + 0.5 * np.diff(traj.times)
+    distinct = {gait.evaluate(t)[0].tobytes() for t in np.concatenate([traj.times, mids])}
+    assert provider.calls == 1
+    assert provider.rows == len(distinct) == traj.meta["stage_shapes"]
+    assert provider.rows <= 2 * n + 1
+
+
+def test_one_smooth_cycle_evaluates_two_shapes_per_step():
+    # 2n + 1 stage times, less the cycle end, whose shape is the one at t = 0
+    gait = amplitude_phase_family().build(np.array([0.6, 0.5 * math.pi]))
+    for step in (0.1, 0.03, 0.02):
+        traj = integrate_gait(three_link_swimmer().provider(), gait, step=step)
+        assert traj.meta["stage_shapes"] == 2 * (len(traj.times) - 1)
+
+
+def test_crawler_square_stage_shapes_match_hand_count():
+    # one cycle: every step adds its start and midpoint shapes.  Its end
+    # shape is the next step's start (the corners are exact binary
+    # fractions, so both one-sided shapes at a knot agree), except where a
+    # switch ends the step: there the old stance needs the shape as well.
+    # The cycle end is the shape at t = 0 on the same stance.
+    gait = WaypointGait(
+        points=[[-0.375, -0.375], [0.375, -0.375], [0.375, 0.375], [-0.375, 0.375]],
+        times=[0.0, 0.25, 0.5, 0.75, 1.0],
+    )
+    for step in (0.03, 1e-2):
+        traj = integrate_gait(PiecewiseConnection(two_leg_crawler()), gait, step=step)
+        n = len(traj.times) - 1
+        assert len(traj.events) == 2
+        assert traj.contacts[-1] == traj.contacts[0]
+        assert traj.meta["stage_shapes"] == 2 * n + len(traj.events)
+
+
+class RecordingProvider:
+    """Piecewise provider wrapper logging the order of selector and connection calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.log = []
+
+    def contacts_at(self, r):
+        self.log.append("contacts")
+        return self.inner.contacts_at(r)
+
+    def connection_many(self, label, shapes):
+        self.log.append(("connection", label))
+        return self.inner.connection_many(label, shapes)
+
+
+def test_planning_precedes_one_connection_call_per_stance():
+    provider = RecordingProvider(PiecewiseConnection(two_leg_crawler()))
+    traj = integrate_gait(provider, square_gait(), cycles=2, step=0.01)
+    first = provider.log.index(("connection", traj.contacts[0]))
+    assert "contacts" not in provider.log[first:]
+    calls = provider.log[first:]
+    assert len(calls) == len(set(calls)) == len(set(traj.contacts)) == 2
+
+
+def nan_past(radius):
+    """Pose map that turns NaN once the shape leaves a disc."""
+
+    def fn(r):
+        if math.hypot(r[0], r[1]) > radius:
+            return Pose(math.nan, 0.0, 0.0)
+        return Pose(0.3 * r[0], r[1] * r[1], 0.5 * r[1])
+
+    return PoseMap(fn, 2)
+
+
+def test_non_finite_connection_raises_naming_time_and_shape():
+    provider = JacobianConnection(nan_past(0.45))
+    with pytest.raises(SingularConstraint, match=r"non-finite connection at t=.*shape \["):
+        integrate_gait(provider, CIRCLE_HALF, step=0.05)
+    # the same map inside its disc integrates
+    traj = integrate_gait(provider, FourierGait(1.0, [0.0, 0.0], sin=[[0.3, 0.0]]), step=0.05)
+    assert np.isfinite(traj.twists).all()
+
+
+def test_non_finite_rate_raises_naming_time_and_shape():
+    class HugeRate(FourierGait):
+        def evaluate(self, t, side="right"):
+            r, rdot = super().evaluate(t, side)
+            return r, (rdot + math.inf) if t > 0.5 else rdot
+
+    gait = HugeRate(1.0, [0.0, 0.0], sin=[[0.3, 0.0]])
+    with pytest.raises(SingularConstraint, match=r"non-finite shape rate at t=.*shape"):
+        integrate_gait(JacobianConnection(wavy_pose_map()), gait, step=0.05)
 
 
 @pytest.mark.parametrize(
@@ -379,3 +483,27 @@ def test_twist_rows_are_right_side_twists_on_the_row_stance(provider, gait):
         a = provider.connection_at(r) if piece is None else provider.connection_for(piece, r)
         expected = apply(a, gait.evaluate(t, "right")[1]).to_array()
         assert np.array_equal(traj.twists[k], expected), k
+
+
+def test_overflowing_stage_twist_raises():
+    class Huge(Pointwise):
+        dim = 1
+
+        def connection_at(self, r):
+            return np.array([[1e308], [0.0], [0.0]])
+
+        def contacts_at(self, r):
+            return None
+
+    with np.errstate(over="ignore"), pytest.raises(SingularConstraint, match="non-finite stage twist"):
+        integrate_gait(Huge(), FourierGait(1.0, [0.0], sin=[[0.5]]), step=0.1)
+
+
+def test_shapeless_model_evaluates_one_row():
+    # a single-link swimmer has no shape coordinates: every stage is the
+    # same empty shape, so one row is evaluated and the body never moves
+    provider = DragModel(ChainModel([1.0]), 1.0, 2.0).provider()
+    traj = integrate_gait(provider, FourierGait(1.0, np.zeros(0)), step=0.1)
+    assert traj.meta["stage_shapes"] == 1
+    assert not traj.twists.any()
+    assert traj.poses[-1] == Pose()

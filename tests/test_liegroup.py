@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locomech import (
     Pose,
@@ -18,6 +20,7 @@ from locomech import (
     normalize_angle,
     vee,
 )
+from locomech.liegroup import _SMALL_ANGLE
 
 
 def test_exp_quarter_turn_unit_drive():
@@ -177,3 +180,72 @@ def test_twist_vector_arithmetic():
     assert ((2.0 * a) - Twist(2.0, 4.0, 6.0)).norm() == 0.0
     assert ((-a) + a).norm() == 0.0
     np.testing.assert_allclose(Twist.from_array(a.to_array()).to_array(), a.to_array())
+
+
+# -- properties over generated inputs ----------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+coords = st.floats(-10.0, 10.0)
+# rotation magnitudes straddling the series switch, small and large ones
+switch_angles = st.floats(0.25 * _SMALL_ANGLE, 4.0 * _SMALL_ANGLE)
+rotations = st.one_of(
+    st.just(0.0),
+    switch_angles,
+    switch_angles.map(lambda a: -a),
+    st.floats(-3.0, 3.0),
+)
+twists = st.builds(Twist, coords, coords, rotations)
+poses = st.builds(Pose, coords, coords, st.one_of(rotations, st.floats(-math.pi, math.pi)))
+
+
+def assert_poses_close(g, h, tol=1e-11):
+    scale = 1.0 + abs(h.x) + abs(h.y)
+    assert abs(g.x - h.x) <= tol * scale
+    assert abs(g.y - h.y) <= tol * scale
+    assert abs(normalize_angle(g.theta - h.theta)) <= tol
+
+
+def assert_twists_close(a, b, tol=1e-11):
+    scale = 1.0 + b.norm()
+    for u, v in ((a.vx, b.vx), (a.vy, b.vy), (a.omega, b.omega)):
+        assert abs(u - v) <= tol * scale
+
+
+@PROPERTY
+@given(twists)
+def test_log_inverts_exp_across_the_series_switch(xi):
+    assert_twists_close(log(exp(xi)), xi)
+
+
+@PROPERTY
+@given(poses)
+def test_exp_inverts_log_across_the_series_switch(g):
+    assert_poses_close(exp(log(g)), g)
+
+
+@PROPERTY
+@given(poses, poses, twists)
+def test_adjoint_is_a_homomorphism(g1, g2, xi):
+    assert_twists_close(adjoint(compose(g1, g2), xi), adjoint(g1, adjoint(g2, xi)), tol=1e-10)
+    assert_twists_close(adjoint(inverse(g1), adjoint(g1, xi)), xi, tol=1e-10)
+
+
+@PROPERTY
+@given(poses, poses, poses)
+def test_compose_is_associative(a, b, c):
+    assert_poses_close(compose(compose(a, b), c), compose(a, compose(b, c)), tol=1e-10)
+
+
+@PROPERTY
+@given(st.integers(-40, 40), st.sampled_from([-1.0, 1.0]), st.floats(1e-15, 1e-9))
+def test_normalize_angle_maps_plus_and_minus_pi_into_half_open_interval(turns, side, nudge):
+    # odd multiples of pi land on +pi, never -pi; a nudge past either end
+    # wraps to the other end
+    assert normalize_angle(side * math.pi) == math.pi
+    wrapped = normalize_angle(side * math.pi + turns * 2.0 * math.pi)
+    assert -math.pi < wrapped <= math.pi
+    assert abs(abs(wrapped) - math.pi) <= 1e-12 * (1 + abs(turns))
+    inside = normalize_angle(side * (math.pi - nudge))
+    assert -math.pi < inside <= math.pi
+    assert abs(inside - side * (math.pi - nudge)) <= 1e-15

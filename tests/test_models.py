@@ -15,7 +15,9 @@ from locomech import (
     build_contact_map,
     build_drag_constraints,
     build_slip_constraints,
+    Pose,
     chain_frames,
+    compose,
     crawler_slip_model,
     foot_pose,
     foot_position,
@@ -63,6 +65,22 @@ class TestChainKinematics:
         b = chain_frames(chain, r)
         for fa, fb in zip(a, b):
             assert (fa.x, fa.y, fa.theta) == (fb.x, fb.y, fb.theta)
+
+    def test_frames_are_exact_pose_products(self):
+        # the frames chained outward from the middle link with Pose objects,
+        # joint angles past +-pi included so the angle wrap is exercised
+        chain = ChainModel([1.0, 0.7, 1.3, 0.9, 1.1])
+        half = 0.5 * chain.lengths
+        rng = np.random.default_rng(12)
+        for r in rng.uniform(-5.0, 5.0, (40, 4)):
+            ref = [Pose()] * 5
+            for k in (2, 3):
+                hop = compose(Pose(half[k], 0.0, r[k]), Pose(half[k + 1], 0.0, 0.0))
+                ref[k + 1] = compose(ref[k], hop)
+            for k in (1, 0):
+                hop = compose(Pose(-half[k + 1], 0.0, -r[k]), Pose(-half[k], 0.0, 0.0))
+                ref[k] = compose(ref[k + 1], hop)
+            assert chain_frames(chain, r) == ref
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
@@ -341,3 +359,29 @@ def test_provider_shortcuts():
     assert three_link_swimmer().provider().dim == 2
     assert two_leg_crawler().provider().dim == 2
     assert crawler_slip_model().provider({0}).dim == 2
+
+
+_FIVE_LINKS = DragModel(ChainModel([1.0, 0.7, 1.3, 0.9, 1.1]), 1.0, 2.5, quadrature=5)
+
+
+@pytest.mark.parametrize(
+    "build, dim",
+    [
+        (lambda r: build_drag_constraints(three_link_swimmer(), r), 2),
+        (lambda r: build_drag_constraints(_FIVE_LINKS, r), 4),
+        (lambda r: many_legged_drag_surrogate(_FIVE_LINKS, 3, r), 4),
+        (lambda r: build_slip_constraints(mirrored_slip_walker(), {0, 1}, r), 2),
+        (lambda r: build_slip_constraints(crawler_slip_model(), {1}, r), 2),
+    ],
+    ids=["drag", "drag_five_links", "many_legged", "slip_both_feet", "slip_one_foot"],
+)
+def test_batched_builders_match_single_shapes(build, dim):
+    # shapes (4, 6, d) give blocks (4, 6, 3, 3) and (4, 6, 3, d), each
+    # bitwise the single-shape blocks; angles past +-pi included
+    shapes = np.random.default_rng(6).uniform(-4.0, 4.0, (4, 6, dim))
+    batch = build(shapes)
+    assert batch.m.shape == (4, 6, 3, 3) and batch.n.shape == (4, 6, 3, dim)
+    for idx in np.ndindex(4, 6):
+        one = build(shapes[idx])
+        assert np.array_equal(batch.m[idx], one.m), idx
+        assert np.array_equal(batch.n[idx], one.n), idx

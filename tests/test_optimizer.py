@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ class TestDisplacementObjective:
         class AlwaysSingular:
             dim = 2
 
-            def connection_at(self, r):
+            def connection_many(self, label, shapes):
                 raise SingularConstraint("rank-deficient test configuration")
 
             def contacts_at(self, r):
@@ -200,6 +202,19 @@ class TestDisplacementObjective:
 
         gait = amplitude_phase_family().build(np.array([0.5, 1.0]))
         value = objective_displacement(AlwaysSingular(), gait, "x")
+        assert value == float("-inf")
+
+    def test_non_finite_provider_scores_minus_inf(self):
+        from locomech import JacobianConnection, Pose, PoseMap
+
+        def fn(r):
+            # NaN once the shape leaves the disc of radius 0.2
+            if math.hypot(r[0], r[1]) > 0.2:
+                return Pose(math.nan, 0.0, 0.0)
+            return Pose(r[0], r[1] * r[0], r[1])
+
+        gait = amplitude_phase_family().build(np.array([0.5, 1.0]))
+        value = objective_displacement(JacobianConnection(PoseMap(fn, 2)), gait, "x")
         assert value == float("-inf")
 
     def test_unknown_direction(self, swimmer):
