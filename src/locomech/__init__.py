@@ -29,6 +29,7 @@ from .connection import (
     PoseMap,
     SingularConstraint,
     apply,
+    connection_rows,
     jacobian_connection_eval,
     linear_constraint_connection,
 )

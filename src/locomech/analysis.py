@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import SingularConstraint
+from .connection import SingularConstraint, connection_rows
 from .integrator import integrate_gait, net_displacement
 from .liegroup import Twist
 from .shapespace import WaypointGait
@@ -75,8 +75,12 @@ class FieldGrid:
 def sample_field(provider, spec: GridSpec) -> FieldGrid:
     """Evaluate the provider's connection at every grid node.
 
-    Nodes where the constraint balance is singular are flagged rather than
-    raised; contact-switching providers also record the stance at each node.
+    Every node is labelled with its stance and the grid goes to the provider
+    in one connection_many call per label.  A batch fails as a whole on one
+    singular node, so after a SingularConstraint the nodes are re-evaluated
+    one at a time to find it.  Singular nodes and nodes with a non-finite
+    connection entry are flagged, not raised, and store a zero connection.
+    contacts is None when every node's label is.
     """
     d = provider.dim
     if spec.axes[0] >= d or spec.axes[1] >= d or min(spec.axes) < 0:
@@ -87,29 +91,32 @@ def sample_field(provider, spec: GridSpec) -> FieldGrid:
     axis1 = np.linspace(spec.lo[0], spec.hi[0], spec.counts[0])
     axis2 = np.linspace(spec.lo[1], spec.hi[1], spec.counts[1])
     n1, n2 = spec.counts
-    conn = np.zeros((n1, n2, 3, d))
-    singular = np.zeros((n1, n2), dtype=bool)
-    piecewise = provider.contacts_at(base) is not None
-    contacts = np.empty((n1, n2), dtype=object) if piecewise else None
-    r = base.copy()
-    for i in range(n1):
-        r[spec.axes[0]] = axis1[i]
-        for j in range(n2):
-            r[spec.axes[1]] = axis2[j]
-            if piecewise:
-                contacts[i, j] = provider.contacts_at(r)
+    nodes = np.tile(base, (n1, n2, 1))
+    nodes[..., list(spec.axes)] = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1)
+    nodes = nodes.reshape(n1 * n2, d)
+    labels = [provider.contacts_at(r) for r in nodes]
+    singular = np.zeros(n1 * n2, dtype=bool)
+    try:
+        rows, index = connection_rows(provider, nodes, labels)
+        conn = rows[index]
+    except SingularConstraint:
+        conn = np.zeros((n1 * n2, 3, d))
+        for k, label in enumerate(labels):
             try:
-                conn[i, j] = provider.connection_at(r)
+                conn[k] = provider.connection_many(label, nodes[k:k + 1])[0]
             except SingularConstraint:
-                singular[i, j] = True
+                singular[k] = True
+    singular |= ~np.isfinite(conn).all(axis=(1, 2))
+    conn[singular] = 0.0
+    contacts = None if all(c is None for c in labels) else np.fromiter(labels, dtype=object).reshape(n1, n2)
     return FieldGrid(
         axis1=axis1,
         axis2=axis2,
         axes=spec.axes,
         base=base,
-        conn=conn,
+        conn=conn.reshape(n1, n2, 3, d),
         contacts=contacts,
-        singular=singular,
+        singular=singular.reshape(n1, n2),
     )
 
 
@@ -226,24 +233,30 @@ def _loop_polygon(gait, samples: int) -> np.ndarray:
     return np.stack([gait.evaluate(t)[0] for t in ts])
 
 
+def _connections(provider, shapes: np.ndarray) -> np.ndarray:
+    """A at every row of shapes on the stance it selects; a non-finite row raises."""
+    rows, index = connection_rows(provider, shapes, [provider.contacts_at(r) for r in shapes])
+    bad = ~np.isfinite(rows).all(axis=(1, 2))[index]
+    if bad.any():
+        raise SingularConstraint(f"non-finite connection at shape {shapes[bad.argmax()].tolist()}")
+    return rows[index]
+
+
 def _line_integral(provider, gait, samples: int) -> np.ndarray:
     """Loop integral of A dr, which is the time integral of the body twist."""
     if isinstance(gait, WaypointGait):
         nodes, weights = np.polynomial.legendre.leggauss(12)
-        total = np.zeros(3)
-        for seg in range(gait.points.shape[0]):
-            t0, t1 = gait.times[seg], gait.times[seg + 1]
-            half = 0.5 * (t1 - t0)
-            for x, wt in zip(nodes, weights):
-                t = 0.5 * (t0 + t1) + half * x
-                r, rdot = gait.evaluate(t)
-                total += half * wt * (provider.connection_at(r) @ rdot)
-        return total
-    dt = gait.period / samples
+        t0, t1 = gait.times[:-1, None], gait.times[1:, None]
+        half = 0.5 * (t1 - t0)
+        times, scales = (0.5 * (t0 + t1) + half * nodes).ravel(), (half * weights).ravel()
+    else:
+        dt = gait.period / samples
+        times, scales = np.arange(samples) * dt, np.full(samples, dt)
+    points = [gait.evaluate(t) for t in times]
+    conn = _connections(provider, np.array([r for r, _ in points]))
     total = np.zeros(3)
-    for k in range(samples):
-        r, rdot = gait.evaluate(k * dt)
-        total += dt * (provider.connection_at(r) @ rdot)
+    for scale, a, (_, rdot) in zip(scales, conn, points):
+        total += scale * (a @ rdot)
     return total
 
 
@@ -257,25 +270,24 @@ def _bracket_surface_integral(provider, polygon: np.ndarray, axes, base, order: 
     u = 0.5 * (nodes + 1.0)
     wu = 0.5 * weights
     centroid = polygon.mean(axis=0)
+    v1 = polygon - centroid
+    v2 = np.roll(polygon, -1, axis=0) - centroid
+    signed_area = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+    keep = signed_area != 0.0
+    v1, v2 = v1[keep, None, None], v2[keep, None, None]
+    # Duffy map of the unit square onto each triangle, indexed [triangle, u, v]
+    x = centroid + u[:, None, None] * (v1 + u[None, :, None] * (v2 - v1))
+    shapes = np.empty(x.shape[:-1] + (len(base),))
+    shapes[:] = base
+    shapes[..., list(axes)] = x
+    a = _connections(provider, shapes.reshape(-1, len(base)))
+    brackets = _column_bracket(a, axes[0], axes[1]).reshape(x.shape[:-1] + (3,))
     total = np.zeros(3)
-    r = np.array(base, dtype=float)
-    m = polygon.shape[0]
-    for k in range(m):
-        v1 = polygon[k] - centroid
-        v2 = polygon[(k + 1) % m] - centroid
-        signed_area = 0.5 * (v1[0] * v2[1] - v1[1] * v2[0])
-        if signed_area == 0.0:
-            continue
+    for area, b in zip(signed_area[keep], brackets):
         acc = np.zeros(3)
-        for iu, (su, wsu) in enumerate(zip(u, wu)):
-            for sv, wsv in zip(u, wu):
-                # Duffy map of the unit square onto the triangle
-                x = centroid + su * (v1 + sv * (v2 - v1))
-                r[axes[0]] = x[0]
-                r[axes[1]] = x[1]
-                a = provider.connection_at(r)
-                acc += wsu * wsv * su * _column_bracket(a, axes[0], axes[1])
-        total += 2.0 * signed_area * acc
+        for iu, iv in np.ndindex(order, order):
+            acc += wu[iu] * wu[iv] * u[iu] * b[iu, iv]
+        total += 2.0 * area * acc
     return total
 
 
@@ -293,26 +305,16 @@ def holonomy_vs_area(
     bracket part is integrated over the enclosed region directly.
     """
     polygon = _loop_polygon(gait, samples=min(samples, 512))
-    swept = polygon[:, [field.axes[0], field.axes[1]]]
-    lo1, hi1 = field.axis1[0], field.axis1[-1]
-    lo2, hi2 = field.axis2[0], field.axis2[-1]
-    if (
-        swept[:, 0].min() < lo1
-        or swept[:, 0].max() > hi1
-        or swept[:, 1].min() < lo2
-        or swept[:, 1].max() > hi2
-    ):
+    swept = polygon[:, list(field.axes)]
+    lo, hi = (field.axis1[0], field.axis2[0]), (field.axis1[-1], field.axis2[-1])
+    if (swept.min(axis=0) < lo).any() or (swept.max(axis=0) > hi).any():
         raise LoopOutsideGrid("gait loop leaves the sampled grid window")
     traj = integrate_gait(provider, gait, cycles=1, step=step)
     hol = net_displacement(traj)
     curl_part = _line_integral(provider, gait, samples)
     bracket_part = _bracket_surface_integral(provider, swept, field.axes, field.base)
     area = curl_part + bracket_part
-    gap = hol.to_array() - area
     return HolonomyAreaReport(
-        holonomy=hol,
-        area_integral=area,
-        curl_part=curl_part,
-        bracket_part=bracket_part,
-        gap=gap,
+        holonomy=hol, area_integral=area, curl_part=curl_part, bracket_part=bracket_part,
+        gap=hol.to_array() - area,
     )

@@ -6,8 +6,7 @@ omega).  Three construction routes are covered: differentiating a pose map
 through the group, solving a linear force or constraint balance, and
 dispatching over the holonomic pieces of a contact-switching model.
 
-Provider protocol.  Everything that consumes A(r) (integrator, field
-sampling, optimizer, verify suites) talks to a provider through:
+Provider protocol.  A provider offers:
 
 - ``dim``: the number of shape coordinates d;
 - ``contacts_at(r)``: the hashable stance label selected at shape r, and
@@ -17,10 +16,13 @@ sampling, optimizer, verify suites) talks to a provider through:
   at each leading index is bitwise the single-shape result; the piece may be
   evaluated past its switching surface.
 
-``ConnectionProvider`` derives ``connection_for(label, r)`` and
-``connection_at(r)`` (the piece selected at r) from ``connection_many`` as
-its single-shape case, a (d,) shape with no leading axes, so there is one
-evaluation path.  Constraint builders and ``ConstraintSystem`` broadcast the
+Every consumer of A(r) (integrate_gait, sample_field, the loop integrals of
+holonomy_vs_area and the residual verify suite) labels its shapes and hands
+them to ``connection_rows``, which makes one ``connection_many`` call per
+stance label over that label's distinct shapes.  ``ConnectionProvider``
+derives ``connection_for(label, r)`` and ``connection_at(r)`` (the piece
+selected at r) as single-shape conveniences for interactive use; no library
+code calls them.  Constraint builders and ``ConstraintSystem`` broadcast the
 same way: a builder maps shapes (..., d) to blocks m (..., 3, 3) and
 n (..., 3, d), and ``linear_constraint_connection`` solves every leading
 index at once.
@@ -184,6 +186,38 @@ class ConnectionProvider:
 
     def connection_at(self, r) -> ConnectionMatrix:
         return self.connection_for(self.contacts_at(r), r)
+
+
+def connection_rows(provider, shapes, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the connection once per bytewise-distinct (label, shape) row.
+
+    shapes is (N, d) and labels[i] is the stance label of row i.  A depends
+    on the label and the shape only, so each label, in first-seen order, gets
+    one connection_many call over its distinct rows.  Returns their
+    connections as one (M, 3, d) array and each row's index into it;
+    non-finite entries are returned as computed.
+    """
+    shapes = np.asarray(shapes, dtype=float)
+    n, d = shapes.shape
+    ids: dict = {}
+    label_ids = np.array([ids.setdefault(c, len(ids)) for c in labels], dtype=np.int32)
+    # one opaque key per row, equal exactly when the shapes are bitwise equal
+    keys = np.ascontiguousarray(shapes).view(np.dtype((np.void, 8 * d)))[:, 0] if d else np.zeros(n)
+    # stable sorts order the rows by label, then key, with each run of equal
+    # rows in first-seen order; this holds about half the memory np.unique does
+    order = np.argsort(keys, kind="stable")
+    order = order[np.argsort(label_ids[order], kind="stable")]
+    ordered, ordered_ids = keys[order], label_ids[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]) | (ordered_ids[1:] != ordered_ids[:-1])
+    index = np.empty(n, dtype=np.int32)
+    index[order] = np.cumsum(starts, dtype=np.int32) - 1
+    picks = order[starts]
+    bounds = np.searchsorted(label_ids[picks], np.arange(len(ids) + 1))
+    out = np.empty((len(picks), 3, d))
+    for label, lo, hi in zip(ids, bounds[:-1], bounds[1:]):
+        out[lo:hi] = provider.connection_many(label, shapes[picks[lo:hi]])
+    return out, index
 
 
 def _jacobian_many(pose_map: PoseMap, shapes, h: float) -> np.ndarray:

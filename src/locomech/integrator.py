@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import SingularConstraint, apply as apply_connection
+from .connection import SingularConstraint, apply as apply_connection, connection_rows
 from .liegroup import Pose, Twist, bracket, compose, exp, inverse, log
 
 
@@ -62,53 +62,11 @@ def _dexpinv(u: Twist, v: Twist) -> Twist:
     return v + 0.5 * uv + (1.0 / 12.0) * bracket(u, uv)
 
 
-def _require_finite(values: np.ndarray, what: str, where) -> None:
-    """Raise SingularConstraint at the first non-finite row; where(i) gives its (t, shape)."""
-    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+def _require_finite(finite: np.ndarray, what: str, where) -> None:
+    """Raise SingularConstraint at the first row not marked finite; where(i) gives its (t, shape)."""
     if not finite.all():
         t, r = where(int(np.argmin(finite)))
         raise SingularConstraint(f"non-finite {what} at t={t!r}, shape {r.tolist()}")
-
-
-def _distinct_rows(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each bytewise-distinct row, and each row's distinct index."""
-    n, d = shapes.shape
-    if d == 0:
-        return np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.int32)
-    keys = np.ascontiguousarray(shapes).view(np.dtype((np.void, shapes.itemsize * d)))[:, 0]
-    # a stable sort keeps each run of equal keys in first-seen order; this
-    # holds about half the memory np.unique does on long integrations
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    starts[1:] = ordered[1:] != ordered[:-1]
-    del ordered
-    inverse = np.empty(n, dtype=np.int32)
-    inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
-    return order[starts], inverse
-
-
-def _evaluate_stages(provider, contacts: list, stage_r: np.ndarray, where):
-    """Evaluate the connection once per bytewise-distinct (stance, stage shape).
-
-    A depends on the stance and the shape only.  Stages 3j, 3j + 1 and
-    3j + 2 belong to step j, on the stance of row j; the final stage is the
-    last row's.  Each stance gets one connection_many call.  Returns those
-    calls' results, and for every stage the index of its stance's result and
-    its row in it; where(i) names stage i in errors.
-    """
-    ids: dict = {}
-    row_ids = np.array([ids.setdefault(c, len(ids)) for c in contacts], dtype=np.int32)
-    stage_ids = np.append(np.repeat(row_ids[:-1], 3), row_ids[-1])
-    stage_rows = np.empty(len(stage_ids), dtype=np.int32)
-    blocks = []
-    for label, lid in ids.items():
-        sel = np.flatnonzero(stage_ids == lid)
-        first, stage_rows[sel] = _distinct_rows(stage_r[sel])
-        blocks.append(provider.connection_many(label, stage_r[sel[first]]))
-        _require_finite(blocks[-1], "connection", lambda i: where(sel[first[i]]))
-    return blocks, stage_ids, stage_rows
 
 
 def _rkmk4_step(g: Pose, h: float, k1: Twist, mid: Twist, end: Twist) -> Pose:
@@ -270,26 +228,26 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     evaluated.clear()
 
     # -- evaluate
-    def stage_time(i: int) -> float:
-        j, k = divmod(i, 3)
-        return times[j] if k == 0 else times[j + 1] if k == 2 else times[j] + 0.5 * (times[j + 1] - times[j])
-
     def where(i: int) -> tuple[float, np.ndarray]:
-        t = stage_time(i)
-        return t, gait.evaluate(t, "left" if i % 3 == 2 else "right")[0]
+        """Time and shape of stage i."""
+        j, k = divmod(i, 3)
+        t = times[j] if k == 0 else times[j + 1] if k == 2 else times[j] + 0.5 * (times[j + 1] - times[j])
+        return t, gait.evaluate(t, "left" if k == 2 else "right")[0]
 
     rates = np.frombuffer(stage_rates).reshape(3 * len(times) - 2, len(r0))
-    _require_finite(rates, "shape rate", where)
-    blocks, stage_ids, stage_rows = _evaluate_stages(
-        provider, contacts, np.frombuffer(stage_shapes).reshape(rates.shape), where
-    )
-    stage_shapes = None  # the shapes live on in the blocks' rows
+    _require_finite(np.isfinite(rates).all(axis=1), "shape rate", where)
+    # stages 3j, 3j + 1 and 3j + 2 belong to step j, on the stance of row j;
+    # the final stage is the last row's
+    stage_labels = [c for c in contacts[:-1] for _ in range(3)] + contacts[-1:]
+    conn, stage_conn = connection_rows(provider, np.frombuffer(stage_shapes).reshape(rates.shape), stage_labels)
+    stage_shapes = stage_labels = None
+    _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", where)
     # stage twists as flat (vx, vy, omega) floats, so long trajectories hold
     # no per-stage objects
     stage_twists = array("d")
 
     def add_twist(i: int) -> Twist:
-        xi = apply_connection(blocks[stage_ids[i]][stage_rows[i]], rates[i])
+        xi = apply_connection(conn[stage_conn[i]], rates[i])
         if not (math.isfinite(xi.vx) and math.isfinite(xi.vy) and math.isfinite(xi.omega)):
             t, r = where(i)
             raise SingularConstraint(f"non-finite stage twist at t={t!r}, shape {r.tolist()}")
@@ -301,8 +259,8 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         max_norm = max(max_norm, add_twist(i).norm())
     # the last row's twist is no stage, so it stays out of the largest norm
     add_twist(len(rates) - 1)
-    n_shapes = sum(len(block) for block in blocks)
-    del blocks, rates, stage_ids, stage_rows
+    n_shapes = len(conn)
+    del conn, rates, stage_conn
     stage_rates = None
 
     # -- combine: RKMK4 group arithmetic, step by step

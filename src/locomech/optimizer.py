@@ -20,6 +20,8 @@ from .models import DegenerateStance
 from .shapespace import FourierGait
 
 DIRECTIONS = ("x", "y", "theta", "speed")
+FAMILIES = ("amplitude_phase", "fourier_slots")
+SLOT_KINDS = ("mean", "cos", "sin")
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ def fourier_slot_family(template: FourierGait, slots, lower, upper) -> GaitFamil
     slots = tuple(slots)
     harmonics, d = template.cos.shape
     for s in slots:
-        if s[0] not in ("mean", "cos", "sin"):
+        if s[0] not in SLOT_KINDS:
             raise ValueError(f"unknown slot kind {s[0]!r}")
         if s[0] != "mean" and not 1 <= s[1] <= harmonics:
             raise ValueError(f"slot {s}: harmonic index must be in 1..{harmonics}")

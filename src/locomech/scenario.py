@@ -33,7 +33,7 @@ from .models import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from .optimizer import DIRECTIONS, GaitFamily, amplitude_phase_family, fourier_slot_family
+from .optimizer import DIRECTIONS, FAMILIES, SLOT_KINDS, GaitFamily, amplitude_phase_family, fourier_slot_family
 from .shapespace import FourierGait, WaypointGait
 from .verify import _SUITES
 
@@ -364,10 +364,8 @@ def _build_optimize(block: dict, gait_block: dict):
     path = "optimize"
     _expect_mapping(block, path)
     family = block.get("family")
-    if family not in ("amplitude_phase", "fourier_slots"):
-        raise ScenarioError(
-            f"{path}.family", "expected one of ('amplitude_phase', 'fourier_slots')"
-        )
+    if family not in FAMILIES:
+        raise ScenarioError(f"{path}.family", f"expected one of {FAMILIES}")
     direction = block.get("direction", "x")
     if direction not in DIRECTIONS:
         raise ScenarioError(f"{path}.direction", f"expected one of {DIRECTIONS}")
@@ -401,10 +399,10 @@ def _build_optimize(block: dict, gait_block: dict):
         raise ScenarioError(f"{path}.slots", "expected a non-empty list of slots")
     slots = []
     for idx, slot in enumerate(slots_raw):
-        if not isinstance(slot, list) or not slot or slot[0] not in ("mean", "cos", "sin"):
+        if not isinstance(slot, list) or not slot or slot[0] not in SLOT_KINDS:
             raise ScenarioError(
                 f"{path}.slots[{idx}]",
-                "expected [kind, indices...] with kind mean|cos|sin",
+                f"expected [kind, indices...] with kind {'|'.join(SLOT_KINDS)}",
             )
         want = 2 if slot[0] == "mean" else 3
         if len(slot) != want or any(

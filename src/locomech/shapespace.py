@@ -28,6 +28,8 @@ class FourierGait:
     mean: np.ndarray
     cos: np.ndarray = None
     sin: np.ndarray = None
+    # 2 pi k / T for harmonic k = 1..K, fixed once the gait is built
+    angular_rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.period > 0.0 and np.isfinite(self.period)):
@@ -49,6 +51,8 @@ class FourierGait:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cos", cos)
         object.__setattr__(self, "sin", sin)
+        rates = 2.0 * np.pi * np.arange(1, k + 1) / self.period
+        object.__setattr__(self, "angular_rates", _as_readonly(rates))
 
     @property
     def dim(self) -> int:
@@ -57,11 +61,10 @@ class FourierGait:
     def evaluate(self, t: float, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(t):
             raise ValueError(f"gait time must be finite, got {t}")
-        k = self.cos.shape[0]
-        if k == 0:
+        w = self.angular_rates
+        if not w.size:
             return self.mean.copy(), np.zeros_like(self.mean)
         tau = float(t) % self.period
-        w = 2.0 * np.pi * np.arange(1, k + 1) / self.period
         ang = w * tau
         r = self.mean + np.cos(ang) @ self.cos + np.sin(ang) @ self.sin
         rdot = (-w * np.sin(ang)) @ self.cos + (w * np.cos(ang)) @ self.sin

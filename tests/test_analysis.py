@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from locomech import (
+    ConstraintConnection,
+    ConstraintSystem,
     CurvatureField,
     FieldGrid,
     FourierGait,
     GridSpec,
+    JacobianConnection,
     LoopOutsideGrid,
+    Pose,
+    PoseMap,
     SingularConstraint,
     SingularStencil,
     Twist,
@@ -21,6 +26,7 @@ from locomech import (
     three_link_swimmer,
     two_leg_crawler,
 )
+from locomech.analysis import _bracket_surface_integral, _line_integral
 
 
 class Pointwise:
@@ -82,6 +88,55 @@ class SmoothSynthetic(Pointwise):
 
     def contacts_at(self, r):
         return None
+
+
+class CountingProvider:
+    """Wrapper recording the label of every batched call and counting single-shape calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.labels = []
+        self.single = 0
+
+    def contacts_at(self, r):
+        return self.inner.contacts_at(r)
+
+    def connection_many(self, label, shapes):
+        self.labels.append(label)
+        return self.inner.connection_many(label, shapes)
+
+    def connection_for(self, label, r):
+        self.single += 1
+        return self.inner.connection_for(label, r)
+
+    def connection_at(self, r):
+        self.single += 1
+        return self.inner.connection_at(r)
+
+
+def nan_past(radius):
+    """Pose map that turns NaN once the shape leaves a disc."""
+
+    def fn(r):
+        if math.hypot(r[0], r[1]) > radius:
+            return Pose(math.nan, 0.0, 0.0)
+        return Pose(0.3 * r[0], r[1] * r[1], 0.5 * r[1])
+
+    return PoseMap(fn, 2)
+
+
+def singular_at_zero_r0(shapes):
+    """Balance whose vx row is r0 * vx + rdot_0 = 0: singular where r0 = 0."""
+    lead = shapes.shape[:-1]
+    m = np.zeros(lead + (3, 3))
+    m[..., 0, 0] = shapes[..., 0]
+    m[..., 1, 1] = 1.0
+    m[..., 2, 2] = 1.0
+    n = np.zeros(lead + (3, 2))
+    n[..., 0, 0] = 1.0
+    n[..., 1, 1] = 1.0
+    return ConstraintSystem(m, n)
 
 
 def smooth_synthetic_curvature(r0, r1):
@@ -195,7 +250,7 @@ class TestSampleField:
                     assert crawler_field.contacts[i, j] == frozenset({0})
 
     def test_singular_nodes_flagged_not_raised(self):
-        class SometimesSingular:
+        class SometimesSingular(Pointwise):
             dim = 2
 
             def connection_at(self, r):
@@ -213,8 +268,47 @@ class TestSampleField:
         assert field.singular.sum() == 5
         assert np.isfinite(field.conn[0, 0]).all()
 
+    @pytest.mark.parametrize("model", [three_link_swimmer, two_leg_crawler])
+    def test_one_batched_call_per_stance_label(self, model):
+        provider = CountingProvider(model().provider())
+        field = sample_field(provider, GridSpec(lo=(-1, -1), hi=(1, 1), counts=(9, 9)))
+        labels = [None] if field.contacts is None else list(field.contacts.flat)
+        assert len(provider.labels) == len(set(provider.labels)) == len(set(labels))
+        assert set(provider.labels) == set(labels)
+        assert provider.single == 0
+        # every stored entry is bitwise the node's own evaluation
+        inner = provider.inner
+        for i in range(9):
+            for j in range(9):
+                shape = field.shape_at(i, j)
+                assert np.array_equal(field.conn[i, j], inner.connection_at(shape)), (i, j)
+
+    def test_singular_constraint_column_flagged(self):
+        provider = ConstraintConnection(singular_at_zero_r0, 2)
+        field = sample_field(provider, GridSpec(lo=(-1, -1), hi=(1, 1), counts=(5, 5)))
+        assert field.axis1[2] == 0.0
+        assert field.singular[2, :].all()
+        assert field.singular.sum() == 5
+        assert np.array_equal(field.conn[2], np.zeros((5, 3, 2)))
+        for i in (0, 1, 3, 4):
+            for j in range(5):
+                shape = field.shape_at(i, j)
+                assert np.array_equal(field.conn[i, j], provider.connection_at(shape))
+
+    def test_non_finite_nodes_flagged_like_singular_ones(self):
+        # only the centre node lies inside the disc the pose map is finite on
+        field = sample_field(
+            JacobianConnection(nan_past(0.45)), GridSpec(lo=(-1, -1), hi=(1, 1), counts=(5, 5))
+        )
+        assert field.singular.sum() == 24
+        assert not field.singular[2, 2]
+        assert np.array_equal(field.conn[field.singular], np.zeros((24, 3, 2)))
+        assert np.isfinite(field.conn[2, 2]).all()
+        # every stencil touches a flagged node
+        assert not curvature(field).valid.any()
+
     def test_shape_at_composes_base(self):
-        class ThreeDim:
+        class ThreeDim(Pointwise):
             dim = 3
 
             def connection_at(self, r):
@@ -327,7 +421,7 @@ class TestCurvature:
         assert np.isfinite(result.values[result.valid]).all()
 
     def test_singular_nodes_poison_stencils(self):
-        class SometimesSingular:
+        class SometimesSingular(Pointwise):
             dim = 2
 
             def connection_at(self, r):
@@ -461,6 +555,24 @@ class TestHolonomyVsArea:
             rtol=0.0, atol=0.0,
         )
         assert report.gap_norm == np.abs(report.gap).max()
+
+    def test_loop_integrals_make_no_single_shape_call(self, swimmer_field):
+        for model in (three_link_swimmer, two_leg_crawler):
+            provider = CountingProvider(model().provider())
+            report = holonomy_vs_area(provider, square_loop_gait(0.4), swimmer_field)
+            assert provider.single == 0
+            assert np.isfinite(report.gap).all()
+
+    def test_loop_integrals_raise_on_non_finite_connection(self):
+        provider = JacobianConnection(nan_past(0.45))
+        with pytest.raises(SingularConstraint, match="non-finite connection"):
+            _line_integral(provider, square_loop_gait(0.4), 64)
+        with pytest.raises(SingularConstraint, match="non-finite connection"):
+            _bracket_surface_integral(
+                provider, square_loop_gait(0.4).points, (0, 1), np.zeros(2)
+            )
+        # the same loop inside the disc gives finite integrals
+        assert np.isfinite(_line_integral(provider, square_loop_gait(0.2), 64)).all()
 
     def test_loop_outside_grid_raises(self, swimmer_provider):
         small = sample_field(

@@ -16,6 +16,7 @@ from locomech import (
     apply,
     build_drag_constraints,
     compose,
+    connection_rows,
     jacobian_connection_eval,
     linear_constraint_connection,
     load_scenario,
@@ -279,6 +280,31 @@ def test_connection_many_rows_are_single_shape_evaluations(name):
         assert np.array_equal(
             provider.connection_at(r), provider.connection_for(provider.contacts_at(r), r)
         )
+
+
+def test_connection_rows_one_call_per_label_over_distinct_rows():
+    inner = PiecewiseConnection(two_leg_crawler())
+    calls = []
+
+    class Recording:
+        dim = 2
+
+        def connection_many(self, label, shapes):
+            calls.append((label, len(shapes)))
+            return inner.connection_many(label, shapes)
+
+    base = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
+    shapes = base[[0, 1, 2, 0, 3, 4, 5, 1, 0, 2]]
+    labels = [frozenset({1})] * 4 + [frozenset({0})] * 6
+    rows, index = connection_rows(Recording(), shapes, labels)
+    # (label, shape) pairs: {1} sees 0, 1, 2; {0} sees 3, 4, 5, 1, 0, 2
+    assert calls == [(frozenset({1}), 3), (frozenset({0}), 6)]
+    assert rows.shape == (9, 3, 2) and index.shape == (10,)
+    for i, (label, r) in enumerate(zip(labels, shapes)):
+        assert np.array_equal(rows[index[i]], inner.connection_for(label, r)), i
+    empty_rows, empty_index = connection_rows(Recording(), np.zeros((0, 2)), [])
+    assert empty_rows.shape == (0, 3, 2) and empty_index.shape == (0,)
+    assert len(calls) == 2
 
 
 def test_batched_solve_rows_match_single_solves():

@@ -268,6 +268,26 @@ class TestCommandBlocks:
         with pytest.raises(ScenarioError, match="optimize"):
             load_scenario(doc)
 
+    def test_optimize_family_and_slot_kind_messages(self):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(minimal(optimize={"family": "grid"}))
+        assert str(exc.value) == (
+            "optimize.family: expected one of ('amplitude_phase', 'fourier_slots')"
+        )
+        doc = minimal(
+            optimize={
+                "family": "fourier_slots",
+                "slots": [["tan", 1, 0]],
+                "lower": [-1.0],
+                "upper": [1.0],
+            }
+        )
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(doc)
+        assert str(exc.value) == (
+            "optimize.slots[0]: expected [kind, indices...] with kind mean|cos|sin"
+        )
+
     def test_optimize_direction_checked(self):
         doc = minimal(optimize={"family": "amplitude_phase", "direction": "z"})
         with pytest.raises(ScenarioError, match="optimize.direction"):

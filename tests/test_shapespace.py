@@ -72,6 +72,24 @@ def test_waypoint_knot_sides():
     assert np.max(np.abs(r0_left)) == 0.0
 
 
+def test_fourier_rates_fixed_at_construction():
+    # evaluate reuses the rates built once; r and rdot are bitwise what the
+    # formula gives with the rates computed afresh
+    period = 1.7
+    gait = FourierGait(
+        period, [0.1, -0.2], cos=[[0.3, 0.0], [0.1, 0.2]], sin=[[0.0, 0.4], [0.05, 0.0]]
+    )
+    w = 2.0 * np.pi * np.arange(1, 3) / period
+    assert np.array_equal(gait.angular_rates, w)
+    assert not gait.angular_rates.flags.writeable
+    for t in np.linspace(-3.0, 5.0, 41):
+        ang = w * (float(t) % period)
+        r, rdot = gait.evaluate(t)
+        assert np.array_equal(r, gait.mean + np.cos(ang) @ gait.cos + np.sin(ang) @ gait.sin)
+        assert np.array_equal(rdot, (-w * np.sin(ang)) @ gait.cos + (w * np.cos(ang)) @ gait.sin)
+    assert FourierGait(2.0, [0.5]).angular_rates.shape == (0,)
+
+
 def test_fourier_ignores_side():
     g = FourierGait(1.0, [0.0], sin=[[0.5]])
     a = g.evaluate(0.25, side="right")
