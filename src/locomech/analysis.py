@@ -16,7 +16,7 @@ import numpy as np
 
 from .connection import SingularConstraint, connection_rows
 from .integrator import integrate_gait, net_displacement
-from .liegroup import Twist
+from .liegroup import Twist, bracket_many
 from .shapespace import WaypointGait
 
 
@@ -135,12 +135,9 @@ class CurvatureField:
 
 
 def _column_bracket(a: np.ndarray, i1: int, i2: int) -> np.ndarray:
-    """liegroup.bracket of connection columns i1 and i2, over any leading grid axes."""
-    c1, c2 = a[..., :, i1], a[..., :, i2]
-    out = np.zeros(c1.shape)
-    out[..., 0] = c2[..., 2] * c1[..., 1] - c1[..., 2] * c2[..., 1]
-    out[..., 1] = c1[..., 2] * c2[..., 0] - c2[..., 2] * c1[..., 0]
-    return out
+    """Bracket of connection columns i1 and i2, (..., 3) over any leading grid axes."""
+    cols = np.moveaxis(a, -2, 0)
+    return np.moveaxis(bracket_many(cols[..., i1], cols[..., i2]), 0, -1)
 
 
 def _derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Everything here produces or consumes the 3 x d matrix A(r) relating a shape
 rate to a body twist, body_twist = A(r) @ rdot, with rows ordered (vx, vy,
 omega).  Three construction routes are covered: differentiating a pose map
-through the group, solving a linear force or constraint balance, and
-dispatching over the holonomic pieces of a contact-switching model.
+through the group (``jacobian_connection_eval``, which both pose-map
+providers call once per batch), solving a linear force or constraint
+balance, and dispatching over the holonomic pieces of a contact-switching model.
 
 Provider protocol.  A provider offers:
 
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .liegroup import Pose, Twist, compose, inverse, log
+from .liegroup import Pose, Twist, compose_many, inverse_many, log_many
 
 ConnectionMatrix = np.ndarray  # (3, d), rows vx, vy, omega
 
@@ -83,24 +84,24 @@ class ConstraintSystem:
         object.__setattr__(self, "n", n)
 
 
-def jacobian_connection_eval(pose_map: PoseMap, r, h: float = 1e-5) -> ConnectionMatrix:
-    """Differentiate a pose map through the group.
+def jacobian_connection_eval(pose_map: PoseMap, shapes, h: float = 1e-5) -> np.ndarray:
+    """Differentiate a pose map through the group at every shape of a (..., d) array.
 
     Column i is log(F(r - h e_i)^-1 F(r + h e_i)) / (2 h), the body-frame
-    velocity per unit rate of coordinate i; accuracy O(h^2).
+    velocity per unit rate of coordinate i; accuracy O(h^2).  F is called at
+    every probe, shape by shape and column by column, lower probe first; the
+    group arithmetic is then one array pass.  Returns (..., 3, d).
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (pose_map.dim,):
-        raise ValueError(f"shape has {r.shape} coordinates, pose map expects {pose_map.dim}")
+    shapes = np.asarray(shapes, dtype=float)
     d = pose_map.dim
-    a = np.empty((3, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        lo = pose_map.fn(r - e)
-        hi = pose_map.fn(r + e)
-        a[:, i] = log(compose(inverse(lo), hi)).to_array() / (2.0 * h)
-    return a
+    if shapes.shape[-1:] != (d,):
+        raise ValueError(f"shape has {shapes.shape} coordinates, pose map expects {d}")
+    # probes[..., i, 0] is r - h e_i and probes[..., i, 1] is r + h e_i
+    probes = shapes[..., None, None, :] + h * np.eye(d)[:, None, :] * [[-1.0], [1.0]]
+    poses = [pose_map.fn(p) for p in probes.reshape(-1, d)] if d else []
+    lo, hi = np.array([(g.x, g.y, g.theta) for g in poses]).reshape(-1, 2, 3).transpose(1, 2, 0)
+    cols = log_many(compose_many(inverse_many(lo), hi)) / (2.0 * h)
+    return np.moveaxis(cols.reshape((3,) + shapes.shape), 0, -2)
 
 
 def _cond_estimate(m: np.ndarray):
@@ -220,17 +221,6 @@ def connection_rows(provider, shapes, labels) -> tuple[np.ndarray, np.ndarray]:
     return out, index
 
 
-def _jacobian_many(pose_map: PoseMap, shapes, h: float) -> np.ndarray:
-    """jacobian_connection_eval at every shape of a (..., d) array."""
-    shapes = np.asarray(shapes, dtype=float)
-    if shapes.ndim == 1:
-        return jacobian_connection_eval(pose_map, shapes, h)
-    out = np.empty(shapes.shape[:-1] + (3, pose_map.dim))
-    for idx in np.ndindex(shapes.shape[:-1]):
-        out[idx] = jacobian_connection_eval(pose_map, shapes[idx], h)
-    return out
-
-
 class JacobianConnection(ConnectionProvider):
     """Provider backed by a single smooth pose map."""
 
@@ -246,7 +236,7 @@ class JacobianConnection(ConnectionProvider):
         return None
 
     def connection_many(self, label, shapes) -> np.ndarray:
-        return _jacobian_many(self.pose_map, shapes, self.h)
+        return jacobian_connection_eval(self.pose_map, shapes, self.h)
 
 
 class ConstraintConnection(ConnectionProvider):
@@ -307,4 +297,4 @@ class PiecewiseConnection(ConnectionProvider):
         return m
 
     def connection_many(self, c: ContactSet, shapes) -> np.ndarray:
-        return _jacobian_many(self.piece_map(c), shapes, self.h)
+        return jacobian_connection_eval(self.piece_map(c), shapes, self.h)

@@ -1,16 +1,16 @@
 """Fixed-step Lie-group integration of gait-driven body motion.
 
 The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
-Munthe-Kaas scheme: stage twists are combined in the velocity algebra through
-the truncated inverse differential of exp and applied with one group
-exponential per step.  The shape path r(t) is prescribed, so within a stance
-piece every stage twist depends on t alone and the whole stage grid is
-planned and evaluated before any group arithmetic.  Every step compares the provider's stance label at
-its midpoint and end with the active one; a step that straddles a stance
-change is split at the switch time (located by bisection on the selector)
-and integration resumes with the new piece from the same pose, so the pose
-path stays continuous.  A single-piece provider labels every shape None and
-so never splits a step.
+Munthe-Kaas scheme.  The shape path r(t) is prescribed, so every stage twist
+depends on t alone: the stage grid is planned and evaluated first, then the
+step exponents (stage twists combined through the truncated inverse
+differential of exp) and their exponentials are array passes, and only the
+pose product runs step by step.  Every step compares the provider's stance
+label at its midpoint and end with the active one; a step that straddles a
+stance change is split at the switch time (located by bisection on the
+selector) and integration resumes with the new piece from the same pose, so
+the pose path stays continuous.  A single-piece provider labels every shape
+None and so never splits a step.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .connection import SingularConstraint, apply as apply_connection, connection_rows
-from .liegroup import Pose, Twist, bracket, compose, exp, inverse, log
+from .connection import SingularConstraint, connection_rows
+from .liegroup import Pose, Twist, bracket_many, compose, compose_many, exp_many, inverse_many, log_many
 
 
 @dataclass(frozen=True)
@@ -51,15 +52,15 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
 
-def _dexpinv(u: Twist, v: Twist) -> Twist:
-    """Inverse differential of exp at -u applied to v, truncated for 4th order.
+def _dexpinv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inverse differential of exp at -u applied to v, truncated for 4th order, over (3, n) twists.
 
     For body-frame flows g' = g * hat(xi) the exponent u in g = g0 * exp(u)
     satisfies u' = v + [u, v]/2 + [u, [u, v]]/12; the sign of the linear
     bracket term is what separates 4th order from 2nd here.
     """
-    uv = bracket(u, v)
-    return v + 0.5 * uv + (1.0 / 12.0) * bracket(u, uv)
+    uv = bracket_many(u, v)
+    return v + 0.5 * uv + (1.0 / 12.0) * bracket_many(u, uv)
 
 
 def _require_finite(finite: np.ndarray, what: str, where) -> None:
@@ -69,8 +70,8 @@ def _require_finite(finite: np.ndarray, what: str, where) -> None:
         raise SingularConstraint(f"non-finite {what} at t={t!r}, shape {r.tolist()}")
 
 
-def _rkmk4_step(g: Pose, h: float, k1: Twist, mid: Twist, end: Twist) -> Pose:
-    """One step of length h from g, given the start, midpoint and end stage twists.
+def _rkmk4_exponents(h: np.ndarray, k1: np.ndarray, mid: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Exponent u, g1 = g0 * exp(u), of n steps of lengths h from their (3, n) stage twists.
 
     k2 and k3 share the midpoint twist; the end twist takes the left-limit
     rate, because the step end may be a waypoint corner.
@@ -78,8 +79,22 @@ def _rkmk4_step(g: Pose, h: float, k1: Twist, mid: Twist, end: Twist) -> Pose:
     k2 = _dexpinv((0.5 * h) * k1, mid)
     k3 = _dexpinv((0.5 * h) * k2, mid)
     k4 = _dexpinv(h * k3, end)
-    u = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return compose(g, exp(u, 1.0))
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# Most steps (per cycle, times cycles) one integration may take.  It peaks
+# near a kilobyte per step, so a period or step asking for more is rejected
+# instead of exhausting memory.
+MAX_STEPS = 1_000_000
+
+
+def steps_per_cycle(period: float, step: float, cycles: int = 1) -> int:
+    """Steps per cycle at the nominal step snapped to divide the period; ValueError past MAX_STEPS."""
+    ratio = period / step
+    n_steps = max(1, round(ratio)) if math.isfinite(ratio) else math.inf
+    if n_steps * cycles > MAX_STEPS:
+        raise ValueError(f"{cycles} cycle(s) of period {period!r} at step {step!r} exceed {MAX_STEPS} steps")
+    return n_steps
 
 
 def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_tol: float = 1e-10) -> Trajectory:
@@ -104,7 +119,7 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     if event_tol <= 0.0:
         raise ValueError(f"event tolerance must be positive, got {event_tol}")
     period = gait.period
-    n_steps = max(1, round(period / step))
+    n_steps = steps_per_cycle(period, step, cycles)
     h = period / n_steps
 
     # every (t, side) that one step asks for is evaluated once; the memo
@@ -152,6 +167,10 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         lo, hi = t0, t1
         while hi - lo > event_tol:
             mid = 0.5 * (lo + hi)
+            # lo and hi are adjacent floats: a tolerance below their spacing
+            # cannot be met, so the bracket is as tight as it gets
+            if mid == lo or mid == hi:
+                break
             if provider.contacts_at(at(mid)[0]) == c0:
                 lo = mid
             else:
@@ -242,45 +261,26 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     conn, stage_conn = connection_rows(provider, np.frombuffer(stage_shapes).reshape(rates.shape), stage_labels)
     stage_shapes = stage_labels = None
     _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", where)
-    # stage twists as flat (vx, vy, omega) floats, so long trajectories hold
-    # no per-stage objects
-    stage_twists = array("d")
-
-    def add_twist(i: int) -> Twist:
-        xi = apply_connection(conn[stage_conn[i]], rates[i])
-        if not (math.isfinite(xi.vx) and math.isfinite(xi.vy) and math.isfinite(xi.omega)):
-            t, r = where(i)
-            raise SingularConstraint(f"non-finite stage twist at t={t!r}, shape {r.tolist()}")
-        stage_twists.extend((xi.vx, xi.vy, xi.omega))
-        return xi
-
-    max_norm = 0.0
-    for i in range(len(rates) - 1):
-        max_norm = max(max_norm, add_twist(i).norm())
-    # the last row's twist is no stage, so it stays out of the largest norm
-    add_twist(len(rates) - 1)
+    # one row per stage; the batched product gives each row bitwise its own A @ rdot
+    stage_twists = (conn[stage_conn] @ rates[:, :, None])[:, :, 0]
+    _require_finite(np.isfinite(stage_twists).all(axis=1), "stage twist", where)
     n_shapes = len(conn)
-    del conn, rates, stage_conn
-    stage_rates = None
+    del conn, rates, stage_conn, stage_rates
+    # the last row's twist is no stage, so it stays out of the largest norm
+    vx, vy, om = stage_twists[:-1].T
+    max_norm = float(np.sqrt(vx * vx + vy * vy + om * om).max(initial=0.0))
 
-    # -- combine: RKMK4 group arithmetic, step by step
-    def stage(i: int) -> Twist:
-        return Twist(stage_twists[3 * i], stage_twists[3 * i + 1], stage_twists[3 * i + 2])
-
-    g = Pose()
-    poses = [g]
-    for j in range(len(times) - 1):
-        g = _rkmk4_step(g, times[j + 1] - times[j], stage(3 * j), stage(3 * j + 1), stage(3 * j + 2))
-        poses.append(g)
-    # row k's twist is the start stage of the step leaving row k
-    twists = np.frombuffer(stage_twists).reshape(-1, 3)[::3].copy()
-    stage_twists = None
+    # -- combine: every step's exponent and increment in array passes; only
+    # the pose product runs step by step
+    u = _rkmk4_exponents(np.diff(times), stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
+    poses = list(accumulate((Pose(*inc) for inc in exp_many(u).T.tolist()), compose, initial=Pose()))
 
     return Trajectory(
         times=np.array(times),
         poses=poses,
         shapes=np.stack(shapes),
-        twists=twists,
+        # row k's twist is the start stage of the step leaving row k
+        twists=stage_twists[::3].copy(),
         contacts=contacts,
         events=events,
         cycle_indices=cycle_indices,
@@ -299,6 +299,12 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     )
 
 
+def pose_increments(traj: Trajectory, a, b) -> np.ndarray:
+    """Exponents log(g_a^-1 g_b) over paired indices or slices a, b of traj.poses, as (3, n)."""
+    g = np.array([(p.x, p.y, p.theta) for p in traj.poses]).T
+    return log_many(compose_many(inverse_many(g[:, a]), g[:, b]))
+
+
 def net_displacement(traj: Trajectory) -> Twist:
     """Per-cycle displacement exponent log(g(0)^-1 g(T)).
 
@@ -306,12 +312,7 @@ def net_displacement(traj: Trajectory) -> Twist:
     increment is returned (increments of later cycles agree up to integration
     error, see per_cycle_displacements).
     """
-    idx = traj.cycle_indices
-    if len(idx) < 2:
-        raise ValueError("trajectory does not span a full cycle")
-    g0 = traj.poses[idx[0]]
-    g1 = traj.poses[idx[1]]
-    return log(compose(inverse(g0), g1))
+    return per_cycle_displacements(traj)[0]
 
 
 def per_cycle_displacements(traj: Trajectory) -> list[Twist]:
@@ -319,7 +320,4 @@ def per_cycle_displacements(traj: Trajectory) -> list[Twist]:
     idx = traj.cycle_indices
     if len(idx) < 2:
         raise ValueError("trajectory does not span a full cycle")
-    out = []
-    for a, b in zip(idx[:-1], idx[1:]):
-        out.append(log(compose(inverse(traj.poses[a]), traj.poses[b])))
-    return out
+    return [Twist(*u) for u in pose_increments(traj, idx[:-1], idx[1:]).T.tolist()]

@@ -4,6 +4,10 @@ A Pose (x, y, theta) is the rigid transform that rotates by theta and then
 translates by (x, y); theta is stored in (-pi, pi].  A Twist (vx, vy, omega)
 is a body-frame velocity, and the component ordering here fixes the row
 ordering of every connection matrix in this package.
+
+The ``*_many`` kernels, the only array SE(2) arithmetic here, take triples of
+broadcastable float components, e.g. a (3, ...) array, and return (3, ...)
+arrays bitwise equal to their scalar twins; pose angles must lie in (-pi, pi].
 """
 
 from __future__ import annotations
@@ -156,3 +160,56 @@ def hat(xi: Twist) -> np.ndarray:
 def vee(m) -> Twist:
     """Inverse of hat."""
     return Twist(float(m[0][2]), float(m[1][2]), float(m[1][0]))
+
+
+def _stack(*rows) -> np.ndarray:
+    out = np.empty((3,) + np.broadcast(*rows).shape)
+    out[0], out[1], out[2] = rows
+    return out
+
+
+def wrap_many(theta) -> np.ndarray:
+    """normalize_angle over an array, bitwise: only |theta| >= pi needs a wrap."""
+    out = np.array(theta, dtype=float)
+    far = np.abs(out) >= math.pi
+    out[far] = [normalize_angle(t) for t in out[far]]
+    return out
+
+
+def compose_many(g1, g2, wrap: bool = True) -> np.ndarray:
+    """compose(); wrap=False skips the wrap, for angle sums known to lie inside (-pi, pi)."""
+    (x1, y1, t1), (x2, y2, t2) = g1, g2
+    c, s = np.cos(t1), np.sin(t1)
+    t = t1 + t2
+    return _stack(x1 + c * x2 - s * y2, y1 + s * x2 + c * y2, wrap_many(t) if wrap else t)
+
+
+def inverse_many(g) -> np.ndarray:
+    x, y, t = g
+    c, s = np.cos(t), np.sin(t)
+    return _stack(-(c * x + s * y), s * x - c * y, wrap_many(-t))
+
+
+def exp_many(xi) -> np.ndarray:
+    """exp() at unit time; the closed form sees 1 where the series applies, so it never divides by 0."""
+    ux, uy, ang = xi
+    small = np.abs(ang) < _SMALL_ANGLE
+    big = np.where(small, 1.0, ang)
+    half_sin = np.sin(0.5 * big)
+    a = np.where(small, 1.0 - ang * ang / 6.0, np.sin(big) / big)
+    b = np.where(small, 0.5 * ang, 2.0 * half_sin * half_sin / big)
+    return _stack(a * ux - b * uy, b * ux + a * uy, wrap_many(ang))
+
+
+def log_many(g) -> np.ndarray:
+    x, y, ang = g
+    small = np.abs(ang) < _SMALL_ANGLE
+    half = 0.5 * np.where(small, 1.0, ang)
+    a = np.where(small, 1.0 - ang * ang / 12.0, half * np.cos(half) / np.sin(half))
+    b = 0.5 * ang
+    return _stack(a * x + b * y, -b * x + a * y, ang)
+
+
+def bracket_many(a, b) -> np.ndarray:
+    (avx, avy, aom), (bvx, bvy, bom) = a, b
+    return _stack(bom * avy - aom * bvy, aom * bvx - bom * avx, 0.0)

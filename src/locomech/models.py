@@ -27,7 +27,7 @@ from .connection import (
     PiecewiseConnection,
     PoseMap,
 )
-from .liegroup import Pose, compose, inverse, normalize_angle
+from .liegroup import Pose, compose, compose_many, inverse, wrap_many
 
 
 class DegenerateStance(RuntimeError):
@@ -73,28 +73,6 @@ class ChainModel:
         return self.n_links // 2
 
 
-def _wrap(theta):
-    """normalize_angle over an array, bitwise: only |theta| >= pi needs a wrap."""
-    far = np.abs(theta) >= math.pi
-    if not far.any():
-        return theta
-    out = np.array(theta, dtype=float)
-    out[far] = [normalize_angle(t) for t in out[far]]
-    return out
-
-
-def _compose(g1, g2, wrap: bool = True):
-    """compose() on (x, y, theta) arrays, in its float order.
-
-    wrap=False skips the angle wrap, for callers that know |theta| < pi.
-    """
-    x1, y1, t1 = g1
-    x2, y2, t2 = g2
-    c, s = np.cos(t1), np.sin(t1)
-    t = t1 + t2
-    return x1 + c * x2 - s * y2, y1 + s * x2 + c * y2, _wrap(t) if wrap else t
-
-
 def _link_frames(chain: ChainModel, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Body-frame (x, y, theta) of every link midpoint, each (..., n_links).
 
@@ -116,9 +94,9 @@ def _link_frames(chain: ChainModel, r) -> tuple[np.ndarray, np.ndarray, np.ndarr
     hops += [(k + 1, k, k, -1.0) for k in range(mid - 1, -1, -1)]
     for src, new, j, sign in hops:
         angle = sign * r[..., j]
-        joint = (sign * half[src], 0.0, _wrap(angle) if wrap else angle)
-        hop = _compose(joint, (sign * half[new], 0.0, 0.0), wrap)
-        x[..., new], y[..., new], th[..., new] = _compose((x[..., src], y[..., src], th[..., src]), hop, wrap)
+        joint = (sign * half[src], 0.0, wrap_many(angle) if wrap else angle)
+        hop = compose_many(joint, (sign * half[new], 0.0, 0.0), wrap)
+        x[..., new], y[..., new], th[..., new] = compose_many((x[..., src], y[..., src], th[..., src]), hop, wrap)
     return x, y, th
 
 
@@ -159,7 +137,7 @@ def _viscous_balance(chain: ChainModel, r, c_t: float, c_n: float, nodes_fn) -> 
     x, y, th = _link_frames(chain, r)
     batch = r.shape[:-1]
     # joint k is the +x tip of link k
-    jx, jy, _ = _compose((x[..., :d], y[..., :d], th[..., :d]), (0.5 * chain.lengths[:d], 0.0, 0.0), False)
+    jx, jy, _ = compose_many((x[..., :d], y[..., :d], th[..., :d]), (0.5 * chain.lengths[:d], 0.0, 0.0), False)
 
     s, w_link = nodes_fn(chain.lengths)
     q0 = s.shape[1]

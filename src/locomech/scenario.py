@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,7 @@ import yaml
 
 from .analysis import GridSpec
 from .connection import ConstraintConnection, JacobianConnection
+from .integrator import steps_per_cycle
 from .models import (
     arm_com_pose_map,
     many_legged_drag_surrogate,
@@ -123,12 +125,26 @@ def _finite(value, path: str) -> float:
     return value
 
 
+# YAML 1.1 reads exponent notation as a number only with a dot in the mantissa
+# and a sign on the exponent: 1e-9 and 1.0e9 load as strings
+_YAML_EXPONENT = re.compile(r"([-+]?[0-9][0-9_]*)(\.[0-9_]*)?[eE]([-+]?)([0-9]+)")
+
+
+def _yaml_hint(value) -> str:
+    """How to write a string such as 1e-9 that YAML 1.1 did not read as a number, else ''."""
+    m = _YAML_EXPONENT.fullmatch(value) if isinstance(value, str) else None
+    if m is None:
+        return ""
+    spelled = f"{m[1]}{m[2] or '.0'}e{m[3] or '+'}{m[4]}"
+    return f"; YAML 1.1 reads {value!r} as a string (exponents need a dot and a sign), write {spelled}"
+
+
 def _as_float(block: dict, path: str, key: str, default=None, positive=False):
     value = block.get(key, default)
     if value is None:
         raise ScenarioError(f"{path}.{key}", "missing value")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}", "expected a number")
+        raise ScenarioError(f"{path}.{key}", "expected a number" + _yaml_hint(value))
     value = _finite(value, f"{path}.{key}")
     if positive and value <= 0.0:
         raise ScenarioError(f"{path}.{key}", "must be positive")
@@ -153,7 +169,8 @@ def _number_row(value, path: str, message: str, length=None) -> list[float]:
         or (length is not None and len(value) != length)
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
-        raise ScenarioError(path, message)
+        hints = map(_yaml_hint, value) if isinstance(value, list) else ()
+        raise ScenarioError(path, message + next(filter(None, hints), ""))
     return [_finite(v, path) for v in value]
 
 
@@ -498,6 +515,8 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     step = _as_float(integ, "integrator", "step", 1e-2, positive=True)
     event_tol = _as_float(integ, "integrator", "event_tol", 1e-10, positive=True)
     cycles = _as_int(integ, "integrator", "cycles", 1, minimum=1)
+    with _errors_at("integrator.step"):
+        steps_per_cycle(gait.period, step, cycles)
 
     resolved = {
         "schema": SCHEMA_VERSION,
@@ -524,6 +543,8 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         resolved["sweep"] = scenario.sweep
     if "optimize" in doc:
         scenario.optimize = resolved["optimize"] = _build_optimize(doc["optimize"], gait_block)
+        with _errors_at("integrator.step"):
+            steps_per_cycle(scenario.optimize.get("period", gait.period), step, cycles)
         # bounds are checked above, so only a slot can still be rejected
         with _errors_at("optimize.slots"):
             scenario.family = build_family(scenario)

@@ -378,6 +378,49 @@ class TestExitCodes:
         assert main([command, path, "--out", str(tmp_path / "run")]) == 2
         assert f"{field}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["last_knot", "fourier_period", "optimize_period", "tiny_step"])
+    def test_step_count_above_the_ceiling_is_two(self, tmp_path, capsys, where):
+        # about 1e12 steps at step 1e-3: rejected at load, before any planning
+        command = "simulate"
+        if where == "last_knot":
+            doc = crawler_doc()
+            doc["gait"]["times"][-1] = 1.0e9
+        elif where in ("fourier_period", "tiny_step"):
+            doc = swimmer_doc()
+            doc["gait"]["period"] = 1.0e9 if where == "fourier_period" else 1.0
+        else:
+            command = "optimize"
+            doc = swimmer_doc(optimize={"family": "amplitude_phase", "budget": 4, "period": 1.0e9})
+        # a subnormal step makes period / step overflow to inf
+        doc["integrator"]["step"] = 1.0e-320 if where == "tiny_step" else 1.0e-3
+        path = write_scenario(tmp_path, doc)
+        assert main([command, path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "integrator.step" in err and "1000000 steps" in err
+
+    @pytest.mark.parametrize(
+        "last, step, tol, message, advice",
+        [
+            ("1.0", "1.0e-2", "1e-9", "integrator.event_tol: expected a number; YAML 1.1", "write 1.0e-9"),
+            ("1.0", "1e-2", "1.0e-10", "integrator.step: expected a number; YAML 1.1", "write 1.0e-2"),
+            ("1e0", "1.0e-2", "1.0e-10", "gait.times: expected a list of numbers; YAML 1.1", "write 1.0e+0"),
+        ],
+    )
+    def test_yaml_exponent_without_a_dot_names_the_rule(self, tmp_path, capsys, last, step, tol, message, advice):
+        # YAML 1.1 reads 1e-9 (no dot) as the string '1e-9'; the message says how to write it
+        path = tmp_path / "scenario.yaml"
+        path.write_text(
+            "model: {kind: crawler}\n"
+            "gait:\n"
+            "  kind: waypoint\n"
+            "  points: [[-0.375, -0.375], [0.375, -0.375], [0.375, 0.375], [-0.375, 0.375]]\n"
+            f"  times: [0.0, 0.25, 0.5, 0.75, {last}]\n"
+            f"integrator: {{step: {step}, event_tol: {tol}}}\n"
+        )
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and advice in err
+
     @pytest.mark.parametrize("schema", [True, 1.0, "1"])
     def test_schema_must_be_the_integer_version(self, tmp_path, capsys, schema):
         path = write_scenario(tmp_path, swimmer_doc(schema=schema))

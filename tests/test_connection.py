@@ -15,14 +15,18 @@ from locomech import (
     SingularConstraint,
     apply,
     build_drag_constraints,
+    arm_com_pose_map,
     compose,
     connection_rows,
+    inverse,
     jacobian_connection_eval,
     linear_constraint_connection,
     load_scenario,
+    log,
     rotate_translate_map,
     three_link_swimmer,
     two_leg_crawler,
+    wavy_pose_map,
 )
 from locomech.connection import _cond_estimate
 from locomech.scenario import MODEL_KINDS
@@ -369,3 +373,47 @@ def test_cond_estimate_over_leading_axes():
     for i in range(6):
         assert est[i] == _cond_estimate(m[i])
     assert est[3] == np.inf
+
+
+def scalar_jacobian(pose_map, r, h):
+    """The per-column scalar route: log(F(r - h e_i)^-1 F(r + h e_i)) / (2 h)."""
+    a = np.empty((3, pose_map.dim))
+    for i in range(pose_map.dim):
+        e = np.zeros(pose_map.dim)
+        e[i] = h
+        a[:, i] = log(compose(inverse(pose_map.fn(r - e)), pose_map.fn(r + e))).to_array() / (2.0 * h)
+    return a
+
+
+@pytest.mark.parametrize(
+    "pose_map",
+    [
+        rotate_translate_map(),
+        wavy_pose_map(),
+        arm_com_pose_map([1.0, 0.7, 0.5, 0.3]),
+        two_leg_crawler().contact_map(frozenset({0})),
+        two_leg_crawler().contact_map(frozenset({0, 1})),
+    ],
+    ids=["rotate_translate", "wavy", "arm_com_4", "single_foot", "pinned"],
+)
+def test_batched_jacobian_is_the_scalar_route_bitwise(pose_map):
+    # angles near +-pi make the group products wrap
+    shapes = np.random.default_rng(pose_map.dim).uniform(-3.2, 3.2, (5, 4, pose_map.dim))
+    got = jacobian_connection_eval(pose_map, shapes, 1e-5)
+    assert got.shape == (5, 4, 3, pose_map.dim)
+    for idx in np.ndindex(5, 4):
+        assert got[idx].tobytes() == scalar_jacobian(pose_map, shapes[idx], 1e-5).tobytes(), idx
+
+
+def test_batched_jacobian_calls_the_map_shape_by_shape_lower_probe_first():
+    # the first failing probe, and so the error a stance raises, is unchanged
+    seen = []
+
+    def fn(r):
+        seen.append(r.copy())
+        return Pose(r[0], r[1], 0.0)
+
+    shapes = np.array([[0.0, 1.0], [2.0, 3.0]])
+    jacobian_connection_eval(PoseMap(fn, 2), shapes, 0.5)
+    expected = [r + s * e for r in shapes for e in 0.5 * np.eye(2) for s in (-1.0, 1.0)]
+    assert np.array_equal(np.array(seen), np.array(expected))

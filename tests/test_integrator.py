@@ -1,7 +1,10 @@
 """Group integration of gait-driven motion: order, events, conservation laws."""
 
+import contextlib
 import math
+import signal
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from locomech import (
     Twist,
     WaypointGait,
     apply,
+    arm_com_pose_map,
     JacobianConnection,
     build_contact_map,
     compose,
@@ -26,6 +30,7 @@ from locomech import (
     foot_position,
     integrate_gait,
     inverse,
+    load_scenario,
     log,
     net_displacement,
     per_cycle_displacements,
@@ -35,6 +40,7 @@ from locomech import (
     two_leg_crawler,
     wavy_pose_map,
 )
+from locomech.integrator import MAX_STEPS, pose_increments
 from locomech.optimizer import amplitude_phase_family
 
 TWO_PI = 2.0 * math.pi
@@ -507,3 +513,90 @@ def test_shapeless_model_evaluates_one_row():
     assert traj.meta["stage_shapes"] == 1
     assert not traj.twists.any()
     assert traj.poses[-1] == Pose()
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+CRAWLER_SQUARE = Path(__file__).resolve().parent.parent / "scenarios" / "crawler_square.yaml"
+
+# (time, window start) of every crawler_square event at event_tol 1e-10,
+# recorded before the bisection learned to stop at adjacent floats
+CRAWLER_SQUARE_EVENTS = [
+    ("0x1.0000000083127p-1", "0x1.0000000000000p-1"),
+    ("0x1.0000000000000p+0", "0x1.ffffffff7ced9p-1"),
+    ("0x1.8000000041894p+0", "0x1.8000000000000p+0"),
+    ("0x1.0000000000000p+1", "0x1.ffffffffbe76cp+0"),
+    ("0x1.4000000020c4ap+1", "0x1.4000000000000p+1"),
+    ("0x1.8000000000000p+1", "0x1.7fffffffdf3b6p+1"),
+]
+
+
+def crawler_square_events(event_tol):
+    sc = load_scenario(str(CRAWLER_SQUARE))
+    with time_limit(20.0):
+        traj = integrate_gait(sc.provider, sc.gait, cycles=sc.cycles, step=sc.step, event_tol=event_tol)
+    return sc.provider, traj.events
+
+
+def test_event_records_at_the_default_tolerance_are_unchanged():
+    _, events = crawler_square_events(1e-10)
+    assert [(e.time.hex(), e.window[0].hex()) for e in events] == CRAWLER_SQUARE_EVENTS
+
+
+def test_event_tolerance_below_the_float_spacing_stops_at_adjacent_floats():
+    # near t = 3 one ulp is 4.4e-16: the bracket cannot shrink to 1e-17, so
+    # the bisection must stop once its midpoint is an endpoint
+    provider, events = crawler_square_events(1e-17)
+    assert len(events) == len(CRAWLER_SQUARE_EVENTS)
+    for e, (t, _) in zip(events, CRAWLER_SQUARE_EVENTS):
+        lo, hi = e.window
+        assert hi == e.time and np.nextafter(lo, math.inf) == hi
+        assert abs(e.time - float.fromhex(t)) <= 1e-10
+        assert provider.contacts_at(e.shape) == e.after != e.before
+
+
+@pytest.mark.parametrize("period", [1e9, 2.0 * MAX_STEPS * 1e-3])
+def test_step_count_above_the_ceiling_is_rejected(period):
+    gait = FourierGait(period, [0.0, 0.0], sin=[[0.5, 0.0]])
+    with time_limit(5.0), pytest.raises(ValueError, match="steps"):
+        integrate_gait(ExactFlow(), gait, step=1e-3)
+    with time_limit(5.0), pytest.raises(ValueError, match="steps"):
+        integrate_gait(ExactFlow(), CIRCLE, cycles=MAX_STEPS + 1, step=1.0)
+
+
+@pytest.mark.parametrize("links", [4, 7])
+def test_stage_twists_are_per_row_apply_bitwise_on_longer_arms(links):
+    # the batched stage product must not reorder a row's sums, whatever d
+    provider = JacobianConnection(arm_com_pose_map(np.linspace(1.0, 0.4, links)))
+    rng = np.random.default_rng(links)
+    gait = FourierGait(1.0, rng.uniform(-0.3, 0.3, links), cos=rng.uniform(-0.4, 0.4, (1, links)),
+                       sin=rng.uniform(-0.4, 0.4, (1, links)))
+    traj = integrate_gait(provider, gait, step=0.02)
+    for k, t in enumerate(traj.times):
+        expected = apply(provider.connection_at(traj.shapes[k]), gait.evaluate(t, "right")[1]).to_array()
+        assert traj.twists[k].tobytes() == expected.tobytes(), k
+
+
+def test_pose_increments_are_the_scalar_group_ops_bitwise():
+    traj = integrate_gait(PiecewiseConnection(two_leg_crawler()), square_gait(), cycles=2, step=0.01)
+    steps = pose_increments(traj, slice(None, -1), slice(1, None))
+    for k, (a, b) in enumerate(zip(traj.poses[:-1], traj.poses[1:])):
+        assert steps[:, k].tobytes() == log(compose(inverse(a), b)).to_array().tobytes(), k
+    idx = traj.cycle_indices
+    for got, a, b in zip(per_cycle_displacements(traj), idx[:-1], idx[1:]):
+        assert got == log(compose(inverse(traj.poses[a]), traj.poses[b]))
+    assert net_displacement(traj) == per_cycle_displacements(traj)[0]

@@ -20,7 +20,15 @@ from locomech import (
     normalize_angle,
     vee,
 )
-from locomech.liegroup import _SMALL_ANGLE
+from locomech.liegroup import (
+    _SMALL_ANGLE,
+    bracket_many,
+    compose_many,
+    exp_many,
+    inverse_many,
+    log_many,
+    wrap_many,
+)
 
 
 def test_exp_quarter_turn_unit_drive():
@@ -249,3 +257,75 @@ def test_normalize_angle_maps_plus_and_minus_pi_into_half_open_interval(turns, s
     inside = normalize_angle(side * (math.pi - nudge))
     assert -math.pi < inside <= math.pi
     assert abs(inside - side * (math.pi - nudge)) <= 1e-15
+
+
+# -- array kernels: bitwise their scalar twins --------------------------------
+
+KERNELS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+# angles on both sides of the series switch and past +-pi, so compose sums,
+# inverses of pi and exp of a large rotation all need the wrap
+wide_angles = st.one_of(rotations, st.floats(3.0, math.pi), st.floats(-math.pi, -3.0), st.floats(-12.0, 12.0))
+wide_twists = st.builds(Twist, coords, coords, wide_angles)
+wide_poses = st.builds(Pose, coords, coords, wide_angles)
+
+
+def pose_parts(gs):
+    return np.array([(g.x, g.y, g.theta) for g in gs]).T
+
+
+def twist_parts(xs):
+    return np.array([(x.vx, x.vy, x.omega) for x in xs]).T
+
+
+def assert_bitwise(got, want):
+    """got (3, n) against n scalar results; tobytes tells -0.0 from 0.0."""
+    got = np.ascontiguousarray(got)
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@KERNELS
+@given(st.lists(st.tuples(wide_poses, wide_poses), min_size=1, max_size=16))
+def test_compose_and_inverse_many_are_their_scalar_twins_bitwise(pairs):
+    g1, g2 = pose_parts([a for a, _ in pairs]), pose_parts([b for _, b in pairs])
+    assert_bitwise(compose_many(g1, g2), pose_parts([compose(a, b) for a, b in pairs]))
+    assert_bitwise(inverse_many(g1), pose_parts([inverse(a) for a, _ in pairs]))
+    # broadcast: one scalar pose against the batch
+    a = pairs[0][0]
+    assert_bitwise(compose_many((a.x, a.y, a.theta), g2), pose_parts([compose(a, b) for _, b in pairs]))
+
+
+@KERNELS
+@given(st.lists(wide_twists, min_size=1, max_size=16))
+def test_exp_many_is_exp_bitwise(xis):
+    assert_bitwise(exp_many(twist_parts(xis)), pose_parts([exp(xi) for xi in xis]))
+
+
+@KERNELS
+@given(st.lists(wide_poses, min_size=1, max_size=16))
+def test_log_many_is_log_bitwise(gs):
+    assert_bitwise(log_many(pose_parts(gs)), twist_parts([log(g) for g in gs]))
+
+
+@KERNELS
+@given(st.lists(st.tuples(wide_twists, wide_twists), min_size=1, max_size=16))
+def test_bracket_many_is_bracket_bitwise(pairs):
+    a, b = twist_parts([x for x, _ in pairs]), twist_parts([y for _, y in pairs])
+    assert_bitwise(bracket_many(a, b), twist_parts([bracket(x, y) for x, y in pairs]))
+
+
+@KERNELS
+@given(st.lists(st.one_of(wide_angles, st.sampled_from([math.pi, -math.pi, 3 * math.pi])), min_size=1))
+def test_wrap_many_is_normalize_angle_bitwise(angles):
+    got = wrap_many(np.array(angles))
+    assert got.tobytes() == np.array([normalize_angle(t) for t in angles]).tobytes()
+
+
+def test_kernel_inputs_cover_both_series_branches_and_the_wrap():
+    # the strategies above must reach the cases the kernels special-case
+    xi = twist_parts([Twist(1.0, 2.0, w) for w in (0.5 * _SMALL_ANGLE, 2.0 * _SMALL_ANGLE, 7.0)])
+    assert_bitwise(exp_many(xi), pose_parts([exp(Twist(*col)) for col in xi.T]))
+    g = pose_parts([Pose(1.0, -1.0, math.pi), Pose(0.5, 0.5, 3.0)])
+    assert inverse_many(g)[2, 0] == math.pi
+    assert_bitwise(compose_many(g, g), pose_parts([compose(Pose(*c), Pose(*c)) for c in g.T]))
