@@ -28,6 +28,12 @@ class LoopOutsideGrid(ValueError):
     """Raised when a loop leaves the sampled grid region."""
 
 
+# Most nodes one field sweep may sample.  Sampling, curvature and the CSV rows
+# peak near a kilobyte per node at d = 2, so a larger grid is rejected instead
+# of exhausting memory.
+MAX_NODES = 1_000_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform rectangular sampling window over two shape coordinates.
@@ -49,6 +55,8 @@ class GridSpec:
             raise ValueError("grid bounds must satisfy lo < hi on both axes")
         if min(self.counts) < 2:
             raise ValueError("need at least 2 nodes per axis")
+        if self.counts[0] * self.counts[1] > MAX_NODES:
+            raise ValueError(f"{self.counts[0]} x {self.counts[1]} nodes exceed {MAX_NODES}")
         if self.axes[0] == self.axes[1]:
             raise ValueError("swept axes must differ")
 
@@ -94,7 +102,7 @@ def sample_field(provider, spec: GridSpec) -> FieldGrid:
     nodes = np.tile(base, (n1, n2, 1))
     nodes[..., list(spec.axes)] = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1)
     nodes = nodes.reshape(n1 * n2, d)
-    labels = [provider.contacts_at(r) for r in nodes]
+    labels = provider.contacts_many(nodes)
     singular = np.zeros(n1 * n2, dtype=bool)
     try:
         rows, index = connection_rows(provider, nodes, labels)
@@ -227,12 +235,12 @@ def _loop_polygon(gait, samples: int) -> np.ndarray:
     if isinstance(gait, WaypointGait):
         return gait.points.copy()
     ts = np.linspace(0.0, gait.period, samples, endpoint=False)
-    return np.stack([gait.evaluate(t)[0] for t in ts])
+    return gait.evaluate_many(ts)[0]
 
 
 def _connections(provider, shapes: np.ndarray) -> np.ndarray:
     """A at every row of shapes on the stance it selects; a non-finite row raises."""
-    rows, index = connection_rows(provider, shapes, [provider.contacts_at(r) for r in shapes])
+    rows, index = connection_rows(provider, shapes, provider.contacts_many(shapes))
     bad = ~np.isfinite(rows).all(axis=(1, 2))[index]
     if bad.any():
         raise SingularConstraint(f"non-finite connection at shape {shapes[bad.argmax()].tolist()}")
@@ -249,10 +257,10 @@ def _line_integral(provider, gait, samples: int) -> np.ndarray:
     else:
         dt = gait.period / samples
         times, scales = np.arange(samples) * dt, np.full(samples, dt)
-    points = [gait.evaluate(t) for t in times]
-    conn = _connections(provider, np.array([r for r, _ in points]))
+    shapes, rates = gait.evaluate_many(times)
+    conn = _connections(provider, shapes)
     total = np.zeros(3)
-    for scale, a, (_, rdot) in zip(scales, conn, points):
+    for scale, a, rdot in zip(scales, conn, rates):
         total += scale * (a @ rdot)
     return total
 

@@ -10,23 +10,24 @@ balance, and dispatching over the holonomic pieces of a contact-switching model.
 Provider protocol.  A provider offers:
 
 - ``dim``: the number of shape coordinates d;
-- ``contacts_at(r)``: the hashable stance label selected at shape r, and
-  None for a provider with a single piece;
+- ``contacts_many(shapes)``: a list with the hashable stance label selected
+  at every row of an (N, d) array, each None for a provider with a single
+  piece;
 - ``connection_many(label, shapes)``: A of the named piece at every shape
   of a (..., d) array, typically (N, d), as a (..., 3, d) array whose entry
   at each leading index is bitwise the single-shape result; the piece may be
   evaluated past its switching surface.
 
 Every consumer of A(r) (integrate_gait, sample_field, the loop integrals of
-holonomy_vs_area and the residual verify suite) labels its shapes and hands
-them to ``connection_rows``, which makes one ``connection_many`` call per
-stance label over that label's distinct shapes.  ``ConnectionProvider``
-derives ``connection_for(label, r)`` and ``connection_at(r)`` (the piece
-selected at r) as single-shape conveniences for interactive use; no library
-code calls them.  Constraint builders and ``ConstraintSystem`` broadcast the
-same way: a builder maps shapes (..., d) to blocks m (..., 3, 3) and
-n (..., 3, d), and ``linear_constraint_connection`` solves every leading
-index at once.
+holonomy_vs_area and the residual verify suite) labels its shapes with one
+``contacts_many`` call and hands them to ``connection_rows``, which makes one
+``connection_many`` call per stance label over that label's distinct shapes.
+``ConnectionProvider`` derives ``contacts_at(r)``, ``connection_for(label,
+r)`` and ``connection_at(r)`` (the piece selected at r) as single-shape cases
+for interactive use; no library code calls them.  Constraint builders and
+``ConstraintSystem`` broadcast the same way: a builder maps shapes (..., d)
+to blocks m (..., 3, 3) and n (..., 3, d), and
+``linear_constraint_connection`` solves every leading index at once.
 """
 
 from __future__ import annotations
@@ -177,10 +178,16 @@ def apply(a: ConnectionMatrix, rdot) -> Twist:
 class ConnectionProvider:
     """Shared single-shape access for providers that define connection_many.
 
-    Subclasses supply dim, contacts_at and connection_many; the single-shape
-    calls here are its case without leading axes, not a second evaluation
-    path.
+    Subclasses supply dim, connection_many and, unless they have a single
+    piece labelled None, contacts_many; the single-shape calls here are their
+    one-row case, not a second evaluation path.
     """
+
+    def contacts_many(self, shapes) -> list:
+        return [None] * len(shapes)
+
+    def contacts_at(self, r):
+        return self.contacts_many(np.asarray(r, dtype=float)[None])[0]
 
     def connection_for(self, label, r) -> ConnectionMatrix:
         return self.connection_many(label, np.asarray(r, dtype=float))
@@ -232,9 +239,6 @@ class JacobianConnection(ConnectionProvider):
     def dim(self) -> int:
         return self.pose_map.dim
 
-    def contacts_at(self, r) -> None:
-        return None
-
     def connection_many(self, label, shapes) -> np.ndarray:
         return jacobian_connection_eval(self.pose_map, shapes, self.h)
 
@@ -254,9 +258,6 @@ class ConstraintConnection(ConnectionProvider):
     def dim(self) -> int:
         return self._dim
 
-    def contacts_at(self, r) -> None:
-        return None
-
     def connection_many(self, label, shapes) -> np.ndarray:
         shapes = np.asarray(shapes, dtype=float)
         if shapes.ndim < 2 or len(shapes) <= _CHUNK_ROWS:
@@ -271,7 +272,7 @@ class ConstraintConnection(ConnectionProvider):
 class PiecewiseConnection(ConnectionProvider):
     """Provider dispatching on a contact model's selected stance.
 
-    The model must offer select_contacts(r), contact_map(c), and shape_dim.
+    The model must offer contacts_many(shapes), contact_map(c), and shape_dim.
     Within one stance piece the connection is the group derivative of that
     piece's pose map, so it may be evaluated slightly past the switching
     surface while a step is being completed.
@@ -286,8 +287,8 @@ class PiecewiseConnection(ConnectionProvider):
     def dim(self) -> int:
         return self.model.shape_dim
 
-    def contacts_at(self, r) -> ContactSet:
-        return self.model.select_contacts(np.asarray(r, dtype=float))
+    def contacts_many(self, shapes) -> list[ContactSet]:
+        return self.model.contacts_many(np.asarray(shapes, dtype=float))
 
     def piece_map(self, c: ContactSet) -> PoseMap:
         m = self._maps.get(c)

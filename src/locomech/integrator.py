@@ -2,22 +2,24 @@
 
 The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
 Munthe-Kaas scheme.  The shape path r(t) is prescribed, so every stage twist
-depends on t alone: the stage grid is planned and evaluated first, then the
-step exponents (stage twists combined through the truncated inverse
-differential of exp) and their exponentials are array passes, and only the
-pose product runs step by step.  Every step compares the provider's stance
-label at its midpoint and end with the active one; a step that straddles a
-stance change is split at the switch time (located by bisection on the
-selector) and integration resumes with the new piece from the same pose, so
-the pose path stays continuous.  A single-piece provider labels every shape
-None and so never splits a step.
+depends on t alone and the work is array passes.  Each cycle's step grid is
+planned from arrays: one gait.evaluate_many call samples every grid point
+and step midpoint, and one provider.contacts_many call labels them.  A step
+whose midpoint and end carry its start's label is accepted as it stands;
+only a step that leaves its start's stance is split at the switch time,
+located by bisection one time at a time, and integration resumes with the
+new piece from the same pose, so the pose path stays continuous.  Three
+evaluate_many calls then fill the stage rows, the connection is evaluated
+once per distinct (stance, stage shape), the step exponents (stage twists
+combined through the truncated inverse differential of exp) and their
+exponentials are array passes, and only the pose product runs step by step.
+A single-piece provider labels every shape None and so never splits a step.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -63,11 +65,11 @@ def _dexpinv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v + 0.5 * uv + (1.0 / 12.0) * bracket_many(u, uv)
 
 
-def _require_finite(finite: np.ndarray, what: str, where) -> None:
-    """Raise SingularConstraint at the first row not marked finite; where(i) gives its (t, shape)."""
+def _require_finite(finite: np.ndarray, what: str, times: np.ndarray, shapes: np.ndarray) -> None:
+    """Raise SingularConstraint at the first stage not marked finite, naming its time and shape."""
     if not finite.all():
-        t, r = where(int(np.argmin(finite)))
-        raise SingularConstraint(f"non-finite {what} at t={t!r}, shape {r.tolist()}")
+        i = int(np.argmin(finite))
+        raise SingularConstraint(f"non-finite {what} at t={float(times[i])!r}, shape {shapes[i].tolist()}")
 
 
 def _rkmk4_exponents(h: np.ndarray, k1: np.ndarray, mid: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -106,7 +108,7 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     switch.  A single-piece provider never switches.
 
     The shape path is prescribed, so the work runs in three phases: plan the
-    accepted steps and events from the stance selector alone, evaluate the
+    accepted steps and events from the stance labels alone, evaluate the
     connection once per distinct (stance, stage shape) with one
     connection_many call per stance, then combine the stage twists into
     poses.  A non-finite connection entry, shape rate or stage twist raises
@@ -116,51 +118,23 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         raise ValueError(f"cycle count must be at least 1, got {cycles}")
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive, got {step}")
-    if event_tol <= 0.0:
-        raise ValueError(f"event tolerance must be positive, got {event_tol}")
+    if not (event_tol > 0.0 and np.isfinite(event_tol)):
+        raise ValueError(f"event tolerance must be positive and finite, got {event_tol}")
     period = gait.period
     n_steps = steps_per_cycle(period, step, cycles)
     h = period / n_steps
 
-    # every (t, side) that one step asks for is evaluated once; the memo
-    # only ever holds the step being planned
-    evaluated: dict = {}
-
-    def at(t: float, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
-        key = (t, side)
-        out = evaluated.get(key)
-        if out is None:
-            out = evaluated[key] = gait.evaluate(t, side)
-        return out
+    def shape_and_label(t: float):
+        """Shape at t and the stance selected there, one row at a time."""
+        r = gait.evaluate_many([t])[0]
+        return r[0], provider.contacts_many(r)[0]
 
     # -- plan: accepted steps and events; no connection call.  Step j runs
     # from row j to row j + 1 on row j's stance.
-    r0 = at(0.0)[0]
-    times = [0.0]
-    shapes = [r0]
-    contacts = [provider.contacts_at(r0)]
+    times: list[float] = []
+    contacts: list = []
     events: list[EventRecord] = []
     cycle_indices = [0]
-    active = contacts[0]
-    # shape and rate of every stage, flat: start, midpoint and end of each
-    # step, then the last row, whose twist is no stage
-    stage_shapes = array("d")
-    stage_rates = array("d")
-
-    def add_stage(t: float, side: str) -> None:
-        r, rdot = at(t, side)
-        stage_shapes.frombytes(np.asarray(r, dtype=float).tobytes())
-        stage_rates.frombytes(np.asarray(rdot, dtype=float).tobytes())
-
-    def step_to(t0: float, t1: float, r1: np.ndarray, after) -> None:
-        """Accept [t0, t1] on the active piece; the new row is labelled `after`."""
-        # the end stage takes the left-limit rate: t1 may be a waypoint corner
-        add_stage(t0, "right")
-        add_stage(t0 + 0.5 * (t1 - t0), "right")
-        add_stage(t1, "left")
-        times.append(t1)
-        shapes.append(r1)
-        contacts.append(after)
 
     def locate_switch(t0: float, t1: float, c0):
         """First time in (t0, t1] whose selected stance differs from c0."""
@@ -171,17 +145,14 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
             # cannot be met, so the bracket is as tight as it gets
             if mid == lo or mid == hi:
                 break
-            if provider.contacts_at(at(mid)[0]) == c0:
+            if shape_and_label(mid)[1] == c0:
                 lo = mid
             else:
                 hi = mid
         return lo, hi
 
-    def advance(t0: float, t1: float) -> None:
-        nonlocal active
-        start = evaluated[(t0, "right")]
-        evaluated.clear()
-        evaluated[(t0, "right")] = start
+    def split(t0: float, t1: float, active) -> None:
+        """Cut step [t0, t1], which starts on stance `active`, at each switch: an event, and a row before t1."""
         # a loop, not recursion: a self-referencing closure would keep the
         # whole trajectory alive until the cyclic collector ran
         splits = 0
@@ -189,15 +160,11 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
             # check the midpoint too: a stance entered and left inside one
             # step would be invisible to an endpoint-only comparison
             t_mid = t0 + 0.5 * (t1 - t0)
-            c_mid = provider.contacts_at(at(t_mid)[0])
-            r1 = at(t1)[0]
-            c_end = provider.contacts_at(r1)
-            if c_mid == active and c_end == active:
-                step_to(t0, t1, r1, active)
+            c_mid = shape_and_label(t_mid)[1]
+            if c_mid == active and shape_and_label(t1)[1] == active:
                 return
             lo, t_switch = locate_switch(t0, t_mid if c_mid != active else t1, active)
-            r_switch = at(t_switch)[0]
-            new_piece = provider.contacts_at(r_switch)
+            r_switch, new_piece = shape_and_label(t_switch)
             events.append(
                 EventRecord(
                     time=t_switch,
@@ -207,10 +174,11 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
                     window=(lo, t_switch),
                 )
             )
-            step_to(t0, t_switch, r_switch, new_piece)
-            active = new_piece
             if t_switch >= t1:
                 return
+            times.append(t_switch)
+            contacts.append(new_piece)
+            active = new_piece
             if splits > 0:
                 warnings.warn(
                     f"multiple stance switches inside one step near t={t_switch:.6g}; "
@@ -240,45 +208,57 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         while end - grid[-1] <= merge_tol:
             grid.pop()
         grid.append(end)
-        for t0, t1 in zip(grid[:-1], grid[1:]):
-            advance(t0, t1)
+        # label every grid point, then every step midpoint, in one batch.  A
+        # step ends on the stance its end point selects, and only a step whose
+        # midpoint or end leaves its start's stance is searched for switches
+        n = len(grid) - 1
+        g = np.array(grid)
+        labels = provider.contacts_many(gait.evaluate_many(np.concatenate([g, g[:-1] + 0.5 * np.diff(g)]))[0])
+        if k == 0:
+            times.append(grid[0])
+            contacts.append(labels[0])
+        for j in range(n):
+            if not labels[j] == labels[j + 1] == labels[n + 1 + j]:
+                split(grid[j], grid[j + 1], labels[j])
+            times.append(grid[j + 1])
+            contacts.append(labels[j + 1])
         cycle_indices.append(len(times) - 1)
-    add_stage(times[-1], "right")
-    evaluated.clear()
 
-    # -- evaluate
-    def where(i: int) -> tuple[float, np.ndarray]:
-        """Time and shape of stage i."""
-        j, k = divmod(i, 3)
-        t = times[j] if k == 0 else times[j + 1] if k == 2 else times[j] + 0.5 * (times[j + 1] - times[j])
-        return t, gait.evaluate(t, "left" if k == 2 else "right")[0]
-
-    rates = np.frombuffer(stage_rates).reshape(3 * len(times) - 2, len(r0))
-    _require_finite(np.isfinite(rates).all(axis=1), "shape rate", where)
-    # stages 3j, 3j + 1 and 3j + 2 belong to step j, on the stance of row j;
-    # the final stage is the last row's
+    # -- evaluate: stages 3j, 3j + 1 and 3j + 2 are the start, midpoint and
+    # end of step j, on the stance of row j; the final stage is the last row,
+    # whose twist is no stage.  The end stage takes the left-limit rate,
+    # because a step end may be a waypoint corner.
+    t = np.array(times)
+    t_mid = t[:-1] + 0.5 * np.diff(t)
+    stage_times = np.empty(3 * len(t) - 2)
+    stage_shapes = np.empty((len(stage_times), gait.dim))
+    stage_rates = np.empty_like(stage_shapes)
+    for offset, ts, side in ((0, t, "right"), (1, t_mid, "right"), (2, t[1:], "left")):
+        stage_times[offset::3] = ts
+        stage_shapes[offset::3], stage_rates[offset::3] = gait.evaluate_many(ts, side)
+    _require_finite(np.isfinite(stage_rates).all(axis=1), "shape rate", stage_times, stage_shapes)
     stage_labels = [c for c in contacts[:-1] for _ in range(3)] + contacts[-1:]
-    conn, stage_conn = connection_rows(provider, np.frombuffer(stage_shapes).reshape(rates.shape), stage_labels)
-    stage_shapes = stage_labels = None
-    _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", where)
+    conn, stage_conn = connection_rows(provider, stage_shapes, stage_labels)
+    _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", stage_times, stage_shapes)
     # one row per stage; the batched product gives each row bitwise its own A @ rdot
-    stage_twists = (conn[stage_conn] @ rates[:, :, None])[:, :, 0]
-    _require_finite(np.isfinite(stage_twists).all(axis=1), "stage twist", where)
+    stage_twists = (conn[stage_conn] @ stage_rates[:, :, None])[:, :, 0]
+    _require_finite(np.isfinite(stage_twists).all(axis=1), "stage twist", stage_times, stage_shapes)
     n_shapes = len(conn)
-    del conn, rates, stage_conn, stage_rates
+    shapes = stage_shapes[::3].copy()
+    del conn, stage_conn, stage_labels, stage_rates, stage_shapes, stage_times
     # the last row's twist is no stage, so it stays out of the largest norm
     vx, vy, om = stage_twists[:-1].T
     max_norm = float(np.sqrt(vx * vx + vy * vy + om * om).max(initial=0.0))
 
     # -- combine: every step's exponent and increment in array passes; only
     # the pose product runs step by step
-    u = _rkmk4_exponents(np.diff(times), stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
+    u = _rkmk4_exponents(np.diff(t), stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
     poses = list(accumulate((Pose(*inc) for inc in exp_many(u).T.tolist()), compose, initial=Pose()))
 
     return Trajectory(
-        times=np.array(times),
+        times=t,
         poses=poses,
-        shapes=np.stack(shapes),
+        shapes=shapes,
         # row k's twist is the start stage of the step leaving row k
         twists=stage_twists[::3].copy(),
         contacts=contacts,

@@ -286,8 +286,14 @@ class LeggedModel:
             return (self.fixed_contacts,)
         return tuple(frozenset({i}) for i in range(self.n_feet))
 
-    def select_contacts(self, r) -> frozenset:
-        return select_contacts(self, r)
+    def contacts_many(self, shapes) -> list[frozenset]:
+        """Stance set at every row of shapes (N, d) under the selector rule."""
+        shapes = np.asarray(shapes, dtype=float)
+        if shapes.ndim != 2 or shapes.shape[1] != self.shape_dim:
+            raise ValueError(f"model expects rows of {self.shape_dim} leg angles, got {shapes.shape}")
+        catalog = self.contact_catalog()
+        picks = np.argmax(shapes, axis=1) if self.selector == "argmax" else np.zeros(len(shapes), dtype=int)
+        return [catalog[i] for i in picks.tolist()]
 
     def contact_map(self, c) -> PoseMap:
         return build_contact_map(self, c)
@@ -309,13 +315,8 @@ def foot_pose(model: LeggedModel, i: int, r) -> Pose:
 
 
 def select_contacts(model: LeggedModel, r) -> frozenset:
-    """Stance set at shape r under the model's selector rule."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (model.shape_dim,):
-        raise ValueError(f"model expects {model.shape_dim} leg angles, got {r.shape}")
-    if model.selector == "fixed":
-        return model.fixed_contacts
-    return frozenset({int(np.argmax(r))})
+    """Stance set at shape r under the model's selector rule: the one-row case of contacts_many."""
+    return model.contacts_many(np.asarray(r, dtype=float)[None])[0]
 
 
 def build_contact_map(model: LeggedModel, c) -> PoseMap:

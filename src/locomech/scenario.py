@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from .analysis import GridSpec
+from .analysis import MAX_NODES, GridSpec
 from .connection import ConstraintConnection, JacobianConnection
 from .integrator import steps_per_cycle
 from .models import (
@@ -351,6 +351,8 @@ def _build_sweep(block: dict, dim: int):
     counts = _as_int_pair(block, path, "counts")
     if min(counts) < 2:
         raise ScenarioError(f"{path}.counts", "need at least 2 nodes per axis")
+    if counts[0] * counts[1] > MAX_NODES:
+        raise ScenarioError(f"{path}.counts", f"{counts[0]} x {counts[1]} nodes exceed {MAX_NODES}")
     resolved = {"lo": lo, "hi": hi, "counts": counts}
     axes = [0, 1]
     if block.get("axes") is not None:

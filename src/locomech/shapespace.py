@@ -20,8 +20,26 @@ def _as_readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _gait_times(times, side: str) -> np.ndarray:
+    """Sample times as a float array, checked finite, for a side "right" or "left"."""
+    if side not in ("right", "left"):
+        raise ValueError(f"gait side must be 'right' or 'left', got {side!r}")
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"gait time must be finite, got {times[~np.isfinite(times)][0]}")
+    return times
+
+
+class _Sampled:
+    """A gait samples itself through evaluate_many; evaluate is its one-row case."""
+
+    def evaluate(self, t: float, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+        r, rdot = self.evaluate_many([t], side)
+        return r[0], rdot[0]
+
+
 @dataclass(frozen=True)
-class FourierGait:
+class FourierGait(_Sampled):
     """Loop r_i(t) = mean_i + sum_k cos[k,i] cos(2 pi k t/T) + sin[k,i] sin(2 pi k t/T)."""
 
     period: float
@@ -58,21 +76,25 @@ class FourierGait:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def evaluate(self, t: float, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
-        if not np.isfinite(t):
-            raise ValueError(f"gait time must be finite, got {t}")
+    def evaluate_many(self, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+        """Shapes and rates at every time of a (n,) array, as two (n, d) arrays.
+
+        Each harmonic sum is a stacked (n, 1, K) @ (K, d) product, so row i is
+        bitwise the (K,) @ (K, d) sum at times[i] alone; a flat (n, K) product
+        need not be.  The rate is smooth, so `side` changes nothing.
+        """
+        tau = _gait_times(times, side) % self.period
         w = self.angular_rates
         if not w.size:
-            return self.mean.copy(), np.zeros_like(self.mean)
-        tau = float(t) % self.period
-        ang = w * tau
-        r = self.mean + np.cos(ang) @ self.cos + np.sin(ang) @ self.sin
-        rdot = (-w * np.sin(ang)) @ self.cos + (w * np.cos(ang)) @ self.sin
+            return np.tile(self.mean, (len(tau), 1)), np.zeros((len(tau), self.dim))
+        ang = w * tau[:, None, None]
+        r = self.mean + (np.cos(ang) @ self.cos)[:, 0] + (np.sin(ang) @ self.sin)[:, 0]
+        rdot = ((-w * np.sin(ang)) @ self.cos)[:, 0] + ((w * np.cos(ang)) @ self.sin)[:, 0]
         return r, rdot
 
 
 @dataclass(frozen=True)
-class WaypointGait:
+class WaypointGait(_Sampled):
     """Closed polyline: segment i runs points[i] -> points[(i+1) % m] over
     [times[i], times[i+1]]; the loop ends back at points[0] at t = period."""
 
@@ -102,21 +124,22 @@ class WaypointGait:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def evaluate(self, t: float, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
-        """Shape and rate at t.  The rate is discontinuous at knots; `side`
-        picks which segment's rate a knot time reports (positions agree)."""
-        if not np.isfinite(t):
-            raise ValueError(f"gait time must be finite, got {t}")
-        tau = float(t) % self.period
-        if side == "left" and tau == 0.0:
-            tau = self.period
-        j = int(np.searchsorted(self.times, tau, side="right" if side == "right" else "left")) - 1
-        j = min(max(j, 0), self.points.shape[0] - 1)
+    def evaluate_many(self, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+        """Shapes and rates at every time of a (n,) array, as two (n, d) arrays.
+
+        The rate is discontinuous at knots; `side` picks which segment's rate
+        a knot time reports (positions agree).
+        """
+        tau = _gait_times(times, side) % self.period
+        if side == "left":
+            tau[tau == 0.0] = self.period
+        m = self.points.shape[0]
+        j = np.clip(np.searchsorted(self.times, tau, side=side) - 1, 0, m - 1)
         p0 = self.points[j]
-        p1 = self.points[(j + 1) % self.points.shape[0]]
+        p1 = self.points[(j + 1) % m]
         dt = self.times[j + 1] - self.times[j]
         frac = (tau - self.times[j]) / dt
-        return p0 + frac * (p1 - p0), (p1 - p0) / dt
+        return p0 + frac[:, None] * (p1 - p0), (p1 - p0) / dt[:, None]
 
 
 Gait = FourierGait | WaypointGait
@@ -134,7 +157,7 @@ def reparameterize(gait: Gait, warp: Callable[[float], float], samples: int = 40
         pts = gait.points.copy()
     else:
         ts = np.linspace(0.0, gait.period, samples + 1)
-        pts = np.stack([gait.evaluate(t)[0] for t in ts[:-1]])
+        pts = gait.evaluate_many(ts[:-1])[0]
         old_times = ts
     new_times = np.array([float(warp(t)) for t in old_times])
     if abs(new_times[0]) > 1e-12:

@@ -96,7 +96,7 @@ def _suite_residual(scenario):
     shapes = np.random.default_rng(scenario.seed).uniform(-box, box, (count, scenario.dim))
     system = builder(shapes)
     provider = scenario.provider
-    rows, index = connection_rows(provider, shapes, [provider.contacts_at(r) for r in shapes])
+    rows, index = connection_rows(provider, shapes, provider.contacts_many(shapes))
     worst = np.abs(system.m @ rows[index] + system.n).max()
     return [_check("residual", "constraint_balance", worst, 1e-10)]
 

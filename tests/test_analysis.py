@@ -27,13 +27,7 @@ from locomech import (
     two_leg_crawler,
 )
 from locomech.analysis import _bracket_surface_integral, _line_integral
-
-
-class Pointwise:
-    """Batched connection_many for a test provider defined by connection_at."""
-
-    def connection_many(self, label, shapes):
-        return np.stack([self.connection_at(r) for r in shapes])
+from pointwise import Pointwise
 
 
 class ConstantCommuting(Pointwise):
@@ -101,6 +95,9 @@ class CountingProvider:
 
     def contacts_at(self, r):
         return self.inner.contacts_at(r)
+
+    def contacts_many(self, shapes):
+        return self.inner.contacts_many(shapes)
 
     def connection_many(self, label, shapes):
         self.labels.append(label)

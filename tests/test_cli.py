@@ -312,6 +312,14 @@ class TestExitCodes:
         assert main(["sweep", path, "--out", str(tmp_path / "run")]) == 2
         assert field in capsys.readouterr().err
 
+    def test_overflowing_sweep_node_count_is_two(self, tmp_path, capsys):
+        # 1e30 nodes once overflowed np.linspace into a traceback; the node
+        # ceiling rejects the grid at load, before any node is allocated
+        sweep = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [10**30, 2]}
+        path = write_scenario(tmp_path, swimmer_doc(sweep=sweep))
+        assert main(["sweep", path, "--out", str(tmp_path / "run")]) == 2
+        assert "sweep.counts" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "block, field",
         [

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locomech import (
     ConstraintSystem,
@@ -23,6 +25,7 @@ from locomech import (
     linear_constraint_connection,
     load_scenario,
     log,
+    mirrored_slip_walker,
     rotate_translate_map,
     three_link_swimmer,
     two_leg_crawler,
@@ -225,8 +228,8 @@ def test_anchor_independence():
     class Shifted:
         shape_dim = base.shape_dim
 
-        def select_contacts(self, r):
-            return base.select_contacts(r)
+        def contacts_many(self, shapes):
+            return base.contacts_many(shapes)
 
         def contact_map(self, c):
             inner = base.contact_map(c)
@@ -284,6 +287,30 @@ def test_connection_many_rows_are_single_shape_evaluations(name):
         assert np.array_equal(
             provider.connection_at(r), provider.connection_for(provider.contacts_at(r), r)
         )
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_contacts_many_rows_are_single_shape_labels(seed, n):
+    rng = np.random.default_rng(seed)
+    shapes = rng.uniform(-1.0, 1.0, (n, 2))
+    # ties r1 == r2 lie on the crawler's switching surface
+    shapes[::3, 1] = shapes[::3, 0]
+    providers = {
+        "jacobian": JacobianConnection(rotate_translate_map()),
+        "constraint": three_link_swimmer().provider(),
+        "crawler": PiecewiseConnection(two_leg_crawler()),
+        "walker": PiecewiseConnection(mirrored_slip_walker().geometry),
+    }
+    for name, provider in providers.items():
+        labels = provider.contacts_many(shapes)
+        assert labels == [provider.contacts_at(r) for r in shapes], name
+    assert providers["jacobian"].contacts_many(shapes) == [None] * n
+    assert providers["constraint"].contacts_many(shapes) == [None] * n
+    # the larger leg angle plants its foot; a tie goes to the lower index
+    want = [frozenset({0 if r1 >= r2 else 1}) for r1, r2 in shapes]
+    assert providers["crawler"].contacts_many(shapes) == want
+    assert providers["walker"].contacts_many(shapes) == [frozenset({0, 1})] * n
 
 
 def test_connection_rows_one_call_per_label_over_distinct_rows():

@@ -42,15 +42,9 @@ from locomech import (
 )
 from locomech.integrator import MAX_STEPS, pose_increments
 from locomech.optimizer import amplitude_phase_family
+from pointwise import Pointwise
 
 TWO_PI = 2.0 * math.pi
-
-
-class Pointwise:
-    """Batched connection_many for a test provider defined by connection_at."""
-
-    def connection_many(self, label, shapes):
-        return np.stack([self.connection_at(r) for r in shapes])
 
 
 class ExactFlow(Pointwise):
@@ -325,6 +319,14 @@ def test_input_validation():
         integrate_gait(ExactFlow(), CIRCLE, event_tol=0.0)
 
 
+@pytest.mark.parametrize("event_tol", [math.nan, math.inf])
+def test_non_finite_event_tolerance_is_rejected(event_tol):
+    # with either, hi - lo > event_tol is false at once: the bisection never
+    # ran and the crawler's switches landed at step ends, whole-step windows
+    with pytest.raises(ValueError, match="event tolerance"):
+        integrate_gait(PiecewiseConnection(two_leg_crawler()), square_gait(), step=0.01, event_tol=event_tol)
+
+
 def test_multi_switch_step_warns_and_recovers():
     # both stance changes of this smooth gait land inside the single step,
     # forcing the recursive split path
@@ -358,6 +360,9 @@ class CountingProvider:
     def contacts_at(self, r):
         return self.inner.contacts_at(r)
 
+    def contacts_many(self, shapes):
+        return self.inner.contacts_many(shapes)
+
 
 def test_smooth_integration_makes_two_evaluations_per_step():
     # a smooth gait's stage shapes are the n + 1 row shapes and the n step
@@ -375,6 +380,48 @@ def test_smooth_integration_makes_two_evaluations_per_step():
     assert provider.calls == 1
     assert provider.rows == len(distinct) == traj.meta["stage_shapes"]
     assert provider.rows <= 2 * n + 1
+
+
+class LabelCounting(CountingProvider):
+    """CountingProvider that also counts batched and single-shape label calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.label_batches = 0
+        self.single_labels = 0
+
+    def contacts_many(self, shapes):
+        self.label_batches += 1
+        return super().contacts_many(shapes)
+
+    def contacts_at(self, r):
+        self.single_labels += 1
+        return super().contacts_at(r)
+
+
+@pytest.mark.parametrize("cycles", [1, 3])
+def test_smooth_integration_samples_the_gait_in_batches(cycles):
+    # one gait batch and one label batch per cycle to plan, then three gait
+    # batches for the stage rows; never a single-time or single-shape call
+    calls = {"evaluate": 0, "evaluate_many": 0}
+
+    class Counted(FourierGait):
+        def evaluate(self, t, side="right"):
+            calls["evaluate"] += 1
+            return super().evaluate(t, side)
+
+        def evaluate_many(self, times, side="right"):
+            calls["evaluate_many"] += 1
+            return super().evaluate_many(times, side)
+
+    provider = LabelCounting(three_link_swimmer().provider())
+    gait = Counted(1.0, [0.0, 0.0], cos=[[0.0, -0.5]], sin=[[0.5, 0.0]])
+    traj = integrate_gait(provider, gait, cycles=cycles, step=0.05)
+    assert len(traj.times) == 20 * cycles + 1
+    assert calls["evaluate"] == 0
+    assert calls["evaluate_many"] <= cycles + 3
+    assert provider.label_batches <= cycles + 1
+    assert provider.single_labels == 0
 
 
 def test_one_smooth_cycle_evaluates_two_shapes_per_step():
@@ -415,6 +462,10 @@ class RecordingProvider:
         self.log.append("contacts")
         return self.inner.contacts_at(r)
 
+    def contacts_many(self, shapes):
+        self.log.append("contacts")
+        return self.inner.contacts_many(shapes)
+
     def connection_many(self, label, shapes):
         self.log.append(("connection", label))
         return self.inner.connection_many(label, shapes)
@@ -451,9 +502,9 @@ def test_non_finite_connection_raises_naming_time_and_shape():
 
 def test_non_finite_rate_raises_naming_time_and_shape():
     class HugeRate(FourierGait):
-        def evaluate(self, t, side="right"):
-            r, rdot = super().evaluate(t, side)
-            return r, (rdot + math.inf) if t > 0.5 else rdot
+        def evaluate_many(self, times, side="right"):
+            r, rdot = super().evaluate_many(times, side)
+            return r, np.where((np.asarray(times) > 0.5)[:, None], rdot + math.inf, rdot)
 
     gait = HugeRate(1.0, [0.0, 0.0], sin=[[0.3, 0.0]])
     with pytest.raises(SingularConstraint, match=r"non-finite shape rate at t=.*shape"):

@@ -200,6 +200,9 @@ class TestDisplacementObjective:
             def contacts_at(self, r):
                 return None
 
+            def contacts_many(self, shapes):
+                return [None] * len(shapes)
+
         gait = amplitude_phase_family().build(np.array([0.5, 1.0]))
         value = objective_displacement(AlwaysSingular(), gait, "x")
         assert value == float("-inf")

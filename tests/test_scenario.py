@@ -18,6 +18,7 @@ from locomech import (
     build_family,
     load_scenario,
 )
+from locomech.analysis import MAX_NODES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -221,6 +222,17 @@ class TestCommandBlocks:
         )
         with pytest.raises(ScenarioError, match="sweep.curvature"):
             load_scenario(doc)
+
+    def test_sweep_node_ceiling(self):
+        # loading only: a grid one node row past the ceiling would still fit
+        # in memory, so the check must come before any sampling
+        window = {"lo": [-1, -1], "hi": [1, 1]}
+        at = load_scenario(minimal(sweep={**window, "counts": [MAX_NODES // 2, 2]}))
+        assert at.grid.counts == (MAX_NODES // 2, 2)
+        with pytest.raises(ScenarioError, match=r"sweep\.counts: .* exceed 1000000"):
+            load_scenario(minimal(sweep={**window, "counts": [2, MAX_NODES // 2 + 1]}))
+        with pytest.raises(ValueError, match="exceed"):
+            GridSpec(lo=(-1, -1), hi=(1, 1), counts=(MAX_NODES // 2 + 1, 2))
 
     def test_optimize_block_defaults(self):
         doc = minimal(optimize={"family": "amplitude_phase"})

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locomech import FourierGait, WaypointGait, reparameterize, reversed_gait
 
@@ -141,6 +143,16 @@ def test_malformed_gaits_rejected():
         square_loop().evaluate(float("inf"))
 
 
+@pytest.mark.parametrize("side", ["Left", "RIGHT", "", "l"])
+def test_misspelled_side_is_rejected(side):
+    # a misspelled side was read as "left" at some times and "right" at others
+    for gait in (square_loop(), FourierGait(1.0, [0.0], sin=[[0.5]])):
+        with pytest.raises(ValueError, match="side"):
+            gait.evaluate(0.0, side)
+        with pytest.raises(ValueError, match="side"):
+            gait.evaluate_many(np.array([0.0, 0.25]), side)
+
+
 def test_reparameterize_identity_warp():
     g = square_loop()
     out = reparameterize(g, lambda t: t)
@@ -248,3 +260,125 @@ def test_gait_arrays_are_readonly():
 def test_dim_property():
     assert square_loop().dim == 2
     assert FourierGait(1.0, [0.0, 0.0, 0.0]).dim == 3
+
+
+GAIT_PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def fourier_gaits(draw):
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    period = draw(st.floats(0.1, 10.0))
+    return FourierGait(period, rng.uniform(-1, 1, d), rng.uniform(-1, 1, (k, d)), rng.uniform(-1, 1, (k, d)))
+
+
+@st.composite
+def waypoint_gaits(draw):
+    m = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, m))])
+    return WaypointGait(rng.uniform(-1, 1, (m, d)), times)
+
+
+def sample_times(gait, seed):
+    """Random times, with negative ones, knot times and multiples of the period."""
+    rng = np.random.default_rng(seed)
+    knots = getattr(gait, "times", np.zeros(0))
+    period = gait.period
+    return np.concatenate([
+        rng.uniform(-5.0 * period, 5.0 * period, 300),
+        knots, knots + period, knots - 2.0 * period,
+        period * np.arange(-4.0, 5.0),
+    ])
+
+
+@GAIT_PROPERTY
+@given(fourier_gaits(), st.integers(0, 2**32 - 1))
+def test_fourier_rows_are_the_single_time_sums_bitwise(gait, seed):
+    # the reference is the per-time (K,) @ (K, d) sum; a flat (n, K) @ (K, d)
+    # product over all rows sums in another order and fails here
+    times = sample_times(gait, seed)
+    r, rdot = gait.evaluate_many(times)
+    w = gait.angular_rates
+    for i, t in enumerate(times):
+        ang = w * (float(t) % gait.period)
+        want_r = gait.mean + np.cos(ang) @ gait.cos + np.sin(ang) @ gait.sin
+        want_rdot = (-w * np.sin(ang)) @ gait.cos + (w * np.cos(ang)) @ gait.sin
+        assert r[i].tobytes() == want_r.tobytes(), t
+        assert rdot[i].tobytes() == want_rdot.tobytes(), t
+        one = gait.evaluate(t, "left")
+        assert one[0].tobytes() == want_r.tobytes() and one[1].tobytes() == want_rdot.tobytes(), t
+
+
+@GAIT_PROPERTY
+@given(waypoint_gaits(), st.integers(0, 2**32 - 1), st.sampled_from(["right", "left"]))
+def test_waypoint_rows_are_single_time_evaluations_bitwise(gait, seed, side):
+    times = sample_times(gait, seed)
+    r, rdot = gait.evaluate_many(times, side)
+    for i, t in enumerate(times):
+        one = gait.evaluate(t, side)
+        assert r[i].tobytes() == one[0].tobytes() and rdot[i].tobytes() == one[1].tobytes(), t
+    # one row at a knot: its segment is the one the side names
+    m = len(gait.points)
+    for j, t in enumerate(gait.times[1:-1], start=1):
+        seg = j if side == "right" else j - 1
+        want = (gait.points[(seg + 1) % m] - gait.points[seg]) / (gait.times[seg + 1] - gait.times[seg])
+        assert gait.evaluate(t, side)[1].tobytes() == want.tobytes()
+
+
+@GAIT_PROPERTY
+@given(st.one_of(fourier_gaits(), waypoint_gaits()))
+def test_loops_close_bitwise(gait):
+    # t mod T is exact at 0 and at these multiples of T, so every row is r(0)
+    period = gait.period
+    r, _ = gait.evaluate_many(np.array([0.0, period, 2.0 * period, -period, 4.0 * period]))
+    for row in r[1:]:
+        assert row.tobytes() == r[0].tobytes()
+
+
+@GAIT_PROPERTY
+@given(st.one_of(fourier_gaits(), waypoint_gaits()))
+def test_reversal_is_an_involution(gait):
+    back = reversed_gait(reversed_gait(gait))
+    if isinstance(gait, FourierGait):
+        # -(-sin) is sin exactly, so the twice-reversed loop is the same gait
+        for name in ("mean", "cos", "sin"):
+            assert getattr(back, name).tobytes() == getattr(gait, name).tobytes()
+        times = np.linspace(-gait.period, 2.0 * gait.period, 41)
+        for a, b in zip(gait.evaluate_many(times), back.evaluate_many(times)):
+            assert a.tobytes() == b.tobytes()
+        return
+    assert back.points.tobytes() == gait.points.tobytes()
+    # knot times are re-summed from reversed durations twice: each sum and
+    # difference rounds by at most half an ulp of the period
+    bound = 2.0 * len(gait.times) * np.spacing(gait.period)
+    assert np.abs(back.times - gait.times).max() <= bound
+
+
+@GAIT_PROPERTY
+@given(st.one_of(fourier_gaits(), waypoint_gaits()), st.floats(0.0, 0.9), st.floats(0.0, 1.0))
+def test_reparameterize_preserves_the_path(gait, bend, fraction):
+    period = gait.period
+
+    def warp(t):
+        u = t / period
+        return period * ((1.0 - bend) * u + bend * u * u)
+
+    out = reparameterize(gait, warp, samples=64)
+    if isinstance(gait, FourierGait):
+        # the resampled vertices are the gait's own rows at uniform times
+        ts = np.linspace(0.0, period, 65)
+        assert out.points.tobytes() == gait.evaluate_many(ts[:-1])[0].tobytes()
+        old = WaypointGait(out.points, ts)
+    else:
+        assert out.points.tobytes() == gait.points.tobytes()
+        old = gait
+    # the same fraction of every segment is the same point of the path
+    t_old = old.times[:-1] + fraction * np.diff(old.times)
+    t_new = out.times[:-1] + fraction * np.diff(out.times)
+    assert np.abs(out.evaluate_many(t_new)[0] - old.evaluate_many(t_old)[0]).max() <= 1e-12
