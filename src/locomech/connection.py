@@ -4,8 +4,10 @@ Everything here produces or consumes the 3 x d matrix A(r) relating a shape
 rate to a body twist, body_twist = A(r) @ rdot, with rows ordered (vx, vy,
 omega).  Three construction routes are covered: differentiating a pose map
 through the group (``jacobian_connection_eval``, which both pose-map
-providers call once per batch), solving a linear force or constraint
-balance, and dispatching over the holonomic pieces of a contact-switching model.
+providers call once per batch; it sends every probe of the batch through
+the map's array form ``PoseMap.poses_many`` in one call), solving a linear
+force or constraint balance, and dispatching over the holonomic pieces of a
+contact-switching model.
 
 Provider protocol.  A provider offers:
 
@@ -32,6 +34,7 @@ to blocks m (..., 3, 3) and n (..., 3, d), and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,13 +58,32 @@ class SingularConstraint(RuntimeError):
 
 @dataclass(frozen=True)
 class PoseMap:
-    """Deterministic smooth map from a shape vector to a Pose."""
+    """Deterministic smooth map from a shape vector to a Pose.
+
+    fn maps one shape (d,) to a Pose.  The optional array form many maps
+    shapes (N, d) to a (3, N) array whose column k is the (x, y, theta) of
+    row k, theta in (-pi, pi], bitwise fn of that row; where fn raises, many
+    raises the same error at its first such row.  Without many, poses_many
+    calls fn row by row, in row order.  from_many builds a map whose fn is
+    the one-row case of its array form, so the formula exists once.
+    """
 
     fn: Callable[[np.ndarray], Pose]
     dim: int
+    many: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @classmethod
+    def from_many(cls, many: Callable[[np.ndarray], np.ndarray], dim: int) -> "PoseMap":
+        return cls(lambda r: Pose(*many(np.asarray(r, dtype=float)[None])[:, 0]), dim, many)
 
     def __call__(self, r: np.ndarray) -> Pose:
         return self.fn(r)
+
+    def poses_many(self, shapes: np.ndarray) -> np.ndarray:
+        """(3, N) poses at the rows of shapes (N, d)."""
+        if self.many is not None:
+            return self.many(shapes)
+        return np.array([(g.x, g.y, g.theta) for g in map(self.fn, shapes)]).reshape(-1, 3).T
 
 
 @dataclass(frozen=True)
@@ -89,9 +111,11 @@ def jacobian_connection_eval(pose_map: PoseMap, shapes, h: float = 1e-5) -> np.n
     """Differentiate a pose map through the group at every shape of a (..., d) array.
 
     Column i is log(F(r - h e_i)^-1 F(r + h e_i)) / (2 h), the body-frame
-    velocity per unit rate of coordinate i; accuracy O(h^2).  F is called at
-    every probe, shape by shape and column by column, lower probe first; the
-    group arithmetic is then one array pass.  Returns (..., 3, d).
+    velocity per unit rate of coordinate i; accuracy O(h^2).  All 2 d probes
+    of every shape go to F.poses_many in one (M, d) array, ordered shape by
+    shape and column by column, lower probe first, so a map that fails
+    fails at the same probe as a per-probe loop; the group arithmetic is
+    then one array pass.  Returns (..., 3, d).
     """
     shapes = np.asarray(shapes, dtype=float)
     d = pose_map.dim
@@ -99,8 +123,8 @@ def jacobian_connection_eval(pose_map: PoseMap, shapes, h: float = 1e-5) -> np.n
         raise ValueError(f"shape has {shapes.shape} coordinates, pose map expects {d}")
     # probes[..., i, 0] is r - h e_i and probes[..., i, 1] is r + h e_i
     probes = shapes[..., None, None, :] + h * np.eye(d)[:, None, :] * [[-1.0], [1.0]]
-    poses = [pose_map.fn(p) for p in probes.reshape(-1, d)] if d else []
-    lo, hi = np.array([(g.x, g.y, g.theta) for g in poses]).reshape(-1, 2, 3).transpose(1, 2, 0)
+    poses = pose_map.poses_many(probes.reshape(math.prod(probes.shape[:-1]), d))
+    lo, hi = poses.reshape(3, -1, 2).transpose(2, 0, 1)
     cols = log_many(compose_many(inverse_many(lo), hi)) / (2.0 * h)
     return np.moveaxis(cols.reshape((3,) + shapes.shape), 0, -2)
 

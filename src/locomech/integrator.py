@@ -205,7 +205,8 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         for t in cuts:
             if t - grid[-1] > merge_tol:
                 grid.append(t)
-        while end - grid[-1] <= merge_tol:
+        # the cycle start stays even when the whole period is below merge_tol
+        while len(grid) > 1 and end - grid[-1] <= merge_tol:
             grid.pop()
         grid.append(end)
         # label every grid point, then every step midpoint, in one batch.  A

@@ -27,7 +27,7 @@ from .connection import (
     PiecewiseConnection,
     PoseMap,
 )
-from .liegroup import Pose, compose, compose_many, inverse, wrap_many
+from .liegroup import Pose, compose_many, inverse_many, wrap_many
 
 
 class DegenerateStance(RuntimeError):
@@ -303,9 +303,9 @@ class LeggedModel:
 
 
 def foot_position(model: LeggedModel, i: int, r) -> np.ndarray:
-    """Body-frame foot position of foot i at shape r."""
-    ang = model.rest_angles[i] + r[i]
-    return model.hips[i] + model.leg_lengths[i] * np.array([math.cos(ang), math.sin(ang)])
+    """Body-frame foot position of foot i at shape r (d,), or at every row of shapes (..., d) as (..., 2)."""
+    ang = model.rest_angles[i] + np.asarray(r, dtype=float)[..., i]
+    return model.hips[i] + model.leg_lengths[i] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
 def foot_pose(model: LeggedModel, i: int, r) -> Pose:
@@ -326,7 +326,10 @@ def build_contact_map(model: LeggedModel, c) -> PoseMap:
     inverse of the foot pose in body coordinates.  Two planted feet act as
     pins; the body pose solves the two-point pinning in the frame anchored at
     the lower-indexed foot with x toward the other, raising DegenerateStance
-    when the pins coincide.  Larger stances over-determine a planar pose.
+    at the first shape where the pins coincide.  Larger stances
+    over-determine a planar pose.  Both maps are written in array form; the
+    pin angle keeps math.atan2 per row, which np.arctan2 does not match
+    bitwise.
     """
     c = frozenset(int(i) for i in c)
     if not c:
@@ -336,27 +339,28 @@ def build_contact_map(model: LeggedModel, c) -> PoseMap:
     if len(c) == 1:
         (i,) = c
 
-        def single(r: np.ndarray) -> Pose:
-            return inverse(foot_pose(model, i, r))
+        def single(shapes: np.ndarray) -> np.ndarray:
+            p = foot_position(model, i, shapes)
+            return inverse_many((p[:, 0], p[:, 1], wrap_many(shapes[:, i])))
 
-        return PoseMap(single, model.shape_dim)
+        return PoseMap.from_many(single, model.shape_dim)
     if len(c) == 2:
         i, j = sorted(c)
         tol = 1e-9 * (1.0 + float(model.leg_lengths.max()))
 
-        def pinned(r: np.ndarray) -> Pose:
-            pi = foot_position(model, i, r)
-            pj = foot_position(model, j, r)
-            dx, dy = pj - pi
-            if math.hypot(dx, dy) < tol:
-                raise DegenerateStance(
-                    f"pinned feet {i} and {j} coincide at shape {np.asarray(r).tolist()}"
-                )
-            beta = -math.atan2(dy, dx)
-            cb, sb = math.cos(beta), math.sin(beta)
-            return Pose(-(cb * pi[0] - sb * pi[1]), -(sb * pi[0] + cb * pi[1]), beta)
+        def pinned(shapes: np.ndarray) -> np.ndarray:
+            pi = foot_position(model, i, shapes)
+            dx, dy = (foot_position(model, j, shapes) - pi).T.tolist()
+            beta = []
+            for k, (x, y) in enumerate(zip(dx, dy)):
+                if math.hypot(x, y) < tol:
+                    raise DegenerateStance(f"pinned feet {i} and {j} coincide at shape {shapes[k].tolist()}")
+                beta.append(-math.atan2(y, x))
+            cb, sb = np.cos(beta), np.sin(beta)
+            px, py = pi.T
+            return np.stack([-(cb * px - sb * py), -(sb * px + cb * py), wrap_many(beta)])
 
-        return PoseMap(pinned, model.shape_dim)
+        return PoseMap.from_many(pinned, model.shape_dim)
     raise ValueError(f"planar stances support at most 2 feet, got {sorted(c)}")
 
 
@@ -512,35 +516,39 @@ def arm_com_pose_map(lengths, masses=None) -> PoseMap:
         raise ValueError("masses must be positive, one per link")
     total = masses.sum()
 
-    def fn(r: np.ndarray) -> Pose:
-        head = np.cumsum(r)
-        dirs = np.stack([np.cos(head), np.sin(head)], axis=1)
-        tips = np.cumsum(lengths[:, None] * dirs, axis=0)
+    def many(shapes: np.ndarray) -> np.ndarray:
+        head = np.cumsum(shapes, axis=1)
+        dirs = np.stack([np.cos(head), np.sin(head)], axis=2)
+        tips = np.cumsum(lengths[:, None] * dirs, axis=1)
         mids = tips - 0.5 * lengths[:, None] * dirs
+        # 1-D @ stacked products are bitwise the per-shape masses @ mids and
+        # masses @ head; a flat (N, d) @ (d,) product is not
         com = masses @ mids / total
-        return Pose(com[0], com[1], float(masses @ head / total))
+        heading = (masses @ head[:, :, None])[:, 0] / total
+        return np.stack([com[:, 0], com[:, 1], wrap_many(heading)])
 
-    return PoseMap(fn, d)
+    return PoseMap.from_many(many, d)
 
 
 def rotate_translate_map() -> PoseMap:
     """Two-coordinate map: spin by the first coordinate, then slide the second
     along the rotated x axis."""
 
-    def fn(r: np.ndarray) -> Pose:
-        return compose(Pose(0.0, 0.0, r[0]), Pose(r[1], 0.0, 0.0))
+    def many(shapes: np.ndarray) -> np.ndarray:
+        return compose_many((0.0, 0.0, wrap_many(shapes[:, 0])), (shapes[:, 1], 0.0, 0.0))
 
-    return PoseMap(fn, 2)
+    return PoseMap.from_many(many, 2)
 
 
 def wavy_pose_map() -> PoseMap:
     """Smooth strongly-coupled synthetic two-coordinate pose map."""
 
-    def fn(r: np.ndarray) -> Pose:
-        return Pose(
-            0.9 * math.sin(r[0]) + 0.4 * r[1] * r[1],
-            0.7 * (math.cos(r[0] * r[1]) - 1.0),
-            0.8 * math.sin(r[1]) + 0.3 * r[0],
-        )
+    def many(shapes: np.ndarray) -> np.ndarray:
+        r0, r1 = shapes.T
+        return np.stack([
+            0.9 * np.sin(r0) + 0.4 * r1 * r1,
+            0.7 * (np.cos(r0 * r1) - 1.0),
+            wrap_many(0.8 * np.sin(r1) + 0.3 * r0),
+        ])
 
-    return PoseMap(fn, 2)
+    return PoseMap.from_many(many, 2)

@@ -517,8 +517,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     step = _as_float(integ, "integrator", "step", 1e-2, positive=True)
     event_tol = _as_float(integ, "integrator", "event_tol", 1e-10, positive=True)
     cycles = _as_int(integ, "integrator", "cycles", 1, minimum=1)
-    with _errors_at("integrator.step"):
-        steps_per_cycle(gait.period, step, cycles)
+    _check_time_axis(gait.period, step, event_tol, cycles)
 
     resolved = {
         "schema": SCHEMA_VERSION,
@@ -545,8 +544,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         resolved["sweep"] = scenario.sweep
     if "optimize" in doc:
         scenario.optimize = resolved["optimize"] = _build_optimize(doc["optimize"], gait_block)
-        with _errors_at("integrator.step"):
-            steps_per_cycle(scenario.optimize.get("period", gait.period), step, cycles)
+        _check_time_axis(scenario.optimize.get("period", gait.period), step, event_tol, cycles)
         # bounds are checked above, so only a slot can still be rejected
         with _errors_at("optimize.slots"):
             scenario.family = build_family(scenario)
@@ -557,6 +555,19 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         has_constraints = isinstance(provider, ConstraintConnection)
         scenario.verify = resolved["verify"] = _build_verify(doc["verify"], has_constraints)
     return scenario
+
+
+def _check_time_axis(period: float, step: float, event_tol: float, cycles: int) -> None:
+    """Reject a run past MAX_STEPS, or an event tolerance below the float spacing at its end time."""
+    with _errors_at("integrator.step"):
+        steps_per_cycle(period, step, cycles)
+    spacing = math.ulp(period * cycles)
+    if event_tol < spacing:
+        raise ScenarioError(
+            "integrator.event_tol",
+            f"{event_tol!r} is below the float spacing {spacing!r} at t = {period * cycles!r}"
+            " (period times cycles); a switch time cannot be located that finely",
+        )
 
 
 def build_family(scenario: Scenario):

@@ -1,0 +1,100 @@
+"""Mutated scenario documents and a wall-time limit for property tests."""
+
+import contextlib
+import copy
+import math
+import signal
+from pathlib import Path
+
+import yaml
+from hypothesis import strategies as st
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+SHIPPED_DOCS = [yaml.safe_load(path.read_text()) for path in sorted(SCENARIOS.glob("*.yaml"))]
+
+# every key the scenario format knows, for the "add a key" mutation
+SCENARIO_KEYS = """
+    schema seed out model gait integrator sweep optimize verify
+    kind map lengths masses fd_step feet quadrature link_length drag_tangential drag_normal
+    hip_spacing leg_length hip_offset half_width slip_tangential slip_normal slip_yaw
+    period mean cos sin points times step event_tol cycles
+    lo hi counts axes base curvature family direction budget restarts amplitude phase
+    slots lower upper suites shapes box
+""".split()
+
+
+def document_values(integers, floats):
+    """Leaf values for a mutation: small and special numbers, the given integers and floats, words, lists."""
+    numbers = st.one_of(
+        st.integers(-3, 40),
+        st.floats(-3.0, 3.0),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        floats,
+    )
+    scalars = st.one_of(
+        numbers,
+        st.none(),
+        st.booleans(),
+        integers,
+        st.sampled_from(["x", "mean", "cos", "fourier", "swimmer", "residual"]),
+    )
+    return st.one_of(
+        numbers,
+        scalars,
+        st.lists(numbers, min_size=1, max_size=3),
+        st.lists(scalars, max_size=3),
+        st.lists(st.lists(numbers, min_size=1, max_size=3), max_size=3),
+    )
+
+
+# any integer and any float: for loading, which does no work proportional to them
+ANY_VALUES = document_values(st.integers(), st.floats())
+
+
+def _positions(node):
+    """(container, key) of every entry below node, mappings and lists alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _positions(value)
+
+
+@st.composite
+def mutated_documents(draw, values=ANY_VALUES, docs=SHIPPED_DOCS):
+    """One of docs with one or two leaves replaced, keys deleted or keys added."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "replace":
+            leaves = [
+                (c, k) for c, k in _positions(doc) if not isinstance(c[k], (dict, list))
+            ]
+            container, key = draw(st.sampled_from(leaves))
+            container[key] = draw(values)
+        elif op == "delete":
+            keyed = [(c, k) for c, k in _positions(doc) if isinstance(c, dict)]
+            container, key = draw(st.sampled_from(keyed))
+            del container[key]
+        else:
+            blocks = [doc] + [c[k] for c, k in _positions(doc) if isinstance(c[k], dict)]
+            block = draw(st.sampled_from(blocks))
+            block[draw(st.sampled_from(SCENARIO_KEYS))] = draw(values)
+    return doc
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import locomech.cli as cli
 import locomech.scenario as scenario_module
@@ -19,6 +26,7 @@ from locomech import (
     sample_field,
 )
 from locomech.cli import load_field_csv, load_trajectory_csv, main
+from fuzzing import SCENARIOS, SHIPPED_DOCS, document_values, mutated_documents, time_limit
 
 
 def write_scenario(tmp_path, doc, name="scenario.yaml"):
@@ -406,6 +414,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "integrator.step" in err and "1000000 steps" in err
 
+    @pytest.mark.parametrize("period, code", [(1.0e-13, 0), (5.0e-324, 3)])
+    def test_period_below_the_knot_merge_tolerance_keeps_one_step(self, tmp_path, capsys, period, code):
+        # a period under the 1e-12 merge tolerance once emptied the step grid
+        # (an IndexError traceback); at 5e-324 the rate 2 pi / period overflows
+        doc = swimmer_doc()
+        doc["gait"]["period"] = period
+        path = write_scenario(tmp_path, doc)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_event_tolerance_below_the_float_spacing_is_two(self, tmp_path, capsys):
+        # one ulp at t = 3 (three unit cycles) is 4.4e-16: no bisection can
+        # bracket a switch time to 1e-17
+        doc = yaml.safe_load((SCENARIOS / "crawler_square.yaml").read_text())
+        doc["integrator"]["event_tol"] = 1.0e-17
+        path = write_scenario(tmp_path, doc)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "integrator.event_tol: 1e-17 is below the float spacing 4.440892098500626e-16 at t = 3.0" in err
+
+    def test_event_tolerance_spacing_follows_the_cycles_flag(self, tmp_path, capsys):
+        # 3e-16 lies between one ulp at t = 1 (2.2e-16) and at t = 2 (4.4e-16)
+        doc = crawler_doc()
+        doc["integrator"].update(cycles=1, event_tol=3.0e-16)
+        path = write_scenario(tmp_path, doc)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 0
+        assert main(["simulate", path, "--out", str(tmp_path / "run"), "--cycles", "2"]) == 2
+        assert "integrator.event_tol" in capsys.readouterr().err
+
+    def test_event_tolerance_spacing_at_the_optimize_period(self, tmp_path, capsys):
+        # the amplitude/phase search integrates its own period: one ulp at
+        # t = 1000 is 1.1e-13
+        doc = swimmer_doc(optimize={"family": "amplitude_phase", "budget": 4, "period": 1000.0})
+        doc["integrator"]["event_tol"] = 1.0e-13
+        path = write_scenario(tmp_path, doc)
+        assert main(["optimize", path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "integrator.event_tol: 1e-13 is below the float spacing 1.1368683772161603e-13" in err
+
     @pytest.mark.parametrize(
         "last, step, tol, message, advice",
         [
@@ -541,3 +588,46 @@ class TestDeterminismAndOverrides:
         )
         assert proc.returncode == 0
         assert (tmp_path / "run" / "summary.json").exists()
+
+
+def _small_search(doc):
+    """doc with its gait search cut to a few evaluations."""
+    doc = copy.deepcopy(doc)
+    if "optimize" in doc:
+        doc["optimize"].update(budget=8, restarts=1)
+    return doc
+
+
+# Each mutated shipped document runs simulate or a command whose block it
+# has, at --cycles 1 and --step 0.05, with the search cut to 8 evaluations.
+# Integers stay in [-3, 40] and finite floats in [-60, 60] or at the sampled
+# extremes, so no mutation can ask for much work: a sweep has at most
+# 40 x 40 nodes and a cycle at most 2400 steps.
+_CLI_DOCS = [_small_search(doc) for doc in SHIPPED_DOCS]
+_CLI_VALUES = document_values(
+    st.integers(-3, 40),
+    st.one_of(st.floats(-60.0, 60.0), st.sampled_from([1e300, -1e300, 5e-324, 1e-17])),
+)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=5000,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutated_documents(_CLI_VALUES, _CLI_DOCS), st.data())
+def test_main_keeps_the_exit_code_contract_on_mutated_documents(doc, data):
+    # simulate, or a command whose block the document has
+    blocks = [c for c in ("sweep", "optimize", "verify") if c in doc]
+    command = data.draw(st.sampled_from(["simulate"] + blocks))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, time_limit(30.0):
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        argv = [command, str(path), "--out", str(Path(tmp) / "run"), "--cycles", "1", "--step", "0.05"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

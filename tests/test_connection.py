@@ -1,6 +1,7 @@
 """Connection evaluation routes: group differencing, linear balances, stance
 dispatch, and the shared matrix contract."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -412,7 +413,7 @@ def scalar_jacobian(pose_map, r, h):
     return a
 
 
-@pytest.mark.parametrize(
+LIBRARY_MAPS = pytest.mark.parametrize(
     "pose_map",
     [
         rotate_translate_map(),
@@ -423,6 +424,9 @@ def scalar_jacobian(pose_map, r, h):
     ],
     ids=["rotate_translate", "wavy", "arm_com_4", "single_foot", "pinned"],
 )
+
+
+@LIBRARY_MAPS
 def test_batched_jacobian_is_the_scalar_route_bitwise(pose_map):
     # angles near +-pi make the group products wrap
     shapes = np.random.default_rng(pose_map.dim).uniform(-3.2, 3.2, (5, 4, pose_map.dim))
@@ -444,3 +448,15 @@ def test_batched_jacobian_calls_the_map_shape_by_shape_lower_probe_first():
     jacobian_connection_eval(PoseMap(fn, 2), shapes, 0.5)
     expected = [r + s * e for r in shapes for e in 0.5 * np.eye(2) for s in (-1.0, 1.0)]
     assert np.array_equal(np.array(seen), np.array(expected))
+
+
+def _refuse(r):
+    raise AssertionError("a library pose map was called one shape at a time")
+
+
+@LIBRARY_MAPS
+def test_library_maps_are_differentiated_without_their_scalar_fn(pose_map):
+    shapes = np.random.default_rng(7).uniform(-3.2, 3.2, (6, pose_map.dim))
+    array_only = dataclasses.replace(pose_map, fn=_refuse)
+    got = jacobian_connection_eval(array_only, shapes, 1e-5)
+    assert got.tobytes() == jacobian_connection_eval(pose_map, shapes, 1e-5).tobytes()

@@ -1,8 +1,6 @@
 """Group integration of gait-driven motion: order, events, conservation laws."""
 
-import contextlib
 import math
-import signal
 import warnings
 from pathlib import Path
 
@@ -42,6 +40,7 @@ from locomech import (
 )
 from locomech.integrator import MAX_STEPS, pose_increments
 from locomech.optimizer import amplitude_phase_family
+from fuzzing import time_limit
 from pointwise import Pointwise
 
 TWO_PI = 2.0 * math.pi
@@ -564,22 +563,6 @@ def test_shapeless_model_evaluates_one_row():
     assert traj.meta["stage_shapes"] == 1
     assert not traj.twists.any()
     assert traj.poses[-1] == Pose()
-
-
-@contextlib.contextmanager
-def time_limit(seconds: float):
-    """Raise TimeoutError in the block once `seconds` of wall time have passed."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 CRAWLER_SQUARE = Path(__file__).resolve().parent.parent / "scenarios" / "crawler_square.yaml"

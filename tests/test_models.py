@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locomech import (
     ChainModel,
     DegenerateStance,
     DragModel,
+    FourierGait,
     LeggedModel,
     PiecewiseConnection,
     SlipModel,
+    arm_com_pose_map,
     build_contact_map,
     build_drag_constraints,
     build_slip_constraints,
@@ -21,12 +25,16 @@ from locomech import (
     crawler_slip_model,
     foot_pose,
     foot_position,
+    inverse,
     linear_constraint_connection,
     many_legged_drag_surrogate,
     mirrored_slip_walker,
+    objective_displacement,
+    rotate_translate_map,
     select_contacts,
     three_link_swimmer,
     two_leg_crawler,
+    wavy_pose_map,
 )
 
 
@@ -385,3 +393,199 @@ def test_batched_builders_match_single_shapes(build, dim):
         one = build(shapes[idx])
         assert np.array_equal(batch.m[idx], one.m), idx
         assert np.array_equal(batch.n[idx], one.n), idx
+
+
+# The scalar bodies of the library pose maps as they were before the maps
+# were written in array form, kept verbatim as an independent oracle.
+
+
+def ref_foot_position(model, i, r):
+    ang = model.rest_angles[i] + r[i]
+    return model.hips[i] + model.leg_lengths[i] * np.array([math.cos(ang), math.sin(ang)])
+
+
+def ref_foot_pose(model, i, r):
+    p = ref_foot_position(model, i, r)
+    return Pose(p[0], p[1], r[i])
+
+
+def ref_single(model, i):
+    def single(r):
+        return inverse(ref_foot_pose(model, i, r))
+
+    return single
+
+
+def ref_pinned(model, i, j):
+    tol = 1e-9 * (1.0 + float(model.leg_lengths.max()))
+
+    def pinned(r):
+        pi = ref_foot_position(model, i, r)
+        pj = ref_foot_position(model, j, r)
+        dx, dy = pj - pi
+        if math.hypot(dx, dy) < tol:
+            raise DegenerateStance(
+                f"pinned feet {i} and {j} coincide at shape {np.asarray(r).tolist()}"
+            )
+        beta = -math.atan2(dy, dx)
+        cb, sb = math.cos(beta), math.sin(beta)
+        return Pose(-(cb * pi[0] - sb * pi[1]), -(sb * pi[0] + cb * pi[1]), beta)
+
+    return pinned
+
+
+def ref_arm_com(lengths, masses):
+    lengths = np.asarray(lengths, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    total = masses.sum()
+
+    def fn(r):
+        head = np.cumsum(r)
+        dirs = np.stack([np.cos(head), np.sin(head)], axis=1)
+        tips = np.cumsum(lengths[:, None] * dirs, axis=0)
+        mids = tips - 0.5 * lengths[:, None] * dirs
+        com = masses @ mids / total
+        return Pose(com[0], com[1], float(masses @ head / total))
+
+    return fn
+
+
+def ref_rotate_translate(r):
+    return compose(Pose(0.0, 0.0, r[0]), Pose(r[1], 0.0, 0.0))
+
+
+def ref_wavy(r):
+    return Pose(
+        0.9 * math.sin(r[0]) + 0.4 * r[1] * r[1],
+        0.7 * (math.cos(r[0] * r[1]) - 1.0),
+        0.8 * math.sin(r[1]) + 0.3 * r[0],
+    )
+
+
+def assert_array_map_is_reference(pose_map, reference, shapes):
+    """poses_many and fn agree bitwise with the scalar reference row by row,
+    or raise its DegenerateStance at the first failing row."""
+    try:
+        want = [reference(r) for r in shapes]
+    except DegenerateStance as exc:
+        with pytest.raises(DegenerateStance) as got:
+            pose_map.poses_many(shapes)
+        assert str(got.value) == str(exc)
+        return
+    want = np.array([(g.x, g.y, g.theta) for g in want]).T
+    got = pose_map.poses_many(shapes)
+    assert got.shape == (3, len(shapes))
+    assert got.tobytes() == want.tobytes()
+    for r, col in zip(shapes, want.T):
+        g = pose_map(r)
+        assert np.array([g.x, g.y, g.theta]).tobytes() == col.tobytes()
+
+
+# angles well past +-pi, and +-pi themselves, so every wrap fires (the wavy
+# heading 0.8 sin r1 + 0.3 r0 passes pi only for |r0| above about 7.8)
+_ANGLES = st.one_of(
+    st.floats(-12.0, 12.0),
+    st.sampled_from([math.pi, -math.pi, 2.0 * math.pi, -3.0 * math.pi, math.nextafter(math.pi, 4.0)]),
+)
+
+
+def shape_rows(d):
+    return st.lists(st.lists(_ANGLES, min_size=d, max_size=d), min_size=1, max_size=6).map(
+        lambda rows: np.array(rows, dtype=float)
+    )
+
+
+@st.composite
+def legged_models(draw):
+    f = draw(st.integers(2, 3))
+    coords = st.floats(-1.0, 1.0)
+    return LeggedModel(
+        hips=[[draw(coords), draw(coords)] for _ in range(f)],
+        leg_lengths=[draw(st.floats(0.2, 2.0)) for _ in range(f)],
+        rest_angles=[draw(st.floats(-4.0, 4.0)) for _ in range(f)],
+    )
+
+
+_LIBRARY_LEGS = [two_leg_crawler(), mirrored_slip_walker().geometry]
+_BITWISE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@_BITWISE
+@given(st.one_of(st.sampled_from(_LIBRARY_LEGS), legged_models()), st.data())
+def test_single_foot_map_is_its_scalar_body_bitwise(model, data):
+    i = data.draw(st.integers(0, model.n_feet - 1))
+    shapes = data.draw(shape_rows(model.shape_dim))
+    assert_array_map_is_reference(build_contact_map(model, {i}), ref_single(model, i), shapes)
+
+
+@_BITWISE
+@given(st.one_of(st.sampled_from(_LIBRARY_LEGS), legged_models()), st.data())
+def test_pinned_map_is_its_scalar_body_bitwise(model, data):
+    i, j = sorted(data.draw(st.sets(st.integers(0, model.n_feet - 1), min_size=2, max_size=2)))
+    shapes = data.draw(shape_rows(model.shape_dim))
+    assert_array_map_is_reference(build_contact_map(model, {i, j}), ref_pinned(model, i, j), shapes)
+
+
+@_BITWISE
+@given(shape_rows(2))
+def test_rotate_translate_and_wavy_maps_are_their_scalar_bodies_bitwise(shapes):
+    assert_array_map_is_reference(rotate_translate_map(), ref_rotate_translate, shapes)
+    assert_array_map_is_reference(wavy_pose_map(), ref_wavy, shapes)
+
+
+@_BITWISE
+@given(st.integers(1, 6), st.data())
+def test_arm_com_map_is_its_scalar_body_bitwise(d, data):
+    positive = st.lists(st.floats(0.1, 2.0), min_size=d, max_size=d)
+    lengths, masses = data.draw(positive), data.draw(positive)
+    shapes = data.draw(shape_rows(d))
+    assert_array_map_is_reference(arm_com_pose_map(lengths, masses), ref_arm_com(lengths, masses), shapes)
+
+
+# hips a unit apart: feet 0 and 1 coincide at r = +-(2 pi/3, pi/3)
+_PINCH = LeggedModel(
+    hips=[[0.0, 0.0], [-1.0, 0.0]],
+    leg_lengths=[1.0, 1.0],
+    rest_angles=[0.0, 0.0],
+    selector="fixed",
+    fixed_contacts=frozenset({0, 1}),
+)
+
+
+def test_batched_degenerate_stance_raises_at_the_first_failing_probe():
+    h = 1e-5
+    # the probes of the first shape are (r0 -+ h, r1) and (r0, r1 -+ h): the
+    # third, (2 pi/3, pi/3), pinches the feet; the second shape's first
+    # probe, (-2 pi/3, -pi/3), pinches them too, but comes later
+    third = math.pi / 3.0
+    shapes = np.array([[2.0 * third, third + h], [-2.0 * third + h, -third]])
+    probes = [r + s * e for r in shapes for e in h * np.eye(2) for s in (-1.0, 1.0)]
+    reference = ref_pinned(_PINCH, 0, 1)
+    messages = []
+    for k, p in enumerate(probes):
+        try:
+            reference(p)
+        except DegenerateStance as exc:
+            messages.append((k, str(exc)))
+    assert [k for k, _ in messages] == [2, 4]
+    provider = PiecewiseConnection(_PINCH, h)
+    with pytest.raises(DegenerateStance) as exc:
+        provider.connection_many(frozenset({0, 1}), shapes)
+    assert str(exc.value) == messages[0][1]
+
+
+def test_degenerate_stance_gait_scores_minus_inf():
+    # feet at (cos r0, sin r0) and (cos r1, sin r1) coincide where r0 == r1;
+    # with r1 = r0 + h every shape's third probe lands there
+    model = LeggedModel(
+        hips=[[0.0, 0.0], [0.0, 0.0]],
+        leg_lengths=[1.0, 1.0],
+        rest_angles=[0.0, 0.0],
+        selector="fixed",
+        fixed_contacts=frozenset({0, 1}),
+    )
+    h = 1e-5
+    gait = FourierGait(period=1.0, mean=[0.0, h], cos=[[0.5, 0.5]])
+    with pytest.raises(DegenerateStance):
+        model.provider(h).connection_many(frozenset({0, 1}), gait.evaluate_many([0.0])[0])
+    assert objective_displacement(model.provider(h), gait, "x") == float("-inf")

@@ -1,12 +1,8 @@
-import copy
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from locomech import (
     ConstraintConnection,
@@ -19,8 +15,8 @@ from locomech import (
     load_scenario,
 )
 from locomech.analysis import MAX_NODES
+from fuzzing import SCENARIOS, mutated_documents
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def minimal(**extra):
@@ -422,71 +418,6 @@ def test_shipped_scenario_hash_is_pinned(name):
 
 def test_every_shipped_scenario_is_pinned():
     assert sorted(p.name for p in SCENARIOS.glob("*.yaml")) == sorted(SHIPPED_SHA)
-
-
-SHIPPED_DOCS = [yaml.safe_load(path.read_text()) for path in sorted(SCENARIOS.glob("*.yaml"))]
-
-# every key the scenario format knows, for the "add a key" mutation
-SCENARIO_KEYS = """
-    schema seed out model gait integrator sweep optimize verify
-    kind map lengths masses fd_step feet quadrature link_length drag_tangential drag_normal
-    hip_spacing leg_length hip_offset half_width slip_tangential slip_normal slip_yaw
-    period mean cos sin points times step event_tol cycles
-    lo hi counts axes base curvature family direction budget restarts amplitude phase
-    slots lower upper suites shapes box
-""".split()
-
-_numbers = st.one_of(
-    st.integers(-3, 40),
-    st.floats(-3.0, 3.0),
-    st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.floats(),
-)
-_scalars = st.one_of(
-    _numbers,
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.sampled_from(["x", "mean", "cos", "fourier", "swimmer", "residual"]),
-)
-_values = st.one_of(
-    _numbers,
-    _scalars,
-    st.lists(_numbers, min_size=1, max_size=3),
-    st.lists(_scalars, max_size=3),
-    st.lists(st.lists(_numbers, min_size=1, max_size=3), max_size=3),
-)
-
-
-def _positions(node):
-    """(container, key) of every entry below node, mappings and lists alike."""
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for key, value in list(items):
-        yield node, key
-        if isinstance(value, (dict, list)):
-            yield from _positions(value)
-
-
-@st.composite
-def mutated_documents(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED_DOCS)))
-    for _ in range(draw(st.integers(1, 2))):
-        op = draw(st.sampled_from(["replace", "delete", "add"]))
-        if op == "replace":
-            leaves = [
-                (c, k) for c, k in _positions(doc) if not isinstance(c[k], (dict, list))
-            ]
-            container, key = draw(st.sampled_from(leaves))
-            container[key] = draw(_values)
-        elif op == "delete":
-            keyed = [(c, k) for c, k in _positions(doc) if isinstance(c, dict)]
-            container, key = draw(st.sampled_from(keyed))
-            del container[key]
-        else:
-            blocks = [doc] + [c[k] for c, k in _positions(doc) if isinstance(c[k], dict)]
-            block = draw(st.sampled_from(blocks))
-            block[draw(st.sampled_from(SCENARIO_KEYS))] = draw(_values)
-    return doc
 
 
 def _floats(node):
