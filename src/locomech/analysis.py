@@ -10,6 +10,7 @@ never asserts equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class GridSpec:
             raise ValueError("grid spec needs two entries each for lo, hi, counts")
         if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
             raise ValueError("grid bounds must satisfy lo < hi on both axes")
+        if not all(math.isfinite(h - l) for l, h in zip(self.lo, self.hi)):
+            raise ValueError("grid span hi - lo must be finite on both axes")
         if min(self.counts) < 2:
             raise ValueError("need at least 2 nodes per axis")
         if self.counts[0] * self.counts[1] > MAX_NODES:

@@ -143,12 +143,7 @@ def cmd_sweep(scenario: Scenario) -> int:
     if scenario.sweep is None:
         raise ScenarioError("sweep", "scenario has no sweep block")
     field = sample_field(scenario.provider, scenario.grid)
-    curv = None
-    if scenario.sweep["curvature"]:
-        try:
-            curv = curvature(field)
-        except ValueError as exc:
-            raise ScenarioError("sweep.curvature", str(exc)) from exc
+    curv = curvature(field) if scenario.sweep["curvature"] else None
 
     n1, n2 = field.conn.shape[:2]
     dim = field.conn.shape[3]

@@ -111,8 +111,9 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     accepted steps and events from the stance labels alone, evaluate the
     connection once per distinct (stance, stage shape) with one
     connection_many call per stance, then combine the stage twists into
-    poses.  A non-finite connection entry, shape rate or stage twist raises
-    SingularConstraint naming its time and shape.
+    poses.  A non-finite connection entry, shape rate, stage twist, twist
+    norm, step exponent or pose raises SingularConstraint naming its time and
+    shape.
     """
     if cycles < 1:
         raise ValueError(f"cycle count must be at least 1, got {cycles}")
@@ -244,17 +245,26 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     # one row per stage; the batched product gives each row bitwise its own A @ rdot
     stage_twists = (conn[stage_conn] @ stage_rates[:, :, None])[:, :, 0]
     _require_finite(np.isfinite(stage_twists).all(axis=1), "stage twist", stage_times, stage_shapes)
+    # the last row's twist is no stage, so it stays out of the largest norm;
+    # a finite twist's squares can still overflow
+    vx, vy, om = stage_twists[:-1].T
+    norms = np.sqrt(vx * vx + vy * vy + om * om)
+    _require_finite(np.isfinite(norms), "twist norm", stage_times, stage_shapes)
+    max_norm = float(norms.max(initial=0.0))
     n_shapes = len(conn)
     shapes = stage_shapes[::3].copy()
-    del conn, stage_conn, stage_labels, stage_rates, stage_shapes, stage_times
-    # the last row's twist is no stage, so it stays out of the largest norm
-    vx, vy, om = stage_twists[:-1].T
-    max_norm = float(np.sqrt(vx * vx + vy * vy + om * om).max(initial=0.0))
+    del conn, stage_conn, stage_labels, stage_rates, stage_shapes, stage_times, norms
 
     # -- combine: every step's exponent and increment in array passes; only
-    # the pose product runs step by step
+    # the pose product runs step by step.  Finite twists can still combine
+    # into an overflowing exponent or pose; row j's time and shape name step j.
     u = _rkmk4_exponents(np.diff(t), stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
+    _require_finite(np.isfinite(u).all(axis=0), "step exponent", t, shapes)
     poses = list(accumulate((Pose(*inc) for inc in exp_many(u).T.tolist()), compose, initial=Pose()))
+    # a non-finite coordinate stays non-finite under the product (theta is
+    # wrapped and stays finite), so the last pose tells whether any pose is
+    if not (math.isfinite(poses[-1].x) and math.isfinite(poses[-1].y)):
+        _require_finite(np.isfinite([(p.x, p.y) for p in poses]).all(axis=1), "pose", t, shapes)
 
     return Trajectory(
         times=t,

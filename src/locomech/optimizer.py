@@ -19,8 +19,13 @@ from .integrator import integrate_gait, net_displacement
 from .models import DegenerateStance
 from .shapespace import FourierGait
 
-DIRECTIONS = ("x", "y", "theta", "speed")
-FAMILIES = ("amplitude_phase", "fourier_slots")
+# search direction -> the component of the displacement exponent it maximizes
+DIRECTIONS = {
+    "x": lambda disp: disp.vx,
+    "y": lambda disp: disp.vy,
+    "theta": lambda disp: disp.omega,
+    "speed": lambda disp: float(np.hypot(disp.vx, disp.vy)),
+}
 SLOT_KINDS = ("mean", "cos", "sin")
 
 
@@ -123,20 +128,14 @@ def objective_displacement(
 
     Singular configurations score -inf so the search simply avoids them.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    if not isinstance(direction, str) or direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {tuple(DIRECTIONS)}, got {direction!r}")
     try:
         traj = integrate_gait(provider, gait, cycles=cycles, step=step)
         disp = net_displacement(traj)
     except (SingularConstraint, DegenerateStance):
         return float("-inf")
-    if direction == "x":
-        return disp.vx
-    if direction == "y":
-        return disp.vy
-    if direction == "theta":
-        return disp.omega
-    return float(np.hypot(disp.vx, disp.vy))
+    return DIRECTIONS[direction](disp)
 
 
 @dataclass

@@ -1,16 +1,19 @@
 """Declarative scenario files for the command-line front end.
 
 A scenario is a small YAML mapping naming a model, a gait, integrator
-settings, and per-command blocks.  Parsing is strict: unknown keys anywhere
-are errors, every diagnostic carries the dotted path of the offending field,
-and the fully resolved document (defaults filled in, command-line overrides
-applied) is hashed so output files can state exactly what produced them.
-Every library object a command needs is built and checked at load, so a
-malformed scenario fails before any command runs.
+settings, and per-command blocks.  Every block is one row of a parameter
+table (a block with a kind names its row): the row's readers fill in each
+key's default and check it, and its factory builds the block's library
+object, so every object a command needs is built and checked at load.
+Parsing is strict: a block may hold only the keys its row reads, every
+diagnostic carries the dotted path of the offending field, and the fully
+resolved document (defaults filled in, command-line overrides applied) is
+hashed so output files can state exactly what produced them.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import hashlib
@@ -35,14 +38,11 @@ from .models import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from .optimizer import DIRECTIONS, FAMILIES, SLOT_KINDS, GaitFamily, amplitude_phase_family, fourier_slot_family
+from .optimizer import DIRECTIONS, SLOT_KINDS, GaitFamily, amplitude_phase_family, fourier_slot_family
 from .shapespace import FourierGait, WaypointGait
-from .verify import _SUITES
+from .verify import SUITES
 
 SCHEMA_VERSION = 1
-
-GAIT_KINDS = ("fourier", "waypoint")
-VERIFY_SUITES = tuple(_SUITES)
 
 
 class ScenarioError(Exception):
@@ -139,107 +139,126 @@ def _yaml_hint(value) -> str:
     return f"; YAML 1.1 reads {value!r} as a string (exponents need a dot and a sign), write {spelled}"
 
 
-def _as_float(block: dict, path: str, key: str, default=None, positive=False):
-    value = block.get(key, default)
-    if value is None:
-        raise ScenarioError(f"{path}.{key}", "missing value")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}", "expected a number" + _yaml_hint(value))
-    value = _finite(value, f"{path}.{key}")
-    if positive and value <= 0.0:
-        raise ScenarioError(f"{path}.{key}", "must be positive")
-    return value
-
-
-def _as_int(block: dict, path: str, key: str, default=None, minimum=None):
-    value = block.get(key, default)
-    if value is None:
-        raise ScenarioError(f"{path}.{key}", "missing value")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key}", "expected an integer")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{path}.{key}", f"must be at least {minimum}")
-    return int(value)
-
-
-def _number_row(value, path: str, message: str, length=None) -> list[float]:
-    """Finite floats of a list of plain numbers (bools excluded), else ScenarioError at path."""
-    if (
-        not isinstance(value, list)
-        or (length is not None and len(value) != length)
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+def _floats(value, path: str, length=None) -> list[float]:
+    """Finite floats of a list of length plain numbers (bools excluded), else ScenarioError at path."""
+    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
         hints = map(_yaml_hint, value) if isinstance(value, list) else ()
-        raise ScenarioError(path, message + next(filter(None, hints), ""))
+        raise ScenarioError(path, "expected a list of numbers" + next(filter(None, hints), ""))
+    if length is not None and len(value) != length:
+        raise ScenarioError(path, f"expected {length} entries")
     return [_finite(v, path) for v in value]
 
 
-def _as_float_list(block: dict, path: str, key: str, length=None, default=None):
-    value = block.get(key, default)
-    if value is None:
-        raise ScenarioError(f"{path}.{key}", "missing value")
-    floats = _number_row(value, f"{path}.{key}", "expected a list of numbers")
-    if length is not None and len(floats) != length:
-        raise ScenarioError(f"{path}.{key}", f"expected {length} entries")
-    return floats
+# A reader is called as read(block, path, key, seen), where seen holds the
+# keys of its row read before it and, by block name, the objects built by the
+# blocks read before its block.  It returns the key's resolved value, or None
+# for an absent optional key.
+def _reader(convert, default=None):
+    """Reader of block[key], else default, through convert(value, path.key, seen)."""
+
+    def read(block, path, key, seen):
+        value = block.get(key, default)
+        if value is None:
+            raise ScenarioError(f"{path}.{key}", "missing value")
+        return convert(value, f"{path}.{key}", seen)
+
+    return read
 
 
-def _as_interval(block: dict, path: str, key: str, default) -> list[float]:
-    lo, hi = _as_float_list(block, path, key, length=2, default=default)
-    if not lo < hi:
-        raise ScenarioError(f"{path}.{key}", "need lower < upper")
-    return [lo, hi]
+def _optional(read):
+    """read, for a key that may be absent (or null) and then resolves to None."""
+    return lambda block, path, key, seen: None if block.get(key) is None else read(block, path, key, seen)
 
 
-def _as_int_pair(block: dict, path: str, key: str) -> list[int]:
-    value = block.get(key)
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
-    ):
-        raise ScenarioError(f"{path}.{key}", "expected two integers")
-    return [int(v) for v in value]
+def _choice(names, default=None):
+    def read(block, path, key, seen):
+        value = block.get(key, default)
+        if not isinstance(value, str) or value not in names:
+            raise ScenarioError(f"{path}.{key}", f"expected one of {tuple(names)}")
+        return value
+
+    return read
 
 
-def _as_matrix(block: dict, path: str, key: str, width: int):
-    value = block.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, list):
-        raise ScenarioError(f"{path}.{key}", "expected a list of rows")
-    return [
-        _number_row(row, f"{path}.{key}[{idx}]", f"expected a row of {width} numbers", width)
-        for idx, row in enumerate(value)
-    ]
-
-
-# Typed readers, each called as reader(block, path, key, resolved) where
-# resolved holds the keys of its row that were read before it.
 def _number(default=None, positive=False):
-    return lambda block, path, key, resolved: _as_float(block, path, key, default, positive)
+    def convert(value, where, seen):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(where, "expected a number" + _yaml_hint(value))
+        value = _finite(value, where)
+        if positive and value <= 0.0:
+            raise ScenarioError(where, "must be positive")
+        return value
+
+    return _reader(convert, default)
 
 
 _positive = functools.partial(_number, positive=True)
 
 
 def _integer(default=None, minimum=None):
-    return lambda block, path, key, resolved: _as_int(block, path, key, default, minimum)
+    def convert(value, where, seen):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioError(where, "expected an integer")
+        if minimum is not None and value < minimum:
+            raise ScenarioError(where, f"must be at least {minimum}")
+        return int(value)
+
+    return _reader(convert, default)
 
 
-def _numbers(same_length_as=None):
-    return lambda block, path, key, resolved: _as_float_list(
-        block, path, key, length=len(resolved[same_length_as]) if same_length_as else None
-    )
+def _numbers(length=None, default=None):
+    """Reader of a list of numbers; length is a count, or a function of seen."""
+    count = length if callable(length) else lambda seen: length
+    return _reader(lambda value, where, seen: _floats(value, where, count(seen)), default)
 
 
-# A table row is (readers, factory) or (readers, factory, (key, table)).  The
-# nested selector names a row of another table whose keys live in the same
-# block; the object it builds is the factory's first argument.
+def _interval(default):
+    def convert(value, where, seen):
+        lo, hi = _floats(value, where, 2)
+        if not lo < hi:
+            raise ScenarioError(where, "need lower < upper")
+        return [lo, hi]
+
+    return _reader(convert, default)
+
+
+def _rows(width, what: str, nonempty=False):
+    """Reader of a list of rows (what, in messages) of width(seen) numbers each, row i checked at path.key[i]."""
+
+    def convert(value, where, seen):
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ScenarioError(where, f"expected a {'non-empty ' if nonempty else ''}list of {what}")
+        return [_floats(row, f"{where}[{i}]", width(seen)) for i, row in enumerate(value)]
+
+    return _reader(convert)
+
+
+def _int_pair(value, where, seen) -> list[int]:
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
+    ):
+        raise ScenarioError(where, "expected two integers")
+    return [int(v) for v in value]
+
+
+def _dim(seen) -> int:
+    return seen["model"].dim
+
+
+# A table row is (readers, factory, *inputs).  An input is the name of a block
+# read before, whose built object it passes, or a (key, table) selector:
+# block[key] names a row of table whose keys live in the same block and are
+# read first.  The factory takes the inputs' objects in order, then the
+# readers' values by key.  A block with a kind is itself a selector.
 _POSE_MAPS = {
     "rotate_translate": ({}, rotate_translate_map),
     "wavy": ({}, wavy_pose_map),
-    "arm_com": ({"lengths": _numbers(), "masses": _numbers("lengths")}, arm_com_pose_map),
+    "arm_com": (
+        {"lengths": _numbers(), "masses": _numbers(lambda seen: len(seen["lengths"]))},
+        arm_com_pose_map,
+    ),
 }
 
 _DRAG_CHAIN = {
@@ -285,187 +304,215 @@ _MODELS = {
 
 MODEL_KINDS = tuple(_MODELS)
 
+_harmonics = _optional(_rows(lambda seen: len(seen["mean"]), "rows"))
 
-def _read_row(block: dict, path: str, key: str, table: dict):
-    """(resolved keys, built object) of the row that block[key] names in table."""
-    name = block.get(key)
-    if not isinstance(name, str) or name not in table:
-        raise ScenarioError(f"{path}.{key}", f"expected one of {tuple(table)}")
-    readers, factory, *nested = table[name]
-    resolved, args = {key: name}, []
-    for selector in nested:
-        sub, built = _read_row(block, path, *selector)
-        resolved.update(sub)
-        args.append(built)
-    for k, read in readers.items():
-        resolved[k] = read(block, path, k, resolved)
+_GAITS = {
+    "fourier": (
+        {"period": _positive(1.0), "mean": _numbers(_dim), "cos": _harmonics, "sin": _harmonics},
+        FourierGait,
+    ),
+    "waypoint": (
+        {
+            "points": _rows(_dim, "shapes", nonempty=True),
+            "times": _numbers(lambda seen: len(seen["points"]) + 1),
+        },
+        WaypointGait,
+    ),
+}
+
+
+def _check_time_axis(period: float, step: float, event_tol: float, cycles: int) -> None:
+    """Reject a run past MAX_STEPS, or an event tolerance below the float spacing at its end time."""
+    with _errors_at("integrator.step"):
+        steps_per_cycle(period, step, cycles)
+    spacing = math.ulp(period * cycles)
+    if event_tol < spacing:
+        raise ScenarioError(
+            "integrator.event_tol",
+            f"{event_tol!r} is below the float spacing {spacing!r} at t = {period * cycles!r}"
+            " (period times cycles); a switch time cannot be located that finely",
+        )
+
+
+_INTEGRATOR = (
+    {"step": _positive(1e-2), "event_tol": _positive(1e-10), "cycles": _integer(1, minimum=1)},
+    lambda gait, **settings: _check_time_axis(gait.period, **settings),
+    "gait",
+)
+
+
+def _sweep_hi(value, where, seen) -> list[float]:
+    lo, hi = seen["lo"], _floats(value, where, 2)
+    if not (lo[0] < hi[0] and lo[1] < hi[1]):
+        raise ScenarioError(where, "must exceed sweep.lo on both axes")
+    if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
+        raise ScenarioError(where, "the span hi - lo must be finite on both axes")
+    return hi
+
+
+def _sweep_counts(value, where, seen) -> list[int]:
+    counts = _int_pair(value, where, seen)
+    if min(counts) < 2:
+        raise ScenarioError(where, "need at least 2 nodes per axis")
+    if counts[0] * counts[1] > MAX_NODES:
+        raise ScenarioError(where, f"{counts[0]} x {counts[1]} nodes exceed {MAX_NODES}")
+    return counts
+
+
+def _sweep_curvature(value, where, seen) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(where, "expected true or false")
+    n1, n2 = seen["counts"]
+    if value and min(n1, n2) < 3:
+        raise ScenarioError(where, f"curvature needs at least a 3x3 grid, got {n1}x{n2}")
+    return value
+
+
+def _grid(model, lo, hi, counts, axes, base, curvature) -> GridSpec:
+    # the default axes must name model coordinates too
+    a, b = axes or (0, 1)
+    if a == b or not (0 <= a < model.dim and 0 <= b < model.dim):
+        raise ScenarioError("sweep.axes", f"expected two different model coordinates in 0..{model.dim - 1}")
+    return GridSpec(tuple(lo), tuple(hi), tuple(counts), (a, b), None if base is None else tuple(base))
+
+
+_SWEEP = (
+    {
+        "lo": _numbers(2),
+        "hi": _reader(_sweep_hi),
+        "counts": _reader(_sweep_counts),
+        "axes": _optional(_reader(_int_pair)),
+        "base": _optional(_numbers(_dim)),
+        "curvature": _reader(_sweep_curvature, False),
+    },
+    _grid,
+    "model",
+)
+
+
+def _slot_list(value, where, seen) -> list[list]:
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(where, "expected a non-empty list of slots")
+    slots = []
+    for idx, slot in enumerate(value):
+        if not isinstance(slot, list) or not slot or slot[0] not in SLOT_KINDS:
+            raise ScenarioError(f"{where}[{idx}]", f"expected [kind, indices...] with kind {'|'.join(SLOT_KINDS)}")
+        want = 2 if slot[0] == "mean" else 3
+        if len(slot) != want or any(isinstance(v, bool) or not isinstance(v, int) for v in slot[1:]):
+            raise ScenarioError(f"{where}[{idx}]", f"expected {want} entries")
+        slots.append([slot[0]] + [int(v) for v in slot[1:]])
+    return slots
+
+
+def _slot_upper(value, where, seen) -> list[float]:
+    upper = _floats(value, where, len(seen["slots"]))
+    if not all(lo < hi for lo, hi in zip(seen["lower"], upper)):
+        raise ScenarioError(where, "need lower < upper in every slot")
+    return upper
+
+
+def _slot_family(gait, slots, lower, upper) -> GaitFamily:
+    if not isinstance(gait, FourierGait):
+        raise ScenarioError("optimize", "fourier_slots requires a fourier gait template")
+    # the bounds are checked by their readers, so only a slot can still be rejected
+    with _errors_at("optimize.slots"):
+        return fourier_slot_family(gait, [tuple(s) for s in slots], lower, upper)
+
+
+_FAMILIES = {
+    "amplitude_phase": (
+        {"period": _positive(1.0), "amplitude": _interval([0.1, 1.2]), "phase": _interval([-math.pi, math.pi])},
+        lambda period, amplitude, phase: amplitude_phase_family(period, tuple(amplitude), tuple(phase)),
+    ),
+    "fourier_slots": (
+        {
+            "slots": _reader(_slot_list),
+            "lower": _numbers(lambda seen: len(seen["slots"])),
+            "upper": _reader(_slot_upper),
+        },
+        _slot_family,
+        "gait",
+    ),
+}
+
+
+def _search(family: GaitFamily, direction, budget, restarts) -> GaitFamily:
+    """The family, once the budget buys at least one simplex of its parameters."""
+    simplex = family.n_params + 1
+    if budget < simplex:
+        raise ScenarioError("optimize.budget", f"must be at least {simplex}, one simplex")
+    return family
+
+
+_OPTIMIZE = (
+    {
+        "direction": _choice(DIRECTIONS, "x"),
+        "budget": _integer(500, minimum=2),
+        "restarts": _integer(4, minimum=1),
+    },
+    _search,
+    ("family", _FAMILIES),
+)
+
+
+def _suite_list(value, where, seen) -> list[str]:
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(where, "expected a non-empty list")
+    for name in value:
+        if not isinstance(name, str) or name not in SUITES:
+            raise ScenarioError(where, f"unknown suite {name!r}")
+        if name == "residual" and not isinstance(seen["model"], ConstraintConnection):
+            raise ScenarioError(where, "residual suite needs a constraint-based model")
+    return list(value)
+
+
+_VERIFY = ({"suites": _reader(_suite_list), "shapes": _integer(100, minimum=1), "box": _positive(1.2)}, dict)
+
+
+# every block in reading order; model and gait are required
+_BLOCKS = {
+    "model": ("kind", _MODELS),
+    "gait": ("kind", _GAITS),
+    "integrator": _INTEGRATOR,
+    "sweep": _SWEEP,
+    "optimize": _OPTIMIZE,
+    "verify": _VERIFY,
+}
+
+
+def _read_row(block: dict, path: str, row: tuple, built: dict):
+    """(resolved keys, built object) of a table row, or a selector's row, read from block.
+
+    An absent optional key resolves to None.
+    """
+    if isinstance(row[0], str):
+        key, table = row
+        name = _choice(table)(block, path, key, built)
+        resolved, obj = _read_row(block, path, table[name], built)
+        return {key: name, **resolved}, obj
+    readers, factory, *inputs = row
+    resolved, args = {}, []
+    for source in inputs:
+        if isinstance(source, str):
+            args.append(built[source])
+        else:
+            sub, obj = _read_row(block, path, source, built)
+            resolved.update(sub)
+            args.append(obj)
+    seen = collections.ChainMap(resolved, built)
+    for key, read in readers.items():
+        resolved[key] = read(block, path, key, seen)
     with _errors_at(path):
         return resolved, factory(*args, **{k: resolved[k] for k in readers})
 
 
-def _build_gait(block: dict, dim: int):
-    path = "gait"
-    _expect_mapping(block, path)
-    kind = block.get("kind")
-    if kind not in GAIT_KINDS:
-        raise ScenarioError(f"{path}.kind", f"expected one of {GAIT_KINDS}")
-
-    if kind == "fourier":
-        _check_keys(block, path, ("kind", "period", "mean", "cos", "sin"), ("mean",))
-        period = _as_float(block, path, "period", 1.0, positive=True)
-        mean = _as_float_list(block, path, "mean", length=dim)
-        cos = _as_matrix(block, path, "cos", len(mean))
-        sin = _as_matrix(block, path, "sin", len(mean))
-        resolved = {"kind": kind, "period": period, "mean": mean}
-        if cos is not None:
-            resolved["cos"] = cos
-        if sin is not None:
-            resolved["sin"] = sin
-        with _errors_at(path):
-            return resolved, FourierGait(period, mean, cos=cos, sin=sin)
-
-    _check_keys(block, path, ("kind", "points", "times"), ("points", "times"))
-    points = block.get("points")
-    if not isinstance(points, list) or not points:
-        raise ScenarioError(f"{path}.points", "expected a non-empty list of shapes")
-    pts = [
-        _number_row(row, f"{path}.points[{idx}]", f"expected a shape with {dim} coordinates", dim)
-        for idx, row in enumerate(points)
-    ]
-    times = _as_float_list(block, path, "times", length=len(pts) + 1)
-    with _errors_at(path):
-        return {"kind": kind, "points": pts, "times": times}, WaypointGait(points=pts, times=times)
-
-
-def _build_sweep(block: dict, dim: int):
-    """Return (resolved_block, GridSpec)."""
-    path = "sweep"
-    _expect_mapping(block, path)
-    _check_keys(
-        block, path, ("lo", "hi", "counts", "axes", "base", "curvature"), ("lo", "hi", "counts")
-    )
-    lo = _as_float_list(block, path, "lo", length=2)
-    hi = _as_float_list(block, path, "hi", length=2)
-    if not (lo[0] < hi[0] and lo[1] < hi[1]):
-        raise ScenarioError(f"{path}.hi", "must exceed sweep.lo on both axes")
-    counts = _as_int_pair(block, path, "counts")
-    if min(counts) < 2:
-        raise ScenarioError(f"{path}.counts", "need at least 2 nodes per axis")
-    if counts[0] * counts[1] > MAX_NODES:
-        raise ScenarioError(f"{path}.counts", f"{counts[0]} x {counts[1]} nodes exceed {MAX_NODES}")
-    resolved = {"lo": lo, "hi": hi, "counts": counts}
-    axes = [0, 1]
-    if block.get("axes") is not None:
-        axes = resolved["axes"] = _as_int_pair(block, path, "axes")
-    if axes[0] == axes[1] or not all(0 <= a < dim for a in axes):
-        raise ScenarioError(
-            f"{path}.axes", f"expected two different model coordinates in 0..{dim - 1}"
-        )
-    base = None
-    if block.get("base") is not None:
-        base = resolved["base"] = _as_float_list(block, path, "base", length=dim)
-    curvature = block.get("curvature", False)
-    if not isinstance(curvature, bool):
-        raise ScenarioError(f"{path}.curvature", "expected true or false")
-    resolved["curvature"] = curvature
-    with _errors_at(path):
-        grid = GridSpec(
-            lo=tuple(lo),
-            hi=tuple(hi),
-            counts=tuple(counts),
-            axes=tuple(axes),
-            base=None if base is None else tuple(base),
-        )
-    return resolved, grid
-
-
-def _build_optimize(block: dict, gait_block: dict):
-    path = "optimize"
-    _expect_mapping(block, path)
-    family = block.get("family")
-    if family not in FAMILIES:
-        raise ScenarioError(f"{path}.family", f"expected one of {FAMILIES}")
-    direction = block.get("direction", "x")
-    if direction not in DIRECTIONS:
-        raise ScenarioError(f"{path}.direction", f"expected one of {DIRECTIONS}")
-    budget = _as_int(block, path, "budget", 500, minimum=2)
-    restarts = _as_int(block, path, "restarts", 4, minimum=1)
-
-    if family == "amplitude_phase":
-        _check_keys(
-            block,
-            path,
-            ("family", "direction", "budget", "restarts", "period", "amplitude", "phase"),
-        )
-        return {
-            "family": family,
-            "direction": direction,
-            "budget": budget,
-            "restarts": restarts,
-            "period": _as_float(block, path, "period", 1.0, positive=True),
-            "amplitude": _as_interval(block, path, "amplitude", [0.1, 1.2]),
-            "phase": _as_interval(block, path, "phase", [-float(np.pi), float(np.pi)]),
-        }
-
-    _check_keys(
-        block, path, ("family", "direction", "budget", "restarts", "slots", "lower", "upper"),
-        ("slots", "lower", "upper"),
-    )
-    if gait_block.get("kind") != "fourier":
-        raise ScenarioError(path, "fourier_slots requires a fourier gait template")
-    slots_raw = block.get("slots")
-    if not isinstance(slots_raw, list) or not slots_raw:
-        raise ScenarioError(f"{path}.slots", "expected a non-empty list of slots")
-    slots = []
-    for idx, slot in enumerate(slots_raw):
-        if not isinstance(slot, list) or not slot or slot[0] not in SLOT_KINDS:
-            raise ScenarioError(
-                f"{path}.slots[{idx}]",
-                f"expected [kind, indices...] with kind {'|'.join(SLOT_KINDS)}",
-            )
-        want = 2 if slot[0] == "mean" else 3
-        if len(slot) != want or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in slot[1:]
-        ):
-            raise ScenarioError(f"{path}.slots[{idx}]", f"expected {want} entries")
-        slots.append([slot[0]] + [int(v) for v in slot[1:]])
-    lower = _as_float_list(block, path, "lower", length=len(slots))
-    upper = _as_float_list(block, path, "upper", length=len(slots))
-    if not all(lo < hi for lo, hi in zip(lower, upper)):
-        raise ScenarioError(f"{path}.upper", "need lower < upper in every slot")
-    return {
-        "family": family,
-        "direction": direction,
-        "budget": budget,
-        "restarts": restarts,
-        "slots": slots,
-        "lower": lower,
-        "upper": upper,
-    }
-
-
-def _build_verify(block: dict, has_constraints: bool):
-    path = "verify"
-    _expect_mapping(block, path)
-    _check_keys(block, path, ("suites", "shapes", "box"), ("suites",))
-    suites_raw = block.get("suites")
-    if not isinstance(suites_raw, list) or not suites_raw:
-        raise ScenarioError(f"{path}.suites", "expected a non-empty list")
-    suites = []
-    for name in suites_raw:
-        if name not in VERIFY_SUITES:
-            raise ScenarioError(f"{path}.suites", f"unknown suite {name!r}")
-        if name == "residual" and not has_constraints:
-            raise ScenarioError(
-                f"{path}.suites",
-                "residual suite needs a constraint-based model",
-            )
-        suites.append(name)
-    return {
-        "suites": suites,
-        "shapes": _as_int(block, path, "shapes", 100, minimum=1),
-        "box": _as_float(block, path, "box", 1.2, positive=True),
-    }
+def _read_block(value, path: str, built: dict):
+    """(resolved block, built object) of the block named path."""
+    block = _expect_mapping(value, path)
+    resolved, obj = _read_row(block, path, _BLOCKS[path], built)
+    # a row resolves every key it reads, so its resolved keys are the allowed ones
+    _check_keys(block, path, resolved)
+    return {k: v for k, v in resolved.items() if v is not None}, obj
 
 
 def load_scenario(source, overrides: dict | None = None) -> Scenario:
@@ -486,102 +533,48 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         except yaml.YAMLError as exc:
             raise ScenarioError("<file>", f"not parseable as YAML: {exc}") from exc
     doc = _expect_mapping(doc, "<root>")
-    _check_keys(
-        doc,
-        "<root>",
-        ("schema", "seed", "out", "model", "gait", "integrator", "sweep", "optimize", "verify"),
-        ("model", "gait"),
-    )
+    _check_keys(doc, "<root>", ("schema", "seed", "out", *_BLOCKS), ("model", "gait"))
     # command-line flags replace the fields they name before validation
     flags = {k: v for k, v in (overrides or {}).items() if v is not None}
-    doc = {**doc, **{k: flags[k] for k in ("seed", "out") if k in flags}}
+    integ = _expect_mapping(doc.get("integrator", {}), "integrator")
+    doc = {
+        **doc,
+        **{k: flags[k] for k in ("seed", "out") if k in flags},
+        "integrator": {**integ, **{k: flags[k] for k in ("step", "cycles") if k in flags}},
+    }
 
     schema = doc.get("schema", SCHEMA_VERSION)
     # True == 1 and 1.0 == 1 in Python; only the integer names a version
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ScenarioError("schema", f"unsupported schema version {schema!r}")
-    seed = _as_int(doc, "<root>", "seed", default=0, minimum=0)
+    seed = _integer(0, minimum=0)(doc, "<root>", "seed", {})
     out_dir = doc.get("out", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ScenarioError("out", "expected a non-empty string")
 
-    model = _expect_mapping(doc.get("model"), "model")
-    model_block, provider = _read_row(model, "model", "kind", _MODELS)
-    # a row resolves every key it reads, so its resolved keys are the allowed ones
-    _check_keys(model, "model", model_block)
-    gait_block, gait = _build_gait(doc.get("gait"), provider.dim)
-
-    integ = _expect_mapping(doc.get("integrator", {}), "integrator")
-    _check_keys(integ, "integrator", ("step", "event_tol", "cycles"))
-    integ = {**integ, **{k: flags[k] for k in ("step", "cycles") if k in flags}}
-    step = _as_float(integ, "integrator", "step", 1e-2, positive=True)
-    event_tol = _as_float(integ, "integrator", "event_tol", 1e-10, positive=True)
-    cycles = _as_int(integ, "integrator", "cycles", 1, minimum=1)
-    _check_time_axis(gait.period, step, event_tol, cycles)
-
-    resolved = {
-        "schema": SCHEMA_VERSION,
-        "seed": seed,
-        "out": out_dir,
-        "model": model_block,
-        "gait": gait_block,
-        "integrator": {"step": step, "event_tol": event_tol, "cycles": cycles},
-    }
-    scenario = Scenario(
+    resolved, built = {"schema": SCHEMA_VERSION, "seed": seed, "out": out_dir}, {}
+    for name in _BLOCKS:
+        if name in doc:
+            resolved[name], built[name] = _read_block(doc[name], name, built)
+    if "optimize" in resolved:
+        # the amplitude/phase search integrates at its own period
+        _check_time_axis(resolved["optimize"].get("period", built["gait"].period), **resolved["integrator"])
+    return Scenario(
         raw=resolved,
         seed=seed,
         out_dir=out_dir,
-        model_kind=model_block["kind"],
-        provider=provider,
-        gait=gait,
-        step=step,
-        event_tol=event_tol,
-        cycles=cycles,
+        model_kind=resolved["model"]["kind"],
+        provider=built["model"],
+        gait=built["gait"],
+        **resolved["integrator"],
+        **{name: resolved.get(name) for name in ("sweep", "optimize", "verify")},
+        grid=built.get("sweep"),
+        family=built.get("optimize"),
     )
 
-    if "sweep" in doc:
-        scenario.sweep, scenario.grid = _build_sweep(doc["sweep"], provider.dim)
-        resolved["sweep"] = scenario.sweep
-    if "optimize" in doc:
-        scenario.optimize = resolved["optimize"] = _build_optimize(doc["optimize"], gait_block)
-        _check_time_axis(scenario.optimize.get("period", gait.period), step, event_tol, cycles)
-        # bounds are checked above, so only a slot can still be rejected
-        with _errors_at("optimize.slots"):
-            scenario.family = build_family(scenario)
-        simplex = scenario.family.n_params + 1
-        if scenario.optimize["budget"] < simplex:
-            raise ScenarioError("optimize.budget", f"must be at least {simplex}, one simplex")
-    if "verify" in doc:
-        has_constraints = isinstance(provider, ConstraintConnection)
-        scenario.verify = resolved["verify"] = _build_verify(doc["verify"], has_constraints)
-    return scenario
 
-
-def _check_time_axis(period: float, step: float, event_tol: float, cycles: int) -> None:
-    """Reject a run past MAX_STEPS, or an event tolerance below the float spacing at its end time."""
-    with _errors_at("integrator.step"):
-        steps_per_cycle(period, step, cycles)
-    spacing = math.ulp(period * cycles)
-    if event_tol < spacing:
-        raise ScenarioError(
-            "integrator.event_tol",
-            f"{event_tol!r} is below the float spacing {spacing!r} at t = {period * cycles!r}"
-            " (period times cycles); a switch time cannot be located that finely",
-        )
-
-
-def build_family(scenario: Scenario):
-    """Materialize the optimize block's gait family."""
-    block = scenario.optimize
-    if block is None:
+def build_family(scenario: Scenario) -> GaitFamily:
+    """The optimize block's gait family, re-read from its resolved row."""
+    if scenario.optimize is None:
         raise ScenarioError("optimize", "scenario has no optimize block")
-    if block["family"] == "amplitude_phase":
-        return amplitude_phase_family(
-            period=block["period"],
-            amplitude_bounds=tuple(block["amplitude"]),
-            phase_bounds=tuple(block["phase"]),
-        )
-    slots = [tuple(s) for s in block["slots"]]
-    return fourier_slot_family(
-        scenario.gait, slots=slots, lower=block["lower"], upper=block["upper"]
-    )
+    return _read_block(scenario.optimize, "optimize", {"gait": scenario.gait})[1]

@@ -89,9 +89,7 @@ def _suite_residual(scenario):
     builder = scenario.constraint_builder
     if builder is None:
         raise ValueError("residual suite needs a constraint-based model")
-    params = scenario.verify or {}
-    count = int(params.get("shapes", 100))
-    box = float(params.get("box", 1.2))
+    count, box = scenario.verify["shapes"], scenario.verify["box"]
     # one (count, dim) draw is the same stream as count draws of one shape
     shapes = np.random.default_rng(scenario.seed).uniform(-box, box, (count, scenario.dim))
     system = builder(shapes)
@@ -101,7 +99,7 @@ def _suite_residual(scenario):
     return [_check("residual", "constraint_balance", worst, 1e-10)]
 
 
-_SUITES = {
+SUITES = {
     "loop_closure": _suite_loop_closure,
     "single_piece": _suite_single_piece,
     "reversal": _suite_reversal,
@@ -117,5 +115,5 @@ def run_verify(scenario) -> list[VerifyCheck]:
         raise ValueError("scenario has no verify block")
     rows: list[VerifyCheck] = []
     for name in scenario.verify["suites"]:
-        rows.extend(_SUITES[name](scenario))
+        rows.extend(SUITES[name](scenario))
     return rows

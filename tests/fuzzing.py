@@ -1,5 +1,6 @@
-"""Mutated scenario documents and a wall-time limit for property tests."""
+"""Mutated and table-built scenario documents and a wall-time limit for property tests."""
 
+import collections
 import contextlib
 import copy
 import math
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import yaml
 from hypothesis import strategies as st
+
+from locomech.scenario import _BLOCKS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -82,6 +85,72 @@ def mutated_documents(draw, values=ANY_VALUES, docs=SHIPPED_DOCS):
             block = draw(st.sampled_from(blocks))
             block[draw(st.sampled_from(SCENARIO_KEYS))] = draw(values)
     return doc
+
+
+# values for the keys no shipped document sets
+EXAMPLE_VALUES = {
+    ("model", "fd_step"): [1.0e-5, 1.0e-4],
+    ("model", "feet"): [2, 5],
+    ("model", "lengths"): [[1.0, 0.8]],
+    ("model", "masses"): [[1.0, 0.5]],
+    ("sweep", "axes"): [[1, 0]],
+    ("sweep", "base"): [[0.1, -0.2]],
+    ("optimize", "period"): [1.0, 2.0],
+    ("optimize", "amplitude"): [[0.2, 0.8]],
+    ("optimize", "phase"): [[-1.0, 1.0]],
+    ("optimize", "slots"): [[["sin", 1, 0], ["cos", 1, 1]]],
+    ("optimize", "lower"): [[-1.0, -1.0]],
+    ("optimize", "upper"): [[1.0, 1.0]],
+}
+
+
+def _known_values(docs):
+    """(block, key) -> the values that key takes in docs, or in EXAMPLE_VALUES."""
+    known = collections.defaultdict(list, copy.deepcopy(EXAMPLE_VALUES))
+    for doc in docs:
+        for name, block in doc.items():
+            for key, value in block.items() if isinstance(block, dict) else ():
+                known[name, key].append(value)
+    return known
+
+
+@st.composite
+def table_documents(draw, values=ANY_VALUES, docs=SHIPPED_DOCS):
+    """A document read off the scenario tables.
+
+    Model and gait, and each other block half the time, name a row of their
+    table and keep each key of that row, with a value the key takes in docs
+    or EXAMPLE_VALUES.  Each document draws how often a key is left out
+    (never or one time in ten) and how often a kind or a value is replaced
+    by one from values, or a block gets a key from SCENARIO_KEYS (never, one
+    time in fifty or one time in ten).
+    """
+    known = _known_values(docs)
+    rnd = draw(st.randoms(use_true_random=True))
+    drop, noise = rnd.choice([0.0, 0.1]), rnd.choice([0.0, 0.02, 0.1])
+
+    def fill(name, row, block):
+        if isinstance(row[0], str):
+            key, table = row
+            kind = block[key] = draw(values) if rnd.random() < noise else rnd.choice(list(table))
+            return fill(name, table[kind], block) if isinstance(kind, str) and kind in table else block
+        readers, _, *inputs = row
+        for source in inputs:
+            if not isinstance(source, str):
+                fill(name, source, block)
+        for key in readers:
+            if rnd.random() >= drop:
+                seen = known[name, key]
+                block[key] = copy.deepcopy(rnd.choice(seen)) if seen and rnd.random() >= noise else draw(values)
+        if rnd.random() < noise:
+            block[rnd.choice(SCENARIO_KEYS)] = draw(values)
+        return block
+
+    return {
+        name: fill(name, row, {})
+        for name, row in _BLOCKS.items()
+        if name in ("model", "gait") or rnd.random() < 0.5
+    }
 
 
 @contextlib.contextmanager

@@ -342,6 +342,11 @@ class TestSampleField:
         with pytest.raises(ValueError):
             GridSpec(lo=(0, 0), hi=(1, 1), counts=(5, 5), axes=(1, 1))
 
+    def test_grid_spec_rejects_an_overflowing_span(self):
+        # a span past the largest float once gave NaN nodes from np.linspace
+        with pytest.raises(ValueError, match="span hi - lo must be finite"):
+            GridSpec(lo=(-1.0e308, 0.0), hi=(1.0e308, 1.0), counts=(3, 3))
+
 
 class TestCurvature:
     def test_commuting_constant_connection_is_flat(self):

@@ -26,7 +26,7 @@ from locomech import (
     sample_field,
 )
 from locomech.cli import load_field_csv, load_trajectory_csv, main
-from fuzzing import SCENARIOS, SHIPPED_DOCS, document_values, mutated_documents, time_limit
+from fuzzing import SCENARIOS, SHIPPED_DOCS, document_values, mutated_documents, table_documents, time_limit
 
 
 def write_scenario(tmp_path, doc, name="scenario.yaml"):
@@ -312,6 +312,8 @@ class TestExitCodes:
             ({"axes": [1, 1]}, "sweep.axes"),
             ({"axes": [0, 2]}, "sweep.axes"),
             ({"axes": [-1, 0]}, "sweep.axes"),
+            # a span past the largest float once gave NaN nodes and a traceback
+            ({"lo": [-1.0e308, -1.0e308], "hi": [1.0e308, 1.0e308]}, "sweep.hi: the span hi - lo must be finite"),
         ],
     )
     def test_malformed_sweep_window_is_two(self, tmp_path, capsys, window, field):
@@ -494,6 +496,19 @@ class TestExitCodes:
         assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 3
         assert "abort" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amplitude, what", [(1.0e160, "twist norm"), (1.0e110, "step exponent")])
+    def test_overflowing_combine_is_three(self, tmp_path, capsys, amplitude, what):
+        # finite stage twists that overflow in the combine once wrote NaN
+        # poses and an infinite max_twist_norm, and exited 0
+        doc = swimmer_doc()
+        doc["gait"].update(cos=[[0.0, -amplitude]], sin=[[amplitude, 0.0]])
+        path = write_scenario(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", path, "--out", str(tmp_path / "run"), "--step", "0.05"])
+        assert code == 3
+        assert f"numerical abort: non-finite {what} at t=0.0" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
+
     def test_non_finite_connection_is_three(self, tmp_path, monkeypatch, capsys):
         def nan_outside_disc():
             def fn(r):
@@ -631,3 +646,38 @@ def test_main_keeps_the_exit_code_contract_on_mutated_documents(doc, data):
             code = main(argv)
     assert code in (0, 1, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _run_main(doc, command):
+    """main()'s exit code, stderr and written files for doc at --cycles 1 and --step 0.05, within 30 s."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, time_limit(30.0):
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        argv = [command, str(path), "--out", str(Path(tmp) / "run"), "--cycles", "1", "--step", "0.05"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue(), {p.name: p.read_text() for p in Path(tmp).glob("run/*")}
+
+
+# Documents read off the scenario tables, run as simulate or a command whose
+# block they have: random rows, random subsets of their keys, values those
+# keys take in the shipped documents (search cut to 8 evaluations) or bounded
+# fuzz values.  A trajectory that is written holds finite numbers only.
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=5000,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(table_documents(_CLI_VALUES, _CLI_DOCS), st.data())
+def test_main_keeps_the_exit_code_contract_on_table_documents(doc, data):
+    command = data.draw(st.sampled_from(["simulate"] + [c for c in ("sweep", "optimize", "verify") if c in doc]))
+    code, err, written = _run_main(doc, command)
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if "trajectory.csv" in written:
+        rows = [line.split(",") for line in written["trajectory.csv"].splitlines() if not line.startswith("#")]
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row[:-1])
+        assert "NaN" not in written["summary.json"] and "Infinity" not in written["summary.json"]

@@ -555,6 +555,32 @@ def test_overflowing_stage_twist_raises():
         integrate_gait(Huge(), FourierGait(1.0, [0.0], sin=[[0.5]]), step=0.1)
 
 
+@pytest.mark.parametrize("amplitude, what", [(1.0e160, "twist norm"), (1.0e110, "step exponent")])
+def test_overflowing_combine_raises(amplitude, what):
+    # finite stage twists whose squares (1e160) or exponent brackets (1e110)
+    # overflow once gave NaN poses and an infinite largest norm, without an abort
+    gait = FourierGait(1.0, [0.0, 0.0], cos=[[0.0, -amplitude]], sin=[[amplitude, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularConstraint, match=f"non-finite {what} at t=0.0"):
+            integrate_gait(three_link_swimmer().provider(), gait, step=0.05)
+
+
+def test_overflowing_pose_product_raises():
+    # every twist, norm and exponent is finite (one step moves 1.9e307 along
+    # x), but the body travels twice the 1.5e308 amplitude, past the largest float
+    class Doubling(Pointwise):
+        dim = 1
+
+        def connection_at(self, r):
+            return np.array([[2.0], [0.0], [0.0]])
+
+        def contacts_at(self, r):
+            return None
+
+    with pytest.raises(SingularConstraint, match="non-finite pose at t="):
+        integrate_gait(Doubling(), FourierGait(1.0e200, [0.0], sin=[[1.5e308]]), step=1.0e198)
+
+
 def test_shapeless_model_evaluates_one_row():
     # a single-link swimmer has no shape coordinates: every stage is the
     # same empty shape, so one row is evaluated and the body never moves

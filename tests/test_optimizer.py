@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from locomech import (
     GaitFamily,
     amplitude_phase_family,
     fourier_slot_family,
+    integrate_gait,
     nelder_mead,
+    net_displacement,
     objective_displacement,
     optimize,
     three_link_swimmer,
 )
+from locomech.optimizer import DIRECTIONS
 
 
 def quadratic(p):
@@ -224,6 +228,19 @@ class TestDisplacementObjective:
         gait = amplitude_phase_family().build(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             objective_displacement(swimmer, gait, "z")
+
+    def test_each_direction_names_its_component(self, swimmer):
+        gait = amplitude_phase_family().build(np.array([0.6, 1.0]))
+        disp = net_displacement(integrate_gait(swimmer, gait, step=1e-2))
+        expected = {"x": disp.vx, "y": disp.vy, "theta": disp.omega, "speed": float(np.hypot(disp.vx, disp.vy))}
+        assert {name: component(disp) for name, component in DIRECTIONS.items()} == expected
+        assert {name: objective_displacement(swimmer, gait, name) for name in DIRECTIONS} == expected
+
+    @pytest.mark.parametrize("direction", ["z", ["x"], None])
+    def test_unknown_direction_message_lists_the_names(self, swimmer, direction):
+        gait = amplitude_phase_family().build(np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match=re.escape("one of ('x', 'y', 'theta', 'speed')")):
+            objective_displacement(swimmer, gait, direction)
 
     def test_optimize_finds_propulsive_gait(self, swimmer):
         # coarse step and tiny budget keep the runtime small; measured

@@ -219,6 +219,16 @@ class TestCommandBlocks:
         with pytest.raises(ScenarioError, match="sweep.curvature"):
             load_scenario(doc)
 
+    def test_curvature_grid_size_checked_at_load(self):
+        # once the whole grid was sampled before the sweep command failed,
+        # and simulate ran the same document
+        doc = minimal(sweep={"lo": [-1, -1], "hi": [1, 1], "counts": [2, 5], "curvature": True})
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(doc)
+        assert str(exc.value) == "sweep.curvature: curvature needs at least a 3x3 grid, got 2x5"
+        doc["sweep"]["curvature"] = False
+        assert load_scenario(doc).grid.counts == (2, 5)
+
     def test_sweep_node_ceiling(self):
         # loading only: a grid one node row past the ceiling would still fit
         # in memory, so the check must come before any sampling
@@ -295,6 +305,19 @@ class TestCommandBlocks:
         assert str(exc.value) == (
             "optimize.slots[0]: expected [kind, indices...] with kind mean|cos|sin"
         )
+
+    @pytest.mark.parametrize(
+        "block, value, field",
+        [
+            ("model", {"kind": []}, "model.kind"),
+            ("optimize", {"family": "amplitude_phase", "direction": ["x"]}, "optimize.direction"),
+            ("verify", {"suites": [["reversal"]]}, "verify.suites"),
+        ],
+    )
+    def test_unhashable_names_are_scenario_errors(self, block, value, field):
+        # kinds, directions and suites are looked up in tables keyed by name
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(minimal(**{block: value}))
 
     def test_optimize_direction_checked(self):
         doc = minimal(optimize={"family": "amplitude_phase", "direction": "z"})
