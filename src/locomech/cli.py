@@ -4,9 +4,10 @@ Four subcommands share one scenario format: simulate integrates the gait
 and writes the trajectory, sweep tabulates the connection over a shape
 grid, optimize searches a gait family, and verify runs invariant suites.
 All output is plain CSV or JSON with a short metadata header (schema
-version and scenario hash, never timestamps), floats printed with 17
-significant digits so files reparse to the exact in-memory doubles and
-reruns are byte-identical.
+version and scenario hash, never timestamps), floats printed as %.17g so
+files reparse to the exact in-memory doubles and reruns are byte-identical.
+CSV files are written row by row from arrays computed before the file is
+opened, so an abort leaves no partial file.
 
 Exit codes: 0 success, 1 invariant failure, 2 scenario validation error,
 3 numerical abort (singular constraint or degenerate stance).
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -31,9 +33,9 @@ from .verify import run_verify
 
 _TWIST_AXES = ("vx", "vy", "om")
 
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+# trajectory.csv rows per slab, each one .tolist() and one write, so the
+# Python floats held at once stay bounded however long the run
+_SLAB_ROWS = 4096
 
 
 def _contact_str(contacts) -> str:
@@ -42,25 +44,38 @@ def _contact_str(contacts) -> str:
     return "+".join(str(i) for i in sorted(contacts))
 
 
+def _spell_contacts(labels: list) -> list[str]:
+    """The contact-set cell of each label; each distinct label is spelled once."""
+    spelled = {label: _contact_str(label) for label in set(labels)}
+    return [spelled[label] for label in labels]
+
+
 def _parse_contacts(text: str):
     if text == "":
         return None
     return frozenset(int(part) for part in text.split("+"))
 
 
-def _meta_lines(scenario: Scenario, command: str, extra=()) -> list[str]:
-    lines = [
+def _meta_lines(scenario: Scenario, command: str) -> list[str]:
+    return [
         f"# schema={SCHEMA_VERSION}",
         f"# scenario=sha256:{scenario.sha}",
         f"# command={command}",
     ]
-    lines.extend(extra)
-    return lines
 
 
-def _write_text(path: str, lines: list[str]) -> None:
+def _write_csv(path: str, head: list[str], template: str, slabs) -> None:
+    """Write the head lines, then `template % row` for every row of every slab.
+
+    A slab is an iterable of row tuples of plain Python values; template
+    ends in a newline and spells each float %.17g, which gives the bytes of
+    format(x, ".17g").  Slabs only format values computed before the call,
+    so nothing that can abort runs once the file is open.
+    """
     with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(head) + "\n")
+        for rows in slabs:
+            handle.write("".join(map(template.__mod__, rows)))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -91,6 +106,54 @@ def _read_meta_and_rows(path: str):
     return meta, header, rows
 
 
+def _write_trajectory(path: str, meta: list[str], traj) -> None:
+    """Write trajectory.csv: one row per trajectory sample, in slabs of _SLAB_ROWS rows."""
+    dim = traj.shapes.shape[1]
+    header = (
+        ["t", "x", "y", "theta"]
+        + [f"r{k + 1}" for k in range(dim)]
+        + ["xi_vx", "xi_vy", "xi_omega", "contact_set"]
+    )
+    poses = [(p.x, p.y, p.theta) for p in traj.poses]
+    values = np.column_stack([traj.times, poses, traj.shapes, traj.twists])
+    contacts = _spell_contacts(traj.contacts)
+    slabs = (
+        zip(*values[k : k + _SLAB_ROWS].T.tolist(), contacts[k : k + _SLAB_ROWS])
+        for k in range(0, len(contacts), _SLAB_ROWS)
+    )
+    template = "%.17g," * (7 + dim) + "%s\n"
+    _write_csv(path, meta + [f"# dim={dim}", ",".join(header)], template, slabs)
+
+
+def _write_field(path: str, meta: list[str], field, curv) -> None:
+    """Write field.csv: one row per grid node in row-major order, one grid row per slab.
+
+    Each axis value is spelled once, not once per node.
+    """
+    n1, n2, _, dim = field.conn.shape
+    header = ["i", "j", "r1", "r2"]
+    for axis in _TWIST_AXES:
+        header.extend(f"A_{axis}_{k + 1}" for k in range(dim))
+    header.extend(["contact_set", "singular"])
+    if curv is not None:
+        header.extend(["D_vx", "D_vy", "D_omega"])
+    template = "%d,%d,%s,%s," + "%.17g," * (3 * dim) + "%s,%d" + ",%.17g" * (3 * (curv is not None)) + "\n"
+    head = meta + [f"# counts={n1}x{n2}", f"# dim={dim}", f"# curvature={int(curv is not None)}", ",".join(header)]
+    axis1 = ["%.17g" % v for v in field.axis1.tolist()]
+    axis2 = ["%.17g" % v for v in field.axis2.tolist()]
+    contacts = [""] * (n1 * n2) if field.contacts is None else _spell_contacts(field.contacts.ravel().tolist())
+    conn = field.conn.reshape(n1, n2, 3 * dim)
+
+    def slab(i: int):
+        columns = [repeat(i), range(n2), repeat(axis1[i]), axis2, *conn[i].T.tolist()]
+        columns.extend([contacts[i * n2 : (i + 1) * n2], field.singular[i].tolist()])
+        if curv is not None:
+            columns.extend(curv.values[i].T.tolist())
+        return zip(*columns)
+
+    _write_csv(path, head, template, map(slab, range(n1)))
+
+
 def cmd_simulate(scenario: Scenario) -> int:
     traj = integrate_gait(
         scenario.provider,
@@ -99,23 +162,7 @@ def cmd_simulate(scenario: Scenario) -> int:
         step=scenario.step,
         event_tol=scenario.event_tol,
     )
-    dim = scenario.dim
-
-    header = (
-        ["t", "x", "y", "theta"]
-        + [f"r{k + 1}" for k in range(dim)]
-        + ["xi_vx", "xi_vy", "xi_omega", "contact_set"]
-    )
-    lines = _meta_lines(scenario, "simulate", (f"# dim={dim}",))
-    lines.append(",".join(header))
-    for k, t in enumerate(traj.times):
-        pose = traj.poses[k]
-        cells = [_fmt(t), _fmt(pose.x), _fmt(pose.y), _fmt(pose.theta)]
-        cells.extend(_fmt(v) for v in traj.shapes[k])
-        cells.extend(_fmt(v) for v in traj.twists[k])
-        cells.append(_contact_str(traj.contacts[k]))
-        lines.append(",".join(cells))
-    _write_text(os.path.join(scenario.out_dir, "trajectory.csv"), lines)
+    _write_trajectory(os.path.join(scenario.out_dir, "trajectory.csv"), _meta_lines(scenario, "simulate"), traj)
 
     net = net_displacement(traj)
     summary = {
@@ -145,36 +192,7 @@ def cmd_sweep(scenario: Scenario) -> int:
     field = sample_field(scenario.provider, scenario.grid)
     curv = curvature(field) if scenario.sweep["curvature"] else None
 
-    n1, n2 = field.conn.shape[:2]
-    dim = field.conn.shape[3]
-    header = ["i", "j", "r1", "r2"]
-    for axis in _TWIST_AXES:
-        header.extend(f"A_{axis}_{k + 1}" for k in range(dim))
-    header.extend(["contact_set", "singular"])
-    if curv is not None:
-        header.extend(["D_vx", "D_vy", "D_omega"])
-
-    lines = _meta_lines(
-        scenario,
-        "sweep",
-        (
-            f"# counts={n1}x{n2}",
-            f"# dim={dim}",
-            f"# curvature={int(curv is not None)}",
-        ),
-    )
-    lines.append(",".join(header))
-    for i in range(n1):
-        for j in range(n2):
-            cells = [str(i), str(j), _fmt(field.axis1[i]), _fmt(field.axis2[j])]
-            cells.extend(_fmt(v) for v in field.conn[i, j].reshape(-1))
-            contact = field.contacts[i, j] if field.contacts is not None else None
-            cells.append(_contact_str(contact))
-            cells.append(str(int(field.singular[i, j])))
-            if curv is not None:
-                cells.extend(_fmt(v) for v in curv.values[i, j])
-            lines.append(",".join(cells))
-    _write_text(os.path.join(scenario.out_dir, "field.csv"), lines)
+    _write_field(os.path.join(scenario.out_dir, "field.csv"), _meta_lines(scenario, "sweep"), field, curv)
     return 0
 
 
@@ -219,21 +237,15 @@ def cmd_verify(scenario: Scenario) -> int:
     if scenario.verify is None:
         raise ScenarioError("verify", "scenario has no verify block")
     rows = run_verify(scenario)
-    lines = _meta_lines(scenario, "verify")
-    lines.append("suite,check,value,threshold,passed")
-    for row in rows:
-        lines.append(
-            ",".join(
-                [row.suite, row.check, _fmt(row.value), _fmt(row.threshold), str(int(row.passed))]
-            )
-        )
-    _write_text(os.path.join(scenario.out_dir, "verify.csv"), lines)
+    _write_csv(
+        os.path.join(scenario.out_dir, "verify.csv"),
+        _meta_lines(scenario, "verify") + ["suite,check,value,threshold,passed"],
+        "%s,%s,%.17g,%.17g,%d\n",
+        [[(row.suite, row.check, row.value, row.threshold, row.passed) for row in rows]],
+    )
     for row in rows:
         verdict = "PASS" if row.passed else "FAIL"
-        print(
-            f"{row.suite}/{row.check}: {verdict} "
-            f"value={_fmt(row.value)} threshold={_fmt(row.threshold)}"
-        )
+        print("%s/%s: %s value=%.17g threshold=%.17g" % (row.suite, row.check, verdict, row.value, row.threshold))
     return 0 if all(row.passed for row in rows) else 1
 
 

@@ -125,9 +125,18 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     n_steps = steps_per_cycle(period, step, cycles)
     h = period / n_steps
 
+    def sample(ts, side: str = "right"):
+        """Shapes and rates at times ts, without numpy's overflow warnings.
+
+        A gait that overflows samples non-finite rates; the stage rates are
+        checked before any sample is used beyond picking a stance.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return gait.evaluate_many(ts, side)
+
     def shape_and_label(t: float):
         """Shape at t and the stance selected there, one row at a time."""
-        r = gait.evaluate_many([t])[0]
+        r = sample([t])[0]
         return r[0], provider.contacts_many(r)[0]
 
     # -- plan: accepted steps and events; no connection call.  Step j runs
@@ -215,7 +224,7 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         # midpoint or end leaves its start's stance is searched for switches
         n = len(grid) - 1
         g = np.array(grid)
-        labels = provider.contacts_many(gait.evaluate_many(np.concatenate([g, g[:-1] + 0.5 * np.diff(g)]))[0])
+        labels = provider.contacts_many(sample(np.concatenate([g, g[:-1] + 0.5 * np.diff(g)]))[0])
         if k == 0:
             times.append(grid[0])
             contacts.append(labels[0])
@@ -237,19 +246,23 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     stage_rates = np.empty_like(stage_shapes)
     for offset, ts, side in ((0, t, "right"), (1, t_mid, "right"), (2, t[1:], "left")):
         stage_times[offset::3] = ts
-        stage_shapes[offset::3], stage_rates[offset::3] = gait.evaluate_many(ts, side)
+        stage_shapes[offset::3], stage_rates[offset::3] = sample(ts, side)
     _require_finite(np.isfinite(stage_rates).all(axis=1), "shape rate", stage_times, stage_shapes)
     stage_labels = [c for c in contacts[:-1] for _ in range(3)] + contacts[-1:]
     conn, stage_conn = connection_rows(provider, stage_shapes, stage_labels)
     _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", stage_times, stage_shapes)
-    # one row per stage; the batched product gives each row bitwise its own A @ rdot
-    stage_twists = (conn[stage_conn] @ stage_rates[:, :, None])[:, :, 0]
-    _require_finite(np.isfinite(stage_twists).all(axis=1), "stage twist", stage_times, stage_shapes)
-    # the last row's twist is no stage, so it stays out of the largest norm;
-    # a finite twist's squares can still overflow
-    vx, vy, om = stage_twists[:-1].T
-    norms = np.sqrt(vx * vx + vy * vy + om * om)
-    _require_finite(np.isfinite(norms), "twist norm", stage_times, stage_shapes)
+    # Each array pass from here on is checked for finiteness right after it,
+    # so an overflow aborts with SingularConstraint and numpy's warning is
+    # not printed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one row per stage; the batched product gives each row bitwise its own A @ rdot
+        stage_twists = (conn[stage_conn] @ stage_rates[:, :, None])[:, :, 0]
+        _require_finite(np.isfinite(stage_twists).all(axis=1), "stage twist", stage_times, stage_shapes)
+        # the last row's twist is no stage, so it stays out of the largest norm;
+        # a finite twist's squares can still overflow
+        vx, vy, om = stage_twists[:-1].T
+        norms = np.sqrt(vx * vx + vy * vy + om * om)
+        _require_finite(np.isfinite(norms), "twist norm", stage_times, stage_shapes)
     max_norm = float(norms.max(initial=0.0))
     n_shapes = len(conn)
     shapes = stage_shapes[::3].copy()
@@ -258,9 +271,11 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     # -- combine: every step's exponent and increment in array passes; only
     # the pose product runs step by step.  Finite twists can still combine
     # into an overflowing exponent or pose; row j's time and shape name step j.
-    u = _rkmk4_exponents(np.diff(t), stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
-    _require_finite(np.isfinite(u).all(axis=0), "step exponent", t, shapes)
-    poses = list(accumulate((Pose(*inc) for inc in exp_many(u).T.tolist()), compose, initial=Pose()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _rkmk4_exponents(np.diff(t), stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
+        _require_finite(np.isfinite(u).all(axis=0), "step exponent", t, shapes)
+        increments = exp_many(u).T.tolist()
+    poses = list(accumulate((Pose(*inc) for inc in increments), compose, initial=Pose()))
     # a non-finite coordinate stays non-finite under the product (theta is
     # wrapped and stays finite), so the last pose tells whether any pose is
     if not (math.isfinite(poses[-1].x) and math.isfinite(poses[-1].y)):

@@ -69,7 +69,11 @@ class FourierGait(_Sampled):
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cos", cos)
         object.__setattr__(self, "sin", sin)
-        rates = 2.0 * np.pi * np.arange(1, k + 1) / self.period
+        # a subnormal period overflows the rates to inf; every rate the gait
+        # then samples is NaN, which integrate_gait rejects as a non-finite
+        # shape rate, so the overflow warning is not printed here
+        with np.errstate(over="ignore"):
+            rates = 2.0 * np.pi * np.arange(1, k + 1) / self.period
         object.__setattr__(self, "angular_rates", _as_readonly(rates))
 
     @property

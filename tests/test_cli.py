@@ -6,7 +6,9 @@ import math
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -503,11 +505,23 @@ class TestExitCodes:
         doc = swimmer_doc()
         doc["gait"].update(cos=[[0.0, -amplitude]], sin=[[amplitude, 0.0]])
         path = write_scenario(tmp_path, doc)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["simulate", path, "--out", str(tmp_path / "run"), "--step", "0.05"])
-        assert code == 3
-        assert f"numerical abort: non-finite {what} at t=0.0" in capsys.readouterr().err
+        assert main(["simulate", path, "--out", str(tmp_path / "run"), "--step", "0.05"]) == 3
+        # the checked overflow prints the abort line and no numpy warning
+        assert capsys.readouterr().err == f"numerical abort: non-finite {what} at t=0.0, shape [0.0, {-amplitude!r}]\n"
         assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["sample_field", "curvature"])
+    def test_sweep_abort_writes_no_field(self, tmp_path, monkeypatch, capsys, stage):
+        # everything that can abort runs before field.csv is opened
+        def boom(*args, **kwargs):
+            raise SingularConstraint(f"fabricated abort in {stage}")
+
+        monkeypatch.setattr(cli, stage, boom)
+        doc = swimmer_doc(sweep={"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [5, 5], "curvature": True})
+        path = write_scenario(tmp_path, doc)
+        assert main(["sweep", path, "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == f"numerical abort: fabricated abort in {stage}\n"
+        assert not (tmp_path / "run" / "field.csv").exists()
 
     def test_non_finite_connection_is_three(self, tmp_path, monkeypatch, capsys):
         def nan_outside_disc():
@@ -681,3 +695,140 @@ def test_main_keeps_the_exit_code_contract_on_table_documents(doc, data):
         rows = [line.split(",") for line in written["trajectory.csv"].splitlines() if not line.startswith("#")]
         assert all(math.isfinite(float(v)) for row in rows[1:] for v in row[:-1])
         assert "NaN" not in written["summary.json"] and "Infinity" not in written["summary.json"]
+
+
+# The per-cell CSV writer that the row-template writer replaced, kept as the
+# byte reference: one format(float(x), ".17g") per float cell and one join
+# over every line of the file.
+def _reference_fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _reference_trajectory_text(meta, traj) -> str:
+    dim = traj.shapes.shape[1]
+    header = (
+        ["t", "x", "y", "theta"]
+        + [f"r{k + 1}" for k in range(dim)]
+        + ["xi_vx", "xi_vy", "xi_omega", "contact_set"]
+    )
+    lines = meta + [f"# dim={dim}", ",".join(header)]
+    for k, t in enumerate(traj.times):
+        pose = traj.poses[k]
+        cells = [_reference_fmt(t), _reference_fmt(pose.x), _reference_fmt(pose.y), _reference_fmt(pose.theta)]
+        cells.extend(_reference_fmt(v) for v in traj.shapes[k])
+        cells.extend(_reference_fmt(v) for v in traj.twists[k])
+        cells.append(cli._contact_str(traj.contacts[k]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_field_text(meta, field, curv) -> str:
+    n1, n2 = field.conn.shape[:2]
+    dim = field.conn.shape[3]
+    header = ["i", "j", "r1", "r2"]
+    for axis in ("vx", "vy", "om"):
+        header.extend(f"A_{axis}_{k + 1}" for k in range(dim))
+    header.extend(["contact_set", "singular"])
+    if curv is not None:
+        header.extend(["D_vx", "D_vy", "D_omega"])
+    lines = meta + [f"# counts={n1}x{n2}", f"# dim={dim}", f"# curvature={int(curv is not None)}", ",".join(header)]
+    for i in range(n1):
+        for j in range(n2):
+            cells = [str(i), str(j), _reference_fmt(field.axis1[i]), _reference_fmt(field.axis2[j])]
+            cells.extend(_reference_fmt(v) for v in field.conn[i, j].reshape(-1))
+            contact = field.contacts[i, j] if field.contacts is not None else None
+            cells.append(cli._contact_str(contact))
+            cells.append(str(int(field.singular[i, j])))
+            if curv is not None:
+                cells.extend(_reference_fmt(v) for v in curv.values[i, j])
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+# every float spelling the writers meet: NaN (either sign), infinities,
+# signed zeros, subnormals, the largest finite magnitudes, integer values
+# and exponent forms, beside arbitrary doubles
+_CELL_FLOATS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from(
+        [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+         1.7e308, -1.7e308, 1.7976931348623157e308, 1e-05, 1.0000000000000001e-05, 1e16, 1e22]
+    ),
+    st.integers(-(2**60), 2**60).map(float),
+)
+_LABELS = st.one_of(st.none(), st.frozensets(st.integers(0, 11), min_size=1, max_size=3))
+_WRITER = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+def _float_arrays(data, shape):
+    size = math.prod(shape)
+    return np.array(data.draw(st.lists(_CELL_FLOATS, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+
+def _same_floats(got, want) -> bool:
+    """Equal values with NaN equal to NaN and -0.0 apart from 0.0 (a NaN's sign is not kept)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    signs = [np.signbit(a) & ~np.isnan(a) for a in (got, want)]
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(*signs)
+
+
+@_WRITER
+@given(st.data())
+def test_trajectory_writer_matches_the_per_cell_writer(data):
+    n = data.draw(st.integers(0, 9))
+    dim = data.draw(st.integers(1, 3))
+    poses = _float_arrays(data, (n, 3))
+    traj = types.SimpleNamespace(
+        times=_float_arrays(data, (n,)),
+        poses=[types.SimpleNamespace(x=x, y=y, theta=th) for x, y, th in poses.tolist()],
+        shapes=_float_arrays(data, (n, dim)),
+        twists=_float_arrays(data, (n, 3)),
+        contacts=data.draw(st.lists(_LABELS, min_size=n, max_size=n)),
+    )
+    meta = ["# schema=1", "# command=simulate"]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_SLAB_ROWS", data.draw(st.integers(1, 4))):
+        path = Path(tmp) / "trajectory.csv"
+        cli._write_trajectory(str(path), meta, traj)
+        assert path.read_bytes() == _reference_trajectory_text(meta, traj).encode()
+        got = load_trajectory_csv(str(path))
+    assert _same_floats(got["times"], traj.times)
+    assert _same_floats(got["poses"], poses)
+    assert _same_floats(got["shapes"], traj.shapes)
+    assert _same_floats(got["twists"], traj.twists)
+    assert got["contacts"] == traj.contacts
+
+
+@_WRITER
+@given(st.data())
+def test_field_writer_matches_the_per_cell_writer(data):
+    n1, n2, dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    contacts = None
+    if data.draw(st.booleans()):
+        labels = data.draw(st.lists(_LABELS, min_size=n1 * n2, max_size=n1 * n2).filter(lambda c: any(c)))
+        contacts = np.fromiter(labels, dtype=object).reshape(n1, n2)
+    field = types.SimpleNamespace(
+        axis1=_float_arrays(data, (n1,)),
+        axis2=_float_arrays(data, (n2,)),
+        conn=_float_arrays(data, (n1, n2, 3, dim)),
+        contacts=contacts,
+        singular=np.array(data.draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))).reshape(n1, n2),
+    )
+    curv = types.SimpleNamespace(values=_float_arrays(data, (n1, n2, 3))) if data.draw(st.booleans()) else None
+    meta = ["# schema=1", "# command=sweep"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        cli._write_field(str(path), meta, field, curv)
+        assert path.read_bytes() == _reference_field_text(meta, field, curv).encode()
+        got = load_field_csv(str(path))
+    assert _same_floats(got["axis1"], field.axis1)
+    assert _same_floats(got["axis2"], field.axis2)
+    assert _same_floats(got["conn"], field.conn)
+    assert np.array_equal(got["singular"], field.singular)
+    if contacts is None:
+        assert got["contacts"] is None
+    else:
+        assert got["contacts"].tolist() == contacts.tolist()
+    if curv is None:
+        assert got["curvature"] is None
+    else:
+        assert _same_floats(got["curvature"], curv.values)
