@@ -114,8 +114,7 @@ def _write_trajectory(path: str, meta: list[str], traj) -> None:
         + [f"r{k + 1}" for k in range(dim)]
         + ["xi_vx", "xi_vy", "xi_omega", "contact_set"]
     )
-    poses = [(p.x, p.y, p.theta) for p in traj.poses]
-    values = np.column_stack([traj.times, poses, traj.shapes, traj.twists])
+    values = np.column_stack([traj.times, traj.pose_array.T, traj.shapes, traj.twists])
     contacts = _spell_contacts(traj.contacts)
     slabs = (
         zip(*values[k : k + _SLAB_ROWS].T.tolist(), contacts[k : k + _SLAB_ROWS])

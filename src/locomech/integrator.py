@@ -12,21 +12,24 @@ new piece from the same pose, so the pose path stays continuous.  Three
 evaluate_many calls then fill the stage rows, the connection is evaluated
 once per distinct (stance, stage shape), the step exponents (stage twists
 combined through the truncated inverse differential of exp) and their
-exponentials are array passes, and only the pose product runs step by step.
-A single-piece provider labels every shape None and so never splits a step.
+exponentials are array passes.  Only the pose product runs step by step, as
+one plain-float loop (liegroup.compose_chain) that builds no Pose; the poses
+are kept as one read-only (3, n + 1) array, and Trajectory.poses reads them
+as Pose objects.  A single-piece provider labels every shape None and so
+never splits a step.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .connection import SingularConstraint, connection_rows
-from .liegroup import Pose, Twist, bracket_many, compose, compose_many, exp_many, inverse_many, log_many
+from .liegroup import Pose, Twist, bracket_many, compose_chain, compose_many, exp_many, inverse_many, log_many
 
 
 @dataclass(frozen=True)
@@ -40,18 +43,55 @@ class EventRecord:
     window: tuple[float, float]
 
 
+class PoseSequence(Sequence):
+    """Read-only sequence of the Poses in the columns of a (3, n) pose array.
+
+    Each index, slice or iteration builds its Poses from the array; a slice
+    gives a list.
+    """
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: np.ndarray) -> None:
+        self._g = g
+
+    def __len__(self) -> int:
+        return self._g.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [Pose(*col) for col in zip(*self._g[:, i].tolist())]
+        return Pose(*self._g[:, i].tolist())
+
+    def __iter__(self):
+        return (Pose(*col) for col in zip(*self._g.tolist()))
+
+
 @dataclass
 class Trajectory:
-    """Sampled integration output; one row per accepted step boundary."""
+    """Sampled integration output; one row per accepted step boundary.
+
+    pose_array holds the body poses as (3, rows) x, y, theta rows and is made
+    read-only; poses reads its columns as Pose objects.
+    """
 
     times: np.ndarray
-    poses: list[Pose]
+    pose_array: np.ndarray
     shapes: np.ndarray
     twists: np.ndarray
     contacts: list
     events: list[EventRecord]
     cycle_indices: list[int]
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        g = np.asarray(self.pose_array, dtype=float).view()
+        g.flags.writeable = False
+        self.pose_array = g
+
+    @property
+    def poses(self) -> PoseSequence:
+        return PoseSequence(self.pose_array)
 
 
 def _dexpinv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -85,7 +125,8 @@ def _rkmk4_exponents(h: np.ndarray, k1: np.ndarray, mid: np.ndarray, end: np.nda
 
 
 # Most steps (per cycle, times cycles) one integration may take.  It peaks
-# near a kilobyte per step, so a period or step asking for more is rejected
+# at 600-900 bytes per step and its Trajectory keeps about 80 (tracemalloc on
+# the shipped scenarios), so a period or step asking for more is rejected
 # instead of exhausting memory.
 MAX_STEPS = 1_000_000
 
@@ -269,21 +310,21 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     del conn, stage_conn, stage_labels, stage_rates, stage_shapes, stage_times, norms
 
     # -- combine: every step's exponent and increment in array passes; only
-    # the pose product runs step by step.  Finite twists can still combine
-    # into an overflowing exponent or pose; row j's time and shape name step j.
+    # the pose product runs step by step, in plain floats.  Finite twists can
+    # still combine into an overflowing exponent or pose; row j's time and
+    # shape name step j.
     with np.errstate(over="ignore", invalid="ignore"):
         u = _rkmk4_exponents(np.diff(t), stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
         _require_finite(np.isfinite(u).all(axis=0), "step exponent", t, shapes)
-        increments = exp_many(u).T.tolist()
-    poses = list(accumulate((Pose(*inc) for inc in increments), compose, initial=Pose()))
+        poses = compose_chain(exp_many(u))
     # a non-finite coordinate stays non-finite under the product (theta is
     # wrapped and stays finite), so the last pose tells whether any pose is
-    if not (math.isfinite(poses[-1].x) and math.isfinite(poses[-1].y)):
-        _require_finite(np.isfinite([(p.x, p.y) for p in poses]).all(axis=1), "pose", t, shapes)
+    if not np.isfinite(poses[:2, -1]).all():
+        _require_finite(np.isfinite(poses[:2]).all(axis=0), "pose", t, shapes)
 
     return Trajectory(
         times=t,
-        poses=poses,
+        pose_array=poses,
         shapes=shapes,
         # row k's twist is the start stage of the step leaving row k
         twists=stage_twists[::3].copy(),
@@ -307,7 +348,7 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
 
 def pose_increments(traj: Trajectory, a, b) -> np.ndarray:
     """Exponents log(g_a^-1 g_b) over paired indices or slices a, b of traj.poses, as (3, n)."""
-    g = np.array([(p.x, p.y, p.theta) for p in traj.poses]).T
+    g = traj.pose_array
     return log_many(compose_many(inverse_many(g[:, a]), g[:, b]))
 
 

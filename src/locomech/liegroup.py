@@ -8,6 +8,8 @@ ordering of every connection matrix in this package.
 The ``*_many`` kernels, the only array SE(2) arithmetic here, take triples of
 broadcastable float components, e.g. a (3, ...) array, and return (3, ...)
 arrays bitwise equal to their scalar twins; pose angles must lie in (-pi, pi].
+compose_chain, the running product of a path's increments, is sequential and
+runs compose's float expressions on plain floats.
 """
 
 from __future__ import annotations
@@ -97,6 +99,24 @@ def compose(g1: Pose, g2: Pose) -> Pose:
         g1.y + s * g2.x + c * g2.y,
         g1.theta + g2.theta,
     )
+
+
+def compose_chain(increments) -> np.ndarray:
+    """Running products of (3, n) increments from the identity, as (3, n + 1).
+
+    Column k + 1 is compose(column k, Pose(*increment k)), bitwise: the same
+    float expressions on plain floats, with each angle wrapped as Pose does.
+    """
+    cos, sin, wrap = math.cos, math.sin, normalize_angle
+    x = y = th = 0.0
+    xs, ys, ths = [x], [y], [th]
+    for ix, iy, ith in zip(*np.asarray(increments, dtype=float).tolist()):
+        c, s = cos(th), sin(th)
+        x, y, th = x + c * ix - s * iy, y + s * ix + c * iy, wrap(th + wrap(ith))
+        xs.append(x)
+        ys.append(y)
+        ths.append(th)
+    return np.array([xs, ys, ths])
 
 
 def inverse(g: Pose) -> Pose:

@@ -4,11 +4,14 @@ Each suite turns one conservation or consistency property into a few
 numeric checks: a measured value, the threshold it must stay under, and
 the resulting verdict.  Suites reuse the scenario's model, gait, and
 integrator settings so a failing row points at a concrete configuration.
+One verify run integrates the scenario's own gait over one cycle at most
+once, and every suite that needs that run shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -43,49 +46,48 @@ def _integrate(scenario, gait=None, cycles=None):
     )
 
 
-def _suite_loop_closure(scenario):
-    traj = _integrate(scenario, cycles=1)
-    return [_check("loop_closure", "log_final_pose", log(traj.poses[-1]).norm(), 1e-8)]
+def _suite_loop_closure(scenario, base):
+    return [_check("loop_closure", "log_final_pose", log(base().poses[-1]).norm(), 1e-8)]
 
 
-def _suite_single_piece(scenario):
-    traj = _integrate(scenario, cycles=1)
+def _suite_single_piece(scenario, base):
+    traj = base()
     return [
         _check("single_piece", "net_displacement", net_displacement(traj).norm(), 1e-8),
         _check("single_piece", "event_count", float(len(traj.events)), 0.0),
     ]
 
 
-def _suite_reversal(scenario):
-    forward = _integrate(scenario, cycles=1).poses[-1]
+def _suite_reversal(scenario, base):
+    forward = base().poses[-1]
     backward = _integrate(scenario, gait=reversed_gait(scenario.gait), cycles=1).poses[-1]
     return [
         _check("reversal", "log_roundtrip_pose", log(compose(forward, backward)).norm(), 1e-8)
     ]
 
 
-def _suite_pacing(scenario):
+def _suite_pacing(scenario, base):
     period = scenario.gait.period
 
     def warp(t):
         u = t / period
         return period * (3.0 * u * u - 2.0 * u**3)
 
-    base = net_displacement(_integrate(scenario, cycles=1))
+    shift = net_displacement(base())
     warped_gait = reparameterize(scenario.gait, warp, samples=4096)
     warped = net_displacement(_integrate(scenario, gait=warped_gait, cycles=1))
-    return [_check("pacing", "retimed_displacement_gap", (base - warped).norm(), 1e-7)]
+    return [_check("pacing", "retimed_displacement_gap", (shift - warped).norm(), 1e-7)]
 
 
-def _suite_continuity(scenario):
-    traj = _integrate(scenario)
+def _suite_continuity(scenario, base):
+    traj = base() if scenario.cycles == 1 else _integrate(scenario)
     vx, vy, om = pose_increments(traj, slice(None, -1), slice(1, None))
     worst = float(np.sqrt(vx * vx + vy * vy + om * om).max(initial=0.0))
     bound = traj.meta["max_twist_norm"] * traj.meta["step"] * (1.0 + 1e-9)
     return [_check("continuity", "max_pose_increment", worst, bound)]
 
 
-def _suite_residual(scenario):
+def _suite_residual(scenario, base):
     builder = scenario.constraint_builder
     if builder is None:
         raise ValueError("residual suite needs a constraint-based model")
@@ -113,7 +115,9 @@ def run_verify(scenario) -> list[VerifyCheck]:
     """Run the scenario's selected suites and collect all check rows."""
     if scenario.verify is None:
         raise ValueError("scenario has no verify block")
+    # the scenario's own gait over one cycle, integrated on first use
+    base = cache(partial(_integrate, scenario, cycles=1))
     rows: list[VerifyCheck] = []
     for name in scenario.verify["suites"]:
-        rows.extend(SUITES[name](scenario))
+        rows.extend(SUITES[name](scenario, base))
     return rows

@@ -713,8 +713,8 @@ def _reference_trajectory_text(meta, traj) -> str:
     )
     lines = meta + [f"# dim={dim}", ",".join(header)]
     for k, t in enumerate(traj.times):
-        pose = traj.poses[k]
-        cells = [_reference_fmt(t), _reference_fmt(pose.x), _reference_fmt(pose.y), _reference_fmt(pose.theta)]
+        cells = [_reference_fmt(t)]
+        cells.extend(_reference_fmt(v) for v in traj.pose_array[:, k])
         cells.extend(_reference_fmt(v) for v in traj.shapes[k])
         cells.extend(_reference_fmt(v) for v in traj.twists[k])
         cells.append(cli._contact_str(traj.contacts[k]))
@@ -780,7 +780,7 @@ def test_trajectory_writer_matches_the_per_cell_writer(data):
     poses = _float_arrays(data, (n, 3))
     traj = types.SimpleNamespace(
         times=_float_arrays(data, (n,)),
-        poses=[types.SimpleNamespace(x=x, y=y, theta=th) for x, y, th in poses.tolist()],
+        pose_array=poses.T,
         shapes=_float_arrays(data, (n, dim)),
         twists=_float_arrays(data, (n, 3)),
         contacts=data.draw(st.lists(_LABELS, min_size=n, max_size=n)),

@@ -1,11 +1,16 @@
 """Group integration of gait-driven motion: order, events, conservation laws."""
 
+import gc
 import math
+import tracemalloc
 import warnings
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locomech import (
     ChainModel,
@@ -39,6 +44,7 @@ from locomech import (
     wavy_pose_map,
 )
 from locomech.integrator import MAX_STEPS, pose_increments
+from locomech.liegroup import compose_chain
 from locomech.optimizer import amplitude_phase_family
 from fuzzing import time_limit
 from pointwise import Pointwise
@@ -230,7 +236,7 @@ def test_net_displacement_trivial_cases():
     assert net_displacement(traj).norm() < 1e-13
     hand = Trajectory(
         times=np.array([0.0, 1.0]),
-        poses=[Pose(), Pose(0.1, 0.0, 0.0)],
+        pose_array=np.array([[0.0, 0.1], [0.0, 0.0], [0.0, 0.0]]),
         shapes=np.zeros((2, 1)),
         twists=np.zeros((2, 3)),
         contacts=[None, None],
@@ -244,7 +250,7 @@ def test_net_displacement_trivial_cases():
 def test_net_displacement_needs_full_cycle():
     partial = Trajectory(
         times=np.array([0.0]),
-        poses=[Pose()],
+        pose_array=np.zeros((3, 1)),
         shapes=np.zeros((1, 1)),
         twists=np.zeros((1, 3)),
         contacts=[None],
@@ -588,6 +594,69 @@ def test_shapeless_model_evaluates_one_row():
     assert traj.meta["stage_shapes"] == 1
     assert not traj.twists.any()
     assert traj.poses[-1] == Pose()
+
+
+def test_integrated_poses_are_one_read_only_array():
+    traj = integrate_gait(PiecewiseConnection(two_leg_crawler()), square_gait(), step=0.01)
+    assert traj.pose_array.shape == (3, len(traj.times))
+    with pytest.raises(ValueError):
+        traj.pose_array[:, -1] = 0.0
+    assert traj.poses[-1] == Pose(*traj.pose_array[:, -1])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-12.0, 12.0)), max_size=12),
+    st.integers(-15, 14),
+    st.slices(14),
+)
+def test_poses_view_reads_the_pose_chain(incs, k, part):
+    chain = list(accumulate((Pose(*inc) for inc in incs), compose, initial=Pose()))
+    n = len(chain)
+    traj = Trajectory(
+        times=np.arange(float(n)),
+        pose_array=compose_chain(np.array(incs).reshape(-1, 3).T),
+        shapes=np.zeros((n, 1)),
+        twists=np.zeros((n, 3)),
+        contacts=[None] * n,
+        events=[],
+        cycle_indices=[0],
+    )
+    poses = traj.poses
+    assert len(poses) == n
+    assert list(poses) == chain
+    assert poses[part] == chain[part]
+    if -n <= k < n:
+        assert poses[k] == chain[k]
+    else:
+        with pytest.raises(IndexError):
+            poses[k]
+    with pytest.raises(TypeError):
+        poses[0] = Pose()
+    with pytest.raises(ValueError):
+        traj.pose_array[0, 0] = 1.0
+
+
+SWIMMER_CIRCLE = Path(__file__).resolve().parent.parent / "scenarios" / "swimmer_circle.yaml"
+
+
+def test_trajectory_retains_under_100_bytes_per_step():
+    # poses are one float array, not a Pose per step: about 81 B/step are
+    # kept (times, poses, shapes, twists and contact slots)
+    sc = load_scenario(str(SWIMMER_CIRCLE))
+    steps = 20_000
+    integrate_gait(sc.provider, sc.gait, step=sc.gait.period / 100)  # one-time caches first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = integrate_gait(sc.provider, sc.gait, step=sc.gait.period / steps)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == steps + 1
+    assert retained / steps <= 100.0
 
 
 CRAWLER_SQUARE = Path(__file__).resolve().parent.parent / "scenarios" / "crawler_square.yaml"

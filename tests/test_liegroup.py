@@ -1,10 +1,11 @@
 """Planar transform algebra: frozen examples plus the group axioms."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locomech import (
@@ -23,6 +24,7 @@ from locomech import (
 from locomech.liegroup import (
     _SMALL_ANGLE,
     bracket_many,
+    compose_chain,
     compose_many,
     exp_many,
     inverse_many,
@@ -329,3 +331,40 @@ def test_kernel_inputs_cover_both_series_branches_and_the_wrap():
     g = pose_parts([Pose(1.0, -1.0, math.pi), Pose(0.5, 0.5, 3.0)])
     assert inverse_many(g)[2, 0] == math.pi
     assert_bitwise(compose_many(g, g), pose_parts([compose(Pose(*c), Pose(*c)) for c in g.T]))
+
+
+# -- the running pose product: bitwise the compose chain ----------------------
+
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, math.inf, -math.inf, math.nan]
+chain_coords = st.one_of(coords, st.floats(-1e300, 1e300), st.sampled_from(_SPECIALS))
+chain_angles = st.one_of(
+    wide_angles,
+    st.floats(-1e300, 1e300),
+    st.sampled_from([math.pi, -math.pi, 3 * math.pi, -3 * math.pi] + _SPECIALS),
+)
+chain_increments = st.lists(st.tuples(chain_coords, chain_coords, chain_angles), max_size=16)
+
+
+def compose_chain_reference(incs):
+    """The Pose chain compose_chain replaces, as (3, n + 1); ValueError where Pose cannot wrap an angle."""
+    return pose_parts(list(accumulate((Pose(*inc) for inc in incs), compose, initial=Pose())))
+
+
+@KERNELS
+@given(chain_increments)
+@example([(1.0, 2.0, math.pi), (0.5, -0.0, math.pi), (-1.0, 5e-324, -math.pi), (3.0, 1.0, 2.5)])
+@example([(1e300, 1e300, 3.0), (1e300, -1e300, 3.0), (math.nan, 1.0, 0.5), (1.0, 1.0, math.nan)])
+@example([(math.inf, 0.0, 1.0), (-math.inf, 1.0, -1.0), (2.0, 3.0, 1e300)])
+@example([(1.0, 1.0, math.inf)])
+@example([])
+def test_compose_chain_is_the_compose_chain_bitwise(incs):
+    increments = np.array(incs, dtype=float).reshape(-1, 3).T
+    try:
+        want = compose_chain_reference(incs)
+    except ValueError:
+        # an infinite angle has no wrap, for Pose and for the loop alike
+        with pytest.raises(ValueError):
+            compose_chain(increments)
+        return
+    # the same float operations in the same order give the same bits, NaNs included
+    assert_bitwise(compose_chain(increments), want)
