@@ -48,8 +48,11 @@ ContactSet = frozenset
 
 _COND_LIMIT = 1e12
 
-# rows per constraint assembly: enough to amortise the per-call overhead
-_CHUNK_ROWS = 64
+# rows per constraint build and solve.  An optimize integration's ~101 stage
+# rows make one block: a swimmer row costs 11.5 us in blocks of 64, 6.9 at 256.
+# A fresh 97 x 97 swimmer sweep takes 695 minor page faults at 256 rows, 2520
+# at 512.  Rows are solved independently, so the size changes no result.
+_CHUNK_ROWS = 256
 
 
 class SingularConstraint(RuntimeError):

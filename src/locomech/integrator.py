@@ -125,9 +125,10 @@ def _rkmk4_exponents(h: np.ndarray, k1: np.ndarray, mid: np.ndarray, end: np.nda
 
 
 # Most steps (per cycle, times cycles) one integration may take.  It peaks
-# at 600-900 bytes per step and its Trajectory keeps about 80 (tracemalloc on
-# the shipped scenarios), so a period or step asking for more is rejected
-# instead of exhausting memory.
+# at 596-650 bytes per step (swimmer, walker) or 900 (crawler) and its
+# Trajectory keeps about 81 (tracemalloc on the shipped scenarios at 20k and
+# 80k steps), so a period or step asking for more is rejected instead of
+# exhausting memory.
 MAX_STEPS = 1_000_000
 
 

@@ -109,16 +109,15 @@ def chain_frames(chain: ChainModel, r) -> list[Pose]:
 
 
 @functools.lru_cache(maxsize=32)
-def _swing_signs(n_links: int, q0: int) -> np.ndarray:
-    """(d, n_links * q0) sign with which joint k swings each station.
+def _swing_signs(n_links: int) -> np.ndarray:
+    """(d + 1, n_links) sign with which body spin (row 0) and joint k (row k + 1) turn each link.
 
-    Joint k swings link j iff j is outboard of k relative to the middle link;
+    Joint k turns link j iff j is outboard of k relative to the middle link;
     the sign follows which side of the chain the joint drives.
     """
-    mid, ks = n_links // 2, np.arange(n_links - 1)[:, None]
-    own = np.repeat(np.arange(n_links), q0)[None, :]
-    coef = ((ks >= mid) & (own >= ks + 1)).astype(float)
-    coef -= ((ks < mid) & (own <= ks)).astype(float)
+    mid, ks, own = n_links // 2, np.arange(n_links - 1)[:, None], np.arange(n_links)[None, :]
+    coef = ((ks >= mid) & (own >= ks + 1)).astype(float) - ((ks < mid) & (own <= ks)).astype(float)
+    coef = np.vstack([np.ones(n_links), coef])
     coef.setflags(write=False)
     return coef
 
@@ -126,50 +125,44 @@ def _swing_signs(n_links: int, q0: int) -> np.ndarray:
 def _viscous_balance(chain: ChainModel, r, c_t: float, c_n: float, nodes_fn) -> ConstraintSystem:
     """Force and moment balance for anisotropic viscous resistance along the chain.
 
-    nodes_fn(lengths) yields per-link stations and weights, both (n_links, q0),
-    stations measured from each link midpoint.  The station velocity is affine
-    in (body twist, shape rate); resistance is -c_t tangential - c_n normal per
-    unit weight, and the assembled balance is m @ xi + n @ rdot = 0.  Shapes
-    (..., d) give blocks (..., 3, 3) and (..., 3, d).
+    nodes_fn(lengths) yields per-link stations s and weights w, both
+    (n_links, q), s measured from each link midpoint.  On a link with tangent
+    t and normal n the station moves at B(s) [xi; rdot], B(s) = B0 + s n e^T,
+    where B0 moves the midpoint and e = [0, 0, turn signs].  It resists with
+    D = c_t t t^T + c_n n n^T per unit weight, and D n = c_n n, so the sum
+    over stations is quadratic in s and needs only the link's moments
+    m0 = sum w, m1 = sum w s and m2 = sum w s^2:
+
+        sum w B^T D B = m0 B0^T D B0 + c_n m1 (B0^T n e^T + e n^T B0) + c_n m2 e e^T.
+
+    Its twist rows, over every link, are one product: rows u = t^T B0,
+    v = n^T B0 and e of each link on the right, and [c_t m0 u; c_n (m0 v +
+    m1 e); c_n (m1 v + m2 e)] in twist columns on the left.  The balance
+    m @ xi + n @ rdot = 0 is minus it; shapes (..., d) give (..., 3, 3) and
+    (..., 3, d).
     """
     r = np.asarray(r, dtype=float)
-    n_links, mid, d = chain.n_links, chain.mid, chain.shape_dim
+    n_links, d = chain.n_links, chain.shape_dim
     x, y, th = _link_frames(chain, r)
-    batch = r.shape[:-1]
-    # joint k is the +x tip of link k
-    jx, jy, _ = compose_many((x[..., :d], y[..., :d], th[..., :d]), (0.5 * chain.lengths[:d], 0.0, 0.0), False)
+    cos_th, sin_th, signs = np.cos(th), np.sin(th), _swing_signs(n_links).T
+    # pivots: the origin for body spin, and the +x tip of link k for joint k
+    origin, half = np.zeros(r.shape[:-1] + (1,)), 0.5 * chain.lengths[:d]
+    px = x[..., :, None] - np.concatenate([origin, x[..., :d] + half * cos_th[..., :d]], axis=-1)[..., None, :]
+    py = y[..., :, None] - np.concatenate([origin, y[..., :d] + half * sin_th[..., :d]], axis=-1)[..., None, :]
 
-    s, w_link = nodes_fn(chain.lengths)
-    q0 = s.shape[1]
-    cos_th, sin_th = np.cos(th), np.sin(th)
-    px = (x[..., :, None] + s * cos_th[..., :, None]).reshape(batch + (-1,))
-    py = (y[..., :, None] + s * sin_th[..., :, None]).reshape(batch + (-1,))
-    w = w_link.reshape(-1)
-    tang = np.repeat(np.stack([cos_th, sin_th], axis=-1), q0, axis=-2)
-    nrm = np.stack([-tang[..., 1], tang[..., 0]], axis=-1)
-    q = px.shape[-1]
+    # turning about a pivot moves the midpoint along (-py, px)
+    right = np.zeros(r.shape[:-1] + (n_links, 3, 3 + d))
+    right[..., 0, 0], right[..., 0, 1], right[..., 1, 0], right[..., 1, 1] = cos_th, sin_th, -sin_th, cos_th
+    right[..., 0, 2:] = signs * (px * sin_th[..., None] - py * cos_th[..., None])
+    right[..., 1, 2:] = signs * (px * cos_th[..., None] + py * sin_th[..., None])
+    right[..., 2, 2:] = signs
 
-    drag = (
-        c_t * tang[..., :, :, None] * tang[..., :, None, :]
-        + c_n * nrm[..., :, :, None] * nrm[..., :, None, :]
-    )
-
-    # station velocity = bxi @ xi + br @ rdot, one (2, 3 + d) block per station
-    b_all = np.zeros(batch + (q, 2, 3 + d))
-    b_all[..., 0, 0] = 1.0
-    b_all[..., 1, 1] = 1.0
-    b_all[..., 0, 2] = -py
-    b_all[..., 1, 2] = px
-
-    coef = _swing_signs(n_links, q0)
-    # the station's offset from joint k, turned a quarter
-    b_all[..., 0, 3:] = np.swapaxes(coef * -(py[..., None, :] - jy[..., :, None]), -1, -2)
-    b_all[..., 1, 3:] = np.swapaxes(coef * (px[..., None, :] - jx[..., :, None]), -1, -2)
-
-    # one GEMM per shape for both blocks: columns [m | n] = -sum_q bxi^T (w drag) [bxi | br]
-    weighted = (w[:, None, None] * drag) @ b_all
-    bxi_t = np.swapaxes(b_all[..., :3].reshape(batch + (2 * q, 3)), -1, -2)
-    blocks = bxi_t @ weighted.reshape(batch + (2 * q, 3 + d))
+    s, w = nodes_fn(chain.lengths)
+    m0, m1, m2 = w.sum(axis=1), (w * s).sum(axis=1), (w * s * s).sum(axis=1)
+    offset = np.zeros((n_links, 3, 3))
+    offset[:, 1, 2], offset[:, 2, 2] = c_n * m1, c_n * m2
+    left = right[..., (0, 1, 1), :3] * np.stack([c_t * m0, c_n * m0, c_n * m1], axis=1)[:, :, None] + offset
+    blocks = np.swapaxes(left.reshape(r.shape[:-1] + (-1, 3)), -1, -2) @ right.reshape(r.shape[:-1] + (-1, 3 + d))
     return ConstraintSystem(-blocks[..., :3], -blocks[..., 3:])
 
 

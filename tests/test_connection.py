@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locomech import (
+    ChainModel,
+    ConstraintConnection,
     ConstraintSystem,
+    DragModel,
     JacobianConnection,
     PiecewiseConnection,
     Pose,
@@ -18,21 +21,24 @@ from locomech import (
     SingularConstraint,
     apply,
     build_drag_constraints,
+    build_slip_constraints,
     arm_com_pose_map,
     compose,
     connection_rows,
+    crawler_slip_model,
     inverse,
     jacobian_connection_eval,
     linear_constraint_connection,
     load_scenario,
     log,
+    many_legged_drag_surrogate,
     mirrored_slip_walker,
     rotate_translate_map,
     three_link_swimmer,
     two_leg_crawler,
     wavy_pose_map,
 )
-from locomech.connection import _cond_estimate
+from locomech.connection import _CHUNK_ROWS, _cond_estimate
 from locomech.scenario import MODEL_KINDS
 
 
@@ -337,6 +343,44 @@ def test_connection_rows_one_call_per_label_over_distinct_rows():
     empty_rows, empty_index = connection_rows(Recording(), np.zeros((0, 2)), [])
     assert empty_rows.shape == (0, 3, 2) and empty_index.shape == (0,)
     assert len(calls) == 2
+
+
+_FIVE_LINKS = DragModel(ChainModel([1.0, 0.7, 1.3, 0.9, 1.1]), 1.0, 2.5, quadrature=5)
+
+_BLOCK_BUILDERS = {
+    "drag": (lambda r: build_drag_constraints(three_link_swimmer(), r), 2),
+    "drag_five_links": (lambda r: build_drag_constraints(_FIVE_LINKS, r), 4),
+    "many_legged": (lambda r: many_legged_drag_surrogate(_FIVE_LINKS, 3, r), 4),
+    "slip_both_feet": (lambda r: build_slip_constraints(mirrored_slip_walker(), {0, 1}, r), 2),
+    "slip_one_foot": (lambda r: build_slip_constraints(crawler_slip_model(), {1}, r), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_BUILDERS))
+def test_row_blocks_are_single_shape_solves_at_the_block_boundaries(name):
+    build, dim = _BLOCK_BUILDERS[name]
+    sizes = []
+
+    def recording(r):
+        sizes.append(r.shape[:-1])
+        return build(r)
+
+    provider = ConstraintConnection(recording, dim)
+    longest = 2 * _CHUNK_ROWS + 1
+    shapes = np.random.default_rng(23).uniform(-1.2, 1.2, (longest, dim))
+    singles = [provider.connection_at(r) for r in shapes]
+    for count, blocks in [
+        (_CHUNK_ROWS - 1, [_CHUNK_ROWS - 1]),
+        (_CHUNK_ROWS, [_CHUNK_ROWS]),
+        (_CHUNK_ROWS + 1, [_CHUNK_ROWS, 1]),
+        (longest, [_CHUNK_ROWS, _CHUNK_ROWS, 1]),
+    ]:
+        sizes.clear()
+        many = provider.connection_many(None, shapes[:count])
+        assert sizes == [(b,) for b in blocks], count
+        assert many.shape == (count, 3, dim)
+        wrong = [i for i in range(count) if not np.array_equal(many[i], singles[i])]
+        assert not wrong, (count, wrong[:5])
 
 
 def test_batched_solve_rows_match_single_solves():

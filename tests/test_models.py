@@ -1,7 +1,9 @@
 """Concrete model builders: chain kinematics, drag balances, stances, slip."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from locomech import (
     two_leg_crawler,
     wavy_pose_map,
 )
+from locomech.models import _gauss_nodes, _viscous_balance
 
 
 def pose_close(pose, xyt, tol=1e-12):
@@ -393,6 +396,122 @@ def test_batched_builders_match_single_shapes(build, dim):
         one = build(shapes[idx])
         assert np.array_equal(batch.m[idx], one.m), idx
         assert np.array_equal(batch.n[idx], one.n), idx
+
+
+# A lone straight link resists spin with c_n m2, the second moment of its
+# stations: L^3/12 (1 - 1/m^2) for m midpoint contacts, and L^3/12 for any
+# Gauss rule of 2 or more points, since the integrand is quadratic along the
+# link.  Exact values are rational in the float inputs.
+_L, _CT, _CN = 1.3, 0.7, 2.1
+
+
+def _eps_off(got, exact: Fraction) -> float:
+    return float(abs(Fraction(got) - exact) / abs(exact)) / np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 64])
+def test_surrogate_spin_is_the_exact_midpoint_moment(m):
+    system = many_legged_drag_surrogate(DragModel(ChainModel([_L]), _CT, _CN), m, np.zeros(0))
+    exact = -Fraction(_CN) * Fraction(_L) ** 3 / 12 * (1 - Fraction(1, m * m))
+    assert _eps_off(system.m[2, 2], exact) <= 4.0
+
+
+@pytest.mark.parametrize("q", range(2, 17))
+def test_gauss_spin_is_the_exact_integral(q):
+    system = build_drag_constraints(DragModel(ChainModel([_L]), _CT, _CN, quadrature=q), np.zeros(0))
+    exact = -Fraction(_CN) * Fraction(_L) ** 3 / 12
+    # numpy's rounded nodes and weights carry their own error: on the 8-point
+    # rule, sum w x^2 is 7.75 eps from 2/3 in exact arithmetic; the balance
+    # may add 2 eps to it
+    nodes, weights = _gauss_nodes(q)
+    rule = sum(Fraction(w) * Fraction(x) ** 2 for x, w in zip(nodes, weights))
+    assert _eps_off(system.m[2, 2], exact) <= 2.0 + _eps_off(rule, Fraction(2, 3))
+
+
+def _mp_compose(a, b):
+    c, s = mpmath.cos(a[2]), mpmath.sin(a[2])
+    return (a[0] + c * b[0] - s * b[1], a[1] + s * b[0] + c * b[1], a[2] + b[2])
+
+
+def mp_balance(lengths, r, c_t, c_n, stations):
+    """50-digit [m | n] of -sum_w B^T D B, summed station by station.
+
+    stations(j, length) lists link j's (offset, weight) pairs as mpf.  Link
+    frames are chained outward from the middle link as the model documents;
+    joint k swings the links outboard of it, +1 on the far side of the middle
+    link and -1 on the near side.
+    """
+    with mpmath.workdps(50):
+        lengths = [mpmath.mpf(float(v)) for v in lengths]
+        r = [mpmath.mpf(float(v)) for v in r]
+        n_links, mid = len(lengths), len(lengths) // 2
+        d = n_links - 1
+        frames = [None] * n_links
+        frames[mid] = (mpmath.mpf(0),) * 3
+        for k in range(mid, d):
+            hop = _mp_compose((lengths[k] / 2, 0, r[k]), (lengths[k + 1] / 2, 0, 0))
+            frames[k + 1] = _mp_compose(frames[k], hop)
+        for k in range(mid - 1, -1, -1):
+            hop = _mp_compose((-lengths[k + 1] / 2, 0, -r[k]), (-lengths[k] / 2, 0, 0))
+            frames[k] = _mp_compose(frames[k + 1], hop)
+        joints = [_mp_compose(frames[k], (lengths[k] / 2, 0, 0)) for k in range(d)]
+        total = mpmath.zeros(3, 3 + d)
+        for j, (x, y, th) in enumerate(frames):
+            t = mpmath.matrix([mpmath.cos(th), mpmath.sin(th)])
+            n = mpmath.matrix([-t[1], t[0]])
+            drag = c_t * t * t.T + c_n * n * n.T
+            for s, w in stations(j, lengths[j]):
+                px, py = x + s * t[0], y + s * t[1]
+                b = mpmath.zeros(2, 3 + d)
+                b[0, 0], b[1, 1], b[0, 2], b[1, 2] = 1, 1, -py, px
+                for k in range(d):
+                    sign = 1 if mid <= k < j else (-1 if j <= k < mid else 0)
+                    b[0, 3 + k], b[1, 3 + k] = -sign * (py - joints[k][1]), sign * (px - joints[k][0])
+                total += w * (b[:, :3].T * drag * b)
+        return -np.array(total.tolist(), dtype=float)
+
+
+def _mp_gauss(j, length):
+    # two-point Gauss-Legendre is exact for the quadratic integrand
+    half = length / 2
+    return [(-half / mpmath.sqrt(3), half), (half / mpmath.sqrt(3), half)]
+
+
+def _mp_midpoint(m):
+    return lambda j, length: [(length * ((i + mpmath.mpf(0.5)) / m - mpmath.mpf(0.5)), length / m) for i in range(m)]
+
+
+# off-centre stations with unequal weights, so the first moments are far from zero
+_SKEWED = (np.array([-0.31, 0.02, 0.27, 0.45]), np.array([0.2, 0.35, 0.1, 0.4]))
+
+
+def _skewed(lengths):
+    return lengths[:, None] * _SKEWED[0], lengths[:, None] * _SKEWED[1]
+
+
+def _mp_skewed(j, length):
+    return [(length * mpmath.mpf(s), length * mpmath.mpf(w)) for s, w in zip(*_SKEWED)]
+
+
+@pytest.mark.parametrize(
+    "build, chain, c_t, c_n, stations",
+    [
+        (lambda r: build_drag_constraints(three_link_swimmer(), r), ChainModel([1.0] * 3), 1.0, 2.0, _mp_gauss),
+        (lambda r: build_drag_constraints(_FIVE_LINKS, r), _FIVE_LINKS.chain, 1.0, 2.5, _mp_gauss),
+        (lambda r: many_legged_drag_surrogate(_FIVE_LINKS, 3, r), _FIVE_LINKS.chain, 1.0, 2.5, _mp_midpoint(3)),
+        (lambda r: many_legged_drag_surrogate(three_link_swimmer(), 16, r), ChainModel([1.0] * 3), 1.0, 2.0,
+         _mp_midpoint(16)),
+        (lambda r: _viscous_balance(_FIVE_LINKS.chain, r, 0.7, 2.1, _skewed), _FIVE_LINKS.chain, 0.7, 2.1, _mp_skewed),
+    ],
+    ids=["drag", "drag_five_links", "many_legged_m3", "many_legged_m16", "skewed_stations"],
+)
+def test_drag_blocks_match_a_50_digit_station_sum(build, chain, c_t, c_n, stations):
+    shapes = np.random.default_rng(50).uniform(-2.0, 2.0, (10, chain.shape_dim))
+    system = build(shapes)
+    for r, m, n in zip(shapes, system.m, system.n):
+        ref = mp_balance(chain.lengths, r, c_t, c_n, stations)
+        for got, want in ((m, ref[:, :3]), (n, ref[:, 3:])):
+            assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max(), r
 
 
 # The scalar bodies of the library pose maps as they were before the maps
