@@ -13,9 +13,7 @@ from .analysis import (
     GridSpec,
     HolonomyAreaReport,
     LoopOutsideGrid,
-    SingularStencil,
     curvature,
-    curvature_at,
     holonomy_vs_area,
     sample_field,
 )
@@ -28,7 +26,6 @@ from .connection import (
     PiecewiseConnection,
     PoseMap,
     SingularConstraint,
-    apply,
     connection_rows,
     jacobian_connection_eval,
     linear_constraint_connection,
@@ -63,14 +60,11 @@ from .models import (
     build_contact_map,
     build_drag_constraints,
     build_slip_constraints,
-    chain_frames,
     crawler_slip_model,
-    foot_pose,
     foot_position,
     many_legged_drag_surrogate,
     mirrored_slip_walker,
     rotate_translate_map,
-    select_contacts,
     three_link_swimmer,
     two_leg_crawler,
     wavy_pose_map,

@@ -21,10 +21,6 @@ from .liegroup import Twist, bracket_many
 from .shapespace import WaypointGait
 
 
-class SingularStencil(RuntimeError):
-    """Raised when a curvature value is requested at an invalid node."""
-
-
 class LoopOutsideGrid(ValueError):
     """Raised when a loop leaves the sampled grid region."""
 
@@ -75,12 +71,6 @@ class FieldGrid:
     conn: np.ndarray
     contacts: np.ndarray | None
     singular: np.ndarray
-
-    def shape_at(self, i: int, j: int) -> np.ndarray:
-        r = self.base.copy()
-        r[self.axes[0]] = self.axis1[i]
-        r[self.axes[1]] = self.axis2[j]
-        return r
 
 
 def sample_field(provider, spec: GridSpec) -> FieldGrid:
@@ -208,13 +198,6 @@ def curvature(field: FieldGrid) -> CurvatureField:
     return CurvatureField(values=values, valid=valid, boundary=boundary)
 
 
-def curvature_at(cfield: CurvatureField, i: int, j: int) -> np.ndarray:
-    """Curvature at one node; raises SingularStencil where it was flagged."""
-    if not cfield.valid[i, j]:
-        raise SingularStencil(f"curvature stencil at node ({i}, {j}) is invalid")
-    return cfield.values[i, j]
-
-
 @dataclass
 class HolonomyAreaReport:
     """Loop displacement exponent next to the curvature surface integral.
@@ -261,11 +244,7 @@ def _line_integral(provider, gait, samples: int) -> np.ndarray:
         dt = gait.period / samples
         times, scales = np.arange(samples) * dt, np.full(samples, dt)
     shapes, rates = gait.evaluate_many(times)
-    conn = _connections(provider, shapes)
-    total = np.zeros(3)
-    for scale, a, rdot in zip(scales, conn, rates):
-        total += scale * (a @ rdot)
-    return total
+    return scales @ (_connections(provider, shapes) @ rates[:, :, None])[:, :, 0]
 
 
 def _bracket_surface_integral(provider, polygon: np.ndarray, axes, base, order: int = 6) -> np.ndarray:
@@ -290,13 +269,7 @@ def _bracket_surface_integral(provider, polygon: np.ndarray, axes, base, order: 
     shapes[..., list(axes)] = x
     a = _connections(provider, shapes.reshape(-1, len(base)))
     brackets = _column_bracket(a, axes[0], axes[1]).reshape(x.shape[:-1] + (3,))
-    total = np.zeros(3)
-    for area, b in zip(signed_area[keep], brackets):
-        acc = np.zeros(3)
-        for iu, iv in np.ndindex(order, order):
-            acc += wu[iu] * wu[iv] * u[iu] * b[iu, iv]
-        total += 2.0 * area * acc
-    return total
+    return (2.0 * signed_area[keep]) @ np.einsum("i,j,tijk->tk", wu * u, wu, brackets)
 
 
 def holonomy_vs_area(

@@ -50,12 +50,6 @@ def _spell_contacts(labels: list) -> list[str]:
     return [spelled[label] for label in labels]
 
 
-def _parse_contacts(text: str):
-    if text == "":
-        return None
-    return frozenset(int(part) for part in text.split("+"))
-
-
 def _meta_lines(scenario: Scenario, command: str) -> list[str]:
     return [
         f"# schema={SCHEMA_VERSION}",
@@ -82,28 +76,6 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", newline="") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
-
-
-def _read_meta_and_rows(path: str):
-    meta: dict[str, str] = {}
-    rows: list[list[str]] = []
-    header: list[str] | None = None
-    with open(path, "r", newline="") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                meta[key] = value
-                continue
-            if header is None:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
-    if header is None:
-        raise ValueError(f"{path} has no header row")
-    return meta, header, rows
 
 
 def _write_trajectory(path: str, meta: list[str], traj) -> None:
@@ -246,71 +218,6 @@ def cmd_verify(scenario: Scenario) -> int:
         verdict = "PASS" if row.passed else "FAIL"
         print("%s/%s: %s value=%.17g threshold=%.17g" % (row.suite, row.check, verdict, row.value, row.threshold))
     return 0 if all(row.passed for row in rows) else 1
-
-
-def load_trajectory_csv(path: str):
-    """Parse a trajectory.csv back into arrays; exact float round-trip."""
-    meta, header, rows = _read_meta_and_rows(path)
-    dim = int(meta["dim"])
-    expected = 4 + dim + 3 + 1
-    if len(header) != expected:
-        raise ValueError(f"{path}: expected {expected} columns, found {len(header)}")
-    n = len(rows)
-    times = np.empty(n)
-    poses = np.empty((n, 3))
-    shapes = np.empty((n, dim))
-    twists = np.empty((n, 3))
-    contacts = []
-    for k, row in enumerate(rows):
-        times[k] = float(row[0])
-        poses[k] = [float(v) for v in row[1:4]]
-        shapes[k] = [float(v) for v in row[4 : 4 + dim]]
-        twists[k] = [float(v) for v in row[4 + dim : 7 + dim]]
-        contacts.append(_parse_contacts(row[7 + dim]))
-    return {
-        "meta": meta,
-        "times": times,
-        "poses": poses,
-        "shapes": shapes,
-        "twists": twists,
-        "contacts": contacts,
-    }
-
-
-def load_field_csv(path: str):
-    """Parse a field.csv back into grid arrays; exact float round-trip."""
-    meta, header, rows = _read_meta_and_rows(path)
-    n1, n2 = (int(v) for v in meta["counts"].split("x"))
-    dim = int(meta["dim"])
-    has_curv = meta["curvature"] == "1"
-    axis1 = np.empty(n1)
-    axis2 = np.empty(n2)
-    conn = np.empty((n1, n2, 3, dim))
-    contacts = np.empty((n1, n2), dtype=object)
-    singular = np.zeros((n1, n2), dtype=bool)
-    curv = np.empty((n1, n2, 3)) if has_curv else None
-    any_contacts = False
-    for row in rows:
-        i, j = int(row[0]), int(row[1])
-        axis1[i] = float(row[2])
-        axis2[j] = float(row[3])
-        flat = [float(v) for v in row[4 : 4 + 3 * dim]]
-        conn[i, j] = np.array(flat).reshape(3, dim)
-        contact = _parse_contacts(row[4 + 3 * dim])
-        contacts[i, j] = contact
-        any_contacts = any_contacts or contact is not None
-        singular[i, j] = row[5 + 3 * dim] == "1"
-        if has_curv:
-            curv[i, j] = [float(v) for v in row[6 + 3 * dim : 9 + 3 * dim]]
-    return {
-        "meta": meta,
-        "axis1": axis1,
-        "axis2": axis2,
-        "conn": conn,
-        "contacts": contacts if any_contacts else None,
-        "singular": singular,
-        "curvature": curv,
-    }
 
 
 _COMMANDS = {

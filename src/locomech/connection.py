@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .liegroup import Pose, Twist, compose_many, inverse_many, log_many
+from .liegroup import Pose, compose_many, inverse_many, log_many
 
 ConnectionMatrix = np.ndarray  # (3, d), rows vx, vy, omega
 
@@ -140,9 +140,8 @@ def _cond_estimate(m: np.ndarray):
     Returns a float for one block and an array over leading axes otherwise.
     """
     m = np.asarray(m, dtype=float)
-    # m.T puts the block indices first (transposed) and the leading axes
-    # last; one block is read as plain floats, which are cheaper to combine
-    (a, d, g), (b, e, h), (c, f, i) = m.T.tolist() if m.ndim == 2 else m.T
+    # m.T puts the block indices first (transposed) and the leading axes last
+    (a, d, g), (b, e, h), (c, f, i) = m.T
     c00 = e * i - f * h
     c01 = f * g - d * i
     c02 = d * h - e * g
@@ -189,17 +188,6 @@ def linear_constraint_connection(system: ConstraintSystem) -> ConnectionMatrix:
         if refine.any():
             a[refine] -= np.linalg.solve(m[refine], resid[refine])
     return a
-
-
-def apply(a: ConnectionMatrix, rdot) -> Twist:
-    """Body twist produced by a shape rate."""
-    a = np.asarray(a, dtype=float)
-    rdot = np.asarray(rdot, dtype=float)
-    if a.ndim != 2 or a.shape[0] != 3:
-        raise ValueError(f"connection matrix must be 3xd, got {a.shape}")
-    if rdot.shape != (a.shape[1],):
-        raise ValueError(f"shape rate has {rdot.shape} entries, connection expects {a.shape[1]}")
-    return Twist.from_array(a @ rdot)
 
 
 class ConnectionProvider:

@@ -27,7 +27,7 @@ from .connection import (
     PiecewiseConnection,
     PoseMap,
 )
-from .liegroup import Pose, compose_many, inverse_many, wrap_many
+from .liegroup import compose_many, inverse_many, wrap_many
 
 
 class DegenerateStance(RuntimeError):
@@ -77,8 +77,8 @@ def _link_frames(chain: ChainModel, r) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Body-frame (x, y, theta) of every link midpoint, each (..., n_links).
 
     The middle link is the identity.  Frames are chained outward from it with
-    the same products chain_frames makes with Pose objects, so every entry
-    is bitwise equal to the single-shape Pose result.
+    the products a scalar compose chain of Pose objects makes, so every entry
+    is bitwise equal to that single-shape Pose result.
     """
     r = np.asarray(r, dtype=float)
     if r.shape[-1:] != (chain.shape_dim,):
@@ -98,14 +98,6 @@ def _link_frames(chain: ChainModel, r) -> tuple[np.ndarray, np.ndarray, np.ndarr
         hop = compose_many(joint, (sign * half[new], 0.0, 0.0), wrap)
         x[..., new], y[..., new], th[..., new] = compose_many((x[..., src], y[..., src], th[..., src]), hop, wrap)
     return x, y, th
-
-
-def chain_frames(chain: ChainModel, r) -> list[Pose]:
-    """Body-frame pose of every link midpoint; the middle link is the identity."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (chain.shape_dim,):
-        raise ValueError(f"chain expects {chain.shape_dim} joint angles, got {r.shape}")
-    return [Pose(*f) for f in zip(*_link_frames(chain, r))]
 
 
 @functools.lru_cache(maxsize=32)
@@ -299,17 +291,6 @@ def foot_position(model: LeggedModel, i: int, r) -> np.ndarray:
     """Body-frame foot position of foot i at shape r (d,), or at every row of shapes (..., d) as (..., 2)."""
     ang = model.rest_angles[i] + np.asarray(r, dtype=float)[..., i]
     return model.hips[i] + model.leg_lengths[i] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-
-def foot_pose(model: LeggedModel, i: int, r) -> Pose:
-    """Body-frame foot pose; the flat foot's orientation is the leg angle."""
-    p = foot_position(model, i, r)
-    return Pose(p[0], p[1], r[i])
-
-
-def select_contacts(model: LeggedModel, r) -> frozenset:
-    """Stance set at shape r under the model's selector rule: the one-row case of contacts_many."""
-    return model.contacts_many(np.asarray(r, dtype=float)[None])[0]
 
 
 def build_contact_map(model: LeggedModel, c) -> PoseMap:

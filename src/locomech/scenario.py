@@ -59,7 +59,6 @@ class Scenario:
     raw: dict
     seed: int
     out_dir: str
-    model_kind: str
     provider: object
     gait: object
     step: float
@@ -563,7 +562,6 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         raw=resolved,
         seed=seed,
         out_dir=out_dir,
-        model_kind=resolved["model"]["kind"],
         provider=built["model"],
         gait=built["gait"],
         **resolved["integrator"],

@@ -15,12 +15,10 @@ from locomech import (
     Pose,
     PoseMap,
     SingularConstraint,
-    SingularStencil,
     Twist,
     WaypointGait,
     bracket,
     curvature,
-    curvature_at,
     holonomy_vs_area,
     sample_field,
     three_link_swimmer,
@@ -28,6 +26,13 @@ from locomech import (
 )
 from locomech.analysis import _bracket_surface_integral, _line_integral
 from pointwise import Pointwise
+
+
+def node_shape(field, i, j):
+    """The shape at grid node (i, j): the base with the swept axes set."""
+    r = field.base.copy()
+    r[list(field.axes)] = field.axis1[i], field.axis2[j]
+    return r
 
 
 class ConstantCommuting(Pointwise):
@@ -277,7 +282,7 @@ class TestSampleField:
         inner = provider.inner
         for i in range(9):
             for j in range(9):
-                shape = field.shape_at(i, j)
+                shape = node_shape(field, i, j)
                 assert np.array_equal(field.conn[i, j], inner.connection_at(shape)), (i, j)
 
     def test_singular_constraint_column_flagged(self):
@@ -289,7 +294,7 @@ class TestSampleField:
         assert np.array_equal(field.conn[2], np.zeros((5, 3, 2)))
         for i in (0, 1, 3, 4):
             for j in range(5):
-                shape = field.shape_at(i, j)
+                shape = node_shape(field, i, j)
                 assert np.array_equal(field.conn[i, j], provider.connection_at(shape))
 
     def test_non_finite_nodes_flagged_like_singular_ones(self):
@@ -304,7 +309,7 @@ class TestSampleField:
         # every stencil touches a flagged node
         assert not curvature(field).valid.any()
 
-    def test_shape_at_composes_base(self):
+    def test_base_fills_the_unswept_coordinates(self):
         class ThreeDim(Pointwise):
             dim = 3
 
@@ -328,7 +333,7 @@ class TestSampleField:
             base=(0.0, 0.4, 0.0),
         )
         field = sample_field(ThreeDim(), spec)
-        shape = field.shape_at(1, 2)
+        shape = node_shape(field, 1, 2)
         assert shape[1] == 0.4
         assert shape[0] == field.axis1[1]
         assert shape[2] == field.axis2[2]
@@ -446,12 +451,12 @@ class TestCurvature:
         assert result.valid[1, 3]
         assert result.valid[5, 5]
 
-    def test_curvature_at_raises_on_invalid(self, crawler_field):
+    def test_invalid_stencil_is_flagged_and_nan(self, crawler_field):
         result = curvature(crawler_field)
-        value = curvature_at(result, 1, 8)
-        assert np.isfinite(value).all()
-        with pytest.raises(SingularStencil):
-            curvature_at(result, 5, 5)
+        assert result.valid[1, 8]
+        assert np.isfinite(result.values[1, 8]).all()
+        assert not result.valid[5, 5]
+        assert np.isnan(result.values[5, 5]).all()
 
     @pytest.mark.parametrize("with_labels", [True, False])
     def test_matches_per_node_reference(self, with_labels):

@@ -27,8 +27,57 @@ from locomech import (
     load_scenario,
     sample_field,
 )
-from locomech.cli import load_field_csv, load_trajectory_csv, main
+from locomech.cli import main
 from fuzzing import SCENARIOS, SHIPPED_DOCS, document_values, mutated_documents, table_documents, time_limit
+
+
+def read_csv(path):
+    """A CSV artifact's `# key=value` head, its header and its rows, each split on ','."""
+    lines = Path(path).read_text().splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    header, *rows = (line.split(",") for line in lines if not line.startswith("# "))
+    return meta, header, rows
+
+
+def float_columns(rows, lo, hi):
+    """Cells lo..hi-1 of every row parsed with float(), as an (n, hi - lo) array."""
+    return np.array([[float(v) for v in row[lo:hi]] for row in rows]).reshape(len(rows), hi - lo)
+
+
+def contact_set(cell):
+    return frozenset(int(i) for i in cell.split("+")) if cell else None
+
+
+def read_trajectory(path):
+    meta, header, rows = read_csv(path)
+    dim = int(meta["dim"])
+    assert len(header) == 8 + dim
+    return {
+        "times": float_columns(rows, 0, 1)[:, 0],
+        "poses": float_columns(rows, 1, 4),
+        "shapes": float_columns(rows, 4, 4 + dim),
+        "twists": float_columns(rows, 4 + dim, 7 + dim),
+        "contacts": [contact_set(row[7 + dim]) for row in rows],
+    }
+
+
+def read_field(path):
+    """field.csv as grid arrays; its rows are the grid nodes in row-major order."""
+    meta, header, rows = read_csv(path)
+    n1, n2 = (int(v) for v in meta["counts"].split("x"))
+    dim = int(meta["dim"])
+    axes = float_columns(rows, 2, 4).reshape(n1, n2, 2)
+    contacts = np.fromiter((contact_set(row[4 + 3 * dim]) for row in rows), dtype=object).reshape(n1, n2)
+    return {
+        "axis1": axes[:, 0, 0],
+        "axis2": axes[0, :, 1],
+        "conn": float_columns(rows, 4, 4 + 3 * dim).reshape(n1, n2, 3, dim),
+        "contacts": None if all(c is None for c in contacts.flat) else contacts,
+        "singular": np.array([row[5 + 3 * dim] == "1" for row in rows]).reshape(n1, n2),
+        "curvature": float_columns(rows, 6 + 3 * dim, 9 + 3 * dim).reshape(n1, n2, 3)
+        if meta["curvature"] == "1"
+        else None,
+    }
 
 
 def write_scenario(tmp_path, doc, name="scenario.yaml"):
@@ -87,7 +136,7 @@ class TestSimulate:
         doc["gait"] = {"kind": "fourier", "period": 1.0, "mean": [0.1, -0.3]}
         path = write_scenario(tmp_path, doc)
         assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 0
-        got = load_trajectory_csv(str(tmp_path / "run" / "trajectory.csv"))
+        got = read_trajectory(str(tmp_path / "run" / "trajectory.csv"))
         assert np.abs(got["poses"]).max() == 0.0
         assert np.abs(got["twists"]).max() == 0.0
         assert np.array_equal(
@@ -103,14 +152,14 @@ class TestSimulate:
         assert len(summary["per_cycle"]) == 3
         assert summary["events"][0]["before"] == "0"
         assert summary["events"][0]["after"] == "1"
-        got = load_trajectory_csv(str(tmp_path / "run" / "trajectory.csv"))
+        got = read_trajectory(str(tmp_path / "run" / "trajectory.csv"))
         assert got["contacts"][0] == frozenset({0})
         assert frozenset({1}) in got["contacts"]
 
     def test_trajectory_roundtrip_exact(self, tmp_path):
         path = write_scenario(tmp_path, swimmer_doc())
         assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 0
-        got = load_trajectory_csv(str(tmp_path / "run" / "trajectory.csv"))
+        got = read_trajectory(str(tmp_path / "run" / "trajectory.csv"))
 
         sc = load_scenario(swimmer_doc())
         traj = integrate_gait(
@@ -146,7 +195,7 @@ class TestSweep:
         )
         path = write_scenario(tmp_path, doc)
         assert main(["sweep", path, "--out", str(tmp_path / "run")]) == 0
-        got = load_field_csv(str(tmp_path / "run" / "field.csv"))
+        got = read_field(str(tmp_path / "run" / "field.csv"))
         assert got["conn"].shape == (33, 33, 3, 2)
         assert got["conn"].shape[0] * got["conn"].shape[1] == 1089
         assert not got["singular"].any()
@@ -175,7 +224,7 @@ class TestSweep:
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert "contact_set" in header.split(",")
         assert "singular" in header.split(",")
-        got = load_field_csv(str(tmp_path / "run" / "field.csv"))
+        got = read_field(str(tmp_path / "run" / "field.csv"))
         assert got["contacts"][4, 0] == frozenset({0})
         assert got["contacts"][0, 4] == frozenset({1})
 
@@ -190,7 +239,7 @@ class TestSweep:
         )
         path = write_scenario(tmp_path, doc)
         assert main(["sweep", path, "--out", str(tmp_path / "run")]) == 0
-        got = load_field_csv(str(tmp_path / "run" / "field.csv"))
+        got = read_field(str(tmp_path / "run" / "field.csv"))
         assert got["curvature"].shape == (9, 9, 3)
         assert np.isfinite(got["curvature"]).all()
 
@@ -790,7 +839,7 @@ def test_trajectory_writer_matches_the_per_cell_writer(data):
         path = Path(tmp) / "trajectory.csv"
         cli._write_trajectory(str(path), meta, traj)
         assert path.read_bytes() == _reference_trajectory_text(meta, traj).encode()
-        got = load_trajectory_csv(str(path))
+        got = read_trajectory(str(path))
     assert _same_floats(got["times"], traj.times)
     assert _same_floats(got["poses"], poses)
     assert _same_floats(got["shapes"], traj.shapes)
@@ -819,7 +868,7 @@ def test_field_writer_matches_the_per_cell_writer(data):
         path = Path(tmp) / "field.csv"
         cli._write_field(str(path), meta, field, curv)
         assert path.read_bytes() == _reference_field_text(meta, field, curv).encode()
-        got = load_field_csv(str(path))
+        got = read_field(str(path))
     assert _same_floats(got["axis1"], field.axis1)
     assert _same_floats(got["axis2"], field.axis2)
     assert _same_floats(got["conn"], field.conn)

@@ -23,7 +23,6 @@ from locomech import (
     Trajectory,
     Twist,
     WaypointGait,
-    apply,
     arm_com_pose_map,
     JacobianConnection,
     build_contact_map,
@@ -543,7 +542,7 @@ def test_twist_rows_are_right_side_twists_on_the_row_stance(provider, gait):
         r = traj.shapes[k]
         piece = traj.contacts[k]
         a = provider.connection_at(r) if piece is None else provider.connection_for(piece, r)
-        expected = apply(a, gait.evaluate(t, "right")[1]).to_array()
+        expected = a @ gait.evaluate(t, "right")[1]
         assert np.array_equal(traj.twists[k], expected), k
 
 
@@ -715,7 +714,7 @@ def test_stage_twists_are_per_row_apply_bitwise_on_longer_arms(links):
                        sin=rng.uniform(-0.4, 0.4, (1, links)))
     traj = integrate_gait(provider, gait, step=0.02)
     for k, t in enumerate(traj.times):
-        expected = apply(provider.connection_at(traj.shapes[k]), gait.evaluate(t, "right")[1]).to_array()
+        expected = provider.connection_at(traj.shapes[k]) @ gait.evaluate(t, "right")[1]
         assert traj.twists[k].tobytes() == expected.tobytes(), k
 
 

@@ -22,10 +22,8 @@ from locomech import (
     build_drag_constraints,
     build_slip_constraints,
     Pose,
-    chain_frames,
     compose,
     crawler_slip_model,
-    foot_pose,
     foot_position,
     inverse,
     linear_constraint_connection,
@@ -33,12 +31,11 @@ from locomech import (
     mirrored_slip_walker,
     objective_displacement,
     rotate_translate_map,
-    select_contacts,
     three_link_swimmer,
     two_leg_crawler,
     wavy_pose_map,
 )
-from locomech.models import _gauss_nodes, _viscous_balance
+from locomech.models import _gauss_nodes, _link_frames, _viscous_balance
 
 
 def pose_close(pose, xyt, tol=1e-12):
@@ -49,9 +46,14 @@ def pose_close(pose, xyt, tol=1e-12):
     )
 
 
+def link_poses(chain, r):
+    """The link frames _link_frames gives at one shape, as Pose objects."""
+    return [Pose(*f) for f in zip(*_link_frames(chain, r))]
+
+
 class TestChainKinematics:
     def test_straight_chain(self):
-        frames = chain_frames(ChainModel([1.0, 1.0, 1.0]), np.zeros(2))
+        frames = link_poses(ChainModel([1.0, 1.0, 1.0]), np.zeros(2))
         assert pose_close(frames[0], (-1.0, 0.0, 0.0))
         assert pose_close(frames[1], (0.0, 0.0, 0.0))
         assert pose_close(frames[2], (1.0, 0.0, 0.0))
@@ -59,31 +61,32 @@ class TestChainKinematics:
     def test_hand_forward_kinematics(self):
         # three hand-worked configurations
         half_pi = 0.5 * math.pi
-        frames = chain_frames(ChainModel([1.0, 1.0, 1.0]), np.array([half_pi, 0.0]))
+        frames = link_poses(ChainModel([1.0, 1.0, 1.0]), np.array([half_pi, 0.0]))
         assert pose_close(frames[0], (-0.5, 0.5, -half_pi))
         assert pose_close(frames[2], (1.0, 0.0, 0.0))
-        frames = chain_frames(ChainModel([1.0, 1.0, 1.0]), np.array([0.0, half_pi]))
+        frames = link_poses(ChainModel([1.0, 1.0, 1.0]), np.array([0.0, half_pi]))
         assert pose_close(frames[0], (-1.0, 0.0, 0.0))
         assert pose_close(frames[2], (0.5, 0.5, half_pi))
-        frames = chain_frames(ChainModel([1.0, 2.0, 1.0]), np.array([half_pi, half_pi]))
+        frames = link_poses(ChainModel([1.0, 2.0, 1.0]), np.array([half_pi, half_pi]))
         assert pose_close(frames[0], (-1.0, 0.5, -half_pi))
         assert pose_close(frames[2], (1.0, 0.5, half_pi))
 
     def test_deterministic(self):
         chain = ChainModel([0.8, 1.1, 0.9])
         r = np.array([0.37, -0.52])
-        a = chain_frames(chain, r)
-        b = chain_frames(chain, r)
+        a = link_poses(chain, r)
+        b = link_poses(chain, r)
         for fa, fb in zip(a, b):
             assert (fa.x, fa.y, fa.theta) == (fb.x, fb.y, fb.theta)
 
     def test_frames_are_exact_pose_products(self):
-        # the frames chained outward from the middle link with Pose objects,
-        # joint angles past +-pi included so the angle wrap is exercised
+        # every row of one batched call against the frames chained outward
+        # from the middle link with Pose objects, joint angles past +-pi
+        # included so the angle wrap is exercised
         chain = ChainModel([1.0, 0.7, 1.3, 0.9, 1.1])
         half = 0.5 * chain.lengths
-        rng = np.random.default_rng(12)
-        for r in rng.uniform(-5.0, 5.0, (40, 4)):
+        shapes = np.random.default_rng(12).uniform(-5.0, 5.0, (40, 4))
+        for r, got in zip(shapes, np.stack(_link_frames(chain, shapes), axis=-1)):
             ref = [Pose()] * 5
             for k in (2, 3):
                 hop = compose(Pose(half[k], 0.0, r[k]), Pose(half[k + 1], 0.0, 0.0))
@@ -91,11 +94,11 @@ class TestChainKinematics:
             for k in (1, 0):
                 hop = compose(Pose(-half[k + 1], 0.0, -r[k]), Pose(-half[k], 0.0, 0.0))
                 ref[k] = compose(ref[k + 1], hop)
-            assert chain_frames(chain, r) == ref
+            assert got.tolist() == [[p.x, p.y, p.theta] for p in ref]
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            chain_frames(ChainModel([1.0, 1.0, 1.0]), np.zeros(3))
+            _link_frames(ChainModel([1.0, 1.0, 1.0]), np.zeros(3))
 
     def test_even_link_count_rejected(self):
         with pytest.raises(ValueError):
@@ -154,7 +157,9 @@ class TestLeggedStances:
         model = two_leg_crawler()
         p = foot_position(model, 0, np.zeros(2))
         np.testing.assert_allclose(p, [-0.5, -1.0], atol=1e-15)
-        g = foot_pose(model, 1, np.array([0.0, 0.3]))
+        r = np.array([0.0, 0.3])
+        g, want = inverse(build_contact_map(model, {1})(r)), ref_foot_pose(model, 1, r)
+        assert pose_close(g, (want.x, want.y, want.theta))
         assert g.theta == pytest.approx(0.3)
 
     def test_single_foot_map_is_translation_at_rest(self):
@@ -232,10 +237,10 @@ class TestLeggedStances:
 
     def test_selector_rule(self):
         model = two_leg_crawler()
-        assert select_contacts(model, np.array([0.2, 0.1])) == frozenset({0})
-        assert select_contacts(model, np.array([0.1, 0.2])) == frozenset({1})
+        assert model.contacts_many(np.array([0.2, 0.1])[None])[0] == frozenset({0})
+        assert model.contacts_many(np.array([0.1, 0.2])[None])[0] == frozenset({1})
         # tie goes to the lower index
-        assert select_contacts(model, np.array([0.3, 0.3])) == frozenset({0})
+        assert model.contacts_many(np.array([0.3, 0.3])[None])[0] == frozenset({0})
 
     def test_selector_piecewise_constant(self):
         model = two_leg_crawler()
@@ -243,7 +248,7 @@ class TestLeggedStances:
         for r1 in grid:
             for r2 in grid:
                 want = frozenset({0 if r1 >= r2 else 1})
-                assert select_contacts(model, np.array([r1, r2])) == want
+                assert model.contacts_many(np.array([r1, r2])[None])[0] == want
 
     def test_contact_catalog(self):
         assert two_leg_crawler().contact_catalog() == (frozenset({0}), frozenset({1}))

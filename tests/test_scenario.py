@@ -42,7 +42,7 @@ class TestLoadScenario:
         assert sc.cycles == 1
         assert sc.seed == 0
         assert sc.out_dir == "out"
-        assert sc.model_kind == "swimmer"
+        assert sc.raw["model"]["kind"] == "swimmer"
         assert sc.dim == 2
         assert sc.sweep is None and sc.optimize is None and sc.verify is None
 
@@ -57,7 +57,7 @@ class TestLoadScenario:
             "integrator: {step: 0.005, cycles: 2}\n"
         )
         sc = load_scenario(str(path))
-        assert sc.model_kind == "crawler"
+        assert sc.raw["model"]["kind"] == "crawler"
         assert sc.step == 0.005
         assert sc.cycles == 2
         assert sc.gait.period == 1.0
