@@ -21,8 +21,9 @@ Provider protocol.  A provider offers:
   evaluated past its switching surface.
 
 Every consumer of A(r) (integrate_gait, sample_field, the loop integrals of
-holonomy_vs_area and the residual verify suite) labels its shapes with one
-``contacts_many`` call and hands them to ``connection_rows``, which makes one
+holonomy_vs_area and the residual verify suite) labels its shapes with
+``contacts_many`` and hands them to ``connection_rows`` (integrate_gait, as
+integer codes, to its core ``coded_connection_rows``), which makes one
 ``connection_many`` call per stance label over that label's distinct shapes.
 ``ConnectionProvider`` derives ``contacts_at(r)``, ``connection_for(label,
 r)`` and ``connection_at(r)`` (the piece selected at r) as single-shape cases
@@ -140,6 +141,12 @@ def _cond_estimate(m: np.ndarray):
     Returns a float for one block and an array over leading axes otherwise.
     """
     m = np.asarray(m, dtype=float)
+    norm1 = abs(m).sum(axis=-2).max(axis=-1)
+    # scaled by 2^-k, 2^k just above its norm, a block keeps its condition
+    # exactly and its adjugate products stay in the float range.  A
+    # non-finite block stays unscaled
+    k = np.frexp(norm1)[1] * (norm1 < np.inf)
+    m, norm1 = np.ldexp(m, -k[..., None, None]), np.ldexp(norm1, -k)
     # m.T puts the block indices first (transposed) and the leading axes last
     (a, d, g), (b, e, h), (c, f, i) = m.T
     c00 = e * i - f * h
@@ -151,9 +158,8 @@ def _cond_estimate(m: np.ndarray):
         abs(c * h - b * i) + abs(a * i - c * g) + abs(b * g - a * h),
         abs(b * f - c * e) + abs(c * d - a * f) + abs(a * e - b * d),
     ])
-    norm1 = abs(m).sum(axis=-2).max(axis=-1).T
     usable = np.isfinite(det) & (det != 0.0)
-    cond = np.where(usable, norm1 * (adj1 / abs(np.where(usable, det, 1.0))), np.inf)
+    cond = np.where(usable, norm1.T * (adj1 / abs(np.where(usable, det, 1.0))), np.inf)
     return float(cond) if m.ndim == 2 else cond.T
 
 
@@ -211,35 +217,47 @@ class ConnectionProvider:
         return self.connection_for(self.contacts_at(r), r)
 
 
+def stance_codes(labels, ids: dict) -> np.ndarray:
+    """Each label's index in ids, adding unseen labels to ids in first-seen order."""
+    return np.array([ids.setdefault(c, len(ids)) for c in labels], dtype=np.int32)
+
+
 def connection_rows(provider, shapes, labels) -> tuple[np.ndarray, np.ndarray]:
+    """coded_connection_rows of shapes (N, d) whose row i has stance label labels[i]."""
+    ids: dict = {}
+    codes = stance_codes(labels, ids)
+    return coded_connection_rows(provider, shapes, codes, list(ids))
+
+
+def coded_connection_rows(provider, shapes, codes, catalog) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the connection once per bytewise-distinct (label, shape) row.
 
-    shapes is (N, d) and labels[i] is the stance label of row i.  A depends
-    on the label and the shape only, so each label, in first-seen order, gets
-    one connection_many call over its distinct rows.  Returns their
-    connections as one (M, 3, d) array and each row's index into it;
+    shapes is (N, d) and row i has stance label catalog[codes[i]].  A
+    depends on the label and the shape only, so each label, in first-seen
+    order, gets one connection_many call over its distinct rows.  Returns
+    their connections as one (M, 3, d) array and each row's index into it;
     non-finite entries are returned as computed.
     """
     shapes = np.asarray(shapes, dtype=float)
     n, d = shapes.shape
-    ids: dict = {}
-    label_ids = np.array([ids.setdefault(c, len(ids)) for c in labels], dtype=np.int32)
     # one opaque key per row, equal exactly when the shapes are bitwise equal
     keys = np.ascontiguousarray(shapes).view(np.dtype((np.void, 8 * d)))[:, 0] if d else np.zeros(n)
     # stable sorts order the rows by label, then key, with each run of equal
     # rows in first-seen order; this holds about half the memory np.unique does
     order = np.argsort(keys, kind="stable")
-    order = order[np.argsort(label_ids[order], kind="stable")]
-    ordered, ordered_ids = keys[order], label_ids[order]
+    order = order[np.argsort(codes[order], kind="stable")]
+    ordered, ordered_codes = keys[order], codes[order]
     starts = np.ones(n, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]) | (ordered_ids[1:] != ordered_ids[:-1])
+    starts[1:] = (ordered[1:] != ordered[:-1]) | (ordered_codes[1:] != ordered_codes[:-1])
     index = np.empty(n, dtype=np.int32)
     index[order] = np.cumsum(starts, dtype=np.int32) - 1
     picks = order[starts]
-    bounds = np.searchsorted(label_ids[picks], np.arange(len(ids) + 1))
+    bounds = np.searchsorted(ordered_codes[starts], np.arange(len(catalog) + 1)).tolist()
     out = np.empty((len(picks), 3, d))
-    for label, lo, hi in zip(ids, bounds[:-1], bounds[1:]):
-        out[lo:hi] = provider.connection_many(label, shapes[picks[lo:hi]])
+    # a label's first row is the first of its distinct shapes' first rows
+    spans = [(picks[lo:hi].min(), c, lo, hi) for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
+    for _, c, lo, hi in sorted(spans):
+        out[lo:hi] = provider.connection_many(catalog[c], shapes[picks[lo:hi]])
     return out, index
 
 

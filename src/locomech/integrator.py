@@ -2,13 +2,14 @@
 
 The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
 Munthe-Kaas scheme.  The shape path r(t) is prescribed, so every stage twist
-depends on t alone and the work is array passes.  Each cycle's step grid is
-planned from arrays: one gait.evaluate_many call samples every grid point
-and step midpoint, and one provider.contacts_many call labels them.  A step
-whose midpoint and end carry its start's label is accepted as it stands;
-only a step that leaves its start's stance is split at the switch time,
-located by bisection one time at a time, and integration resumes with the
-new piece from the same pose, so the pose path stays continuous.  Three
+depends on t alone and the work is array passes.  The step grids of all
+cycles are planned from arrays: one gait.evaluate_many call samples every
+grid point and step midpoint, and one provider.contacts_many call labels
+them.  A step whose midpoint and end carry its start's label is accepted as
+it stands; only a step that leaves its start's stance is split at the
+switch time, and integration resumes with the new piece from the same pose,
+so the pose path stays continuous.  All switches are bisected together, one
+labelling call over every open bracket's midpoint per level.  Three
 evaluate_many calls then fill the stage rows, the connection is evaluated
 once per distinct (stance, stage shape), the step exponents (stage twists
 combined through the truncated inverse differential of exp) and their
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import SingularConstraint, connection_rows
+from .connection import SingularConstraint, coded_connection_rows, stance_codes
 from .liegroup import Pose, Twist, bracket_many, compose_chain, compose_many, exp_many, inverse_many, log_many
 
 
@@ -125,7 +126,7 @@ def _rkmk4_exponents(h: np.ndarray, k1: np.ndarray, mid: np.ndarray, end: np.nda
 
 
 # Most steps (per cycle, times cycles) one integration may take.  It peaks
-# at 596-650 bytes per step (swimmer, walker) or 900 (crawler) and its
+# at 489-564 bytes per step (walker, swimmer) or 671-699 (crawler) and its
 # Trajectory keeps about 81 (tracemalloc on the shipped scenarios at 20k and
 # 80k steps), so a period or step asking for more is rejected instead of
 # exhausting memory.
@@ -146,8 +147,9 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
 
     The step is snapped to an integer count per cycle so cycle boundaries are
     sample points.  Stance switches are located to event_tol (in time) by
-    bisection; a step containing several switches is split at each located
-    switch.  A single-piece provider never switches.
+    bisection, all switches together, one provider call per level; a step
+    containing several switches is split at each.  A single-piece provider
+    never switches, and is labelled in one contacts_many call.
 
     The shape path is prescribed, so the work runs in three phases: plan the
     accepted steps and events from the stance labels alone, evaluate the
@@ -176,77 +178,36 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         with np.errstate(over="ignore", invalid="ignore"):
             return gait.evaluate_many(ts, side)
 
-    def shape_and_label(t: float):
-        """Shape at t and the stance selected there, one row at a time."""
-        r = sample([t])[0]
-        return r[0], provider.contacts_many(r)[0]
+    ids: dict = {}
+
+    def label(ts) -> np.ndarray:
+        """Codes (indices into ids) of the stances selected at times ts, in one provider call."""
+        return stance_codes(provider.contacts_many(sample(ts)[0]), ids)
+
+    def bisect(lo, hi, c_lo, c_hi):
+        """Shrink, in place, brackets [lo, hi] with stances c_lo != c_hi at their ends; one call per level.
+
+        A bracket whose midpoint is an end spans adjacent floats, as tight as
+        it gets below their spacing.  Returns lo, hi and the stance at hi.
+        """
+        while True:
+            mid = 0.5 * (lo + hi)
+            k = np.flatnonzero((hi - lo > event_tol) & (mid != lo) & (mid != hi))
+            if not len(k):
+                return lo, hi, c_hi
+            c = label(mid[k])
+            same = c == c_lo[k]
+            lo[k[same]] = mid[k[same]]
+            hi[k[~same]], c_hi[k[~same]] = mid[k[~same]], c[~same]
 
     # -- plan: accepted steps and events; no connection call.  Step j runs
     # from row j to row j + 1 on row j's stance.
-    times: list[float] = []
-    contacts: list = []
-    events: list[EventRecord] = []
-    cycle_indices = [0]
-
-    def locate_switch(t0: float, t1: float, c0):
-        """First time in (t0, t1] whose selected stance differs from c0."""
-        lo, hi = t0, t1
-        while hi - lo > event_tol:
-            mid = 0.5 * (lo + hi)
-            # lo and hi are adjacent floats: a tolerance below their spacing
-            # cannot be met, so the bracket is as tight as it gets
-            if mid == lo or mid == hi:
-                break
-            if shape_and_label(mid)[1] == c0:
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
-
-    def split(t0: float, t1: float, active) -> None:
-        """Cut step [t0, t1], which starts on stance `active`, at each switch: an event, and a row before t1."""
-        # a loop, not recursion: a self-referencing closure would keep the
-        # whole trajectory alive until the cyclic collector ran
-        splits = 0
-        while True:
-            # check the midpoint too: a stance entered and left inside one
-            # step would be invisible to an endpoint-only comparison
-            t_mid = t0 + 0.5 * (t1 - t0)
-            c_mid = shape_and_label(t_mid)[1]
-            if c_mid == active and shape_and_label(t1)[1] == active:
-                return
-            lo, t_switch = locate_switch(t0, t_mid if c_mid != active else t1, active)
-            r_switch, new_piece = shape_and_label(t_switch)
-            events.append(
-                EventRecord(
-                    time=t_switch,
-                    before=active,
-                    after=new_piece,
-                    shape=r_switch,
-                    window=(lo, t_switch),
-                )
-            )
-            if t_switch >= t1:
-                return
-            times.append(t_switch)
-            contacts.append(new_piece)
-            active = new_piece
-            if splits > 0:
-                warnings.warn(
-                    f"multiple stance switches inside one step near t={t_switch:.6g}; "
-                    "splitting at each switch",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            splits += 1
-            t0 = t_switch
-
     # Waypoint knots are rate corners; a stage sampled across one would cost
     # the scheme its order, so knots are forced onto the step grid.
     knot_times = getattr(gait, "times", None)
     interior_knots = [] if knot_times is None else [float(t) for t in knot_times[1:-1]]
     merge_tol = 1e-12 * max(1.0, period)
-
+    g = [0.0]
     for k in range(cycles):
         base = k * period
         end = (k + 1) * period
@@ -261,28 +222,58 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         while len(grid) > 1 and end - grid[-1] <= merge_tol:
             grid.pop()
         grid.append(end)
-        # label every grid point, then every step midpoint, in one batch.  A
-        # step ends on the stance its end point selects, and only a step whose
-        # midpoint or end leaves its start's stance is searched for switches
-        n = len(grid) - 1
-        g = np.array(grid)
-        labels = provider.contacts_many(sample(np.concatenate([g, g[:-1] + 0.5 * np.diff(g)]))[0])
-        if k == 0:
-            times.append(grid[0])
-            contacts.append(labels[0])
-        for j in range(n):
-            if not labels[j] == labels[j + 1] == labels[n + 1 + j]:
-                split(grid[j], grid[j + 1], labels[j])
-            times.append(grid[j + 1])
-            contacts.append(labels[j + 1])
-        cycle_indices.append(len(times) - 1)
+        # a cycle starts where the previous one ends
+        g.extend(grid[1:])
+
+    # label every grid point, then every step midpoint, in one call.  A step
+    # ends on the stance its end point selects, and only a step whose
+    # midpoint or end leaves its start's stance is searched for switches
+    g = np.array(g)
+    n = len(g) - 1
+    g_mid = g[:-1] + 0.5 * (g[1:] - g[:-1])
+    codes = label(np.concatenate([g, g_mid]))
+    c0, c1, c_mid = codes[:n], codes[1:n + 1], codes[n + 1:]
+    j = np.flatnonzero((c1 != c0) | (c_mid != c0))
+    t0, t1, t_mid, active, c1, c_mid = g[j], g[j + 1], g_mid[j], c0[j], c1[j], c_mid[j]
+    t, row_codes = g, codes[:n + 1]
+    found = []
+    # Each round locates the first switch of every searched step together.  A
+    # switch before its step's end adds a row there, and the rest of the step
+    # is searched like a step: a midpoint or end off the new stance.
+    while len(t0):
+        off = c_mid != active
+        lo, hi, after = bisect(t0, np.where(off, t_mid, t1), active, np.where(off, c_mid, c1))
+        rest = hi < t1
+        found.append((hi, lo, active, after, rest))
+        t0, t1, active, c1 = hi[rest], t1[rest], after[rest], c1[rest]
+        t_mid = t0 + 0.5 * (t1 - t0)
+        c_mid = label(t_mid) if len(t0) else active
+        searched = (c_mid != active) | (c1 != active)
+        t0, t1, t_mid, active, c1, c_mid = (x[searched] for x in (t0, t1, t_mid, active, c1, c_mid))
+    catalog = list(ids)
+    events = []
+    if found:
+        ev_t, ev_lo, before, after, rest = map(np.concatenate, zip(*found))
+        # a switch row lies strictly inside its step, so a time sort orders the rows
+        t, row_codes = np.append(t, ev_t[rest]), np.append(row_codes, after[rest])
+        order = np.argsort(t, kind="stable")
+        t, row_codes = t[order], row_codes[order]
+        order = np.argsort(ev_t, kind="stable")
+        ev = [x[order].tolist() for x in (ev_t, ev_lo, before, after)] + [sample(ev_t[order])[0]]
+        events = [EventRecord(t_e, catalog[b], catalog[a], r, (lo_e, t_e)) for t_e, lo_e, b, a, r in zip(*ev)]
+        # a switch row after the first of its step marks a step holding several
+        late = len(found[0][0])
+        for t_switch in np.sort(ev_t[late:][rest[late:]]).tolist():
+            warnings.warn(
+                f"multiple stance switches inside one step near t={t_switch:.6g}; splitting at each switch",
+                RuntimeWarning,
+            )
 
     # -- evaluate: stages 3j, 3j + 1 and 3j + 2 are the start, midpoint and
     # end of step j, on the stance of row j; the final stage is the last row,
     # whose twist is no stage.  The end stage takes the left-limit rate,
     # because a step end may be a waypoint corner.
-    t = np.array(times)
-    t_mid = t[:-1] + 0.5 * np.diff(t)
+    t_mid = t[:-1] + 0.5 * (t[1:] - t[:-1])
     stage_times = np.empty(3 * len(t) - 2)
     stage_shapes = np.empty((len(stage_times), gait.dim))
     stage_rates = np.empty_like(stage_shapes)
@@ -290,8 +281,8 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         stage_times[offset::3] = ts
         stage_shapes[offset::3], stage_rates[offset::3] = sample(ts, side)
     _require_finite(np.isfinite(stage_rates).all(axis=1), "shape rate", stage_times, stage_shapes)
-    stage_labels = [c for c in contacts[:-1] for _ in range(3)] + contacts[-1:]
-    conn, stage_conn = connection_rows(provider, stage_shapes, stage_labels)
+    stage_codes = np.repeat(row_codes, 3)[:-2]
+    conn, stage_conn = coded_connection_rows(provider, stage_shapes, stage_codes, catalog)
     _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", stage_times, stage_shapes)
     # Each array pass from here on is checked for finiteness right after it,
     # so an overflow aborts with SingularConstraint and numpy's warning is
@@ -308,14 +299,14 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     max_norm = float(norms.max(initial=0.0))
     n_shapes = len(conn)
     shapes = stage_shapes[::3].copy()
-    del conn, stage_conn, stage_labels, stage_rates, stage_shapes, stage_times, norms
+    del conn, stage_conn, stage_codes, stage_rates, stage_shapes, stage_times, norms
 
     # -- combine: every step's exponent and increment in array passes; only
     # the pose product runs step by step, in plain floats.  Finite twists can
     # still combine into an overflowing exponent or pose; row j's time and
     # shape name step j.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _rkmk4_exponents(np.diff(t), stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
+        u = _rkmk4_exponents(t[1:] - t[:-1], stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
         _require_finite(np.isfinite(u).all(axis=0), "step exponent", t, shapes)
         poses = compose_chain(exp_many(u))
     # a non-finite coordinate stays non-finite under the product (theta is
@@ -329,9 +320,9 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         shapes=shapes,
         # row k's twist is the start stage of the step leaving row k
         twists=stage_twists[::3].copy(),
-        contacts=contacts,
+        contacts=list(map(catalog.__getitem__, row_codes.tolist())),
         events=events,
-        cycle_indices=cycle_indices,
+        cycle_indices=[0] + np.searchsorted(t, period * np.arange(1, cycles + 1)).tolist(),
         meta={
             "scheme": "rkmk4",
             "order": 4,

@@ -4,8 +4,10 @@ Each suite turns one conservation or consistency property into a few
 numeric checks: a measured value, the threshold it must stay under, and
 the resulting verdict.  Suites reuse the scenario's model, gait, and
 integrator settings so a failing row points at a concrete configuration.
-One verify run integrates the scenario's own gait over one cycle at most
-once, and every suite that needs that run shares it.
+One verify run integrates the scenario's own gait once, over the
+scenario's cycles when the continuity suite needs them and over one cycle
+otherwise, and every suite that needs it shares that run.  The one-cycle
+suites read its first cycle, which is bitwise a one-cycle run.
 """
 
 from __future__ import annotations
@@ -36,31 +38,34 @@ def _check(suite: str, check: str, value: float, threshold: float) -> VerifyChec
     return VerifyCheck(suite, check, value, threshold, bool(value <= threshold))
 
 
-def _integrate(scenario, gait=None, cycles=None):
+def _integrate(scenario, cycles, gait=None):
     return integrate_gait(
         scenario.provider,
         scenario.gait if gait is None else gait,
-        cycles=scenario.cycles if cycles is None else cycles,
+        cycles=cycles,
         step=scenario.step,
         event_tol=scenario.event_tol,
     )
 
 
 def _suite_loop_closure(scenario, base):
-    return [_check("loop_closure", "log_final_pose", log(base().poses[-1]).norm(), 1e-8)]
+    traj = base()
+    return [_check("loop_closure", "log_final_pose", log(traj.poses[traj.cycle_indices[1]]).norm(), 1e-8)]
 
 
 def _suite_single_piece(scenario, base):
     traj = base()
+    events = sum(e.time <= traj.times[traj.cycle_indices[1]] for e in traj.events)
     return [
         _check("single_piece", "net_displacement", net_displacement(traj).norm(), 1e-8),
-        _check("single_piece", "event_count", float(len(traj.events)), 0.0),
+        _check("single_piece", "event_count", float(events), 0.0),
     ]
 
 
 def _suite_reversal(scenario, base):
-    forward = base().poses[-1]
-    backward = _integrate(scenario, gait=reversed_gait(scenario.gait), cycles=1).poses[-1]
+    traj = base()
+    forward = traj.poses[traj.cycle_indices[1]]
+    backward = _integrate(scenario, 1, reversed_gait(scenario.gait)).poses[-1]
     return [
         _check("reversal", "log_roundtrip_pose", log(compose(forward, backward)).norm(), 1e-8)
     ]
@@ -75,12 +80,12 @@ def _suite_pacing(scenario, base):
 
     shift = net_displacement(base())
     warped_gait = reparameterize(scenario.gait, warp, samples=4096)
-    warped = net_displacement(_integrate(scenario, gait=warped_gait, cycles=1))
+    warped = net_displacement(_integrate(scenario, 1, warped_gait))
     return [_check("pacing", "retimed_displacement_gap", (shift - warped).norm(), 1e-7)]
 
 
 def _suite_continuity(scenario, base):
-    traj = base() if scenario.cycles == 1 else _integrate(scenario)
+    traj = base()
     vx, vy, om = pose_increments(traj, slice(None, -1), slice(1, None))
     worst = float(np.sqrt(vx * vx + vy * vy + om * om).max(initial=0.0))
     bound = traj.meta["max_twist_norm"] * traj.meta["step"] * (1.0 + 1e-9)
@@ -115,9 +120,10 @@ def run_verify(scenario) -> list[VerifyCheck]:
     """Run the scenario's selected suites and collect all check rows."""
     if scenario.verify is None:
         raise ValueError("scenario has no verify block")
-    # the scenario's own gait over one cycle, integrated on first use
-    base = cache(partial(_integrate, scenario, cycles=1))
+    suites = scenario.verify["suites"]
+    # the scenario's own gait, integrated on first use
+    base = cache(partial(_integrate, scenario, scenario.cycles if "continuity" in suites else 1))
     rows: list[VerifyCheck] = []
-    for name in scenario.verify["suites"]:
+    for name in suites:
         rows.extend(SUITES[name](scenario, base))
     return rows

@@ -589,6 +589,35 @@ class TestExitCodes:
         assert "non-finite connection at t=" in capsys.readouterr().err
 
 
+class TestHugeDrag:
+    """A balance with huge finite entries is as well conditioned as its unit-scale twin.
+
+    Scaling both drag coefficients scales the balance and leaves A(r) alone;
+    the 1-norm condition is scale-free, so it must not overflow into a
+    numpy warning or a singular verdict.
+    """
+
+    def run(self, tmp_path, command, drag):
+        doc = swimmer_doc(sweep={"lo": [-1.5, -1.5], "hi": [1.5, 1.5], "counts": [3, 3]})
+        doc["model"] = {"kind": "swimmer", "drag_tangential": drag, "drag_normal": drag}
+        out = tmp_path / f"{command}_{drag}"
+        assert main([command, write_scenario(tmp_path, doc, f"{drag}.yaml"), "--out", str(out)]) == 0
+        return out
+
+    def test_sweep_flags_no_node_singular(self, tmp_path, capsys):
+        huge = read_field(self.run(tmp_path, "sweep", 1.0e300) / "field.csv")
+        unit = read_field(self.run(tmp_path, "sweep", 1.0) / "field.csv")
+        assert capsys.readouterr().err == ""
+        assert not huge["singular"].any()
+        np.testing.assert_allclose(huge["conn"], unit["conn"], rtol=1e-12, atol=1e-15)
+
+    def test_simulate_does_not_abort(self, tmp_path, capsys):
+        huge = read_trajectory(self.run(tmp_path, "simulate", 1.0e300) / "trajectory.csv")
+        unit = read_trajectory(self.run(tmp_path, "simulate", 1.0) / "trajectory.csv")
+        assert capsys.readouterr().err == ""
+        np.testing.assert_allclose(huge["twists"], unit["twists"], rtol=1e-12, atol=1e-15)
+
+
 class TestDeterminismAndOverrides:
     def test_byte_identical_reruns(self, tmp_path):
         path = write_scenario(tmp_path, crawler_doc())

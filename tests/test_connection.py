@@ -38,7 +38,7 @@ from locomech import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from locomech.connection import _CHUNK_ROWS, _cond_estimate
+from locomech.connection import _CHUNK_ROWS, _cond_estimate, coded_connection_rows
 from locomech.scenario import MODEL_KINDS
 
 
@@ -164,6 +164,15 @@ def test_cond_estimate_tracks_numpy():
         est = _cond_estimate(m)
         assert est == pytest.approx(ref, rel=1e-8)
     assert _cond_estimate(np.zeros((3, 3))) == np.inf
+
+
+def test_cond_estimate_is_scale_free_bitwise():
+    # a power-of-two scale changes no bit of the condition, however far it
+    # takes the entries from 1; unscaled, the adjugate of 1e300 entries overflows
+    m = np.random.default_rng(4).uniform(-1, 1, (50, 3, 3))
+    cond = _cond_estimate(m)
+    for k in range(-1000, 1001, 40):
+        assert _cond_estimate(np.ldexp(m, k)).tobytes() == cond.tobytes()
 
 
 def test_apply_zero_rate():
@@ -336,6 +345,28 @@ def test_connection_rows_one_call_per_label_over_distinct_rows():
     empty_rows, empty_index = connection_rows(Recording(), np.zeros((0, 2)), [])
     assert empty_rows.shape == (0, 3, 2) and empty_index.shape == (0,)
     assert len(calls) == 2
+
+
+def test_coded_rows_call_each_carried_label_in_first_seen_order():
+    # the codes index a catalog whose order is not the rows' first-seen
+    # order, and whose last label no row carries
+    inner = PiecewiseConnection(two_leg_crawler())
+    calls = []
+
+    class Recording:
+        def connection_many(self, label, shapes):
+            calls.append((label, len(shapes)))
+            return inner.connection_many(label, shapes)
+
+    catalog = [frozenset({0}), frozenset({1}), "unused"]
+    shapes = np.random.default_rng(6).uniform(-1.0, 1.0, (7, 2))[[0, 1, 2, 3, 1, 4, 5]]
+    codes = np.array([1, 0, 1, 0, 1, 0, 0])
+    rows, index = coded_connection_rows(Recording(), shapes, codes, catalog)
+    assert calls == [(frozenset({1}), 3), (frozenset({0}), 4)]
+    labels = [catalog[c] for c in codes]
+    want_rows, want_index = connection_rows(Recording(), shapes, labels)
+    assert len(rows) == len(want_rows) == 7
+    assert np.array_equal(rows[index], want_rows[want_index])
 
 
 _FIVE_LINKS = DragModel(ChainModel([1.0, 0.7, 1.3, 0.9, 1.1]), 1.0, 2.5, quadrature=5)

@@ -25,6 +25,7 @@ from locomech import (
     WaypointGait,
     arm_com_pose_map,
     JacobianConnection,
+    LeggedModel,
     build_contact_map,
     compose,
     crawler_slip_model,
@@ -46,7 +47,7 @@ from locomech.integrator import MAX_STEPS, pose_increments
 from locomech.liegroup import compose_chain
 from locomech.optimizer import amplitude_phase_family
 from fuzzing import time_limit
-from pointwise import Pointwise
+from pointwise import Pointwise, reference_plan
 
 TWO_PI = 2.0 * math.pi
 
@@ -347,6 +348,78 @@ def test_multi_switch_step_warns_and_recovers():
     assert traj.events[0].after == frozenset({0})
 
 
+def assert_plan_matches_the_one_at_a_time_search(provider, gait, cycles, step, event_tol):
+    """integrate_gait's rows, events and warnings, bitwise those of reference_plan."""
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        traj = integrate_gait(provider, gait, cycles=cycles, step=step, event_tol=event_tol)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        times, contacts, events, cycle_indices = reference_plan(provider, gait, cycles, step, event_tol)
+    assert [t.hex() for t in traj.times.tolist()] == [t.hex() for t in times]
+    assert traj.contacts == contacts
+    assert traj.cycle_indices == cycle_indices
+    assert len(traj.events) == len(events)
+    for got, want in zip(traj.events, events):
+        assert got.time.hex() == want.time.hex()
+        assert [w.hex() for w in got.window] == [w.hex() for w in want.window]
+        assert (got.before, got.after) == (want.before, want.after)
+        assert got.shape.tobytes() == want.shape.tobytes()
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    return traj
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.tuples(st.floats(0.05, 0.7), st.floats(0.05, 0.7)),
+    centre=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    step=st.floats(2e-3, 0.4),
+    cycles=st.integers(1, 3),
+    event_tol=st.sampled_from([1e-10, 1e-17]),
+)
+def test_batched_switch_search_matches_the_one_at_a_time_search(half, centre, step, cycles, event_tol):
+    # every midpoint, label and event of the batched search is the one a
+    # search of one switch at a time computes, because gait rows and label
+    # rows are bitwise independent of their batch
+    (a1, a2), (x, y) = half, centre
+    gait = WaypointGait(
+        points=[[x - a1, y - a2], [x + a1, y - a2], [x + a1, y + a2], [x - a1, y + a2]],
+        times=[0.0, 0.25, 0.5, 0.75, 1.0],
+    )
+    with time_limit(20.0):
+        assert_plan_matches_the_one_at_a_time_search(
+            PiecewiseConnection(two_leg_crawler()), gait, cycles, step, event_tol
+        )
+
+
+@pytest.mark.parametrize("event_tol", [1e-10, 1e-17])
+@pytest.mark.parametrize("cycles", [1, 2])
+def test_batched_multi_switch_search_matches_the_one_at_a_time_search(cycles, event_tol):
+    gait = FourierGait(1.0, [0.0, 0.0], cos=[[0.0, 0.1]], sin=[[0.5, 0.0]])
+    traj = assert_plan_matches_the_one_at_a_time_search(
+        PiecewiseConnection(two_leg_crawler()), gait, cycles, 1.0, event_tol
+    )
+    assert len(traj.events) == 2 * cycles
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-0.6, 0.6), min_size=12, max_size=12),
+    step=st.floats(0.05, 1.0),
+    cycles=st.integers(1, 2),
+    event_tol=st.sampled_from([1e-10, 1e-17]),
+)
+def test_batched_search_matches_on_three_stances_and_several_switches_per_step(coeffs, step, cycles, event_tol):
+    # a two-harmonic loop over three legs, each planted while its angle is
+    # the largest, with long steps: a step may hold several switches, and a
+    # bisection midpoint may select a third stance
+    legs = LeggedModel(hips=[[0.0, 0.5], [0.0, -0.5], [0.5, 0.0]], leg_lengths=[1.0] * 3, rest_angles=[0.0] * 3)
+    c = np.reshape(coeffs, (2, 2, 3))
+    gait = FourierGait(1.0, [0.0] * 3, cos=c[0], sin=c[1])
+    with time_limit(20.0):
+        assert_plan_matches_the_one_at_a_time_search(PiecewiseConnection(legs), gait, cycles, step, event_tol)
+
+
 class CountingProvider:
     """Single-piece provider wrapper that counts batched calls and shape rows."""
 
@@ -387,15 +460,17 @@ def test_smooth_integration_makes_two_evaluations_per_step():
 
 
 class LabelCounting(CountingProvider):
-    """CountingProvider that also counts batched and single-shape label calls."""
+    """CountingProvider that also counts batched label calls, their rows, and single-shape label calls."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.label_batches = 0
+        self.label_rows = 0
         self.single_labels = 0
 
     def contacts_many(self, shapes):
         self.label_batches += 1
+        self.label_rows += len(shapes)
         return super().contacts_many(shapes)
 
     def contacts_at(self, r):
@@ -426,6 +501,28 @@ def test_smooth_integration_samples_the_gait_in_batches(cycles):
     assert calls["evaluate_many"] <= cycles + 3
     assert provider.label_batches <= cycles + 1
     assert provider.single_labels == 0
+
+
+def test_crawler_square_labels_every_switch_together():
+    # one call labels the plan, then each bisection level labels the
+    # midpoints of all six switch brackets at once; one switch at a time
+    # took 165 calls over 6165 rows
+    sc = load_scenario(str(CRAWLER_SQUARE))
+    provider = LabelCounting(sc.provider)
+    traj = integrate_gait(provider, sc.gait, cycles=sc.cycles, step=sc.step, event_tol=sc.event_tol)
+    assert len(traj.events) == 6
+    assert provider.label_batches <= 30
+    assert provider.label_rows <= 6165
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 5])
+@pytest.mark.parametrize("name", ["walker_mirror", "swimmer_circle"])
+def test_single_piece_provider_is_labelled_in_one_call(name, cycles):
+    sc = load_scenario(str(CRAWLER_SQUARE.with_name(f"{name}.yaml")))
+    provider = LabelCounting(sc.provider)
+    traj = integrate_gait(provider, sc.gait, cycles=cycles, step=0.01)
+    assert provider.label_batches == 1
+    assert provider.label_rows == 2 * (len(traj.times) - 1) + 1
 
 
 def test_one_smooth_cycle_evaluates_two_shapes_per_step():
