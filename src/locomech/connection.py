@@ -168,6 +168,11 @@ def _max_abs(x: np.ndarray):
     return np.abs(x).max(axis=(-2, -1), initial=0.0)
 
 
+def _balance_scale(m: np.ndarray, n: np.ndarray, a: np.ndarray):
+    """Size max(|n|, |m| max(|a|, 1)), at least 1, each balance's residual is judged against."""
+    return np.maximum(np.maximum(_max_abs(n), _max_abs(m) * np.maximum(_max_abs(a), 1.0)), 1.0)
+
+
 def linear_constraint_connection(system: ConstraintSystem) -> ConnectionMatrix:
     """Solve every balance for A = -m^-1 n via a pivoted solve.
 
@@ -189,8 +194,7 @@ def linear_constraint_connection(system: ConstraintSystem) -> ConnectionMatrix:
     resid_max = _max_abs(resid)
     # the threshold is at least 1e-13, so only larger residuals need the scale
     if np.any(resid_max > 1e-13):
-        scale = np.maximum(_max_abs(n), _max_abs(m) * np.maximum(_max_abs(a), 1.0))
-        refine = resid_max > 1e-13 * np.maximum(scale, 1.0)
+        refine = resid_max > 1e-13 * _balance_scale(m, n, a)
         if refine.any():
             a[refine] -= np.linalg.solve(m[refine], resid[refine])
     return a

@@ -5,7 +5,8 @@ stance pieces are holonomic pose maps, walkers whose feet slip against
 anisotropic viscous ground, and a dense point-contact surrogate that
 approaches the drag integral as the contact count grows.  Each model knows
 how to turn itself into the pose maps or linear balances consumed by the
-connection providers.
+connection providers.  Swimming links and slipping feet are contacts of one
+resistive-force assembler, so their balances are one formula.
 
 Kinematic conventions: chain link frames sit at link midpoints with x along
 the link, and the body frame is the middle link's frame.  A foot at leg angle
@@ -114,48 +115,55 @@ def _swing_signs(n_links: int) -> np.ndarray:
     return coef
 
 
+def _resistive_balance(cos_t, sin_t, turn_t, turn_n, spin, c_t, c_n, c_n1, c_spin) -> ConstraintSystem:
+    """Balance of k contacts resisting motion along their tangents t and normals n.
+
+    t = (cos_t, sin_t), each (..., k).  A contact moves at B0 [xi; rdot]: per
+    unit body spin (column 0) and per unit rate of each shape coordinate it
+    moves along t at turn_t and along n at turn_n, both (..., k, 1 + d), and
+    spins at spin (k, 1 + d).  With rows u = t^T B0, v = n^T B0 and e = [0, 0,
+    spin] it resists with c_t u^T u + c_n v^T v + c_n1 (v^T e + e^T v) +
+    c_spin e^T e, each coefficient (k,).  Over all contacts that is one product, [c_t u; c_n v +
+    c_n1 e; c_n1 v + c_spin e] in twist columns times [u; v; e]; the balance
+    m @ xi + n @ rdot = 0 is minus its (..., 3, 3) and (..., 3, d) blocks.
+    """
+    lead, cols = cos_t.shape[:-1], 2 + spin.shape[1]
+    right = np.zeros(cos_t.shape + (3, cols))
+    right[..., 0, 0], right[..., 0, 1], right[..., 1, 0], right[..., 1, 1] = cos_t, sin_t, -sin_t, cos_t
+    right[..., 0, 2:], right[..., 1, 2:], right[..., 2, 2:] = turn_t, turn_n, spin
+    offset = np.zeros((len(spin), 3, 3))
+    offset[:, 1, 2], offset[:, 2, 2] = c_n1, c_spin
+    left = right[..., (0, 1, 1), :3] * np.stack([c_t, c_n, c_n1], axis=1)[:, :, None] + offset
+    blocks = np.swapaxes(left.reshape(lead + (-1, 3)), -1, -2) @ right.reshape(lead + (-1, cols))
+    return ConstraintSystem(-blocks[..., :3], -blocks[..., 3:])
+
+
 def _viscous_balance(chain: ChainModel, r, c_t: float, c_n: float, nodes_fn) -> ConstraintSystem:
-    """Force and moment balance for anisotropic viscous resistance along the chain.
+    """Anisotropic viscous drag along the chain, one _resistive_balance contact per link.
 
     nodes_fn(lengths) yields per-link stations s and weights w, both
-    (n_links, q), s measured from each link midpoint.  On a link with tangent
-    t and normal n the station moves at B(s) [xi; rdot], B(s) = B0 + s n e^T,
-    where B0 moves the midpoint and e = [0, 0, turn signs].  It resists with
-    D = c_t t t^T + c_n n n^T per unit weight, and D n = c_n n, so the sum
-    over stations is quadratic in s and needs only the link's moments
-    m0 = sum w, m1 = sum w s and m2 = sum w s^2:
+    (n_links, q), s measured from each link midpoint.  A station moves at
+    B(s) = B0 + s n e^T, B0 moving the midpoint and e = [0, 0, turn signs],
+    and resists with D = c_t t t^T + c_n n n^T per unit weight; as D n = c_n n,
 
-        sum w B^T D B = m0 B0^T D B0 + c_n m1 (B0^T n e^T + e n^T B0) + c_n m2 e e^T.
+        sum w B^T D B = m0 B0^T D B0 + c_n m1 (B0^T n e^T + e n^T B0) + c_n m2 e e^T
 
-    Its twist rows, over every link, are one product: rows u = t^T B0,
-    v = n^T B0 and e of each link on the right, and [c_t m0 u; c_n (m0 v +
-    m1 e); c_n (m1 v + m2 e)] in twist columns on the left.  The balance
-    m @ xi + n @ rdot = 0 is minus it; shapes (..., d) give (..., 3, 3) and
-    (..., 3, d).
+    with moments m0 = sum w, m1 = sum w s, m2 = sum w s^2: a contact at the
+    midpoint with coefficients c_t m0, c_n m0, c_n m1 and c_n m2, as a foot of
+    build_slip_constraints is.  Shapes (..., d) give (..., 3, 3) and (..., 3, d).
     """
-    r = np.asarray(r, dtype=float)
-    n_links, d = chain.n_links, chain.shape_dim
     x, y, th = _link_frames(chain, r)
-    cos_th, sin_th, signs = np.cos(th), np.sin(th), _swing_signs(n_links).T
+    cos_th, sin_th, signs = np.cos(th), np.sin(th), _swing_signs(chain.n_links).T
     # pivots: the origin for body spin, and the +x tip of link k for joint k
-    origin, half = np.zeros(r.shape[:-1] + (1,)), 0.5 * chain.lengths[:d]
-    px = x[..., :, None] - np.concatenate([origin, x[..., :d] + half * cos_th[..., :d]], axis=-1)[..., None, :]
-    py = y[..., :, None] - np.concatenate([origin, y[..., :d] + half * sin_th[..., :d]], axis=-1)[..., None, :]
-
+    origin, half = np.zeros(x.shape[:-1] + (1,)), 0.5 * chain.lengths[:-1]
+    px = x[..., :, None] - np.concatenate([origin, x[..., :-1] + half * cos_th[..., :-1]], axis=-1)[..., None, :]
+    py = y[..., :, None] - np.concatenate([origin, y[..., :-1] + half * sin_th[..., :-1]], axis=-1)[..., None, :]
     # turning about a pivot moves the midpoint along (-py, px)
-    right = np.zeros(r.shape[:-1] + (n_links, 3, 3 + d))
-    right[..., 0, 0], right[..., 0, 1], right[..., 1, 0], right[..., 1, 1] = cos_th, sin_th, -sin_th, cos_th
-    right[..., 0, 2:] = signs * (px * sin_th[..., None] - py * cos_th[..., None])
-    right[..., 1, 2:] = signs * (px * cos_th[..., None] + py * sin_th[..., None])
-    right[..., 2, 2:] = signs
-
+    turn_t = signs * (px * sin_th[..., None] - py * cos_th[..., None])
+    turn_n = signs * (px * cos_th[..., None] + py * sin_th[..., None])
     s, w = nodes_fn(chain.lengths)
     m0, m1, m2 = w.sum(axis=1), (w * s).sum(axis=1), (w * s * s).sum(axis=1)
-    offset = np.zeros((n_links, 3, 3))
-    offset[:, 1, 2], offset[:, 2, 2] = c_n * m1, c_n * m2
-    left = right[..., (0, 1, 1), :3] * np.stack([c_t * m0, c_n * m0, c_n * m1], axis=1)[:, :, None] + offset
-    blocks = np.swapaxes(left.reshape(r.shape[:-1] + (-1, 3)), -1, -2) @ right.reshape(r.shape[:-1] + (-1, 3 + d))
-    return ConstraintSystem(-blocks[..., :3], -blocks[..., 3:])
+    return _resistive_balance(cos_th, sin_th, turn_t, turn_n, signs, c_t * m0, c_n * m0, c_n * m1, c_n * m2)
 
 
 @dataclass(frozen=True)
@@ -351,14 +359,12 @@ class SlipModel:
     def __post_init__(self) -> None:
         f = self.geometry.n_feet
         for name in ("slip_tangential", "slip_normal", "slip_yaw"):
-            val = np.asarray(getattr(self, name), dtype=float)
-            if val.ndim == 0:
-                val = np.full(f, float(val))
+            val = getattr(self, name)
+            val = _readonly(np.full(f, val, dtype=float) if np.ndim(val) == 0 else val)
             if val.shape != (f,):
                 raise ValueError(f"{name} must be scalar or (f,), got {val.shape}")
             if not np.all(val > 0.0):
                 raise ValueError(f"{name} must be positive")
-            val.setflags(write=False)
             object.__setattr__(self, name, val)
 
     @property
@@ -375,8 +381,9 @@ def build_slip_constraints(model: SlipModel, c, r) -> ConstraintSystem:
 
     Each contacting foot resists its planar velocity anisotropically along the
     foot frame and its spin (body rate plus leg rate) with the yaw
-    coefficient; swing feet contribute nothing.  Shapes (..., d) give blocks
-    (..., 3, 3) and (..., 3, d).
+    coefficient; swing feet contribute nothing.  A foot is a _resistive_balance
+    contact, as a chain link is, with coefficients slip_tangential, slip_normal,
+    0 and slip_yaw.  Shapes (..., d) give blocks (..., 3, 3) and (..., 3, d).
     """
     geo = model.geometry
     c = sorted(int(i) for i in c)
@@ -387,32 +394,18 @@ def build_slip_constraints(model: SlipModel, c, r) -> ConstraintSystem:
     r = np.asarray(r, dtype=float)
     if r.shape[-1:] != (geo.shape_dim,):
         raise ValueError(f"model expects {geo.shape_dim} leg angles, got {r.shape}")
-    d = geo.shape_dim
-    m = np.zeros(r.shape[:-1] + (3, 3))
-    n = np.zeros(r.shape[:-1] + (3, d))
-    for i in c:
-        ang = geo.rest_angles[i] + r[..., i]
-        ca, sa = np.cos(ang), np.sin(ang)
-        p = geo.hips[i] + geo.leg_lengths[i] * np.stack([ca, sa], axis=-1)
-        tx, ty = np.cos(r[..., i]), np.sin(r[..., i])
-        tang = np.stack([tx, ty], axis=-1)
-        nrm = np.stack([-ty, tx], axis=-1)
-        drag = (
-            model.slip_tangential[i] * (tang[..., :, None] * tang[..., None, :])
-            + model.slip_normal[i] * (nrm[..., :, None] * nrm[..., None, :])
-        )
-        bxi = np.zeros(r.shape[:-1] + (2, 3))
-        bxi[..., 0, 0] = 1.0
-        bxi[..., 1, 1] = 1.0
-        bxi[..., 0, 2] = -p[..., 1]
-        bxi[..., 1, 2] = p[..., 0]
-        dpdr = geo.leg_lengths[i] * np.stack([-sa, ca], axis=-1)
-        bxi_t_drag = np.swapaxes(bxi, -1, -2) @ drag
-        m += bxi_t_drag @ bxi
-        n[..., :, i] += (bxi_t_drag @ dpdr[..., None])[..., 0]
-        m[..., 2, 2] += model.slip_yaw[i]
-        n[..., 2, i] += model.slip_yaw[i]
-    return ConstraintSystem(-m, -n)
+    # the foot frame turns with the leg, so in it the leg is its rest vector
+    # (lx, ly) at every shape: turning about the hip moves the foot along
+    # (-ly, lx), and body spin about the origin adds the hip's own turn
+    tx, ty = np.cos(r[..., c]), np.sin(r[..., c])
+    hx, hy = geo.hips[c].T
+    lx, ly = geo.leg_lengths[c] * np.cos(geo.rest_angles[c]), geo.leg_lengths[c] * np.sin(geo.rest_angles[c])
+    spin = np.hstack([np.ones((len(c), 1)), np.eye(geo.n_feet)[c]])
+    body_spin = np.eye(1, 1 + geo.n_feet)[0]
+    turn_t = (hx * ty - hy * tx)[..., None] * body_spin - ly[:, None] * spin
+    turn_n = (hx * tx + hy * ty)[..., None] * body_spin + lx[:, None] * spin
+    c_t, c_n, c_spin = model.slip_tangential[c], model.slip_normal[c], model.slip_yaw[c]
+    return _resistive_balance(tx, ty, turn_t, turn_n, spin, c_t, c_n, np.zeros(len(c)), c_spin)
 
 
 def three_link_swimmer(

@@ -206,7 +206,7 @@ def nelder_mead(
         values = np.array([evaluate(p) for p in simplex])
         spent = dim + 1
 
-        while spent < allowance and used < budget:
+        while spent < allowance:
             order = np.argsort(values)[::-1]  # descending: maximizing
             simplex, values = simplex[order], values[order]
             if np.max(np.abs(simplex - simplex[0])) < 1e-12:
@@ -218,7 +218,7 @@ def nelder_mead(
             fr = evaluate(reflected)
             spent += 1
             if fr > values[0]:
-                if spent < allowance and used < budget:
+                if spent < allowance:
                     expanded = project(centroid + 2.0 * (centroid - worst))
                     fe = evaluate(expanded)
                     spent += 1
@@ -231,7 +231,7 @@ def nelder_mead(
                 simplex[-1], values[-1] = reflected, fr
                 continue
             contracted = project(centroid + 0.5 * (worst - centroid))
-            if spent >= allowance or used >= budget:
+            if spent >= allowance:
                 break
             fc = evaluate(contracted)
             spent += 1
@@ -239,7 +239,7 @@ def nelder_mead(
                 simplex[-1], values[-1] = contracted, fc
                 continue
             for i in range(1, dim + 1):
-                if spent >= allowance or used >= budget:
+                if spent >= allowance:
                     break
                 simplex[i] = project(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
                 values[i] = evaluate(simplex[i])

@@ -17,7 +17,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .connection import connection_rows
+from .connection import _balance_scale, _max_abs, connection_rows
 from .integrator import integrate_gait, net_displacement, pose_increments
 from .liegroup import compose, log
 from .shapespace import reparameterize, reversed_gait
@@ -102,7 +102,8 @@ def _suite_residual(scenario, base):
     system = builder(shapes)
     provider = scenario.provider
     rows, index = connection_rows(provider, shapes, provider.contacts_many(shapes))
-    worst = np.abs(system.m @ rows[index] + system.n).max()
+    a = rows[index]
+    worst = (_max_abs(system.m @ a + system.n) / _balance_scale(system.m, system.n, a)).max()
     return [_check("residual", "constraint_balance", worst, 1e-10)]
 
 

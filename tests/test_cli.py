@@ -328,6 +328,16 @@ class TestVerify:
         path = write_scenario(tmp_path, doc)
         assert main(["verify", path, "--out", str(tmp_path / "run")]) == 0
 
+    def test_residual_suite_is_scale_free(self, tmp_path, capsys):
+        # a balance with 1e300 drag is solved to roundoff of its own size,
+        # though its absolute residual is near 1e284
+        doc = yaml.safe_load((SCENARIOS / "swimmer_circle.yaml").read_text())
+        doc["model"].update(drag_tangential=1e300, drag_normal=1e300)
+        path = write_scenario(tmp_path, doc)
+        assert main(["verify", path, "--out", str(tmp_path / "run")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "residual/constraint_balance: PASS" in out
+
 
 class TestExitCodes:
     def test_validation_error_is_two(self, tmp_path, capsys):

@@ -337,6 +337,15 @@ class TestSlipBalance:
         with pytest.raises(ValueError):
             SlipModel(model.geometry, np.ones(3), 1.0, 1.0)
 
+    def test_coefficient_arrays_are_copied(self):
+        # the model keeps read-only copies, so the caller's arrays stay its own
+        given_tangential = np.array([2.0, 1.0])
+        model = SlipModel(crawler_slip_model().geometry, given_tangential, 1.0, 1.0)
+        assert given_tangential.flags.writeable and model.slip_tangential is not given_tangential
+        given_tangential[0] = 5.0
+        assert model.slip_tangential.tolist() == [2.0, 1.0]
+        assert not model.slip_tangential.flags.writeable
+
 
 class TestManyLeggedSurrogate:
     def test_two_contacts_equal_two_point_rule(self):
@@ -515,6 +524,56 @@ def test_drag_blocks_match_a_50_digit_station_sum(build, chain, c_t, c_n, statio
     system = build(shapes)
     for r, m, n in zip(shapes, system.m, system.n):
         ref = mp_balance(chain.lengths, r, c_t, c_n, stations)
+        for got, want in ((m, ref[:, :3]), (n, ref[:, 3:])):
+            assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max(), r
+
+
+def mp_slip_balance(model, c, r):
+    """50-digit [m | n] of -sum (B^T D B + yaw e^T e) over the feet in c.
+
+    A foot at p = hip + L (cos a, sin a), a = rest angle + r_i, moves at
+    B [xi; rdot] = (vx - w py, vy + w px) + r_i' L (-sin a, cos a), resists
+    with D = c_t t t^T + c_n n n^T along its frame t = (cos r_i, sin r_i),
+    and resists its spin e [xi; rdot] = w + r_i' with the yaw coefficient.
+    """
+    geo = model.geometry
+    with mpmath.workdps(50):
+        total = mpmath.zeros(3, 3 + geo.shape_dim)
+        for i in sorted(c):
+            hip_x, hip_y = (mpmath.mpf(float(v)) for v in geo.hips[i])
+            rest, length, r_i = (mpmath.mpf(float(v)) for v in (geo.rest_angles[i], geo.leg_lengths[i], r[i]))
+            a = rest + r_i
+            px, py = hip_x + length * mpmath.cos(a), hip_y + length * mpmath.sin(a)
+            t = mpmath.matrix([mpmath.cos(r_i), mpmath.sin(r_i)])
+            n = mpmath.matrix([-t[1], t[0]])
+            drag = float(model.slip_tangential[i]) * t * t.T + float(model.slip_normal[i]) * n * n.T
+            b = mpmath.zeros(2, 3 + geo.shape_dim)
+            b[0, 0], b[1, 1], b[0, 2], b[1, 2] = 1, 1, -py, px
+            b[0, 3 + i], b[1, 3 + i] = -length * mpmath.sin(a), length * mpmath.cos(a)
+            e = mpmath.zeros(1, 3 + geo.shape_dim)
+            e[0, 2], e[0, 3 + i] = 1, 1
+            total += b[:, :3].T * drag * b + float(model.slip_yaw[i]) * e[:, :3].T * e
+        return -np.array(total.tolist(), dtype=float)
+
+
+_UNEQUAL_CRAWLER = crawler_slip_model(slip_tangential=[1.0, 2.5], slip_normal=[3.0, 0.7], slip_yaw=[0.5, 1.3])
+
+
+@pytest.mark.parametrize(
+    "model, c",
+    [
+        (mirrored_slip_walker(), {0, 1}),
+        (mirrored_slip_walker(), {1}),
+        (crawler_slip_model(), {0}),
+        (_UNEQUAL_CRAWLER, {0, 1}),
+    ],
+    ids=["walker_both_feet", "walker_foot_1", "crawler_foot_0", "unequal_crawler_both_feet"],
+)
+def test_slip_blocks_match_a_50_digit_foot_sum(model, c):
+    shapes = np.random.default_rng(50).uniform(-2.0, 2.0, (10, model.shape_dim))
+    system = build_slip_constraints(model, c, shapes)
+    for r, m, n in zip(shapes, system.m, system.n):
+        ref = mp_slip_balance(model, c, r)
         for got, want in ((m, ref[:, :3]), (n, ref[:, 3:])):
             assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max(), r
 
