@@ -2,22 +2,18 @@
 
 The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
 Munthe-Kaas scheme.  The shape path r(t) is prescribed, so every stage twist
-depends on t alone and the work is array passes.  The step grids of all
-cycles are planned from arrays: one gait.evaluate_many call samples every
-grid point and step midpoint, and one provider.contacts_many call labels
-them.  A step whose midpoint and end carry its start's label is accepted as
-it stands; only a step that leaves its start's stance is split at the
-switch time, and integration resumes with the new piece from the same pose,
-so the pose path stays continuous.  All switches are bisected together, one
-labelling call over every open bracket's midpoint per level.  Three
-evaluate_many calls then fill the stage rows, the connection is evaluated
-once per distinct (stance, stage shape), the step exponents (stage twists
-combined through the truncated inverse differential of exp) and their
-exponentials are array passes.  Only the pose product runs step by step, as
-one plain-float loop (liegroup.compose_chain) that builds no Pose; the poses
-are kept as one read-only (3, n + 1) array, and Trajectory.poses reads them
-as Pose objects.  A single-piece provider labels every shape None and so
-never splits a step.
+depends on t alone and the work is array passes.  A gait's step grid is
+planned from arrays: one gait.evaluate_many call samples every grid point and
+step midpoint, and one provider.contacts_many call labels them.  Only a step
+whose midpoint or end leaves its start's stance is split at the switch time,
+and integration resumes with the new piece from the same pose, so the pose
+path stays continuous; all switches are bisected together, one labelling
+call per level.  A gait's rows depend on it alone, so gaits integrated
+together (integrate_gaits) share one coded_connection_rows call, which
+evaluates each distinct (stance, stage shape) once, array passes for the
+step exponents and their exponentials, and one liegroup.compose_chain call
+for the pose products.  The poses are kept as one read-only (3, n + 1)
+array, which Trajectory.poses reads as Pose objects.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ import numpy as np
 
 from .connection import SingularConstraint, coded_connection_rows, stance_codes
 from .liegroup import Pose, Twist, bracket_many, compose_chain, compose_many, exp_many, inverse_many, log_many
+from .models import DegenerateStance
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ def _rkmk4_exponents(h: np.ndarray, k1: np.ndarray, mid: np.ndarray, end: np.nda
 
 
 # Most steps (per cycle, times cycles) one integration may take.  It peaks
-# at 489-564 bytes per step (walker, swimmer) or 671-699 (crawler) and its
+# at 514-533 bytes per step (walker, swimmer) or 811-812 (crawler) and its
 # Trajectory keeps about 81 (tracemalloc on the shipped scenarios at 20k and
 # 80k steps), so a period or step asking for more is rejected instead of
 # exhausting memory.
@@ -143,21 +140,27 @@ def steps_per_cycle(period: float, step: float, cycles: int = 1) -> int:
 
 
 def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_tol: float = 1e-10) -> Trajectory:
-    """Integrate `cycles` periods of the gait from the identity pose.
+    """Integrate `cycles` periods of the gait from the identity pose; integrate_gaits of one gait.
 
     The step is snapped to an integer count per cycle so cycle boundaries are
     sample points.  Stance switches are located to event_tol (in time) by
     bisection, all switches together, one provider call per level; a step
-    containing several switches is split at each.  A single-piece provider
-    never switches, and is labelled in one contacts_many call.
-
-    The shape path is prescribed, so the work runs in three phases: plan the
-    accepted steps and events from the stance labels alone, evaluate the
-    connection once per distinct (stance, stage shape) with one
-    connection_many call per stance, then combine the stage twists into
-    poses.  A non-finite connection entry, shape rate, stage twist, twist
+    containing several switches is split at each.  The steps and events are
+    planned from the stance labels alone, the connection is evaluated once
+    per distinct (stance, stage shape), and the stage twists are combined
+    into poses.  A non-finite connection entry, shape rate, stage twist, twist
     norm, step exponent or pose raises SingularConstraint naming its time and
     shape.
+    """
+    return integrate_gaits(provider, [gait], cycles, step, event_tol)[0]
+
+
+def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_tol: float = 1e-10) -> list:
+    """integrate_gait of each gait, bitwise: each is planned alone, then all are evaluated and combined at once.
+
+    A gait's rows do not depend on the other gaits', so its Trajectory is the
+    one it gets alone.  If the batch is singular, each gait is finished
+    alone, and the first that fails raises its own error.
     """
     if cycles < 1:
         raise ValueError(f"cycle count must be at least 1, got {cycles}")
@@ -165,24 +168,62 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         raise ValueError(f"step must be positive, got {step}")
     if not (event_tol > 0.0 and np.isfinite(event_tol)):
         raise ValueError(f"event tolerance must be positive and finite, got {event_tol}")
+    ids: dict = {}
+    plans = [_plan(provider, gait, cycles, step, event_tol, ids) for gait in gaits]
+    try:
+        return _finish(provider, plans, list(ids), cycles, step, event_tol) if plans else []
+    except (SingularConstraint, DegenerateStance):
+        if len(plans) == 1:
+            raise
+    return [_finish(provider, [plan], list(ids), cycles, step, event_tol)[0] for plan in plans]
+
+
+def _sample(gait, ts, side: str = "right"):
+    """Shapes and rates at times ts, without numpy's overflow warnings; the stage rates are checked before use."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gait.evaluate_many(ts, side)
+
+
+def _step_grid(period: float, h: float, n_steps: int, cycles: int, knots) -> np.ndarray:
+    """Grid times of every cycle: its sorted step cuts and knots, each kept if over merge_tol past the last kept.
+
+    A cut within merge_tol of its cycle's end is dropped.  A cut over
+    merge_tol past the one before it is kept whatever was, so only the closer
+    cuts go through the greedy loop.
+    """
+    merge_tol = 1e-12 * max(1.0, period)
+    cycle = np.arange(cycles + 1) * period
+    cuts = np.arange(1, n_steps) * h + cycle[:-1, None]
+    if len(knots):
+        cuts = np.sort(np.concatenate([cuts, np.add.outer(cycle[:-1], knots)], axis=1), axis=1)
+    # row k: the start of cycle k, its cuts and its end, where cycle k + 1 starts
+    rows = np.concatenate([cycle[:-1, None], cuts, cycle[1:, None]], axis=1)
+    keep = rows[:, 1:] - rows[:, :-1] > merge_tol
+    keep[:, -1] = True
+    close = np.flatnonzero(~keep).tolist()
+    times, kept = rows[:, :-1].ravel().tolist() if close else [], []
+    for k, i in enumerate(close):
+        # keep's flat index i is the cut at i + 1 of times, after the time at i
+        if not k or close[k - 1] != i - 1 or kept[-1]:
+            last = times[i]
+        kept.append(times[i + 1] - last > merge_tol)
+    keep.ravel()[close] = kept
+    keep[:, :-1] &= rows[:, -1:] - cuts > merge_tol
+    return np.concatenate([[0.0], rows[:, 1:][keep]])
+
+
+def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict):
+    """(gait, n_steps, h, t, row_codes, events): step j runs from t[j] to t[j + 1] on stance ids[row_codes[j]].
+
+    The plan reads stance labels alone; unseen labels are added to ids.
+    """
     period = gait.period
     n_steps = steps_per_cycle(period, step, cycles)
     h = period / n_steps
 
-    def sample(ts, side: str = "right"):
-        """Shapes and rates at times ts, without numpy's overflow warnings.
-
-        A gait that overflows samples non-finite rates; the stage rates are
-        checked before any sample is used beyond picking a stance.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return gait.evaluate_many(ts, side)
-
-    ids: dict = {}
-
     def label(ts) -> np.ndarray:
         """Codes (indices into ids) of the stances selected at times ts, in one provider call."""
-        return stance_codes(provider.contacts_many(sample(ts)[0]), ids)
+        return stance_codes(provider.contacts_many(_sample(gait, ts)[0]), ids)
 
     def bisect(lo, hi, c_lo, c_hi):
         """Shrink, in place, brackets [lo, hi] with stances c_lo != c_hi at their ends; one call per level.
@@ -200,35 +241,13 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
             lo[k[same]] = mid[k[same]]
             hi[k[~same]], c_hi[k[~same]] = mid[k[~same]], c[~same]
 
-    # -- plan: accepted steps and events; no connection call.  Step j runs
-    # from row j to row j + 1 on row j's stance.
     # Waypoint knots are rate corners; a stage sampled across one would cost
     # the scheme its order, so knots are forced onto the step grid.
-    knot_times = getattr(gait, "times", None)
-    interior_knots = [] if knot_times is None else [float(t) for t in knot_times[1:-1]]
-    merge_tol = 1e-12 * max(1.0, period)
-    g = [0.0]
-    for k in range(cycles):
-        base = k * period
-        end = (k + 1) * period
-        cuts = [base + j * h for j in range(1, n_steps)]
-        cuts.extend(base + tk for tk in interior_knots)
-        cuts.sort()
-        grid = [base]
-        for t in cuts:
-            if t - grid[-1] > merge_tol:
-                grid.append(t)
-        # the cycle start stays even when the whole period is below merge_tol
-        while len(grid) > 1 and end - grid[-1] <= merge_tol:
-            grid.pop()
-        grid.append(end)
-        # a cycle starts where the previous one ends
-        g.extend(grid[1:])
-
+    knots = np.asarray(getattr(gait, "times", ()), dtype=float)[1:-1]
+    g = _step_grid(period, h, n_steps, cycles, knots)
     # label every grid point, then every step midpoint, in one call.  A step
     # ends on the stance its end point selects, and only a step whose
     # midpoint or end leaves its start's stance is searched for switches
-    g = np.array(g)
     n = len(g) - 1
     g_mid = g[:-1] + 0.5 * (g[1:] - g[:-1])
     codes = label(np.concatenate([g, g_mid]))
@@ -259,7 +278,7 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         order = np.argsort(t, kind="stable")
         t, row_codes = t[order], row_codes[order]
         order = np.argsort(ev_t, kind="stable")
-        ev = [x[order].tolist() for x in (ev_t, ev_lo, before, after)] + [sample(ev_t[order])[0]]
+        ev = [x[order].tolist() for x in (ev_t, ev_lo, before, after)] + [_sample(gait, ev_t[order])[0]]
         events = [EventRecord(t_e, catalog[b], catalog[a], r, (lo_e, t_e)) for t_e, lo_e, b, a, r in zip(*ev)]
         # a switch row after the first of its step marks a step holding several
         late = len(found[0][0])
@@ -268,20 +287,28 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
                 f"multiple stance switches inside one step near t={t_switch:.6g}; splitting at each switch",
                 RuntimeWarning,
             )
+    return gait, n_steps, h, t, row_codes, events
 
-    # -- evaluate: stages 3j, 3j + 1 and 3j + 2 are the start, midpoint and
-    # end of step j, on the stance of row j; the final stage is the last row,
-    # whose twist is no stage.  The end stage takes the left-limit rate,
-    # because a step end may be a waypoint corner.
-    t_mid = t[:-1] + 0.5 * (t[1:] - t[:-1])
-    stage_times = np.empty(3 * len(t) - 2)
-    stage_shapes = np.empty((len(stage_times), gait.dim))
-    stage_rates = np.empty_like(stage_shapes)
-    for offset, ts, side in ((0, t, "right"), (1, t_mid, "right"), (2, t[1:], "left")):
-        stage_times[offset::3] = ts
-        stage_shapes[offset::3], stage_rates[offset::3] = sample(ts, side)
+
+def _finish(provider, plans, catalog, cycles, step, event_tol) -> list:
+    """Evaluate and combine planned gaits, each array pass over the rows of all of them."""
+    # -- evaluate: of N steps in all, step k has stages 3k, 3k + 1, 3k + 2 (start,
+    # midpoint, end, on its start's stance; the end takes the left-limit rate, as a
+    # step end may be a waypoint corner).  Stage 3N + i is gait i's last row, whose
+    # twist is no stage.  A gait's span lists its stages in a lone run's order.
+    n = np.array([len(t) - 1 for _, _, _, t, _, _ in plans])
+    stops = 3 * np.cumsum(n)
+    total = stops[-1]
+    spans = [np.r_[hi - 3 * k:hi, total + i] for i, (k, hi) in enumerate(zip(n, stops))]
+    stage_times = np.empty(total + len(plans))
+    stage_shapes, stage_rates = np.empty((2, len(stage_times), plans[0][0].dim))
+    stage_codes = np.empty(len(stage_times), dtype=np.int32)
+    for (gait, _, _, t, row_codes, _), span in zip(plans, spans):
+        for offset, ts, side in ((0, t, "right"), (1, t[:-1] + 0.5 * (t[1:] - t[:-1]), "right"), (2, t[1:], "left")):
+            stage_times[span[offset::3]] = ts
+            stage_shapes[span[offset::3]], stage_rates[span[offset::3]] = _sample(gait, ts, side)
+        stage_codes[span] = np.repeat(row_codes, 3)[:-2]
     _require_finite(np.isfinite(stage_rates).all(axis=1), "shape rate", stage_times, stage_shapes)
-    stage_codes = np.repeat(row_codes, 3)[:-2]
     conn, stage_conn = coded_connection_rows(provider, stage_shapes, stage_codes, catalog)
     _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", stage_times, stage_shapes)
     # Each array pass from here on is checked for finiteness right after it,
@@ -291,51 +318,46 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
         # one row per stage; the batched product gives each row bitwise its own A @ rdot
         stage_twists = (conn[stage_conn] @ stage_rates[:, :, None])[:, :, 0]
         _require_finite(np.isfinite(stage_twists).all(axis=1), "stage twist", stage_times, stage_shapes)
-        # the last row's twist is no stage, so it stays out of the largest norm;
+        # a last row's twist is no stage, so it stays out of the largest norm;
         # a finite twist's squares can still overflow
-        vx, vy, om = stage_twists[:-1].T
+        vx, vy, om = stage_twists[:total].T
         norms = np.sqrt(vx * vx + vy * vy + om * om)
         _require_finite(np.isfinite(norms), "twist norm", stage_times, stage_shapes)
-    max_norm = float(norms.max(initial=0.0))
-    n_shapes = len(conn)
-    shapes = stage_shapes[::3].copy()
-    del conn, stage_conn, stage_codes, stage_rates, stage_shapes, stage_times, norms
+    # each gait's rows and twists, and its own largest norm and count of distinct stage rows
+    rows = [
+        (stage_shapes[span[::3]], stage_twists[span[::3]], top, np.count_nonzero(np.bincount(stage_conn[span])))
+        for span, top in zip(spans, np.maximum.reduceat(norms, stops - 3 * n).tolist())
+    ]
+    del conn, stage_conn, stage_codes, stage_rates, norms
 
-    # -- combine: every step's exponent and increment in array passes; only
-    # the pose product runs step by step, in plain floats.  Finite twists can
-    # still combine into an overflowing exponent or pose; row j's time and
-    # shape name step j.
+    # -- combine: every step's exponent and increment in array passes, and
+    # the pose products of all gaits in one compose_chain call.  Finite
+    # twists can still combine into an overflowing exponent or pose; a step
+    # is named by its start's time and shape.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _rkmk4_exponents(t[1:] - t[:-1], stage_twists[0:-1:3].T, stage_twists[1::3].T, stage_twists[2::3].T)
-        _require_finite(np.isfinite(u).all(axis=0), "step exponent", t, shapes)
-        poses = compose_chain(exp_many(u))
-    # a non-finite coordinate stays non-finite under the product (theta is
-    # wrapped and stays finite), so the last pose tells whether any pose is
-    if not np.isfinite(poses[:2, -1]).all():
-        _require_finite(np.isfinite(poses[:2]).all(axis=0), "pose", t, shapes)
-
-    return Trajectory(
-        times=t,
-        pose_array=poses,
-        shapes=shapes,
+        lengths = np.concatenate([t[1:] - t[:-1] for _, _, _, t, _, _ in plans])
+        u = _rkmk4_exponents(lengths, *(stage_twists[i:total:3].T for i in range(3)))
+        _require_finite(np.isfinite(u).all(axis=0), "step exponent", stage_times[::3], stage_shapes[::3])
+        del stage_times, stage_shapes, stage_twists
+        # a shorter gait's chain ends in identity steps, which leave its poses as they are
+        increments = np.zeros((3, len(n), n.max()))
+        increments[:, np.arange(n.max()) < n[:, None]] = exp_many(u)
+        poses = compose_chain(increments)
+    out = []
+    for (gait, n_steps, h, t, row_codes, events), g, (shapes, twists, top, m) in zip(plans, poses.swapaxes(0, 1), rows):
+        g = np.ascontiguousarray(g[:, :len(t)])
+        # a non-finite coordinate stays non-finite under the product (theta is
+        # wrapped and stays finite), so the last pose tells whether any pose is
+        if not np.isfinite(g[:2, -1]).all():
+            _require_finite(np.isfinite(g[:2]).all(axis=0), "pose", t, shapes)
+        meta = {"scheme": "rkmk4", "order": 4, "step_nominal": float(step), "step": float(h),
+                "steps_per_cycle": int(n_steps), "cycles": int(cycles), "period": float(gait.period),
+                "event_tol": float(event_tol), "max_twist_norm": float(top), "stage_shapes": int(m)}
+        cycle_indices = [0] + np.searchsorted(t, gait.period * np.arange(1, cycles + 1)).tolist()
+        contacts = list(map(catalog.__getitem__, row_codes.tolist()))
         # row k's twist is the start stage of the step leaving row k
-        twists=stage_twists[::3].copy(),
-        contacts=list(map(catalog.__getitem__, row_codes.tolist())),
-        events=events,
-        cycle_indices=[0] + np.searchsorted(t, period * np.arange(1, cycles + 1)).tolist(),
-        meta={
-            "scheme": "rkmk4",
-            "order": 4,
-            "step_nominal": float(step),
-            "step": float(h),
-            "steps_per_cycle": int(n_steps),
-            "cycles": int(cycles),
-            "period": float(period),
-            "event_tol": float(event_tol),
-            "max_twist_norm": float(max_norm),
-            "stage_shapes": int(n_shapes),
-        },
-    )
+        out.append(Trajectory(t, g, shapes, twists, contacts, events, cycle_indices, meta))
+    return out
 
 
 def pose_increments(traj: Trajectory, a, b) -> np.ndarray:

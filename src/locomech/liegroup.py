@@ -8,14 +8,15 @@ ordering of every connection matrix in this package.
 The ``*_many`` kernels, the only array SE(2) arithmetic here, take triples of
 broadcastable float components, e.g. a (3, ...) array, and return (3, ...)
 arrays bitwise equal to their scalar twins; pose angles must lie in (-pi, pi].
-compose_chain, the running product of a path's increments, is sequential and
-runs compose's float expressions on plain floats.
+compose_chain, the running products of paths' increments, is bitwise the
+chain of compose calls, computed as running sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -102,21 +103,37 @@ def compose(g1: Pose, g2: Pose) -> Pose:
 
 
 def compose_chain(increments) -> np.ndarray:
-    """Running products of (3, n) increments from the identity, as (3, n + 1).
+    """Running products from the identity of m chains of (3, m, n) increments, as (3, m, n + 1); (3, n) as (3, n + 1).
 
-    Column k + 1 is compose(column k, Pose(*increment k)), bitwise: the same
-    float expressions on plain floats, with each angle wrapped as Pose does.
+    Column k + 1 of a chain is compose(column k, Pose(*increment k)), bitwise:
+    angles are sums wrapped as Pose wraps them, and x and y are running sums
+    of compose's terms in its order.  x adds -(s iy) where compose subtracts
+    s iy, which differs only in a NaN's sign, so increments that are not all
+    finite take compose itself.
     """
-    cos, sin, wrap = math.cos, math.sin, normalize_angle
-    x = y = th = 0.0
-    xs, ys, ths = [x], [y], [th]
-    for ix, iy, ith in zip(*np.asarray(increments, dtype=float).tolist()):
-        c, s = cos(th), sin(th)
-        x, y, th = x + c * ix - s * iy, y + s * ix + c * iy, wrap(th + wrap(ith))
-        xs.append(x)
-        ys.append(y)
-        ths.append(th)
-    return np.array([xs, ys, ths])
+    inc = np.asarray(increments, dtype=float)
+    if inc.ndim == 2:
+        return compose_chain(inc[:, None])[:, 0]
+    if not np.isfinite(inc).all():
+        chains = [accumulate(map(Pose, *chain), compose, initial=Pose()) for chain in inc.transpose(1, 0, 2).tolist()]
+        return np.array([[(g.x, g.y, g.theta) for g in chain] for chain in chains]).transpose(2, 0, 1)
+    ix, iy, ith = inc
+    th = np.concatenate([np.zeros((len(ith), 1)), wrap_many(ith)], axis=1)
+    # a sum inside (-pi, pi] is its own wrap, so angles are running sums, restarted
+    # after each wrap in chunks twice the last run, so frequent wraps stay linear
+    for row in th:
+        k, size = 0, len(row)
+        while k < len(row) - 1:
+            run = np.cumsum(row[k:k + size])
+            m = int(((run > math.pi) | (run <= -math.pi)).argmax()) or len(run)
+            row[k + 1:k + m] = run[1:m]
+            if m < len(run):
+                row[k + m] = normalize_angle(run[m])
+            k, size = k + m - (m == len(run)), 2 * m  # k: the last angle set
+    c, s = np.cos(th[:, :-1]), np.sin(th[:, :-1])
+    terms = np.zeros((2, len(th), 2 * th.shape[1] - 1))
+    terms[0, :, 1::2], terms[0, :, 2::2], terms[1, :, 1::2], terms[1, :, 2::2] = c * ix, -(s * iy), s * ix, c * iy
+    return np.concatenate([np.cumsum(terms, axis=2)[:, :, ::2], th[None]])
 
 
 def inverse(g: Pose) -> Pose:

@@ -2,20 +2,21 @@
 
 A GaitFamily maps a small parameter vector inside a box onto a closed gait;
 the objective is a component of the per-cycle displacement exponent.  Search
-is Nelder-Mead with fixed coefficients (reflection 1, expansion 2,
-contraction 0.5, shrink 0.5), restarted from seeded random simplices, with
-bounds enforced by projection.  Runs are deterministic for a given seed.
+is projected Nelder-Mead (reflection 1, expansion 2, contraction 0.5, shrink
+0.5) from seeded random simplices, its restarts in lockstep, so optimize
+integrates each round's gaits as one batch.  Runs are deterministic per seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .connection import SingularConstraint
-from .integrator import integrate_gait, net_displacement
+from .integrator import integrate_gait, integrate_gaits, net_displacement
 from .models import DegenerateStance
 from .shapespace import FourierGait
 
@@ -149,6 +150,38 @@ class OptimizationReport:
     termination: str
 
 
+def _restart(simplex: np.ndarray, project):
+    """One projected Nelder-Mead restart, a generator that yields the (k, dim) points it needs and is sent their values.
+
+    It asks for its simplex, then one point per reflection, expansion or
+    contraction, or the dim points of a shrink; an empty request means it has
+    converged.  A request cut short by the allowance ends the restart.
+    """
+    values = np.array((yield simplex))
+    while True:
+        order = np.argsort(values)[::-1]  # descending: maximizing
+        simplex, values = simplex[order], values[order]
+        if np.max(np.abs(simplex - simplex[0])) < 1e-12:
+            yield simplex[:0]
+        centroid, worst = simplex[:-1].mean(axis=0), simplex[-1]
+        reflected = project(centroid + (centroid - worst))
+        (fr,) = yield reflected[None]
+        if fr > values[0]:
+            expanded = project(centroid + 2.0 * (centroid - worst))
+            (fe,) = yield expanded[None]
+            simplex[-1], values[-1] = (expanded, fe) if fe > fr else (reflected, fr)
+        elif fr > values[-2]:
+            simplex[-1], values[-1] = reflected, fr
+        else:
+            contracted = project(centroid + 0.5 * (worst - centroid))
+            (fc,) = yield contracted[None]
+            if fc > values[-1]:
+                simplex[-1], values[-1] = contracted, fc
+            else:
+                simplex[1:] = project(simplex[0] + 0.5 * (simplex[1:] - simplex[0]))
+                values[1:] = yield simplex[1:]
+
+
 def nelder_mead(
     objective: Callable[[np.ndarray], float],
     lower: np.ndarray,
@@ -162,96 +195,63 @@ def nelder_mead(
     The budget counts objective evaluations across all restarts; the best
     point ever evaluated is returned even if a later restart wanders off.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    return _lockstep(lambda points: [objective(p) for p in points], lower, upper, budget, seeds, rng_seed)
+
+
+def _lockstep(evaluate, lower, upper, budget: int, seeds: int, rng_seed: int) -> OptimizationReport:
+    """nelder_mead with its restarts in lockstep: each round scores their pending points in one evaluate(points).
+
+    Restart s starts from a simplex drawn from default_rng((rng_seed, s)) and
+    may spend budget // seeds evaluations, or its dim + 1 simplex points if
+    more; the last may spend what the others left, so past budget // seeds it
+    waits for them to end.  History is in restart order, as if they ran in turn.
+    """
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     dim = lower.shape[0]
     if budget < dim + 1:
         raise ValueError(f"budget {budget} cannot even build one simplex in {dim} dims")
     if seeds < 1:
         raise ValueError("need at least one restart seed")
     span = upper - lower
-
-    history: list[tuple[np.ndarray, float]] = []
-    best_p: np.ndarray | None = None
-    best_v = float("-inf")
-    used = 0
-    termination = "budget"
-
-    def project(p: np.ndarray) -> np.ndarray:
-        return np.clip(p, lower, upper)
-
-    def evaluate(p: np.ndarray) -> float:
-        nonlocal used, best_p, best_v
-        v = float(objective(p))
-        used += 1
-        history.append((p.copy(), v))
-        if v > best_v:
-            best_v, best_p = v, p.copy()
-        return v
-
+    project = partial(np.clip, a_min=lower, a_max=upper)
     per_seed = budget // seeds
-    for s in range(seeds):
-        remaining = budget - used
-        if remaining < dim + 1:
-            break
-        allowance = min(per_seed if s < seeds - 1 else remaining, remaining)
-        rng = np.random.default_rng((rng_seed, s))
-        x0 = lower + span * rng.uniform(size=dim)
-        simplex = [project(x0)]
-        for i in range(dim):
-            step = np.zeros(dim)
-            step[i] = 0.1 * span[i] * (1.0 if x0[i] + 0.1 * span[i] <= upper[i] else -1.0)
-            simplex.append(project(x0 + step))
-        simplex = np.stack(simplex)
-        values = np.array([evaluate(p) for p in simplex])
-        spent = dim + 1
-
-        while spent < allowance:
-            order = np.argsort(values)[::-1]  # descending: maximizing
-            simplex, values = simplex[order], values[order]
-            if np.max(np.abs(simplex - simplex[0])) < 1e-12:
-                termination = "converged"
-                break
-            centroid = simplex[:-1].mean(axis=0)
-            worst = simplex[-1]
-            reflected = project(centroid + (centroid - worst))
-            fr = evaluate(reflected)
-            spent += 1
-            if fr > values[0]:
-                if spent < allowance:
-                    expanded = project(centroid + 2.0 * (centroid - worst))
-                    fe = evaluate(expanded)
-                    spent += 1
-                    if fe > fr:
-                        simplex[-1], values[-1] = expanded, fe
-                        continue
-                simplex[-1], values[-1] = reflected, fr
+    # with per_seed <= dim every restart spends just its simplex, and the last never runs
+    runs = seeds if per_seed > dim else min(seeds, budget // (dim + 1))
+    restarts = []
+    for s in range(runs):
+        x0 = lower + span * np.random.default_rng((rng_seed, s)).uniform(size=dim)
+        # x0 and a tenth of the span along each axis, backwards where forwards leaves the box
+        steps = np.diag(0.1 * span * np.where(x0 + 0.1 * span <= upper, 1.0, -1.0))
+        restarts.append(_restart(project(np.vstack([x0, x0 + steps])), project))
+    requests = [next(r) for r in restarts]
+    # the last restart's allowance is a floor of per_seed until the others end
+    allowance, waiting = [per_seed] * runs, runs == seeds
+    histories, live, converged = [[] for _ in restarts], list(range(runs)), False
+    while live:
+        if waiting and live == [seeds - 1]:
+            allowance[-1], waiting = budget - sum(map(len, histories[:-1])), False
+        take = {}
+        for s in live:
+            points, spent, cap = requests[s], len(histories[s]), allowance[s]
+            if waiting and s == seeds - 1 and spent + max(len(points), 1) > cap:
                 continue
-            if fr > values[-2]:
-                simplex[-1], values[-1] = reflected, fr
-                continue
-            contracted = project(centroid + 0.5 * (worst - centroid))
-            if spent >= allowance:
-                break
-            fc = evaluate(contracted)
-            spent += 1
-            if fc > values[-1]:
-                simplex[-1], values[-1] = contracted, fc
-                continue
-            for i in range(1, dim + 1):
-                if spent >= allowance:
-                    break
-                simplex[i] = project(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
-                values[i] = evaluate(simplex[i])
-                spent += 1
-
-    return OptimizationReport(
-        best_params=best_p,
-        best_value=best_v,
-        evaluations=used,
-        history=history,
-        termination=termination,
-    )
+            take[s] = max(0, min(len(points), cap - spent)) if spent else len(points)
+            converged |= not len(points) and spent < cap
+        batch = [p for s, k in take.items() for p in requests[s][:k]]
+        values = iter(evaluate(batch) if batch else ())
+        for s, k in take.items():
+            got = [float(next(values)) for _ in range(k)]
+            histories[s].extend((p.copy(), v) for p, v in zip(requests[s], got))
+            if k and k == len(requests[s]):
+                requests[s] = restarts[s].send(got)
+            else:
+                live.remove(s)
+    history = [entry for h in histories for entry in h]
+    best_p, best_v = None, float("-inf")
+    for p, v in history:
+        if v > best_v:
+            best_p, best_v = p.copy(), v
+    return OptimizationReport(best_p, best_v, len(history), history, "converged" if converged else "budget")
 
 
 def optimize(
@@ -264,18 +264,20 @@ def optimize(
     seeds: int = 4,
     rng_seed: int = 0,
 ) -> OptimizationReport:
-    """Search a gait family for the largest displacement objective."""
+    """Search a gait family for the largest displacement objective.
 
-    def objective(p: np.ndarray) -> float:
-        return objective_displacement(
-            provider, family.build(p), direction=direction, step=step, cycles=cycles
-        )
+    Each round's gaits are integrated as one batch; a batch that fails is
+    scored one gait at a time, so a singular gait scores -inf alone.
+    """
+    if not isinstance(direction, str) or direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {tuple(DIRECTIONS)}, got {direction!r}")
 
-    return nelder_mead(
-        objective,
-        family.lower,
-        family.upper,
-        budget=budget,
-        seeds=seeds,
-        rng_seed=rng_seed,
-    )
+    def evaluate(points) -> list:
+        gaits = [family.build(p) for p in points]
+        try:
+            trajectories = integrate_gaits(provider, gaits, cycles, step)
+        except (SingularConstraint, DegenerateStance):
+            return [objective_displacement(provider, gait, direction, step, cycles) for gait in gaits]
+        return [DIRECTIONS[direction](net_displacement(traj)) for traj in trajectories]
+
+    return _lockstep(evaluate, family.lower, family.upper, budget, seeds, rng_seed)

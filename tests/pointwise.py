@@ -1,14 +1,20 @@
 """One-at-a-time references for the batched library paths.
 
 Pointwise gives a provider defined one shape at a time its batched calls;
-reference_plan is the one-switch-at-a-time stance-switch search.
+reference_plan is the one-switch-at-a-time stance-switch search over the
+greedy step grid of reference_cycle_grid; reference_compose_chain is the
+pose product as one float loop; reference_nelder_mead runs the optimizer's
+restarts one after another.
 """
 
+import math
 import warnings
 
 import numpy as np
 
 from locomech.integrator import EventRecord, steps_per_cycle
+from locomech.liegroup import normalize_angle
+from locomech.optimizer import OptimizationReport
 
 
 class Pointwise:
@@ -19,6 +25,29 @@ class Pointwise:
 
     def contacts_many(self, shapes):
         return [self.contacts_at(r) for r in shapes]
+
+
+def reference_cycle_grid(period, h, n_steps, k, knots) -> list:
+    """Grid times of cycle k, its start included: the sorted step cuts and knots merged one cut at a time.
+
+    A cut is kept when more than merge_tol past the last kept time, and the
+    kept cuts within merge_tol of the cycle end are dropped again.
+    """
+    merge_tol = 1e-12 * max(1.0, period)
+    base = k * period
+    end = (k + 1) * period
+    cuts = [base + j * h for j in range(1, n_steps)]
+    cuts.extend(base + tk for tk in knots)
+    cuts.sort()
+    grid = [base]
+    for t in cuts:
+        if t - grid[-1] > merge_tol:
+            grid.append(t)
+    # the cycle start stays even when the whole period is below merge_tol
+    while len(grid) > 1 and end - grid[-1] <= merge_tol:
+        grid.pop()
+    grid.append(end)
+    return grid
 
 
 def reference_plan(provider, gait, cycles, step, event_tol):
@@ -101,21 +130,9 @@ def reference_plan(provider, gait, cycles, step, event_tol):
 
     knot_times = getattr(gait, "times", None)
     interior_knots = [] if knot_times is None else [float(t) for t in knot_times[1:-1]]
-    merge_tol = 1e-12 * max(1.0, period)
 
     for k in range(cycles):
-        base = k * period
-        end = (k + 1) * period
-        cuts = [base + j * h for j in range(1, n_steps)]
-        cuts.extend(base + tk for tk in interior_knots)
-        cuts.sort()
-        grid = [base]
-        for t in cuts:
-            if t - grid[-1] > merge_tol:
-                grid.append(t)
-        while len(grid) > 1 and end - grid[-1] <= merge_tol:
-            grid.pop()
-        grid.append(end)
+        grid = reference_cycle_grid(period, h, n_steps, k, interior_knots)
         n = len(grid) - 1
         g = np.array(grid)
         labels = provider.contacts_many(sample(np.concatenate([g, g[:-1] + 0.5 * np.diff(g)]))[0])
@@ -129,3 +146,110 @@ def reference_plan(provider, gait, cycles, step, event_tol):
             contacts.append(labels[j + 1])
         cycle_indices.append(len(times) - 1)
     return times, contacts, events, cycle_indices
+
+
+def reference_compose_chain(increments) -> np.ndarray:
+    """The running pose product as one plain-float loop of compose's expressions, as (3, n + 1)."""
+    x = y = th = 0.0
+    xs, ys, ths = [x], [y], [th]
+    for ix, iy, ith in zip(*np.asarray(increments, dtype=float).tolist()):
+        c, s = math.cos(th), math.sin(th)
+        x, y, th = x + c * ix - s * iy, y + s * ix + c * iy, normalize_angle(th + normalize_angle(ith))
+        xs.append(x)
+        ys.append(y)
+        ths.append(th)
+    return np.array([xs, ys, ths])
+
+
+def reference_nelder_mead(objective, lower, upper, budget=500, seeds=4, rng_seed=0) -> OptimizationReport:
+    """Restarted projected Nelder-Mead with one restart after another, one objective call per point.
+
+    The optimizer runs its restarts in lockstep; it must give the same
+    history, best point, evaluation count and termination.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    dim = lower.shape[0]
+    if budget < dim + 1:
+        raise ValueError(f"budget {budget} cannot even build one simplex in {dim} dims")
+    if seeds < 1:
+        raise ValueError("need at least one restart seed")
+    span = upper - lower
+
+    history = []
+    best_p = None
+    best_v = float("-inf")
+    used = 0
+    termination = "budget"
+
+    def project(p):
+        return np.clip(p, lower, upper)
+
+    def evaluate(p):
+        nonlocal used, best_p, best_v
+        v = float(objective(p))
+        used += 1
+        history.append((p.copy(), v))
+        if v > best_v:
+            best_v, best_p = v, p.copy()
+        return v
+
+    per_seed = budget // seeds
+    for s in range(seeds):
+        remaining = budget - used
+        if remaining < dim + 1:
+            break
+        allowance = min(per_seed if s < seeds - 1 else remaining, remaining)
+        rng = np.random.default_rng((rng_seed, s))
+        x0 = lower + span * rng.uniform(size=dim)
+        simplex = [project(x0)]
+        for i in range(dim):
+            step = np.zeros(dim)
+            step[i] = 0.1 * span[i] * (1.0 if x0[i] + 0.1 * span[i] <= upper[i] else -1.0)
+            simplex.append(project(x0 + step))
+        simplex = np.stack(simplex)
+        values = np.array([evaluate(p) for p in simplex])
+        spent = dim + 1
+
+        while spent < allowance:
+            order = np.argsort(values)[::-1]  # descending: maximizing
+            simplex, values = simplex[order], values[order]
+            if np.max(np.abs(simplex - simplex[0])) < 1e-12:
+                termination = "converged"
+                break
+            centroid = simplex[:-1].mean(axis=0)
+            worst = simplex[-1]
+            reflected = project(centroid + (centroid - worst))
+            fr = evaluate(reflected)
+            spent += 1
+            if fr > values[0]:
+                if spent < allowance:
+                    expanded = project(centroid + 2.0 * (centroid - worst))
+                    fe = evaluate(expanded)
+                    spent += 1
+                    if fe > fr:
+                        simplex[-1], values[-1] = expanded, fe
+                        continue
+                simplex[-1], values[-1] = reflected, fr
+                continue
+            if fr > values[-2]:
+                simplex[-1], values[-1] = reflected, fr
+                continue
+            contracted = project(centroid + 0.5 * (worst - centroid))
+            if spent >= allowance:
+                break
+            fc = evaluate(contracted)
+            spent += 1
+            if fc > values[-1]:
+                simplex[-1], values[-1] = contracted, fc
+                continue
+            for i in range(1, dim + 1):
+                if spent >= allowance:
+                    break
+                simplex[i] = project(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
+                values[i] = evaluate(simplex[i])
+                spent += 1
+
+    return OptimizationReport(
+        best_params=best_p, best_value=best_v, evaluations=used, history=history, termination=termination
+    )

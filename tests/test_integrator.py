@@ -43,11 +43,11 @@ from locomech import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from locomech.integrator import MAX_STEPS, pose_increments
+from locomech.integrator import MAX_STEPS, _step_grid, integrate_gaits, pose_increments
 from locomech.liegroup import compose_chain
 from locomech.optimizer import amplitude_phase_family
 from fuzzing import time_limit
-from pointwise import Pointwise, reference_plan
+from pointwise import Pointwise, reference_cycle_grid, reference_plan
 
 TWO_PI = 2.0 * math.pi
 
@@ -824,3 +824,144 @@ def test_pose_increments_are_the_scalar_group_ops_bitwise():
     for got, a, b in zip(per_cycle_displacements(traj), idx[:-1], idx[1:]):
         assert got == log(compose(inverse(traj.poses[a]), traj.poses[b]))
     assert net_displacement(traj) == per_cycle_displacements(traj)[0]
+
+
+# -- the step grid: one array pass, bitwise the greedy loop ---------------------
+
+
+@st.composite
+def grid_cases(draw):
+    """A period, step and knots, some within merge_tol of a cut, of each other or of the cycle end."""
+    period = draw(st.one_of(st.floats(0.05, 20.0), st.floats(1e-14, 5e-13), st.sampled_from([1.0, 3.0])))
+    n_steps = draw(st.integers(1, 40))
+    h = period / n_steps
+    tol = 1e-12 * max(1.0, period)
+    nudge = st.sampled_from([0.0, 0.3, -0.3, 0.9, -0.9, 1.0, -1.0, 1.5, -1.5, 4.0]).map(lambda f: f * tol)
+    on_cuts = draw(st.lists(st.tuples(st.integers(0, n_steps), nudge), max_size=6))
+    anywhere = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    knots = {j * h + d for j, d in on_cuts} | {f * period for f in anywhere}
+    return period, h, n_steps, sorted(t for t in knots if 0.0 < t < period)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases(), st.integers(1, 3))
+def test_step_grid_is_the_greedy_loop_bitwise(case, cycles):
+    period, h, n_steps, knots = case
+    want = [0.0] + [t for k in range(cycles) for t in reference_cycle_grid(period, h, n_steps, k, knots)[1:]]
+    got = _step_grid(period, h, n_steps, cycles, np.array(knots, dtype=float))
+    assert [t.hex() for t in got.tolist()] == [t.hex() for t in want]
+
+
+# -- batched gaits: each trajectory bitwise its own integration ----------------
+
+BATCH_PROVIDERS = {"swimmer": three_link_swimmer().provider(), "crawler": PiecewiseConnection(two_leg_crawler())}
+small = st.floats(-0.5, 0.5)
+
+
+@st.composite
+def batch_gait(draw):
+    """A random Fourier or waypoint loop in two shape coordinates."""
+    period = draw(st.sampled_from([1.0, 0.8, 1.3]))
+    if draw(st.booleans()):
+        harmonics = draw(st.integers(1, 2))
+        coeffs = [draw(st.lists(small, min_size=2 * harmonics, max_size=2 * harmonics)) for _ in range(2)]
+        mean = draw(st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2))
+        return FourierGait(period, mean, np.reshape(coeffs[0], (harmonics, 2)), np.reshape(coeffs[1], (harmonics, 2)))
+    k = draw(st.integers(3, 6))
+    points = draw(st.lists(st.tuples(small, small), min_size=k, max_size=k))
+    gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k))
+    times = period * np.concatenate([[0.0], np.cumsum(gaps)]) / sum(gaps)
+    times[-1] = period
+    return WaypointGait(points=points, times=times)
+
+
+def assert_same_trajectory(got, want):
+    for name in ("times", "pose_array", "shapes", "twists"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.contacts, got.cycle_indices) == (want.contacts, want.cycle_indices)
+    assert [(k, repr(v)) for k, v in got.meta.items()] == [(k, repr(v)) for k, v in want.meta.items()]
+    assert [(e.time.hex(), e.window, e.before, e.after, e.shape.tobytes()) for e in got.events] == [
+        (e.time.hex(), e.window, e.before, e.after, e.shape.tobytes()) for e in want.events
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gaits=st.lists(batch_gait(), min_size=1, max_size=4),
+    model=st.sampled_from(sorted(BATCH_PROVIDERS)),
+    cycles=st.integers(1, 3),
+    step=st.sampled_from([0.02, 0.05, 0.1]),
+)
+def test_batched_trajectories_are_the_separate_ones_bitwise(gaits, model, cycles, step):
+    # every row of a gait depends on that gait alone, so sharing one
+    # connection evaluation and one combine changes no bit of any trajectory
+    provider = BATCH_PROVIDERS[model]
+    with warnings.catch_warnings(record=True) as batch_warnings:
+        warnings.simplefilter("always")
+        batch = integrate_gaits(provider, gaits, cycles, step)
+    with warnings.catch_warnings(record=True) as alone_warnings:
+        warnings.simplefilter("always")
+        alone = [integrate_gait(provider, gait, cycles, step) for gait in gaits]
+    assert [str(w.message) for w in batch_warnings] == [str(w.message) for w in alone_warnings]
+    assert len(batch) == len(gaits)
+    for got, want in zip(batch, alone):
+        assert_same_trajectory(got, want)
+
+
+def nan_outside_a_disc(r):
+    # a pose map whose connection is NaN once the shape leaves the disc of radius 0.2
+    if math.hypot(r[0], r[1]) > 0.2:
+        return Pose(math.nan, 0.0, 0.0)
+    return Pose(r[0], r[1] * r[0], r[1])
+
+
+class RaisesOnTheWholeCall(Pointwise):
+    """A provider that rejects any call holding a shape outside the disc of radius 0.2, naming the call's size."""
+
+    dim = 2
+
+    def connection_many(self, label, shapes):
+        if (np.hypot(shapes[:, 0], shapes[:, 1]) > 0.2).any():
+            raise SingularConstraint(f"connection refused for a call of {len(shapes)} shapes")
+        return JacobianConnection(PoseMap(nan_outside_a_disc, 2)).connection_many(label, shapes)
+
+    def contacts_at(self, r):
+        return None
+
+
+SINGULAR_CASES = {
+    # an error for the whole connection call, which a batch makes larger
+    "refused": (
+        RaisesOnTheWholeCall(),
+        FourierGait(1.0, [0.0, 0.0], cos=[[0.0, 0.5]], sin=[[0.5, 0.0]]),
+    ),
+    # a NaN connection along part of the loop
+    "connection": (
+        JacobianConnection(PoseMap(nan_outside_a_disc, 2)),
+        FourierGait(1.0, [0.0, 0.0], cos=[[0.0, 0.5]], sin=[[0.5, 0.0]]),
+    ),
+    # shape rates that overflow
+    "shape rate": (three_link_swimmer().provider(), FourierGait(1.0, [0.0, 0.0], cos=[[1e308, 0.0]], sin=[[0.0, 0.1]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGULAR_CASES))
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_singular_gait_in_a_batch_fails_alone(case, position):
+    provider, singular = SINGULAR_CASES[case]
+    fine = [
+        FourierGait(1.0, [0.0, 0.0], cos=[[0.0, 0.05]], sin=[[0.05, 0.0]]),
+        FourierGait(1.0, [0.0, 0.02], cos=[[0.03, 0.0]], sin=[[0.0, -0.06]]),
+    ]
+    with pytest.raises(SingularConstraint, match=case) as alone:
+        integrate_gait(provider, singular, step=0.05)
+    with pytest.raises(SingularConstraint) as batched:
+        integrate_gaits(provider, fine[:position] + [singular] + fine[position:], step=0.05)
+    assert str(batched.value) == str(alone.value)
+    # without it, the batch is the separate integrations
+    for got, gait in zip(integrate_gaits(provider, fine, step=0.05), fine):
+        assert_same_trajectory(got, integrate_gait(provider, gait, step=0.05))
+
+
+def test_an_empty_batch_integrates_nothing():
+    assert integrate_gaits(BATCH_PROVIDERS["swimmer"], [], step=0.05) == []

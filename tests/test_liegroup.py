@@ -31,6 +31,7 @@ from locomech.liegroup import (
     log_many,
     wrap_many,
 )
+from pointwise import reference_compose_chain
 
 
 def test_exp_quarter_turn_unit_drive():
@@ -368,3 +369,54 @@ def test_compose_chain_is_the_compose_chain_bitwise(incs):
         return
     # the same float operations in the same order give the same bits, NaNs included
     assert_bitwise(compose_chain(increments), want)
+
+
+# increments that wrap the angle on every step, sit on +-pi, or step by a
+# large rotation, and long ones that wrap every few steps
+wrapping_angles = st.one_of(
+    st.sampled_from([math.pi, -math.pi, 3.0, -3.0, 2.5, math.nextafter(math.pi, 0.0)]),
+    st.floats(2.0, 3.2),
+    st.floats(-3.2, -2.0),
+)
+run_increments = st.lists(st.tuples(chain_coords, chain_coords, st.one_of(chain_angles, wrapping_angles)), max_size=40)
+
+
+def assert_the_float_loop(incs):
+    increments = np.array(incs, dtype=float).reshape(-1, 3).T
+    try:
+        want = reference_compose_chain(increments)
+    except ValueError:
+        with pytest.raises(ValueError):
+            compose_chain(increments)
+        return
+    assert_bitwise(compose_chain(increments), want)
+
+
+@settings(KERNELS, max_examples=120)
+@given(run_increments)
+@example([(1.0, 0.5, 3.0)] * 40)
+@example([(0.1, -0.2, -3.0)] * 41)
+@example([(1.0, 1.0, math.pi), (1.0, 1.0, -math.pi), (2.0, 0.0, math.pi), (0.0, 1.0, math.pi)])
+@example([(1.0, 2.0, 0.5), (1.0, math.nan, 0.5), (3.0, 1.0, 3.0)])
+@example([(1.0, 2.0, 0.5), (math.inf, 0.0, 0.5), (0.0, math.inf, 0.5), (1.0, -math.inf, 3.0)])
+def test_compose_chain_is_the_float_loop_bitwise(incs):
+    # the running sums restart at every wrap, however often it comes
+    assert_the_float_loop(incs)
+
+
+def test_compose_chain_wrapping_often_on_a_long_path():
+    rng = np.random.default_rng(7)
+    for angles in (np.full(5000, 3.0), rng.uniform(-3.1, 3.1, 5000), rng.uniform(-0.05, 0.05, 5000)):
+        increments = np.vstack([rng.uniform(-1.0, 1.0, (2, len(angles))), angles])
+        assert_bitwise(compose_chain(increments), reference_compose_chain(increments))
+
+
+@settings(KERNELS, max_examples=60)
+@given(st.lists(st.lists(st.tuples(coords, coords, st.one_of(wide_angles, wrapping_angles)), min_size=3, max_size=3),
+                min_size=1, max_size=4))
+def test_compose_chain_of_several_chains_is_each_chain_bitwise(chains):
+    increments = np.array(chains, dtype=float).transpose(2, 0, 1)
+    got = compose_chain(increments)
+    assert got.shape == (3, len(chains), 4)
+    for i, chain in enumerate(increments.swapaxes(0, 1)):
+        assert_bitwise(got[:, i], reference_compose_chain(chain))

@@ -1,22 +1,32 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locomech import (
     FourierGait,
     GaitFamily,
+    JacobianConnection,
+    Pose,
+    PoseMap,
     amplitude_phase_family,
     fourier_slot_family,
     integrate_gait,
+    load_scenario,
     nelder_mead,
     net_displacement,
     objective_displacement,
     optimize,
     three_link_swimmer,
 )
+import locomech.optimizer as optimizer
+from locomech.integrator import integrate_gaits
 from locomech.optimizer import DIRECTIONS
+from pointwise import reference_nelder_mead
 
 
 def quadratic(p):
@@ -257,3 +267,115 @@ class TestDisplacementObjective:
         assert report.best_value > 0.15
         assert report.evaluations <= 40
         assert abs(report.best_params[0] - 1.2) <= 1e-9
+
+
+# -- lockstep restarts: the report of restarts run one after another ----------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def assert_same_report(got, want):
+    assert (got.evaluations, got.termination) == (want.evaluations, want.termination)
+    assert [(p.tobytes(), repr(v)) for p, v in got.history] == [(p.tobytes(), repr(v)) for p, v in want.history]
+    assert repr(got.best_value) == repr(want.best_value)
+    assert (got.best_params is None) == (want.best_params is None)
+    if want.best_params is not None:
+        assert got.best_params.tobytes() == want.best_params.tobytes()
+
+
+def make_objective(kind, centre):
+    if kind == "linear":
+        # maximal at the upper corner, where projection collapses the simplex early
+        return lambda p: float(np.dot(centre, p))
+    if kind == "half_infeasible":
+        return lambda p: float("-inf") if p[0] < centre[0] else -float(np.sum((p - centre) ** 2))
+    if kind == "plateaus":
+        return lambda p: float(np.round(-np.sum((p - centre) ** 2), 1))
+    if kind == "wavy":
+        return lambda p: float(np.sin(3.0 * p).sum() + np.dot(centre, p))
+    return lambda p: -float(np.sum((p - centre) ** 2))
+
+
+@st.composite
+def searches(draw):
+    dim = draw(st.integers(1, 3))
+    lower = np.array(draw(st.lists(st.floats(-3.0, 0.0), min_size=dim, max_size=dim)))
+    width = draw(st.one_of(st.floats(0.1, 3.0), st.sampled_from([1e-13, 4e-12])))
+    centre = lower + width * np.array(draw(st.lists(st.floats(-0.2, 1.2), min_size=dim, max_size=dim)))
+    kind = draw(st.sampled_from(["linear", "quadratic", "half_infeasible", "plateaus", "wavy"]))
+    budget = draw(st.integers(dim + 1, 220))
+    seeds = draw(st.integers(1, 6))
+    return kind, centre, lower, lower + width, budget, seeds, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(searches())
+@example(("quadratic", np.array([0.3, 0.2]), np.zeros(2), np.ones(2), 5, 4, 0))  # per_seed 1 < dim + 1
+@example(("quadratic", np.array([0.3, 0.2]), np.zeros(2), np.ones(2), 47, 4, 3))  # budget not divisible
+@example(("linear", np.ones(2), np.zeros(2), np.ones(2), 200, 2, 1))  # an early end lengthens the last
+@example(("quadratic", np.zeros(2), np.zeros(2), np.full(2, 1e-13), 40, 3, 2))  # converged simplices
+@example(("half_infeasible", np.array([0.5, 0.0]), -np.ones(2), np.ones(2), 120, 3, 2))  # -inf values
+def test_lockstep_restarts_give_the_sequential_report(search):
+    kind, centre, lower, upper, budget, seeds, rng_seed = search
+    objective = make_objective(kind, centre)
+    want = reference_nelder_mead(objective, lower, upper, budget, seeds, rng_seed)
+    assert_same_report(nelder_mead(objective, lower, upper, budget, seeds, rng_seed), want)
+
+
+def test_lockstep_examples_reach_early_ends_and_small_budgets():
+    # restart 0 converges early, so the last one runs past budget // seeds
+    early = reference_nelder_mead(make_objective("linear", np.ones(2)), np.zeros(2), np.ones(2), 200, 2, 1)
+    assert early.termination == "converged" and 100 < early.evaluations < 200
+    assert nelder_mead(quadratic, [0.0, 0.0], [1.0, 1.0], budget=5, seeds=4).evaluations == 3
+    tiny = nelder_mead(quadratic, np.zeros(2), np.full(2, 1e-13), budget=40, seeds=3, rng_seed=2)
+    assert (tiny.termination, tiny.evaluations) == ("converged", 9)
+
+
+def test_optimize_scores_each_round_as_one_batch(monkeypatch, swimmer):
+    # the simplices of all four restarts, then one point per restart and
+    # round: 48 evaluations in 10 integrate_gaits calls
+    sizes = []
+
+    def counted(provider, gaits, *args):
+        sizes.append(len(gaits))
+        return integrate_gaits(provider, gaits, *args)
+
+    monkeypatch.setattr(optimizer, "integrate_gaits", counted)
+    report = optimize(swimmer, amplitude_phase_family(), step=2e-2, budget=48, seeds=4, rng_seed=3)
+    assert report.evaluations == sum(sizes) == 48
+    assert sizes == [12] + [4] * 9
+
+
+def nan_outside_a_disc(r):
+    # a pose map whose connection is NaN once the shape leaves the disc of radius 0.2
+    if math.hypot(r[0], r[1]) > 0.2:
+        return Pose(math.nan, 0.0, 0.0)
+    return Pose(r[0], r[1] * r[0], r[1])
+
+
+def test_optimize_scores_a_singular_gait_minus_inf_alone():
+    # the larger amplitudes leave the disc where the connection is finite
+    provider = JacobianConnection(PoseMap(nan_outside_a_disc, 2))
+    family = amplitude_phase_family(amplitude_bounds=(0.02, 0.25))
+    want = reference_nelder_mead(
+        lambda p: objective_displacement(provider, family.build(p), "x", 5e-2), family.lower, family.upper, 40, 3, 0
+    )
+    got = optimize(provider, family, "x", 5e-2, budget=40, seeds=3, rng_seed=0)
+    assert_same_report(got, want)
+    values = [v for _, v in got.history]
+    assert float("-inf") in values and any(math.isfinite(v) for v in values)
+
+
+def test_swimmer_optimize_history_is_the_sequential_search_bitwise(tmp_path):
+    # the shipped 500-evaluation search, restarts in lockstep against one
+    # after another, each point scored through objective_displacement
+    scenario = load_scenario(str(SCENARIOS / "swimmer_optimize.yaml"), overrides={"out": str(tmp_path)})
+    block, family = scenario.optimize, scenario.family
+    args = (block["direction"], scenario.step, scenario.cycles)
+    want = reference_nelder_mead(
+        lambda p: objective_displacement(scenario.provider, family.build(p), *args),
+        family.lower, family.upper, block["budget"], block["restarts"], scenario.seed,
+    )
+    got = optimize(scenario.provider, family, *args, block["budget"], block["restarts"], scenario.seed)
+    assert got.evaluations == 500
+    assert_same_report(got, want)

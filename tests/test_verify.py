@@ -2,11 +2,13 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import locomech.verify as verify
 from locomech import integrate_gait, load_scenario, run_verify
+from locomech.connection import _balance_scale, _max_abs, connection_rows
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -87,3 +89,21 @@ def test_first_cycle_is_bitwise_the_one_cycle_run(tmp_path, make):
     assert [(e.time.hex(), e.window, e.before, e.after, e.shape.tobytes()) for e in first] == [
         (e.time.hex(), e.window, e.before, e.after, e.shape.tobytes()) for e in alone.events
     ]
+
+
+def test_residual_suite_builds_its_balances_once_and_labels_nothing(monkeypatch):
+    scenario = load_scenario(str(SCENARIOS / "walker_mirror.yaml"))
+    provider, builder = scenario.provider, scenario.provider.builder
+    builds, labels = [], []
+    monkeypatch.setattr(provider, "builder", lambda r: builds.append(len(r)) or builder(r))
+    monkeypatch.setattr(provider, "contacts_many", lambda shapes: labels.append(len(shapes)))
+    (row,) = verify._suite_residual(scenario, None)
+    count = scenario.verify["shapes"]
+    assert (builds, labels) == ([count], [])
+    # the value the provider's own connection rows give, bitwise
+    box = scenario.verify["box"]
+    shapes = np.random.default_rng(scenario.seed).uniform(-box, box, (count, scenario.dim))
+    rows, index = connection_rows(provider, shapes, [None] * count)
+    system = builder(shapes)
+    want = (_max_abs(system.m @ rows[index] + system.n) / _balance_scale(system.m, system.n, rows[index])).max()
+    assert row.value.hex() == float(want).hex()
