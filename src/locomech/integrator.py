@@ -8,8 +8,8 @@ step midpoint, and one provider.contacts_many call labels them.  Only a step
 whose midpoint or end leaves its start's stance is split at the switch time,
 and integration resumes with the new piece from the same pose, so the pose
 path stays continuous; all switches are bisected together, one labelling
-call per level.  A gait's rows depend on it alone, so gaits integrated
-together (integrate_gaits) share one coded_connection_rows call, which
+call per level.  Gaits integrated together (integrate_gaits), in batches
+of at most MAX_STEPS steps, share one coded_connection_rows call, which
 evaluates each distinct (stance, stage shape) once, array passes for the
 step exponents and their exponentials, and one liegroup.compose_chain call
 for the pose products.  The poses are kept as one read-only (3, n + 1)
@@ -27,7 +27,6 @@ import numpy as np
 
 from .connection import SingularConstraint, coded_connection_rows, stance_codes
 from .liegroup import Pose, Twist, bracket_many, compose_chain, compose_many, exp_many, inverse_many, log_many
-from .models import DegenerateStance
 
 
 @dataclass(frozen=True)
@@ -122,11 +121,10 @@ def _rkmk4_exponents(h: np.ndarray, k1: np.ndarray, mid: np.ndarray, end: np.nda
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Most steps (per cycle, times cycles) one integration may take.  It peaks
-# at 514-533 bytes per step (walker, swimmer) or 811-812 (crawler) and its
-# Trajectory keeps about 81 (tracemalloc on the shipped scenarios at 20k and
-# 80k steps), so a period or step asking for more is rejected instead of
-# exhausting memory.
+# Most steps (per cycle, times cycles) one integration, or one batch of
+# integrate_gaits, may take.  A step peaks at 514-533 bytes (walker, swimmer)
+# or 811-812 (crawler) and its Trajectory keeps about 81 (tracemalloc on the
+# shipped scenarios at 20k and 80k steps); more is rejected, not run out of memory.
 MAX_STEPS = 1_000_000
 
 
@@ -152,15 +150,14 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     norm, step exponent or pose raises SingularConstraint naming its time and
     shape.
     """
-    return integrate_gaits(provider, [gait], cycles, step, event_tol)[0]
+    return next(integrate_gaits(provider, [gait], cycles, step, event_tol))
 
 
-def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_tol: float = 1e-10) -> list:
-    """integrate_gait of each gait, bitwise: each is planned alone, then all are evaluated and combined at once.
+def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_tol: float = 1e-10):
+    """Yield integrate_gait of each gait in turn, bitwise: each is planned alone, then finished in batches.
 
-    A gait's rows do not depend on the other gaits', so its Trajectory is the
-    one it gets alone.  If the batch is singular, each gait is finished
-    alone, and the first that fails raises its own error.
+    A gait's rows depend on it alone.  A batch holds at most MAX_STEPS steps
+    in all (or one gait); a singular batch raises its first failing stage's error.
     """
     if cycles < 1:
         raise ValueError(f"cycle count must be at least 1, got {cycles}")
@@ -168,14 +165,16 @@ def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_
         raise ValueError(f"step must be positive, got {step}")
     if not (event_tol > 0.0 and np.isfinite(event_tol)):
         raise ValueError(f"event tolerance must be positive and finite, got {event_tol}")
-    ids: dict = {}
-    plans = [_plan(provider, gait, cycles, step, event_tol, ids) for gait in gaits]
-    try:
-        return _finish(provider, plans, list(ids), cycles, step, event_tol) if plans else []
-    except (SingularConstraint, DegenerateStance):
-        if len(plans) == 1:
-            raise
-    return [_finish(provider, [plan], list(ids), cycles, step, event_tol)[0] for plan in plans]
+    ids, batch, size = {}, [], 0
+    for gait in gaits:
+        plan = _plan(provider, gait, cycles, step, event_tol, ids)
+        if batch and size + len(plan[3]) - 1 > MAX_STEPS:
+            yield from _finish(provider, batch, list(ids), cycles, step, event_tol)
+            batch, size = [], 0
+        batch.append(plan)
+        size += len(plan[3]) - 1
+    if batch:
+        yield from _finish(provider, batch, list(ids), cycles, step, event_tol)
 
 
 def _sample(gait, ts, side: str = "right"):

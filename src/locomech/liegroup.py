@@ -106,10 +106,9 @@ def compose_chain(increments) -> np.ndarray:
     """Running products from the identity of m chains of (3, m, n) increments, as (3, m, n + 1); (3, n) as (3, n + 1).
 
     Column k + 1 of a chain is compose(column k, Pose(*increment k)), bitwise:
-    angles are sums wrapped as Pose wraps them, and x and y are running sums
-    of compose's terms in its order.  x adds -(s iy) where compose subtracts
-    s iy, which differs only in a NaN's sign, so increments that are not all
-    finite take compose itself.
+    angles are sums wrapped as Pose wraps them, and x and y running sums of
+    compose's terms.  x adds -(s iy) where compose subtracts s iy, which flips
+    a NaN's sign, so increments that are not all finite take compose itself.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim == 2:

@@ -129,14 +129,18 @@ def objective_displacement(
 
     Singular configurations score -inf so the search simply avoids them.
     """
-    if not isinstance(direction, str) or direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {tuple(DIRECTIONS)}, got {direction!r}")
+    score = _scorer(direction)
     try:
-        traj = integrate_gait(provider, gait, cycles=cycles, step=step)
-        disp = net_displacement(traj)
+        return score(integrate_gait(provider, gait, cycles=cycles, step=step))
     except (SingularConstraint, DegenerateStance):
         return float("-inf")
-    return DIRECTIONS[direction](disp)
+
+
+def _scorer(direction: str) -> Callable[[object], float]:
+    """The objective's score of a trajectory: the direction's component of its first cycle's displacement."""
+    if not isinstance(direction, str) or direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {tuple(DIRECTIONS)}, got {direction!r}")
+    return lambda traj: DIRECTIONS[direction](net_displacement(traj))
 
 
 @dataclass
@@ -266,18 +270,16 @@ def optimize(
 ) -> OptimizationReport:
     """Search a gait family for the largest displacement objective.
 
-    Each round's gaits are integrated as one batch; a batch that fails is
-    scored one gait at a time, so a singular gait scores -inf alone.
+    Each round's gaits are integrated together, each scored as it is finished;
+    a singular round is rescored gait by gait, so a singular gait scores -inf alone.
     """
-    if not isinstance(direction, str) or direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {tuple(DIRECTIONS)}, got {direction!r}")
+    score = _scorer(direction)
 
     def evaluate(points) -> list:
         gaits = [family.build(p) for p in points]
         try:
-            trajectories = integrate_gaits(provider, gaits, cycles, step)
+            return [score(traj) for traj in integrate_gaits(provider, gaits, cycles, step)]
         except (SingularConstraint, DegenerateStance):
             return [objective_displacement(provider, gait, direction, step, cycles) for gait in gaits]
-        return [DIRECTIONS[direction](net_displacement(traj)) for traj in trajectories]
 
     return _lockstep(evaluate, family.lower, family.upper, budget, seeds, rng_seed)

@@ -43,6 +43,7 @@ from locomech import (
     two_leg_crawler,
     wavy_pose_map,
 )
+from locomech import integrator
 from locomech.integrator import MAX_STEPS, _step_grid, integrate_gaits, pose_increments
 from locomech.liegroup import compose_chain
 from locomech.optimizer import amplitude_phase_family
@@ -898,7 +899,7 @@ def test_batched_trajectories_are_the_separate_ones_bitwise(gaits, model, cycles
     provider = BATCH_PROVIDERS[model]
     with warnings.catch_warnings(record=True) as batch_warnings:
         warnings.simplefilter("always")
-        batch = integrate_gaits(provider, gaits, cycles, step)
+        batch = list(integrate_gaits(provider, gaits, cycles, step))
     with warnings.catch_warnings(record=True) as alone_warnings:
         warnings.simplefilter("always")
         alone = [integrate_gait(provider, gait, cycles, step) for gait in gaits]
@@ -947,21 +948,41 @@ SINGULAR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SINGULAR_CASES))
 @pytest.mark.parametrize("position", [0, 1, 2])
-def test_a_singular_gait_in_a_batch_fails_alone(case, position):
+def test_a_singular_gait_makes_its_batch_raise(case, position):
+    # the batch raises; optimize then scores its gaits one at a time
     provider, singular = SINGULAR_CASES[case]
     fine = [
         FourierGait(1.0, [0.0, 0.0], cos=[[0.0, 0.05]], sin=[[0.05, 0.0]]),
         FourierGait(1.0, [0.0, 0.02], cos=[[0.03, 0.0]], sin=[[0.0, -0.06]]),
     ]
-    with pytest.raises(SingularConstraint, match=case) as alone:
+    with pytest.raises(SingularConstraint, match=case):
         integrate_gait(provider, singular, step=0.05)
-    with pytest.raises(SingularConstraint) as batched:
-        integrate_gaits(provider, fine[:position] + [singular] + fine[position:], step=0.05)
-    assert str(batched.value) == str(alone.value)
+    with pytest.raises(SingularConstraint, match=case):
+        list(integrate_gaits(provider, fine[:position] + [singular] + fine[position:], step=0.05))
     # without it, the batch is the separate integrations
-    for got, gait in zip(integrate_gaits(provider, fine, step=0.05), fine):
+    for got, gait in zip(integrate_gaits(provider, fine, step=0.05), fine, strict=True):
         assert_same_trajectory(got, integrate_gait(provider, gait, step=0.05))
 
 
+@pytest.mark.parametrize(("ceiling", "batches"), [(50, [1, 1, 1, 1]), (120, [2, 2]), (199, [3, 1]), (MAX_STEPS, [4])])
+def test_a_batch_over_the_step_ceiling_is_split(monkeypatch, ceiling, batches):
+    # four 50-step gaits are finished in batches of at most `ceiling` steps,
+    # each gait still its separate integration
+    provider = BATCH_PROVIDERS["swimmer"]
+    gaits = [FourierGait(1.0, [0.0, 0.0], cos=[[0.0, a]], sin=[[a, 0.0]]) for a in (0.1, 0.3, 0.5, 0.7)]
+    want = [integrate_gait(provider, gait, step=0.02) for gait in gaits]
+    sizes, finish = [], integrator._finish
+
+    def counted(provider, plans, *args):
+        sizes.append(len(plans))
+        return finish(provider, plans, *args)
+
+    monkeypatch.setattr(integrator, "_finish", counted)
+    monkeypatch.setattr(integrator, "MAX_STEPS", ceiling)
+    for got, expected in zip(integrate_gaits(provider, gaits, step=0.02), want, strict=True):
+        assert_same_trajectory(got, expected)
+    assert sizes == batches
+
+
 def test_an_empty_batch_integrates_nothing():
-    assert integrate_gaits(BATCH_PROVIDERS["swimmer"], [], step=0.05) == []
+    assert list(integrate_gaits(BATCH_PROVIDERS["swimmer"], [], step=0.05)) == []

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from locomech import (
     three_link_swimmer,
 )
 import locomech.optimizer as optimizer
+from locomech import integrator
 from locomech.integrator import integrate_gaits
 from locomech.optimizer import DIRECTIONS
 from pointwise import reference_nelder_mead
@@ -344,6 +347,42 @@ def test_optimize_scores_each_round_as_one_batch(monkeypatch, swimmer):
     report = optimize(swimmer, amplitude_phase_family(), step=2e-2, budget=48, seeds=4, rng_seed=3)
     assert report.evaluations == sum(sizes) == 48
     assert sizes == [12] + [4] * 9
+
+
+def test_optimize_split_at_the_step_ceiling_gives_the_same_report(monkeypatch, swimmer):
+    # 50-step gaits under a 120-step ceiling: the 12 simplex points in six
+    # batches of two, each later round of four in two
+    args = (swimmer, amplitude_phase_family(), "x", 2e-2, 1, 48, 4, 3)
+    want = optimize(*args)
+    sizes, finish = [], integrator._finish
+
+    def counted(provider, plans, *rest):
+        sizes.append(len(plans))
+        return finish(provider, plans, *rest)
+
+    monkeypatch.setattr(integrator, "_finish", counted)
+    monkeypatch.setattr(integrator, "MAX_STEPS", 120)
+    assert_same_report(optimize(*args), want)
+    assert sizes == [2] * 24
+
+
+def test_a_round_peaks_like_one_batch_under_the_step_ceiling(monkeypatch, swimmer):
+    # budget 3 per restart in 2-D: one round of every restart's simplex.  A
+    # round of 24 gaits of 2000 steps, finished two at a time and scored as
+    # they come, peaks about like a round of 3, not eight times higher
+    monkeypatch.setattr(integrator, "MAX_STEPS", 4000)
+    family, peaks = amplitude_phase_family(), []
+    optimize(swimmer, family, step=1 / 2000, budget=3, seeds=1)  # one-time caches first
+    for seeds in (1, 8):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = optimize(swimmer, family, step=1 / 2000, budget=3 * seeds, seeds=seeds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.evaluations == 3 * seeds
+    assert peaks[1] < 1.3 * peaks[0]
 
 
 def nan_outside_a_disc(r):
