@@ -6,11 +6,14 @@ grid, optimize searches a gait family, and verify runs invariant suites.
 All output is plain CSV or JSON with a short metadata header (schema
 version and scenario hash, never timestamps), floats printed as %.17g so
 files reparse to the exact in-memory doubles and reruns are byte-identical.
-CSV files are written row by row from arrays computed before the file is
-opened, so an abort leaves no partial file.
+A field.csv column whose values repeat is formatted once per distinct bit
+pattern, which gives the same bytes.  CSV files are written row by row from
+arrays computed before the file is opened, so an abort leaves no partial
+file.
 
-Exit codes: 0 success, 1 invariant failure, 2 scenario validation error,
-3 numerical abort (singular constraint or degenerate stance).
+Exit codes: 0 success, 1 invariant failure, 2 scenario validation error
+(including an output location that cannot be created or written), 3
+numerical abort (singular constraint or degenerate stance).
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ _TWIST_AXES = ("vx", "vy", "om")
 # Python floats held at once stay bounded however long the run
 _SLAB_ROWS = 4096
 
+# cells in the strided sample that decides whether a float column is worth
+# spelling once per distinct value (see _pool_columns)
+_PROBE_CELLS = 256
+
 
 def _contact_str(contacts) -> str:
     if contacts is None:
@@ -58,22 +65,71 @@ def _meta_lines(scenario: Scenario, command: str) -> list[str]:
     ]
 
 
+def _pool_columns(values: np.ndarray) -> list:
+    """Per column of `values` (rows x k): None, or its spelled pool and each row's index into it.
+
+    A column is pooled when a strided sample of fewer than _PROBE_CELLS of
+    its cells holds at most half as many distinct bit patterns; otherwise
+    it is left to %.17g cell by cell.  A pool holds the %.17g string of each
+    distinct bit pattern (not value, so -0.0, 0.0 and NaN payloads stay
+    apart), and the index has the narrowest unsigned dtype that reaches it.
+    """
+    bits = values.view(np.int64)
+    sample = bits[:: len(bits) // _PROBE_CELLS + 1].T.copy()
+    sample.sort()
+    distinct = 1 + np.count_nonzero(sample[:, 1:] != sample[:, :-1], axis=1)
+    pools = []
+    for column, count in zip(bits.T, distinct.tolist()):
+        if 2 * count > sample.shape[1]:
+            pools.append(None)
+            continue
+        patterns, index = np.unique(column, return_inverse=True)
+        spelled = np.array(["%.17g" % v for v in patterns.view(np.float64).tolist()], dtype=object)
+        pools.append((spelled, index.astype(np.min_scalar_type(max(len(patterns) - 1, 0)))))
+    return pools
+
+
+def _float_slots(pools: list) -> list[str]:
+    """The template slot of each column planned by _pool_columns: %s for a pool, else %.17g."""
+    return ["%.17g" if pool is None else "%s" for pool in pools]
+
+
+def _float_cells(values: np.ndarray, pools: list, lo: int, hi: int) -> list[list]:
+    """The cells of rows lo:hi of `values`, column by column: floats, or pooled strings."""
+    if not any(pools):
+        return values[lo:hi].T.tolist()
+    return [
+        values[lo:hi, k].tolist() if pool is None else pool[0].take(pool[1][lo:hi]).tolist()
+        for k, pool in enumerate(pools)
+    ]
+
+
+def _open_artifact(path: str):
+    """Open an output file for writing; a path that cannot be written is a bad `out`."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ScenarioError("out", f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: str, head: list[str], template: str, slabs) -> None:
     """Write the head lines, then `template % row` for every row of every slab.
 
     A slab is an iterable of row tuples of plain Python values; template
     ends in a newline and spells each float %.17g, which gives the bytes of
-    format(x, ".17g").  Slabs only format values computed before the call,
-    so nothing that can abort runs once the file is open.
+    format(x, ".17g").  A repeated value may come already spelled so, once
+    per distinct bit pattern (_pool_columns), and then fills a %s slot with
+    the same bytes.  Slabs only format values computed before the call, so
+    nothing that can abort runs once the file is open.
     """
-    with open(path, "w", newline="") as handle:
+    with _open_artifact(path) as handle:
         handle.write("\n".join(head) + "\n")
         for rows in slabs:
             handle.write("".join(map(template.__mod__, rows)))
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", newline="") as handle:
+    with _open_artifact(path) as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -99,27 +155,36 @@ def _write_trajectory(path: str, meta: list[str], traj) -> None:
 def _write_field(path: str, meta: list[str], field, curv) -> None:
     """Write field.csv: one row per grid node in row-major order, one grid row per slab.
 
-    Each axis value is spelled once, not once per node.
+    Each axis value is spelled once, not once per node, and so is each
+    distinct cell of a connection or curvature column that repeats
+    (_pool_columns), such as the piecewise-constant stance connections of a
+    legged model.
     """
     n1, n2, _, dim = field.conn.shape
     header = ["i", "j", "r1", "r2"]
     for axis in _TWIST_AXES:
         header.extend(f"A_{axis}_{k + 1}" for k in range(dim))
     header.extend(["contact_set", "singular"])
+    conn = field.conn.reshape(n1 * n2, 3 * dim)
+    conn_pools = _pool_columns(conn)
+    slots = ["%d", "%d", "%s", "%s", *_float_slots(conn_pools), "%s", "%d"]
     if curv is not None:
         header.extend(["D_vx", "D_vy", "D_omega"])
-    template = "%d,%d,%s,%s," + "%.17g," * (3 * dim) + "%s,%d" + ",%.17g" * (3 * (curv is not None)) + "\n"
+        curv_values = curv.values.reshape(n1 * n2, 3)
+        curv_pools = _pool_columns(curv_values)
+        slots.extend(_float_slots(curv_pools))
+    template = ",".join(slots) + "\n"
     head = meta + [f"# counts={n1}x{n2}", f"# dim={dim}", f"# curvature={int(curv is not None)}", ",".join(header)]
     axis1 = ["%.17g" % v for v in field.axis1.tolist()]
     axis2 = ["%.17g" % v for v in field.axis2.tolist()]
     contacts = [""] * (n1 * n2) if field.contacts is None else _spell_contacts(field.contacts.ravel().tolist())
-    conn = field.conn.reshape(n1, n2, 3 * dim)
 
     def slab(i: int):
-        columns = [repeat(i), range(n2), repeat(axis1[i]), axis2, *conn[i].T.tolist()]
-        columns.extend([contacts[i * n2 : (i + 1) * n2], field.singular[i].tolist()])
+        lo, hi = i * n2, (i + 1) * n2
+        columns = [repeat(i), range(n2), repeat(axis1[i]), axis2, *_float_cells(conn, conn_pools, lo, hi)]
+        columns.extend([contacts[lo:hi], field.singular[i].tolist()])
         if curv is not None:
-            columns.extend(curv.values[i].T.tolist())
+            columns.extend(_float_cells(curv_values, curv_pools, lo, hi))
         return zip(*columns)
 
     _write_csv(path, head, template, map(slab, range(n1)))
@@ -258,7 +323,10 @@ def main(argv=None) -> int:
                 "seed": args.seed,
             },
         )
-        os.makedirs(scenario.out_dir, exist_ok=True)
+        try:
+            os.makedirs(scenario.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError("out", f"cannot create {scenario.out_dir}: {exc.strerror or exc}") from None
         return _COMMANDS[args.command](scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from locomech import (
     Pose,
     PoseMap,
     SingularConstraint,
+    curvature,
     integrate_gait,
     load_scenario,
     sample_field,
@@ -548,6 +549,25 @@ class TestExitCodes:
     def test_missing_file_is_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_cannot_be_a_directory_is_two(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("not a directory\n")
+        doc = swimmer_doc(sweep={"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [3, 3]})
+        path = write_scenario(tmp_path, doc)
+        assert main(["sweep", path, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: out: cannot create ") and "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+
+    def test_artifact_that_cannot_be_opened_is_two(self, tmp_path, capsys):
+        (tmp_path / "run" / "field.csv").mkdir(parents=True)
+        doc = swimmer_doc(sweep={"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [3, 3]})
+        path = write_scenario(tmp_path, doc)
+        assert main(["sweep", path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: out: cannot write ") and "field.csv" in err
+        assert "Traceback" not in err
+
     def test_numerical_abort_is_three(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise SingularConstraint("fabricated abort for the exit-code path")
@@ -920,3 +940,74 @@ def test_field_writer_matches_the_per_cell_writer(data):
         assert got["curvature"] is None
     else:
         assert _same_floats(got["curvature"], curv.values)
+
+
+# Bit patterns a repeated column may hold: both zeros (which a pool keyed
+# by value would merge into one spelling), NaN of either sign, subnormals,
+# infinities and the largest magnitudes.
+_POOL_FLOATS = [math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072e-308, math.inf, -math.inf,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 0.1, 1e22]
+
+
+def _pooled_column(data, rng, n):
+    """n cells drawn from -0.0, 0.0 and a few _POOL_FLOATS, or n distinct doubles."""
+    if not data.draw(st.booleans()):
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n), False
+    pool = [-0.0, 0.0] + data.draw(st.lists(st.sampled_from(_POOL_FLOATS), max_size=4))
+    return np.array(pool)[rng.integers(0, len(pool), n)], True
+
+
+@_WRITER
+@given(st.data())
+def test_field_writer_spells_repeated_columns_by_bit_pattern(data):
+    # grids large enough that a column of at most six patterns is pooled
+    n1, n2, dim = data.draw(st.integers(2, 12)), data.draw(st.integers(8, 40)), data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    conn, conn_pooled = zip(*(_pooled_column(data, rng, n1 * n2) for _ in range(3 * dim)))
+    curv, curv_pooled = zip(*(_pooled_column(data, rng, n1 * n2) for _ in range(3)))
+    field = types.SimpleNamespace(
+        axis1=np.linspace(-1.0, 1.0, n1),
+        axis2=np.linspace(-1.0, 1.0, n2),
+        conn=np.column_stack(conn).reshape(n1, n2, 3, dim),
+        contacts=None,
+        singular=rng.random((n1, n2)) < 0.1,
+    )
+    curv = types.SimpleNamespace(values=np.column_stack(curv).reshape(n1, n2, 3))
+    pools = cli._pool_columns(field.conn.reshape(n1 * n2, 3 * dim)) + cli._pool_columns(curv.values.reshape(-1, 3))
+    assert [pool is not None for pool in pools] == [*conn_pooled, *curv_pooled]
+    meta = ["# schema=1", "# command=sweep"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        cli._write_field(str(path), meta, field, curv)
+        assert path.read_bytes() == _reference_field_text(meta, field, curv).encode()
+
+
+class TestPooledField:
+    """The crawler's piecewise-constant stance connections are spelled once per distinct cell."""
+
+    def field_of(self, tmp_path, doc):
+        path = write_scenario(tmp_path, doc)
+        assert main(["sweep", path, "--out", str(tmp_path / "run")]) == 0
+        sc = load_scenario(path)
+        field = sample_field(sc.provider, sc.grid)
+        return sc, field, curvature(field)
+
+    def test_crawler_sweep_matches_the_per_cell_writer(self, tmp_path):
+        # a 97 x 97 window that straddles the r1 = r2 stance boundary
+        sweep = {"lo": [-1.1, -0.95], "hi": [0.9, 1.05], "counts": [97, 97], "curvature": True}
+        doc = crawler_doc(sweep=sweep)
+        doc["model"].update(hip_spacing=1.0, leg_length=1.0)
+        sc, field, curv = self.field_of(tmp_path, doc)
+        text = _reference_field_text(cli._meta_lines(sc, "sweep"), field, curv)
+        assert (tmp_path / "run" / "field.csv").read_bytes() == text.encode()
+        # 9 float columns of 9409 cells each, spelled from a few hundred strings
+        pools = cli._pool_columns(field.conn.reshape(-1, 6)) + cli._pool_columns(curv.values.reshape(-1, 3))
+        assert all(pool is not None for pool in pools)
+        assert sum(len(spelled) for spelled, _ in pools) < 2000
+        assert all(index.dtype == np.uint8 for _, index in pools)
+
+    def test_swimmer_columns_take_the_direct_path(self, tmp_path):
+        sweep = {"lo": [-1.5, -1.5], "hi": [1.5, 1.5], "counts": [41, 41], "curvature": True}
+        _, field, curv = self.field_of(tmp_path, swimmer_doc(sweep=sweep))
+        assert cli._pool_columns(field.conn.reshape(-1, 6)) == [None] * 6
+        assert cli._pool_columns(curv.values.reshape(-1, 3)) == [None] * 3
