@@ -29,7 +29,6 @@ import numpy as np
 from .analysis import curvature, sample_field
 from .connection import SingularConstraint
 from .integrator import integrate_gait, net_displacement, per_cycle_displacements
-from .models import DegenerateStance
 from .optimizer import optimize as run_optimize
 from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, load_scenario
 from .verify import run_verify
@@ -331,7 +330,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (SingularConstraint, DegenerateStance) as exc:
+    except SingularConstraint as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
 

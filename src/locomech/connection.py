@@ -2,12 +2,11 @@
 
 Everything here produces or consumes the 3 x d matrix A(r) relating a shape
 rate to a body twist, body_twist = A(r) @ rdot, with rows ordered (vx, vy,
-omega).  Three construction routes are covered: differentiating a pose map
-through the group (``jacobian_connection_eval``, which both pose-map
-providers call once per batch; it sends every probe of the batch through
-the map's array form ``PoseMap.poses_many`` in one call), solving a linear
-force or constraint balance, and dispatching over the holonomic pieces of a
-contact-switching model.
+omega).  Three routes are covered: JacobianConnection differentiates a pose
+map through the group (``jacobian_connection_eval``, one ``poses_many``
+call per batch), ConstraintConnection solves a linear force or constraint
+balance, and PiecewiseConnection hands over a contact model's exact stance
+connections.  Only JacobianConnection differentiates.
 
 Provider protocol.  A provider offers:
 
@@ -309,16 +308,12 @@ class ConstraintConnection(ConnectionProvider):
 class PiecewiseConnection(ConnectionProvider):
     """Provider dispatching on a contact model's selected stance.
 
-    The model must offer contacts_many(shapes), contact_map(c), and shape_dim.
-    Within one stance piece the connection is the group derivative of that
-    piece's pose map, so it may be evaluated slightly past the switching
-    surface while a step is being completed.
+    The model must offer shape_dim, contacts_many(shapes) and
+    stance_connection(c, shapes), which holds past the stance's switching surface.
     """
 
-    def __init__(self, model, h: float = 1e-5):
+    def __init__(self, model):
         self.model = model
-        self.h = h
-        self._maps: dict = {}
 
     @property
     def dim(self) -> int:
@@ -327,12 +322,5 @@ class PiecewiseConnection(ConnectionProvider):
     def contacts_many(self, shapes) -> list[ContactSet]:
         return self.model.contacts_many(np.asarray(shapes, dtype=float))
 
-    def piece_map(self, c: ContactSet) -> PoseMap:
-        m = self._maps.get(c)
-        if m is None:
-            m = self.model.contact_map(c)
-            self._maps[c] = m
-        return m
-
     def connection_many(self, c: ContactSet, shapes) -> np.ndarray:
-        return jacobian_connection_eval(self.piece_map(c), shapes, self.h)
+        return self.model.stance_connection(c, shapes)

@@ -3,9 +3,10 @@
 Articulated chains with anisotropic viscous drag, planted-foot crawlers whose
 stance pieces are holonomic pose maps, walkers whose feet slip against
 anisotropic viscous ground, and a dense point-contact surrogate that
-approaches the drag integral as the contact count grows.  Each model knows
-how to turn itself into the pose maps or linear balances consumed by the
-connection providers.  Swimming links and slipping feet are contacts of one
+approaches the drag integral as the contact count grows.  Each model hands
+the connection providers a pose map, a linear balance or, for a planted
+stance, the exact connection, so only the pose maps are ever differenced
+(by JacobianConnection).  Swimming links and slipping feet are contacts of one
 resistive-force assembler, so their balances are one formula.
 
 Kinematic conventions: chain link frames sit at link midpoints with x along
@@ -22,16 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import (
-    ConstraintConnection,
-    ConstraintSystem,
-    PiecewiseConnection,
-    PoseMap,
-)
+from .connection import ConstraintConnection, ConstraintSystem, PiecewiseConnection, PoseMap, SingularConstraint
 from .liegroup import compose_many, inverse_many, wrap_many
 
 
-class DegenerateStance(RuntimeError):
+class DegenerateStance(SingularConstraint):
     """Raised when a stance's pinning equations are rank-deficient."""
 
 
@@ -256,11 +252,7 @@ class LeggedModel:
             raise ValueError(f"unknown selector {self.selector!r}")
         fixed = self.fixed_contacts
         if self.selector == "fixed":
-            if not fixed:
-                raise ValueError("fixed selector needs a nonempty fixed_contacts set")
-            fixed = frozenset(int(i) for i in fixed)
-            if not fixed <= set(range(f)):
-                raise ValueError(f"fixed_contacts {sorted(fixed)} outside feet 0..{f - 1}")
+            fixed = frozenset(_stance_feet(fixed or (), f))
         object.__setattr__(self, "hips", hips)
         object.__setattr__(self, "leg_lengths", lengths)
         object.__setattr__(self, "rest_angles", rest)
@@ -288,17 +280,63 @@ class LeggedModel:
         picks = np.argmax(shapes, axis=1) if self.selector == "argmax" else np.zeros(len(shapes), dtype=int)
         return [catalog[i] for i in picks.tolist()]
 
-    def contact_map(self, c) -> PoseMap:
-        return build_contact_map(self, c)
+    def stance_connection(self, c, shapes) -> np.ndarray:
+        """Exact connection (..., 3, d) of stance set c at shapes (..., d), with no -0 entry.
 
-    def provider(self, h: float = 1e-5) -> PiecewiseConnection:
-        return PiecewiseConnection(self, h)
+        One planted flat foot i keeps its hip still, so column i is (-h_y,
+        h_x, -1) and every other column is zero.  A pinned pair i < j keeps
+        foot i still and the line d = p_j - p_i at its world angle: omega =
+        -(d x d')/|d|^2 and v = -p_i' + omega (p_iy, -p_ix).
+        """
+        feet = _stance_feet(c, self.n_feet)
+        shapes = np.asarray(shapes, dtype=float)
+        if shapes.shape[-1:] != (self.shape_dim,):
+            raise ValueError(f"model expects {self.shape_dim} leg angles, got {shapes.shape}")
+        out = np.zeros(shapes.shape[:-1] + (3, self.shape_dim))
+        if len(feet) == 1:
+            hx, hy = self.hips[feet[0]]
+            out[..., :, feet[0]] = (0.0 - hy, 0.0 + hx, -1.0)
+            return out
+        p, d = _pin_line(self, *feet, shapes)
+        # per unit r_k' foot k moves at (-ly_k, lx_k); d moves with foot j and against foot i
+        ang = self.rest_angles[feet] + shapes[..., feet]
+        lx, ly = self.leg_lengths[feet] * np.cos(ang), self.leg_lengths[feet] * np.sin(ang)
+        omega = (d[..., :1] * lx + d[..., 1:] * ly) / (d * d).sum(axis=-1, keepdims=True) * [1.0, -1.0]
+        vx, vy = omega * p[..., 1:], -(omega * p[..., :1])
+        vx[..., 0] += ly[..., 0]
+        vy[..., 0] -= lx[..., 0]
+        out[..., :, feet] = np.stack([vx, vy, omega], axis=-2) + 0.0
+        return out
+
+    def provider(self) -> PiecewiseConnection:
+        return PiecewiseConnection(self)
 
 
 def foot_position(model: LeggedModel, i: int, r) -> np.ndarray:
     """Body-frame foot position of foot i at shape r (d,), or at every row of shapes (..., d) as (..., 2)."""
     ang = model.rest_angles[i] + np.asarray(r, dtype=float)[..., i]
     return model.hips[i] + model.leg_lengths[i] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+
+def _stance_feet(c, n_feet: int) -> list[int]:
+    """The sorted feet of stance set c, which must plant one or two of feet 0..n_feet - 1."""
+    feet = sorted({int(i) for i in c})
+    if not 1 <= len(feet) <= 2:
+        raise ValueError(f"a planar stance plants one or two feet, got {feet}")
+    if not set(feet) <= set(range(n_feet)):
+        raise ValueError(f"contact set {feet} outside feet 0..{n_feet - 1}")
+    return feet
+
+
+def _pin_line(model: LeggedModel, i: int, j: int, shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Foot i's position p and d = p_j - p, each (..., 2); DegenerateStance at the first row where the pins coincide."""
+    p = foot_position(model, i, shapes)
+    d = foot_position(model, j, shapes) - p
+    coincide = (np.hypot(d[..., 0], d[..., 1]) < 1e-9 * (1.0 + float(model.leg_lengths.max()))).reshape(-1)
+    if coincide.any():
+        row = shapes.reshape(-1, model.shape_dim)[coincide.argmax()]
+        raise DegenerateStance(f"pinned feet {i} and {j} coincide at shape {row.tolist()}")
+    return p, d
 
 
 def build_contact_map(model: LeggedModel, c) -> PoseMap:
@@ -308,42 +346,30 @@ def build_contact_map(model: LeggedModel, c) -> PoseMap:
     inverse of the foot pose in body coordinates.  Two planted feet act as
     pins; the body pose solves the two-point pinning in the frame anchored at
     the lower-indexed foot with x toward the other, raising DegenerateStance
-    at the first shape where the pins coincide.  Larger stances
-    over-determine a planar pose.  Both maps are written in array form; the
-    pin angle keeps math.atan2 per row, which np.arctan2 does not match
-    bitwise.
+    at the first shape where the pins coincide.  Both maps are written in
+    array form; the pin angle keeps math.atan2 per row, which np.arctan2
+    does not match bitwise.  LeggedModel.stance_connection is their exact
+    derivative.
     """
-    c = frozenset(int(i) for i in c)
-    if not c:
-        raise ValueError("contact set must be nonempty")
-    if not c <= set(range(model.n_feet)):
-        raise ValueError(f"contact set {sorted(c)} outside feet 0..{model.n_feet - 1}")
-    if len(c) == 1:
-        (i,) = c
+    feet = _stance_feet(c, model.n_feet)
+    if len(feet) == 1:
+        i = feet[0]
 
         def single(shapes: np.ndarray) -> np.ndarray:
             p = foot_position(model, i, shapes)
             return inverse_many((p[:, 0], p[:, 1], wrap_many(shapes[:, i])))
 
         return PoseMap.from_many(single, model.shape_dim)
-    if len(c) == 2:
-        i, j = sorted(c)
-        tol = 1e-9 * (1.0 + float(model.leg_lengths.max()))
+    i, j = feet
 
-        def pinned(shapes: np.ndarray) -> np.ndarray:
-            pi = foot_position(model, i, shapes)
-            dx, dy = (foot_position(model, j, shapes) - pi).T.tolist()
-            beta = []
-            for k, (x, y) in enumerate(zip(dx, dy)):
-                if math.hypot(x, y) < tol:
-                    raise DegenerateStance(f"pinned feet {i} and {j} coincide at shape {shapes[k].tolist()}")
-                beta.append(-math.atan2(y, x))
-            cb, sb = np.cos(beta), np.sin(beta)
-            px, py = pi.T
-            return np.stack([-(cb * px - sb * py), -(sb * px + cb * py), wrap_many(beta)])
+    def pinned(shapes: np.ndarray) -> np.ndarray:
+        p, d = _pin_line(model, i, j, shapes)
+        beta = np.array([-math.atan2(y, x) for x, y in d.tolist()])
+        cb, sb = np.cos(beta), np.sin(beta)
+        px, py = p.T
+        return np.stack([-(cb * px - sb * py), -(sb * px + cb * py), wrap_many(beta)])
 
-        return PoseMap.from_many(pinned, model.shape_dim)
-    raise ValueError(f"planar stances support at most 2 feet, got {sorted(c)}")
+    return PoseMap.from_many(pinned, model.shape_dim)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .connection import SingularConstraint
 from .integrator import integrate_gait, integrate_gaits, net_displacement
-from .models import DegenerateStance
 from .shapespace import FourierGait
 
 # search direction -> the component of the displacement exponent it maximizes
@@ -132,7 +131,7 @@ def objective_displacement(
     score = _scorer(direction)
     try:
         return score(integrate_gait(provider, gait, cycles=cycles, step=step))
-    except (SingularConstraint, DegenerateStance):
+    except SingularConstraint:
         return float("-inf")
 
 
@@ -279,7 +278,7 @@ def optimize(
         gaits = [family.build(p) for p in points]
         try:
             return [score(traj) for traj in integrate_gaits(provider, gaits, cycles, step)]
-        except (SingularConstraint, DegenerateStance):
+        except SingularConstraint:
             return [objective_displacement(provider, gait, direction, step, cycles) for gait in gaits]
 
     return _lockstep(evaluate, family.lower, family.upper, budget, seeds, rng_seed)

@@ -572,7 +572,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
 
 
 def build_family(scenario: Scenario) -> GaitFamily:
-    """The optimize block's gait family, re-read from its resolved row."""
-    if scenario.optimize is None:
+    """The optimize block's gait family, as load_scenario built it."""
+    if scenario.family is None:
         raise ScenarioError("optimize", "scenario has no optimize block")
-    return _read_block(scenario.optimize, "optimize", {"gait": scenario.gait})[1]
+    return scenario.family

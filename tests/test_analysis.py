@@ -11,6 +11,7 @@ from locomech import (
     FourierGait,
     GridSpec,
     JacobianConnection,
+    LeggedModel,
     LoopOutsideGrid,
     Pose,
     PoseMap,
@@ -297,6 +298,22 @@ class TestSampleField:
                 shape = node_shape(field, i, j)
                 assert np.array_equal(field.conn[i, j], provider.connection_at(shape))
 
+    def test_coincident_pin_nodes_flagged_like_singular_ones(self):
+        # both feet swing from one hip, so the pins coincide where r0 == r1
+        model = LeggedModel(
+            hips=[[0.0, 0.0], [0.0, 0.0]],
+            leg_lengths=[1.0, 1.0],
+            rest_angles=[0.0, 0.0],
+            selector="fixed",
+            fixed_contacts=frozenset({0, 1}),
+        )
+        field = sample_field(model.provider(), GridSpec(lo=(-1, -1), hi=(1, 1), counts=(5, 5)))
+        assert np.array_equal(field.singular, np.eye(5, dtype=bool))
+        assert np.array_equal(field.conn[field.singular], np.zeros((5, 3, 2)))
+        for i, j in zip(*np.nonzero(~field.singular)):
+            shape = node_shape(field, i, j)
+            assert np.array_equal(field.conn[i, j], model.stance_connection({0, 1}, shape))
+
     def test_non_finite_nodes_flagged_like_singular_ones(self):
         # only the centre node lies inside the disc the pose map is finite on
         field = sample_field(
@@ -426,6 +443,14 @@ class TestCurvature:
         assert result.valid[1, 8]
         assert result.valid[8, 1]
         assert np.isfinite(result.values[result.valid]).all()
+
+    def test_crawler_is_flat_inside_each_stance(self):
+        # a planted foot's connection is constant, so every stencil that stays
+        # inside one stance sees no curvature
+        spec = GridSpec(lo=(-1.1, -0.95), hi=(1.05, 1.12), counts=(41, 41))
+        result = curvature(sample_field(two_leg_crawler().provider(), spec))
+        assert result.valid.sum() > 1000
+        assert np.abs(result.values[result.valid]).max() < 1e-13
 
     def test_singular_nodes_poison_stencils(self):
         class SometimesSingular(Pointwise):

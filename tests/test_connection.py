@@ -3,12 +3,14 @@ dispatch, and the shared matrix contract."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locomech
 from locomech import (
     ChainModel,
     ConstraintConnection,
@@ -20,6 +22,7 @@ from locomech import (
     PoseMap,
     SingularConstraint,
     Twist,
+    build_contact_map,
     build_drag_constraints,
     build_slip_constraints,
     arm_com_pose_map,
@@ -40,6 +43,8 @@ from locomech import (
 )
 from locomech.connection import _CHUNK_ROWS, _cond_estimate, coded_connection_rows
 from locomech.scenario import MODEL_KINDS
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def curved_map():
@@ -194,16 +199,15 @@ def test_apply_linearity():
     assert (lhs - rhs).norm() < 1e-14
 
 
-def test_single_piece_reduces_to_jacobian_route():
+def test_single_piece_is_the_models_stance_connection():
     model = two_leg_crawler()
     r = np.array([0.4, -0.1])
     piecewise = PiecewiseConnection(model)
     c, a = piecewise.contacts_at(r), piecewise.connection_at(r)
     assert c == frozenset({0})
-    direct = jacobian_connection_eval(model.contact_map(frozenset({0})), r)
-    assert np.array_equal(a, direct)
-    provider = JacobianConnection(model.contact_map(frozenset({0})))
-    assert np.abs(provider.connection_at(r) - a).max() == 0.0
+    assert a.tobytes() == model.stance_connection(frozenset({0}), r).tobytes()
+    # the differenced stance pose map agrees to its O(h^2) truncation
+    assert np.abs(jacobian_connection_eval(build_contact_map(model, {0}), r) - a).max() < 1e-9
 
 
 def test_two_piece_interior_selection():
@@ -230,26 +234,36 @@ def test_boundary_pieces_disagree():
 
 
 def test_anchor_independence():
-    # left-translating every piece map must leave the connection untouched
-    base = two_leg_crawler()
+    # left-translating a pose map must leave its body-frame connection untouched
     offset = Pose(0.7, -1.2, 2.1)
-
-    class Shifted:
-        shape_dim = base.shape_dim
-
-        def contacts_many(self, shapes):
-            return base.contacts_many(shapes)
-
-        def contact_map(self, c):
-            inner = base.contact_map(c)
-            return PoseMap(lambda r: compose(offset, inner(r)), base.shape_dim)
-
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        r = rng.uniform(-1, 1, 2)
-        a0 = PiecewiseConnection(base).connection_at(r)
-        a1 = PiecewiseConnection(Shifted()).connection_at(r)
-        assert np.abs(a0 - a1).max() < 1e-10
+    for c in ({0}, {1}, {0, 1}):
+        inner = build_contact_map(two_leg_crawler(), c)
+        shifted = PoseMap(lambda r: compose(offset, inner(r)), inner.dim)
+        for _ in range(20):
+            r = rng.uniform(-1, 1, 2)
+            a0 = JacobianConnection(inner).connection_at(r)
+            a1 = JacobianConnection(shifted).connection_at(r)
+            assert np.abs(a0 - a1).max() < 1e-10
+
+
+def test_crawler_runs_without_differencing_a_pose_map(monkeypatch):
+    # integration, sweep and verify all reach the legged stances through
+    # stance_connection alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a legged stance went through its pose map")
+
+    for module in (locomech, locomech.connection, locomech.models):
+        for name in ("jacobian_connection_eval", "build_contact_map"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(PoseMap, "poses_many", refuse)
+    sc = load_scenario(str(SCENARIOS / "crawler_square.yaml"))
+    traj = locomech.integrate_gait(sc.provider, sc.gait, cycles=sc.cycles, step=sc.step, event_tol=sc.event_tol)
+    assert len(traj.events) == 6
+    spec = locomech.GridSpec(lo=(-1.0, -1.0), hi=(1.0, 1.0), counts=(9, 9))
+    assert locomech.curvature(locomech.sample_field(sc.provider, spec)).valid.any()
+    assert all(row.passed for row in locomech.run_verify(sc))
 
 
 def test_provider_dim_and_contacts():
@@ -487,8 +501,8 @@ LIBRARY_MAPS = pytest.mark.parametrize(
         rotate_translate_map(),
         wavy_pose_map(),
         arm_com_pose_map([1.0, 0.7, 0.5, 0.3]),
-        two_leg_crawler().contact_map(frozenset({0})),
-        two_leg_crawler().contact_map(frozenset({0, 1})),
+        build_contact_map(two_leg_crawler(), frozenset({0})),
+        build_contact_map(two_leg_crawler(), frozenset({0, 1})),
     ],
     ids=["rotate_translate", "wavy", "arm_com_4", "single_foot", "pinned"],
 )

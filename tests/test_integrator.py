@@ -782,6 +782,34 @@ def test_event_records_at_the_default_tolerance_are_unchanged():
     assert [(e.time.hex(), e.window[0].hex()) for e in events] == CRAWLER_SQUARE_EVENTS
 
 
+# every crawler_square event record, recorded with the differenced stance
+# maps: (time, window, stance before, stance after, shape), floats in hex
+CRAWLER_SQUARE_RECORDS = [
+    ("0x1.0000000083127p-1", "0x1.0000000000000p-1", "0x1.0000000083127p-1", {0}, {1},
+     ["0x1.7ffffffced916p-2", "0x1.8000000000000p-2"]),
+    ("0x1.0000000000000p+0", "0x1.ffffffff7ced9p-1", "0x1.0000000000000p+0", {1}, {0},
+     ["-0x1.8000000000000p-2", "-0x1.8000000000000p-2"]),
+    ("0x1.8000000041894p+0", "0x1.8000000000000p+0", "0x1.8000000041894p+0", {0}, {1},
+     ["0x1.7ffffffced910p-2", "0x1.8000000000000p-2"]),
+    ("0x1.0000000000000p+1", "0x1.ffffffffbe76cp+0", "0x1.0000000000000p+1", {1}, {0},
+     ["-0x1.8000000000000p-2", "-0x1.8000000000000p-2"]),
+    ("0x1.4000000020c4ap+1", "0x1.4000000000000p+1", "0x1.4000000020c4ap+1", {0}, {1},
+     ["0x1.7ffffffced910p-2", "0x1.8000000000000p-2"]),
+    ("0x1.8000000000000p+1", "0x1.7fffffffdf3b6p+1", "0x1.8000000000000p+1", {1}, {0},
+     ["-0x1.8000000000000p-2", "-0x1.8000000000000p-2"]),
+]
+
+
+def test_crawler_square_event_records_are_bitwise_unchanged():
+    # the selector reads only the shape, so exact stance connections move no event
+    _, events = crawler_square_events(1e-10)
+    got = [
+        (e.time.hex(), e.window[0].hex(), e.window[1].hex(), set(e.before), set(e.after), [x.hex() for x in e.shape])
+        for e in events
+    ]
+    assert got == CRAWLER_SQUARE_RECORDS
+
+
 def test_event_tolerance_below_the_float_spacing_stops_at_adjacent_floats():
     # near t = 3 one ulp is 4.4e-16: the bracket cannot shrink to 1e-17, so
     # the bisection must stop once its midpoint is an endpoint

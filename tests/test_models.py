@@ -271,6 +271,16 @@ class TestLeggedStances:
         with pytest.raises(ValueError):
             LeggedModel(hips=[[0.0, 0.0]], leg_lengths=[-1.0], rest_angles=[0.0])
 
+    def test_fixed_stance_of_more_than_two_feet_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="one or two feet"):
+            LeggedModel(
+                hips=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                leg_lengths=[1.0, 1.0, 1.0],
+                rest_angles=[0.0, 0.0, 0.0],
+                selector="fixed",
+                fixed_contacts=frozenset({0, 1, 2}),
+            )
+
 
 class TestSlipBalance:
     def test_swing_leg_column_vanishes(self):
@@ -735,31 +745,24 @@ _PINCH = LeggedModel(
 )
 
 
-def test_batched_degenerate_stance_raises_at_the_first_failing_probe():
-    h = 1e-5
-    # the probes of the first shape are (r0 -+ h, r1) and (r0, r1 -+ h): the
-    # third, (2 pi/3, pi/3), pinches the feet; the second shape's first
-    # probe, (-2 pi/3, -pi/3), pinches them too, but comes later
+def test_batched_degenerate_stance_names_the_first_coincident_row():
+    # the second and fourth shapes pinch the feet; the error names the second,
+    # with the text of the scalar pinned map
     third = math.pi / 3.0
-    shapes = np.array([[2.0 * third, third + h], [-2.0 * third + h, -third]])
-    probes = [r + s * e for r in shapes for e in h * np.eye(2) for s in (-1.0, 1.0)]
+    shapes = np.array([[0.1, 0.2], [2.0 * third, third], [0.3, -0.4], [-2.0 * third, -third]])
     reference = ref_pinned(_PINCH, 0, 1)
-    messages = []
-    for k, p in enumerate(probes):
-        try:
-            reference(p)
-        except DegenerateStance as exc:
-            messages.append((k, str(exc)))
-    assert [k for k, _ in messages] == [2, 4]
-    provider = PiecewiseConnection(_PINCH, h)
+    reference(shapes[0])
     with pytest.raises(DegenerateStance) as exc:
-        provider.connection_many(frozenset({0, 1}), shapes)
-    assert str(exc.value) == messages[0][1]
+        reference(shapes[1])
+    for route in (PiecewiseConnection(_PINCH).connection_many, _PINCH.stance_connection):
+        with pytest.raises(DegenerateStance) as got:
+            route(frozenset({0, 1}), shapes)
+        assert str(got.value) == str(exc.value)
 
 
 def test_degenerate_stance_gait_scores_minus_inf():
-    # feet at (cos r0, sin r0) and (cos r1, sin r1) coincide where r0 == r1;
-    # with r1 = r0 + h every shape's third probe lands there
+    # feet at (cos r0, sin r0) and (cos r1, sin r1) coincide where r0 == r1,
+    # which holds at every shape of this gait
     model = LeggedModel(
         hips=[[0.0, 0.0], [0.0, 0.0]],
         leg_lengths=[1.0, 1.0],
@@ -767,8 +770,107 @@ def test_degenerate_stance_gait_scores_minus_inf():
         selector="fixed",
         fixed_contacts=frozenset({0, 1}),
     )
-    h = 1e-5
-    gait = FourierGait(period=1.0, mean=[0.0, h], cos=[[0.5, 0.5]])
+    gait = FourierGait(period=1.0, mean=[0.0, 0.0], cos=[[0.5, 0.5]])
     with pytest.raises(DegenerateStance):
-        model.provider(h).connection_many(frozenset({0, 1}), gait.evaluate_many([0.0])[0])
-    assert objective_displacement(model.provider(h), gait, "x") == float("-inf")
+        model.provider().connection_many(frozenset({0, 1}), gait.evaluate_many([0.0])[0])
+    assert objective_displacement(model.provider(), gait, "x") == float("-inf")
+
+
+# three feet with unequal hips (a zero coordinate among them), legs and rest angles
+_THREE_FEET = LeggedModel(
+    hips=[[-0.6, 0.1], [0.45, 0.0], [0.0, 0.3]],
+    leg_lengths=[1.0, 0.8, 1.3],
+    rest_angles=[-1.5, -1.7, -1.2],
+)
+
+
+def no_negative_zero(a):
+    return not (np.signbit(a) & (a == 0.0)).any()
+
+
+@pytest.mark.parametrize("model", [two_leg_crawler(), _THREE_FEET], ids=["crawler", "three_feet"])
+def test_single_foot_stance_columns_are_the_hip_bitwise(model):
+    # the body turns about the planted foot's hip: column i is (-h_y, h_x, -1)
+    shapes = np.random.default_rng(20).uniform(-3.2, 3.2, (64, model.shape_dim))
+    for i in range(model.n_feet):
+        want = np.zeros((3, model.shape_dim))
+        want[:, i] = 0.0 - model.hips[i, 1], 0.0 + model.hips[i, 0], -1.0
+        got = model.stance_connection({i}, shapes)
+        assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes()
+        assert no_negative_zero(got)
+        assert model.stance_connection({i}, shapes[0]).tobytes() == want.tobytes()
+
+
+def mp_stance_connection(model, feet, r):
+    """50-digit body-frame derivative of build_contact_map's pose map at r.
+
+    The map is written at 50 digits from the model's float parameters and
+    the float shape r; column k is R(-theta) d(x, y)/dr_k over d theta/dr_k,
+    each derivative taken by mpmath.diff.
+    """
+    with mpmath.workdps(50):
+        hips = [[mpmath.mpf(float(v)) for v in hip] for hip in model.hips]
+        lengths, rests, r = ([mpmath.mpf(float(v)) for v in a] for a in (model.leg_lengths, model.rest_angles, r))
+
+        def pose(q, part):
+            (px, py), *rest = [(hips[k][0] + lengths[k] * mpmath.cos(rests[k] + q[k]),
+                                hips[k][1] + lengths[k] * mpmath.sin(rests[k] + q[k])) for k in feet]
+            theta = -q[feet[0]] if not rest else -mpmath.atan2(rest[0][1] - py, rest[0][0] - px)
+            c, s = mpmath.cos(theta), mpmath.sin(theta)
+            return (-(c * px - s * py), -(s * px + c * py), theta)[part]
+
+        theta = pose(r, 2)
+        out = np.empty((3, len(r)))
+        for k in range(len(r)):
+            dx, dy, dth = (mpmath.diff(lambda t: pose(r[:k] + [t] + r[k + 1:], part), r[k]) for part in range(3))
+            c, s = mpmath.cos(theta), mpmath.sin(theta)
+            out[:, k] = [float(c * dx + s * dy), float(c * dy - s * dx), float(dth)]
+        return out
+
+
+def test_single_foot_stance_connection_is_the_50_digit_derivative():
+    for i in range(_THREE_FEET.n_feet):
+        for r in np.random.default_rng(21).uniform(-2.0, 2.0, (4, 3)):
+            want = mp_stance_connection(_THREE_FEET, [i], r)
+            assert np.abs(_THREE_FEET.stance_connection({i}, r) - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "model, feet",
+    [
+        (mirrored_slip_walker().geometry, [0, 1]),
+        (two_leg_crawler(), [0, 1]),
+        (_THREE_FEET, [0, 1]),
+        (_THREE_FEET, [0, 2]),
+        (_THREE_FEET, [1, 2]),
+    ],
+    ids=["walker", "crawler", "three_feet_01", "three_feet_02", "three_feet_12"],
+)
+def test_pinned_stance_connection_is_the_50_digit_derivative_to_the_rounding_of_the_feet(model, feet):
+    # within 4 ulps of each block's largest entry, plus the first-order effect
+    # of rounding the feet: the leg angle sums, their cosines and the foot
+    # positions move a foot by about eps * spread, which turns the pin line d
+    # by that over |d|; omega moves by about 3 L/|d|^2 per unit of it and v by
+    # |p_i| times that, so near coincident pins no float result is closer
+    shapes = np.random.default_rng(23).uniform(-1.0, 1.0, (50, model.shape_dim))
+    got = model.stance_connection(set(feet), shapes)
+    angles = model.rest_angles[feet] + shapes[:, feet]
+    lengths = model.leg_lengths[feet]
+    p = model.hips[feet] + lengths[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    norms = np.hypot(*p.T)
+    spread = norms.sum(axis=0) + (lengths * abs(angles)).sum(axis=1)
+    dist = np.hypot(*(p[:, 1] - p[:, 0]).T)
+    feet_rounding = np.finfo(float).eps * spread * lengths.sum() * (1.0 + norms[0]) / dist**2
+    for a, r, e in zip(got, shapes, feet_rounding):
+        want = mp_stance_connection(model, feet, r)
+        assert np.abs(a - want).max() <= 4 * np.spacing(np.abs(want).max()) + e, r.tolist()
+        assert no_negative_zero(a)
+        assert model.stance_connection(set(feet), r).tobytes() == a.tobytes()
+
+
+def test_pinned_stance_connection_writes_no_negative_zero():
+    # at r0 = 0 foot 0 sits on the body x axis, so p_0y is exactly 0, and at
+    # r1 = 2 omega_1 is negative: vx_1 = omega_1 p_0y is a signed zero
+    a = _PINCH.stance_connection({0, 1}, np.array([0.0, 2.0]))
+    assert a[0, 1] == 0.0 and a[2, 1] < 0.0
+    assert no_negative_zero(a)

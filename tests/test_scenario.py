@@ -247,6 +247,7 @@ class TestCommandBlocks:
         assert sc.optimize["budget"] == 500
         assert sc.optimize["restarts"] == 4
         family = build_family(sc)
+        assert family is sc.family
         assert family.n_params == 2
         assert np.array_equal(family.lower, np.array([0.1, -np.pi]))
 
