@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _gauss_legendre
 from .connection import SingularConstraint, connection_rows
 from .integrator import integrate_gait, net_displacement
 from .liegroup import Twist, bracket_many
@@ -236,7 +237,7 @@ def _connections(provider, shapes: np.ndarray) -> np.ndarray:
 def _line_integral(provider, gait, samples: int) -> np.ndarray:
     """Loop integral of A dr, which is the time integral of the body twist."""
     if isinstance(gait, WaypointGait):
-        nodes, weights = np.polynomial.legendre.leggauss(12)
+        nodes, weights = _gauss_legendre(12)
         t0, t1 = gait.times[:-1, None], gait.times[1:, None]
         half = 0.5 * (t1 - t0)
         times, scales = (0.5 * (t0 + t1) + half * nodes).ravel(), (half * weights).ravel()
@@ -253,7 +254,7 @@ def _bracket_surface_integral(provider, polygon: np.ndarray, axes, base, order: 
     The polygon is fanned into triangles about its centroid (it must be
     star-shaped there) and each triangle integrated with a tensor rule.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     u = 0.5 * (nodes + 1.0)
     wu = 0.5 * weights
     centroid = polygon.mean(axis=0)

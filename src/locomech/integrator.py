@@ -4,7 +4,8 @@ The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
 Munthe-Kaas scheme.  The shape path r(t) is prescribed, so every stage twist
 depends on t alone and the work is array passes.  A gait's step grid is
 planned from arrays: one gait.evaluate_many call samples every grid point and
-step midpoint, and one provider.contacts_many call labels them.  Only a step
+step midpoint, and one provider.contacts_many call labels them; a gait with
+no switch reuses those samples as its stages.  Only a step
 whose midpoint or end leaves its start's stance is split at the switch time,
 and integration resumes with the new piece from the same pose, so the pose
 path stays continuous; all switches are bisected together, one labelling
@@ -165,16 +166,18 @@ def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_
         raise ValueError(f"step must be positive, got {step}")
     if not (event_tol > 0.0 and np.isfinite(event_tol)):
         raise ValueError(f"event tolerance must be positive and finite, got {event_tol}")
-    ids, batch, size = {}, [], 0
+    ids, batch, samples, size = {}, [], [], 0
     for gait in gaits:
-        plan = _plan(provider, gait, cycles, step, event_tol, ids)
+        plan = list(_plan(provider, gait, cycles, step, event_tol, ids))
         if batch and size + len(plan[3]) - 1 > MAX_STEPS:
-            yield from _finish(provider, batch, list(ids), cycles, step, event_tol)
-            batch, size = [], 0
+            yield from _finish(provider, batch, samples, list(ids), cycles, step, event_tol)
+            batch, samples, size = [], [], 0
+        # no other reference keeps a sample, so _finish can free it
+        samples.append(plan.pop())
         batch.append(plan)
         size += len(plan[3]) - 1
     if batch:
-        yield from _finish(provider, batch, list(ids), cycles, step, event_tol)
+        yield from _finish(provider, batch, samples, list(ids), cycles, step, event_tol)
 
 
 def _sample(gait, ts, side: str = "right"):
@@ -212,9 +215,11 @@ def _step_grid(period: float, h: float, n_steps: int, cycles: int, knots) -> np.
 
 
 def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict):
-    """(gait, n_steps, h, t, row_codes, events): step j runs from t[j] to t[j + 1] on stance ids[row_codes[j]].
+    """(gait, n_steps, h, t, row_codes, events, sampled): step j runs from t[j] to t[j + 1] on stance ids[row_codes[j]].
 
-    The plan reads stance labels alone; unseen labels are added to ids.
+    The plan reads stance labels alone; unseen labels are added to ids.  With
+    no switch, sampled is the shapes and rates at t and the step midpoints,
+    else None.
     """
     period = gait.period
     n_steps = steps_per_cycle(period, step, cycles)
@@ -249,7 +254,8 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
     # midpoint or end leaves its start's stance is searched for switches
     n = len(g) - 1
     g_mid = g[:-1] + 0.5 * (g[1:] - g[:-1])
-    codes = label(np.concatenate([g, g_mid]))
+    sampled = _sample(gait, np.concatenate([g, g_mid]))
+    codes = stance_codes(provider.contacts_many(sampled[0]), ids)
     c0, c1, c_mid = codes[:n], codes[1:n + 1], codes[n + 1:]
     j = np.flatnonzero((c1 != c0) | (c_mid != c0))
     t0, t1, t_mid, active, c1, c_mid = g[j], g[j + 1], g_mid[j], c0[j], c1[j], c_mid[j]
@@ -286,11 +292,14 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
                 f"multiple stance switches inside one step near t={t_switch:.6g}; splitting at each switch",
                 RuntimeWarning,
             )
-    return gait, n_steps, h, t, row_codes, events
+    return gait, n_steps, h, t, row_codes, events, None if found else sampled
 
 
-def _finish(provider, plans, catalog, cycles, step, event_tol) -> list:
-    """Evaluate and combine planned gaits, each array pass over the rows of all of them."""
+def _finish(provider, plans, samples, catalog, cycles, step, event_tol) -> list:
+    """Evaluate and combine planned gaits, each array pass over the rows of all of them.
+
+    samples holds each plan's sampled, and is emptied once the stages are laid out.
+    """
     # -- evaluate: of N steps in all, step k has stages 3k, 3k + 1, 3k + 2 (start,
     # midpoint, end, on its start's stance; the end takes the left-limit rate, as a
     # step end may be a waypoint corner).  Stage 3N + i is gait i's last row, whose
@@ -302,11 +311,25 @@ def _finish(provider, plans, catalog, cycles, step, event_tol) -> list:
     stage_times = np.empty(total + len(plans))
     stage_shapes, stage_rates = np.empty((2, len(stage_times), plans[0][0].dim))
     stage_codes = np.empty(len(stage_times), dtype=np.int32)
-    for (gait, _, _, t, row_codes, _), span in zip(plans, spans):
-        for offset, ts, side in ((0, t, "right"), (1, t[:-1] + 0.5 * (t[1:] - t[:-1]), "right"), (2, t[1:], "left")):
-            stage_times[span[offset::3]] = ts
-            stage_shapes[span[offset::3]], stage_rates[span[offset::3]] = _sample(gait, ts, side)
+    for (gait, _, _, t, row_codes, _), sampled, span in zip(plans, samples, spans):
+        # each gait is sampled at its rows and midpoints once, by its plan if it
+        # had no switch; an end row is a row's sample, except where a left limit
+        # differs from it: at a waypoint knot or period end
+        k = len(t)
+        times = np.concatenate([t, t[:-1] + 0.5 * (t[1:] - t[:-1])])
+        shapes, rates = _sample(gait, times) if sampled is None else sampled
+        for offset, rows in ((0, np.s_[:k]), (1, np.s_[k:]), (2, np.s_[1:k])):
+            at = span[offset::3]
+            stage_times[at], stage_shapes[at], stage_rates[at] = times[rows], shapes[rows], rates[rows]
+        if hasattr(gait, "times"):
+            # the phases that are knots; np.isin would import numpy.ma
+            knots, phase = gait.times, t[1:] % gait.period
+            corners = np.flatnonzero(knots[np.searchsorted(knots, phase)] == phase)
+            at = span[2::3][corners]
+            stage_shapes[at], stage_rates[at] = _sample(gait, t[1:][corners], "left")
         stage_codes[span] = np.repeat(row_codes, 3)[:-2]
+    del times, shapes, rates, sampled
+    samples.clear()
     _require_finite(np.isfinite(stage_rates).all(axis=1), "shape rate", stage_times, stage_shapes)
     conn, stage_conn = coded_connection_rows(provider, stage_shapes, stage_codes, catalog)
     _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", stage_times, stage_shapes)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _gauss_legendre
 from .connection import ConstraintConnection, ConstraintSystem, PiecewiseConnection, PoseMap, SingularConstraint
 from .liegroup import compose_many, inverse_many, wrap_many
 
@@ -187,7 +188,7 @@ class DragModel:
 
 @functools.lru_cache(maxsize=32)
 def _gauss_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(q)
+    nodes, weights = _gauss_legendre(q)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

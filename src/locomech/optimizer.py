@@ -4,7 +4,9 @@ A GaitFamily maps a small parameter vector inside a box onto a closed gait;
 the objective is a component of the per-cycle displacement exponent.  Search
 is projected Nelder-Mead (reflection 1, expansion 2, contraction 0.5, shrink
 0.5) from seeded random simplices, its restarts in lockstep, so optimize
-integrates each round's gaits as one batch.  Runs are deterministic per seed.
+integrates each round's gaits as one batch.  The start points are numpy's
+default_rng stream (PCG64), computed in-package and bitwise, so runs are
+deterministic per seed whatever numpy is installed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._numerics import _uniforms
 from .connection import SingularConstraint
 from .integrator import integrate_gait, integrate_gaits, net_displacement
 from .shapespace import FourierGait
@@ -204,7 +207,8 @@ def nelder_mead(
 def _lockstep(evaluate, lower, upper, budget: int, seeds: int, rng_seed: int) -> OptimizationReport:
     """nelder_mead with its restarts in lockstep: each round scores their pending points in one evaluate(points).
 
-    Restart s starts from a simplex drawn from default_rng((rng_seed, s)) and
+    Restart s starts from a simplex about lower + span * u, u the first dim
+    draws of default_rng((rng_seed, s)).random computed in-package, and
     may spend budget // seeds evaluations, or its dim + 1 simplex points if
     more; the last may spend what the others left, so past budget // seeds it
     waits for them to end.  History is in restart order, as if they ran in turn.
@@ -222,7 +226,7 @@ def _lockstep(evaluate, lower, upper, budget: int, seeds: int, rng_seed: int) ->
     runs = seeds if per_seed > dim else min(seeds, budget // (dim + 1))
     restarts = []
     for s in range(runs):
-        x0 = lower + span * np.random.default_rng((rng_seed, s)).uniform(size=dim)
+        x0 = lower + span * _uniforms((rng_seed, s), dim)
         # x0 and a tenth of the span along each axis, backwards where forwards leaves the box
         steps = np.diag(0.1 * span * np.where(x0 + 0.1 * span <= upper, 1.0, -1.0))
         restarts.append(_restart(project(np.vstack([x0, x0 + steps])), project))

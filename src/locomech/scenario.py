@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -179,13 +180,15 @@ def _choice(names, default=None):
     return read
 
 
-def _number(default=None, positive=False):
+def _number(default=None, positive=False, maximum=None):
     def convert(value, where, seen):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(where, "expected a number" + _yaml_hint(value))
         value = _finite(value, where)
         if positive and value <= 0.0:
             raise ScenarioError(where, "must be positive")
+        if maximum is not None and value > maximum:
+            raise ScenarioError(where, f"must be at most {maximum!r}")
         return value
 
     return _reader(convert, default)
@@ -194,12 +197,14 @@ def _number(default=None, positive=False):
 _positive = functools.partial(_number, positive=True)
 
 
-def _integer(default=None, minimum=None):
+def _integer(default=None, minimum=None, maximum=None):
     def convert(value, where, seen):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(where, "expected an integer")
         if minimum is not None and value < minimum:
             raise ScenarioError(where, f"must be at least {minimum}")
+        if maximum is not None and value > maximum:
+            raise ScenarioError(where, f"must be at most {maximum}")
         return int(value)
 
     return _reader(convert, default)
@@ -264,7 +269,9 @@ _DRAG_CHAIN = {
     "link_length": _positive(1.0),
     "drag_tangential": _positive(1.0),
     "drag_normal": _positive(2.0),
-    "quadrature": _integer(8, minimum=2),
+    # a q-point rule solves a q x q eigenproblem; numpy's leggauss, which the
+    # rule reproduces, is tested to q = 100
+    "quadrature": _integer(8, minimum=2, maximum=100),
 }
 
 
@@ -465,7 +472,16 @@ def _suite_list(value, where, seen) -> list[str]:
     return list(value)
 
 
-_VERIFY = ({"suites": _reader(_suite_list), "shapes": _integer(100, minimum=1), "box": _positive(1.2)}, dict)
+_VERIFY = (
+    {
+        "suites": _reader(_suite_list),
+        # the residual shapes are drawn in Python, about a microsecond per
+        # coordinate, and span [-box, box), whose width must be finite
+        "shapes": _integer(100, minimum=1, maximum=MAX_NODES),
+        "box": _positive(1.2, maximum=sys.float_info.max / 2),
+    },
+    dict,
+)
 
 
 # every block in reading order; model and gait are required

@@ -17,6 +17,7 @@ from functools import cache, partial
 
 import numpy as np
 
+from ._numerics import _uniforms
 from .connection import _balance_scale, _max_abs, linear_constraint_connection
 from .integrator import integrate_gait, net_displacement, pose_increments
 from .liegroup import compose, log
@@ -97,8 +98,10 @@ def _suite_residual(scenario, base):
     if builder is None:
         raise ValueError("residual suite needs a constraint-based model")
     count, box = scenario.verify["shapes"], scenario.verify["box"]
-    # one (count, dim) draw is the same stream as count draws of one shape
-    shapes = np.random.default_rng(scenario.seed).uniform(-box, box, (count, scenario.dim))
+    # numpy's default_rng(seed).uniform(-box, box, (count, dim)), bitwise: the
+    # seed's PCG64 stream in row-major order, scaled as uniform scales it
+    lo, hi = -float(box), float(box)
+    shapes = lo + (hi - lo) * _uniforms(scenario.seed, count * scenario.dim).reshape(count, scenario.dim)
     # only a single-stance ConstraintConnection has a builder, so these are its balances
     system = builder(shapes)
     a = linear_constraint_connection(system)

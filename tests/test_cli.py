@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -725,6 +726,40 @@ class TestDeterminismAndOverrides:
         )
         assert proc.returncode == 0
         assert (tmp_path / "run" / "summary.json").exists()
+
+
+# Loads every shipped scenario, then runs each command its blocks allow and
+# prints the modules the commands imported and the numpy subpackages loaded.
+_IMPORT_GUARD = """
+import contextlib, io, json, os, sys
+from pathlib import Path
+import locomech.cli as cli
+from locomech.scenario import load_scenario
+out, scenarios = Path(sys.argv[1]), sorted(Path(sys.argv[2]).glob("*.yaml"))
+loaded = {p.stem: load_scenario(str(p), overrides={"out": str(out / p.stem)}) for p in scenarios}
+before = set(sys.modules)
+for name, scenario in loaded.items():
+    os.makedirs(scenario.out_dir)
+    for command in ("simulate", "sweep", "optimize", "verify"):
+        if command == "simulate" or getattr(scenario, command) is not None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli._COMMANDS[command](scenario) == 0, (name, command)
+print(json.dumps({"added": sorted(set(sys.modules) - before),
+                  "lazy": [m for m in ("numpy.random", "numpy.polynomial") if m in sys.modules]}))
+"""
+
+
+def test_commands_import_nothing_after_load(tmp_path):
+    # a module imported inside a command is timed as part of it in every fresh process
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), str(SCENARIOS)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"added": [], "lazy": []}
 
 
 def _small_search(doc):

@@ -481,8 +481,8 @@ class LabelCounting(CountingProvider):
 
 @pytest.mark.parametrize("cycles", [1, 3])
 def test_smooth_integration_samples_the_gait_in_batches(cycles):
-    # one gait batch and one label batch per cycle to plan, then three gait
-    # batches for the stage rows; never a single-time or single-shape call
+    # one gait batch samples every grid point and midpoint of every cycle,
+    # and the stages reuse it; never a single-time or single-shape call
     calls = {"evaluate": 0, "evaluate_many": 0}
 
     class Counted(FourierGait):
@@ -499,8 +499,8 @@ def test_smooth_integration_samples_the_gait_in_batches(cycles):
     traj = integrate_gait(provider, gait, cycles=cycles, step=0.05)
     assert len(traj.times) == 20 * cycles + 1
     assert calls["evaluate"] == 0
-    assert calls["evaluate_many"] <= cycles + 3
-    assert provider.label_batches <= cycles + 1
+    assert calls["evaluate_many"] == 1
+    assert provider.label_batches == 1
     assert provider.single_labels == 0
 
 
@@ -642,6 +642,51 @@ def test_twist_rows_are_right_side_twists_on_the_row_stance(provider, gait):
         a = provider.connection_at(r) if piece is None else provider.connection_for(piece, r)
         expected = a @ gait.evaluate(t, "right")[1]
         assert np.array_equal(traj.twists[k], expected), k
+
+
+@pytest.mark.parametrize(
+    "provider, gait",
+    [
+        (
+            PiecewiseConnection(two_leg_crawler()),
+            WaypointGait(
+                points=[[-0.375, -0.375], [0.375, -0.375], [0.375, 0.375], [-0.375, 0.375]],
+                times=[0.0, 0.25, 0.5, 0.75, 1.0],
+            ),
+        ),
+        (
+            # knots whose incoming segment ends a rounding away from the next point
+            three_link_swimmer().provider(),
+            WaypointGait(points=[[0.1, -0.7], [0.7, 0.1], [-0.3, 0.3]], times=[0.0, 0.3, 0.65, 1.0]),
+        ),
+        (
+            three_link_swimmer().provider(),
+            FourierGait(1.0, [0.0, 0.0], cos=[[0.0, -0.5]], sin=[[0.5, 0.0]]),
+        ),
+    ],
+    ids=["crawler_square", "swimmer_waypoints", "swimmer"],
+)
+def test_stage_twists_are_their_own_samples(provider, gait, monkeypatch):
+    # the stages reuse the plan's samples; each must still be its own time's
+    # twist on the step's stance, the end stage at the left limit
+    stages = []
+    combine = integrator._rkmk4_exponents
+    monkeypatch.setattr(integrator, "_rkmk4_exponents", lambda h, *k: stages.append(k) or combine(h, *k))
+    traj = integrate_gait(provider, gait, cycles=2, step=0.03)
+    ((k1, mid, end),) = stages
+    t, corners = traj.times, 0
+
+    def twist(piece, time, side):
+        r, rdot = gait.evaluate(time, side)
+        return (provider.connection_at(r) if piece is None else provider.connection_for(piece, r)) @ rdot
+
+    for j, piece in enumerate(traj.contacts[:-1]):
+        assert np.array_equal(k1[:, j], twist(piece, t[j], "right")), j
+        assert np.array_equal(mid[:, j], twist(piece, t[j] + 0.5 * (t[j + 1] - t[j]), "right")), j
+        assert np.array_equal(end[:, j], twist(piece, t[j + 1], "left")), j
+        corners += not np.array_equal(end[:, j], twist(piece, t[j + 1], "right"))
+    # a waypoint gait's rate jumps at its knots, so some end stages are not right-side samples
+    assert (corners > 0) == isinstance(gait, WaypointGait)
 
 
 def test_overflowing_stage_twist_raises():

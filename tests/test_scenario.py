@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -386,6 +387,30 @@ class TestTableRows:
         doc = minimal()
         doc["model"]["quadrature"] = 1
         with pytest.raises(ScenarioError, match="model.quadrature: must be at least 2"):
+            load_scenario(doc)
+
+    def test_quadrature_is_bounded_at_load(self):
+        # a q-point rule solves a q x q eigenproblem on the first connection
+        # call, so a huge q must stop at load; only the load runs here
+        doc = minimal()
+        doc["model"]["quadrature"] = 100
+        assert load_scenario(doc).raw["model"]["quadrature"] == 100
+        for q in (101, 10**12):
+            doc["model"]["quadrature"] = q
+            with pytest.raises(ScenarioError, match="model.quadrature: must be at most 100"):
+                load_scenario(doc)
+
+    def test_residual_draws_are_bounded_at_load(self):
+        # the shapes are drawn across [-box, box), a width of 2 * box, one
+        # coordinate at a time; only the load runs here
+        doc = minimal()
+        doc["verify"] = {"suites": ["residual"], "box": sys.float_info.max / 2, "shapes": MAX_NODES}
+        assert load_scenario(doc).verify == {"suites": ["residual"], "box": sys.float_info.max / 2, "shapes": MAX_NODES}
+        doc["verify"]["box"] = math.nextafter(sys.float_info.max / 2, math.inf)
+        with pytest.raises(ScenarioError, match="verify.box: must be at most 8.98846567431157"):
+            load_scenario(doc)
+        doc["verify"].update(box=1.2, shapes=MAX_NODES + 1)
+        with pytest.raises(ScenarioError, match="verify.shapes: must be at most 1000000"):
             load_scenario(doc)
 
     def test_keys_of_another_map_are_unknown(self):
