@@ -56,12 +56,14 @@ def _spell_contacts(labels: list) -> list[str]:
     return [spelled[label] for label in labels]
 
 
+def _header(scenario: Scenario, command: str) -> dict:
+    """The schema version, scenario hash and command that head every artifact."""
+    return {"schema": SCHEMA_VERSION, "scenario": f"sha256:{scenario.sha}", "command": command}
+
+
 def _meta_lines(scenario: Scenario, command: str) -> list[str]:
-    return [
-        f"# schema={SCHEMA_VERSION}",
-        f"# scenario=sha256:{scenario.sha}",
-        f"# command={command}",
-    ]
+    """The header as CSV comment lines."""
+    return [f"# {key}={value}" for key, value in _header(scenario, command).items()]
 
 
 def _pool_columns(values: np.ndarray) -> list:
@@ -189,88 +191,75 @@ def _write_field(path: str, meta: list[str], field, curv) -> None:
     _write_csv(path, head, template, map(slab, range(n1)))
 
 
+_COMMANDS = {}
+
+
+def _command(name: str, help: str):
+    """Register the decorated handler in _COMMANDS as subcommand name, with its --help line."""
+
+    def register(handler):
+        handler.help = help
+        _COMMANDS[name] = handler
+        return handler
+
+    return register
+
+
+@_command("simulate", "integrate the gait and write trajectory + summary")
 def cmd_simulate(scenario: Scenario) -> int:
-    traj = integrate_gait(
-        scenario.provider,
-        scenario.gait,
-        cycles=scenario.cycles,
-        step=scenario.step,
-        event_tol=scenario.event_tol,
-    )
+    traj = integrate_gait(scenario.provider, scenario.gait, scenario.cycles, scenario.step, scenario.event_tol)
     _write_trajectory(os.path.join(scenario.out_dir, "trajectory.csv"), _meta_lines(scenario, "simulate"), traj)
 
     net = net_displacement(traj)
     summary = {
-        "schema": SCHEMA_VERSION,
-        "scenario": f"sha256:{scenario.sha}",
-        "command": "simulate",
+        **_header(scenario, "simulate"),
         "net_displacement": [net.vx, net.vy, net.omega],
         "per_cycle": [[d.vx, d.vy, d.omega] for d in per_cycle_displacements(traj)],
         "events": [
-            {
-                "time": e.time,
-                "before": _contact_str(e.before),
-                "after": _contact_str(e.after),
-                "shape": [float(v) for v in e.shape],
-            }
+            {"time": e.time, "before": _contact_str(e.before), "after": _contact_str(e.after),
+             "shape": e.shape.tolist()}
             for e in traj.events
         ],
-        "meta": {k: v for k, v in traj.meta.items()},
+        "meta": dict(traj.meta),
     }
     _write_json(os.path.join(scenario.out_dir, "summary.json"), summary)
     return 0
 
 
+@_command("sweep", "tabulate the connection (and optionally curvature) over a grid")
 def cmd_sweep(scenario: Scenario) -> int:
-    if scenario.sweep is None:
-        raise ScenarioError("sweep", "scenario has no sweep block")
+    block = scenario.block("sweep")
     field = sample_field(scenario.provider, scenario.grid)
-    curv = curvature(field) if scenario.sweep["curvature"] else None
+    curv = curvature(field) if block["curvature"] else None
 
     _write_field(os.path.join(scenario.out_dir, "field.csv"), _meta_lines(scenario, "sweep"), field, curv)
     return 0
 
 
+@_command("optimize", "search a gait family for maximal displacement")
 def cmd_optimize(scenario: Scenario) -> int:
-    if scenario.optimize is None:
-        raise ScenarioError("optimize", "scenario has no optimize block")
-    block = scenario.optimize
+    block = scenario.block("optimize")
     family = scenario.family
-    report = run_optimize(
-        scenario.provider,
-        family,
-        direction=block["direction"],
-        step=scenario.step,
-        cycles=scenario.cycles,
-        budget=block["budget"],
-        seeds=block["restarts"],
-        rng_seed=scenario.seed,
-    )
+    report = run_optimize(scenario.provider, family, block["direction"], scenario.step, scenario.cycles,
+                          block["budget"], block["restarts"], scenario.seed)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "scenario": f"sha256:{scenario.sha}",
-        "command": "optimize",
+        **_header(scenario, "optimize"),
         "direction": block["direction"],
         "budget": block["budget"],
         "restarts": block["restarts"],
         "parameter_names": list(family.names),
-        "best_params": None
-        if report.best_params is None
-        else [float(v) for v in report.best_params],
+        "best_params": None if report.best_params is None else [float(v) for v in report.best_params],
         "best_value": report.best_value,
         "evaluations": report.evaluations,
         "termination": report.termination,
-        "history": [
-            {"params": [float(v) for v in p], "value": v} for p, v in report.history
-        ],
+        "history": [{"params": [float(v) for v in p], "value": v} for p, v in report.history],
     }
     _write_json(os.path.join(scenario.out_dir, "report.json"), payload)
     return 0
 
 
+@_command("verify", "run invariant suites; nonzero exit on failure")
 def cmd_verify(scenario: Scenario) -> int:
-    if scenario.verify is None:
-        raise ScenarioError("verify", "scenario has no verify block")
     rows = run_verify(scenario)
     _write_csv(
         os.path.join(scenario.out_dir, "verify.csv"),
@@ -284,27 +273,14 @@ def cmd_verify(scenario: Scenario) -> int:
     return 0 if all(row.passed for row in rows) else 1
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "optimize": cmd_optimize,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="locomech",
         description="Scenario-driven shape-space locomotion runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "integrate the gait and write trajectory + summary"),
-        ("sweep", "tabulate the connection (and optionally curvature) over a grid"),
-        ("optimize", "search a gait family for maximal displacement"),
-        ("verify", "run invariant suites; nonzero exit on failure"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, handler in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=handler.help)
         cmd.add_argument("scenario", help="path to a scenario YAML file")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--step", type=float, default=None, help="integrator step override")
@@ -313,15 +289,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        scenario = load_scenario(
-            args.scenario,
-            overrides={
-                "out": args.out,
-                "step": args.step,
-                "cycles": args.cycles,
-                "seed": args.seed,
-            },
-        )
+        overrides = {key: getattr(args, key) for key in ("out", "step", "cycles", "seed")}
+        scenario = load_scenario(args.scenario, overrides=overrides)
         try:
             os.makedirs(scenario.out_dir, exist_ok=True)
         except OSError as exc:

@@ -124,7 +124,7 @@ def _rkmk4_exponents(h: np.ndarray, k1: np.ndarray, mid: np.ndarray, end: np.nda
 
 # Most steps (per cycle, times cycles) one integration, or one batch of
 # integrate_gaits, may take.  A step peaks at 514-533 bytes (walker, swimmer)
-# or 811-812 (crawler) and its Trajectory keeps about 81 (tracemalloc on the
+# or 492-493 (crawler) and its Trajectory keeps about 81 (tracemalloc on the
 # shipped scenarios at 20k and 80k steps); more is rejected, not run out of memory.
 MAX_STEPS = 1_000_000
 
@@ -180,10 +180,20 @@ def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_
         yield from _finish(provider, batch, samples, list(ids), cycles, step, event_tol)
 
 
-def _sample(gait, ts, side: str = "right"):
-    """Shapes and rates at times ts, without numpy's overflow warnings; the stage rates are checked before use."""
+def _sample(gait, ts, side: str = "right", knots=None):
+    """Shapes and rates at times ts, without numpy's overflow warnings; the stage rates are checked before use.
+
+    Given _knot_rows' knots, each knot row knots[0] of ts is sampled at its phase knots[1] instead.
+    """
+    if knots is not None:
+        ts = ts.copy()
+        ts[knots[0]] = knots[1]
     with np.errstate(over="ignore", invalid="ignore"):
         return gait.evaluate_many(ts, side)
+
+
+# grid times closer than this, relative to a period over 1, are merged into one row
+_MERGE_TOL = 1e-12
 
 
 def _step_grid(period: float, h: float, n_steps: int, cycles: int, knots) -> np.ndarray:
@@ -193,7 +203,7 @@ def _step_grid(period: float, h: float, n_steps: int, cycles: int, knots) -> np.
     merge_tol past the one before it is kept whatever was, so only the closer
     cuts go through the greedy loop.
     """
-    merge_tol = 1e-12 * max(1.0, period)
+    merge_tol = _MERGE_TOL * max(1.0, period)
     cycle = np.arange(cycles + 1) * period
     cuts = np.arange(1, n_steps) * h + cycle[:-1, None]
     if len(knots):
@@ -214,11 +224,31 @@ def _step_grid(period: float, h: float, n_steps: int, cycles: int, knots) -> np.
     return np.concatenate([[0.0], rows[:, 1:][keep]])
 
 
-def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict):
-    """(gait, n_steps, h, t, row_codes, events, sampled): step j runs from t[j] to t[j + 1] on stance ids[row_codes[j]].
+def _knot_rows(g: np.ndarray, period: float, cycles: int, phases: np.ndarray):
+    """(rows, right, left): each row of grid g that a knot became or merged into, and the phases it is sampled at.
 
-    The plan reads stance labels alone; unseen labels are added to ids.  With
-    no switch, sampled is the shapes and rates at t and the step midpoints,
+    phases are the gait's knot phases, 0 (the cycle boundary) first.  Knot k
+    of cycle c lies at c * period + phases[k], as _step_grid placed it: in
+    the last row at most merge_tol before it, else in its cycle's end.  A
+    row holding several knots takes its right side at the last of them and
+    its left side at the first.
+    """
+    cycle = np.arange(cycles + 1) * period
+    at = np.append(np.add.outer(cycle[:-1], phases), cycle[-1])
+    phases = np.append(np.tile(phases, cycles), 0.0)
+    rows = np.searchsorted(g, at, "right") - 1
+    rows += at - g[rows] > _MERGE_TOL * max(1.0, period)
+    new = rows[1:] != rows[:-1]
+    return rows[np.append(new, True)], phases[np.append(new, True)], phases[np.append(True, new)]
+
+
+def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict):
+    """(gait, n_steps, h, t, row_codes, events, knots, sampled): step j runs from t[j] to t[j + 1].
+
+    Step j runs on stance ids[row_codes[j]]; the plan reads stance labels
+    alone, and unseen labels are added to ids.  knots is _knot_rows of a
+    gait's knots, as rows of t, or None for a knot-free gait.  With no
+    switch, sampled is the shapes and rates at t and the step midpoints,
     else None.
     """
     period = gait.period
@@ -246,15 +276,17 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
             hi[k[~same]], c_hi[k[~same]] = mid[k[~same]], c[~same]
 
     # Waypoint knots are rate corners; a stage sampled across one would cost
-    # the scheme its order, so knots are forced onto the step grid.
-    knots = np.asarray(getattr(gait, "times", ()), dtype=float)[1:-1]
-    g = _step_grid(period, h, n_steps, cycles, knots)
+    # the scheme its order, so knots are forced onto the step grid, and a
+    # knot's row is sampled at the knot's own phase, not at its rounded time.
+    phases = np.asarray(getattr(gait, "times", ()), dtype=float)[:-1]
+    g = _step_grid(period, h, n_steps, cycles, phases[1:])
+    knots = _knot_rows(g, period, cycles, phases) if len(phases) else None
     # label every grid point, then every step midpoint, in one call.  A step
     # ends on the stance its end point selects, and only a step whose
     # midpoint or end leaves its start's stance is searched for switches
     n = len(g) - 1
     g_mid = g[:-1] + 0.5 * (g[1:] - g[:-1])
-    sampled = _sample(gait, np.concatenate([g, g_mid]))
+    sampled = _sample(gait, np.concatenate([g, g_mid]), knots=knots)
     codes = stance_codes(provider.contacts_many(sampled[0]), ids)
     c0, c1, c_mid = codes[:n], codes[1:n + 1], codes[n + 1:]
     j = np.flatnonzero((c1 != c0) | (c_mid != c0))
@@ -282,6 +314,8 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
         t, row_codes = np.append(t, ev_t[rest]), np.append(row_codes, after[rest])
         order = np.argsort(t, kind="stable")
         t, row_codes = t[order], row_codes[order]
+        if knots is not None:
+            knots = (np.searchsorted(t, g[knots[0]]), *knots[1:])
         order = np.argsort(ev_t, kind="stable")
         ev = [x[order].tolist() for x in (ev_t, ev_lo, before, after)] + [_sample(gait, ev_t[order])[0]]
         events = [EventRecord(t_e, catalog[b], catalog[a], r, (lo_e, t_e)) for t_e, lo_e, b, a, r in zip(*ev)]
@@ -292,7 +326,7 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
                 f"multiple stance switches inside one step near t={t_switch:.6g}; splitting at each switch",
                 RuntimeWarning,
             )
-    return gait, n_steps, h, t, row_codes, events, None if found else sampled
+    return gait, n_steps, h, t, row_codes, events, knots, None if found else sampled
 
 
 def _finish(provider, plans, samples, catalog, cycles, step, event_tol) -> list:
@@ -304,29 +338,28 @@ def _finish(provider, plans, samples, catalog, cycles, step, event_tol) -> list:
     # midpoint, end, on its start's stance; the end takes the left-limit rate, as a
     # step end may be a waypoint corner).  Stage 3N + i is gait i's last row, whose
     # twist is no stage.  A gait's span lists its stages in a lone run's order.
-    n = np.array([len(t) - 1 for _, _, _, t, _, _ in plans])
+    n = np.array([len(t) - 1 for _, _, _, t, *_ in plans])
     stops = 3 * np.cumsum(n)
     total = stops[-1]
     spans = [np.r_[hi - 3 * k:hi, total + i] for i, (k, hi) in enumerate(zip(n, stops))]
     stage_times = np.empty(total + len(plans))
     stage_shapes, stage_rates = np.empty((2, len(stage_times), plans[0][0].dim))
     stage_codes = np.empty(len(stage_times), dtype=np.int32)
-    for (gait, _, _, t, row_codes, _), sampled, span in zip(plans, samples, spans):
+    for (gait, _, _, t, row_codes, _, knots), sampled, span in zip(plans, samples, spans):
         # each gait is sampled at its rows and midpoints once, by its plan if it
-        # had no switch; an end row is a row's sample, except where a left limit
-        # differs from it: at a waypoint knot or period end
+        # had no switch; an end row is a row's sample, except at a knot row
+        # (a waypoint knot or period end), whose left limit differs from it
         k = len(t)
         times = np.concatenate([t, t[:-1] + 0.5 * (t[1:] - t[:-1])])
-        shapes, rates = _sample(gait, times) if sampled is None else sampled
+        shapes, rates = _sample(gait, times, knots=knots) if sampled is None else sampled
         for offset, rows in ((0, np.s_[:k]), (1, np.s_[k:]), (2, np.s_[1:k])):
             at = span[offset::3]
             stage_times[at], stage_shapes[at], stage_rates[at] = times[rows], shapes[rows], rates[rows]
-        if hasattr(gait, "times"):
-            # the phases that are knots; np.isin would import numpy.ma
-            knots, phase = gait.times, t[1:] % gait.period
-            corners = np.flatnonzero(knots[np.searchsorted(knots, phase)] == phase)
-            at = span[2::3][corners]
-            stage_shapes[at], stage_rates[at] = _sample(gait, t[1:][corners], "left")
+        if knots is not None:
+            # the first knot row is row 0, which ends no step
+            rows, _, left = knots
+            at = span[2::3][rows[1:] - 1]
+            stage_shapes[at], stage_rates[at] = _sample(gait, left[1:], "left")
         stage_codes[span] = np.repeat(row_codes, 3)[:-2]
     del times, shapes, rates, sampled
     samples.clear()
@@ -357,7 +390,7 @@ def _finish(provider, plans, samples, catalog, cycles, step, event_tol) -> list:
     # twists can still combine into an overflowing exponent or pose; a step
     # is named by its start's time and shape.
     with np.errstate(over="ignore", invalid="ignore"):
-        lengths = np.concatenate([t[1:] - t[:-1] for _, _, _, t, _, _ in plans])
+        lengths = np.concatenate([t[1:] - t[:-1] for _, _, _, t, *_ in plans])
         u = _rkmk4_exponents(lengths, *(stage_twists[i:total:3].T for i in range(3)))
         _require_finite(np.isfinite(u).all(axis=0), "step exponent", stage_times[::3], stage_shapes[::3])
         del stage_times, stage_shapes, stage_twists
@@ -366,7 +399,8 @@ def _finish(provider, plans, samples, catalog, cycles, step, event_tol) -> list:
         increments[:, np.arange(n.max()) < n[:, None]] = exp_many(u)
         poses = compose_chain(increments)
     out = []
-    for (gait, n_steps, h, t, row_codes, events), g, (shapes, twists, top, m) in zip(plans, poses.swapaxes(0, 1), rows):
+    for plan, g, (shapes, twists, top, m) in zip(plans, poses.swapaxes(0, 1), rows):
+        gait, n_steps, h, t, row_codes, events, _ = plan
         g = np.ascontiguousarray(g[:, :len(t)])
         # a non-finite coordinate stays non-finite under the product (theta is
         # wrapped and stays finite), so the last pose tells whether any pose is

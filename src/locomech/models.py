@@ -26,18 +26,11 @@ import numpy as np
 from ._numerics import _gauss_legendre
 from .connection import ConstraintConnection, ConstraintSystem, PiecewiseConnection, PoseMap, SingularConstraint
 from .liegroup import compose_many, inverse_many, wrap_many
+from .shapespace import _readonly
 
 
 class DegenerateStance(SingularConstraint):
     """Raised when a stance's pinning equations are rank-deficient."""
-
-
-def _readonly(a, shape=None) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    if shape is not None and out.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {out.shape}")
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

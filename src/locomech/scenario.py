@@ -82,6 +82,13 @@ class Scenario:
             return self.provider.builder
         return None
 
+    def block(self, name: str) -> dict:
+        """The resolved block a command needs; ScenarioError at name if the scenario has none."""
+        resolved = getattr(self, name)
+        if resolved is None:
+            raise ScenarioError(name, f"scenario has no {name} block")
+        return resolved
+
     @property
     def sha(self) -> str:
         # the output directory is delivery plumbing, not configuration:
@@ -589,6 +596,5 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
 
 def build_family(scenario: Scenario) -> GaitFamily:
     """The optimize block's gait family, as load_scenario built it."""
-    if scenario.family is None:
-        raise ScenarioError("optimize", "scenario has no optimize block")
+    scenario.block("optimize")
     return scenario.family

@@ -14,8 +14,11 @@ from typing import Callable
 import numpy as np
 
 
-def _as_readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _readonly(a, shape=None) -> np.ndarray:
+    """A frozen float copy of a, checked to have the given shape if one is given."""
+    out = np.array(a, dtype=float)
+    if shape is not None and out.shape != shape:
+        raise ValueError(f"expected array of shape {shape}, got {out.shape}")
     out.setflags(write=False)
     return out
 
@@ -52,19 +55,15 @@ class FourierGait(_Sampled):
     def __post_init__(self) -> None:
         if not (self.period > 0.0 and np.isfinite(self.period)):
             raise ValueError(f"gait period must be positive and finite, got {self.period}")
-        mean = _as_readonly(np.atleast_1d(self.mean))
+        mean = _readonly(np.atleast_1d(self.mean))
         d = mean.shape[0]
-        cos = self.cos if self.cos is not None else np.zeros((0, d))
-        sin = self.sin if self.sin is not None else np.zeros((0, d))
-        cos = _as_readonly(np.atleast_2d(cos)) if np.size(cos) else _as_readonly(np.zeros((0, d)))
-        sin = _as_readonly(np.atleast_2d(sin)) if np.size(sin) else _as_readonly(np.zeros((0, d)))
-        k = max(cos.shape[0], sin.shape[0])
-        if cos.shape[0] < k:
-            cos = _as_readonly(np.vstack([cos, np.zeros((k - cos.shape[0], d))]))
-        if sin.shape[0] < k:
-            sin = _as_readonly(np.vstack([sin, np.zeros((k - sin.shape[0], d))]))
-        if cos.shape != (k, d) or sin.shape != (k, d):
+        # absent or empty coefficients are no harmonics; the shorter array is padded with zero rows
+        cos, sin = (np.array(np.zeros((0, d)) if c is None or not np.size(c) else c, float, ndmin=2)
+                    for c in (self.cos, self.sin))
+        k = max(len(cos), len(sin))
+        if cos.shape[1:] != (d,) or sin.shape[1:] != (d,):
             raise ValueError("harmonic coefficient arrays must have shape (K, d)")
+        cos, sin = (_readonly(np.vstack([c, np.zeros((k - len(c), d))])) for c in (cos, sin))
         object.__setattr__(self, "period", float(self.period))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cos", cos)
@@ -74,7 +73,7 @@ class FourierGait(_Sampled):
         # shape rate, so the overflow warning is not printed here
         with np.errstate(over="ignore"):
             rates = 2.0 * np.pi * np.arange(1, k + 1) / self.period
-        object.__setattr__(self, "angular_rates", _as_readonly(rates))
+        object.__setattr__(self, "angular_rates", _readonly(rates))
 
     @property
     def dim(self) -> int:
@@ -106,8 +105,8 @@ class WaypointGait(_Sampled):
     times: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = _as_readonly(np.atleast_2d(self.points))
-        times = _as_readonly(np.atleast_1d(self.times))
+        pts = _readonly(np.atleast_2d(self.points))
+        times = _readonly(np.atleast_1d(self.times))
         if times.shape[0] != pts.shape[0] + 1:
             raise ValueError(
                 f"need one more knot time than waypoints, got {times.shape[0]} times "

@@ -120,10 +120,8 @@ SUITES = {
 
 
 def run_verify(scenario) -> list[VerifyCheck]:
-    """Run the scenario's selected suites and collect all check rows."""
-    if scenario.verify is None:
-        raise ValueError("scenario has no verify block")
-    suites = scenario.verify["suites"]
+    """Run the scenario's selected suites and collect all check rows; ScenarioError without a verify block."""
+    suites = scenario.block("verify")["suites"]
     # the scenario's own gait, integrated on first use
     base = cache(partial(_integrate, scenario, scenario.cycles if "continuity" in suites else 1))
     rows: list[VerifyCheck] = []

@@ -330,6 +330,11 @@ class TestVerify:
         path = write_scenario(tmp_path, doc)
         assert main(["verify", path, "--out", str(tmp_path / "run")]) == 0
 
+    def test_verify_needs_block(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, swimmer_doc())
+        assert main(["verify", path, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "scenario error: verify: scenario has no verify block\n"
+
     def test_residual_suite_is_scale_free(self, tmp_path, capsys):
         # a balance with 1e300 drag is solved to roundoff of its own size,
         # though its absolute residual is near 1e284
@@ -726,6 +731,23 @@ class TestDeterminismAndOverrides:
         )
         assert proc.returncode == 0
         assert (tmp_path / "run" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, help_text",
+    [
+        ("simulate", "integrate the gait and write trajectory + summary"),
+        ("sweep", "tabulate the connection (and optionally curvature) over a grid"),
+        ("optimize", "search a gait family for maximal displacement"),
+        ("verify", "run invariant suites; nonzero exit on failure"),
+    ],
+)
+def test_subcommand_help_lines(monkeypatch, capsys, command, help_text):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert [command, help_text] in [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
 
 
 # Loads every shipped scenario, then runs each command its blocks allow and

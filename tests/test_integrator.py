@@ -271,6 +271,34 @@ def test_per_cycle_displacements_agree():
         assert (d - per[0]).norm() < 1e-9
 
 
+# A knot row's time rounds off its knot in a later cycle (1.65 % 1.0 is below
+# 0.65) or off a period of 0.1 (3 * 0.1 % 0.1 is 2.7e-17); sampled at that
+# time, a step ending or starting there took the wrong segment's rate, an
+# O(h) error per cycle.
+KNOT_POINTS = [[0.1, -0.7], [0.7, 0.1], [-0.3, 0.3]]
+
+
+@pytest.mark.parametrize(
+    "times, step",
+    [([0.0, 0.3, 0.65, 1.0], h) for h in (0.01, 0.005, 0.0025)] + [([0.0, 0.025, 0.0625, 0.1], 1e-3)],
+)
+def test_waypoint_cycles_displace_alike(times, step):
+    traj = integrate_gait(three_link_swimmer().provider(), WaypointGait(KNOT_POINTS, times), cycles=3, step=step)
+    first, *later = per_cycle_displacements(traj)
+    for d in later:
+        assert (d - first).norm() <= 1e-12
+
+
+def test_a_knot_merged_into_a_cut_keeps_fourth_order():
+    # at 35, 70 and 140 steps the cut nearest the knot at 0.4 lands 3e-17
+    # below it and the knot merges into that cut's row
+    gait = WaypointGait(KNOT_POINTS + [[0.2, -0.4]], [0.0, 0.2, 0.4, 0.8, 1.0])
+    provider = three_link_swimmer().provider()
+    ref = net_displacement(integrate_gait(provider, gait, step=1.0 / 4000))
+    errors = [(net_displacement(integrate_gait(provider, gait, step=1.0 / n)) - ref).norm() for n in (35, 70, 140)]
+    assert errors[0] >= 8.0 * errors[1] >= 64.0 * errors[2], errors
+
+
 def test_path_reversal_cancels_every_provider():
     fourier = FourierGait(1.0, [0.1, -0.1], cos=[[0.4, 0.2]], sin=[[-0.3, 0.5]])
     cases = [
@@ -668,23 +696,30 @@ def test_twist_rows_are_right_side_twists_on_the_row_stance(provider, gait):
 )
 def test_stage_twists_are_their_own_samples(provider, gait, monkeypatch):
     # the stages reuse the plan's samples; each must still be its own time's
-    # twist on the step's stance, the end stage at the left limit
+    # twist on the step's stance, the end stage at the left limit.  A knot
+    # row's time c T + t_k may round off the knot (1.3 % 1.0 is above 0.3),
+    # so its stages are the knot's own samples, taken at the phase t_k
     stages = []
     combine = integrator._rkmk4_exponents
     monkeypatch.setattr(integrator, "_rkmk4_exponents", lambda h, *k: stages.append(k) or combine(h, *k))
     traj = integrate_gait(provider, gait, cycles=2, step=0.03)
     ((k1, mid, end),) = stages
     t, corners = traj.times, 0
+    knots = [(c * gait.period + tk, tk) for c in range(3) for tk in getattr(gait, "times", [])[:-1]]
+
+    def phase(time):
+        """A knot row's sample time is its knot's phase; any other row's is its time."""
+        return next((tk for tc, tk in knots if abs(time - tc) <= 1e-12), time)
 
     def twist(piece, time, side):
         r, rdot = gait.evaluate(time, side)
         return (provider.connection_at(r) if piece is None else provider.connection_for(piece, r)) @ rdot
 
     for j, piece in enumerate(traj.contacts[:-1]):
-        assert np.array_equal(k1[:, j], twist(piece, t[j], "right")), j
+        assert np.array_equal(k1[:, j], twist(piece, phase(t[j]), "right")), j
         assert np.array_equal(mid[:, j], twist(piece, t[j] + 0.5 * (t[j + 1] - t[j]), "right")), j
-        assert np.array_equal(end[:, j], twist(piece, t[j + 1], "left")), j
-        corners += not np.array_equal(end[:, j], twist(piece, t[j + 1], "right"))
+        assert np.array_equal(end[:, j], twist(piece, phase(t[j + 1]), "left")), j
+        corners += not np.array_equal(end[:, j], twist(piece, phase(t[j + 1]), "right"))
     # a waypoint gait's rate jumps at its knots, so some end stages are not right-side samples
     assert (corners > 0) == isinstance(gait, WaypointGait)
 

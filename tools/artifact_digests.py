@@ -1,0 +1,80 @@
+"""Print one digest line per CLI run, so two checkouts' outputs can be diffed.
+
+The runs are every shipped scenario under every command, and every
+perfbench workload document at the given seeds under the commands its
+workload runs.  Each run is a fresh ``python -m locomech.cli`` process on
+the chosen source tree, in its own scratch directory, and prints
+
+    <run> exit=<code> <artifact>=<sha256> ... stdout=<sha256> stderr=<sha256>
+
+with the artifacts in name order (only those the run wrote).  The perfbench
+documents are read through ``perfbench/workloads.py`` of this checkout, so
+both sides of a comparison run the same documents:
+
+    python tools/artifact_digests.py > change.txt
+    python tools/artifact_digests.py --src ../parent/src > parent.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import yaml  # noqa: E402
+from workloads import ARTIFACTS, COMMANDS, WORKLOADS, scenario_documents  # noqa: E402
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _runs(seeds):
+    """(label, YAML text, command) of every run, shipped scenarios first."""
+    for path in sorted((ROOT / "scenarios").glob("*.yaml")):
+        for command in ARTIFACTS:
+            yield f"{path.stem}/{command}", path.read_text(), command
+    for workload in WORKLOADS:
+        for seed in seeds:
+            docs = scenario_documents(workload, seed)
+            for command, name in COMMANDS[workload]:
+                yield f"{workload}/{seed}/{name}/{command}", yaml.safe_dump(docs[name], sort_keys=False), command
+
+
+def digest(src: Path, label: str, text: str, command: str) -> str:
+    """Run one command on one document in a scratch directory; its digest line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "scenario.yaml").write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "locomech.cli", command, "scenario.yaml", "--out", "out"],
+            cwd=tmp,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        out = Path(tmp, "out")
+        files = sorted(out.iterdir()) if out.is_dir() else []
+        fields = [f"exit={proc.returncode}"] + [f"{f.name}={_sha(f.read_bytes())}" for f in files]
+    fields += [f"stdout={_sha(proc.stdout)}", f"stderr={_sha(proc.stderr)}"]
+    return " ".join([label, *fields])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to run (default: this checkout's)")
+    parser.add_argument("--seeds", type=int, default=8, help="perfbench seeds 0..N-1 (default 8)")
+    args = parser.parse_args(argv)
+    for run in _runs(range(args.seeds)):
+        print(digest(args.src.resolve(), *run), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
