@@ -63,7 +63,7 @@ class GridSpec:
 
 @dataclass
 class FieldGrid:
-    """Connection samples on a grid; conn has shape (n1, n2, 3, d)."""
+    """Connection samples conn (n1, n2, 3, d); contacts (n1, n2) indexes catalog, or is None for one piece."""
 
     axis1: np.ndarray
     axis2: np.ndarray
@@ -71,18 +71,19 @@ class FieldGrid:
     base: np.ndarray
     conn: np.ndarray
     contacts: np.ndarray | None
+    catalog: tuple
     singular: np.ndarray
 
 
 def sample_field(provider, spec: GridSpec) -> FieldGrid:
     """Evaluate the provider's connection at every grid node.
 
-    Every node is labelled with its stance and the grid goes to the provider
-    in one connection_many call per label.  A batch fails as a whole on one
-    singular node, so after a SingularConstraint the nodes are re-evaluated
-    one at a time to find it.  Singular nodes and nodes with a non-finite
-    connection entry are flagged, not raised, and store a zero connection.
-    contacts is None when every node's label is.
+    The nodes of each stance go to the provider in one connection_many call,
+    with no deduplication: grid nodes are distinct.  A batch fails as a whole
+    on one singular node, so after a SingularConstraint the nodes are
+    re-evaluated one at a time to find it.  Singular nodes and nodes with a
+    non-finite connection entry are flagged, not raised, and store a zero
+    connection.  contacts is None when the provider's catalog is (None,).
     """
     d = provider.dim
     if spec.axes[0] >= d or spec.axes[1] >= d or min(spec.axes) < 0:
@@ -96,28 +97,30 @@ def sample_field(provider, spec: GridSpec) -> FieldGrid:
     nodes = np.tile(base, (n1, n2, 1))
     nodes[..., list(spec.axes)] = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1)
     nodes = nodes.reshape(n1 * n2, d)
-    labels = provider.contacts_many(nodes)
+    catalog = provider.catalog
+    codes = provider.contacts_many(nodes)
+    conn = np.empty((n1 * n2, 3, d))
     singular = np.zeros(n1 * n2, dtype=bool)
     try:
-        rows, index = connection_rows(provider, nodes, labels)
-        conn = rows[index]
+        for c in np.flatnonzero(np.bincount(codes, minlength=len(catalog))).tolist():
+            at = codes == c
+            conn[at] = provider.connection_many(catalog[c], nodes[at])
     except SingularConstraint:
-        conn = np.zeros((n1 * n2, 3, d))
-        for k, label in enumerate(labels):
+        for k, c in enumerate(codes.tolist()):
             try:
-                conn[k] = provider.connection_many(label, nodes[k:k + 1])[0]
+                conn[k] = provider.connection_many(catalog[c], nodes[k:k + 1])[0]
             except SingularConstraint:
                 singular[k] = True
     singular |= ~np.isfinite(conn).all(axis=(1, 2))
     conn[singular] = 0.0
-    contacts = None if all(c is None for c in labels) else np.fromiter(labels, dtype=object).reshape(n1, n2)
     return FieldGrid(
         axis1=axis1,
         axis2=axis2,
         axes=spec.axes,
         base=base,
         conn=conn.reshape(n1, n2, 3, d),
-        contacts=contacts,
+        contacts=None if catalog == (None,) else codes.reshape(n1, n2),
+        catalog=catalog,
         singular=singular.reshape(n1, n2),
     )
 

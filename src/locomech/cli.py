@@ -178,7 +178,8 @@ def _write_field(path: str, meta: list[str], field, curv) -> None:
     head = meta + [f"# counts={n1}x{n2}", f"# dim={dim}", f"# curvature={int(curv is not None)}", ",".join(header)]
     axis1 = ["%.17g" % v for v in field.axis1.tolist()]
     axis2 = ["%.17g" % v for v in field.axis2.tolist()]
-    contacts = [""] * (n1 * n2) if field.contacts is None else _spell_contacts(field.contacts.ravel().tolist())
+    spelled = [_contact_str(c) for c in field.catalog]
+    contacts = [""] * (n1 * n2) if field.contacts is None else [spelled[c] for c in field.contacts.ravel().tolist()]
 
     def slab(i: int):
         lo, hi = i * n2, (i + 1) * n2

@@ -11,19 +11,22 @@ connections.  Only JacobianConnection differentiates.
 Provider protocol.  A provider offers:
 
 - ``dim``: the number of shape coordinates d;
-- ``contacts_many(shapes)``: a list with the hashable stance label selected
-  at every row of an (N, d) array, each None for a provider with a single
-  piece;
+- ``catalog``: a tuple of its distinct stance labels, fixed for the
+  provider, ``(None,)`` for a provider with a single piece;
+- ``contacts_many(shapes)``: an integer array with the catalog index of the
+  stance selected at every row of an (N, d) array;
 - ``connection_many(label, shapes)``: A of the named piece at every shape
   of a (..., d) array, typically (N, d), as a (..., 3, d) array whose entry
   at each leading index is bitwise the single-shape result; the piece may be
   evaluated past its switching surface.
 
-Every consumer of A(r) (integrate_gait, sample_field, the loop integrals of
-holonomy_vs_area and the residual verify suite) labels its shapes with
-``contacts_many`` and hands them to ``connection_rows`` (integrate_gait, as
-integer codes, to its core ``coded_connection_rows``), which makes one
-``connection_many`` call per stance label over that label's distinct shapes.
+Stances travel as catalog codes; a label is looked up only where it is
+handed to ``connection_many`` or reported (events, ``Trajectory.contacts``,
+the contact-set cells).  integrate_gait and the loop integrals of
+holonomy_vs_area code their shapes with ``contacts_many`` and hand them to
+``connection_rows``, which makes one ``connection_many`` call per stance
+over that stance's distinct shapes; sample_field's grid nodes are distinct,
+so it makes one call per stance over its nodes directly.
 ``ConnectionProvider`` derives ``contacts_at(r)``, ``connection_for(label,
 r)`` and ``connection_at(r)`` (the piece selected at r) as single-shape cases
 for interactive use; no library code calls them.  Constraint builders and
@@ -43,8 +46,6 @@ import numpy as np
 from .liegroup import Pose, compose_many, inverse_many, log_many
 
 ConnectionMatrix = np.ndarray  # (3, d), rows vx, vy, omega
-
-ContactSet = frozenset
 
 _COND_LIMIT = 1e12
 
@@ -203,15 +204,17 @@ class ConnectionProvider:
     """Shared single-shape access for providers that define connection_many.
 
     Subclasses supply dim, connection_many and, unless they have a single
-    piece labelled None, contacts_many; the single-shape calls here are their
-    one-row case, not a second evaluation path.
+    piece labelled None, catalog and contacts_many; the single-shape calls
+    here are their one-row case, not a second evaluation path.
     """
 
-    def contacts_many(self, shapes) -> list:
-        return [None] * len(shapes)
+    catalog: tuple = (None,)
+
+    def contacts_many(self, shapes) -> np.ndarray:
+        return np.zeros(len(shapes), dtype=int)
 
     def contacts_at(self, r):
-        return self.contacts_many(np.asarray(r, dtype=float)[None])[0]
+        return self.catalog[self.contacts_many(np.asarray(r, dtype=float)[None])[0]]
 
     def connection_for(self, label, r) -> ConnectionMatrix:
         return self.connection_many(label, np.asarray(r, dtype=float))
@@ -220,23 +223,11 @@ class ConnectionProvider:
         return self.connection_for(self.contacts_at(r), r)
 
 
-def stance_codes(labels, ids: dict) -> np.ndarray:
-    """Each label's index in ids, adding unseen labels to ids in first-seen order."""
-    return np.array([ids.setdefault(c, len(ids)) for c in labels], dtype=np.int32)
+def connection_rows(provider, shapes, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the connection once per bytewise-distinct (stance, shape) row.
 
-
-def connection_rows(provider, shapes, labels) -> tuple[np.ndarray, np.ndarray]:
-    """coded_connection_rows of shapes (N, d) whose row i has stance label labels[i]."""
-    ids: dict = {}
-    codes = stance_codes(labels, ids)
-    return coded_connection_rows(provider, shapes, codes, list(ids))
-
-
-def coded_connection_rows(provider, shapes, codes, catalog) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the connection once per bytewise-distinct (label, shape) row.
-
-    shapes is (N, d) and row i has stance label catalog[codes[i]].  A
-    depends on the label and the shape only, so each label, in first-seen
+    shapes is (N, d) and row i is on stance provider.catalog[codes[i]].  A
+    depends on the stance and the shape only, so each stance, in first-seen
     order, gets one connection_many call over its distinct rows.  Returns
     their connections as one (M, 3, d) array and each row's index into it;
     non-finite entries are returned as computed.
@@ -245,7 +236,7 @@ def coded_connection_rows(provider, shapes, codes, catalog) -> tuple[np.ndarray,
     n, d = shapes.shape
     # one opaque key per row, equal exactly when the shapes are bitwise equal
     keys = np.ascontiguousarray(shapes).view(np.dtype((np.void, 8 * d)))[:, 0] if d else np.zeros(n)
-    # stable sorts order the rows by label, then key, with each run of equal
+    # stable sorts order the rows by stance, then key, with each run of equal
     # rows in first-seen order; this holds about half the memory np.unique does
     order = np.argsort(keys, kind="stable")
     order = order[np.argsort(codes[order], kind="stable")]
@@ -255,9 +246,10 @@ def coded_connection_rows(provider, shapes, codes, catalog) -> tuple[np.ndarray,
     index = np.empty(n, dtype=np.int32)
     index[order] = np.cumsum(starts, dtype=np.int32) - 1
     picks = order[starts]
+    catalog = provider.catalog
     bounds = np.searchsorted(ordered_codes[starts], np.arange(len(catalog) + 1)).tolist()
     out = np.empty((len(picks), 3, d))
-    # a label's first row is the first of its distinct shapes' first rows
+    # a stance's first row is the first of its distinct shapes' first rows
     spans = [(picks[lo:hi].min(), c, lo, hi) for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
     for _, c, lo, hi in sorted(spans):
         out[lo:hi] = provider.connection_many(catalog[c], shapes[picks[lo:hi]])
@@ -308,19 +300,21 @@ class ConstraintConnection(ConnectionProvider):
 class PiecewiseConnection(ConnectionProvider):
     """Provider dispatching on a contact model's selected stance.
 
-    The model must offer shape_dim, contacts_many(shapes) and
-    stance_connection(c, shapes), which holds past the stance's switching surface.
+    The model must offer shape_dim, contact_catalog(), contacts_many(shapes)
+    (indices into that catalog) and stance_connection(c, shapes), which holds
+    past the stance's switching surface.
     """
 
     def __init__(self, model):
         self.model = model
+        self.catalog = model.contact_catalog()
 
     @property
     def dim(self) -> int:
         return self.model.shape_dim
 
-    def contacts_many(self, shapes) -> list[ContactSet]:
+    def contacts_many(self, shapes) -> np.ndarray:
         return self.model.contacts_many(np.asarray(shapes, dtype=float))
 
-    def connection_many(self, c: ContactSet, shapes) -> np.ndarray:
+    def connection_many(self, c, shapes) -> np.ndarray:
         return self.model.stance_connection(c, shapes)

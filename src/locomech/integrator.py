@@ -4,17 +4,18 @@ The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
 Munthe-Kaas scheme.  The shape path r(t) is prescribed, so every stage twist
 depends on t alone and the work is array passes.  A gait's step grid is
 planned from arrays: one gait.evaluate_many call samples every grid point and
-step midpoint, and one provider.contacts_many call labels them; a gait with
-no switch reuses those samples as its stages.  Only a step
-whose midpoint or end leaves its start's stance is split at the switch time,
-and integration resumes with the new piece from the same pose, so the pose
-path stays continuous; all switches are bisected together, one labelling
-call per level.  Gaits integrated together (integrate_gaits), in batches
-of at most MAX_STEPS steps, share one coded_connection_rows call, which
-evaluates each distinct (stance, stage shape) once, array passes for the
-step exponents and their exponentials, and one liegroup.compose_chain call
-for the pose products.  The poses are kept as one read-only (3, n + 1)
-array, which Trajectory.poses reads as Pose objects.
+step midpoint, and one provider.contacts_many call gives their stance codes,
+indices into provider.catalog; a gait with no switch reuses those samples as
+its stages.  Only a step whose midpoint or end leaves its start's stance is
+split at the switch time, and integration resumes with the new piece from the
+same pose, so the pose path stays continuous; all switches are bisected
+together, one coding call per level.  A stance's label is looked up only for
+the events and Trajectory.contacts.  Gaits integrated together
+(integrate_gaits), in batches of at most MAX_STEPS steps, share one
+connection_rows call, which evaluates each distinct (stance, stage shape)
+once, array passes for the step exponents and their exponentials, and one
+liegroup.compose_chain call for the pose products.  The poses are kept as one
+read-only (3, n + 1) array, which Trajectory.poses reads as Pose objects.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import SingularConstraint, coded_connection_rows, stance_codes
+from .connection import SingularConstraint, connection_rows
 from .liegroup import Pose, Twist, bracket_many, compose_chain, compose_many, exp_many, inverse_many, log_many
 
 
@@ -145,7 +146,7 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     sample points.  Stance switches are located to event_tol (in time) by
     bisection, all switches together, one provider call per level; a step
     containing several switches is split at each.  The steps and events are
-    planned from the stance labels alone, the connection is evaluated once
+    planned from the stance codes alone, the connection is evaluated once
     per distinct (stance, stage shape), and the stage twists are combined
     into poses.  A non-finite connection entry, shape rate, stage twist, twist
     norm, step exponent or pose raises SingularConstraint naming its time and
@@ -166,18 +167,18 @@ def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_
         raise ValueError(f"step must be positive, got {step}")
     if not (event_tol > 0.0 and np.isfinite(event_tol)):
         raise ValueError(f"event tolerance must be positive and finite, got {event_tol}")
-    ids, batch, samples, size = {}, [], [], 0
+    batch, samples, size = [], [], 0
     for gait in gaits:
-        plan = list(_plan(provider, gait, cycles, step, event_tol, ids))
+        plan = list(_plan(provider, gait, cycles, step, event_tol))
         if batch and size + len(plan[3]) - 1 > MAX_STEPS:
-            yield from _finish(provider, batch, samples, list(ids), cycles, step, event_tol)
+            yield from _finish(provider, batch, samples, cycles, step, event_tol)
             batch, samples, size = [], [], 0
         # no other reference keeps a sample, so _finish can free it
         samples.append(plan.pop())
         batch.append(plan)
         size += len(plan[3]) - 1
     if batch:
-        yield from _finish(provider, batch, samples, list(ids), cycles, step, event_tol)
+        yield from _finish(provider, batch, samples, cycles, step, event_tol)
 
 
 def _sample(gait, ts, side: str = "right", knots=None):
@@ -242,22 +243,21 @@ def _knot_rows(g: np.ndarray, period: float, cycles: int, phases: np.ndarray):
     return rows[np.append(new, True)], phases[np.append(new, True)], phases[np.append(True, new)]
 
 
-def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict):
+def _plan(provider, gait, cycles: int, step: float, event_tol: float):
     """(gait, n_steps, h, t, row_codes, events, knots, sampled): step j runs from t[j] to t[j + 1].
 
-    Step j runs on stance ids[row_codes[j]]; the plan reads stance labels
-    alone, and unseen labels are added to ids.  knots is _knot_rows of a
-    gait's knots, as rows of t, or None for a knot-free gait.  With no
-    switch, sampled is the shapes and rates at t and the step midpoints,
-    else None.
+    Step j runs on stance provider.catalog[row_codes[j]]; the plan reads
+    stance codes alone.  knots is _knot_rows of a gait's knots, as rows of t,
+    or None for a knot-free gait.  With no switch, sampled is the shapes and
+    rates at t and the step midpoints, else None.
     """
     period = gait.period
     n_steps = steps_per_cycle(period, step, cycles)
     h = period / n_steps
 
-    def label(ts) -> np.ndarray:
-        """Codes (indices into ids) of the stances selected at times ts, in one provider call."""
-        return stance_codes(provider.contacts_many(_sample(gait, ts)[0]), ids)
+    def code(ts) -> np.ndarray:
+        """Codes of the stances selected at times ts, in one provider call."""
+        return provider.contacts_many(_sample(gait, ts)[0])
 
     def bisect(lo, hi, c_lo, c_hi):
         """Shrink, in place, brackets [lo, hi] with stances c_lo != c_hi at their ends; one call per level.
@@ -270,7 +270,7 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
             k = np.flatnonzero((hi - lo > event_tol) & (mid != lo) & (mid != hi))
             if not len(k):
                 return lo, hi, c_hi
-            c = label(mid[k])
+            c = code(mid[k])
             same = c == c_lo[k]
             lo[k[same]] = mid[k[same]]
             hi[k[~same]], c_hi[k[~same]] = mid[k[~same]], c[~same]
@@ -281,13 +281,13 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
     phases = np.asarray(getattr(gait, "times", ()), dtype=float)[:-1]
     g = _step_grid(period, h, n_steps, cycles, phases[1:])
     knots = _knot_rows(g, period, cycles, phases) if len(phases) else None
-    # label every grid point, then every step midpoint, in one call.  A step
+    # code every grid point, then every step midpoint, in one call.  A step
     # ends on the stance its end point selects, and only a step whose
     # midpoint or end leaves its start's stance is searched for switches
     n = len(g) - 1
     g_mid = g[:-1] + 0.5 * (g[1:] - g[:-1])
     sampled = _sample(gait, np.concatenate([g, g_mid]), knots=knots)
-    codes = stance_codes(provider.contacts_many(sampled[0]), ids)
+    codes = provider.contacts_many(sampled[0])
     c0, c1, c_mid = codes[:n], codes[1:n + 1], codes[n + 1:]
     j = np.flatnonzero((c1 != c0) | (c_mid != c0))
     t0, t1, t_mid, active, c1, c_mid = g[j], g[j + 1], g_mid[j], c0[j], c1[j], c_mid[j]
@@ -303,10 +303,9 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
         found.append((hi, lo, active, after, rest))
         t0, t1, active, c1 = hi[rest], t1[rest], after[rest], c1[rest]
         t_mid = t0 + 0.5 * (t1 - t0)
-        c_mid = label(t_mid) if len(t0) else active
+        c_mid = code(t_mid) if len(t0) else active
         searched = (c_mid != active) | (c1 != active)
         t0, t1, t_mid, active, c1, c_mid = (x[searched] for x in (t0, t1, t_mid, active, c1, c_mid))
-    catalog = list(ids)
     events = []
     if found:
         ev_t, ev_lo, before, after, rest = map(np.concatenate, zip(*found))
@@ -317,6 +316,7 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
         if knots is not None:
             knots = (np.searchsorted(t, g[knots[0]]), *knots[1:])
         order = np.argsort(ev_t, kind="stable")
+        catalog = provider.catalog
         ev = [x[order].tolist() for x in (ev_t, ev_lo, before, after)] + [_sample(gait, ev_t[order])[0]]
         events = [EventRecord(t_e, catalog[b], catalog[a], r, (lo_e, t_e)) for t_e, lo_e, b, a, r in zip(*ev)]
         # a switch row after the first of its step marks a step holding several
@@ -329,7 +329,7 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float, ids: dict)
     return gait, n_steps, h, t, row_codes, events, knots, None if found else sampled
 
 
-def _finish(provider, plans, samples, catalog, cycles, step, event_tol) -> list:
+def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
     """Evaluate and combine planned gaits, each array pass over the rows of all of them.
 
     samples holds each plan's sampled, and is emptied once the stages are laid out.
@@ -364,7 +364,7 @@ def _finish(provider, plans, samples, catalog, cycles, step, event_tol) -> list:
     del times, shapes, rates, sampled
     samples.clear()
     _require_finite(np.isfinite(stage_rates).all(axis=1), "shape rate", stage_times, stage_shapes)
-    conn, stage_conn = coded_connection_rows(provider, stage_shapes, stage_codes, catalog)
+    conn, stage_conn = connection_rows(provider, stage_shapes, stage_codes)
     _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", stage_times, stage_shapes)
     # Each array pass from here on is checked for finiteness right after it,
     # so an overflow aborts with SingularConstraint and numpy's warning is
@@ -410,7 +410,7 @@ def _finish(provider, plans, samples, catalog, cycles, step, event_tol) -> list:
                 "steps_per_cycle": int(n_steps), "cycles": int(cycles), "period": float(gait.period),
                 "event_tol": float(event_tol), "max_twist_norm": float(top), "stage_shapes": int(m)}
         cycle_indices = [0] + np.searchsorted(t, gait.period * np.arange(1, cycles + 1)).tolist()
-        contacts = list(map(catalog.__getitem__, row_codes.tolist()))
+        contacts = list(map(provider.catalog.__getitem__, row_codes.tolist()))
         # row k's twist is the start stage of the step leaving row k
         out.append(Trajectory(t, g, shapes, twists, contacts, events, cycle_indices, meta))
     return out

@@ -265,14 +265,12 @@ class LeggedModel:
             return (self.fixed_contacts,)
         return tuple(frozenset({i}) for i in range(self.n_feet))
 
-    def contacts_many(self, shapes) -> list[frozenset]:
-        """Stance set at every row of shapes (N, d) under the selector rule."""
+    def contacts_many(self, shapes) -> np.ndarray:
+        """contact_catalog() index of the stance set at every row of shapes (N, d) under the selector rule."""
         shapes = np.asarray(shapes, dtype=float)
         if shapes.ndim != 2 or shapes.shape[1] != self.shape_dim:
             raise ValueError(f"model expects rows of {self.shape_dim} leg angles, got {shapes.shape}")
-        catalog = self.contact_catalog()
-        picks = np.argmax(shapes, axis=1) if self.selector == "argmax" else np.zeros(len(shapes), dtype=int)
-        return [catalog[i] for i in picks.tolist()]
+        return np.argmax(shapes, axis=1) if self.selector == "argmax" else np.zeros(len(shapes), dtype=int)
 
     def stance_connection(self, c, shapes) -> np.ndarray:
         """Exact connection (..., 3, d) of stance set c at shapes (..., d), with no -0 entry.

@@ -18,13 +18,18 @@ from locomech.optimizer import OptimizationReport
 
 
 class Pointwise:
-    """connection_many and contacts_many for a provider that defines connection_at and contacts_at."""
+    """connection_many and contacts_many for a provider that defines connection_at and contacts_at.
+
+    contacts_at returns a label of catalog, (None,) unless a subclass names its own.
+    """
+
+    catalog = (None,)
 
     def connection_many(self, label, shapes):
         return np.stack([self.connection_at(r) for r in shapes])
 
     def contacts_many(self, shapes):
-        return [self.contacts_at(r) for r in shapes]
+        return np.array([self.catalog.index(self.contacts_at(r)) for r in shapes], dtype=int)
 
 
 def reference_cycle_grid(period, h, n_steps, k, knots) -> list:
@@ -70,7 +75,7 @@ def reference_plan(provider, gait, cycles, step, event_tol):
     def shape_and_label(t: float):
         """Shape at t and the stance selected there, one row at a time."""
         r = sample([t])[0]
-        return r[0], provider.contacts_many(r)[0]
+        return r[0], provider.catalog[provider.contacts_many(r)[0]]
 
     times: list[float] = []
     contacts: list = []
@@ -135,7 +140,8 @@ def reference_plan(provider, gait, cycles, step, event_tol):
         grid = reference_cycle_grid(period, h, n_steps, k, interior_knots)
         n = len(grid) - 1
         g = np.array(grid)
-        labels = provider.contacts_many(sample(np.concatenate([g, g[:-1] + 0.5 * np.diff(g)]))[0])
+        codes = provider.contacts_many(sample(np.concatenate([g, g[:-1] + 0.5 * np.diff(g)]))[0])
+        labels = [provider.catalog[c] for c in codes.tolist()]
         if k == 0:
             times.append(grid[0])
             contacts.append(labels[0])

@@ -91,12 +91,14 @@ class SmoothSynthetic(Pointwise):
 
 
 class CountingProvider:
-    """Wrapper recording the label of every batched call and counting single-shape calls."""
+    """Wrapper recording the label and row count of every batched call and counting single-shape calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
+        self.catalog = inner.catalog
         self.labels = []
+        self.rows = 0
         self.single = 0
 
     def contacts_at(self, r):
@@ -107,6 +109,7 @@ class CountingProvider:
 
     def connection_many(self, label, shapes):
         self.labels.append(label)
+        self.rows += len(shapes)
         return self.inner.connection_many(label, shapes)
 
     def connection_for(self, label, r):
@@ -245,12 +248,13 @@ class TestSampleField:
             for j in range(11):
                 r1 = crawler_field.axis1[i]
                 r2 = crawler_field.axis2[j]
+                label = crawler_field.catalog[crawler_field.contacts[i, j]]
                 if r1 > r2:
-                    assert crawler_field.contacts[i, j] == frozenset({0})
+                    assert label == frozenset({0})
                 elif r2 > r1:
-                    assert crawler_field.contacts[i, j] == frozenset({1})
+                    assert label == frozenset({1})
                 else:
-                    assert crawler_field.contacts[i, j] == frozenset({0})
+                    assert label == frozenset({0})
 
     def test_singular_nodes_flagged_not_raised(self):
         class SometimesSingular(Pointwise):
@@ -275,9 +279,11 @@ class TestSampleField:
     def test_one_batched_call_per_stance_label(self, model):
         provider = CountingProvider(model().provider())
         field = sample_field(provider, GridSpec(lo=(-1, -1), hi=(1, 1), counts=(9, 9)))
-        labels = [None] if field.contacts is None else list(field.contacts.flat)
+        labels = [None] if field.contacts is None else [field.catalog[c] for c in field.contacts.flat]
         assert len(provider.labels) == len(set(provider.labels)) == len(set(labels))
         assert set(provider.labels) == set(labels)
+        # every node is passed once: the distinct grid nodes are not deduplicated
+        assert provider.rows == 81
         assert provider.single == 0
         # every stored entry is bitwise the node's own evaluation
         inner = provider.inner
@@ -487,16 +493,14 @@ class TestCurvature:
     def test_matches_per_node_reference(self, with_labels):
         rng = np.random.default_rng(20)
         n1, n2 = 9, 7
-        labels = np.array([frozenset({0}), frozenset({1})], dtype=object)
         field = FieldGrid(
             axis1=np.linspace(-1.0, 0.6, n1),
             axis2=np.linspace(0.2, 1.5, n2),
             axes=(2, 0),
             base=np.zeros(3),
             conn=rng.normal(size=(n1, n2, 3, 3)),
-            contacts=labels[(rng.uniform(size=(n1, n2)) < 0.1).astype(int)]
-            if with_labels
-            else None,
+            contacts=(rng.uniform(size=(n1, n2)) < 0.1).astype(int) if with_labels else None,
+            catalog=(frozenset({0}), frozenset({1})) if with_labels else (None,),
             singular=rng.uniform(size=(n1, n2)) < 0.05,
         )
         result = curvature(field)

@@ -901,7 +901,7 @@ def _reference_field_text(meta, field, curv) -> str:
         for j in range(n2):
             cells = [str(i), str(j), _reference_fmt(field.axis1[i]), _reference_fmt(field.axis2[j])]
             cells.extend(_reference_fmt(v) for v in field.conn[i, j].reshape(-1))
-            contact = field.contacts[i, j] if field.contacts is not None else None
+            contact = field.catalog[field.contacts[i, j]] if field.contacts is not None else None
             cells.append(cli._contact_str(contact))
             cells.append(str(int(field.singular[i, j])))
             if curv is not None:
@@ -967,15 +967,18 @@ def test_trajectory_writer_matches_the_per_cell_writer(data):
 @given(st.data())
 def test_field_writer_matches_the_per_cell_writer(data):
     n1, n2, dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
-    contacts = None
+    labels, codes, catalog = None, None, (None,)
     if data.draw(st.booleans()):
         labels = data.draw(st.lists(_LABELS, min_size=n1 * n2, max_size=n1 * n2).filter(lambda c: any(c)))
-        contacts = np.fromiter(labels, dtype=object).reshape(n1, n2)
+        # a catalog in first-seen order, with one label that no node carries
+        catalog = tuple(dict.fromkeys(labels + [frozenset({12})]))
+        codes = np.array([catalog.index(c) for c in labels]).reshape(n1, n2)
     field = types.SimpleNamespace(
         axis1=_float_arrays(data, (n1,)),
         axis2=_float_arrays(data, (n2,)),
         conn=_float_arrays(data, (n1, n2, 3, dim)),
-        contacts=contacts,
+        contacts=codes,
+        catalog=catalog,
         singular=np.array(data.draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))).reshape(n1, n2),
     )
     curv = types.SimpleNamespace(values=_float_arrays(data, (n1, n2, 3))) if data.draw(st.booleans()) else None
@@ -989,10 +992,10 @@ def test_field_writer_matches_the_per_cell_writer(data):
     assert _same_floats(got["axis2"], field.axis2)
     assert _same_floats(got["conn"], field.conn)
     assert np.array_equal(got["singular"], field.singular)
-    if contacts is None:
+    if labels is None:
         assert got["contacts"] is None
     else:
-        assert got["contacts"].tolist() == contacts.tolist()
+        assert got["contacts"].ravel().tolist() == labels
     if curv is None:
         assert got["curvature"] is None
     else:
@@ -1027,6 +1030,7 @@ def test_field_writer_spells_repeated_columns_by_bit_pattern(data):
         axis2=np.linspace(-1.0, 1.0, n2),
         conn=np.column_stack(conn).reshape(n1, n2, 3, dim),
         contacts=None,
+        catalog=(None,),
         singular=rng.random((n1, n2)) < 0.1,
     )
     curv = types.SimpleNamespace(values=np.column_stack(curv).reshape(n1, n2, 3))

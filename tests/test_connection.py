@@ -17,6 +17,7 @@ from locomech import (
     ConstraintSystem,
     DragModel,
     JacobianConnection,
+    LeggedModel,
     PiecewiseConnection,
     Pose,
     PoseMap,
@@ -41,7 +42,7 @@ from locomech import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from locomech.connection import _CHUNK_ROWS, _cond_estimate, coded_connection_rows
+from locomech.connection import _CHUNK_ROWS, _cond_estimate
 from locomech.scenario import MODEL_KINDS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -312,28 +313,41 @@ def test_connection_many_rows_are_single_shape_evaluations(name):
         )
 
 
+# three feet, so that rows can tie all three leg angles exactly
+_THREE_FEET = LeggedModel(
+    hips=[[-0.6, 0.1], [0.45, 0.0], [0.0, 0.3]], leg_lengths=[1.0, 0.8, 1.3], rest_angles=[-1.5, -1.7, -1.2]
+)
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
 def test_contacts_many_rows_are_single_shape_labels(seed, n):
     rng = np.random.default_rng(seed)
-    shapes = rng.uniform(-1.0, 1.0, (n, 2))
-    # ties r1 == r2 lie on the crawler's switching surface
-    shapes[::3, 1] = shapes[::3, 0]
     providers = {
         "jacobian": JacobianConnection(rotate_translate_map()),
         "constraint": three_link_swimmer().provider(),
         "crawler": PiecewiseConnection(two_leg_crawler()),
         "walker": PiecewiseConnection(mirrored_slip_walker().geometry),
+        "three_feet": PiecewiseConnection(_THREE_FEET),
     }
+    shapes, labels = {}, {}
     for name, provider in providers.items():
-        labels = provider.contacts_many(shapes)
-        assert labels == [provider.contacts_at(r) for r in shapes], name
-    assert providers["jacobian"].contacts_many(shapes) == [None] * n
-    assert providers["constraint"].contacts_many(shapes) == [None] * n
-    # the larger leg angle plants its foot; a tie goes to the lower index
-    want = [frozenset({0 if r1 >= r2 else 1}) for r1, r2 in shapes]
-    assert providers["crawler"].contacts_many(shapes) == want
-    assert providers["walker"].contacts_many(shapes) == [frozenset({0, 1})] * n
+        r = rng.uniform(-1.0, 1.0, (n, provider.dim))
+        # exact ties lie on the argmax switching surfaces: every third row
+        # ties all its leg angles, the next row its last two
+        r[::3] = r[::3, :1]
+        r[1::3, -1] = r[1::3, -2]
+        codes, catalog = provider.contacts_many(r), provider.catalog
+        assert isinstance(codes, np.ndarray) and np.issubdtype(codes.dtype, np.integer), name
+        assert codes.shape == (n,) and ((codes >= 0) & (codes < len(catalog))).all(), name
+        assert isinstance(catalog, tuple) and len(set(catalog)) == len(catalog), name
+        shapes[name], labels[name] = r, [catalog[c] for c in codes.tolist()]
+        assert labels[name] == [provider.contacts_at(row) for row in r], name
+    assert providers["jacobian"].catalog == providers["constraint"].catalog == (None,)
+    assert providers["walker"].catalog == (frozenset({0, 1}),)
+    # the largest leg angle plants its foot; a tie goes to the lowest index
+    for name in ("crawler", "three_feet"):
+        assert labels[name] == [frozenset({r.index(max(r))}) for r in shapes[name].tolist()], name
 
 
 def test_connection_rows_one_call_per_label_over_distinct_rows():
@@ -342,6 +356,7 @@ def test_connection_rows_one_call_per_label_over_distinct_rows():
 
     class Recording:
         dim = 2
+        catalog = inner.catalog
 
         def connection_many(self, label, shapes):
             calls.append((label, len(shapes)))
@@ -349,14 +364,14 @@ def test_connection_rows_one_call_per_label_over_distinct_rows():
 
     base = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
     shapes = base[[0, 1, 2, 0, 3, 4, 5, 1, 0, 2]]
-    labels = [frozenset({1})] * 4 + [frozenset({0})] * 6
-    rows, index = connection_rows(Recording(), shapes, labels)
-    # (label, shape) pairs: {1} sees 0, 1, 2; {0} sees 3, 4, 5, 1, 0, 2
+    codes = np.array([1] * 4 + [0] * 6)
+    rows, index = connection_rows(Recording(), shapes, codes)
+    # (stance, shape) pairs: {1} sees 0, 1, 2; {0} sees 3, 4, 5, 1, 0, 2
     assert calls == [(frozenset({1}), 3), (frozenset({0}), 6)]
     assert rows.shape == (9, 3, 2) and index.shape == (10,)
-    for i, (label, r) in enumerate(zip(labels, shapes)):
-        assert np.array_equal(rows[index[i]], inner.connection_for(label, r)), i
-    empty_rows, empty_index = connection_rows(Recording(), np.zeros((0, 2)), [])
+    for i, (c, r) in enumerate(zip(codes, shapes)):
+        assert np.array_equal(rows[index[i]], inner.connection_for(inner.catalog[c], r)), i
+    empty_rows, empty_index = connection_rows(Recording(), np.zeros((0, 2)), np.zeros(0, dtype=int))
     assert empty_rows.shape == (0, 3, 2) and empty_index.shape == (0,)
     assert len(calls) == 2
 
@@ -368,19 +383,19 @@ def test_coded_rows_call_each_carried_label_in_first_seen_order():
     calls = []
 
     class Recording:
+        catalog = (frozenset({0}), frozenset({1}), "unused")
+
         def connection_many(self, label, shapes):
             calls.append((label, len(shapes)))
             return inner.connection_many(label, shapes)
 
-    catalog = [frozenset({0}), frozenset({1}), "unused"]
     shapes = np.random.default_rng(6).uniform(-1.0, 1.0, (7, 2))[[0, 1, 2, 3, 1, 4, 5]]
     codes = np.array([1, 0, 1, 0, 1, 0, 0])
-    rows, index = coded_connection_rows(Recording(), shapes, codes, catalog)
+    rows, index = connection_rows(Recording(), shapes, codes)
     assert calls == [(frozenset({1}), 3), (frozenset({0}), 4)]
-    labels = [catalog[c] for c in codes]
-    want_rows, want_index = connection_rows(Recording(), shapes, labels)
-    assert len(rows) == len(want_rows) == 7
-    assert np.array_equal(rows[index], want_rows[want_index])
+    assert len(rows) == 7
+    for i, (c, r) in enumerate(zip(codes, shapes)):
+        assert np.array_equal(rows[index[i]], inner.connection_for(Recording.catalog[c], r)), i
 
 
 _FIVE_LINKS = DragModel(ChainModel([1.0, 0.7, 1.3, 0.9, 1.1]), 1.0, 2.5, quadrature=5)

@@ -455,6 +455,7 @@ class CountingProvider:
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
+        self.catalog = inner.catalog
         self.calls = 0
         self.rows = 0
 
@@ -586,6 +587,7 @@ class RecordingProvider:
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
+        self.catalog = inner.catalog
         self.log = []
 
     def contacts_at(self, r):

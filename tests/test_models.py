@@ -237,10 +237,11 @@ class TestLeggedStances:
 
     def test_selector_rule(self):
         model = two_leg_crawler()
-        assert model.contacts_many(np.array([0.2, 0.1])[None])[0] == frozenset({0})
-        assert model.contacts_many(np.array([0.1, 0.2])[None])[0] == frozenset({1})
+        catalog = model.contact_catalog()
+        assert catalog[model.contacts_many(np.array([0.2, 0.1])[None])[0]] == frozenset({0})
+        assert catalog[model.contacts_many(np.array([0.1, 0.2])[None])[0]] == frozenset({1})
         # tie goes to the lower index
-        assert model.contacts_many(np.array([0.3, 0.3])[None])[0] == frozenset({0})
+        assert catalog[model.contacts_many(np.array([0.3, 0.3])[None])[0]] == frozenset({0})
 
     def test_selector_piecewise_constant(self):
         model = two_leg_crawler()
@@ -248,7 +249,7 @@ class TestLeggedStances:
         for r1 in grid:
             for r2 in grid:
                 want = frozenset({0 if r1 >= r2 else 1})
-                assert model.contacts_many(np.array([r1, r2])[None])[0] == want
+                assert model.contact_catalog()[model.contacts_many(np.array([r1, r2])[None])[0]] == want
 
     def test_contact_catalog(self):
         assert two_leg_crawler().contact_catalog() == (frozenset({0}), frozenset({1}))

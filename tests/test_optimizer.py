@@ -206,19 +206,13 @@ class TestDisplacementObjective:
         assert abs(objective_displacement(swimmer, gait, "x")) <= 1e-10
 
     def test_singular_provider_scores_minus_inf(self):
-        from locomech import SingularConstraint
+        from locomech import ConnectionProvider, SingularConstraint
 
-        class AlwaysSingular:
+        class AlwaysSingular(ConnectionProvider):
             dim = 2
 
             def connection_many(self, label, shapes):
                 raise SingularConstraint("rank-deficient test configuration")
-
-            def contacts_at(self, r):
-                return None
-
-            def contacts_many(self, shapes):
-                return [None] * len(shapes)
 
         gait = amplitude_phase_family().build(np.array([0.5, 1.0]))
         value = objective_displacement(AlwaysSingular(), gait, "x")

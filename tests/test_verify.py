@@ -103,7 +103,7 @@ def test_residual_suite_builds_its_balances_once_and_labels_nothing(monkeypatch)
     # the value the provider's own connection rows give, bitwise
     box = scenario.verify["box"]
     shapes = np.random.default_rng(scenario.seed).uniform(-box, box, (count, scenario.dim))
-    rows, index = connection_rows(provider, shapes, [None] * count)
+    rows, index = connection_rows(provider, shapes, np.zeros(count, dtype=int))
     system = builder(shapes)
     want = (_max_abs(system.m @ rows[index] + system.n) / _balance_scale(system.m, system.n, rows[index])).max()
     assert row.value.hex() == float(want).hex()
