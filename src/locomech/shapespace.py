@@ -3,7 +3,9 @@
 Shapes are plain 1-D float arrays of joint coordinates.  Two gait forms are
 provided: truncated Fourier loops (closed by construction, analytic rates)
 and closed piecewise-linear waypoint loops (exact closure by repeating the
-first waypoint; rates are right-hand limits at the knots).
+first waypoint; rates are right-hand limits at the knots).  A Fourier loop
+retimed through the smoothstep warp is a third, knot-free form with exact
+rates; `reparameterize` retimes either form through any warp as a polyline.
 """
 
 from __future__ import annotations
@@ -107,6 +109,12 @@ class WaypointGait(_Sampled):
     def __post_init__(self) -> None:
         pts = _readonly(np.atleast_2d(self.points))
         times = _readonly(np.atleast_1d(self.times))
+        if not pts.shape[0]:
+            raise ValueError("a waypoint gait needs at least one waypoint")
+        if not np.isfinite(pts).all():
+            raise ValueError("waypoints must be finite")
+        if not np.isfinite(times).all():
+            raise ValueError("knot times must be finite")
         if times.shape[0] != pts.shape[0] + 1:
             raise ValueError(
                 f"need one more knot time than waypoints, got {times.shape[0]} times "
@@ -148,13 +156,43 @@ class WaypointGait(_Sampled):
 Gait = FourierGait | WaypointGait
 
 
+def smoothstep(t, period: float):
+    """The warp w(t) = T(3u^2 - 2u^3), u = t/T, of a float or an array: it maps [0, T] onto itself, strictly increasing."""
+    u = t / period
+    return period * (3.0 * u * u - 2.0 * u**3)
+
+
+class SmoothstepGait(_Sampled):
+    """A Fourier gait retimed through smoothstep, exactly: r(t) = base(w(t)), rdot(t) = base'(w(t)) w'(t).
+
+    Its rate factor is w'(t) = 6u(1 - u) in closed form, so the loop traces
+    the base's path over the same period, at rest at t = 0 and t = T.  It
+    has no knots.  It is a plain class: a dataclass would add about 0.5 ms
+    to every import.
+    """
+
+    def __init__(self, base: FourierGait) -> None:
+        self.base = base
+        self.period = base.period
+        self.dim = base.dim
+
+    def evaluate_many(self, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+        """Shapes and rates at every time of a (n,) array, as two (n, d) arrays; the rate is smooth."""
+        tau = _gait_times(times, side) % self.period
+        u = tau / self.period
+        r, rdot = self.base.evaluate_many(smoothstep(tau, self.period), side)
+        return r, rdot * (6.0 * u * (1.0 - u))[:, None]
+
+
 def reparameterize(gait: Gait, warp: Callable[[float], float], samples: int = 4096) -> WaypointGait:
     """Retime a gait through a strictly increasing warp of [0, T] onto [0, warp(T)].
 
-    The returned waypoint gait traces the identical shape-space path.  Waypoint
-    gaits keep their vertices and retime the knots; Fourier gaits are first
-    resampled into `samples` uniform segments.
+    Waypoint gaits keep their vertices and retime the knots, so the path is
+    identical; Fourier gaits are first resampled into `samples` uniform
+    segments, a polyline that moves the path slightly.
     """
+    if samples < 1:
+        raise ValueError(f"need at least one sample segment, got {samples}")
     if isinstance(gait, WaypointGait):
         old_times = gait.times
         pts = gait.points.copy()

@@ -7,7 +7,9 @@ integrator settings so a failing row points at a concrete configuration.
 One verify run integrates the scenario's own gait once, over the
 scenario's cycles when the continuity suite needs them and over one cycle
 otherwise, and every suite that needs it shares that run.  The one-cycle
-suites read its first cycle, which is bitwise a one-cycle run.
+suites read its first cycle, which is bitwise a one-cycle run.  The pacing
+suite retimes a Fourier gait exactly (SmoothstepGait, run at the scenario's
+step) and a waypoint gait through reparameterize, so neither moves the path.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from ._numerics import _uniforms
 from .connection import _balance_scale, _max_abs, linear_constraint_connection
 from .integrator import integrate_gait, net_displacement, pose_increments
 from .liegroup import compose, log
-from .shapespace import reparameterize, reversed_gait
+from .shapespace import FourierGait, SmoothstepGait, reparameterize, reversed_gait, smoothstep
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,14 @@ def _suite_reversal(scenario, base):
 
 
 def _suite_pacing(scenario, base):
-    period = scenario.gait.period
-
-    def warp(t):
-        u = t / period
-        return period * (3.0 * u * u - 2.0 * u**3)
-
+    # the connection is linear in the shape rate, so a retimed cycle moves the
+    # body as far.  A waypoint gait keeps its vertices and maps its knots
+    gait = scenario.gait
+    if isinstance(gait, FourierGait):
+        warped_gait = SmoothstepGait(gait)
+    else:
+        warped_gait = reparameterize(gait, partial(smoothstep, period=gait.period))
     shift = net_displacement(base())
-    warped_gait = reparameterize(scenario.gait, warp, samples=4096)
     warped = net_displacement(_integrate(scenario, 1, warped_gait))
     return [_check("pacing", "retimed_displacement_gap", (shift - warped).norm(), 1e-7)]
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locomech import FourierGait, WaypointGait, reparameterize, reversed_gait
+from locomech.shapespace import SmoothstepGait, smoothstep
 
 
 def square_loop():
@@ -143,6 +144,34 @@ def test_malformed_gaits_rejected():
         square_loop().evaluate(float("inf"))
 
 
+def test_waypoint_gait_rejects_an_empty_point_set():
+    with pytest.raises(ValueError, match="at least one waypoint"):
+        WaypointGait(points=np.zeros((0, 2)), times=[0.0])
+
+
+def test_waypoint_gait_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="waypoints must be finite"):
+        WaypointGait(points=[[0.0, 0.0], [1.0, float("nan")]], times=[0.0, 1.0, 2.0])
+
+
+def test_waypoint_gait_rejects_an_infinite_knot_time():
+    with pytest.raises(ValueError, match="knot times must be finite"):
+        WaypointGait(points=[[0.0], [1.0]], times=[0.0, 1.0, float("inf")])
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_reparameterize_rejects_fewer_than_one_sample(samples):
+    # zero samples made a gait of no points and period 0; negative ones leaked numpy's linspace error
+    with pytest.raises(ValueError, match="at least one sample"):
+        reparameterize(FourierGait(1.0, [0.0], sin=[[0.5]]), lambda t: t, samples=samples)
+
+
+def test_reparameterize_rejects_a_warp_to_infinity():
+    g = square_loop()
+    with pytest.raises(ValueError, match="knot times must be finite"):
+        reparameterize(g, lambda t: t if t < g.period else float("inf"))
+
+
 @pytest.mark.parametrize("side", ["Left", "RIGHT", "", "l"])
 def test_misspelled_side_is_rejected(side):
     # a misspelled side was read as "left" at some times and "right" at others
@@ -219,6 +248,12 @@ def test_reparameterize_rejects_bad_warps():
         reparameterize(g, lambda t: t * (3.0 - t))  # folds back past t = 1.5
     with pytest.raises(ValueError):
         reparameterize(g, lambda t: t + 1.0)
+
+
+def test_smoothstep_fixes_the_ends_and_rises_between():
+    period = 2.5
+    assert smoothstep(0.0, period) == 0.0 and smoothstep(period, period) == period
+    assert np.all(np.diff(smoothstep(np.linspace(0.0, period, 1001), period)) > 0.0)
 
 
 def test_reversed_fourier():
@@ -358,6 +393,26 @@ def test_reversal_is_an_involution(gait):
     # difference rounds by at most half an ulp of the period
     bound = 2.0 * len(gait.times) * np.spacing(gait.period)
     assert np.abs(back.times - gait.times).max() <= bound
+
+
+@GAIT_PROPERTY
+@given(fourier_gaits(), st.integers(0, 2**32 - 1), st.sampled_from(["right", "left"]))
+def test_smoothstep_gait_samples_its_base_at_the_warped_time_bitwise(gait, seed, side):
+    retimed = SmoothstepGait(gait)
+    period = gait.period
+    assert (retimed.period, retimed.dim) == (period, gait.dim)
+    times = sample_times(gait, seed)
+    r, rdot = retimed.evaluate_many(times, side)
+    tau = times % period
+    want_r, base_rdot = gait.evaluate_many(smoothstep(tau, period))
+    assert r.tobytes() == want_r.tobytes()
+    u = tau / period
+    assert rdot.tobytes() == (base_rdot * (6.0 * u * (1.0 - u))[:, None]).tobytes()
+    # the retimed loop starts and ends on the base's first shape, at rest
+    for t in (0.0, period):
+        shape, rate = retimed.evaluate(t, side)
+        assert shape.tobytes() == gait.evaluate(0.0)[0].tobytes()
+        assert not rate.any()
 
 
 @GAIT_PROPERTY

@@ -7,8 +7,9 @@ import pytest
 import yaml
 
 import locomech.verify as verify
-from locomech import integrate_gait, load_scenario, run_verify
+from locomech import integrate_gait, load_scenario, net_displacement, run_verify
 from locomech.connection import _balance_scale, _max_abs, connection_rows
+from locomech.shapespace import SmoothstepGait, smoothstep
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -107,3 +108,43 @@ def test_residual_suite_builds_its_balances_once_and_labels_nothing(monkeypatch)
     system = builder(shapes)
     want = (_max_abs(system.m @ rows[index] + system.n) / _balance_scale(system.m, system.n, rows[index])).max()
     assert row.value.hex() == float(want).hex()
+
+
+# the shipped scenarios whose pacing suite retimes a Fourier gait
+FOURIER_PACING = ["walker_mirror", "swimmer_circle", "rotate_translate_closure"]
+
+
+def pacing_gap(scenario):
+    (row,) = verify._suite_pacing(scenario, lambda: verify._integrate(scenario, 1))
+    return row.value
+
+
+def displacement(scenario, gait, step):
+    return net_displacement(integrate_gait(scenario.provider, gait, 1, step, scenario.event_tol))
+
+
+@pytest.mark.parametrize("name", FOURIER_PACING)
+def test_pacing_gap_is_the_integrators_own_error(name):
+    # retiming leaves the displacement unchanged exactly, so the gap is the
+    # two runs' step error: within 10x of the base gait's against step/8
+    scenario = load_scenario(str(SCENARIOS / f"{name}.yaml"))
+    fine = displacement(scenario, scenario.gait, scenario.step / 8)
+    base_error = (displacement(scenario, scenario.gait, scenario.step) - fine).norm()
+    assert pacing_gap(scenario) <= 10.0 * base_error
+    # at step/8 the retimed and base gaits agree closer still
+    retimed = displacement(scenario, SmoothstepGait(scenario.gait), scenario.step / 8)
+    assert (retimed - fine).norm() <= 1e-12
+
+
+class SmoothstepGaitWithoutRateFactor(SmoothstepGait):
+    """The base's rates at w(t), not scaled by w'(t): the path, but not a retiming of it."""
+
+    def evaluate_many(self, times, side="right"):
+        return self.base.evaluate_many(smoothstep(np.asarray(times, dtype=float) % self.period, self.period), side)
+
+
+@pytest.mark.parametrize("name", FOURIER_PACING)
+def test_pacing_fails_a_retiming_that_drops_the_rate_factor(monkeypatch, name):
+    scenario = load_scenario(str(SCENARIOS / f"{name}.yaml"))
+    monkeypatch.setattr(verify, "SmoothstepGait", SmoothstepGaitWithoutRateFactor)
+    assert pacing_gap(scenario) > 1e-7
