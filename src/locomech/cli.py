@@ -6,23 +6,25 @@ grid, optimize searches a gait family, and verify runs invariant suites.
 All output is plain CSV or JSON with a short metadata header (schema
 version and scenario hash, never timestamps), floats printed as %.17g so
 files reparse to the exact in-memory doubles and reruns are byte-identical.
-A field.csv column whose values repeat is formatted once per distinct bit
+Every CSV is one _write_table call: header keys and named columns.  A float
+column of any CSV whose values repeat is formatted once per distinct bit
 pattern, which gives the same bytes.  CSV files are written row by row from
 arrays computed before the file is opened, so an abort leaves no partial
 file.
 
 Exit codes: 0 success, 1 invariant failure, 2 scenario validation error
-(including an output location that cannot be created or written), 3
-numerical abort (singular constraint or degenerate stance).
+(including an output location that cannot be created, and an artifact that
+fails to open, write or close), 3 numerical abort (singular constraint or
+degenerate stance).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -35,12 +37,12 @@ from .verify import run_verify
 
 _TWIST_AXES = ("vx", "vy", "om")
 
-# trajectory.csv rows per slab, each one .tolist() and one write, so the
-# Python floats held at once stay bounded however long the run
-_SLAB_ROWS = 4096
+# rows per slab of a CSV table, each one .tolist() per column and one write,
+# so the Python objects held at once stay bounded however long the table
+_SLAB_ROWS = 512
 
 # cells in the strided sample that decides whether a float column is worth
-# spelling once per distinct value (see _pool_columns)
+# spelling once per distinct value (see _pool_column)
 _PROBE_CELLS = 256
 
 
@@ -50,24 +52,13 @@ def _contact_str(contacts) -> str:
     return "+".join(str(i) for i in sorted(contacts))
 
 
-def _spell_contacts(labels: list) -> list[str]:
-    """The contact-set cell of each label; each distinct label is spelled once."""
-    spelled = {label: _contact_str(label) for label in set(labels)}
-    return [spelled[label] for label in labels]
-
-
 def _header(scenario: Scenario, command: str) -> dict:
     """The schema version, scenario hash and command that head every artifact."""
     return {"schema": SCHEMA_VERSION, "scenario": f"sha256:{scenario.sha}", "command": command}
 
 
-def _meta_lines(scenario: Scenario, command: str) -> list[str]:
-    """The header as CSV comment lines."""
-    return [f"# {key}={value}" for key, value in _header(scenario, command).items()]
-
-
-def _pool_columns(values: np.ndarray) -> list:
-    """Per column of `values` (rows x k): None, or its spelled pool and each row's index into it.
+def _pool_column(cells: np.ndarray):
+    """None, or the spelled pool of a float column and each cell's index into it.
 
     A column is pooled when a strided sample of fewer than _PROBE_CELLS of
     its cells holds at most half as many distinct bit patterns; otherwise
@@ -75,121 +66,87 @@ def _pool_columns(values: np.ndarray) -> list:
     distinct bit pattern (not value, so -0.0, 0.0 and NaN payloads stay
     apart), and the index has the narrowest unsigned dtype that reaches it.
     """
-    bits = values.view(np.int64)
-    sample = bits[:: len(bits) // _PROBE_CELLS + 1].T.copy()
-    sample.sort()
-    distinct = 1 + np.count_nonzero(sample[:, 1:] != sample[:, :-1], axis=1)
-    pools = []
-    for column, count in zip(bits.T, distinct.tolist()):
-        if 2 * count > sample.shape[1]:
-            pools.append(None)
-            continue
-        patterns, index = np.unique(column, return_inverse=True)
-        spelled = np.array(["%.17g" % v for v in patterns.view(np.float64).tolist()], dtype=object)
-        pools.append((spelled, index.astype(np.min_scalar_type(max(len(patterns) - 1, 0)))))
-    return pools
+    bits = cells.view(np.int64)
+    sample = np.sort(bits[:: len(bits) // _PROBE_CELLS + 1])
+    if 2 * (1 + np.count_nonzero(sample[1:] != sample[:-1])) > len(sample):
+        return None
+    patterns, index = np.unique(bits, return_inverse=True)
+    spelled = np.array(["%.17g" % v for v in patterns.view(np.float64).tolist()], dtype=object)
+    return spelled, index.astype(np.min_scalar_type(len(patterns) - 1))
 
 
-def _float_slots(pools: list) -> list[str]:
-    """The template slot of each column planned by _pool_columns: %s for a pool, else %.17g."""
-    return ["%.17g" if pool is None else "%s" for pool in pools]
+def _column_plan(cells):
+    """The template slot of a table column and a function from a row slice to its plain Python cells."""
+    if isinstance(cells, list):
+        return "%s", cells.__getitem__
+    pool = _pool_column(cells) if cells.dtype.kind == "f" else None
+    if pool is None:
+        return ("%.17g" if cells.dtype.kind == "f" else "%d"), lambda rows: cells[rows].tolist()
+    spelled, index = pool
+    return "%s", lambda rows: spelled.take(index[rows]).tolist()
 
 
-def _float_cells(values: np.ndarray, pools: list, lo: int, hi: int) -> list[list]:
-    """The cells of rows lo:hi of `values`, column by column: floats, or pooled strings."""
-    if not any(pools):
-        return values[lo:hi].T.tolist()
-    return [
-        values[lo:hi, k].tolist() if pool is None else pool[0].take(pool[1][lo:hi]).tolist()
-        for k, pool in enumerate(pools)
-    ]
-
-
-def _open_artifact(path: str):
-    """Open an output file for writing; a path that cannot be written is a bad `out`."""
+@contextlib.contextmanager
+def _artifact(path: str):
+    """An output file open for writing; an OSError from opening, writing or closing it is a bad `out`."""
     try:
-        return open(path, "w", newline="")
+        with open(path, "w", newline="") as handle:
+            yield handle
     except OSError as exc:
         raise ScenarioError("out", f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_csv(path: str, head: list[str], template: str, slabs) -> None:
-    """Write the head lines, then `template % row` for every row of every slab.
+def _write_table(path: str, header: dict, columns: dict) -> None:
+    """Write header as `# key=value` lines, the column names, then one CSV row per cell index.
 
-    A slab is an iterable of row tuples of plain Python values; template
-    ends in a newline and spells each float %.17g, which gives the bytes of
-    format(x, ".17g").  A repeated value may come already spelled so, once
-    per distinct bit pattern (_pool_columns), and then fills a %s slot with
-    the same bytes.  Slabs only format values computed before the call, so
-    nothing that can abort runs once the file is open.
+    columns maps each name to its cells in row order: a float array, spelled
+    %.17g (the bytes of format(x, ".17g")) or, when its values repeat, once
+    per distinct bit pattern (_pool_column); an int or bool array, spelled
+    %d; or a list of cells that are already strings.  Rows go out in slabs
+    of _SLAB_ROWS.  Every cell is computed before the call, so nothing that
+    can abort runs once the file is open.
     """
-    with _open_artifact(path) as handle:
-        handle.write("\n".join(head) + "\n")
-        for rows in slabs:
-            handle.write("".join(map(template.__mod__, rows)))
+    slots, cuts = zip(*map(_column_plan, columns.values()))
+    template = ",".join(slots) + "\n"
+    with _artifact(path) as handle:
+        handle.write("".join(f"# {key}={value}\n" for key, value in header.items()) + ",".join(columns) + "\n")
+        for lo in range(0, len(next(iter(columns.values()))), _SLAB_ROWS):
+            rows = slice(lo, lo + _SLAB_ROWS)
+            handle.write("".join(map(template.__mod__, zip(*(cut(rows) for cut in cuts)))))
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with _open_artifact(path) as handle:
+    with _artifact(path) as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
 
-def _write_trajectory(path: str, meta: list[str], traj) -> None:
-    """Write trajectory.csv: one row per trajectory sample, in slabs of _SLAB_ROWS rows."""
+def _write_trajectory(path: str, header: dict, traj) -> None:
+    """Write trajectory.csv: one row per trajectory sample."""
     dim = traj.shapes.shape[1]
-    header = (
-        ["t", "x", "y", "theta"]
-        + [f"r{k + 1}" for k in range(dim)]
-        + ["xi_vx", "xi_vy", "xi_omega", "contact_set"]
-    )
-    values = np.column_stack([traj.times, traj.pose_array.T, traj.shapes, traj.twists])
-    contacts = _spell_contacts(traj.contacts)
-    slabs = (
-        zip(*values[k : k + _SLAB_ROWS].T.tolist(), contacts[k : k + _SLAB_ROWS])
-        for k in range(0, len(contacts), _SLAB_ROWS)
-    )
-    template = "%.17g," * (7 + dim) + "%s\n"
-    _write_csv(path, meta + [f"# dim={dim}", ",".join(header)], template, slabs)
+    columns = dict(zip(("t", "x", "y", "theta"), [traj.times, *traj.pose_array]))
+    columns.update((f"r{k + 1}", traj.shapes[:, k]) for k in range(dim))
+    columns.update(zip(("xi_vx", "xi_vy", "xi_omega"), traj.twists.T))
+    spelled = {label: _contact_str(label) for label in set(traj.contacts)}
+    columns["contact_set"] = [spelled[label] for label in traj.contacts]
+    _write_table(path, {**header, "dim": dim}, columns)
 
 
-def _write_field(path: str, meta: list[str], field, curv) -> None:
-    """Write field.csv: one row per grid node in row-major order, one grid row per slab.
-
-    Each axis value is spelled once, not once per node, and so is each
-    distinct cell of a connection or curvature column that repeats
-    (_pool_columns), such as the piecewise-constant stance connections of a
-    legged model.
-    """
+def _write_field(path: str, header: dict, field, curv) -> None:
+    """Write field.csv: one row per grid node in row-major order."""
     n1, n2, _, dim = field.conn.shape
-    header = ["i", "j", "r1", "r2"]
-    for axis in _TWIST_AXES:
-        header.extend(f"A_{axis}_{k + 1}" for k in range(dim))
-    header.extend(["contact_set", "singular"])
-    conn = field.conn.reshape(n1 * n2, 3 * dim)
-    conn_pools = _pool_columns(conn)
-    slots = ["%d", "%d", "%s", "%s", *_float_slots(conn_pools), "%s", "%d"]
+    i, j = np.indices((n1, n2), dtype=np.int32).reshape(2, n1 * n2)
+    columns = {"i": i, "j": j, "r1": field.axis1[i], "r2": field.axis2[j]}
+    names = [f"A_{axis}_{k + 1}" for axis in _TWIST_AXES for k in range(dim)]
+    columns.update(zip(names, field.conn.reshape(n1 * n2, 3 * dim).T))
+    spelled = np.array([_contact_str(label) for label in field.catalog], dtype=object)
+    codes = np.zeros(n1 * n2, dtype=np.uint8) if field.contacts is None else field.contacts.ravel()
+    columns["contact_set"] = spelled.take(codes).tolist()
+    columns["singular"] = field.singular.ravel()
     if curv is not None:
-        header.extend(["D_vx", "D_vy", "D_omega"])
-        curv_values = curv.values.reshape(n1 * n2, 3)
-        curv_pools = _pool_columns(curv_values)
-        slots.extend(_float_slots(curv_pools))
-    template = ",".join(slots) + "\n"
-    head = meta + [f"# counts={n1}x{n2}", f"# dim={dim}", f"# curvature={int(curv is not None)}", ",".join(header)]
-    axis1 = ["%.17g" % v for v in field.axis1.tolist()]
-    axis2 = ["%.17g" % v for v in field.axis2.tolist()]
-    spelled = [_contact_str(c) for c in field.catalog]
-    contacts = [""] * (n1 * n2) if field.contacts is None else [spelled[c] for c in field.contacts.ravel().tolist()]
-
-    def slab(i: int):
-        lo, hi = i * n2, (i + 1) * n2
-        columns = [repeat(i), range(n2), repeat(axis1[i]), axis2, *_float_cells(conn, conn_pools, lo, hi)]
-        columns.extend([contacts[lo:hi], field.singular[i].tolist()])
-        if curv is not None:
-            columns.extend(_float_cells(curv_values, curv_pools, lo, hi))
-        return zip(*columns)
-
-    _write_csv(path, head, template, map(slab, range(n1)))
+        columns.update(zip(("D_vx", "D_vy", "D_omega"), curv.values.reshape(n1 * n2, 3).T))
+    header = {**header, "counts": f"{n1}x{n2}", "dim": dim, "curvature": int(curv is not None)}
+    _write_table(path, header, columns)
 
 
 _COMMANDS = {}
@@ -209,7 +166,7 @@ def _command(name: str, help: str):
 @_command("simulate", "integrate the gait and write trajectory + summary")
 def cmd_simulate(scenario: Scenario) -> int:
     traj = integrate_gait(scenario.provider, scenario.gait, scenario.cycles, scenario.step, scenario.event_tol)
-    _write_trajectory(os.path.join(scenario.out_dir, "trajectory.csv"), _meta_lines(scenario, "simulate"), traj)
+    _write_trajectory(os.path.join(scenario.out_dir, "trajectory.csv"), _header(scenario, "simulate"), traj)
 
     net = net_displacement(traj)
     summary = {
@@ -233,7 +190,7 @@ def cmd_sweep(scenario: Scenario) -> int:
     field = sample_field(scenario.provider, scenario.grid)
     curv = curvature(field) if block["curvature"] else None
 
-    _write_field(os.path.join(scenario.out_dir, "field.csv"), _meta_lines(scenario, "sweep"), field, curv)
+    _write_field(os.path.join(scenario.out_dir, "field.csv"), _header(scenario, "sweep"), field, curv)
     return 0
 
 
@@ -262,12 +219,14 @@ def cmd_optimize(scenario: Scenario) -> int:
 @_command("verify", "run invariant suites; nonzero exit on failure")
 def cmd_verify(scenario: Scenario) -> int:
     rows = run_verify(scenario)
-    _write_csv(
-        os.path.join(scenario.out_dir, "verify.csv"),
-        _meta_lines(scenario, "verify") + ["suite,check,value,threshold,passed"],
-        "%s,%s,%.17g,%.17g,%d\n",
-        [[(row.suite, row.check, row.value, row.threshold, row.passed) for row in rows]],
-    )
+    columns = {
+        "suite": [row.suite for row in rows],
+        "check": [row.check for row in rows],
+        "value": np.array([row.value for row in rows], dtype=float),
+        "threshold": np.array([row.threshold for row in rows], dtype=float),
+        "passed": np.array([row.passed for row in rows], dtype=bool),
+    }
+    _write_table(os.path.join(scenario.out_dir, "verify.csv"), _header(scenario, "verify"), columns)
     for row in rows:
         verdict = "PASS" if row.passed else "FAIL"
         print("%s/%s: %s value=%.17g threshold=%.17g" % (row.suite, row.check, verdict, row.value, row.threshold))

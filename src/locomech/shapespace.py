@@ -66,6 +66,8 @@ class FourierGait(_Sampled):
         if cos.shape[1:] != (d,) or sin.shape[1:] != (d,):
             raise ValueError("harmonic coefficient arrays must have shape (K, d)")
         cos, sin = (_readonly(np.vstack([c, np.zeros((k - len(c), d))])) for c in (cos, sin))
+        if not (np.isfinite(mean).all() and np.isfinite(cos).all() and np.isfinite(sin).all()):
+            raise ValueError("gait mean and harmonic coefficients must be finite")
         object.__setattr__(self, "period", float(self.period))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cos", cos)

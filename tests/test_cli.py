@@ -30,6 +30,7 @@ from locomech import (
     sample_field,
 )
 from locomech.cli import main
+from locomech.verify import VerifyCheck
 from fuzzing import SCENARIOS, SHIPPED_DOCS, document_values, mutated_documents, table_documents, time_limit
 
 
@@ -574,6 +575,17 @@ class TestExitCodes:
         assert err.startswith("scenario error: out: cannot write ") and "field.csv" in err
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("artifact", ["trajectory.csv", "summary.json"])
+    def test_artifact_that_cannot_be_written_is_two(self, tmp_path, capsys, artifact):
+        # a write or close that fails (here ENOSPC) once escaped as a traceback with exit 1
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / artifact).symlink_to("/dev/full")
+        path = write_scenario(tmp_path, swimmer_doc())
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 2
+        target = tmp_path / "run" / artifact
+        assert capsys.readouterr().err == f"scenario error: out: cannot write {target}: No space left on device\n"
+
     def test_numerical_abort_is_three(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise SingularConstraint("fabricated abort for the exit-code path")
@@ -862,21 +874,25 @@ def test_main_keeps_the_exit_code_contract_on_table_documents(doc, data):
         assert "NaN" not in written["summary.json"] and "Infinity" not in written["summary.json"]
 
 
-# The per-cell CSV writer that the row-template writer replaced, kept as the
-# byte reference: one format(float(x), ".17g") per float cell and one join
-# over every line of the file.
+# The per-cell CSV writer that the table writer replaced, kept as the byte
+# reference: one format(float(x), ".17g") per float cell and one join over
+# every line of the file.
 def _reference_fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _reference_trajectory_text(meta, traj) -> str:
+def _reference_meta(header) -> list[str]:
+    return [f"# {key}={value}" for key, value in header.items()]
+
+
+def _reference_trajectory_text(header, traj) -> str:
     dim = traj.shapes.shape[1]
-    header = (
+    columns = (
         ["t", "x", "y", "theta"]
         + [f"r{k + 1}" for k in range(dim)]
         + ["xi_vx", "xi_vy", "xi_omega", "contact_set"]
     )
-    lines = meta + [f"# dim={dim}", ",".join(header)]
+    lines = _reference_meta(header) + [f"# dim={dim}", ",".join(columns)]
     for k, t in enumerate(traj.times):
         cells = [_reference_fmt(t)]
         cells.extend(_reference_fmt(v) for v in traj.pose_array[:, k])
@@ -887,16 +903,17 @@ def _reference_trajectory_text(meta, traj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reference_field_text(meta, field, curv) -> str:
+def _reference_field_text(header, field, curv) -> str:
     n1, n2 = field.conn.shape[:2]
     dim = field.conn.shape[3]
-    header = ["i", "j", "r1", "r2"]
+    columns = ["i", "j", "r1", "r2"]
     for axis in ("vx", "vy", "om"):
-        header.extend(f"A_{axis}_{k + 1}" for k in range(dim))
-    header.extend(["contact_set", "singular"])
+        columns.extend(f"A_{axis}_{k + 1}" for k in range(dim))
+    columns.extend(["contact_set", "singular"])
     if curv is not None:
-        header.extend(["D_vx", "D_vy", "D_omega"])
-    lines = meta + [f"# counts={n1}x{n2}", f"# dim={dim}", f"# curvature={int(curv is not None)}", ",".join(header)]
+        columns.extend(["D_vx", "D_vy", "D_omega"])
+    lines = _reference_meta(header) + [f"# counts={n1}x{n2}", f"# dim={dim}", f"# curvature={int(curv is not None)}"]
+    lines.append(",".join(columns))
     for i in range(n1):
         for j in range(n2):
             cells = [str(i), str(j), _reference_fmt(field.axis1[i]), _reference_fmt(field.axis2[j])]
@@ -950,11 +967,11 @@ def test_trajectory_writer_matches_the_per_cell_writer(data):
         twists=_float_arrays(data, (n, 3)),
         contacts=data.draw(st.lists(_LABELS, min_size=n, max_size=n)),
     )
-    meta = ["# schema=1", "# command=simulate"]
+    header = {"schema": 1, "command": "simulate"}
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_SLAB_ROWS", data.draw(st.integers(1, 4))):
         path = Path(tmp) / "trajectory.csv"
-        cli._write_trajectory(str(path), meta, traj)
-        assert path.read_bytes() == _reference_trajectory_text(meta, traj).encode()
+        cli._write_trajectory(str(path), header, traj)
+        assert path.read_bytes() == _reference_trajectory_text(header, traj).encode()
         got = read_trajectory(str(path))
     assert _same_floats(got["times"], traj.times)
     assert _same_floats(got["poses"], poses)
@@ -982,11 +999,11 @@ def test_field_writer_matches_the_per_cell_writer(data):
         singular=np.array(data.draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))).reshape(n1, n2),
     )
     curv = types.SimpleNamespace(values=_float_arrays(data, (n1, n2, 3))) if data.draw(st.booleans()) else None
-    meta = ["# schema=1", "# command=sweep"]
-    with tempfile.TemporaryDirectory() as tmp:
+    header = {"schema": 1, "command": "sweep"}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_SLAB_ROWS", data.draw(st.integers(1, 5))):
         path = Path(tmp) / "field.csv"
-        cli._write_field(str(path), meta, field, curv)
-        assert path.read_bytes() == _reference_field_text(meta, field, curv).encode()
+        cli._write_field(str(path), header, field, curv)
+        assert path.read_bytes() == _reference_field_text(header, field, curv).encode()
         got = read_field(str(path))
     assert _same_floats(got["axis1"], field.axis1)
     assert _same_floats(got["axis2"], field.axis2)
@@ -1007,6 +1024,11 @@ def test_field_writer_matches_the_per_cell_writer(data):
 # infinities and the largest magnitudes.
 _POOL_FLOATS = [math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072e-308, math.inf, -math.inf,
                 1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 0.1, 1e22]
+
+
+def _pools(values):
+    """The pool plan of each column of a (rows, k) array."""
+    return [cli._pool_column(column) for column in values.T]
 
 
 def _pooled_column(data, rng, n):
@@ -1034,13 +1056,13 @@ def test_field_writer_spells_repeated_columns_by_bit_pattern(data):
         singular=rng.random((n1, n2)) < 0.1,
     )
     curv = types.SimpleNamespace(values=np.column_stack(curv).reshape(n1, n2, 3))
-    pools = cli._pool_columns(field.conn.reshape(n1 * n2, 3 * dim)) + cli._pool_columns(curv.values.reshape(-1, 3))
+    pools = _pools(field.conn.reshape(n1 * n2, 3 * dim)) + _pools(curv.values.reshape(-1, 3))
     assert [pool is not None for pool in pools] == [*conn_pooled, *curv_pooled]
-    meta = ["# schema=1", "# command=sweep"]
-    with tempfile.TemporaryDirectory() as tmp:
+    header = {"schema": 1, "command": "sweep"}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_SLAB_ROWS", data.draw(st.integers(1, 64))):
         path = Path(tmp) / "field.csv"
-        cli._write_field(str(path), meta, field, curv)
-        assert path.read_bytes() == _reference_field_text(meta, field, curv).encode()
+        cli._write_field(str(path), header, field, curv)
+        assert path.read_bytes() == _reference_field_text(header, field, curv).encode()
 
 
 class TestPooledField:
@@ -1059,10 +1081,10 @@ class TestPooledField:
         doc = crawler_doc(sweep=sweep)
         doc["model"].update(hip_spacing=1.0, leg_length=1.0)
         sc, field, curv = self.field_of(tmp_path, doc)
-        text = _reference_field_text(cli._meta_lines(sc, "sweep"), field, curv)
+        text = _reference_field_text(cli._header(sc, "sweep"), field, curv)
         assert (tmp_path / "run" / "field.csv").read_bytes() == text.encode()
         # 9 float columns of 9409 cells each, spelled from a few hundred strings
-        pools = cli._pool_columns(field.conn.reshape(-1, 6)) + cli._pool_columns(curv.values.reshape(-1, 3))
+        pools = _pools(field.conn.reshape(-1, 6)) + _pools(curv.values.reshape(-1, 3))
         assert all(pool is not None for pool in pools)
         assert sum(len(spelled) for spelled, _ in pools) < 2000
         assert all(index.dtype == np.uint8 for _, index in pools)
@@ -1070,5 +1092,49 @@ class TestPooledField:
     def test_swimmer_columns_take_the_direct_path(self, tmp_path):
         sweep = {"lo": [-1.5, -1.5], "hi": [1.5, 1.5], "counts": [41, 41], "curvature": True}
         _, field, curv = self.field_of(tmp_path, swimmer_doc(sweep=sweep))
-        assert cli._pool_columns(field.conn.reshape(-1, 6)) == [None] * 6
-        assert cli._pool_columns(curv.values.reshape(-1, 3)) == [None] * 3
+        assert _pools(field.conn.reshape(-1, 6)) == [None] * 6
+        assert _pools(curv.values.reshape(-1, 3)) == [None] * 3
+
+
+def _reference_verify_text(header, rows) -> str:
+    lines = _reference_meta(header) + ["suite,check,value,threshold,passed"]
+    for row in rows:
+        cells = [row.suite, row.check, _reference_fmt(row.value), _reference_fmt(row.threshold), str(int(row.passed))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+# thresholds repeat across a suite's checks, so their column is often pooled
+_THRESHOLDS = st.sampled_from([1e-8, 1e-10, 1e-12, 0.0, -0.0, math.nan])
+
+
+@_WRITER
+@given(st.data())
+def test_verify_writer_matches_the_per_cell_writer(data):
+    n = data.draw(st.integers(0, 40))
+    rows = [
+        VerifyCheck(data.draw(st.sampled_from(["reversal", "pacing", "continuity"])), f"check{k}",
+                    data.draw(_CELL_FLOATS), data.draw(_THRESHOLDS), data.draw(st.booleans()))
+        for k in range(n)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = types.SimpleNamespace(sha="0" * 64, out_dir=tmp)
+        with (mock.patch.object(cli, "run_verify", lambda sc: rows),
+              mock.patch.object(cli, "_SLAB_ROWS", data.draw(st.integers(1, 8))),
+              contextlib.redirect_stdout(io.StringIO())):
+            assert cli.cmd_verify(scenario) == int(not all(row.passed for row in rows))
+        text = Path(tmp, "verify.csv").read_text()
+    assert text == _reference_verify_text(cli._header(scenario, "verify"), rows)
+
+
+def test_crawler_square_trajectory_pools_its_repeated_columns(tmp_path):
+    # the crawler's stance twists are piecewise constant and its square gait
+    # holds one shape coordinate at a time, so those columns are spelled from a pool
+    path = str(SCENARIOS / "crawler_square.yaml")
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 0
+    sc = load_scenario(path)
+    traj = integrate_gait(sc.provider, sc.gait, sc.cycles, sc.step, sc.event_tol)
+    text = _reference_trajectory_text(cli._header(sc, "simulate"), traj)
+    assert (tmp_path / "trajectory.csv").read_bytes() == text.encode()
+    pools = _pools(np.column_stack([traj.times, traj.pose_array.T, traj.shapes, traj.twists]))
+    assert [pool is not None for pool in pools] == [False] * 4 + [True, False] + [True] * 3

@@ -159,6 +159,17 @@ def test_waypoint_gait_rejects_an_infinite_knot_time():
         WaypointGait(points=[[0.0], [1.0]], times=[0.0, 1.0, float("inf")])
 
 
+@pytest.mark.parametrize(
+    "mean, cos, sin",
+    [([math.nan], None, [[0.5]]), ([1.0], None, [[math.inf]]), ([1.0], [[0.5], [-math.inf]], None),
+     ([1.0], [[0.5]], [[math.nan]])],
+)
+def test_fourier_gait_rejects_non_finite_coefficients(mean, cos, sin):
+    # FourierGait(1.0, [nan], sin=[[inf]]) once built and evaluated to ([nan], [-inf])
+    with pytest.raises(ValueError, match="must be finite"):
+        FourierGait(1.0, mean, cos=cos, sin=sin)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_reparameterize_rejects_fewer_than_one_sample(samples):
     # zero samples made a gait of no points and period 0; negative ones leaked numpy's linspace error

@@ -1,9 +1,12 @@
 """Print one digest line per CLI run, so two checkouts' outputs can be diffed.
 
-The runs are every shipped scenario under every command, and every
-perfbench workload document at the given seeds under the commands its
-workload runs.  Each run is a fresh ``python -m locomech.cli`` process on
-the chosen source tree, in its own scratch directory, and prints
+The runs are every shipped scenario under every command, every perfbench
+workload document at the given seeds under the commands its workload runs,
+and a fixed set of runs that must fail: an unknown key, a malformed sweep
+window and an ``--out`` that is a file (exit 2), and a gait whose stage
+twists overflow (exit 3).  Each run is a fresh ``python -m locomech.cli``
+process on the chosen source tree, in its own scratch directory, with only
+relative paths on its command line, and prints
 
     <run> exit=<code> <artifact>=<sha256> ... stdout=<sha256> stderr=<sha256>
 
@@ -37,24 +40,39 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# the arguments after the command: the document, and out/ beside it
+_ARGS = ["scenario.yaml", "--out", "out"]
+
+
+def _dump(doc: dict) -> str:
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
 def _runs(seeds):
-    """(label, YAML text, command) of every run, shipped scenarios first."""
+    """(label, YAML text, CLI arguments) of every run: shipped scenarios, perfbench documents, failures."""
     for path in sorted((ROOT / "scenarios").glob("*.yaml")):
         for command in ARTIFACTS:
-            yield f"{path.stem}/{command}", path.read_text(), command
+            yield f"{path.stem}/{command}", path.read_text(), [command, *_ARGS]
     for workload in WORKLOADS:
         for seed in seeds:
             docs = scenario_documents(workload, seed)
             for command, name in COMMANDS[workload]:
-                yield f"{workload}/{seed}/{name}/{command}", yaml.safe_dump(docs[name], sort_keys=False), command
+                yield f"{workload}/{seed}/{name}/{command}", _dump(docs[name]), [command, *_ARGS]
+    doc = yaml.safe_load((ROOT / "scenarios" / "swimmer_circle.yaml").read_text())
+    window = {**doc, "sweep": {**doc["sweep"], "lo": [-1.0, 0.5], "hi": [1.0, 0.2]}}
+    overflow = {**doc, "gait": {**doc["gait"], "cos": [[0.0, -1.0e160]], "sin": [[1.0e160, 0.0]]}}
+    yield "error/unknown_key/simulate", _dump({**doc, "colour": "red"}), ["simulate", *_ARGS]
+    yield "error/sweep_window/sweep", _dump(window), ["sweep", *_ARGS]
+    yield "error/out_is_a_file/sweep", _dump(doc), ["sweep", "scenario.yaml", "--out", "scenario.yaml"]
+    yield "error/overflow/simulate", _dump(overflow), ["simulate", *_ARGS, "--step", "0.05"]
 
 
-def digest(src: Path, label: str, text: str, command: str) -> str:
-    """Run one command on one document in a scratch directory; its digest line."""
+def digest(src: Path, label: str, text: str, args: list[str]) -> str:
+    """Run the CLI with args on one document in a scratch directory; its digest line."""
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "scenario.yaml").write_text(text)
         proc = subprocess.run(
-            [sys.executable, "-m", "locomech.cli", command, "scenario.yaml", "--out", "out"],
+            [sys.executable, "-m", "locomech.cli", *args],
             cwd=tmp,
             capture_output=True,
             env={**os.environ, "PYTHONPATH": str(src)},
