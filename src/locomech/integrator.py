@@ -1,16 +1,17 @@
 """Fixed-step Lie-group integration of gait-driven body motion.
 
 The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
-Munthe-Kaas scheme.  The shape path r(t) is prescribed, so every stage twist
-depends on t alone and the work is array passes.  A gait's step grid is
-planned from arrays: one gait.evaluate_many call samples every grid point and
-step midpoint, and one provider.contacts_many call gives their stance codes,
-indices into provider.catalog; a gait with no switch reuses those samples as
-its stages.  Only a step whose midpoint or end leaves its start's stance is
-split at the switch time, and integration resumes with the new piece from the
-same pose, so the pose path stays continuous; all switches are bisected
-together, one coding call per level.  A stance's label is looked up only for
-the events and Trajectory.contacts.  Gaits integrated together
+Munthe-Kaas scheme.  The shape path r(t) is prescribed and periodic, so
+every cycle moves the body by the first one's step increments: one cycle's
+step grid is planned from arrays, and one gait.evaluate_many call samples
+every grid point and step midpoint, and one provider.contacts_many call
+gives their stance codes, indices into provider.catalog; a gait with no
+switch reuses those samples as its stages.  Only a step whose midpoint or
+end leaves its start's stance is split at the switch time, and integration
+resumes with the new piece from the same pose, so the pose path stays
+continuous; all switches are bisected together, one coding call per level.
+A stance's label is looked up only for the events and Trajectory.contacts.
+Gaits integrated together
 (integrate_gaits), in batches of at most MAX_STEPS steps, share one
 connection_rows call, which evaluates each distinct (stance, stage shape)
 once, array passes for the step exponents and their exponentials, and one
@@ -145,12 +146,12 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     The step is snapped to an integer count per cycle so cycle boundaries are
     sample points.  Stance switches are located to event_tol (in time) by
     bisection, all switches together, one provider call per level; a step
-    containing several switches is split at each.  The steps and events are
-    planned from the stance codes alone, the connection is evaluated once
-    per distinct (stance, stage shape), and the stage twists are combined
-    into poses.  A non-finite connection entry, shape rate, stage twist, twist
-    norm, step exponent or pose raises SingularConstraint naming its time and
-    shape.
+    containing several switches is split at each.  One cycle's steps and
+    events are planned from the stance codes alone, the connection is
+    evaluated once per distinct (stance, stage shape), and the stage twists
+    are combined into poses, every cycle by the first one's increments.  A
+    non-finite connection entry, shape rate, stage twist, twist norm, step
+    exponent or pose raises SingularConstraint naming its time and shape.
     """
     return next(integrate_gaits(provider, [gait], cycles, step, event_tol))
 
@@ -170,86 +171,52 @@ def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_
     batch, samples, size = [], [], 0
     for gait in gaits:
         plan = list(_plan(provider, gait, cycles, step, event_tol))
-        if batch and size + len(plan[3]) - 1 > MAX_STEPS:
+        if batch and size + (len(plan[3]) - 1) * cycles > MAX_STEPS:
             yield from _finish(provider, batch, samples, cycles, step, event_tol)
             batch, samples, size = [], [], 0
         # no other reference keeps a sample, so _finish can free it
         samples.append(plan.pop())
         batch.append(plan)
-        size += len(plan[3]) - 1
+        size += (len(plan[3]) - 1) * cycles
     if batch:
         yield from _finish(provider, batch, samples, cycles, step, event_tol)
 
 
-def _sample(gait, ts, side: str = "right", knots=None):
-    """Shapes and rates at times ts, without numpy's overflow warnings; the stage rates are checked before use.
-
-    Given _knot_rows' knots, each knot row knots[0] of ts is sampled at its phase knots[1] instead.
-    """
-    if knots is not None:
-        ts = ts.copy()
-        ts[knots[0]] = knots[1]
+def _sample(gait, ts, side: str = "right"):
+    """Shapes and rates at times ts, without numpy's overflow warnings; the stage rates are checked before use."""
     with np.errstate(over="ignore", invalid="ignore"):
         return gait.evaluate_many(ts, side)
 
 
-# grid times closer than this, relative to a period over 1, are merged into one row
+# a step cut closer than this, relative to a period over 1, to a knot or a cycle end yields to it
 _MERGE_TOL = 1e-12
 
 
-def _step_grid(period: float, h: float, n_steps: int, cycles: int, knots) -> np.ndarray:
-    """Grid times of every cycle: its sorted step cuts and knots, each kept if over merge_tol past the last kept.
+def _step_grid(period: float, h: float, n_steps: int, knots) -> np.ndarray:
+    """One cycle's grid times: 0, then the step cuts and knots in order, then the period.
 
-    A cut within merge_tol of its cycle's end is dropped.  A cut over
-    merge_tol past the one before it is kept whatever was, so only the closer
-    cuts go through the greedy loop.
+    A cut within merge_tol of a knot, of 0 or of the period yields to it, so
+    every knot is a grid time.  Cuts are h >= period / MAX_STEPS apart, over
+    merge_tol for any period from 1e-6 up, so cuts are never merged together.
     """
     merge_tol = _MERGE_TOL * max(1.0, period)
-    cycle = np.arange(cycles + 1) * period
-    cuts = np.arange(1, n_steps) * h + cycle[:-1, None]
-    if len(knots):
-        cuts = np.sort(np.concatenate([cuts, np.add.outer(cycle[:-1], knots)], axis=1), axis=1)
-    # row k: the start of cycle k, its cuts and its end, where cycle k + 1 starts
-    rows = np.concatenate([cycle[:-1, None], cuts, cycle[1:, None]], axis=1)
-    keep = rows[:, 1:] - rows[:, :-1] > merge_tol
-    keep[:, -1] = True
-    close = np.flatnonzero(~keep).tolist()
-    times, kept = rows[:, :-1].ravel().tolist() if close else [], []
-    for k, i in enumerate(close):
-        # keep's flat index i is the cut at i + 1 of times, after the time at i
-        if not k or close[k - 1] != i - 1 or kept[-1]:
-            last = times[i]
-        kept.append(times[i + 1] - last > merge_tol)
-    keep.ravel()[close] = kept
-    keep[:, :-1] &= rows[:, -1:] - cuts > merge_tol
-    return np.concatenate([[0.0], rows[:, 1:][keep]])
-
-
-def _knot_rows(g: np.ndarray, period: float, cycles: int, phases: np.ndarray):
-    """(rows, right, left): each row of grid g that a knot became or merged into, and the phases it is sampled at.
-
-    phases are the gait's knot phases, 0 (the cycle boundary) first.  Knot k
-    of cycle c lies at c * period + phases[k], as _step_grid placed it: in
-    the last row at most merge_tol before it, else in its cycle's end.  A
-    row holding several knots takes its right side at the last of them and
-    its left side at the first.
-    """
-    cycle = np.arange(cycles + 1) * period
-    at = np.append(np.add.outer(cycle[:-1], phases), cycle[-1])
-    phases = np.append(np.tile(phases, cycles), 0.0)
-    rows = np.searchsorted(g, at, "right") - 1
-    rows += at - g[rows] > _MERGE_TOL * max(1.0, period)
-    new = rows[1:] != rows[:-1]
-    return rows[np.append(new, True)], phases[np.append(new, True)], phases[np.append(True, new)]
+    cuts = np.arange(1, n_steps) * h
+    starts, ends = np.append(0.0, knots), np.append(knots, period)
+    # the knot or cycle end on either side of each cut
+    k = np.searchsorted(ends, cuts)
+    keep = (cuts - starts[k] > merge_tol) & (ends[k] - cuts > merge_tol)
+    grid = np.concatenate([starts, cuts[keep], [period]])
+    # a knot-free grid is in order already; not sorting it spares a smooth
+    # run the 128 KB of resident memory numpy's first sort call maps in
+    return np.sort(grid) if len(knots) else grid
 
 
 def _plan(provider, gait, cycles: int, step: float, event_tol: float):
-    """(gait, n_steps, h, t, row_codes, events, knots, sampled): step j runs from t[j] to t[j + 1].
+    """(gait, n_steps, h, t, row_codes, events, sampled) of one cycle: step j runs from t[j] to t[j + 1].
 
     Step j runs on stance provider.catalog[row_codes[j]]; the plan reads
-    stance codes alone.  knots is _knot_rows of a gait's knots, as rows of t,
-    or None for a knot-free gait.  With no switch, sampled is the shapes and
-    rates at t and the step midpoints, else None.
+    stance codes alone.  With no switch, sampled is the shapes and rates at
+    t and the step midpoints, else None.
     """
     period = gait.period
     n_steps = steps_per_cycle(period, step, cycles)
@@ -276,17 +243,15 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float):
             hi[k[~same]], c_hi[k[~same]] = mid[k[~same]], c[~same]
 
     # Waypoint knots are rate corners; a stage sampled across one would cost
-    # the scheme its order, so knots are forced onto the step grid, and a
-    # knot's row is sampled at the knot's own phase, not at its rounded time.
-    phases = np.asarray(getattr(gait, "times", ()), dtype=float)[:-1]
-    g = _step_grid(period, h, n_steps, cycles, phases[1:])
-    knots = _knot_rows(g, period, cycles, phases) if len(phases) else None
+    # the scheme its order, so every knot is a grid time.  Each row is sampled
+    # at its own time: the period end's phase is exactly 0.
+    g = _step_grid(period, h, n_steps, np.asarray(getattr(gait, "times", ()), dtype=float)[1:-1])
     # code every grid point, then every step midpoint, in one call.  A step
     # ends on the stance its end point selects, and only a step whose
     # midpoint or end leaves its start's stance is searched for switches
     n = len(g) - 1
     g_mid = g[:-1] + 0.5 * (g[1:] - g[:-1])
-    sampled = _sample(gait, np.concatenate([g, g_mid]), knots=knots)
+    sampled = _sample(gait, np.concatenate([g, g_mid]))
     codes = provider.contacts_many(sampled[0])
     c0, c1, c_mid = codes[:n], codes[1:n + 1], codes[n + 1:]
     j = np.flatnonzero((c1 != c0) | (c_mid != c0))
@@ -313,25 +278,24 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float):
         t, row_codes = np.append(t, ev_t[rest]), np.append(row_codes, after[rest])
         order = np.argsort(t, kind="stable")
         t, row_codes = t[order], row_codes[order]
-        if knots is not None:
-            knots = (np.searchsorted(t, g[knots[0]]), *knots[1:])
         order = np.argsort(ev_t, kind="stable")
         catalog = provider.catalog
         ev = [x[order].tolist() for x in (ev_t, ev_lo, before, after)] + [_sample(gait, ev_t[order])[0]]
         events = [EventRecord(t_e, catalog[b], catalog[a], r, (lo_e, t_e)) for t_e, lo_e, b, a, r in zip(*ev)]
-        # a switch row after the first of its step marks a step holding several
+        # a switch row after the first of its step marks a step holding several, in every cycle
         late = len(found[0][0])
-        for t_switch in np.sort(ev_t[late:][rest[late:]]).tolist():
+        for t_switch in (np.arange(cycles)[:, None] * period + np.sort(ev_t[late:][rest[late:]])).ravel().tolist():
             warnings.warn(
                 f"multiple stance switches inside one step near t={t_switch:.6g}; splitting at each switch",
                 RuntimeWarning,
             )
-    return gait, n_steps, h, t, row_codes, events, knots, None if found else sampled
+    return gait, n_steps, h, t, row_codes, events, None if found else sampled
 
 
 def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
-    """Evaluate and combine planned gaits, each array pass over the rows of all of them.
+    """Evaluate and combine one cycle of each planned gait, each array pass over the rows of all of them.
 
+    Each gait's pose chain repeats the cycle's increments `cycles` times.
     samples holds each plan's sampled, and is emptied once the stages are laid out.
     """
     # -- evaluate: of N steps in all, step k has stages 3k, 3k + 1, 3k + 2 (start,
@@ -345,21 +309,21 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
     stage_times = np.empty(total + len(plans))
     stage_shapes, stage_rates = np.empty((2, len(stage_times), plans[0][0].dim))
     stage_codes = np.empty(len(stage_times), dtype=np.int32)
-    for (gait, _, _, t, row_codes, _, knots), sampled, span in zip(plans, samples, spans):
+    for (gait, _, _, t, row_codes, _), sampled, span in zip(plans, samples, spans):
         # each gait is sampled at its rows and midpoints once, by its plan if it
-        # had no switch; an end row is a row's sample, except at a knot row
-        # (a waypoint knot or period end), whose left limit differs from it
+        # had no switch; an end row is a row's sample, except at a waypoint knot
+        # or the period end, where a waypoint gait's left limit differs from it
         k = len(t)
         times = np.concatenate([t, t[:-1] + 0.5 * (t[1:] - t[:-1])])
-        shapes, rates = _sample(gait, times, knots=knots) if sampled is None else sampled
+        shapes, rates = _sample(gait, times) if sampled is None else sampled
         for offset, rows in ((0, np.s_[:k]), (1, np.s_[k:]), (2, np.s_[1:k])):
             at = span[offset::3]
             stage_times[at], stage_shapes[at], stage_rates[at] = times[rows], shapes[rows], rates[rows]
-        if knots is not None:
-            # the first knot row is row 0, which ends no step
-            rows, _, left = knots
-            at = span[2::3][rows[1:] - 1]
-            stage_shapes[at], stage_rates[at] = _sample(gait, left[1:], "left")
+        knots = getattr(gait, "times", ())
+        if len(knots):
+            rows = np.searchsorted(t, knots[1:])
+            at = span[2::3][rows - 1]
+            stage_shapes[at], stage_rates[at] = _sample(gait, t[rows], "left")
         stage_codes[span] = np.repeat(row_codes, 3)[:-2]
     del times, shapes, rates, sampled
     samples.clear()
@@ -394,14 +358,28 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
         u = _rkmk4_exponents(lengths, *(stage_twists[i:total:3].T for i in range(3)))
         _require_finite(np.isfinite(u).all(axis=0), "step exponent", stage_times[::3], stage_shapes[::3])
         del stage_times, stage_shapes, stage_twists
-        # a shorter gait's chain ends in identity steps, which leave its poses as they are
-        increments = np.zeros((3, len(n), n.max()))
-        increments[:, np.arange(n.max()) < n[:, None]] = exp_many(u)
+        # a gait's chain takes its cycle's increments `cycles` times; a shorter
+        # chain ends in identity steps, which leave its poses as they are
+        repeat = np.s_[:]
+        if cycles > 1:
+            repeat = np.concatenate([a + np.arange(cycles * k) % k for a, k in zip(stops // 3 - n, n)])
+        increments = np.zeros((3, len(n), cycles * n.max()))
+        increments[:, np.arange(cycles * n.max()) < cycles * n[:, None]] = exp_many(u)[:, repeat]
         poses = compose_chain(increments)
     out = []
     for plan, g, (shapes, twists, top, m) in zip(plans, poses.swapaxes(0, 1), rows):
-        gait, n_steps, h, t, row_codes, events, _ = plan
-        g = np.ascontiguousarray(g[:, :len(t)])
+        gait, n_steps, h, t, row_codes, events = plan
+        k = len(t) - 1
+        g = np.ascontiguousarray(g[:, :cycles * k + 1])
+        contacts = list(map(provider.catalog.__getitem__, row_codes.tolist()))
+        if cycles > 1:
+            # cycle c's rows and events are the first cycle's, at times c * period + t
+            offsets = np.arange(cycles) * gait.period
+            t = np.append((t[:-1] + offsets[:, None]).ravel(), cycles * gait.period)
+            shapes, twists = (np.concatenate([np.tile(x[:-1], (cycles, 1)), x[-1:]]) for x in (shapes, twists))
+            contacts = contacts[:-1] * cycles + contacts[-1:]
+            events = [EventRecord(e.time + c, e.before, e.after, e.shape, (e.window[0] + c, e.window[1] + c))
+                      for c in offsets.tolist() for e in events]
         # a non-finite coordinate stays non-finite under the product (theta is
         # wrapped and stays finite), so the last pose tells whether any pose is
         if not np.isfinite(g[:2, -1]).all():
@@ -409,10 +387,8 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
         meta = {"scheme": "rkmk4", "order": 4, "step_nominal": float(step), "step": float(h),
                 "steps_per_cycle": int(n_steps), "cycles": int(cycles), "period": float(gait.period),
                 "event_tol": float(event_tol), "max_twist_norm": float(top), "stage_shapes": int(m)}
-        cycle_indices = [0] + np.searchsorted(t, gait.period * np.arange(1, cycles + 1)).tolist()
-        contacts = list(map(provider.catalog.__getitem__, row_codes.tolist()))
         # row k's twist is the start stage of the step leaving row k
-        out.append(Trajectory(t, g, shapes, twists, contacts, events, cycle_indices, meta))
+        out.append(Trajectory(t, g, shapes, twists, contacts, events, list(range(0, cycles * k + 1, k)), meta))
     return out
 
 
@@ -426,8 +402,8 @@ def net_displacement(traj: Trajectory) -> Twist:
     """Per-cycle displacement exponent log(g(0)^-1 g(T)).
 
     The trajectory must span at least one full cycle; the first cycle's
-    increment is returned (increments of later cycles agree up to integration
-    error, see per_cycle_displacements).
+    increment is returned (later cycles repeat its steps, so theirs agree up
+    to the rounding of the pose products, see per_cycle_displacements).
     """
     return per_cycle_displacements(traj)[0]
 

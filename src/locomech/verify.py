@@ -5,9 +5,9 @@ numeric checks: a measured value, the threshold it must stay under, and
 the resulting verdict.  Suites reuse the scenario's model, gait, and
 integrator settings so a failing row points at a concrete configuration.
 One verify run integrates the scenario's own gait once, over the
-scenario's cycles when the continuity suite needs them and over one cycle
-otherwise, and every suite that needs it shares that run.  The one-cycle
-suites read its first cycle, which is bitwise a one-cycle run.  The pacing
+scenario's cycles, and every suite that needs it shares that run.  Later
+cycles repeat the first one's step increments, so the one-cycle suites read
+its first cycle, which is bitwise a one-cycle run.  The pacing
 suite retimes a Fourier gait exactly (SmoothstepGait, run at the scenario's
 step) and a waypoint gait through reparameterize, so neither moves the path.
 """
@@ -123,10 +123,9 @@ SUITES = {
 
 def run_verify(scenario) -> list[VerifyCheck]:
     """Run the scenario's selected suites and collect all check rows; ScenarioError without a verify block."""
-    suites = scenario.block("verify")["suites"]
     # the scenario's own gait, integrated on first use
-    base = cache(partial(_integrate, scenario, scenario.cycles if "continuity" in suites else 1))
+    base = cache(partial(_integrate, scenario, scenario.cycles))
     rows: list[VerifyCheck] = []
-    for name in suites:
+    for name in scenario.block("verify")["suites"]:
         rows.extend(SUITES[name](scenario, base))
     return rows

@@ -1,8 +1,8 @@
 """One-at-a-time references for the batched library paths.
 
 Pointwise gives a provider defined one shape at a time its batched calls;
-reference_plan is the one-switch-at-a-time stance-switch search over the
-greedy step grid of reference_cycle_grid; reference_compose_chain is the
+reference_plan is the one-switch-at-a-time stance-switch search over one
+cycle, on the step grid of reference_cycle_grid; reference_compose_chain is the
 pose product as one float loop; reference_nelder_mead runs the optimizer's
 restarts one after another.
 """
@@ -32,40 +32,28 @@ class Pointwise:
         return np.array([self.catalog.index(self.contacts_at(r)) for r in shapes], dtype=int)
 
 
-def reference_cycle_grid(period, h, n_steps, k, knots) -> list:
-    """Grid times of cycle k, its start included: the sorted step cuts and knots merged one cut at a time.
+def reference_cycle_grid(period, h, n_steps, knots) -> list:
+    """Grid times of one cycle: 0, the step cuts and knots in order, then the period, one cut at a time.
 
-    A cut is kept when more than merge_tol past the last kept time, and the
-    kept cuts within merge_tol of the cycle end are dropped again.
+    A cut within merge_tol of a knot, of 0 or of the period is dropped.
     """
     merge_tol = 1e-12 * max(1.0, period)
-    base = k * period
-    end = (k + 1) * period
-    cuts = [base + j * h for j in range(1, n_steps)]
-    cuts.extend(base + tk for tk in knots)
-    cuts.sort()
-    grid = [base]
-    for t in cuts:
-        if t - grid[-1] > merge_tol:
-            grid.append(t)
-    # the cycle start stays even when the whole period is below merge_tol
-    while len(grid) > 1 and end - grid[-1] <= merge_tol:
-        grid.pop()
-    grid.append(end)
-    return grid
+    fixed = [0.0, *knots, period]
+    cuts = [j * h for j in range(1, n_steps)]
+    return sorted(fixed + [t for t in cuts if all(abs(t - f) > merge_tol for f in fixed)])
 
 
-def reference_plan(provider, gait, cycles, step, event_tol):
-    """The one-at-a-time stance-switch search: times, contacts and events of an integration.
+def reference_plan(provider, gait, step, event_tol):
+    """The one-at-a-time stance-switch search over one cycle: its times, contacts and events.
 
     Each step whose midpoint or end leaves its start's stance is split at its
     switches one step at a time, and each switch is located by bisection
     with one single-time gait sample and one single-row label per midpoint.
-    The integrator locates every switch together; it must give the same
-    bits.
+    The integrator locates every switch together; its first cycle must give
+    the same bits.
     """
     period = gait.period
-    n_steps = steps_per_cycle(period, step, cycles)
+    n_steps = steps_per_cycle(period, step)
     h = period / n_steps
 
     def sample(ts, side: str = "right"):
@@ -77,10 +65,7 @@ def reference_plan(provider, gait, cycles, step, event_tol):
         r = sample([t])[0]
         return r[0], provider.catalog[provider.contacts_many(r)[0]]
 
-    times: list[float] = []
-    contacts: list = []
     events: list[EventRecord] = []
-    cycle_indices = [0]
 
     def locate_switch(t0: float, t1: float, c0):
         """First time in (t0, t1] whose selected stance differs from c0."""
@@ -135,23 +120,18 @@ def reference_plan(provider, gait, cycles, step, event_tol):
 
     knot_times = getattr(gait, "times", None)
     interior_knots = [] if knot_times is None else [float(t) for t in knot_times[1:-1]]
-
-    for k in range(cycles):
-        grid = reference_cycle_grid(period, h, n_steps, k, interior_knots)
-        n = len(grid) - 1
-        g = np.array(grid)
-        codes = provider.contacts_many(sample(np.concatenate([g, g[:-1] + 0.5 * np.diff(g)]))[0])
-        labels = [provider.catalog[c] for c in codes.tolist()]
-        if k == 0:
-            times.append(grid[0])
-            contacts.append(labels[0])
-        for j in range(n):
-            if not labels[j] == labels[j + 1] == labels[n + 1 + j]:
-                split(grid[j], grid[j + 1], labels[j])
-            times.append(grid[j + 1])
-            contacts.append(labels[j + 1])
-        cycle_indices.append(len(times) - 1)
-    return times, contacts, events, cycle_indices
+    grid = reference_cycle_grid(period, h, n_steps, interior_knots)
+    n = len(grid) - 1
+    g = np.array(grid)
+    codes = provider.contacts_many(sample(np.concatenate([g, g[:-1] + 0.5 * np.diff(g)]))[0])
+    labels = [provider.catalog[c] for c in codes.tolist()]
+    times, contacts = [grid[0]], [labels[0]]
+    for j in range(n):
+        if not labels[j] == labels[j + 1] == labels[n + 1 + j]:
+            split(grid[j], grid[j + 1], labels[j])
+        times.append(grid[j + 1])
+        contacts.append(labels[j + 1])
+    return times, contacts, events
 
 
 def reference_compose_chain(increments) -> np.ndarray:

@@ -586,6 +586,34 @@ class TestExitCodes:
         target = tmp_path / "run" / artifact
         assert capsys.readouterr().err == f"scenario error: out: cannot write {target}: No space left on device\n"
 
+    @staticmethod
+    def _verify_to(stdout, tmp_path):
+        """Run verify on a shipped scenario in a fresh process with the given stdout; its exit code and stderr."""
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "rotate_translate_closure.yaml"
+        proc = subprocess.run(
+            [sys.executable, "-m", "locomech.cli", "verify", str(scenario), "--out", str(tmp_path / "run")],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_stdout_that_cannot_be_written_is_two(self, tmp_path):
+        # the verdict lines once escaped as a traceback with exit 1, the verify-failure code
+        with open("/dev/full", "w") as full:
+            code, err = self._verify_to(full, tmp_path)
+        assert (code, err) == (2, "scenario error: out: cannot write stdout: No space left on device\n")
+
+    def test_stdout_on_a_closed_pipe_is_two(self, tmp_path):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, err = self._verify_to(write, tmp_path)
+        finally:
+            os.close(write)
+        assert (code, err) == (2, "scenario error: out: cannot write stdout: Broken pipe\n")
+
     def test_numerical_abort_is_three(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise SingularConstraint("fabricated abort for the exit-code path")

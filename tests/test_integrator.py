@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from itertools import accumulate
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,10 +272,10 @@ def test_per_cycle_displacements_agree():
         assert (d - per[0]).norm() < 1e-9
 
 
-# A knot row's time rounds off its knot in a later cycle (1.65 % 1.0 is below
-# 0.65) or off a period of 0.1 (3 * 0.1 % 0.1 is 2.7e-17); sampled at that
-# time, a step ending or starting there took the wrong segment's rate, an
-# O(h) error per cycle.
+# A later cycle's knot time c T + t_k rounds off its knot (1.65 % 1.0 is below
+# 0.65), as does a period of 0.1 (3 * 0.1 % 0.1 is 2.7e-17); sampled at that
+# time, a step ending or starting there would take the wrong segment's rate,
+# an O(h) error per cycle.  Every cycle repeats the first one's steps instead.
 KNOT_POINTS = [[0.1, -0.7], [0.7, 0.1], [-0.3, 0.3]]
 
 
@@ -291,7 +292,7 @@ def test_waypoint_cycles_displace_alike(times, step):
 
 def test_a_knot_merged_into_a_cut_keeps_fourth_order():
     # at 35, 70 and 140 steps the cut nearest the knot at 0.4 lands 3e-17
-    # below it and the knot merges into that cut's row
+    # below it and yields to the knot
     gait = WaypointGait(KNOT_POINTS + [[0.2, -0.4]], [0.0, 0.2, 0.4, 0.8, 1.0])
     provider = three_link_swimmer().provider()
     ref = net_displacement(integrate_gait(provider, gait, step=1.0 / 4000))
@@ -378,23 +379,27 @@ def test_multi_switch_step_warns_and_recovers():
 
 
 def assert_plan_matches_the_one_at_a_time_search(provider, gait, cycles, step, event_tol):
-    """integrate_gait's rows, events and warnings, bitwise those of reference_plan."""
+    """integrate_gait's first cycle of rows, events and warnings, bitwise reference_plan's; later cycles repeat it."""
     with warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
         traj = integrate_gait(provider, gait, cycles=cycles, step=step, event_tol=event_tol)
     with warnings.catch_warnings(record=True) as want_warnings:
         warnings.simplefilter("always")
-        times, contacts, events, cycle_indices = reference_plan(provider, gait, cycles, step, event_tol)
-    assert [t.hex() for t in traj.times.tolist()] == [t.hex() for t in times]
-    assert traj.contacts == contacts
-    assert traj.cycle_indices == cycle_indices
-    assert len(traj.events) == len(events)
+        times, contacts, events = reference_plan(provider, gait, step, event_tol)
+    n = len(times) - 1
+    assert [t.hex() for t in traj.times[:n + 1].tolist()] == [t.hex() for t in times]
+    assert traj.contacts[:n + 1] == contacts
+    assert traj.cycle_indices == list(range(0, cycles * n + 1, n))
+    assert len(traj.events) == cycles * len(events)
     for got, want in zip(traj.events, events):
         assert got.time.hex() == want.time.hex()
         assert [w.hex() for w in got.window] == [w.hex() for w in want.window]
         assert (got.before, got.after) == (want.before, want.after)
         assert got.shape.tobytes() == want.shape.tobytes()
-    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    # each cycle warns as the first does
+    assert len(got_warnings) == cycles * len(want_warnings)
+    assert [str(w.message) for w in got_warnings[:len(want_warnings)]] == [str(w.message) for w in want_warnings]
+    assert_cycles_repeat_the_first(traj, gait.period)
     return traj
 
 
@@ -472,18 +477,19 @@ class CountingProvider:
 
 
 def test_smooth_integration_makes_two_evaluations_per_step():
-    # a smooth gait's stage shapes are the n + 1 row shapes and the n step
-    # midpoints: k2 and k3 share the midpoint, and a step's end shape is the
-    # next step's start.  All of them go to the provider in one call, once
-    # each; shapes repeat when the gait revisits them, since it reduces t
-    # modulo its period (every cycle end is the shape at t = 0)
+    # a smooth gait's stage shapes are one cycle's n + 1 row shapes and n
+    # step midpoints: k2 and k3 share the midpoint, a step's end shape is
+    # the next step's start, and the later cycles repeat the first.  All of
+    # them go to the provider in one call, once each; shapes repeat when the
+    # gait revisits them, since it reduces t modulo its period (the cycle
+    # end is the shape at t = 0)
     provider = CountingProvider(three_link_swimmer().provider())
     gait = FourierGait(1.0, [0.0, 0.0], cos=[[0.0, -0.5]], sin=[[0.5, 0.0]])
     traj = integrate_gait(provider, gait, cycles=2, step=0.05)
-    n = len(traj.times) - 1
-    assert n == 40
-    mids = traj.times[:-1] + 0.5 * np.diff(traj.times)
-    distinct = {gait.evaluate(t)[0].tobytes() for t in np.concatenate([traj.times, mids])}
+    n = traj.cycle_indices[1]
+    assert (n, len(traj.times)) == (20, 41)
+    t = traj.times[:n + 1]
+    distinct = {gait.evaluate(x)[0].tobytes() for x in np.concatenate([t, t[:-1] + 0.5 * np.diff(t)])}
     assert provider.calls == 1
     assert provider.rows == len(distinct) == traj.meta["stage_shapes"]
     assert provider.rows <= 2 * n + 1
@@ -551,8 +557,9 @@ def test_single_piece_provider_is_labelled_in_one_call(name, cycles):
     sc = load_scenario(str(CRAWLER_SQUARE.with_name(f"{name}.yaml")))
     provider = LabelCounting(sc.provider)
     traj = integrate_gait(provider, sc.gait, cycles=cycles, step=0.01)
+    # one cycle's rows and midpoints; the later cycles repeat its codes
     assert provider.label_batches == 1
-    assert provider.label_rows == 2 * (len(traj.times) - 1) + 1
+    assert provider.label_rows == 2 * traj.cycle_indices[1] + 1
 
 
 def test_one_smooth_cycle_evaluates_two_shapes_per_step():
@@ -666,11 +673,13 @@ def test_twist_rows_are_right_side_twists_on_the_row_stance(provider, gait):
         assert len(traj.events) == 4
         assert {e.time for e in traj.events} <= set(traj.times)
         assert set(gait.times[1:-1]) <= set(traj.times)
-    for k, t in enumerate(traj.times):
+    # a later cycle's row is the first cycle's, sampled at its time in that cycle
+    n = traj.cycle_indices[1]
+    for k in range(len(traj.times)):
         r = traj.shapes[k]
         piece = traj.contacts[k]
         a = provider.connection_at(r) if piece is None else provider.connection_for(piece, r)
-        expected = a @ gait.evaluate(t, "right")[1]
+        expected = a @ gait.evaluate(traj.times[k % n], "right")[1]
         assert np.array_equal(traj.twists[k], expected), k
 
 
@@ -698,30 +707,27 @@ def test_twist_rows_are_right_side_twists_on_the_row_stance(provider, gait):
 )
 def test_stage_twists_are_their_own_samples(provider, gait, monkeypatch):
     # the stages reuse the plan's samples; each must still be its own time's
-    # twist on the step's stance, the end stage at the left limit.  A knot
-    # row's time c T + t_k may round off the knot (1.3 % 1.0 is above 0.3),
-    # so its stages are the knot's own samples, taken at the phase t_k
+    # twist on the step's stance, the end stage at the left limit.  Only the
+    # first cycle is evaluated, and every knot is one of its row times
     stages = []
     combine = integrator._rkmk4_exponents
     monkeypatch.setattr(integrator, "_rkmk4_exponents", lambda h, *k: stages.append(k) or combine(h, *k))
     traj = integrate_gait(provider, gait, cycles=2, step=0.03)
     ((k1, mid, end),) = stages
-    t, corners = traj.times, 0
-    knots = [(c * gait.period + tk, tk) for c in range(3) for tk in getattr(gait, "times", [])[:-1]]
-
-    def phase(time):
-        """A knot row's sample time is its knot's phase; any other row's is its time."""
-        return next((tk for tc, tk in knots if abs(time - tc) <= 1e-12), time)
+    n = traj.cycle_indices[1]
+    t, corners = traj.times[:n + 1], 0
+    assert k1.shape[1] == n
+    assert set(getattr(gait, "times", [])) <= set(t)
 
     def twist(piece, time, side):
         r, rdot = gait.evaluate(time, side)
         return (provider.connection_at(r) if piece is None else provider.connection_for(piece, r)) @ rdot
 
-    for j, piece in enumerate(traj.contacts[:-1]):
-        assert np.array_equal(k1[:, j], twist(piece, phase(t[j]), "right")), j
+    for j, piece in enumerate(traj.contacts[:n]):
+        assert np.array_equal(k1[:, j], twist(piece, t[j], "right")), j
         assert np.array_equal(mid[:, j], twist(piece, t[j] + 0.5 * (t[j + 1] - t[j]), "right")), j
-        assert np.array_equal(end[:, j], twist(piece, phase(t[j + 1]), "left")), j
-        corners += not np.array_equal(end[:, j], twist(piece, phase(t[j + 1]), "right"))
+        assert np.array_equal(end[:, j], twist(piece, t[j + 1], "left")), j
+        corners += not np.array_equal(end[:, j], twist(piece, t[j + 1], "right"))
     # a waypoint gait's rate jumps at its knots, so some end stages are not right-side samples
     assert (corners > 0) == isinstance(gait, WaypointGait)
 
@@ -865,18 +871,20 @@ def test_event_records_at_the_default_tolerance_are_unchanged():
 
 
 # every crawler_square event record, recorded with the differenced stance
-# maps: (time, window, stance before, stance after, shape), floats in hex
+# maps: (time, window, stance before, stance after, shape), floats in hex.
+# A later cycle's switch shape is the first cycle's (it was sampled at the
+# later time, whose phase 1.5000000041894 - 1 rounds off the first's)
 CRAWLER_SQUARE_RECORDS = [
     ("0x1.0000000083127p-1", "0x1.0000000000000p-1", "0x1.0000000083127p-1", {0}, {1},
      ["0x1.7ffffffced916p-2", "0x1.8000000000000p-2"]),
     ("0x1.0000000000000p+0", "0x1.ffffffff7ced9p-1", "0x1.0000000000000p+0", {1}, {0},
      ["-0x1.8000000000000p-2", "-0x1.8000000000000p-2"]),
     ("0x1.8000000041894p+0", "0x1.8000000000000p+0", "0x1.8000000041894p+0", {0}, {1},
-     ["0x1.7ffffffced910p-2", "0x1.8000000000000p-2"]),
+     ["0x1.7ffffffced916p-2", "0x1.8000000000000p-2"]),
     ("0x1.0000000000000p+1", "0x1.ffffffffbe76cp+0", "0x1.0000000000000p+1", {1}, {0},
      ["-0x1.8000000000000p-2", "-0x1.8000000000000p-2"]),
     ("0x1.4000000020c4ap+1", "0x1.4000000000000p+1", "0x1.4000000020c4ap+1", {0}, {1},
-     ["0x1.7ffffffced910p-2", "0x1.8000000000000p-2"]),
+     ["0x1.7ffffffced916p-2", "0x1.8000000000000p-2"]),
     ("0x1.8000000000000p+1", "0x1.7fffffffdf3b6p+1", "0x1.8000000000000p+1", {1}, {0},
      ["-0x1.8000000000000p-2", "-0x1.8000000000000p-2"]),
 ]
@@ -893,13 +901,17 @@ def test_crawler_square_event_records_are_bitwise_unchanged():
 
 
 def test_event_tolerance_below_the_float_spacing_stops_at_adjacent_floats():
-    # near t = 3 one ulp is 4.4e-16: the bracket cannot shrink to 1e-17, so
-    # the bisection must stop once its midpoint is an endpoint
+    # near t = 1 one ulp is 2.2e-16: the bracket cannot shrink to 1e-17, so
+    # the bisection must stop once its midpoint is an endpoint.  The later
+    # cycles' windows are the first cycle's, offset by whole periods
     provider, events = crawler_square_events(1e-17)
     assert len(events) == len(CRAWLER_SQUARE_EVENTS)
-    for e, (t, _) in zip(events, CRAWLER_SQUARE_EVENTS):
+    first = events[:2]
+    for k, (e, (t, _)) in enumerate(zip(events, CRAWLER_SQUARE_EVENTS)):
+        c, e0 = k // 2, first[k % 2]
         lo, hi = e.window
-        assert hi == e.time and np.nextafter(lo, math.inf) == hi
+        assert (e.time, lo, hi) == (e0.time + c, e0.window[0] + c, e0.window[1] + c)
+        assert c or (hi == e.time and np.nextafter(lo, math.inf) == hi)
         assert abs(e.time - float.fromhex(t)) <= 1e-10
         assert provider.contacts_at(e.shape) == e.after != e.before
 
@@ -937,7 +949,7 @@ def test_pose_increments_are_the_scalar_group_ops_bitwise():
     assert net_displacement(traj) == per_cycle_displacements(traj)[0]
 
 
-# -- the step grid: one array pass, bitwise the greedy loop ---------------------
+# -- the step grid: one cycle, every knot a grid time ---------------------------
 
 
 @st.composite
@@ -954,13 +966,58 @@ def grid_cases(draw):
     return period, h, n_steps, sorted(t for t in knots if 0.0 < t < period)
 
 
+def greedy_cycle_grid(period, h, n_steps, knots) -> list:
+    """The old step grid of one cycle: sorted cuts and knots, each kept if over merge_tol past the last kept.
+
+    The kept times within merge_tol of the period are dropped again, so a
+    knot could merge into a cut, or into the period end.
+    """
+    merge_tol = 1e-12 * max(1.0, period)
+    grid = [0.0]
+    for t in sorted([j * h for j in range(1, n_steps)] + list(knots)):
+        if t - grid[-1] > merge_tol:
+            grid.append(t)
+    while len(grid) > 1 and period - grid[-1] <= merge_tol:
+        grid.pop()
+    return grid + [period]
+
+
 @settings(max_examples=150, deadline=None)
-@given(grid_cases(), st.integers(1, 3))
-def test_step_grid_is_the_greedy_loop_bitwise(case, cycles):
+@given(grid_cases())
+def test_every_knot_is_a_grid_time(case):
     period, h, n_steps, knots = case
-    want = [0.0] + [t for k in range(cycles) for t in reference_cycle_grid(period, h, n_steps, k, knots)[1:]]
-    got = _step_grid(period, h, n_steps, cycles, np.array(knots, dtype=float))
-    assert [t.hex() for t in got.tolist()] == [t.hex() for t in want]
+    got = _step_grid(period, h, n_steps, np.array(knots, dtype=float))
+    assert [t.hex() for t in got.tolist()] == [t.hex() for t in reference_cycle_grid(period, h, n_steps, knots)]
+    assert set(knots) <= set(got.tolist())
+    assert got[0] == 0.0 and got[-1] == period and np.all(np.diff(got) > 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+def test_a_grid_without_near_times_is_the_greedy_loop_bitwise(case):
+    # with no cut within merge_tol of a knot, and no knots that close, the
+    # greedy loop merged no knot, so both grids are the same times
+    period, h, n_steps, near = case
+    tol = 1e-12 * max(1.0, period)
+    knots = []
+    for t in near:
+        if all(abs(t - f) > tol for f in [0.0, period, *knots] + [j * h for j in range(1, n_steps)]):
+            knots.append(t)
+    got = _step_grid(period, h, n_steps, np.array(knots, dtype=float))
+    assert [t.hex() for t in got.tolist()] == [t.hex() for t in greedy_cycle_grid(period, h, n_steps, knots)]
+
+
+def test_a_short_waypoint_segment_is_integrated():
+    # a segment shorter than merge_tol between two knots is a step of its own;
+    # the displacement depends on the path alone, so the polygon retimed
+    # with no short segment moves the body as far, up to that one step's
+    # error on a segment 0.028 long (7.9e-9).  Merged away, it was 6.6e-3 off
+    points = [[0.1, -0.7], [0.7, 0.1], [0.72, 0.12], [-0.3, 0.3]]
+    provider = three_link_swimmer().provider()
+    short = integrate_gait(provider, WaypointGait(points, [0.0, 0.3, 0.3 + 1e-13, 0.65, 1.0]), step=1e-3)
+    even = integrate_gait(provider, WaypointGait(points, [0.0, 0.4, 0.65, 0.9, 1.0]), step=1e-3)
+    assert 0.3 + 1e-13 in short.times.tolist()
+    assert (net_displacement(short) - net_displacement(even)).norm() <= 1e-7
 
 
 # -- batched gaits: each trajectory bitwise its own integration ----------------
@@ -984,6 +1041,32 @@ def batch_gait(draw):
     times = period * np.concatenate([[0.0], np.cumsum(gaps)]) / sum(gaps)
     times[-1] = period
     return WaypointGait(points=points, times=times)
+
+
+def assert_cycles_repeat_the_first(traj, period):
+    """Cycle c's rows, twists, stances and events are bitwise cycle 0's, at times c * period + t."""
+    idx = traj.cycle_indices
+    n = idx[1]
+    assert idx == list(range(0, len(traj.times), n))
+    # a switch near a cycle end may round onto it once offset, so cycles are counted, not timed
+    per_cycle, left = divmod(len(traj.events), len(idx) - 1)
+    assert not left
+    first = traj.events[:per_cycle]
+    # the last row is the first cycle's end row, at cycles * period
+    assert traj.times[-1] == (len(idx) - 1) * period
+    assert traj.shapes[-1].tobytes() == traj.shapes[n].tobytes()
+    assert traj.twists[-1].tobytes() == traj.twists[n].tobytes()
+    assert traj.contacts[-1] == traj.contacts[n]
+    for c, a in enumerate(idx[:-1]):
+        rows = slice(a, a + n)
+        assert traj.times[rows].tobytes() == (traj.times[:n] + c * period).tobytes()
+        assert traj.shapes[rows].tobytes() == traj.shapes[:n].tobytes()
+        assert traj.twists[rows].tobytes() == traj.twists[:n].tobytes()
+        assert traj.contacts[rows] == traj.contacts[:n]
+        for got, want in zip(traj.events[c * per_cycle:], first):
+            offset = c * period
+            assert (got.time, got.window) == (want.time + offset, (want.window[0] + offset, want.time + offset))
+            assert (got.before, got.after, got.shape.tobytes()) == (want.before, want.after, want.shape.tobytes())
 
 
 def assert_same_trajectory(got, want):
@@ -1017,6 +1100,27 @@ def test_batched_trajectories_are_the_separate_ones_bitwise(gaits, model, cycles
     assert len(batch) == len(gaits)
     for got, want in zip(batch, alone):
         assert_same_trajectory(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gait=batch_gait(), model=st.sampled_from(sorted(BATCH_PROVIDERS)), cycles=st.integers(1, 3),
+       step=st.sampled_from([0.02, 0.05, 0.1]))
+def test_every_cycle_repeats_the_first_bitwise(gait, model, cycles, step):
+    # one cycle is planned and evaluated; the chain repeats its increments
+    provider = BATCH_PROVIDERS[model]
+    chains = []
+    compose = integrator.compose_chain
+    with warnings.catch_warnings(), mock.patch.object(
+        integrator, "compose_chain", lambda increments: chains.append(increments) or compose(increments)
+    ):
+        warnings.simplefilter("ignore")
+        traj = integrate_gait(provider, gait, cycles, step)
+        alone = integrate_gait(provider, gait, 1, step)
+    assert_cycles_repeat_the_first(traj, gait.period)
+    n = alone.cycle_indices[1]
+    assert traj.pose_array[:, :n + 1].tobytes() == alone.pose_array.tobytes()
+    for c in range(cycles):
+        assert chains[0][:, :, c * n:(c + 1) * n].tobytes() == chains[1].tobytes()
 
 
 def nan_outside_a_disc(r):

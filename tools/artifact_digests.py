@@ -67,8 +67,12 @@ def _runs(seeds):
     yield "error/overflow/simulate", _dump(overflow), ["simulate", *_ARGS, "--step", "0.05"]
 
 
-def digest(src: Path, label: str, text: str, args: list[str]) -> str:
-    """Run the CLI with args on one document in a scratch directory; its digest line."""
+def run(src: Path, text: str, args: list[str]) -> tuple[int, dict[str, bytes]]:
+    """Run the CLI with args on one document in a scratch directory: its exit code and outputs.
+
+    The outputs are the artifacts the run wrote, in name order, then stdout
+    and stderr.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "scenario.yaml").write_text(text)
         proc = subprocess.run(
@@ -78,10 +82,15 @@ def digest(src: Path, label: str, text: str, args: list[str]) -> str:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         out = Path(tmp, "out")
-        files = sorted(out.iterdir()) if out.is_dir() else []
-        fields = [f"exit={proc.returncode}"] + [f"{f.name}={_sha(f.read_bytes())}" for f in files]
-    fields += [f"stdout={_sha(proc.stdout)}", f"stderr={_sha(proc.stderr)}"]
-    return " ".join([label, *fields])
+        outputs = {f.name: f.read_bytes() for f in (sorted(out.iterdir()) if out.is_dir() else [])}
+    outputs.update(stdout=proc.stdout, stderr=proc.stderr)
+    return proc.returncode, outputs
+
+
+def digest(src: Path, label: str, text: str, args: list[str]) -> str:
+    """Run the CLI with args on one document in a scratch directory; its digest line."""
+    code, outputs = run(src, text, args)
+    return " ".join([label, f"exit={code}", *(f"{name}={_sha(data)}" for name, data in outputs.items())])
 
 
 def main(argv=None) -> int:
