@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import _gauss_legendre
-from .connection import SingularConstraint, connection_rows
+from .connection import MAX_NODES, SingularConstraint, connection_rows
 from .integrator import integrate_gait, net_displacement
 from .liegroup import Twist, bracket_many
 from .shapespace import WaypointGait
@@ -24,12 +24,6 @@ from .shapespace import WaypointGait
 
 class LoopOutsideGrid(ValueError):
     """Raised when a loop leaves the sampled grid region."""
-
-
-# Most nodes one field sweep may sample.  Sampling, curvature and the CSV rows
-# peak near a kilobyte per node at d = 2, so a larger grid is rejected instead
-# of exhausting memory.
-MAX_NODES = 1_000_000
 
 
 @dataclass(frozen=True)

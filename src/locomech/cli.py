@@ -28,12 +28,9 @@ import sys
 
 import numpy as np
 
-from .analysis import curvature, sample_field
 from .connection import SingularConstraint
 from .integrator import integrate_gait, net_displacement, per_cycle_displacements
-from .optimizer import optimize as run_optimize
 from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, load_scenario
-from .verify import run_verify
 
 _TWIST_AXES = ("vx", "vy", "om")
 
@@ -44,6 +41,17 @@ _SLAB_ROWS = 512
 # cells in the strided sample that decides whether a float column is worth
 # spelling once per distinct value (see _pool_column)
 _PROBE_CELLS = 256
+
+# sweep, optimize and verify call these as attributes of this module, where a tracer can wrap them;
+# each resolves (PEP 562) to the package's name, in the module that the command's block loaded
+_LIBRARY = dict(sample_field="sample_field", curvature="curvature", run_optimize="optimize", run_verify="run_verify")
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], _LIBRARY[name])
 
 
 def _contact_str(contacts) -> str:
@@ -187,8 +195,8 @@ def cmd_simulate(scenario: Scenario) -> int:
 @_command("sweep", "tabulate the connection (and optionally curvature) over a grid")
 def cmd_sweep(scenario: Scenario) -> int:
     block = scenario.block("sweep")
-    field = sample_field(scenario.provider, scenario.grid)
-    curv = curvature(field) if block["curvature"] else None
+    field = _cli.sample_field(scenario.provider, scenario.grid)
+    curv = _cli.curvature(field) if block["curvature"] else None
 
     _write_field(os.path.join(scenario.out_dir, "field.csv"), _header(scenario, "sweep"), field, curv)
     return 0
@@ -198,7 +206,7 @@ def cmd_sweep(scenario: Scenario) -> int:
 def cmd_optimize(scenario: Scenario) -> int:
     block = scenario.block("optimize")
     family = scenario.family
-    report = run_optimize(scenario.provider, family, block["direction"], scenario.step, scenario.cycles,
+    report = _cli.run_optimize(scenario.provider, family, block["direction"], scenario.step, scenario.cycles,
                           block["budget"], block["restarts"], scenario.seed)
     payload = {
         **_header(scenario, "optimize"),
@@ -218,7 +226,7 @@ def cmd_optimize(scenario: Scenario) -> int:
 
 @_command("verify", "run invariant suites; nonzero exit on failure")
 def cmd_verify(scenario: Scenario) -> int:
-    rows = run_verify(scenario)
+    rows = _cli.run_verify(scenario)
     columns = {
         "suite": [row.suite for row in rows],
         "check": [row.check for row in rows],

@@ -55,6 +55,10 @@ _COND_LIMIT = 1e12
 # at 512.  Rows are solved independently, so the size changes no result.
 _CHUNK_ROWS = 256
 
+# Most nodes one field sweep, or shapes one residual check, may take: sampling, curvature and
+# the CSV rows peak near a kilobyte per node at d = 2, so more is rejected, not run out of memory.
+MAX_NODES = 1_000_000
+
 
 class SingularConstraint(RuntimeError):
     """Raised when a constraint balance is singular or numerically unusable."""

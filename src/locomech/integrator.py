@@ -212,11 +212,12 @@ def _step_grid(period: float, h: float, n_steps: int, knots) -> np.ndarray:
 
 
 def _plan(provider, gait, cycles: int, step: float, event_tol: float):
-    """(gait, n_steps, h, t, row_codes, events, sampled) of one cycle: step j runs from t[j] to t[j + 1].
+    """(gait, n_steps, h, t, row_codes, switch_rows, events, sampled) of one cycle: step j runs from t[j] to t[j + 1].
 
     Step j runs on stance provider.catalog[row_codes[j]]; the plan reads
-    stance codes alone.  With no switch, sampled is the shapes and rates at
-    t and the step midpoints, else None.
+    stance codes alone.  switch_rows marks the rows a switch adds to the grid.
+    With no switch, sampled is the shapes and rates at t and the step
+    midpoints, else None.
     """
     period = gait.period
     n_steps = steps_per_cycle(period, step, cycles)
@@ -256,7 +257,7 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float):
     c0, c1, c_mid = codes[:n], codes[1:n + 1], codes[n + 1:]
     j = np.flatnonzero((c1 != c0) | (c_mid != c0))
     t0, t1, t_mid, active, c1, c_mid = g[j], g[j + 1], g_mid[j], c0[j], c1[j], c_mid[j]
-    t, row_codes = g, codes[:n + 1]
+    t, row_codes, switch_rows = g, codes[:n + 1], np.zeros(n + 1, dtype=bool)
     found = []
     # Each round locates the first switch of every searched step together.  A
     # switch before its step's end adds a row there, and the rest of the step
@@ -277,7 +278,7 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float):
         # a switch row lies strictly inside its step, so a time sort orders the rows
         t, row_codes = np.append(t, ev_t[rest]), np.append(row_codes, after[rest])
         order = np.argsort(t, kind="stable")
-        t, row_codes = t[order], row_codes[order]
+        t, row_codes, switch_rows = t[order], row_codes[order], order > n
         order = np.argsort(ev_t, kind="stable")
         catalog = provider.catalog
         ev = [x[order].tolist() for x in (ev_t, ev_lo, before, after)] + [_sample(gait, ev_t[order])[0]]
@@ -289,7 +290,7 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float):
                 f"multiple stance switches inside one step near t={t_switch:.6g}; splitting at each switch",
                 RuntimeWarning,
             )
-    return gait, n_steps, h, t, row_codes, events, None if found else sampled
+    return gait, n_steps, h, t, row_codes, switch_rows, events, None if found else sampled
 
 
 def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
@@ -309,7 +310,7 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
     stage_times = np.empty(total + len(plans))
     stage_shapes, stage_rates = np.empty((2, len(stage_times), plans[0][0].dim))
     stage_codes = np.empty(len(stage_times), dtype=np.int32)
-    for (gait, _, _, t, row_codes, _), sampled, span in zip(plans, samples, spans):
+    for (gait, _, _, t, row_codes, *_), sampled, span in zip(plans, samples, spans):
         # each gait is sampled at its rows and midpoints once, by its plan if it
         # had no switch; an end row is a row's sample, except at a waypoint knot
         # or the period end, where a waypoint gait's left limit differs from it
@@ -368,7 +369,7 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
         poses = compose_chain(increments)
     out = []
     for plan, g, (shapes, twists, top, m) in zip(plans, poses.swapaxes(0, 1), rows):
-        gait, n_steps, h, t, row_codes, events = plan
+        gait, n_steps, h, t, row_codes, switch_rows, events = plan
         k = len(t) - 1
         g = np.ascontiguousarray(g[:, :cycles * k + 1])
         contacts = list(map(provider.catalog.__getitem__, row_codes.tolist()))
@@ -376,6 +377,12 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
             # cycle c's rows and events are the first cycle's, at times c * period + t
             offsets = np.arange(cycles) * gait.period
             t = np.append((t[:-1] + offsets[:, None]).ravel(), cycles * gait.period)
+            # a switch row rounded onto a neighbour's time steps off it float by float, away from it
+            switch_rows = np.append(np.tile(switch_rows[:-1], cycles), False)
+            while len(up := np.flatnonzero(switch_rows[1:] & (t[1:] <= t[:-1]))):
+                t[up + 1] = np.nextafter(t[up], np.inf)
+            while len(down := np.flatnonzero(switch_rows[:-1] & (t[:-1] >= t[1:]))):
+                t[down] = np.nextafter(t[down + 1], -np.inf)
             shapes, twists = (np.concatenate([np.tile(x[:-1], (cycles, 1)), x[-1:]]) for x in (shapes, twists))
             contacts = contacts[:-1] * cycles + contacts[-1:]
             events = [EventRecord(e.time + c, e.before, e.after, e.shape, (e.window[0] + c, e.window[1] + c))

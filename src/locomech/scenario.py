@@ -22,13 +22,12 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import yaml
 
-from .analysis import MAX_NODES, GridSpec
-from .connection import ConstraintConnection, JacobianConnection
+from .connection import MAX_NODES, ConstraintConnection, JacobianConnection
 from .integrator import steps_per_cycle
 from .models import (
     arm_com_pose_map,
@@ -39,9 +38,11 @@ from .models import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from .optimizer import DIRECTIONS, SLOT_KINDS, GaitFamily, amplitude_phase_family, fourier_slot_family
 from .shapespace import FourierGait, WaypointGait
-from .verify import SUITES
+
+if TYPE_CHECKING:
+    from .analysis import GridSpec
+    from .optimizer import GaitFamily
 
 SCHEMA_VERSION = 1
 
@@ -382,6 +383,7 @@ def _sweep_curvature(value, where, seen) -> bool:
 
 
 def _grid(model, lo, hi, counts, axes, base, curvature) -> GridSpec:
+    from .analysis import GridSpec
     # the default axes must name model coordinates too
     a, b = axes or (0, 1)
     if a == b or not (0 <= a < model.dim and 0 <= b < model.dim):
@@ -404,6 +406,7 @@ _SWEEP = (
 
 
 def _slot_list(value, where, seen) -> list[list]:
+    from .optimizer import SLOT_KINDS
     if not isinstance(value, list) or not value:
         raise ScenarioError(where, "expected a non-empty list of slots")
     slots = []
@@ -425,6 +428,7 @@ def _slot_upper(value, where, seen) -> list[float]:
 
 
 def _slot_family(gait, slots, lower, upper) -> GaitFamily:
+    from .optimizer import fourier_slot_family
     if not isinstance(gait, FourierGait):
         raise ScenarioError("optimize", "fourier_slots requires a fourier gait template")
     # the bounds are checked by their readers, so only a slot can still be rejected
@@ -432,10 +436,15 @@ def _slot_family(gait, slots, lower, upper) -> GaitFamily:
         return fourier_slot_family(gait, [tuple(s) for s in slots], lower, upper)
 
 
+def _amplitude_phase(period, amplitude, phase) -> GaitFamily:
+    from .optimizer import amplitude_phase_family
+    return amplitude_phase_family(period, tuple(amplitude), tuple(phase))
+
+
 _FAMILIES = {
     "amplitude_phase": (
         {"period": _positive(1.0), "amplitude": _interval([0.1, 1.2]), "phase": _interval([-math.pi, math.pi])},
-        lambda period, amplitude, phase: amplitude_phase_family(period, tuple(amplitude), tuple(phase)),
+        _amplitude_phase,
     ),
     "fourier_slots": (
         {
@@ -457,9 +466,14 @@ def _search(family: GaitFamily, direction, budget, restarts) -> GaitFamily:
     return family
 
 
+def _direction(block, path, key, seen) -> str:
+    from .optimizer import DIRECTIONS
+    return _choice(DIRECTIONS, "x")(block, path, key, seen)
+
+
 _OPTIMIZE = (
     {
-        "direction": _choice(DIRECTIONS, "x"),
+        "direction": _direction,
         "budget": _integer(500, minimum=2),
         "restarts": _integer(4, minimum=1),
     },
@@ -469,6 +483,7 @@ _OPTIMIZE = (
 
 
 def _suite_list(value, where, seen) -> list[str]:
+    from .verify import SUITES
     if not isinstance(value, list) or not value:
         raise ScenarioError(where, "expected a non-empty list")
     for name in value:
@@ -548,10 +563,20 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         doc = source
     else:
         try:
-            with open(source, "r") as handle:
-                doc = yaml.safe_load(handle)
+            with open(source, encoding="utf-8") as handle:
+                text = handle.read()
+                # libyaml parses for PyYAML's safe constructor; a text with a tab (PyYAML rejects one after a plain
+                # scalar, libyaml reads it) goes to the Python parser, which also rereads the file to word any error
+                loader = yaml.SafeLoader if "\t" in text else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+                try:
+                    doc = yaml.load(text, loader)
+                except yaml.YAMLError:
+                    handle.seek(0)
+                    doc = yaml.safe_load(handle)
         except OSError as exc:
             raise ScenarioError("<file>", str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise ScenarioError("<file>", f"not UTF-8 text: byte {exc.start} of {handle.name} ({exc.reason})") from exc
         except yaml.YAMLError as exc:
             raise ScenarioError("<file>", f"not parseable as YAML: {exc}") from exc
     doc = _expect_mapping(doc, "<root>")

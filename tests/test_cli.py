@@ -824,6 +824,38 @@ def test_commands_import_nothing_after_load(tmp_path):
     assert json.loads(proc.stdout) == {"added": [], "lazy": []}
 
 
+# Loads one shipped scenario, then runs each command its blocks allow and
+# prints the modules the commands imported.
+_ONE_DOCUMENT_IMPORT_GUARD = """
+import contextlib, io, json, os, sys
+import locomech.cli as cli
+from locomech.scenario import load_scenario
+scenario = load_scenario(sys.argv[2], overrides={"out": sys.argv[1]})
+os.makedirs(scenario.out_dir)
+before = set(sys.modules)
+for command in ("simulate", "sweep", "optimize", "verify"):
+    if command == "simulate" or getattr(scenario, command) is not None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli._COMMANDS[command](scenario) == 0, command
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in SCENARIOS.glob("*.yaml")))
+def test_commands_import_nothing_after_loading_their_document(tmp_path, name):
+    # a document's blocks import their modules at load, so no command of that
+    # document imports one, whatever the other documents load
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_DOCUMENT_IMPORT_GUARD, str(tmp_path / "out"), str(SCENARIOS / f"{name}.yaml")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def _small_search(doc):
     """doc with its gait search cut to a few evaluations."""
     doc = copy.deepcopy(doc)

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from locomech import (
@@ -916,6 +916,50 @@ def test_event_tolerance_below_the_float_spacing_stops_at_adjacent_floats():
         assert provider.contacts_at(e.shape) == e.after != e.before
 
 
+def test_later_cycle_switch_rows_follow_their_predecessors():
+    # three legs and long steps: cycle 0 switches at 6.9e-18 and one float
+    # after 0.5, so offset by the period both switch rows round onto the grid
+    # row before them, and each moves to the next float above it
+    legs = LeggedModel(hips=[[0.0, 0.5], [0.0, -0.5], [0.5, 0.0]], leg_lengths=[1.0] * 3, rest_angles=[0.0] * 3)
+    coeffs = np.zeros((2, 2, 3))
+    coeffs[1, 1, 2] = 0.5
+    gait = FourierGait(1.0, [0.0] * 3, cos=coeffs[0], sin=coeffs[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj = integrate_gait(PiecewiseConnection(legs), gait, 2, 0.5, 1e-17)
+    assert (np.diff(traj.times) > 0).all()
+    assert traj.times[6:11].tolist() == [1.0, np.nextafter(1.0, 2.0), 1.25, 1.5, np.nextafter(1.5, 2.0)]
+    assert [e.time for e in traj.events[4:]] == [1.0, 1.25, 1.5, 1.75]
+
+
+class ThresholdStances:
+    """Stance 1 where r1 reaches a threshold, else stance 0; both pieces map rdot to vx, vy."""
+
+    dim = 2
+    catalog = (frozenset({0}), frozenset({1}))
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def contacts_many(self, shapes):
+        return (shapes[:, 0] >= self.threshold).astype(int)
+
+    def connection_many(self, label, shapes):
+        return np.broadcast_to(np.eye(3, 2), (*shapes.shape[:-1], 3, 2)).copy()
+
+
+def test_later_cycle_switch_rows_stay_between_their_grid_rows():
+    # r1 = 2t up to the knot at 0.5, so stance 1 holds on [0.5 - 2**-54, 0.5]:
+    # offset by the period, the switch row before the knot rounds onto it and
+    # moves to the float below it, and the one after it to the float above
+    gait = WaypointGait(points=[[0.0, 0.0], [1.0, 0.0]], times=[0.0, 0.5, 1.0])
+    traj = integrate_gait(ThresholdStances(np.nextafter(1.0, 0.0)), gait, 2, 0.5, 1e-17)
+    below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+    assert traj.times[:5].tolist() == [0.0, below, 0.5, above, 1.0]
+    assert traj.times[4:].tolist() == [1.0, np.nextafter(1.5, 0.0), 1.5, np.nextafter(1.5, 2.0), 2.0]
+    assert traj.contacts[:5] == [frozenset({0}), frozenset({1}), frozenset({1}), frozenset({0}), frozenset({0})]
+
+
 @pytest.mark.parametrize("period", [1e9, 2.0 * MAX_STEPS * 1e-3])
 def test_step_count_above_the_ceiling_is_rejected(period):
     gait = FourierGait(period, [0.0, 0.0], sin=[[0.5, 0.0]])
@@ -1024,6 +1068,9 @@ def test_a_short_waypoint_segment_is_integrated():
 
 BATCH_PROVIDERS = {"swimmer": three_link_swimmer().provider(), "crawler": PiecewiseConnection(two_leg_crawler())}
 small = st.floats(-0.5, 0.5)
+# A failing example of a property over batch_gait() is reported as drawn: shrinking
+# one integrated gait after another ran for minutes at about 780 MB of memory.
+UNSHRUNK = settings(max_examples=40, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @st.composite
@@ -1044,7 +1091,7 @@ def batch_gait(draw):
 
 
 def assert_cycles_repeat_the_first(traj, period):
-    """Cycle c's rows, twists, stances and events are bitwise cycle 0's, at times c * period + t."""
+    """Cycle c's rows, twists, stances and events are bitwise cycle 0's, at times c * period + t (rows untied)."""
     idx = traj.cycle_indices
     n = idx[1]
     assert idx == list(range(0, len(traj.times), n))
@@ -1057,9 +1104,16 @@ def assert_cycles_repeat_the_first(traj, period):
     assert traj.shapes[-1].tobytes() == traj.shapes[n].tobytes()
     assert traj.twists[-1].tobytes() == traj.twists[n].tobytes()
     assert traj.contacts[-1] == traj.contacts[n]
+    # the times strictly increase: a row whose time c * period + t lies within a few
+    # floats of a neighbour's may move by a few floats, and every other row keeps it
+    want = np.append((traj.times[:n] + period * np.arange(len(idx) - 1)[:, None]).ravel(), traj.times[-1])
+    near = np.diff(want) <= 4 * np.spacing(want[1:])
+    near = np.r_[near, False] | np.r_[False, near]
+    assert (np.diff(traj.times) > 0).all()
+    assert traj.times[~near].tobytes() == want[~near].tobytes()
+    assert (np.abs(traj.times - want) <= 4 * np.spacing(want)).all()
     for c, a in enumerate(idx[:-1]):
         rows = slice(a, a + n)
-        assert traj.times[rows].tobytes() == (traj.times[:n] + c * period).tobytes()
         assert traj.shapes[rows].tobytes() == traj.shapes[:n].tobytes()
         assert traj.twists[rows].tobytes() == traj.twists[:n].tobytes()
         assert traj.contacts[rows] == traj.contacts[:n]
@@ -1079,7 +1133,7 @@ def assert_same_trajectory(got, want):
     ]
 
 
-@settings(max_examples=40, deadline=None)
+@UNSHRUNK
 @given(
     gaits=st.lists(batch_gait(), min_size=1, max_size=4),
     model=st.sampled_from(sorted(BATCH_PROVIDERS)),
@@ -1102,7 +1156,7 @@ def test_batched_trajectories_are_the_separate_ones_bitwise(gaits, model, cycles
         assert_same_trajectory(got, want)
 
 
-@settings(max_examples=40, deadline=None)
+@UNSHRUNK
 @given(gait=batch_gait(), model=st.sampled_from(sorted(BATCH_PROVIDERS)), cycles=st.integers(1, 3),
        step=st.sampled_from([0.02, 0.05, 0.1]))
 def test_every_cycle_repeats_the_first_bitwise(gait, model, cycles, step):

@@ -2,6 +2,8 @@
 
 import types
 
+import pytest
+
 import locomech
 
 PUBLIC_NAMES = """
@@ -20,6 +22,12 @@ PUBLIC_NAMES = """
 
 
 def test_public_names_are_the_listed_ones():
+    assert sorted(locomech.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(locomech))
+    # the names of the modules a scenario block loads are bound on first access,
+    # so every listed name is looked up before the namespace is read
+    for name in PUBLIC_NAMES:
+        getattr(locomech, name)
     # submodules become package attributes once imported, so they are not names the package exports
     exported = {
         name
@@ -28,3 +36,5 @@ def test_public_names_are_the_listed_ones():
     }
     assert exported == set(PUBLIC_NAMES)
     assert len(PUBLIC_NAMES) == len(exported)
+    with pytest.raises(AttributeError, match="no attribute 'Exported'"):
+        locomech.Exported

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from locomech import (
     ConstraintConnection,
@@ -16,7 +22,9 @@ from locomech import (
     load_scenario,
 )
 from locomech.analysis import MAX_NODES
-from fuzzing import SCENARIOS, mutated_documents
+from fuzzing import SCENARIOS, SHIPPED_DOCS, mutated_documents
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 
@@ -496,3 +504,65 @@ def test_mutated_shipped_scenarios_load_or_raise_scenario_error(doc):
     if sc.optimize is not None:
         family = build_family(sc)
         family.build(family.lower)
+
+
+def _outcome(load, *args):
+    """load(*args)'s resolved document, or the type and text of what it raised."""
+    try:
+        return load(*args).raw
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _python_parser_load(path):
+    """load_scenario of the file as PyYAML's pure-Python safe_load reads it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = yaml.safe_load(handle)
+    except yaml.YAMLError as exc:
+        raise ScenarioError("<file>", f"not parseable as YAML: {exc}") from exc
+    return load_scenario(doc)
+
+
+# characters that YAML treats apart: whitespace and line breaks, characters it
+# rejects (NUL, BEL, U+FFFF), the byte order mark, quotes, indicators, number parts
+_EDIT_CHARS = st.one_of(
+    st.sampled_from(list("\t\x00\x07\x85\ufeff\uffff\u2028 \r\n'\":-?,[]{}#&*!|>%@`\\.e+0")),
+    st.characters(),
+)
+
+
+@st.composite
+def edited_yaml(draw):
+    """yaml.safe_dump of a shipped document, with characters inserted, deleted or replaced."""
+    text = yaml.safe_dump(draw(st.sampled_from(SHIPPED_DOCS)), sort_keys=draw(st.booleans()))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        new = "" if edit == "delete" else draw(_EDIT_CHARS)
+        text = text[:at] + new + text[at + (edit != "insert"):]
+    return text
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(edited_yaml())
+def test_the_libyaml_parser_reads_every_text_as_the_python_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_bytes(text.encode())
+        assert _outcome(load_scenario, str(path)) == _outcome(_python_parser_load, str(path))
+
+
+def test_a_file_that_is_not_utf8_exits_two(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b'schema: 1\nmodel: {kind: swimmer}\ngait: "\xff"\n')
+    with pytest.raises(ScenarioError, match=r"^<file>: not UTF-8 text: byte 40 of .*bad\.yaml \(invalid start byte\)$"):
+        load_scenario(str(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "locomech.cli", "simulate", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"scenario error: <file>: not UTF-8 text: byte 40 of {path} (invalid start byte)\n"

@@ -3,8 +3,8 @@
 The runs are every shipped scenario under every command, every perfbench
 workload document at the given seeds under the commands its workload runs,
 and a fixed set of runs that must fail: an unknown key, a malformed sweep
-window and an ``--out`` that is a file (exit 2), and a gait whose stage
-twists overflow (exit 3).  Each run is a fresh ``python -m locomech.cli``
+window, an ``--out`` that is a file and a document that is not UTF-8 (exit
+2), and a gait whose stage twists overflow (exit 3).  Each run is a fresh ``python -m locomech.cli``
 process on the chosen source tree, in its own scratch directory, with only
 relative paths on its command line, and prints
 
@@ -49,7 +49,10 @@ def _dump(doc: dict) -> str:
 
 
 def _runs(seeds):
-    """(label, YAML text, CLI arguments) of every run: shipped scenarios, perfbench documents, failures."""
+    """(label, YAML text, CLI arguments) of every run: shipped scenarios, perfbench documents, failures.
+
+    The text is a str, written as UTF-8, or the bytes of a document that is not UTF-8.
+    """
     for path in sorted((ROOT / "scenarios").glob("*.yaml")):
         for command in ARTIFACTS:
             yield f"{path.stem}/{command}", path.read_text(), [command, *_ARGS]
@@ -65,16 +68,17 @@ def _runs(seeds):
     yield "error/sweep_window/sweep", _dump(window), ["sweep", *_ARGS]
     yield "error/out_is_a_file/sweep", _dump(doc), ["sweep", "scenario.yaml", "--out", "scenario.yaml"]
     yield "error/overflow/simulate", _dump(overflow), ["simulate", *_ARGS, "--step", "0.05"]
+    yield "error/not_utf8/simulate", b'schema: 1\nmodel: {kind: swimmer}\ngait: "\xff"\n', ["simulate", *_ARGS]
 
 
-def run(src: Path, text: str, args: list[str]) -> tuple[int, dict[str, bytes]]:
+def run(src: Path, text: str | bytes, args: list[str]) -> tuple[int, dict[str, bytes]]:
     """Run the CLI with args on one document in a scratch directory: its exit code and outputs.
 
     The outputs are the artifacts the run wrote, in name order, then stdout
     and stderr.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "scenario.yaml").write_text(text)
+        Path(tmp, "scenario.yaml").write_bytes(text if isinstance(text, bytes) else text.encode())
         proc = subprocess.run(
             [sys.executable, "-m", "locomech.cli", *args],
             cwd=tmp,
@@ -87,7 +91,7 @@ def run(src: Path, text: str, args: list[str]) -> tuple[int, dict[str, bytes]]:
     return proc.returncode, outputs
 
 
-def digest(src: Path, label: str, text: str, args: list[str]) -> str:
+def digest(src: Path, label: str, text: str | bytes, args: list[str]) -> str:
     """Run the CLI with args on one document in a scratch directory; its digest line."""
     code, outputs = run(src, text, args)
     return " ".join([label, f"exit={code}", *(f"{name}={_sha(data)}" for name, data in outputs.items())])
