@@ -5,11 +5,11 @@ translates by (x, y); theta is stored in (-pi, pi].  A Twist (vx, vy, omega)
 is a body-frame velocity, and the component ordering here fixes the row
 ordering of every connection matrix in this package.
 
-The ``*_many`` kernels, the only array SE(2) arithmetic here, take triples of
-broadcastable float components, e.g. a (3, ...) array, and return (3, ...)
-arrays bitwise equal to their scalar twins; pose angles must lie in (-pi, pi].
-compose_chain, the running products of paths' increments, is bitwise the
-chain of compose calls, computed as running sums.
+The ``*_many`` kernels take triples of broadcastable float components, e.g. a
+(3, ...) array, and return (3, ...) arrays; pose angles must lie in (-pi, pi].
+inverse, exp, log and bracket are their one-column case.  compose keeps its own
+float formula: compose_chain is bitwise the chain of compose calls, NaN signs
+included, and numpy's array arithmetic passes NaN signs on unlike float's.
 """
 
 from __future__ import annotations
@@ -135,38 +135,25 @@ def compose_chain(increments) -> np.ndarray:
     return np.concatenate([np.cumsum(terms, axis=2)[:, :, ::2], th[None]])
 
 
+def _one_column(record, kernel, *parts):
+    """The record of kernel on one column of float triples, as quiet as float arithmetic: inf or NaN, no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kernel(*np.array(parts, dtype=float)[..., None])
+    return record(*out[:, 0].tolist())
+
+
 def inverse(g: Pose) -> Pose:
-    c, s = math.cos(g.theta), math.sin(g.theta)
-    return Pose(-(c * g.x + s * g.y), s * g.x - c * g.y, -g.theta)
+    return _one_column(Pose, inverse_many, (g.x, g.y, g.theta))
 
 
 def exp(xi: Twist, dt: float = 1.0) -> Pose:
     """Pose reached by flowing along a constant body twist for time dt."""
-    ang = xi.omega * dt
-    ux, uy = xi.vx * dt, xi.vy * dt
-    if abs(ang) < _SMALL_ANGLE:
-        a = 1.0 - ang * ang / 6.0
-        b = 0.5 * ang
-    else:
-        # half-angle form of (1 - cos)/ang: no cancellation for small ang
-        half_sin = math.sin(0.5 * ang)
-        a = math.sin(ang) / ang
-        b = 2.0 * half_sin * half_sin / ang
-    return Pose(a * ux - b * uy, b * ux + a * uy, ang)
+    return _one_column(Pose, exp_many, (xi.vx * dt, xi.vy * dt, xi.omega * dt))
 
 
 def log(g: Pose) -> Twist:
     """Principal-branch inverse of exp at unit time."""
-    ang = g.theta
-    if abs(ang) < _SMALL_ANGLE:
-        a = 1.0 - ang * ang / 12.0
-    else:
-        # cot form of ang*sin/(2(1-cos)); the subtraction loses half the
-        # significant digits near zero and would pollute differenced columns
-        half = 0.5 * ang
-        a = half * math.cos(half) / math.sin(half)
-    b = 0.5 * ang
-    return Twist(a * g.x + b * g.y, -b * g.x + a * g.y, ang)
+    return _one_column(Twist, log_many, (g.x, g.y, g.theta))
 
 
 def adjoint(g: Pose, xi: Twist) -> Twist:
@@ -179,11 +166,7 @@ def adjoint(g: Pose, xi: Twist) -> Twist:
 
 def bracket(a: Twist, b: Twist) -> Twist:
     """Lie bracket [a, b]; the rotation component always vanishes."""
-    return Twist(
-        b.omega * a.vy - a.omega * b.vy,
-        a.omega * b.vx - b.omega * a.vx,
-        0.0,
-    )
+    return _one_column(Twist, bracket_many, (a.vx, a.vy, a.omega), (b.vx, b.vy, b.omega))
 
 
 def hat(xi: Twist) -> np.ndarray:
@@ -231,6 +214,7 @@ def exp_many(xi) -> np.ndarray:
     ux, uy, ang = xi
     small = np.abs(ang) < _SMALL_ANGLE
     big = np.where(small, 1.0, ang)
+    # half-angle form of (1 - cos)/ang: no cancellation for small ang
     half_sin = np.sin(0.5 * big)
     a = np.where(small, 1.0 - ang * ang / 6.0, np.sin(big) / big)
     b = np.where(small, 0.5 * ang, 2.0 * half_sin * half_sin / big)
@@ -240,6 +224,7 @@ def exp_many(xi) -> np.ndarray:
 def log_many(g) -> np.ndarray:
     x, y, ang = g
     small = np.abs(ang) < _SMALL_ANGLE
+    # cot form of ang*sin/(2(1-cos)): the subtraction loses half the digits near 0, polluting differenced columns
     half = 0.5 * np.where(small, 1.0, ang)
     a = np.where(small, 1.0 - ang * ang / 12.0, half * np.cos(half) / np.sin(half))
     b = 0.5 * ang

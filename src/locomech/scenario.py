@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -106,6 +107,14 @@ def _errors_at(path: str):
         yield
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
+
+
+# quotes a value in a message: at most three entries of a list or mapping, two
+# levels deep and 30 characters a leaf, without building its whole repr
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 2
+_QUOTE.maxlist = _QUOTE.maxtuple = _QUOTE.maxdict = _QUOTE.maxset = 3
+_QUOTE.maxlong = 30
 
 
 def _expect_mapping(value, path: str) -> dict:
@@ -488,7 +497,7 @@ def _suite_list(value, where, seen) -> list[str]:
         raise ScenarioError(where, "expected a non-empty list")
     for name in value:
         if not isinstance(name, str) or name not in SUITES:
-            raise ScenarioError(where, f"unknown suite {name!r}")
+            raise ScenarioError(where, f"unknown suite {_QUOTE.repr(name)}")
         if name == "residual" and not isinstance(seen["model"], ConstraintConnection):
             raise ScenarioError(where, "residual suite needs a constraint-based model")
     return list(value)
@@ -552,6 +561,31 @@ def _read_block(value, path: str, built: dict):
     return {k: v for k, v in resolved.items() if v is not None}, obj
 
 
+# far deeper than a scenario (4 levels) and far below the depth at which a
+# composer overruns its stack: libyaml's crashes near 25,000, PyYAML's raises
+# RecursionError near 480
+_MAX_DEPTH = 200
+
+
+def _too_deep(text: str, loader) -> bool:
+    """Whether the YAML text nests collections more than _MAX_DEPTH deep, as the loader's parser reads it.
+
+    A collection starts at a '[', '{', '-', '?' or line break, or is a compact
+    mapping right inside one that does, so a text nests at most twice their
+    count plus one deep; only a text past that is parsed.  One that does not
+    parse counts as shallow, so loading it words the error as before.
+    """
+    if 2 * sum(map(text.count, "[{-?\n")) < _MAX_DEPTH:
+        return False
+    depth = 0
+    with contextlib.suppress(yaml.YAMLError):
+        for event in yaml.parse(text, loader):
+            depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+            if depth > _MAX_DEPTH:
+                return True
+    return False
+
+
 def load_scenario(source, overrides: dict | None = None) -> Scenario:
     """Parse, validate, and resolve a scenario.
 
@@ -568,6 +602,8 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
                 # libyaml parses for PyYAML's safe constructor; a text with a tab (PyYAML rejects one after a plain
                 # scalar, libyaml reads it) goes to the Python parser, which also rereads the file to word any error
                 loader = yaml.SafeLoader if "\t" in text else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+                if _too_deep(text, loader):
+                    raise ScenarioError("<file>", f"nested more than {_MAX_DEPTH} levels deep")
                 try:
                     doc = yaml.load(text, loader)
                 except yaml.YAMLError:
@@ -577,6 +613,9 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
             raise ScenarioError("<file>", str(exc)) from exc
         except UnicodeDecodeError as exc:
             raise ScenarioError("<file>", f"not UTF-8 text: byte {exc.start} of {handle.name} ({exc.reason})") from exc
+        except (ValueError, OverflowError, RecursionError) as exc:
+            # PyYAML builds dates, time-zone offsets and integers with Python's checks; its Python composer recurses
+            raise ScenarioError("<file>", f"not loadable as YAML: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ScenarioError("<file>", f"not parseable as YAML: {exc}") from exc
     doc = _expect_mapping(doc, "<root>")
@@ -593,7 +632,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     schema = doc.get("schema", SCHEMA_VERSION)
     # True == 1 and 1.0 == 1 in Python; only the integer names a version
     if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise ScenarioError("schema", f"unsupported schema version {schema!r}")
+        raise ScenarioError("schema", f"unsupported schema version {_QUOTE.repr(schema)}")
     seed = _integer(0, minimum=0)(doc, "<root>", "seed", {})
     out_dir = doc.get("out", "out")
     if not isinstance(out_dir, str) or not out_dir:

@@ -1,6 +1,7 @@
 """Planar transform algebra: frozen examples plus the group axioms."""
 
 import math
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -191,6 +192,28 @@ def test_twist_vector_arithmetic():
     assert ((2.0 * a) - Twist(2.0, 4.0, 6.0)).norm() == 0.0
     assert ((-a) + a).norm() == 0.0
     np.testing.assert_allclose(Twist.from_array(a.to_array()).to_array(), a.to_array())
+
+
+def test_scalar_operations_give_inf_and_nan_without_a_warning():
+    # each case overflows or makes a NaN inside its kernel, as float arithmetic would, silently
+    big = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [
+            inverse(Pose(math.inf, -math.inf, 0.5)),
+            exp(Twist(big, big, big)),
+            exp(Twist(big, -big, 1.0), 1e10),
+            log(Pose(1.7e308, 1.7e308, 3.1)),
+            log(Pose(math.inf, 0.0, 0.0)),
+            bracket(Twist(big, big, big), Twist(big, big, big)),
+        ]
+    inv, spun, flown, far, infinite, br = got
+    assert math.isnan(inv.x) and inv.y == math.inf and inv.theta == -0.5
+    assert all(map(math.isfinite, (spun.x, spun.y, spun.theta)))
+    assert math.isnan(flown.x) and flown.y == math.inf and math.isfinite(flown.theta)
+    assert (far.vx, far.vy, far.omega) == (math.inf, -math.inf, 3.1)
+    assert infinite.vx == math.inf and math.isnan(infinite.vy) and infinite.omega == 0.0
+    assert math.isnan(br.vx) and math.isnan(br.vy) and br.omega == 0.0
 
 
 # -- properties over generated inputs ----------------------------------------

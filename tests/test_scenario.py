@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -566,3 +567,71 @@ def test_a_file_that_is_not_utf8_exits_two(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == f"scenario error: <file>: not UTF-8 text: byte 40 of {path} (invalid start byte)\n"
+
+
+def _alias_chain(levels):
+    """A flow list of anchored lists, each of nine aliases of the one before: 9**levels strings, a few hundred bytes."""
+    lists = ["&a0 [" + ", ".join(["lol"] * 9) + "]"] + [f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 9) + "]" for i in range(1, levels)]
+    return "[" + ", ".join(lists) + "]"
+
+
+# (line of swimmer_circle.yaml, its replacement, the start of the one stderr line)
+_UNBUILDABLE = {
+    "impossible_date": ("seed: 0", "seed: 2001-02-30", "<file>: not loadable as YAML: day is out of range for month"),
+    "offset_past_a_day": ("seed: 0", "seed: 2001-12-14t21:59:43.10-25:00", "<file>: not loadable as YAML: offset must be"),
+    "5000_digits": ("seed: 0", "seed: " + "7" * 5000, "<file>: not loadable as YAML: Exceeds the limit (4300 digits)"),
+    "flow_list_30000_deep": ("seed: 0", "seed: " + "[" * 30000 + "1" + "]" * 30000, "<file>: nested more than 200 levels deep"),
+    "flow_map_30000_deep": ("seed: 0", "seed: " + "{a: " * 30000 + "1" + "}" * 30000, "<file>: nested more than 200 levels deep"),
+    "block_list_30000_deep": ("seed: 0", "seed:\n  " + "- " * 30000 + "1", "<file>: nested more than 200 levels deep"),
+    "seed_25000_deep": ("seed: 0", "seed: " + "[" * 25000 + "1" + "]" * 25000, "<file>: nested more than 200 levels deep"),
+    # a tab sends the text to PyYAML's Python parser
+    "tab_and_500_deep": ("seed: 0", "seed: " + "[" * 500 + "1" + "]" * 500 + '\nout: "a\tb"', "<file>: nested more than 200"),
+    "suite_alias_chain": ("suites: [reversal, pacing, continuity, residual]", "suites: [reversal, " + _alias_chain(5) + "]",
+                          "verify.suites: unknown suite [['lol', 'lol', 'lol', ...], [[...], [...], [...], ...], "),
+    "schema_alias_chain": ("schema: 1", "schema: " + _alias_chain(3), "schema: unsupported schema version [['lol', 'lol', 'lol', ...], "),
+}
+
+
+@pytest.mark.parametrize("name", _UNBUILDABLE)
+def test_a_document_yaml_cannot_build_or_quote_exits_two_with_one_short_line(tmp_path, name):
+    old, new, message = _UNBUILDABLE[name]
+    text = (SCENARIOS / "swimmer_circle.yaml").read_text()
+    assert old in text
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace(old, new))
+    proc = subprocess.run(
+        [sys.executable, "-m", "locomech.cli", "simulate", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"scenario error: {message}")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n") and len(proc.stderr.encode()) <= 1024
+
+
+@pytest.mark.parametrize("tab", ["", '\nout: "a\tb"'])
+@pytest.mark.parametrize("opener, closer, levels", [("[", "]", 1), ("{a: ", "}", 1), ("[a: ", "]", 2), ("[? ", "]", 2)])
+def test_a_document_over_200_levels_deep_is_refused_at_either_parser(tmp_path, tab, opener, closer, levels):
+    # "[a: " opens a sequence and a single-pair mapping, the most one counted character can start
+    text = (SCENARIOS / "swimmer_circle.yaml").read_text()
+    path = tmp_path / "scenario.yaml"
+    for count in (199 // levels, 199 // levels + 1):
+        # the root mapping is one level, the seed's collections the rest
+        path.write_text(text.replace("seed: 0", f"seed: {opener * count}1{closer * count}{tab}"))
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(str(path))
+        assert (str(caught.value) == "<file>: nested more than 200 levels deep") == (1 + count * levels > 200)
+
+
+def test_a_recursion_error_while_loading_is_a_scenario_error(tmp_path):
+    # PyYAML's Python composer recurses per level; a nearly full stack stands in for a deep document
+    path = tmp_path / "scenario.yaml"
+    path.write_text("schema: 1\nseed: " + "[" * 150 + "1" + "]" * 150 + '\nout: "a\tb"\n')
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(ScenarioError, match="^<file>: not loadable as YAML: maximum recursion depth exceeded"):
+            load_scenario(str(path))
+    finally:
+        sys.setrecursionlimit(limit)

@@ -3,8 +3,9 @@
 The runs are every shipped scenario under every command, every perfbench
 workload document at the given seeds under the commands its workload runs,
 and a fixed set of runs that must fail: an unknown key, a malformed sweep
-window, an ``--out`` that is a file and a document that is not UTF-8 (exit
-2), and a gait whose stage twists overflow (exit 3).  Each run is a fresh ``python -m locomech.cli``
+window, an ``--out`` that is a file, a document that is not UTF-8, an
+impossible date and a list nested 25,000 deep (exit 2), and a gait whose
+stage twists overflow (exit 3).  Each run is a fresh ``python -m locomech.cli``
 process on the chosen source tree, in its own scratch directory, with only
 relative paths on its command line, and prints
 
@@ -69,6 +70,9 @@ def _runs(seeds):
     yield "error/out_is_a_file/sweep", _dump(doc), ["sweep", "scenario.yaml", "--out", "scenario.yaml"]
     yield "error/overflow/simulate", _dump(overflow), ["simulate", *_ARGS, "--step", "0.05"]
     yield "error/not_utf8/simulate", b'schema: 1\nmodel: {kind: swimmer}\ngait: "\xff"\n', ["simulate", *_ARGS]
+    # YAML that safe_dump never writes, in place of the seed
+    for name, seed in ("bad_date", "2001-02-30"), ("deep_list", "[" * 25000 + "1" + "]" * 25000):
+        yield f"error/{name}/simulate", _dump(doc).replace("seed: 0\n", f"seed: {seed}\n"), ["simulate", *_ARGS]
 
 
 def run(src: Path, text: str | bytes, args: list[str]) -> tuple[int, dict[str, bytes]]:
