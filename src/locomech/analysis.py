@@ -57,14 +57,14 @@ class GridSpec:
 
 @dataclass
 class FieldGrid:
-    """Connection samples conn (n1, n2, 3, d); contacts (n1, n2) indexes catalog, or is None for one piece."""
+    """Connection samples conn (n1, n2, 3, d); contacts (n1, n2) indexes catalog, zeros for one piece."""
 
     axis1: np.ndarray
     axis2: np.ndarray
     axes: tuple[int, int]
     base: np.ndarray
     conn: np.ndarray
-    contacts: np.ndarray | None
+    contacts: np.ndarray
     catalog: tuple
     singular: np.ndarray
 
@@ -77,7 +77,8 @@ def sample_field(provider, spec: GridSpec) -> FieldGrid:
     on one singular node, so after a SingularConstraint the nodes are
     re-evaluated one at a time to find it.  Singular nodes and nodes with a
     non-finite connection entry are flagged, not raised, and store a zero
-    connection.  contacts is None when the provider's catalog is (None,).
+    connection.  The stance codes take the narrowest unsigned dtype, so
+    curvature's shifted copies of them stay small.
     """
     d = provider.dim
     if spec.axes[0] >= d or spec.axes[1] >= d or min(spec.axes) < 0:
@@ -113,7 +114,7 @@ def sample_field(provider, spec: GridSpec) -> FieldGrid:
         axes=spec.axes,
         base=base,
         conn=conn.reshape(n1, n2, 3, d),
-        contacts=None if catalog == (None,) else codes.reshape(n1, n2),
+        contacts=codes.reshape(n1, n2).astype(np.min_scalar_type(len(catalog) - 1)),
         catalog=catalog,
         singular=singular.reshape(n1, n2),
     )
@@ -184,9 +185,8 @@ def curvature(field: FieldGrid) -> CurvatureField:
     valid = ~field.singular
     for other in stencil(field.singular):
         valid &= ~other
-    if field.contacts is not None:
-        for other in stencil(field.contacts):
-            valid &= other == field.contacts
+    for other in stencil(field.contacts):
+        valid &= other == field.contacts
 
     conn = field.conn
     d1_col2 = _derivative(conn[:, :, :, a2], h1, axis=0)

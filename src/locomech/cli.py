@@ -55,9 +55,7 @@ def __getattr__(name: str):
 
 
 def _contact_str(contacts) -> str:
-    if contacts is None:
-        return ""
-    return "+".join(str(i) for i in sorted(contacts))
+    return "+".join(str(i) for i in sorted(contacts or ()))
 
 
 def _header(scenario: Scenario, command: str) -> dict:
@@ -148,8 +146,7 @@ def _write_field(path: str, header: dict, field, curv) -> None:
     names = [f"A_{axis}_{k + 1}" for axis in _TWIST_AXES for k in range(dim)]
     columns.update(zip(names, field.conn.reshape(n1 * n2, 3 * dim).T))
     spelled = np.array([_contact_str(label) for label in field.catalog], dtype=object)
-    codes = np.zeros(n1 * n2, dtype=np.uint8) if field.contacts is None else field.contacts.ravel()
-    columns["contact_set"] = spelled.take(codes).tolist()
+    columns["contact_set"] = spelled.take(field.contacts.ravel()).tolist()
     columns["singular"] = field.singular.ravel()
     if curv is not None:
         columns.update(zip(("D_vx", "D_vy", "D_omega"), curv.values.reshape(n1 * n2, 3).T))
@@ -157,22 +154,8 @@ def _write_field(path: str, header: dict, field, curv) -> None:
     _write_table(path, header, columns)
 
 
-_COMMANDS = {}
-
-
-def _command(name: str, help: str):
-    """Register the decorated handler in _COMMANDS as subcommand name, with its --help line."""
-
-    def register(handler):
-        handler.help = help
-        _COMMANDS[name] = handler
-        return handler
-
-    return register
-
-
-@_command("simulate", "integrate the gait and write trajectory + summary")
 def cmd_simulate(scenario: Scenario) -> int:
+    """integrate the gait and write trajectory + summary"""
     traj = integrate_gait(scenario.provider, scenario.gait, scenario.cycles, scenario.step, scenario.event_tol)
     _write_trajectory(os.path.join(scenario.out_dir, "trajectory.csv"), _header(scenario, "simulate"), traj)
 
@@ -192,8 +175,8 @@ def cmd_simulate(scenario: Scenario) -> int:
     return 0
 
 
-@_command("sweep", "tabulate the connection (and optionally curvature) over a grid")
 def cmd_sweep(scenario: Scenario) -> int:
+    """tabulate the connection (and optionally curvature) over a grid"""
     block = scenario.block("sweep")
     field = _cli.sample_field(scenario.provider, scenario.grid)
     curv = _cli.curvature(field) if block["curvature"] else None
@@ -202,8 +185,8 @@ def cmd_sweep(scenario: Scenario) -> int:
     return 0
 
 
-@_command("optimize", "search a gait family for maximal displacement")
 def cmd_optimize(scenario: Scenario) -> int:
+    """search a gait family for maximal displacement"""
     block = scenario.block("optimize")
     family = scenario.family
     report = _cli.run_optimize(scenario.provider, family, block["direction"], scenario.step, scenario.cycles,
@@ -224,8 +207,8 @@ def cmd_optimize(scenario: Scenario) -> int:
     return 0
 
 
-@_command("verify", "run invariant suites; nonzero exit on failure")
 def cmd_verify(scenario: Scenario) -> int:
+    """run invariant suites; nonzero exit on failure"""
     rows = _cli.run_verify(scenario)
     columns = {
         "suite": [row.suite for row in rows],
@@ -250,6 +233,10 @@ def cmd_verify(scenario: Scenario) -> int:
     return 0 if all(row.passed for row in rows) else 1
 
 
+# each subcommand's handler, whose docstring is its --help line
+_COMMANDS = {"simulate": cmd_simulate, "sweep": cmd_sweep, "optimize": cmd_optimize, "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="locomech",
@@ -257,7 +244,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=handler.help)
+        cmd = sub.add_parser(name, help=handler.__doc__)
         cmd.add_argument("scenario", help="path to a scenario YAML file")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--step", type=float, default=None, help="integrator step override")
@@ -274,7 +261,8 @@ def main(argv=None) -> int:
             raise ScenarioError("out", f"cannot create {scenario.out_dir}: {exc.strerror or exc}") from None
         return _COMMANDS[args.command](scenario)
     except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+        # a YAML syntax error spans lines, and so may a path: the report is one line
+        print("scenario error:", " ".join(part.strip() for part in str(exc).splitlines()), file=sys.stderr)
         return 2
     except SingularConstraint as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

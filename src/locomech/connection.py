@@ -12,13 +12,14 @@ Provider protocol.  A provider offers:
 
 - ``dim``: the number of shape coordinates d;
 - ``catalog``: a tuple of its distinct stance labels, fixed for the
-  provider, ``(None,)`` for a provider with a single piece;
+  provider; a smooth provider is the one-piece case ``(None,)``;
 - ``contacts_many(shapes)``: an integer array with the catalog index of the
-  stance selected at every row of an (N, d) array;
+  stance selected at every row of an (N, d) array, zeros for one piece;
 - ``connection_many(label, shapes)``: A of the named piece at every shape
   of a (..., d) array, typically (N, d), as a (..., 3, d) array whose entry
   at each leading index is bitwise the single-shape result; the piece may be
-  evaluated past its switching surface.
+  evaluated past its switching surface;
+- ``builder``: a single-stance constraint provider's balance builder, else None.
 
 Stances travel as catalog codes; a label is looked up only where it is
 handed to ``connection_many`` or reported (events, ``Trajectory.contacts``,
@@ -213,6 +214,7 @@ class ConnectionProvider:
     """
 
     catalog: tuple = (None,)
+    builder = None
 
     def contacts_many(self, shapes) -> np.ndarray:
         return np.zeros(len(shapes), dtype=int)
@@ -266,10 +268,7 @@ class JacobianConnection(ConnectionProvider):
     def __init__(self, pose_map: PoseMap, h: float = 1e-5):
         self.pose_map = pose_map
         self.h = h
-
-    @property
-    def dim(self) -> int:
-        return self.pose_map.dim
+        self.dim = pose_map.dim
 
     def connection_many(self, label, shapes) -> np.ndarray:
         return jacobian_connection_eval(self.pose_map, shapes, self.h)
@@ -284,11 +283,7 @@ class ConstraintConnection(ConnectionProvider):
 
     def __init__(self, builder: Callable[[np.ndarray], ConstraintSystem], dim: int):
         self.builder = builder
-        self._dim = dim
-
-    @property
-    def dim(self) -> int:
-        return self._dim
+        self.dim = dim
 
     def connection_many(self, label, shapes) -> np.ndarray:
         shapes = np.asarray(shapes, dtype=float)
@@ -312,10 +307,7 @@ class PiecewiseConnection(ConnectionProvider):
     def __init__(self, model):
         self.model = model
         self.catalog = model.contact_catalog()
-
-    @property
-    def dim(self) -> int:
-        return self.model.shape_dim
+        self.dim = model.shape_dim
 
     def contacts_many(self, shapes) -> np.ndarray:
         return self.model.contacts_many(np.asarray(shapes, dtype=float))

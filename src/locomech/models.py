@@ -404,7 +404,7 @@ def build_slip_constraints(model: SlipModel, c, r) -> ConstraintSystem:
     0 and slip_yaw.  Shapes (..., d) give blocks (..., 3, 3) and (..., 3, d).
     """
     geo = model.geometry
-    c = sorted(int(i) for i in c)
+    c = sorted({int(i) for i in c})
     if not c:
         raise ValueError("contact set must be nonempty")
     if not set(c) <= set(range(geo.n_feet)):

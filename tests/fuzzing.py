@@ -1,4 +1,4 @@
-"""Mutated and table-built scenario documents and a wall-time limit for property tests."""
+"""Mutated and table-built scenario documents, an alias chain and a wall-time limit for property tests."""
 
 import collections
 import contextlib
@@ -151,6 +151,12 @@ def table_documents(draw, values=ANY_VALUES, docs=SHIPPED_DOCS):
         for name, row in _BLOCKS.items()
         if name in ("model", "gait") or rnd.random() < 0.5
     }
+
+
+def alias_chain(levels):
+    """A flow list of anchored lists, each of nine aliases of the one before: 9**levels strings, a few hundred bytes."""
+    lists = ["&a0 [" + ", ".join(["lol"] * 9) + "]"] + [f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 9) + "]" for i in range(1, levels)]
+    return "[" + ", ".join(lists) + "]"
 
 
 @contextlib.contextmanager

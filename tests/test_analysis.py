@@ -228,7 +228,7 @@ class TestSampleField:
         expected = ConstantCommuting().connection_at(np.zeros(2))
         assert field.conn.shape == (5, 7, 3, 2)
         assert np.array_equal(field.conn, np.broadcast_to(expected, (5, 7, 3, 2)))
-        assert field.contacts is None
+        assert np.array_equal(field.contacts, np.zeros((5, 7), dtype=int))
         assert not field.singular.any()
 
     def test_grid_matches_pointwise_evaluation(self, swimmer_provider, swimmer_field):
@@ -499,7 +499,7 @@ class TestCurvature:
             axes=(2, 0),
             base=np.zeros(3),
             conn=rng.normal(size=(n1, n2, 3, 3)),
-            contacts=(rng.uniform(size=(n1, n2)) < 0.1).astype(int) if with_labels else None,
+            contacts=(rng.uniform(size=(n1, n2)) < 0.1).astype(int) if with_labels else np.zeros((n1, n2), dtype=int),
             catalog=(frozenset({0}), frozenset({1})) if with_labels else (None,),
             singular=rng.uniform(size=(n1, n2)) < 0.05,
         )

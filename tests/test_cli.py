@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,7 +32,15 @@ from locomech import (
 )
 from locomech.cli import main
 from locomech.verify import VerifyCheck
-from fuzzing import SCENARIOS, SHIPPED_DOCS, document_values, mutated_documents, table_documents, time_limit
+from fuzzing import (
+    SCENARIOS,
+    SHIPPED_DOCS,
+    alias_chain,
+    document_values,
+    mutated_documents,
+    table_documents,
+    time_limit,
+)
 
 
 def read_csv(path):
@@ -934,6 +943,70 @@ def test_main_keeps_the_exit_code_contract_on_table_documents(doc, data):
         assert "NaN" not in written["summary.json"] and "Infinity" not in written["summary.json"]
 
 
+# The values of a shipped scenario file that a splice may replace: every
+# `key: value` line but out (the --out flag replaces it) and period and
+# times, which set the step count.
+_SPLICE_SITE = re.compile(r"^( *)(?!out:|period:|times:)[a-z_]+: (\S.*)$", re.M)
+
+# tags, dates and times that yaml.safe_dump never writes
+_TAGGED = [
+    "!!timestamp 2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5", "2002-12-14", "2001-02-30",
+    "2001-12-14t21:59:43.10-25:00", "!!binary aGVsbG8=", "!!set {a, b}", "!!omap [a: 1, b: 2]",
+    "!!python/tuple [1, 2]", "!!str 3", "!!float 1", "!!int '0x1f'", "1:30", "!!null ''", "&a [*a]",
+]
+
+
+@st.composite
+def _construct(draw, indent: str, old: str) -> str:
+    """A tag, date or time, an integer near the digit limit, nesting near the depth limit, an anchor or an alias."""
+    kind = draw(st.sampled_from(["tagged", "decimal", "base60", "flow", "map", "block", "anchor", "alias", "chain"]))
+    if kind == "tagged":
+        return draw(st.sampled_from(_TAGGED))
+    if kind == "decimal":
+        return draw(st.sampled_from(["", "-"])) + "7" * draw(st.integers(4290, 4310))
+    if kind == "base60":
+        # 2418 ':0' parts give 4300 digits
+        return "1" + ":0" * draw(st.integers(2410, 2430))
+    if kind == "chain":
+        return alias_chain(draw(st.integers(1, 5)))
+    if kind in ("anchor", "alias"):
+        return f"&a {old}" if kind == "anchor" else "*a"
+    depth = draw(st.integers(1, 205))
+    if kind == "block":
+        return f"\n{indent}  " + "- " * depth + "1"
+    opener, closer = ("[", "]") if kind == "flow" else ("{a: ", "}")
+    return opener * depth + "1" + closer * depth
+
+
+@st.composite
+def spliced_yaml(draw):
+    """A shipped scenario file with one to three values replaced by YAML constructs, sometimes with a tab."""
+    text = draw(st.sampled_from([path.read_text() for path in sorted(SCENARIOS.glob("*.yaml"))]))
+    sites = list(_SPLICE_SITE.finditer(text))
+    chosen = draw(st.lists(st.sampled_from(sites), min_size=1, max_size=3, unique_by=lambda m: m.start()))
+    for m in sorted(chosen, key=lambda m: -m.start()):
+        text = text[:m.start(2)] + draw(_construct(m[1], m[2])) + text[m.end(2):]
+    # a tab sends the text to PyYAML's Python parser
+    return text + ('out: "a\tb"\n' if draw(st.booleans()) else "")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spliced_yaml())
+def test_main_keeps_the_exit_code_contract_on_spliced_text(text):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, time_limit(30.0):
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(text)
+        argv = ["simulate", str(path), "--out", str(Path(tmp) / "run"), "--cycles", "1", "--step", "0.05"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) <= 1024, err[:2000]
+
+
 # The per-cell CSV writer that the table writer replaced, kept as the byte
 # reference: one format(float(x), ".17g") per float cell and one join over
 # every line of the file.
@@ -1044,7 +1117,7 @@ def test_trajectory_writer_matches_the_per_cell_writer(data):
 @given(st.data())
 def test_field_writer_matches_the_per_cell_writer(data):
     n1, n2, dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
-    labels, codes, catalog = None, None, (None,)
+    labels, codes, catalog = None, np.zeros((n1, n2), dtype=int), (None,)
     if data.draw(st.booleans()):
         labels = data.draw(st.lists(_LABELS, min_size=n1 * n2, max_size=n1 * n2).filter(lambda c: any(c)))
         # a catalog in first-seen order, with one label that no node carries
@@ -1111,7 +1184,7 @@ def test_field_writer_spells_repeated_columns_by_bit_pattern(data):
         axis1=np.linspace(-1.0, 1.0, n1),
         axis2=np.linspace(-1.0, 1.0, n2),
         conn=np.column_stack(conn).reshape(n1, n2, 3, dim),
-        contacts=None,
+        contacts=np.zeros((n1, n2), dtype=int),
         catalog=(None,),
         singular=rng.random((n1, n2)) < 0.1,
     )

@@ -335,6 +335,16 @@ class TestSlipBalance:
         assert gaps[-1] <= 1e-3
         assert gaps[0] > 1e-2
 
+    @pytest.mark.parametrize("repeated, distinct", [([0, 0, 1], [0, 1]), ((1, 1), (1,)), ([1, 0, 1, 0], {0, 1})])
+    def test_a_repeated_foot_counts_once(self, repeated, distinct):
+        # a contact set is a set: a foot listed twice resists once
+        model = crawler_slip_model()
+        r = np.array([[0.3, -0.2], [-0.5, 0.7]])
+        twice, once = build_slip_constraints(model, repeated, r), build_slip_constraints(model, distinct, r)
+        assert np.array_equal(twice.m, once.m) and np.array_equal(twice.n, once.n)
+        a_twice, a_once = (model.provider(c).connection_many(None, r) for c in (repeated, distinct))
+        assert np.array_equal(a_twice, a_once)
+
     def test_slip_validation(self):
         model = crawler_slip_model()
         with pytest.raises(ValueError):

@@ -23,7 +23,10 @@ from locomech import (
     load_scenario,
 )
 from locomech.analysis import MAX_NODES
-from fuzzing import SCENARIOS, SHIPPED_DOCS, mutated_documents
+from locomech.models import mirrored_slip_walker, three_link_swimmer, two_leg_crawler
+from locomech.optimizer import amplitude_phase_family
+from locomech.scenario import _FAMILIES, _MODELS
+from fuzzing import SCENARIOS, SHIPPED_DOCS, alias_chain, mutated_documents
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -443,6 +446,34 @@ class TestTableRows:
         sc = load_scenario(minimal())
         assert sc.constraint_builder is sc.provider.builder
 
+    def test_many_legged_feet_are_bounded_at_load(self):
+        # a 256-row block of the balance holds about 48 bytes per foot; only the load runs here
+        doc = minimal(model={"kind": "many_legged", "feet": 10_000})
+        assert load_scenario(doc).raw["model"]["feet"] == 10_000
+        for feet in (10_001, 10**8):
+            doc["model"]["feet"] = feet
+            with pytest.raises(ScenarioError, match="^model.feet: must be at most 10000$"):
+                load_scenario(doc)
+
+    @pytest.mark.parametrize("kind, given, factory", [
+        ("jacobian", {"map": "wavy"}, JacobianConnection),
+        ("swimmer", {}, three_link_swimmer),
+        ("crawler", {}, two_leg_crawler),
+        ("slip_walker", {}, mirrored_slip_walker),
+        ("many_legged", {"feet": 3}, three_link_swimmer),
+        ("amplitude_phase", {}, amplitude_phase_family),
+    ])
+    def test_scenario_defaults_are_the_factory_defaults(self, kind, given, factory):
+        # the scenario row and the library factory each spell these defaults
+        block, table = ("optimize", _FAMILIES) if kind in _FAMILIES else ("model", _MODELS)
+        doc = minimal(**{block: {"family" if block == "optimize" else "kind": kind, **given}})
+        resolved = load_scenario(doc).raw[block]
+        names = {"fd_step": "h", "amplitude": "amplitude_bounds", "phase": "phase_bounds"}
+        defaults = {names.get(k, k): resolved[k] for k in table[kind][0] if k not in given}
+        params = inspect.signature(factory).parameters.values()
+        assert defaults == {p.name: list(p.default) if isinstance(p.default, tuple) else p.default
+                            for p in params if p.default is not p.empty}
+
     def test_command_objects_built_at_load(self):
         doc = minimal(
             sweep={"lo": [-1, -1], "hi": [1, 1], "counts": [5, 4], "axes": [1, 0]},
@@ -569,12 +600,6 @@ def test_a_file_that_is_not_utf8_exits_two(tmp_path):
     assert proc.stderr == f"scenario error: <file>: not UTF-8 text: byte 40 of {path} (invalid start byte)\n"
 
 
-def _alias_chain(levels):
-    """A flow list of anchored lists, each of nine aliases of the one before: 9**levels strings, a few hundred bytes."""
-    lists = ["&a0 [" + ", ".join(["lol"] * 9) + "]"] + [f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 9) + "]" for i in range(1, levels)]
-    return "[" + ", ".join(lists) + "]"
-
-
 # (line of swimmer_circle.yaml, its replacement, the start of the one stderr line)
 _UNBUILDABLE = {
     "impossible_date": ("seed: 0", "seed: 2001-02-30", "<file>: not loadable as YAML: day is out of range for month"),
@@ -586,9 +611,9 @@ _UNBUILDABLE = {
     "seed_25000_deep": ("seed: 0", "seed: " + "[" * 25000 + "1" + "]" * 25000, "<file>: nested more than 200 levels deep"),
     # a tab sends the text to PyYAML's Python parser
     "tab_and_500_deep": ("seed: 0", "seed: " + "[" * 500 + "1" + "]" * 500 + '\nout: "a\tb"', "<file>: nested more than 200"),
-    "suite_alias_chain": ("suites: [reversal, pacing, continuity, residual]", "suites: [reversal, " + _alias_chain(5) + "]",
+    "suite_alias_chain": ("suites: [reversal, pacing, continuity, residual]", "suites: [reversal, " + alias_chain(5) + "]",
                           "verify.suites: unknown suite [['lol', 'lol', 'lol', ...], [[...], [...], [...], ...], "),
-    "schema_alias_chain": ("schema: 1", "schema: " + _alias_chain(3), "schema: unsupported schema version [['lol', 'lol', 'lol', ...], "),
+    "schema_alias_chain": ("schema: 1", "schema: " + alias_chain(3), "schema: unsupported schema version [['lol', 'lol', 'lol', ...], "),
 }
 
 
@@ -635,3 +660,58 @@ def test_a_recursion_error_while_loading_is_a_scenario_error(tmp_path):
             load_scenario(str(path))
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _base_60(value: int) -> str:
+    """A positive integer as a YAML 1.1 base-60 literal."""
+    parts = []
+    while value >= 60:
+        value, part = divmod(value, 60)
+        parts.append(part)
+    return ":".join(map(str, [value, *reversed(parts)]))
+
+
+# "1" and 2700 ":0" parts, about 4800 digits: PyYAML builds a base-60 value by arithmetic, past int()'s digit check
+_LONG_BASE_60 = "1" + ":0" * 2700
+
+# (shipped scenario, command, the line whose value is replaced by _LONG_BASE_60)
+_BASE_60_INPUTS = {
+    "schema": ("swimmer_circle.yaml", "simulate", "schema: 1"),
+    "seed": ("swimmer_circle.yaml", "simulate", "seed: 0"),
+    "restarts": ("swimmer_optimize.yaml", "optimize", "restarts: 4"),
+    "budget": ("swimmer_optimize.yaml", "optimize", "budget: 500"),
+    "cycles": ("swimmer_circle.yaml", "simulate", "cycles: 1"),
+}
+
+
+@pytest.mark.parametrize("name", _BASE_60_INPUTS)
+def test_a_base_60_integer_past_the_digit_limit_exits_two_with_one_line(tmp_path, name):
+    scenario, command, line = _BASE_60_INPUTS[name]
+    text = (SCENARIOS / scenario).read_text()
+    assert text.count(line) == 1
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace(line, f"{line.split(':')[0]}: {_LONG_BASE_60}"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "locomech.cli", command, str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    message = f"<file>: not loadable as YAML: Exceeds the limit ({limit} digits) for integer string conversion"
+    assert proc.stderr == f"scenario error: {message}\n"
+
+
+@pytest.mark.parametrize("tab", ["", '\nout: "a\tb"'])
+def test_a_base_60_integer_loads_up_to_the_digit_limit_at_either_parser(tmp_path, tab):
+    text = (SCENARIOS / "swimmer_circle.yaml").read_text()
+    path = tmp_path / "scenario.yaml"
+    limit = sys.get_int_max_str_digits()
+    path.write_text(text.replace("seed: 0", f"seed: {_base_60(10**limit - 1)}{tab}"))
+    assert load_scenario(str(path)).seed == 10**limit - 1
+    # one digit more, and as many ':' parts as the limit (refused before it is built)
+    for seed in (_base_60(10**limit), "1" + ":0" * limit, "1" + ":0" * 100_000):
+        path.write_text(text.replace("seed: 0", f"seed: {seed}{tab}"))
+        with pytest.raises(ScenarioError, match=rf"^<file>: not loadable as YAML: Exceeds the limit \({limit} digits\)"):
+            load_scenario(str(path))

@@ -4,10 +4,11 @@ The runs are every shipped scenario under every command, every perfbench
 workload document at the given seeds under the commands its workload runs,
 and a fixed set of runs that must fail: an unknown key, a malformed sweep
 window, an ``--out`` that is a file, a document that is not UTF-8, an
-impossible date and a list nested 25,000 deep (exit 2), and a gait whose
-stage twists overflow (exit 3).  Each run is a fresh ``python -m locomech.cli``
-process on the chosen source tree, in its own scratch directory, with only
-relative paths on its command line, and prints
+impossible date, a list nested 25,000 deep, and a base-60 seed and schema
+of about 4800 digits (exit 2), and a gait whose stage twists overflow
+(exit 3).  Each run is a fresh ``python -m locomech.cli`` process on the
+chosen source tree, in its own scratch directory, with only relative paths
+on its command line, and prints
 
     <run> exit=<code> <artifact>=<sha256> ... stdout=<sha256> stderr=<sha256>
 
@@ -70,9 +71,15 @@ def _runs(seeds):
     yield "error/out_is_a_file/sweep", _dump(doc), ["sweep", "scenario.yaml", "--out", "scenario.yaml"]
     yield "error/overflow/simulate", _dump(overflow), ["simulate", *_ARGS, "--step", "0.05"]
     yield "error/not_utf8/simulate", b'schema: 1\nmodel: {kind: swimmer}\ngait: "\xff"\n', ["simulate", *_ARGS]
-    # YAML that safe_dump never writes, in place of the seed
-    for name, seed in ("bad_date", "2001-02-30"), ("deep_list", "[" * 25000 + "1" + "]" * 25000):
-        yield f"error/{name}/simulate", _dump(doc).replace("seed: 0\n", f"seed: {seed}\n"), ["simulate", *_ARGS]
+    # YAML that safe_dump never writes, in place of the seed or the schema; base 60 here is about 4800 digits
+    base_60 = "1" + ":0" * 2700
+    for name, old, new in (
+        ("bad_date", "seed: 0", "seed: 2001-02-30"),
+        ("deep_list", "seed: 0", "seed: " + "[" * 25000 + "1" + "]" * 25000),
+        ("base_60_seed", "seed: 0", f"seed: {base_60}"),
+        ("base_60_schema", "schema: 1", f"schema: {base_60}"),
+    ):
+        yield f"error/{name}/simulate", _dump(doc).replace(f"{old}\n", f"{new}\n"), ["simulate", *_ARGS]
 
 
 def run(src: Path, text: str | bytes, args: list[str]) -> tuple[int, dict[str, bytes]]:
