@@ -190,7 +190,7 @@ def cmd_optimize(scenario: Scenario) -> int:
     block = scenario.block("optimize")
     family = scenario.family
     report = _cli.run_optimize(scenario.provider, family, block["direction"], scenario.step, scenario.cycles,
-                          block["budget"], block["restarts"], scenario.seed)
+                               block["budget"], block["restarts"], scenario.seed, scenario.event_tol)
     payload = {
         **_header(scenario, "optimize"),
         "direction": block["direction"],

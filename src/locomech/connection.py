@@ -4,9 +4,9 @@ Everything here produces or consumes the 3 x d matrix A(r) relating a shape
 rate to a body twist, body_twist = A(r) @ rdot, with rows ordered (vx, vy,
 omega).  Three routes are covered: JacobianConnection differentiates a pose
 map through the group (``jacobian_connection_eval``, one ``poses_many``
-call per batch), ConstraintConnection solves a linear force or constraint
-balance, and PiecewiseConnection hands over a contact model's exact stance
-connections.  Only JacobianConnection differentiates.
+call per block of rows), ConstraintConnection solves a linear force or
+constraint balance, and PiecewiseConnection hands over a contact model's
+exact stance connections.  Only JacobianConnection differentiates.
 
 Provider protocol.  A provider offers:
 
@@ -50,10 +50,11 @@ ConnectionMatrix = np.ndarray  # (3, d), rows vx, vy, omega
 
 _COND_LIMIT = 1e12
 
-# rows per constraint build and solve.  An optimize integration's ~101 stage
-# rows make one block: a swimmer row costs 11.5 us in blocks of 64, 6.9 at 256.
-# A fresh 97 x 97 swimmer sweep takes 695 minor page faults at 256 rows, 2520
-# at 512.  Rows are solved independently, so the size changes no result.
+# rows per constraint build and solve, or per pose-map differentiation.  An
+# optimize integration's ~101 stage rows make one block: a swimmer row costs
+# 11.5 us in blocks of 64, 6.9 at 256.  A fresh 97 x 97 swimmer sweep takes
+# 695 minor page faults at 256 rows, 2520 at 512.  Rows are evaluated
+# independently, so the size changes no result.
 _CHUNK_ROWS = 256
 
 # Most nodes one field sweep, or shapes one residual check, may take: sampling, curvature and
@@ -262,6 +263,20 @@ def connection_rows(provider, shapes, codes) -> tuple[np.ndarray, np.ndarray]:
     return out, index
 
 
+def _in_row_blocks(connection, shapes) -> np.ndarray:
+    """connection(shapes), (..., 3, d), over blocks of _CHUNK_ROWS rows of an (N, d) array.
+
+    Row blocks bound the temporaries of long integrations and large sweeps.
+    """
+    shapes = np.asarray(shapes, dtype=float)
+    if shapes.ndim < 2 or len(shapes) <= _CHUNK_ROWS:
+        return connection(shapes)
+    out = np.empty(shapes.shape[:-1] + (3, shapes.shape[-1]))
+    for i in range(0, len(shapes), _CHUNK_ROWS):
+        out[i:i + _CHUNK_ROWS] = connection(shapes[i:i + _CHUNK_ROWS])
+    return out
+
+
 class JacobianConnection(ConnectionProvider):
     """Provider backed by a single smooth pose map."""
 
@@ -271,7 +286,7 @@ class JacobianConnection(ConnectionProvider):
         self.dim = pose_map.dim
 
     def connection_many(self, label, shapes) -> np.ndarray:
-        return jacobian_connection_eval(self.pose_map, shapes, self.h)
+        return _in_row_blocks(lambda block: jacobian_connection_eval(self.pose_map, block, self.h), shapes)
 
 
 class ConstraintConnection(ConnectionProvider):
@@ -286,14 +301,7 @@ class ConstraintConnection(ConnectionProvider):
         self.dim = dim
 
     def connection_many(self, label, shapes) -> np.ndarray:
-        shapes = np.asarray(shapes, dtype=float)
-        if shapes.ndim < 2 or len(shapes) <= _CHUNK_ROWS:
-            return linear_constraint_connection(self.builder(shapes))
-        # row blocks bound the assembly's temporaries on long integrations
-        out = np.empty(shapes.shape[:-1] + (3, shapes.shape[-1]))
-        for i in range(0, len(shapes), _CHUNK_ROWS):
-            out[i:i + _CHUNK_ROWS] = linear_constraint_connection(self.builder(shapes[i:i + _CHUNK_ROWS]))
-        return out
+        return _in_row_blocks(lambda block: linear_constraint_connection(self.builder(block)), shapes)
 
 
 class PiecewiseConnection(ConnectionProvider):

@@ -2,21 +2,22 @@
 
 The body pose solves g' = g * hat(A(r(t)) rdot(t)) with a 4th-order
 Munthe-Kaas scheme.  The shape path r(t) is prescribed and periodic, so
-every cycle moves the body by the first one's step increments: one cycle's
-step grid is planned from arrays, and one gait.evaluate_many call samples
-every grid point and step midpoint, and one provider.contacts_many call
-gives their stance codes, indices into provider.catalog; a gait with no
-switch reuses those samples as its stages.  Only a step whose midpoint or
-end leaves its start's stance is split at the switch time, and integration
-resumes with the new piece from the same pose, so the pose path stays
-continuous; all switches are bisected together, one coding call per level.
-A stance's label is looked up only for the events and Trajectory.contacts.
-Gaits integrated together
-(integrate_gaits), in batches of at most MAX_STEPS steps, share one
-connection_rows call, which evaluates each distinct (stance, stage shape)
-once, array passes for the step exponents and their exponentials, and one
-liegroup.compose_chain call for the pose products.  The poses are kept as one
-read-only (3, n + 1) array, which Trajectory.poses reads as Pose objects.
+every cycle moves the body by the first one's step increments, and a
+trajectory's closing row (shape, stance, twist) is its first row, with no
+stage of its own.  One cycle's step grid is planned from arrays, one
+gait.evaluate_many call samples every grid point and step midpoint, and one
+provider.contacts_many call gives their stance codes, indices into
+provider.catalog; a gait with no switch reuses those samples as its stages.
+Only a step whose midpoint or end leaves its start's stance is split at the
+switch time, and integration resumes with the new piece from the same pose,
+so the pose path stays continuous; all switches are bisected together, one
+coding call per level.  A stance's label is looked up only for the events
+and Trajectory.contacts.  Gaits integrated together (integrate_gaits), in
+batches of at most MAX_STEPS steps, share one connection_rows call, which
+evaluates each distinct (stance, stage shape) once, array passes for the
+step exponents and their exponentials, and one liegroup.compose_chain call
+for the pose products.  The poses are kept as one read-only (3, n + 1)
+array, which Trajectory.poses reads as Pose objects.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ class Trajectory:
     """Sampled integration output; one row per accepted step boundary.
 
     pose_array holds the body poses as (3, rows) x, y, theta rows and is made
-    read-only; poses reads its columns as Pose objects.
+    read-only; poses reads its columns as Pose objects.  Row k's twist is the
+    start stage of the step leaving it; the last row's shape, twist and stance
+    are the first row's, as the gait is periodic.
     """
 
     times: np.ndarray
@@ -168,18 +171,16 @@ def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_
         raise ValueError(f"step must be positive, got {step}")
     if not (event_tol > 0.0 and np.isfinite(event_tol)):
         raise ValueError(f"event tolerance must be positive and finite, got {event_tol}")
-    batch, samples, size = [], [], 0
+    batch, size = [], 0
     for gait in gaits:
-        plan = list(_plan(provider, gait, cycles, step, event_tol))
+        plan = _plan(provider, gait, cycles, step, event_tol)
         if batch and size + (len(plan[3]) - 1) * cycles > MAX_STEPS:
-            yield from _finish(provider, batch, samples, cycles, step, event_tol)
-            batch, samples, size = [], [], 0
-        # no other reference keeps a sample, so _finish can free it
-        samples.append(plan.pop())
+            yield from _finish(provider, batch, cycles, step, event_tol)
+            batch, size = [], 0
         batch.append(plan)
         size += (len(plan[3]) - 1) * cycles
     if batch:
-        yield from _finish(provider, batch, samples, cycles, step, event_tol)
+        yield from _finish(provider, batch, cycles, step, event_tol)
 
 
 def _sample(gait, ts, side: str = "right"):
@@ -290,44 +291,43 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float):
                 f"multiple stance switches inside one step near t={t_switch:.6g}; splitting at each switch",
                 RuntimeWarning,
             )
-    return gait, n_steps, h, t, row_codes, switch_rows, events, None if found else sampled
+    return [gait, n_steps, h, t, row_codes, switch_rows, events, None if found else sampled]
 
 
-def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
+def _finish(provider, plans, cycles, step, event_tol) -> list:
     """Evaluate and combine one cycle of each planned gait, each array pass over the rows of all of them.
 
-    Each gait's pose chain repeats the cycle's increments `cycles` times.
-    samples holds each plan's sampled, and is emptied once the stages are laid out.
+    A gait is periodic, so its last row (shape, stance, twist) is its first
+    row's, and its trajectory takes its cycle's step-start rows `cycles` times,
+    then its first row; its pose chain repeats the cycle's increments
+    `cycles` times.  Each plan's sampled is popped as its stages are laid out.
     """
     # -- evaluate: of N steps in all, step k has stages 3k, 3k + 1, 3k + 2 (start,
     # midpoint, end, on its start's stance; the end takes the left-limit rate, as a
-    # step end may be a waypoint corner).  Stage 3N + i is gait i's last row, whose
-    # twist is no stage.  A gait's span lists its stages in a lone run's order.
+    # step end may be a waypoint corner).  Gait i's stages are lo[i]:hi[i].
     n = np.array([len(t) - 1 for _, _, _, t, *_ in plans])
-    stops = 3 * np.cumsum(n)
-    total = stops[-1]
-    spans = [np.r_[hi - 3 * k:hi, total + i] for i, (k, hi) in enumerate(zip(n, stops))]
-    stage_times = np.empty(total + len(plans))
+    hi = 3 * np.cumsum(n)
+    lo = hi - 3 * n
+    stage_times = np.empty(hi[-1])
     stage_shapes, stage_rates = np.empty((2, len(stage_times), plans[0][0].dim))
     stage_codes = np.empty(len(stage_times), dtype=np.int32)
-    for (gait, _, _, t, row_codes, *_), sampled, span in zip(plans, samples, spans):
+    for plan, a, b, k in zip(plans, lo, hi, n):
+        sampled = plan.pop()
+        gait, _, _, t, row_codes, *_ = plan
         # each gait is sampled at its rows and midpoints once, by its plan if it
         # had no switch; an end row is a row's sample, except at a waypoint knot
         # or the period end, where a waypoint gait's left limit differs from it
-        k = len(t)
         times = np.concatenate([t, t[:-1] + 0.5 * (t[1:] - t[:-1])])
         shapes, rates = _sample(gait, times) if sampled is None else sampled
-        for offset, rows in ((0, np.s_[:k]), (1, np.s_[k:]), (2, np.s_[1:k])):
-            at = span[offset::3]
-            stage_times[at], stage_shapes[at], stage_rates[at] = times[rows], shapes[rows], rates[rows]
+        # step j's start, midpoint and end are rows j, k + 1 + j and j + 1 of times
+        rows = (np.arange(k)[:, None] + [0, k + 1, 1]).ravel()
+        stage_times[a:b], stage_shapes[a:b], stage_rates[a:b] = times[rows], shapes[rows], rates[rows]
         knots = getattr(gait, "times", ())
         if len(knots):
-            rows = np.searchsorted(t, knots[1:])
-            at = span[2::3][rows - 1]
-            stage_shapes[at], stage_rates[at] = _sample(gait, t[rows], "left")
-        stage_codes[span] = np.repeat(row_codes, 3)[:-2]
-    del times, shapes, rates, sampled
-    samples.clear()
+            at = a + 3 * np.searchsorted(t, knots[1:]) - 1
+            stage_shapes[at], stage_rates[at] = _sample(gait, stage_times[at], "left")
+        stage_codes[a:b] = np.repeat(row_codes[:-1], 3)
+    del times, shapes, rates, sampled, rows
     _require_finite(np.isfinite(stage_rates).all(axis=1), "shape rate", stage_times, stage_shapes)
     conn, stage_conn = connection_rows(provider, stage_shapes, stage_codes)
     _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", stage_times, stage_shapes)
@@ -338,16 +338,13 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
         # one row per stage; the batched product gives each row bitwise its own A @ rdot
         stage_twists = (conn[stage_conn] @ stage_rates[:, :, None])[:, :, 0]
         _require_finite(np.isfinite(stage_twists).all(axis=1), "stage twist", stage_times, stage_shapes)
-        # a last row's twist is no stage, so it stays out of the largest norm;
         # a finite twist's squares can still overflow
-        vx, vy, om = stage_twists[:total].T
+        vx, vy, om = stage_twists.T
         norms = np.sqrt(vx * vx + vy * vy + om * om)
         _require_finite(np.isfinite(norms), "twist norm", stage_times, stage_shapes)
-    # each gait's rows and twists, and its own largest norm and count of distinct stage rows
-    rows = [
-        (stage_shapes[span[::3]], stage_twists[span[::3]], top, np.count_nonzero(np.bincount(stage_conn[span])))
-        for span, top in zip(spans, np.maximum.reduceat(norms, stops - 3 * n).tolist())
-    ]
+    # each gait's own largest norm and count of distinct stage rows
+    tops = np.maximum.reduceat(norms, lo).tolist()
+    counts = [np.count_nonzero(np.bincount(stage_conn[a:b])) for a, b in zip(lo, hi)]
     del conn, stage_conn, stage_codes, stage_rates, norms
 
     # -- combine: every step's exponent and increment in array passes, and
@@ -356,23 +353,27 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
     # is named by its start's time and shape.
     with np.errstate(over="ignore", invalid="ignore"):
         lengths = np.concatenate([t[1:] - t[:-1] for _, _, _, t, *_ in plans])
-        u = _rkmk4_exponents(lengths, *(stage_twists[i:total:3].T for i in range(3)))
-        _require_finite(np.isfinite(u).all(axis=0), "step exponent", stage_times[::3], stage_shapes[::3])
+        u = _rkmk4_exponents(lengths, *(stage_twists[i::3].T for i in range(3)))
+        # the step starts' shapes and twists, copied so the stage arrays can be freed
+        start_shapes, start_twists = stage_shapes[::3].copy(), stage_twists[::3].copy()
+        _require_finite(np.isfinite(u).all(axis=0), "step exponent", stage_times[::3], start_shapes)
         del stage_times, stage_shapes, stage_twists
         # a gait's chain takes its cycle's increments `cycles` times; a shorter
         # chain ends in identity steps, which leave its poses as they are
         repeat = np.s_[:]
         if cycles > 1:
-            repeat = np.concatenate([a + np.arange(cycles * k) % k for a, k in zip(stops // 3 - n, n)])
+            repeat = np.concatenate([a + np.arange(cycles * k) % k for a, k in zip(lo // 3, n)])
         increments = np.zeros((3, len(n), cycles * n.max()))
         increments[:, np.arange(cycles * n.max()) < cycles * n[:, None]] = exp_many(u)[:, repeat]
         poses = compose_chain(increments)
     out = []
-    for plan, g, (shapes, twists, top, m) in zip(plans, poses.swapaxes(0, 1), rows):
+    for plan, g, a, k, top, m in zip(plans, poses.swapaxes(0, 1), lo // 3, n, tops, counts):
         gait, n_steps, h, t, row_codes, switch_rows, events = plan
-        k = len(t) - 1
         g = np.ascontiguousarray(g[:, :cycles * k + 1])
-        contacts = list(map(provider.catalog.__getitem__, row_codes.tolist()))
+        # the step-start rows `cycles` times, then the first row, which closes the cycle
+        rows = np.arange(cycles * k + 1) % k
+        shapes, twists = start_shapes[a + rows], start_twists[a + rows]
+        contacts = list(map(provider.catalog.__getitem__, row_codes[rows].tolist()))
         if cycles > 1:
             # cycle c's rows and events are the first cycle's, at times c * period + t
             offsets = np.arange(cycles) * gait.period
@@ -383,8 +384,6 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
                 t[up + 1] = np.nextafter(t[up], np.inf)
             while len(down := np.flatnonzero(switch_rows[:-1] & (t[:-1] >= t[1:]))):
                 t[down] = np.nextafter(t[down + 1], -np.inf)
-            shapes, twists = (np.concatenate([np.tile(x[:-1], (cycles, 1)), x[-1:]]) for x in (shapes, twists))
-            contacts = contacts[:-1] * cycles + contacts[-1:]
             events = [EventRecord(e.time + c, e.before, e.after, e.shape, (e.window[0] + c, e.window[1] + c))
                       for c in offsets.tolist() for e in events]
         # a non-finite coordinate stays non-finite under the product (theta is
@@ -394,7 +393,6 @@ def _finish(provider, plans, samples, cycles, step, event_tol) -> list:
         meta = {"scheme": "rkmk4", "order": 4, "step_nominal": float(step), "step": float(h),
                 "steps_per_cycle": int(n_steps), "cycles": int(cycles), "period": float(gait.period),
                 "event_tol": float(event_tol), "max_twist_norm": float(top), "stage_shapes": int(m)}
-        # row k's twist is the start stage of the step leaving row k
         out.append(Trajectory(t, g, shapes, twists, contacts, events, list(range(0, cycles * k + 1, k)), meta))
     return out
 

@@ -126,14 +126,15 @@ def objective_displacement(
     direction: str = "x",
     step: float = 1e-2,
     cycles: int = 1,
+    event_tol: float = 1e-10,
 ) -> float:
-    """Chosen component of the per-cycle displacement exponent.
+    """Chosen component of the per-cycle displacement exponent, integrated as integrate_gait does.
 
     Singular configurations score -inf so the search simply avoids them.
     """
     score = _scorer(direction)
     try:
-        return score(integrate_gait(provider, gait, cycles=cycles, step=step))
+        return score(integrate_gait(provider, gait, cycles, step, event_tol))
     except SingularConstraint:
         return float("-inf")
 
@@ -270,6 +271,7 @@ def optimize(
     budget: int = 500,
     seeds: int = 4,
     rng_seed: int = 0,
+    event_tol: float = 1e-10,
 ) -> OptimizationReport:
     """Search a gait family for the largest displacement objective.
 
@@ -281,8 +283,8 @@ def optimize(
     def evaluate(points) -> list:
         gaits = [family.build(p) for p in points]
         try:
-            return [score(traj) for traj in integrate_gaits(provider, gaits, cycles, step)]
+            return [score(traj) for traj in integrate_gaits(provider, gaits, cycles, step, event_tol)]
         except SingularConstraint:
-            return [objective_displacement(provider, gait, direction, step, cycles) for gait in gaits]
+            return [objective_displacement(provider, gait, direction, step, cycles, event_tol) for gait in gaits]
 
     return _lockstep(evaluate, family.lower, family.upper, budget, seeds, rng_seed)

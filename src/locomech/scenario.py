@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from .connection import MAX_NODES, ConstraintConnection, JacobianConnection
-from .integrator import steps_per_cycle
+from .integrator import MAX_STEPS, steps_per_cycle
 from .models import (
     arm_com_pose_map,
     many_legged_drag_surrogate,
@@ -225,10 +225,16 @@ def _integer(default=None, minimum=None, maximum=None):
     return _reader(convert, default)
 
 
-def _numbers(length=None, default=None):
-    """Reader of a list of numbers; length is a count, or a function of seen."""
+def _numbers(length=None, default=None, most=None):
+    """Reader of a list of numbers; length is a count, or a function of seen, and most bounds any other length."""
     count = length if callable(length) else lambda seen: length
-    return _reader(lambda value, where, seen: _floats(value, where, count(seen)), default)
+
+    def convert(value, where, seen):
+        if most is not None and isinstance(value, list) and len(value) > most:
+            raise ScenarioError(where, f"expected at most {most} entries")
+        return _floats(value, where, count(seen))
+
+    return _reader(convert, default)
 
 
 def _interval(default):
@@ -241,12 +247,14 @@ def _interval(default):
     return _reader(convert, default)
 
 
-def _rows(width, what: str, nonempty=False):
-    """Reader of a list of rows (what, in messages) of width(seen) numbers each, row i checked at path.key[i]."""
+def _rows(width, what: str, nonempty=False, most=None):
+    """Reader of a list of at most `most` rows (what, in messages) of width(seen) numbers each, row i at path.key[i]."""
 
     def convert(value, where, seen):
         if not isinstance(value, list) or (nonempty and not value):
             raise ScenarioError(where, f"expected a {'non-empty ' if nonempty else ''}list of {what}")
+        if most is not None and len(value) > most:
+            raise ScenarioError(where, f"expected at most {most} {what}")
         return [_floats(row, f"{where}[{i}]", width(seen)) for i, row in enumerate(value)]
 
     return _reader(convert)
@@ -275,7 +283,9 @@ _POSE_MAPS = {
     "rotate_translate": ({}, rotate_translate_map),
     "wavy": ({}, wavy_pose_map),
     "arm_com": (
-        {"lengths": _numbers(), "masses": _numbers(lambda seen: len(seen["lengths"]))},
+        # a 256-row block of the Jacobian's probes peaks near 160 d^2 bytes a row at d links (tracemalloc:
+        # 0.74, 16 and 256 KB at d = 2, 10 and 40); at 64 links a sweep or simulate peaked at 218 MB RSS
+        {"lengths": _numbers(most=64), "masses": _numbers(lambda seen: len(seen["lengths"]))},
         arm_com_pose_map,
     ),
 }
@@ -327,7 +337,9 @@ _MODELS = {
 
 MODEL_KINDS = tuple(_MODELS)
 
-_harmonics = _optional(_rows(lambda seen: len(seen["mean"]), "rows"))
+# sampling holds about 25 bytes per time and harmonic row at d = 2 (tracemalloc, 10 to 1000 rows
+# over 2001 times), and a step samples two times: 100 rows add about 5 KB a step
+_harmonics = _optional(_rows(lambda seen: len(seen["mean"]), "rows", most=100))
 
 _GAITS = {
     "fourier": (
@@ -358,7 +370,8 @@ def _check_time_axis(period: float, step: float, event_tol: float, cycles: int) 
 
 
 _INTEGRATOR = (
-    {"step": _positive(1e-2), "event_tol": _positive(1e-10), "cycles": _integer(1, minimum=1)},
+    # a cycle takes a step at least, so more than MAX_STEPS cycles can never run
+    {"step": _positive(1e-2), "event_tol": _positive(1e-10), "cycles": _integer(1, minimum=1, maximum=MAX_STEPS)},
     lambda gait, **settings: _check_time_axis(gait.period, **settings),
     "gait",
 )
@@ -484,7 +497,9 @@ _OPTIMIZE = (
     {
         "direction": _direction,
         "budget": _integer(500, minimum=2),
-        "restarts": _integer(4, minimum=1),
+        # a restart's lockstep state holds about 2.7 KB and costs 0.6-0.9 ms beside its evaluations
+        # (tracemalloc, 10 to 10,000 restarts of a free objective): 2.7 MB at 1000
+        "restarts": _integer(4, minimum=1, maximum=1000),
     },
     _search,
     ("family", _FAMILIES),

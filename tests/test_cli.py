@@ -533,6 +533,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "integrator.event_tol: 1e-13 is below the float spacing 1.1368683772161603e-13" in err
 
+    def test_optimize_integrates_at_the_event_tolerance(self, tmp_path):
+        # a crawler's stance switches are located to integrator.event_tol, so
+        # a coarse tolerance moves the search's scores
+        histories = []
+        for tol in (1.0e-10, 1.0e-2):
+            doc = crawler_doc(optimize={"family": "amplitude_phase", "direction": "y", "budget": 40, "restarts": 2})
+            doc["integrator"].update(step=0.02, cycles=1, event_tol=tol)
+            out = tmp_path / f"run_{tol}"
+            assert main(["optimize", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+            histories.append([entry["value"] for entry in json.loads((out / "report.json").read_text())["history"]])
+        assert histories[0] != histories[1]
+
     @pytest.mark.parametrize(
         "last, step, tol, message, advice",
         [

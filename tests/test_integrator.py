@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import warnings
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
@@ -45,9 +46,11 @@ from locomech import (
     wavy_pose_map,
 )
 from locomech import integrator
+from locomech.connection import connection_rows
 from locomech.integrator import MAX_STEPS, _step_grid, integrate_gaits, pose_increments
 from locomech.liegroup import compose_chain
 from locomech.optimizer import amplitude_phase_family
+from locomech.shapespace import SmoothstepGait, smoothstep
 from fuzzing import time_limit
 from pointwise import Pointwise, reference_cycle_grid, reference_plan
 
@@ -1175,6 +1178,40 @@ def test_every_cycle_repeats_the_first_bitwise(gait, model, cycles, step):
     assert traj.pose_array[:, :n + 1].tobytes() == alone.pose_array.tobytes()
     for c in range(cycles):
         assert chains[0][:, :, c * n:(c + 1) * n].tobytes() == chains[1].tobytes()
+
+
+# every gait form the library builds, including verify's reversed and retimed ones
+CLOSING_GAITS = {
+    "fourier": CIRCLE_HALF,
+    "waypoint": square_gait(),
+    "reversed_fourier": reversed_gait(CIRCLE_HALF),
+    "reversed_waypoint": reversed_gait(square_gait()),
+    "smoothstep": SmoothstepGait(CIRCLE_HALF),
+    "reparameterized_fourier": reparameterize(CIRCLE_HALF, partial(smoothstep, period=1.0), samples=64),
+    "reparameterized_waypoint": reparameterize(square_gait(), partial(smoothstep, period=1.0)),
+}
+
+
+@pytest.mark.parametrize("cycles", [1, 3])
+@pytest.mark.parametrize("model", sorted(BATCH_PROVIDERS))
+@pytest.mark.parametrize("name", CLOSING_GAITS)
+def test_the_closing_row_is_the_first_row_bitwise(name, model, cycles):
+    # a periodic gait is back at its first shape, rate and stance at every
+    # cycle end, so the closing row, evaluated there as a stage of its own,
+    # is the first row bit for bit
+    provider, gait = BATCH_PROVIDERS[model], CLOSING_GAITS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj = integrate_gait(provider, gait, cycles, 0.05)
+    assert bool(traj.events) == (model == "crawler")
+    for t in (gait.period, cycles * gait.period):
+        shape, rate = gait.evaluate_many(np.array([t]))
+        code = provider.contacts_many(shape)
+        conn, index = connection_rows(provider, shape, code)
+        twist = (conn[index] @ rate[:, :, None])[:, :, 0]
+        assert shape[0].tobytes() == traj.shapes[0].tobytes() == traj.shapes[-1].tobytes()
+        assert twist[0].tobytes() == traj.twists[0].tobytes() == traj.twists[-1].tobytes()
+        assert provider.catalog[code[0]] == traj.contacts[0] == traj.contacts[-1]
 
 
 def nan_outside_a_disc(r):

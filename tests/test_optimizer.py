@@ -24,6 +24,7 @@ from locomech import (
     objective_displacement,
     optimize,
     three_link_swimmer,
+    two_leg_crawler,
 )
 import locomech.optimizer as optimizer
 from locomech import integrator
@@ -412,3 +413,18 @@ def test_swimmer_optimize_history_is_the_sequential_search_bitwise(tmp_path):
     got = optimize(scenario.provider, family, *args, block["budget"], block["restarts"], scenario.seed)
     assert got.evaluations == 500
     assert_same_report(got, want)
+
+
+def test_optimize_scores_at_its_event_tolerance():
+    # a crawler's stance switches are bisected to event_tol, so a coarse
+    # tolerance moves its scores; each point still scores as objective_displacement
+    # does at the same tolerance
+    provider, family = two_leg_crawler().provider(), amplitude_phase_family()
+    coarse = optimize(provider, family, "y", 0.02, budget=40, seeds=2, event_tol=1e-2)
+    want = reference_nelder_mead(
+        lambda p: objective_displacement(provider, family.build(p), "y", 0.02, event_tol=1e-2),
+        family.lower, family.upper, 40, 2, 0,
+    )
+    assert_same_report(coarse, want)
+    fine = optimize(provider, family, "y", 0.02, budget=40, seeds=2)
+    assert [v for _, v in coarse.history] != [v for _, v in fine.history]

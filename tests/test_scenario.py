@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -455,6 +456,16 @@ class TestTableRows:
             with pytest.raises(ScenarioError, match="^model.feet: must be at most 10000$"):
                 load_scenario(doc)
 
+    def test_document_sized_counts_load_up_to_their_maximum(self):
+        # a million one-step cycles end at t = 1e6, where the float spacing is 1.2e-10
+        integrator = {"step": 1.0, "cycles": 1_000_000, "event_tol": 1e-9}
+        doc = minimal(integrator=integrator, optimize={"family": "amplitude_phase", "restarts": 1000})
+        doc["gait"]["cos"] = [[0.0, -0.5]] * 100
+        assert load_scenario(doc).cycles == 1_000_000
+        arm = minimal(model={"kind": "jacobian", "map": "arm_com", "lengths": [0.5] * 64, "masses": [1.0] * 64})
+        arm["gait"] = {"kind": "fourier", "mean": [0.0] * 64}
+        assert load_scenario(arm).dim == 64
+
     @pytest.mark.parametrize("kind, given, factory", [
         ("jacobian", {"map": "wavy"}, JacobianConnection),
         ("swimmer", {}, three_link_swimmer),
@@ -715,3 +726,51 @@ def test_a_base_60_integer_loads_up_to_the_digit_limit_at_either_parser(tmp_path
         path.write_text(text.replace("seed: 0", f"seed: {seed}{tab}"))
         with pytest.raises(ScenarioError, match=rf"^<file>: not loadable as YAML: Exceeds the limit \({limit} digits\)"):
             load_scenario(str(path))
+
+
+def _edited(scenario: str, old: str, new: str) -> str:
+    """The text of a shipped scenario with its one line old replaced by new."""
+    text = (SCENARIOS / scenario).read_text()
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+# a 100,000-link arm held still: np.eye of its one distinct stage row's probes would take 74.5 GiB
+_ONES = "[%s]" % ", ".join(["1.0"] * 100_000)
+_ARM = f"model: {{kind: jacobian, map: arm_com, lengths: {_ONES}, masses: {_ONES}}}\n" \
+       f"gait: {{kind: fourier, mean: {_ONES}}}\n"
+_HARMONICS = "cos: [%s]" % ", ".join(["[0.0, -0.5]"] * 20_000)
+
+# (command, scenario text with one count past its maximum, extra arguments, the one stderr line)
+_COUNTS_PAST_THEIR_MAXIMUM = {
+    "cycles": ("simulate", lambda: _edited("swimmer_circle.yaml", "cycles: 1", "cycles: " + "7" * 4000), [],
+               "integrator.cycles: must be at most 1000000"),
+    "cycles_flag": ("simulate", (SCENARIOS / "swimmer_circle.yaml").read_text, ["--cycles", "7" * 4000],
+                    "integrator.cycles: must be at most 1000000"),
+    "arm_links": ("simulate", lambda: _ARM, [], "model.lengths: expected at most 64 entries"),
+    "harmonic_rows": ("simulate", lambda: _edited("swimmer_circle.yaml", "cos: [[0.0, -0.5]]", _HARMONICS), [],
+                      "gait.cos: expected at most 100 rows"),
+    "restarts": ("optimize", lambda: _edited("swimmer_optimize.yaml", "restarts: 4", "restarts: 1001"), [],
+                 "optimize.restarts: must be at most 1000"),
+}
+
+
+def _two_gigabytes() -> None:
+    """Cap this process's address space, so a count that escaped its check fails in it, not on the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("name", _COUNTS_PAST_THEIR_MAXIMUM)
+def test_a_count_past_its_maximum_exits_two_with_one_short_line(tmp_path, name):
+    command, text, extra, message = _COUNTS_PAST_THEIR_MAXIMUM[name]
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text())
+    proc = subprocess.run(
+        [sys.executable, "-m", "locomech.cli", command, str(path), "--out", str(tmp_path / "out"), *extra],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=_two_gigabytes,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"scenario error: {message}\n")
+    assert len(proc.stderr.encode()) <= 1024

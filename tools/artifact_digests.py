@@ -4,11 +4,13 @@ The runs are every shipped scenario under every command, every perfbench
 workload document at the given seeds under the commands its workload runs,
 and a fixed set of runs that must fail: an unknown key, a malformed sweep
 window, an ``--out`` that is a file, a document that is not UTF-8, an
-impossible date, a list nested 25,000 deep, and a base-60 seed and schema
-of about 4800 digits (exit 2), and a gait whose stage twists overflow
-(exit 3).  Each run is a fresh ``python -m locomech.cli`` process on the
-chosen source tree, in its own scratch directory, with only relative paths
-on its command line, and prints
+impossible date, a list nested 25,000 deep, a base-60 seed and schema of
+about 4800 digits, a cycle count of 4000 digits and an arm of 100,000 links
+(exit 2), and a gait whose stage twists overflow (exit 3).  Each run is a
+fresh ``python -m locomech.cli`` process on the chosen source tree, in its
+own scratch directory, with only relative paths on its command line, and a
+4 GB address space, so a count that escapes its check fails in the run, and
+prints
 
     <run> exit=<code> <artifact>=<sha256> ... stdout=<sha256> stderr=<sha256>
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -71,6 +74,12 @@ def _runs(seeds):
     yield "error/out_is_a_file/sweep", _dump(doc), ["sweep", "scenario.yaml", "--out", "scenario.yaml"]
     yield "error/overflow/simulate", _dump(overflow), ["simulate", *_ARGS, "--step", "0.05"]
     yield "error/not_utf8/simulate", b'schema: 1\nmodel: {kind: swimmer}\ngait: "\xff"\n', ["simulate", *_ARGS]
+    # a 100,000-link arm held still: np.eye of one shape's probes would take 74.5 GiB
+    arm = {"model": {"kind": "jacobian", "map": "arm_com", "lengths": [1.0] * 100_000, "masses": [1.0] * 100_000},
+           "gait": {"kind": "fourier", "mean": [1.0] * 100_000}}
+    yield "error/arm_links/simulate", _dump(arm), ["simulate", *_ARGS]
+    cycles = {**doc, "integrator": {**doc["integrator"], "cycles": int("7" * 4000)}}
+    yield "error/cycles_digits/simulate", _dump(cycles), ["simulate", *_ARGS]
     # YAML that safe_dump never writes, in place of the seed or the schema; base 60 here is about 4800 digits
     base_60 = "1" + ":0" * 2700
     for name, old, new in (
@@ -80,6 +89,10 @@ def _runs(seeds):
         ("base_60_schema", "schema: 1", f"schema: {base_60}"),
     ):
         yield f"error/{name}/simulate", _dump(doc).replace(f"{old}\n", f"{new}\n"), ["simulate", *_ARGS]
+
+
+def _four_gigabytes() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
 def run(src: Path, text: str | bytes, args: list[str]) -> tuple[int, dict[str, bytes]]:
@@ -95,6 +108,7 @@ def run(src: Path, text: str | bytes, args: list[str]) -> tuple[int, dict[str, b
             cwd=tmp,
             capture_output=True,
             env={**os.environ, "PYTHONPATH": str(src)},
+            preexec_fn=_four_gigabytes,
         )
         out = Path(tmp, "out")
         outputs = {f.name: f.read_bytes() for f in (sorted(out.iterdir()) if out.is_dir() else [])}
