@@ -50,12 +50,23 @@ ConnectionMatrix = np.ndarray  # (3, d), rows vx, vy, omega
 
 _COND_LIMIT = 1e12
 
-# rows per constraint build and solve, or per pose-map differentiation.  An
-# optimize integration's ~101 stage rows make one block: a swimmer row costs
-# 11.5 us in blocks of 64, 6.9 at 256.  A fresh 97 x 97 swimmer sweep takes
-# 695 minor page faults at 256 rows, 2520 at 512.  Rows are evaluated
-# independently, so the size changes no result.
+# rows per constraint build and solve.  An optimize integration's ~101 stage
+# rows make one block: a swimmer row costs 11.5 us in blocks of 64, 6.9 at
+# 256.  A fresh 97 x 97 swimmer sweep takes 695 minor page faults at 256
+# rows, 2520 at 512.  Rows are solved independently, so the size changes no
+# result.
 _CHUNK_ROWS = 256
+
+# rows per pose-map differentiation.  A block's probes peak near 160 d^2
+# bytes a row (tracemalloc: 0.74, 16 and 256 KB at d = 2, 10 and 40).  Per
+# row, best of 9 over 100k-200k random shapes (2-core x86), blocks of 256 /
+# 4096 / all rows: rotate_translate 0.61-1.07 / 0.50-0.54 / 0.65-0.68 us, a
+# 4-link arm 2.7-3.0 / 2.8-3.1 / 3.6.  Against one call per batch (median
+# of 10 alternating pairs), a 100k-step rotate_translate simulate went
+# 1.20 -> 1.07 s, a 1000 x 1000 sweep 5.69 -> 5.55 s and a 100k-step 4-link
+# arm 2.34 -> 1.99 s.  Rows are evaluated independently, so the size
+# changes no result.
+_JACOBIAN_ROWS = 4096
 
 # Most nodes one field sweep, or shapes one residual check, may take: sampling, curvature and
 # the CSV rows peak near a kilobyte per node at d = 2, so more is rejected, not run out of memory.
@@ -263,17 +274,17 @@ def connection_rows(provider, shapes, codes) -> tuple[np.ndarray, np.ndarray]:
     return out, index
 
 
-def _in_row_blocks(connection, shapes) -> np.ndarray:
-    """connection(shapes), (..., 3, d), over blocks of _CHUNK_ROWS rows of an (N, d) array.
+def _in_row_blocks(connection, shapes, rows: int) -> np.ndarray:
+    """connection(shapes), (..., 3, d), over blocks of `rows` rows of an (N, d) array.
 
     Row blocks bound the temporaries of long integrations and large sweeps.
     """
     shapes = np.asarray(shapes, dtype=float)
-    if shapes.ndim < 2 or len(shapes) <= _CHUNK_ROWS:
+    if shapes.ndim < 2 or len(shapes) <= rows:
         return connection(shapes)
     out = np.empty(shapes.shape[:-1] + (3, shapes.shape[-1]))
-    for i in range(0, len(shapes), _CHUNK_ROWS):
-        out[i:i + _CHUNK_ROWS] = connection(shapes[i:i + _CHUNK_ROWS])
+    for i in range(0, len(shapes), rows):
+        out[i:i + rows] = connection(shapes[i:i + rows])
     return out
 
 
@@ -286,7 +297,9 @@ class JacobianConnection(ConnectionProvider):
         self.dim = pose_map.dim
 
     def connection_many(self, label, shapes) -> np.ndarray:
-        return _in_row_blocks(lambda block: jacobian_connection_eval(self.pose_map, block, self.h), shapes)
+        return _in_row_blocks(
+            lambda block: jacobian_connection_eval(self.pose_map, block, self.h), shapes, _JACOBIAN_ROWS
+        )
 
 
 class ConstraintConnection(ConnectionProvider):
@@ -301,7 +314,7 @@ class ConstraintConnection(ConnectionProvider):
         self.dim = dim
 
     def connection_many(self, label, shapes) -> np.ndarray:
-        return _in_row_blocks(lambda block: linear_constraint_connection(self.builder(block)), shapes)
+        return _in_row_blocks(lambda block: linear_constraint_connection(self.builder(block)), shapes, _CHUNK_ROWS)
 
 
 class PiecewiseConnection(ConnectionProvider):

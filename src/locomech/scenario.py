@@ -283,9 +283,10 @@ _POSE_MAPS = {
     "rotate_translate": ({}, rotate_translate_map),
     "wavy": ({}, wavy_pose_map),
     "arm_com": (
-        # a 256-row block of the Jacobian's probes peaks near 160 d^2 bytes a row at d links (tracemalloc:
-        # 0.74, 16 and 256 KB at d = 2, 10 and 40); at 64 links a sweep or simulate peaked at 218 MB RSS
-        {"lengths": _numbers(most=64), "masses": _numbers(lambda seen: len(seen["lengths"]))},
+        # a run of MAX_STEPS steps holds about 0.25 + 0.17 d KB a step at d links: verify (all three
+        # suites) peaked at 0.67, 1.0 and 1.7 GB RSS at d = 2, 4 and 8, so 64 links would need about
+        # 12 GB.  A sweep of MAX_NODES nodes peaked at 0.17, 0.26 and 0.47 GB
+        {"lengths": _numbers(most=4), "masses": _numbers(lambda seen: len(seen["lengths"]))},
         arm_com_pose_map,
     ),
 }

@@ -42,7 +42,7 @@ from locomech import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from locomech.connection import _CHUNK_ROWS, _cond_estimate
+from locomech.connection import _CHUNK_ROWS, _JACOBIAN_ROWS, _cond_estimate
 from locomech.scenario import MODEL_KINDS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -432,6 +432,32 @@ def test_row_blocks_are_single_shape_solves_at_the_block_boundaries(name):
         many = provider.connection_many(None, shapes[:count])
         assert sizes == [(b,) for b in blocks], count
         assert many.shape == (count, 3, dim)
+        wrong = [i for i in range(count) if not np.array_equal(many[i], singles[i])]
+        assert not wrong, (count, wrong[:5])
+
+
+@pytest.mark.parametrize("pose_map", [rotate_translate_map(), wavy_pose_map(), arm_com_pose_map([1.0, 0.7, 0.5, 0.3])],
+                         ids=["rotate_translate", "wavy", "arm_com_4"])
+def test_pose_maps_are_differentiated_in_row_blocks_of_single_shape_results(pose_map):
+    sizes = []
+
+    def recording(r):
+        sizes.append(len(r))
+        return pose_map.poses_many(r)
+
+    provider = JacobianConnection(PoseMap.from_many(recording, pose_map.dim))
+    probes = 2 * pose_map.dim
+    longest = 2 * _JACOBIAN_ROWS + 1
+    shapes = np.random.default_rng(29).uniform(-1.2, 1.2, (longest, pose_map.dim))
+    singles = [provider.connection_at(r) for r in shapes]
+    for count, blocks in [
+        (_JACOBIAN_ROWS, [_JACOBIAN_ROWS]),
+        (_JACOBIAN_ROWS + 1, [_JACOBIAN_ROWS, 1]),
+        (longest, [_JACOBIAN_ROWS, _JACOBIAN_ROWS, 1]),
+    ]:
+        sizes.clear()
+        many = provider.connection_many(None, shapes[:count])
+        assert sizes == [probes * b for b in blocks], count
         wrong = [i for i in range(count) if not np.array_equal(many[i], singles[i])]
         assert not wrong, (count, wrong[:5])
 

@@ -462,9 +462,9 @@ class TestTableRows:
         doc = minimal(integrator=integrator, optimize={"family": "amplitude_phase", "restarts": 1000})
         doc["gait"]["cos"] = [[0.0, -0.5]] * 100
         assert load_scenario(doc).cycles == 1_000_000
-        arm = minimal(model={"kind": "jacobian", "map": "arm_com", "lengths": [0.5] * 64, "masses": [1.0] * 64})
-        arm["gait"] = {"kind": "fourier", "mean": [0.0] * 64}
-        assert load_scenario(arm).dim == 64
+        arm = minimal(model={"kind": "jacobian", "map": "arm_com", "lengths": [0.5] * 4, "masses": [1.0] * 4})
+        arm["gait"] = {"kind": "fourier", "mean": [0.0] * 4}
+        assert load_scenario(arm).dim == 4
 
     @pytest.mark.parametrize("kind, given, factory", [
         ("jacobian", {"map": "wavy"}, JacobianConnection),
@@ -747,7 +747,7 @@ _COUNTS_PAST_THEIR_MAXIMUM = {
                "integrator.cycles: must be at most 1000000"),
     "cycles_flag": ("simulate", (SCENARIOS / "swimmer_circle.yaml").read_text, ["--cycles", "7" * 4000],
                     "integrator.cycles: must be at most 1000000"),
-    "arm_links": ("simulate", lambda: _ARM, [], "model.lengths: expected at most 64 entries"),
+    "arm_links": ("simulate", lambda: _ARM, [], "model.lengths: expected at most 4 entries"),
     "harmonic_rows": ("simulate", lambda: _edited("swimmer_circle.yaml", "cos: [[0.0, -0.5]]", _HARMONICS), [],
                       "gait.cos: expected at most 100 rows"),
     "restarts": ("optimize", lambda: _edited("swimmer_optimize.yaml", "restarts: 4", "restarts: 1001"), [],
@@ -774,3 +774,23 @@ def test_a_count_past_its_maximum_exits_two_with_one_short_line(tmp_path, name):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"scenario error: {message}\n")
     assert len(proc.stderr.encode()) <= 1024
+
+
+def test_an_arm_of_the_most_links_runs_the_most_steps_in_two_gigabytes(tmp_path):
+    # a million steps of a 4-link arm peak near 0.85 GB RSS; 64 links would need about 12 GB
+    path = tmp_path / "scenario.yaml"
+    path.write_text(
+        "schema: 1\n"
+        "model: {kind: jacobian, map: arm_com, lengths: [1.0, 0.7, 0.5, 0.3], masses: [1.0, 1.0, 1.0, 1.0]}\n"
+        "gait: {kind: fourier, mean: [0.1, 0.1, 0.1, 0.1], cos: [[0.3, 0.3, 0.3, 0.3]], sin: [[0.2, 0.2, 0.2, 0.2]]}\n"
+        "integrator: {step: 1.0e-6}\n"
+        "verify: {suites: [loop_closure]}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "locomech.cli", "verify", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=_two_gigabytes,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
