@@ -29,7 +29,6 @@ from .integrator import EventRecord, Trajectory, integrate_gait, net_displacemen
 from .liegroup import Pose, Twist, adjoint, bracket, compose, exp, hat, inverse, log, normalize_angle, vee
 from .models import (
     ChainModel,
-    DegenerateStance,
     DragModel,
     LeggedModel,
     SlipModel,

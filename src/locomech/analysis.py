@@ -73,12 +73,10 @@ def sample_field(provider, spec: GridSpec) -> FieldGrid:
     """Evaluate the provider's connection at every grid node.
 
     The nodes of each stance go to the provider in one connection_many call,
-    with no deduplication: grid nodes are distinct.  A batch fails as a whole
-    on one singular node, so after a SingularConstraint the nodes are
-    re-evaluated one at a time to find it.  Singular nodes and nodes with a
-    non-finite connection entry are flagged, not raised, and store a zero
-    connection.  The stance codes take the narrowest unsigned dtype, so
-    curvature's shifted copies of them stay small.
+    with no deduplication: grid nodes are distinct.  A node whose connection
+    has a non-finite entry, where A(r) does not exist, is flagged singular
+    and stores a zero connection.  The stance codes take the narrowest
+    unsigned dtype, so curvature's shifted copies of them stay small.
     """
     d = provider.dim
     if spec.axes[0] >= d or spec.axes[1] >= d or min(spec.axes) < 0:
@@ -95,18 +93,10 @@ def sample_field(provider, spec: GridSpec) -> FieldGrid:
     catalog = provider.catalog
     codes = provider.contacts_many(nodes)
     conn = np.empty((n1 * n2, 3, d))
-    singular = np.zeros(n1 * n2, dtype=bool)
-    try:
-        for c in np.flatnonzero(np.bincount(codes, minlength=len(catalog))).tolist():
-            at = codes == c
-            conn[at] = provider.connection_many(catalog[c], nodes[at])
-    except SingularConstraint:
-        for k, c in enumerate(codes.tolist()):
-            try:
-                conn[k] = provider.connection_many(catalog[c], nodes[k:k + 1])[0]
-            except SingularConstraint:
-                singular[k] = True
-    singular |= ~np.isfinite(conn).all(axis=(1, 2))
+    for c in np.flatnonzero(np.bincount(codes, minlength=len(catalog))).tolist():
+        at = codes == c
+        conn[at] = provider.connection_many(catalog[c], nodes[at])
+    singular = ~np.isfinite(conn).all(axis=(1, 2))
     conn[singular] = 0.0
     return FieldGrid(
         axis1=axis1,

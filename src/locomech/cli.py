@@ -15,7 +15,7 @@ file.
 Exit codes: 0 success, 1 invariant failure, 2 scenario validation error
 (including an output location that cannot be created, an artifact that
 fails to open, write or close, and a stdout that cannot be written), 3
-numerical abort (singular constraint or degenerate stance).
+numerical abort (a shape with no connection, or a non-finite value).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .connection import SingularConstraint
 from .integrator import integrate_gait, net_displacement, per_cycle_displacements
-from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, load_scenario
+from .scenario import _QUOTE, SCHEMA_VERSION, Scenario, ScenarioError, load_scenario
 
 _TWIST_AXES = ("vx", "vy", "om")
 
@@ -233,6 +233,18 @@ def cmd_verify(scenario: Scenario) -> int:
     return 0 if all(row.passed for row in rows) else 1
 
 
+def _flag_type(convert):
+    """An argparse type converting with convert, whose error quotes a bounded prefix and suffix of the value."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {_QUOTE.repr(text)}") from None
+
+    return parse
+
+
 # each subcommand's handler, whose docstring is its --help line
 _COMMANDS = {"simulate": cmd_simulate, "sweep": cmd_sweep, "optimize": cmd_optimize, "verify": cmd_verify}
 
@@ -247,9 +259,9 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=handler.__doc__)
         cmd.add_argument("scenario", help="path to a scenario YAML file")
         cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument("--step", type=float, default=None, help="integrator step override")
-        cmd.add_argument("--cycles", type=int, default=None, help="cycle count override")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        cmd.add_argument("--step", type=_flag_type(float), default=None, help="integrator step override")
+        cmd.add_argument("--cycles", type=_flag_type(int), default=None, help="cycle count override")
+        cmd.add_argument("--seed", type=_flag_type(int), default=None, help="seed override")
     args = parser.parse_args(argv)
 
     try:

@@ -18,7 +18,8 @@ Provider protocol.  A provider offers:
 - ``connection_many(label, shapes)``: A of the named piece at every shape
   of a (..., d) array, typically (N, d), as a (..., 3, d) array whose entry
   at each leading index is bitwise the single-shape result; the piece may be
-  evaluated past its switching surface;
+  evaluated past its switching surface.  A row where A(r) does not exist
+  comes back non-finite, and an exception fails the whole call;
 - ``builder``: a single-stance constraint provider's balance builder, else None.
 
 Stances travel as catalog codes; a label is looked up only where it is
@@ -74,7 +75,7 @@ MAX_NODES = 1_000_000
 
 
 class SingularConstraint(RuntimeError):
-    """Raised when a constraint balance is singular or numerically unusable."""
+    """Raised when a computation that needs A(r) at every row meets a non-finite one, or derives a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -193,19 +194,21 @@ def _balance_scale(m: np.ndarray, n: np.ndarray, a: np.ndarray):
 def linear_constraint_connection(system: ConstraintSystem) -> ConnectionMatrix:
     """Solve every balance for A = -m^-1 n via a pivoted solve.
 
-    One refinement pass, taken only by the balances that need it, keeps the
-    residual ||m A + n||_inf at roundoff level; a condition estimate above
-    1e12 raises SingularConstraint.  Each leading index gives bitwise the
-    result of solving its balance alone.
+    A balance with a non-finite entry or a condition estimate above 1e12
+    has NaN rows.  One refinement pass, taken only by the balances that
+    need it, keeps the residual ||m A + n||_inf at roundoff level.  Each
+    leading index gives bitwise the result of solving its balance alone.
     """
     m, n = system.m, system.n
-    if not (np.isfinite(m).all() and np.isfinite(n).all()):
-        raise SingularConstraint("constraint blocks contain non-finite entries")
-    cond = _cond_estimate(m)
-    usable = cond <= _COND_LIMIT
+    # a block with a non-finite entry or 1-norm estimates inf; its overflows and NaNs go unreported
+    with np.errstate(over="ignore", invalid="ignore"):
+        usable = _cond_estimate(m) <= _COND_LIMIT
+    if not np.isfinite(n).all():
+        usable = usable & np.isfinite(n).all(axis=(-2, -1))
     if not np.all(usable):
-        worst = np.asarray(cond)[~np.asarray(usable)][0]
-        raise SingularConstraint(f"twist coefficient block has condition {worst:.3e}")
+        a = np.full(n.shape, np.nan)
+        a[usable] = linear_constraint_connection(ConstraintSystem(m[usable], n[usable]))
+        return a
     a = np.linalg.solve(m, -n)
     resid = m @ a + n
     resid_max = _max_abs(resid)

@@ -24,13 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import _gauss_legendre
-from .connection import ConstraintConnection, ConstraintSystem, PiecewiseConnection, PoseMap, SingularConstraint
+from .connection import ConstraintConnection, ConstraintSystem, PiecewiseConnection, PoseMap
 from .liegroup import compose_many, inverse_many, wrap_many
 from .shapespace import _readonly
-
-
-class DegenerateStance(SingularConstraint):
-    """Raised when a stance's pinning equations are rank-deficient."""
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,8 @@ class LeggedModel:
         One planted flat foot i keeps its hip still, so column i is (-h_y,
         h_x, -1) and every other column is zero.  A pinned pair i < j keeps
         foot i still and the line d = p_j - p_i at its world angle: omega =
-        -(d x d')/|d|^2 and v = -p_i' + omega (p_iy, -p_ix).
+        -(d x d')/|d|^2 and v = -p_i' + omega (p_iy, -p_ix); both columns
+        are NaN where the pins coincide.
         """
         feet = _stance_feet(c, self.n_feet)
         shapes = np.asarray(shapes, dtype=float)
@@ -321,13 +318,11 @@ def _stance_feet(c, n_feet: int) -> list[int]:
 
 
 def _pin_line(model: LeggedModel, i: int, j: int, shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Foot i's position p and d = p_j - p, each (..., 2); DegenerateStance at the first row where the pins coincide."""
+    """Foot i's position p and d = p_j - p, each (..., 2), both NaN at the rows where the pins coincide."""
     p = foot_position(model, i, shapes)
     d = foot_position(model, j, shapes) - p
-    coincide = (np.hypot(d[..., 0], d[..., 1]) < 1e-9 * (1.0 + float(model.leg_lengths.max()))).reshape(-1)
-    if coincide.any():
-        row = shapes.reshape(-1, model.shape_dim)[coincide.argmax()]
-        raise DegenerateStance(f"pinned feet {i} and {j} coincide at shape {row.tolist()}")
+    coincide = np.hypot(d[..., 0], d[..., 1]) < 1e-9 * (1.0 + float(model.leg_lengths.max()))
+    p[coincide] = d[coincide] = np.nan
     return p, d
 
 
@@ -337,11 +332,10 @@ def build_contact_map(model: LeggedModel, c) -> PoseMap:
     One planted flat foot fully determines the body pose: the map is the
     inverse of the foot pose in body coordinates.  Two planted feet act as
     pins; the body pose solves the two-point pinning in the frame anchored at
-    the lower-indexed foot with x toward the other, raising DegenerateStance
-    at the first shape where the pins coincide.  Both maps are written in
-    array form; the pin angle keeps math.atan2 per row, which np.arctan2
-    does not match bitwise.  LeggedModel.stance_connection is their exact
-    derivative.
+    the lower-indexed foot with x toward the other, and is NaN where the pins
+    coincide.  Both maps are written in array form; the pin angle keeps
+    math.atan2 per row, which np.arctan2 does not match bitwise.
+    LeggedModel.stance_connection is their exact derivative.
     """
     feet = _stance_feet(c, model.n_feet)
     if len(feet) == 1:

@@ -20,7 +20,7 @@ from functools import cache, partial
 import numpy as np
 
 from ._numerics import _uniforms
-from .connection import _balance_scale, _max_abs, linear_constraint_connection
+from .connection import SingularConstraint, _balance_scale, _max_abs, linear_constraint_connection
 from .integrator import integrate_gait, net_displacement, pose_increments
 from .liegroup import compose, log
 from .shapespace import FourierGait, SmoothstepGait, reparameterize, reversed_gait, smoothstep
@@ -107,6 +107,9 @@ def _suite_residual(scenario, base):
     # only a single-stance ConstraintConnection has a builder, so these are its balances
     system = builder(shapes)
     a = linear_constraint_connection(system)
+    bad = ~np.isfinite(a).all(axis=(1, 2))
+    if bad.any():
+        raise SingularConstraint(f"non-finite connection at shape {shapes[bad.argmax()].tolist()}")
     worst = (_max_abs(system.m @ a + system.n) / _balance_scale(system.m, system.n, a)).max()
     return [_check("residual", "constraint_balance", worst, 1e-10)]
 

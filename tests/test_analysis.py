@@ -21,6 +21,7 @@ from locomech import (
     bracket,
     curvature,
     holonomy_vs_area,
+    mirrored_slip_walker,
     sample_field,
     three_link_swimmer,
     two_leg_crawler,
@@ -262,7 +263,7 @@ class TestSampleField:
 
             def connection_at(self, r):
                 if abs(float(r[0])) < 1e-12:
-                    raise SingularConstraint("degenerate test row")
+                    return np.full((3, 2), np.nan)
                 return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
             def contacts_at(self, r):
@@ -273,7 +274,24 @@ class TestSampleField:
         )
         assert field.singular[2, :].all()
         assert field.singular.sum() == 5
+        assert np.array_equal(field.conn[2], np.zeros((5, 3, 2)))
         assert np.isfinite(field.conn[0, 0]).all()
+
+    def test_a_walker_near_the_planted_limit_is_one_call_with_its_singular_nodes_flagged(self):
+        # the balance is singular on thin curves of shape space: 16 of the 41 x 41 nodes
+        # have no connection, and once made the sweep re-solve every node alone
+        walker = mirrored_slip_walker(slip_tangential=1.0e-5, slip_normal=1.0e5, slip_yaw=1.0e-9).provider()
+        provider = CountingProvider(walker)
+        field = sample_field(provider, GridSpec(lo=(-3.1, -3.1), hi=(3.1, 3.1), counts=(41, 41)))
+        assert provider.labels == [None]
+        assert provider.rows == 41 * 41
+        assert field.singular.sum() == 16
+        for i in range(41):
+            for j in range(41):
+                alone = walker.connection_at(node_shape(field, i, j))
+                assert field.singular[i, j] == (not np.isfinite(alone).all()), (i, j)
+                want = np.zeros((3, 2)) if field.singular[i, j] else alone
+                assert field.conn[i, j].tobytes() == want.tobytes(), (i, j)
 
     @pytest.mark.parametrize("model", [three_link_swimmer, two_leg_crawler])
     def test_one_batched_call_per_stance_label(self, model):
@@ -464,7 +482,7 @@ class TestCurvature:
 
             def connection_at(self, r):
                 if abs(float(r[0])) < 1e-12:
-                    raise SingularConstraint("degenerate test row")
+                    return np.full((3, 2), np.nan)
                 return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
             def contacts_at(self, r):

@@ -686,6 +686,59 @@ class TestExitCodes:
         assert "non-finite connection at t=" in capsys.readouterr().err
 
 
+def singular_walker_doc():
+    """A slipping walker near the planted limit: its balance is singular on thin curves of shape space."""
+    doc = yaml.safe_load((SCENARIOS / "walker_mirror.yaml").read_text())
+    doc["model"].update(slip_tangential=1.0e-5, slip_normal=1.0e5, slip_yaw=1.0e-9)
+    doc["gait"] = {"kind": "fourier", "mean": [-2.17, 1.86], "sin": [[0.1, 0.0]]}
+    doc["integrator"] = {"step": 0.01}
+    doc["verify"] = {"suites": ["residual"], "shapes": 200, "box": 3.1}
+    return doc
+
+
+def _cli_process(tmp_path, *args):
+    """Run the CLI in a fresh process on this checkout's source; its exit code, stdout and stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "locomech.cli", *args],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestSingularWalker:
+    def test_simulate_through_a_singular_shape_is_three_naming_it(self, tmp_path, capsys):
+        # the gait starts on a shape with no connection; the abort once named only a condition number
+        path = write_scenario(tmp_path, singular_walker_doc())
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical abort: non-finite connection at t=0.0, shape [-2.17, 1.86]\n"
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+    def test_residual_verify_on_singular_shapes_is_three(self, tmp_path):
+        write_scenario(tmp_path, singular_walker_doc())
+        code, out, err = _cli_process(tmp_path, "verify", "scenario.yaml", "--out", "run")
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"numerical abort: non-finite connection at shape \[\S+, \S+\]\n", err)
+        assert not (tmp_path / "run" / "verify.csv").exists()
+
+
+@pytest.mark.parametrize("flag, kind, digit", [("--cycles", "int", "7"), ("--seed", "int", "7"), ("--step", "float", "x")])
+def test_a_flag_value_argparse_refuses_is_quoted_short(tmp_path, flag, kind, digit):
+    # argparse once echoed the whole value: four lines of more than 5 KB
+    value = digit * 5000
+    write_scenario(tmp_path, swimmer_doc())
+    code, out, err = _cli_process(tmp_path, "simulate", "scenario.yaml", "--out", "run", flag, value)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1024
+    usage, message = err.split("locomech simulate: error: ")
+    assert usage.startswith("usage: locomech simulate [-h]")
+    assert message == f"argument {flag}: invalid {kind} value: '{value[:12]}...{value[-13:]}'\n"
+
+
 class TestHugeDrag:
     """A balance with huge finite entries is as well conditioned as its unit-scale twin.
 

@@ -21,7 +21,6 @@ from locomech import (
     PiecewiseConnection,
     Pose,
     PoseMap,
-    SingularConstraint,
     Twist,
     build_contact_map,
     build_drag_constraints,
@@ -116,21 +115,21 @@ def test_constraint_scaled_blocks():
 
 
 def test_constraint_zero_matrix_is_singular():
-    with pytest.raises(SingularConstraint):
-        linear_constraint_connection(ConstraintSystem(np.zeros((3, 3)), np.eye(3)))
+    assert np.isnan(linear_constraint_connection(ConstraintSystem(np.zeros((3, 3)), np.eye(3)))).all()
 
 
 def test_constraint_nonfinite_rejected():
-    m = np.eye(3)
-    m[0, 0] = np.nan
-    with pytest.raises(SingularConstraint):
-        linear_constraint_connection(ConstraintSystem(m, np.eye(3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        m, n = np.eye(3), np.eye(3)
+        m[0, 0] = bad
+        assert np.isnan(linear_constraint_connection(ConstraintSystem(m, np.eye(3)))).all()
+        n[1, 2] = bad
+        assert np.isnan(linear_constraint_connection(ConstraintSystem(np.eye(3), n))).all()
 
 
 def test_constraint_near_singular_rejected():
     m = np.diag([1.0, 1.0, 1e-14])
-    with pytest.raises(SingularConstraint):
-        linear_constraint_connection(ConstraintSystem(m, np.eye(3)))
+    assert np.isnan(linear_constraint_connection(ConstraintSystem(m, np.eye(3)))).all()
 
 
 def test_constraint_shape_validation():
@@ -495,15 +494,33 @@ def test_refinement_pass_takes_only_the_failing_rows(monkeypatch):
         assert np.array_equal(batch[i], linear_constraint_connection(ConstraintSystem(m[i], n[i])))
 
 
-def test_one_singular_row_fails_the_batch():
-    m = np.stack([np.eye(3)] * 4)
-    m[2] = np.diag([1.0, 1.0, 1e-14])
-    with pytest.raises(SingularConstraint, match="condition"):
-        linear_constraint_connection(ConstraintSystem(m, np.ones((4, 3, 2))))
-    m[2] = np.eye(3)
-    m[1, 0, 1] = np.inf
-    with pytest.raises(SingularConstraint, match="non-finite"):
-        linear_constraint_connection(ConstraintSystem(m, np.ones((4, 3, 2))))
+@pytest.mark.parametrize("unusable", ["condition", "zero", "nan_m", "inf_m", "inf_n", "huge_norm"])
+def test_unusable_balances_are_nan_rows_and_the_rest_solve_alone(unusable):
+    # the unusable balances sit among well-posed ones, on two leading axes
+    rng = np.random.default_rng(31)
+    m = rng.uniform(-1.0, 1.0, (3, 4, 3, 3)) + 3.0 * np.eye(3)
+    n = rng.uniform(-1.0, 1.0, (3, 4, 3, 2))
+    bad = np.zeros((3, 4), dtype=bool)
+    bad[0, 1] = bad[2, 3] = True
+    if unusable == "condition":
+        m[bad] = np.diag([1.0, 1.0, 1e-14])
+    elif unusable == "zero":
+        m[bad] = 0.0
+    elif unusable == "nan_m":
+        m[bad, 1, 2] = np.nan
+    elif unusable == "inf_m":
+        m[bad, 0, 0] = np.inf
+    elif unusable == "inf_n":
+        n[bad, 2, 1] = -np.inf
+    else:
+        m[bad] = 1.0e308
+    a = linear_constraint_connection(ConstraintSystem(m, n))
+    assert a.shape == n.shape
+    assert np.array_equal(np.isnan(a).all(axis=(-2, -1)), bad)
+    assert np.isfinite(a[~bad]).all()
+    for k in zip(*np.nonzero(~bad)):
+        assert a[k].tobytes() == linear_constraint_connection(ConstraintSystem(m[k], n[k])).tobytes()
+    assert a[~bad].tobytes() == linear_constraint_connection(ConstraintSystem(m[~bad], n[~bad])).tobytes()
 
 
 def test_constraint_system_leading_axes_must_agree():

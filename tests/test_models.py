@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from locomech import (
     ChainModel,
-    DegenerateStance,
     DragModel,
     FourierGait,
     LeggedModel,
@@ -225,8 +224,14 @@ class TestLeggedStances:
             fixed_contacts=frozenset({0, 1}),
         )
         F = build_contact_map(model, {0, 1})
-        with pytest.raises(DegenerateStance):
-            F(np.zeros(2))
+        # the feet coincide at the first and third shapes only
+        shapes = np.array([[0.0, 0.0], [0.3, -0.2], [1.5, 1.5], [-0.4, 0.1]])
+        poses = F.poses_many(shapes)
+        assert np.array_equal(np.isnan(poses).all(axis=0), [True, False, True, False])
+        assert np.isfinite(poses[:, [1, 3]]).all()
+        for r, col in zip(shapes, poses.T):
+            g = F(r)
+            assert np.array([g.x, g.y, g.theta]).tobytes() == col.tobytes()
 
     def test_contact_map_validation(self):
         model = two_leg_crawler()
@@ -628,9 +633,7 @@ def ref_pinned(model, i, j):
         pj = ref_foot_position(model, j, r)
         dx, dy = pj - pi
         if math.hypot(dx, dy) < tol:
-            raise DegenerateStance(
-                f"pinned feet {i} and {j} coincide at shape {np.asarray(r).tolist()}"
-            )
+            return None
         beta = -math.atan2(dy, dx)
         cb, sb = math.cos(beta), math.sin(beta)
         return Pose(-(cb * pi[0] - sb * pi[1]), -(sb * pi[0] + cb * pi[1]), beta)
@@ -668,21 +671,16 @@ def ref_wavy(r):
 
 def assert_array_map_is_reference(pose_map, reference, shapes):
     """poses_many and fn agree bitwise with the scalar reference row by row,
-    or raise its DegenerateStance at the first failing row."""
-    try:
-        want = [reference(r) for r in shapes]
-    except DegenerateStance as exc:
-        with pytest.raises(DegenerateStance) as got:
-            pose_map.poses_many(shapes)
-        assert str(got.value) == str(exc)
-        return
-    want = np.array([(g.x, g.y, g.theta) for g in want]).T
+    and are NaN at the rows where it has no pose (None)."""
     got = pose_map.poses_many(shapes)
     assert got.shape == (3, len(shapes))
-    assert got.tobytes() == want.tobytes()
-    for r, col in zip(shapes, want.T):
-        g = pose_map(r)
-        assert np.array([g.x, g.y, g.theta]).tobytes() == col.tobytes()
+    for r, col in zip(shapes, got.T):
+        want, g = reference(r), pose_map(r)
+        alone = np.array([g.x, g.y, g.theta])
+        if want is None:
+            assert np.isnan(col).all() and np.isnan(alone).all()
+        else:
+            assert col.tobytes() == alone.tobytes() == np.array([want.x, want.y, want.theta]).tobytes()
 
 
 # angles well past +-pi, and +-pi themselves, so every wrap fires (the wavy
@@ -756,19 +754,19 @@ _PINCH = LeggedModel(
 )
 
 
-def test_batched_degenerate_stance_names_the_first_coincident_row():
-    # the second and fourth shapes pinch the feet; the error names the second,
-    # with the text of the scalar pinned map
+def test_batched_coincident_pins_are_nan_rows():
+    # the second and fourth shapes pinch the feet, as the scalar pinned map
+    # finds; those rows are NaN and the others are their single-row results
     third = math.pi / 3.0
     shapes = np.array([[0.1, 0.2], [2.0 * third, third], [0.3, -0.4], [-2.0 * third, -third]])
     reference = ref_pinned(_PINCH, 0, 1)
-    reference(shapes[0])
-    with pytest.raises(DegenerateStance) as exc:
-        reference(shapes[1])
+    assert [reference(r) is None for r in shapes] == [False, True, False, True]
     for route in (PiecewiseConnection(_PINCH).connection_many, _PINCH.stance_connection):
-        with pytest.raises(DegenerateStance) as got:
-            route(frozenset({0, 1}), shapes)
-        assert str(got.value) == str(exc.value)
+        got = route(frozenset({0, 1}), shapes)
+        assert np.isnan(got[[1, 3]]).all()
+        assert np.isfinite(got[[0, 2]]).all()
+        for k in (0, 2):
+            assert got[k].tobytes() == route(frozenset({0, 1}), shapes[k]).tobytes()
 
 
 def test_degenerate_stance_gait_scores_minus_inf():
@@ -782,8 +780,7 @@ def test_degenerate_stance_gait_scores_minus_inf():
         fixed_contacts=frozenset({0, 1}),
     )
     gait = FourierGait(period=1.0, mean=[0.0, 0.0], cos=[[0.5, 0.5]])
-    with pytest.raises(DegenerateStance):
-        model.provider().connection_many(frozenset({0, 1}), gait.evaluate_many([0.0])[0])
+    assert np.isnan(model.provider().connection_many(frozenset({0, 1}), gait.evaluate_many([0.0, 0.3])[0])).all()
     assert objective_displacement(model.provider(), gait, "x") == float("-inf")
 
 

@@ -8,7 +8,7 @@ import locomech
 
 PUBLIC_NAMES = """
     ChainModel ConnectionMatrix ConnectionProvider ConstraintConnection ConstraintSystem CurvatureField
-    DegenerateStance DragModel EventRecord FieldGrid FourierGait Gait GaitFamily GridSpec HolonomyAreaReport
+    DragModel EventRecord FieldGrid FourierGait Gait GaitFamily GridSpec HolonomyAreaReport
     JacobianConnection LeggedModel LoopOutsideGrid OptimizationReport PiecewiseConnection Pose PoseMap Scenario
     ScenarioError SingularConstraint SlipModel Trajectory Twist VerifyCheck WaypointGait
     adjoint amplitude_phase_family arm_com_pose_map bracket build_contact_map build_drag_constraints build_family

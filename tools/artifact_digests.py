@@ -2,11 +2,13 @@
 
 The runs are every shipped scenario under every command, every perfbench
 workload document at the given seeds under the commands its workload runs,
-and a fixed set of runs that must fail: an unknown key, a malformed sweep
-window, an ``--out`` that is a file, a document that is not UTF-8, an
-impossible date, a list nested 25,000 deep, a base-60 seed and schema of
-about 4800 digits, a cycle count of 4000 digits and an arm of 100,000 links
-(exit 2), and a gait whose stage twists overflow (exit 3).  Each run is a
+a sweep of a slipping walker near the planted limit whose grid holds
+singular nodes, and a fixed set of runs that must fail: an unknown key, a
+malformed sweep window, an ``--out`` that is a file, a document that is not
+UTF-8, an impossible date, a list nested 25,000 deep, a base-60 seed and
+schema of about 4800 digits, a cycle count of 4000 digits and an arm of
+100,000 links (exit 2), and a gait whose stage twists overflow and that
+walker's gait through a singular shape (exit 3).  Each run is a
 fresh ``python -m locomech.cli`` process on the chosen source tree, in its
 own scratch directory, with only relative paths on its command line, and a
 4 GB address space, so a count that escapes its check fails in the run, and
@@ -66,6 +68,11 @@ def _runs(seeds):
             docs = scenario_documents(workload, seed)
             for command, name in COMMANDS[workload]:
                 yield f"{workload}/{seed}/{name}/{command}", _dump(docs[name]), [command, *_ARGS]
+    # a walker near the planted limit, whose balance is singular on thin curves of shape space
+    walker = yaml.safe_load((ROOT / "scenarios" / "walker_mirror.yaml").read_text())
+    walker["model"].update(slip_tangential=1.0e-5, slip_normal=1.0e+5, slip_yaw=1.0e-9)
+    walker["sweep"] = {"lo": [-3.1, -3.1], "hi": [3.1, 3.1], "counts": [41, 41], "curvature": True}
+    yield "singular_walker/sweep", _dump(walker), ["sweep", *_ARGS]
     doc = yaml.safe_load((ROOT / "scenarios" / "swimmer_circle.yaml").read_text())
     window = {**doc, "sweep": {**doc["sweep"], "lo": [-1.0, 0.5], "hi": [1.0, 0.2]}}
     overflow = {**doc, "gait": {**doc["gait"], "cos": [[0.0, -1.0e160]], "sin": [[1.0e160, 0.0]]}}
@@ -73,6 +80,8 @@ def _runs(seeds):
     yield "error/sweep_window/sweep", _dump(window), ["sweep", *_ARGS]
     yield "error/out_is_a_file/sweep", _dump(doc), ["sweep", "scenario.yaml", "--out", "scenario.yaml"]
     yield "error/overflow/simulate", _dump(overflow), ["simulate", *_ARGS, "--step", "0.05"]
+    stuck = {**walker, "gait": {"kind": "fourier", "mean": [-2.17, 1.86], "sin": [[0.1, 0.0]]}}
+    yield "error/singular_walker/simulate", _dump(stuck), ["simulate", *_ARGS, "--step", "0.01"]
     yield "error/not_utf8/simulate", b'schema: 1\nmodel: {kind: swimmer}\ngait: "\xff"\n', ["simulate", *_ARGS]
     # a 100,000-link arm held still: np.eye of one shape's probes would take 74.5 GiB
     arm = {"model": {"kind": "jacobian", "map": "arm_com", "lengths": [1.0] * 100_000, "masses": [1.0] * 100_000},
