@@ -21,7 +21,6 @@ from .connection import (
     PiecewiseConnection,
     PoseMap,
     SingularConstraint,
-    connection_rows,
     jacobian_connection_eval,
     linear_constraint_connection,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import _gauss_legendre
-from .connection import MAX_NODES, SingularConstraint, connection_rows
+from .connection import MAX_NODES, SingularConstraint, connection_by_stance
 from .integrator import integrate_gait, net_displacement
 from .liegroup import Twist, bracket_many
 from .shapespace import WaypointGait
@@ -92,10 +92,7 @@ def sample_field(provider, spec: GridSpec) -> FieldGrid:
     nodes = nodes.reshape(n1 * n2, d)
     catalog = provider.catalog
     codes = provider.contacts_many(nodes)
-    conn = np.empty((n1 * n2, 3, d))
-    for c in np.flatnonzero(np.bincount(codes, minlength=len(catalog))).tolist():
-        at = codes == c
-        conn[at] = provider.connection_many(catalog[c], nodes[at])
+    conn = connection_by_stance(provider, nodes, codes)
     singular = ~np.isfinite(conn).all(axis=(1, 2))
     conn[singular] = 0.0
     return FieldGrid(
@@ -214,11 +211,11 @@ def _loop_polygon(gait, samples: int) -> np.ndarray:
 
 def _connections(provider, shapes: np.ndarray) -> np.ndarray:
     """A at every row of shapes on the stance it selects; a non-finite row raises."""
-    rows, index = connection_rows(provider, shapes, provider.contacts_many(shapes))
-    bad = ~np.isfinite(rows).all(axis=(1, 2))[index]
+    a = connection_by_stance(provider, shapes, provider.contacts_many(shapes))
+    bad = ~np.isfinite(a).all(axis=(1, 2))
     if bad.any():
         raise SingularConstraint(f"non-finite connection at shape {shapes[bad.argmax()].tolist()}")
-    return rows[index]
+    return a
 
 
 def _line_integral(provider, gait, samples: int) -> np.ndarray:

@@ -92,6 +92,12 @@ def _column_plan(cells):
     return "%s", lambda rows: spelled.take(index[rows]).tolist()
 
 
+def _bad_out(verb: str, path: str, exc: Exception) -> ScenarioError:
+    """The error for an `out` path that cannot be used, quoting the path in full only if it is short and printable."""
+    named = path if len(path) <= 200 and path.isprintable() else _QUOTE.repr(path)
+    return ScenarioError("out", f"cannot {verb} {named}: {getattr(exc, 'strerror', None) or exc}")
+
+
 @contextlib.contextmanager
 def _artifact(path: str):
     """An output file open for writing; an OSError from opening, writing or closing it is a bad `out`."""
@@ -99,7 +105,7 @@ def _artifact(path: str):
         with open(path, "w", newline="") as handle:
             yield handle
     except OSError as exc:
-        raise ScenarioError("out", f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _bad_out("write", path, exc) from None
 
 
 def _write_table(path: str, header: dict, columns: dict) -> None:
@@ -269,8 +275,9 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario, overrides=overrides)
         try:
             os.makedirs(scenario.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ScenarioError("out", f"cannot create {scenario.out_dir}: {exc.strerror or exc}") from None
+        except (OSError, ValueError) as exc:
+            # ValueError: a path with an embedded null byte
+            raise _bad_out("create", scenario.out_dir, exc) from None
         return _COMMANDS[args.command](scenario)
     except ScenarioError as exc:
         # a YAML syntax error spans lines, and so may a path: the report is one line

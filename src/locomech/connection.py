@@ -24,11 +24,11 @@ Provider protocol.  A provider offers:
 
 Stances travel as catalog codes; a label is looked up only where it is
 handed to ``connection_many`` or reported (events, ``Trajectory.contacts``,
-the contact-set cells).  integrate_gait and the loop integrals of
-holonomy_vs_area code their shapes with ``contacts_many`` and hand them to
-``connection_rows``, which makes one ``connection_many`` call per stance
-over that stance's distinct shapes; sample_field's grid nodes are distinct,
-so it makes one call per stance over its nodes directly.
+the contact-set cells).  integrate_gait, sample_field and the loop
+integrals of holonomy_vs_area code their shapes with ``contacts_many`` and
+hand them to ``connection_by_stance``, one ``connection_many`` call per
+stance; none deduplicates (an integrator step's end reuses the next step's
+start row, and grid nodes and quadrature points are distinct).
 ``ConnectionProvider`` derives ``contacts_at(r)``, ``connection_for(label,
 r)`` and ``connection_at(r)`` (the piece selected at r) as single-shape cases
 for interactive use; no library code calls them.  Constraint builders and
@@ -244,37 +244,18 @@ class ConnectionProvider:
         return self.connection_for(self.contacts_at(r), r)
 
 
-def connection_rows(provider, shapes, codes) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the connection once per bytewise-distinct (stance, shape) row.
+def connection_by_stance(provider, shapes, codes) -> np.ndarray:
+    """A at every row of shapes (N, d), row i on stance provider.catalog[codes[i]], as (N, 3, d).
 
-    shapes is (N, d) and row i is on stance provider.catalog[codes[i]].  A
-    depends on the stance and the shape only, so each stance, in first-seen
-    order, gets one connection_many call over its distinct rows.  Returns
-    their connections as one (M, 3, d) array and each row's index into it;
-    non-finite entries are returned as computed.
+    Each stance present gets one connection_many call over its rows, in
+    catalog order; non-finite entries are returned as computed.
     """
-    shapes = np.asarray(shapes, dtype=float)
-    n, d = shapes.shape
-    # one opaque key per row, equal exactly when the shapes are bitwise equal
-    keys = np.ascontiguousarray(shapes).view(np.dtype((np.void, 8 * d)))[:, 0] if d else np.zeros(n)
-    # stable sorts order the rows by stance, then key, with each run of equal
-    # rows in first-seen order; this holds about half the memory np.unique does
-    order = np.argsort(keys, kind="stable")
-    order = order[np.argsort(codes[order], kind="stable")]
-    ordered, ordered_codes = keys[order], codes[order]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]) | (ordered_codes[1:] != ordered_codes[:-1])
-    index = np.empty(n, dtype=np.int32)
-    index[order] = np.cumsum(starts, dtype=np.int32) - 1
-    picks = order[starts]
     catalog = provider.catalog
-    bounds = np.searchsorted(ordered_codes[starts], np.arange(len(catalog) + 1)).tolist()
-    out = np.empty((len(picks), 3, d))
-    # a stance's first row is the first of its distinct shapes' first rows
-    spans = [(picks[lo:hi].min(), c, lo, hi) for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
-    for _, c, lo, hi in sorted(spans):
-        out[lo:hi] = provider.connection_many(catalog[c], shapes[picks[lo:hi]])
-    return out, index
+    out = np.empty((len(shapes), 3, shapes.shape[1]))
+    for c in np.flatnonzero(np.bincount(codes, minlength=len(catalog))).tolist():
+        at = codes == c
+        out[at] = provider.connection_many(catalog[c], shapes[at])
+    return out
 
 
 def _in_row_blocks(connection, shapes, rows: int) -> np.ndarray:

@@ -13,11 +13,11 @@ switch time, and integration resumes with the new piece from the same pose,
 so the pose path stays continuous; all switches are bisected together, one
 coding call per level.  A stance's label is looked up only for the events
 and Trajectory.contacts.  Gaits integrated together (integrate_gaits), in
-batches of at most MAX_STEPS steps, share one connection_rows call, which
-evaluates each distinct (stance, stage shape) once, array passes for the
-step exponents and their exponentials, and one liegroup.compose_chain call
-for the pose products.  The poses are kept as one read-only (3, n + 1)
-array, which Trajectory.poses reads as Pose objects.
+batches of at most MAX_STEPS steps, share one connection_by_stance call
+over every step's start and midpoint and each end that is not its gait's
+next start, array passes for the step exponents and their exponentials,
+and one liegroup.compose_chain call for the pose products.  The poses are
+kept as one read-only (3, n + 1) array, read by Trajectory.poses.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import SingularConstraint, connection_rows
+from .connection import SingularConstraint, connection_by_stance
 from .liegroup import Pose, Twist, bracket_many, compose_chain, compose_many, exp_many, inverse_many, log_many
 
 
@@ -150,10 +150,10 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     sample points.  Stance switches are located to event_tol (in time) by
     bisection, all switches together, one provider call per level; a step
     containing several switches is split at each.  One cycle's steps and
-    events are planned from the stance codes alone, the connection is
-    evaluated once per distinct (stance, stage shape), and the stage twists
-    are combined into poses, every cycle by the first one's increments.  A
-    non-finite connection entry, shape rate, stage twist, twist norm, step
+    events are planned from the stance codes alone, the connection is evaluated
+    at each step start, midpoint and end not the next start, and the stage
+    twists are combined into poses, every cycle by the first one's increments.
+    A non-finite connection entry, shape rate, stage twist, twist norm, step
     exponent or pose raises SingularConstraint naming its time and shape.
     """
     return next(integrate_gaits(provider, [gait], cycles, step, event_tol))
@@ -284,9 +284,10 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float):
         catalog = provider.catalog
         ev = [x[order].tolist() for x in (ev_t, ev_lo, before, after)] + [_sample(gait, ev_t[order])[0]]
         events = [EventRecord(t_e, catalog[b], catalog[a], r, (lo_e, t_e)) for t_e, lo_e, b, a, r in zip(*ev)]
-        # a switch row after the first of its step marks a step holding several, in every cycle
+        # a switch row after the first of its step marks a step holding several;
+        # later cycles copy the first one's rows, so only the first cycle warns
         late = len(found[0][0])
-        for t_switch in (np.arange(cycles)[:, None] * period + np.sort(ev_t[late:][rest[late:]])).ravel().tolist():
+        for t_switch in np.sort(ev_t[late:][rest[late:]]).tolist():
             warnings.warn(
                 f"multiple stance switches inside one step near t={t_switch:.6g}; splitting at each switch",
                 RuntimeWarning,
@@ -310,7 +311,7 @@ def _finish(provider, plans, cycles, step, event_tol) -> list:
     lo = hi - 3 * n
     stage_times = np.empty(hi[-1])
     stage_shapes, stage_rates = np.empty((2, len(stage_times), plans[0][0].dim))
-    stage_codes = np.empty(len(stage_times), dtype=np.int32)
+    codes = np.empty(len(stage_times) // 3, dtype=np.int32)
     for plan, a, b, k in zip(plans, lo, hi, n):
         sampled = plan.pop()
         gait, _, _, t, row_codes, *_ = plan
@@ -326,26 +327,37 @@ def _finish(provider, plans, cycles, step, event_tol) -> list:
         if len(knots):
             at = a + 3 * np.searchsorted(t, knots[1:]) - 1
             stage_shapes[at], stage_rates[at] = _sample(gait, stage_times[at], "left")
-        stage_codes[a:b] = np.repeat(row_codes[:-1], 3)
+        codes[a // 3:b // 3] = row_codes[:-1]
     del times, shapes, rates, sampled, rows
     _require_finite(np.isfinite(stage_rates).all(axis=1), "shape rate", stage_times, stage_shapes)
-    conn, stage_conn = connection_rows(provider, stage_shapes, stage_codes)
-    _require_finite(np.isfinite(conn).all(axis=(1, 2))[stage_conn], "connection", stage_times, stage_shapes)
+    # rows evaluated: every step start, every midpoint, and each end whose stance or shape
+    # bits (-0.0 is not 0.0) differ from its gait's next start's (the last step's is the first)
+    steps = len(codes)
+    nxt = np.arange(1, steps + 1)
+    nxt[hi // 3 - 1] = lo // 3
+    extra = (codes != codes[nxt]) | (stage_shapes[2::3].view(np.int64) != stage_shapes[::3][nxt].view(np.int64)).any(1)
+    rows = (np.s_[:steps], np.s_[steps:2 * steps], np.where(extra, 2 * steps + np.cumsum(extra) - 1, nxt))
+    nodes = np.concatenate([stage_shapes[::3], stage_shapes[1::3], stage_shapes[2::3][extra]])
+    conn = connection_by_stance(provider, nodes, np.concatenate([codes, codes, codes[extra]]))
+    finite = np.isfinite(conn).all(axis=(1, 2))
+    _require_finite(np.stack([finite[at] for at in rows], axis=1).ravel(), "connection", stage_times, stage_shapes)
     # Each array pass from here on is checked for finiteness right after it,
     # so an overflow aborts with SingularConstraint and numpy's warning is
     # not printed.
     with np.errstate(over="ignore", invalid="ignore"):
-        # one row per stage; the batched product gives each row bitwise its own A @ rdot
-        stage_twists = (conn[stage_conn] @ stage_rates[:, :, None])[:, :, 0]
+        # one row per stage, each bitwise its own A @ rdot; only the ends gather their rows
+        stage_twists = np.empty((len(stage_times), 3))
+        for i, at in enumerate(rows):
+            stage_twists[i::3] = (conn[at] @ stage_rates[i::3, :, None])[:, :, 0]
         _require_finite(np.isfinite(stage_twists).all(axis=1), "stage twist", stage_times, stage_shapes)
         # a finite twist's squares can still overflow
         vx, vy, om = stage_twists.T
         norms = np.sqrt(vx * vx + vy * vy + om * om)
         _require_finite(np.isfinite(norms), "twist norm", stage_times, stage_shapes)
-    # each gait's own largest norm and count of distinct stage rows
+    # each gait's own largest norm and count of evaluated rows
     tops = np.maximum.reduceat(norms, lo).tolist()
-    counts = [np.count_nonzero(np.bincount(stage_conn[a:b])) for a, b in zip(lo, hi)]
-    del conn, stage_conn, stage_codes, stage_rates, norms
+    counts = (2 * n + np.add.reduceat(extra, lo // 3, dtype=int)).tolist()
+    del nodes, conn, finite, codes, rows, stage_rates, norms
 
     # -- combine: every step's exponent and increment in array passes, and
     # the pose products of all gaits in one compose_chain call.  Finite

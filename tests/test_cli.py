@@ -92,6 +92,21 @@ def read_field(path):
     }
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_in_a_process(tmp_path, text, *args):
+    """Run the CLI with args in a fresh process in tmp_path, beside scenario.yaml of the given text; exit code, stderr."""
+    (tmp_path / "scenario.yaml").write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "locomech.cli", *args],
+        cwd=tmp_path,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return proc.returncode, proc.stderr
+
+
 def write_scenario(tmp_path, doc, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
@@ -142,6 +157,18 @@ class TestSimulate:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["meta"]["steps_per_cycle"] == 100
         assert summary["meta"]["stage_shapes"] == 200
+
+    def test_multi_switch_steps_warn_for_the_first_cycle_only(self, tmp_path):
+        # each one-step cycle holds several stance switches; a warning per
+        # switch per cycle once wrote 2000 stderr lines at 1000 cycles
+        text = (
+            "model: {kind: crawler}\n"
+            "gait: {kind: fourier, period: 1.0, mean: [0.0, 0.0], sin: [[0.4, 0.0]], cos: [[0.0, 0.4]]}\n"
+            "integrator: {step: 1.0, cycles: 1000}\n"
+        )
+        code, err = run_in_a_process(tmp_path, text, "simulate", "scenario.yaml", "--out", "out")
+        assert code == 0 and b"multiple stance switches" in err
+        assert len(err) <= 1024
 
     def test_zero_gait_identity_column(self, tmp_path):
         doc = swimmer_doc()
@@ -586,6 +613,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("scenario error: out: cannot create ") and "Traceback" not in err
         assert (tmp_path / "file").read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        ("out", "flag", "message"),
+        [
+            # a null byte once escaped as a ValueError traceback with exit 1,
+            # and 100,000 characters as a 100 KB line
+            ('"a\\0b"', False, "cannot create 'a\\x00b': embedded null byte"),
+            ("x" * 100_000, False, "cannot create 'xxxxxxxxxxxx...xxxxxxxxxxxxx': File name too long"),
+            ("x" * 100_000, True, "cannot create 'xxxxxxxxxxxx...xxxxxxxxxxxxx': File name too long"),
+            # a short printable path is quoted as it is
+            ("file/sub", False, "cannot create file/sub: Not a directory"),
+            ("file/sub", True, "cannot create file/sub: Not a directory"),
+        ],
+        ids=["null_byte", "long", "long_flag", "short", "short_flag"],
+    )
+    def test_out_that_cannot_be_made_is_one_short_line(self, tmp_path, out, flag, message):
+        (tmp_path / "file").write_text("not a directory\n")
+        text = yaml.safe_dump(swimmer_doc())
+        args = ["simulate", "scenario.yaml"]
+        if flag:
+            args += ["--out", out]
+        else:
+            text += f"out: {out}\n"
+        code, err = run_in_a_process(tmp_path, text, *args)
+        assert (code, err) == (2, f"scenario error: out: {message}\n".encode())
+        assert len(err) <= 1024
 
     def test_artifact_that_cannot_be_opened_is_two(self, tmp_path, capsys):
         (tmp_path / "run" / "field.csv").mkdir(parents=True)

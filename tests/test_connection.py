@@ -27,7 +27,6 @@ from locomech import (
     build_slip_constraints,
     arm_com_pose_map,
     compose,
-    connection_rows,
     crawler_slip_model,
     inverse,
     jacobian_connection_eval,
@@ -41,7 +40,7 @@ from locomech import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from locomech.connection import _CHUNK_ROWS, _JACOBIAN_ROWS, _cond_estimate
+from locomech.connection import _CHUNK_ROWS, _JACOBIAN_ROWS, _cond_estimate, connection_by_stance
 from locomech.scenario import MODEL_KINDS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -349,52 +348,36 @@ def test_contacts_many_rows_are_single_shape_labels(seed, n):
         assert labels[name] == [frozenset({r.index(max(r))}) for r in shapes[name].tolist()], name
 
 
-def test_connection_rows_one_call_per_label_over_distinct_rows():
-    inner = PiecewiseConnection(two_leg_crawler())
-    calls = []
+class RecordingStances:
+    """The crawler's stance connections under a catalog whose last label no row carries, recording each call."""
 
-    class Recording:
-        dim = 2
-        catalog = inner.catalog
+    def __init__(self):
+        self.inner = PiecewiseConnection(two_leg_crawler())
+        self.catalog = (*self.inner.catalog, "unused")
+        self.calls = []
 
-        def connection_many(self, label, shapes):
-            calls.append((label, len(shapes)))
-            return inner.connection_many(label, shapes)
-
-    base = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
-    shapes = base[[0, 1, 2, 0, 3, 4, 5, 1, 0, 2]]
-    codes = np.array([1] * 4 + [0] * 6)
-    rows, index = connection_rows(Recording(), shapes, codes)
-    # (stance, shape) pairs: {1} sees 0, 1, 2; {0} sees 3, 4, 5, 1, 0, 2
-    assert calls == [(frozenset({1}), 3), (frozenset({0}), 6)]
-    assert rows.shape == (9, 3, 2) and index.shape == (10,)
-    for i, (c, r) in enumerate(zip(codes, shapes)):
-        assert np.array_equal(rows[index[i]], inner.connection_for(inner.catalog[c], r)), i
-    empty_rows, empty_index = connection_rows(Recording(), np.zeros((0, 2)), np.zeros(0, dtype=int))
-    assert empty_rows.shape == (0, 3, 2) and empty_index.shape == (0,)
-    assert len(calls) == 2
+    def connection_many(self, label, shapes):
+        self.calls.append((label, len(shapes)))
+        return self.inner.connection_many(label, shapes)
 
 
-def test_coded_rows_call_each_carried_label_in_first_seen_order():
-    # the codes index a catalog whose order is not the rows' first-seen
-    # order, and whose last label no row carries
-    inner = PiecewiseConnection(two_leg_crawler())
-    calls = []
-
-    class Recording:
-        catalog = (frozenset({0}), frozenset({1}), "unused")
-
-        def connection_many(self, label, shapes):
-            calls.append((label, len(shapes)))
-            return inner.connection_many(label, shapes)
-
+def test_connection_by_stance_calls_each_present_stance_once_in_catalog_order():
+    # the rows carry stance 1 first and repeat shapes: nothing is
+    # deduplicated, and stance 0 is still called first
+    provider = RecordingStances()
     shapes = np.random.default_rng(6).uniform(-1.0, 1.0, (7, 2))[[0, 1, 2, 3, 1, 4, 5]]
     codes = np.array([1, 0, 1, 0, 1, 0, 0])
-    rows, index = connection_rows(Recording(), shapes, codes)
-    assert calls == [(frozenset({1}), 3), (frozenset({0}), 4)]
-    assert len(rows) == 7
+    rows = connection_by_stance(provider, shapes, codes)
+    assert provider.calls == [(frozenset({0}), 4), (frozenset({1}), 3)]
+    assert rows.shape == (7, 3, 2)
     for i, (c, r) in enumerate(zip(codes, shapes)):
-        assert np.array_equal(rows[index[i]], inner.connection_for(Recording.catalog[c], r)), i
+        assert rows[i].tobytes() == provider.inner.connection_for(provider.catalog[c], r).tobytes(), i
+
+
+def test_connection_by_stance_of_no_rows_calls_nothing():
+    provider = RecordingStances()
+    rows = connection_by_stance(provider, np.zeros((0, 2)), np.zeros(0, dtype=int))
+    assert rows.shape == (0, 3, 2) and provider.calls == []
 
 
 _FIVE_LINKS = DragModel(ChainModel([1.0, 0.7, 1.3, 0.9, 1.1]), 1.0, 2.5, quadrature=5)

@@ -12,7 +12,7 @@ PUBLIC_NAMES = """
     JacobianConnection LeggedModel LoopOutsideGrid OptimizationReport PiecewiseConnection Pose PoseMap Scenario
     ScenarioError SingularConstraint SlipModel Trajectory Twist VerifyCheck WaypointGait
     adjoint amplitude_phase_family arm_com_pose_map bracket build_contact_map build_drag_constraints build_family
-    build_slip_constraints compose connection_rows crawler_slip_model curvature exp foot_position
+    build_slip_constraints compose crawler_slip_model curvature exp foot_position
     fourier_slot_family hat holonomy_vs_area integrate_gait inverse jacobian_connection_eval
     linear_constraint_connection load_scenario log many_legged_drag_surrogate mirrored_slip_walker nelder_mead
     net_displacement normalize_angle objective_displacement optimize per_cycle_displacements reparameterize

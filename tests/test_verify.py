@@ -8,7 +8,7 @@ import yaml
 
 import locomech.verify as verify
 from locomech import integrate_gait, load_scenario, net_displacement, run_verify
-from locomech.connection import _balance_scale, _max_abs, connection_rows
+from locomech.connection import _balance_scale, _max_abs, connection_by_stance
 from locomech.shapespace import SmoothstepGait, smoothstep
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -104,9 +104,9 @@ def test_residual_suite_builds_its_balances_once_and_labels_nothing(monkeypatch)
     # the value the provider's own connection rows give, bitwise
     box = scenario.verify["box"]
     shapes = np.random.default_rng(scenario.seed).uniform(-box, box, (count, scenario.dim))
-    rows, index = connection_rows(provider, shapes, np.zeros(count, dtype=int))
+    rows = connection_by_stance(provider, shapes, np.zeros(count, dtype=int))
     system = builder(shapes)
-    want = (_max_abs(system.m @ rows[index] + system.n) / _balance_scale(system.m, system.n, rows[index])).max()
+    want = (_max_abs(system.m @ rows + system.n) / _balance_scale(system.m, system.n, rows)).max()
     assert row.value.hex() == float(want).hex()
 
 

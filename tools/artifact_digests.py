@@ -3,15 +3,19 @@
 The runs are every shipped scenario under every command, every perfbench
 workload document at the given seeds under the commands its workload runs,
 a sweep of a slipping walker near the planted limit whose grid holds
-singular nodes, and a fixed set of runs that must fail: an unknown key, a
-malformed sweep window, an ``--out`` that is a file, a document that is not
-UTF-8, an impossible date, a list nested 25,000 deep, a base-60 seed and
-schema of about 4800 digits, a cycle count of 4000 digits and an arm of
-100,000 links (exit 2), and a gait whose stage twists overflow and that
-walker's gait through a singular shape (exit 3).  Each run is a
+singular nodes, a crawler whose one-step cycles each hold several stance
+switches, run for 1000 cycles, and a fixed set of runs that must fail: an
+unknown key, a malformed sweep window, an ``--out`` that is a file, a
+document that is not UTF-8, an impossible date, a list nested 25,000 deep,
+a base-60 seed and schema of about 4800 digits, a cycle count of 4000
+digits, an arm of 100,000 links, an ``out`` with a null byte and one of
+100,000 characters (exit 2), and a gait whose stage twists overflow and
+that walker's gait through a singular shape (exit 3).  Each run is a
 fresh ``python -m locomech.cli`` process on the chosen source tree, in its
 own scratch directory, with only relative paths on its command line, and a
-4 GB address space, so a count that escapes its check fails in the run, and
+4 GB address space, so a count that escapes its check fails in the run.
+A warning names its source file and line; the source tree's path in
+stderr reads ``<src>``, so checkouts at two paths compare alike.  Each run
 prints
 
     <run> exit=<code> <artifact>=<sha256> ... stdout=<sha256> stderr=<sha256>
@@ -73,6 +77,10 @@ def _runs(seeds):
     walker["model"].update(slip_tangential=1.0e-5, slip_normal=1.0e+5, slip_yaw=1.0e-9)
     walker["sweep"] = {"lo": [-3.1, -3.1], "hi": [3.1, 3.1], "counts": [41, 41], "curvature": True}
     yield "singular_walker/sweep", _dump(walker), ["sweep", *_ARGS]
+    multi = {"model": {"kind": "crawler"},
+             "gait": {"kind": "fourier", "period": 1.0, "mean": [0.0, 0.0], "sin": [[0.4, 0.0]], "cos": [[0.0, 0.4]]},
+             "integrator": {"step": 1.0, "cycles": 1000}}
+    yield "multi_switch/simulate", _dump(multi), ["simulate", *_ARGS]
     doc = yaml.safe_load((ROOT / "scenarios" / "swimmer_circle.yaml").read_text())
     window = {**doc, "sweep": {**doc["sweep"], "lo": [-1.0, 0.5], "hi": [1.0, 0.2]}}
     overflow = {**doc, "gait": {**doc["gait"], "cos": [[0.0, -1.0e160]], "sin": [[1.0e160, 0.0]]}}
@@ -89,6 +97,8 @@ def _runs(seeds):
     yield "error/arm_links/simulate", _dump(arm), ["simulate", *_ARGS]
     cycles = {**doc, "integrator": {**doc["integrator"], "cycles": int("7" * 4000)}}
     yield "error/cycles_digits/simulate", _dump(cycles), ["simulate", *_ARGS]
+    yield "error/out_nul/simulate", _dump({**doc, "out": "a\0b"}), ["simulate", "scenario.yaml"]
+    yield "error/out_long/simulate", _dump({**doc, "out": "x" * 100_000}), ["simulate", "scenario.yaml"]
     # YAML that safe_dump never writes, in place of the seed or the schema; base 60 here is about 4800 digits
     base_60 = "1" + ":0" * 2700
     for name, old, new in (
@@ -121,7 +131,7 @@ def run(src: Path, text: str | bytes, args: list[str]) -> tuple[int, dict[str, b
         )
         out = Path(tmp, "out")
         outputs = {f.name: f.read_bytes() for f in (sorted(out.iterdir()) if out.is_dir() else [])}
-    outputs.update(stdout=proc.stdout, stderr=proc.stderr)
+    outputs.update(stdout=proc.stdout, stderr=proc.stderr.replace(str(src).encode(), b"<src>"))
     return proc.returncode, outputs
 
 
