@@ -11,11 +11,11 @@ never asserts equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._numerics import _gauss_legendre
+from ._record import FrozenRecord, Record
 from .connection import MAX_NODES, SingularConstraint, connection_by_stance
 from .integrator import integrate_gait, net_displacement
 from .liegroup import Twist, bracket_many
@@ -26,47 +26,43 @@ class LoopOutsideGrid(ValueError):
     """Raised when a loop leaves the sampled grid region."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(FrozenRecord):
     """Uniform rectangular sampling window over two shape coordinates.
 
     For providers with more than two coordinates, `axes` names the swept pair
     and `base` supplies the fixed values of the rest.
     """
 
-    lo: tuple[float, float]
-    hi: tuple[float, float]
-    counts: tuple[int, int]
-    axes: tuple[int, int] = (0, 1)
-    base: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.lo) != 2 or len(self.hi) != 2 or len(self.counts) != 2:
+    def __init__(self, lo: tuple[float, float], hi: tuple[float, float], counts: tuple[int, int],
+                 axes: tuple[int, int] = (0, 1), base: np.ndarray | None = None) -> None:
+        if len(lo) != 2 or len(hi) != 2 or len(counts) != 2:
             raise ValueError("grid spec needs two entries each for lo, hi, counts")
-        if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
+        if not (lo[0] < hi[0] and lo[1] < hi[1]):
             raise ValueError("grid bounds must satisfy lo < hi on both axes")
-        if not all(math.isfinite(h - l) for l, h in zip(self.lo, self.hi)):
+        if not all(math.isfinite(h - l) for l, h in zip(lo, hi)):
             raise ValueError("grid span hi - lo must be finite on both axes")
-        if min(self.counts) < 2:
+        if min(counts) < 2:
             raise ValueError("need at least 2 nodes per axis")
-        if self.counts[0] * self.counts[1] > MAX_NODES:
-            raise ValueError(f"{self.counts[0]} x {self.counts[1]} nodes exceed {MAX_NODES}")
-        if self.axes[0] == self.axes[1]:
+        if counts[0] * counts[1] > MAX_NODES:
+            raise ValueError(f"{counts[0]} x {counts[1]} nodes exceed {MAX_NODES}")
+        if axes[0] == axes[1]:
             raise ValueError("swept axes must differ")
+        self.__dict__.update(lo=lo, hi=hi, counts=counts, axes=axes, base=base)
 
 
-@dataclass
-class FieldGrid:
+class FieldGrid(Record):
     """Connection samples conn (n1, n2, 3, d); contacts (n1, n2) indexes catalog, zeros for one piece."""
 
-    axis1: np.ndarray
-    axis2: np.ndarray
-    axes: tuple[int, int]
-    base: np.ndarray
-    conn: np.ndarray
-    contacts: np.ndarray
-    catalog: tuple
-    singular: np.ndarray
+    def __init__(self, axis1: np.ndarray, axis2: np.ndarray, axes: tuple[int, int], base: np.ndarray, conn: np.ndarray,
+                 contacts: np.ndarray, catalog: tuple, singular: np.ndarray) -> None:
+        self.axis1 = axis1
+        self.axis2 = axis2
+        self.axes = axes
+        self.base = base
+        self.conn = conn
+        self.contacts = contacts
+        self.catalog = catalog
+        self.singular = singular
 
 
 def sample_field(provider, spec: GridSpec) -> FieldGrid:
@@ -107,8 +103,7 @@ def sample_field(provider, spec: GridSpec) -> FieldGrid:
     )
 
 
-@dataclass
-class CurvatureField:
+class CurvatureField(Record):
     """Curvature diagnostic D over a sampled grid, with validity flags.
 
     values[i, j] holds (D_vx, D_vy, D_omega); boundary marks one-sided
@@ -116,9 +111,10 @@ class CurvatureField:
     singular node.
     """
 
-    values: np.ndarray
-    valid: np.ndarray
-    boundary: np.ndarray
+    def __init__(self, values: np.ndarray, valid: np.ndarray, boundary: np.ndarray) -> None:
+        self.values = values
+        self.valid = valid
+        self.boundary = boundary
 
 
 def _column_bracket(a: np.ndarray, i1: int, i2: int) -> np.ndarray:
@@ -183,19 +179,20 @@ def curvature(field: FieldGrid) -> CurvatureField:
     return CurvatureField(values=values, valid=valid, boundary=boundary)
 
 
-@dataclass
-class HolonomyAreaReport:
+class HolonomyAreaReport(Record):
     """Loop displacement exponent next to the curvature surface integral.
 
     The two agree to leading order in loop size; `gap` reports their
     componentwise difference without asserting anything about it.
     """
 
-    holonomy: Twist
-    area_integral: np.ndarray
-    curl_part: np.ndarray
-    bracket_part: np.ndarray
-    gap: np.ndarray
+    def __init__(self, holonomy: Twist, area_integral: np.ndarray, curl_part: np.ndarray, bracket_part: np.ndarray,
+                 gap: np.ndarray) -> None:
+        self.holonomy = holonomy
+        self.area_integral = area_integral
+        self.curl_part = curl_part
+        self.bracket_part = bracket_part
+        self.gap = gap
 
     @property
     def gap_norm(self) -> float:

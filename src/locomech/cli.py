@@ -25,6 +25,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -270,22 +271,32 @@ def main(argv=None) -> int:
         cmd.add_argument("--seed", type=_flag_type(int), default=None, help="seed override")
     args = parser.parse_args(argv)
 
-    try:
-        overrides = {key: getattr(args, key) for key in ("out", "step", "cycles", "seed")}
-        scenario = load_scenario(args.scenario, overrides=overrides)
+    # a library warning is one line, without its source file and line, once per distinct message
+    shown = set()
+
+    def show(message, *_) -> None:
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
         try:
-            os.makedirs(scenario.out_dir, exist_ok=True)
-        except (OSError, ValueError) as exc:
-            # ValueError: a path with an embedded null byte
-            raise _bad_out("create", scenario.out_dir, exc) from None
-        return _COMMANDS[args.command](scenario)
-    except ScenarioError as exc:
-        # a YAML syntax error spans lines, and so may a path: the report is one line
-        print("scenario error:", " ".join(part.strip() for part in str(exc).splitlines()), file=sys.stderr)
-        return 2
-    except SingularConstraint as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 3
+            overrides = {key: getattr(args, key) for key in ("out", "step", "cycles", "seed")}
+            scenario = load_scenario(args.scenario, overrides=overrides)
+            try:
+                os.makedirs(scenario.out_dir, exist_ok=True)
+            except (OSError, ValueError) as exc:
+                # ValueError: a path with an embedded null byte
+                raise _bad_out("create", scenario.out_dir, exc) from None
+            return _COMMANDS[args.command](scenario)
+        except ScenarioError as exc:
+            # a YAML syntax error spans lines, and so may a path: the report is one line
+            print("scenario error:", " ".join(part.strip() for part in str(exc).splitlines()), file=sys.stderr)
+            return 2
+        except SingularConstraint as exc:
+            print(f"numerical abort: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

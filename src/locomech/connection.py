@@ -40,11 +40,11 @@ to blocks m (..., 3, 3) and n (..., 3, d), and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .liegroup import Pose, compose_many, inverse_many, log_many
 
 ConnectionMatrix = np.ndarray  # (3, d), rows vx, vy, omega
@@ -78,8 +78,7 @@ class SingularConstraint(RuntimeError):
     """Raised when a computation that needs A(r) at every row meets a non-finite one, or derives a non-finite value."""
 
 
-@dataclass(frozen=True)
-class PoseMap:
+class PoseMap(FrozenRecord):
     """Deterministic smooth map from a shape vector to a Pose.
 
     fn maps one shape (d,) to a Pose.  The optional array form many maps
@@ -90,9 +89,9 @@ class PoseMap:
     the one-row case of its array form, so the formula exists once.
     """
 
-    fn: Callable[[np.ndarray], Pose]
-    dim: int
-    many: Callable[[np.ndarray], np.ndarray] | None = None
+    def __init__(self, fn: Callable[[np.ndarray], Pose], dim: int,
+                 many: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
+        self.__dict__.update(fn=fn, dim=dim, many=many)
 
     @classmethod
     def from_many(cls, many: Callable[[np.ndarray], np.ndarray], dim: int) -> "PoseMap":
@@ -108,25 +107,20 @@ class PoseMap:
         return np.array([(g.x, g.y, g.theta) for g in map(self.fn, shapes)]).reshape(-1, 3).T
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(FrozenRecord):
     """Linear balance m @ xi + n @ rdot = 0 with m (..., 3, 3) and n (..., 3, d).
 
     Leading axes index independent balances, one per shape.
     """
 
-    m: np.ndarray
-    n: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=float)
-        n = np.asarray(self.n, dtype=float)
+    def __init__(self, m: np.ndarray, n: np.ndarray) -> None:
+        m = np.asarray(m, dtype=float)
+        n = np.asarray(n, dtype=float)
         if m.shape[-2:] != (3, 3):
             raise ValueError(f"twist coefficient block must be 3x3, got {m.shape}")
         if n.ndim != m.ndim or n.shape[:-1] != m.shape[:-1]:
             raise ValueError(f"shape-rate coefficient block must be 3xd, got {n.shape}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        self.__dict__.update(m=m, n=n)
 
 
 def jacobian_connection_eval(pose_map: PoseMap, shapes, h: float = 1e-5) -> np.ndarray:

@@ -25,23 +25,20 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import FrozenRecord, Record
 from .connection import SingularConstraint, connection_by_stance
 from .liegroup import Pose, Twist, bracket_many, compose_chain, compose_many, exp_many, inverse_many, log_many
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(FrozenRecord):
     """One located stance switch."""
 
-    time: float
-    before: frozenset
-    after: frozenset
-    shape: np.ndarray
-    window: tuple[float, float]
+    def __init__(self, time: float, before: frozenset, after: frozenset, shape: np.ndarray,
+                 window: tuple[float, float]) -> None:
+        self.__dict__.update(time=time, before=before, after=after, shape=shape, window=window)
 
 
 class PoseSequence(Sequence):
@@ -68,8 +65,7 @@ class PoseSequence(Sequence):
         return (Pose(*col) for col in zip(*self._g.tolist()))
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Sampled integration output; one row per accepted step boundary.
 
     pose_array holds the body poses as (3, rows) x, y, theta rows and is made
@@ -78,19 +74,18 @@ class Trajectory:
     are the first row's, as the gait is periodic.
     """
 
-    times: np.ndarray
-    pose_array: np.ndarray
-    shapes: np.ndarray
-    twists: np.ndarray
-    contacts: list
-    events: list[EventRecord]
-    cycle_indices: list[int]
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.pose_array, dtype=float).view()
+    def __init__(self, times: np.ndarray, pose_array: np.ndarray, shapes: np.ndarray, twists: np.ndarray,
+                 contacts: list, events: list[EventRecord], cycle_indices: list[int], meta: dict | None = None) -> None:
+        g = np.asarray(pose_array, dtype=float).view()
         g.flags.writeable = False
+        self.times = times
         self.pose_array = g
+        self.shapes = shapes
+        self.twists = twists
+        self.contacts = contacts
+        self.events = events
+        self.cycle_indices = cycle_indices
+        self.meta = {} if meta is None else meta
 
     @property
     def poses(self) -> PoseSequence:

@@ -15,10 +15,11 @@ included, and numpy's array arithmetic passes NaN signs on unlike float's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
+
+from ._record import FrozenRecord
 
 _TWO_PI = 2.0 * math.pi
 
@@ -35,18 +36,11 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(FrozenRecord):
     """Planar rigid transform; the identity is Pose()."""
 
-    x: float = 0.0
-    y: float = 0.0
-    theta: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "theta", normalize_angle(float(self.theta)))
+    def __init__(self, x: float = 0.0, y: float = 0.0, theta: float = 0.0) -> None:
+        self.__dict__.update(x=float(x), y=float(y), theta=normalize_angle(float(theta)))
 
     def matrix(self) -> np.ndarray:
         """Homogeneous 3x3 form."""
@@ -59,13 +53,11 @@ class Pose:
         return np.array([self.x + c * p[0] - s * p[1], self.y + s * p[0] + c * p[1]])
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(FrozenRecord):
     """Body-frame velocity (vx, vy, omega); supports vector arithmetic."""
 
-    vx: float = 0.0
-    vy: float = 0.0
-    omega: float = 0.0
+    def __init__(self, vx: float = 0.0, vy: float = 0.0, omega: float = 0.0) -> None:
+        self.__dict__.update(vx=vx, vy=vy, omega=omega)
 
     def __add__(self, other: "Twist") -> "Twist":
         return Twist(self.vx + other.vx, self.vy + other.vy, self.omega + other.omega)

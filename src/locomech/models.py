@@ -19,33 +19,30 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._numerics import _gauss_legendre
+from ._record import FrozenRecord
 from .connection import ConstraintConnection, ConstraintSystem, PiecewiseConnection, PoseMap
 from .liegroup import compose_many, inverse_many, wrap_many
 from .shapespace import _readonly
 
 
-@dataclass(frozen=True)
-class ChainModel:
+class ChainModel(FrozenRecord):
     """Open kinematic chain of hinged links; joint i bends link i into link i+1.
 
     The link count must be odd so the body frame (middle link midpoint,
     x along the link) is unambiguous.
     """
 
-    lengths: np.ndarray
-
-    def __post_init__(self) -> None:
-        lengths = _readonly(np.atleast_1d(self.lengths))
+    def __init__(self, lengths: np.ndarray) -> None:
+        lengths = _readonly(np.atleast_1d(lengths))
         if lengths.ndim != 1 or lengths.shape[0] % 2 == 0:
             raise ValueError(f"link count must be odd, got {lengths.shape}")
         if not np.all(lengths > 0.0):
             raise ValueError("link lengths must be positive")
-        object.__setattr__(self, "lengths", lengths)
+        self.__dict__.update(lengths=lengths)
 
     @property
     def n_links(self) -> int:
@@ -152,20 +149,16 @@ def _viscous_balance(chain: ChainModel, r, c_t: float, c_n: float, nodes_fn) -> 
     return _resistive_balance(cos_th, sin_th, turn_t, turn_n, signs, c_t * m0, c_n * m0, c_n * m1, c_n * m2)
 
 
-@dataclass(frozen=True)
-class DragModel:
+class DragModel(FrozenRecord):
     """Chain swimming against per-unit-length anisotropic viscous drag."""
 
-    chain: ChainModel
-    drag_tangential: float
-    drag_normal: float
-    quadrature: int = 8
-
-    def __post_init__(self) -> None:
-        if not (self.drag_tangential > 0.0 and self.drag_normal > 0.0):
+    def __init__(self, chain: ChainModel, drag_tangential: float, drag_normal: float, quadrature: int = 8) -> None:
+        if not (drag_tangential > 0.0 and drag_normal > 0.0):
             raise ValueError("drag coefficients must be positive")
-        if self.quadrature < 2:
-            raise ValueError(f"need at least 2 quadrature points per link, got {self.quadrature}")
+        if quadrature < 2:
+            raise ValueError(f"need at least 2 quadrature points per link, got {quadrature}")
+        self.__dict__.update(chain=chain, drag_tangential=drag_tangential, drag_normal=drag_normal,
+                             quadrature=quadrature)
 
     @property
     def shape_dim(self) -> int:
@@ -213,8 +206,7 @@ def many_legged_drag_surrogate(model: DragModel, m: int, r) -> ConstraintSystem:
     return _viscous_balance(model.chain, r, model.drag_tangential, model.drag_normal, midpoint)
 
 
-@dataclass(frozen=True)
-class LeggedModel:
+class LeggedModel(FrozenRecord):
     """Rigid body with hip-mounted swinging legs; shape = leg angles.
 
     Planted feet are flat and bear yaw moment.  The selector names which feet
@@ -223,30 +215,22 @@ class LeggedModel:
     fixed_contacts.
     """
 
-    hips: np.ndarray
-    leg_lengths: np.ndarray
-    rest_angles: np.ndarray
-    selector: str = "argmax"
-    fixed_contacts: frozenset | None = None
-
-    def __post_init__(self) -> None:
-        hips = _readonly(np.atleast_2d(self.hips))
+    def __init__(self, hips: np.ndarray, leg_lengths: np.ndarray, rest_angles: np.ndarray, selector: str = "argmax",
+                 fixed_contacts: frozenset | None = None) -> None:
+        hips = _readonly(np.atleast_2d(hips))
         f = hips.shape[0]
         if hips.shape != (f, 2):
             raise ValueError(f"hip offsets must be (f, 2), got {hips.shape}")
-        lengths = _readonly(np.atleast_1d(self.leg_lengths), (f,))
-        rest = _readonly(np.atleast_1d(self.rest_angles), (f,))
+        lengths = _readonly(np.atleast_1d(leg_lengths), (f,))
+        rest = _readonly(np.atleast_1d(rest_angles), (f,))
         if not np.all(lengths > 0.0):
             raise ValueError("leg lengths must be positive")
-        if self.selector not in ("argmax", "fixed"):
-            raise ValueError(f"unknown selector {self.selector!r}")
-        fixed = self.fixed_contacts
-        if self.selector == "fixed":
-            fixed = frozenset(_stance_feet(fixed or (), f))
-        object.__setattr__(self, "hips", hips)
-        object.__setattr__(self, "leg_lengths", lengths)
-        object.__setattr__(self, "rest_angles", rest)
-        object.__setattr__(self, "fixed_contacts", fixed)
+        if selector not in ("argmax", "fixed"):
+            raise ValueError(f"unknown selector {selector!r}")
+        if selector == "fixed":
+            fixed_contacts = frozenset(_stance_feet(fixed_contacts or (), f))
+        self.__dict__.update(hips=hips, leg_lengths=lengths, rest_angles=rest, selector=selector,
+                             fixed_contacts=fixed_contacts)
 
     @property
     def n_feet(self) -> int:
@@ -358,26 +342,22 @@ def build_contact_map(model: LeggedModel, c) -> PoseMap:
     return PoseMap.from_many(pinned, model.shape_dim)
 
 
-@dataclass(frozen=True)
-class SlipModel:
+class SlipModel(FrozenRecord):
     """Legged geometry whose contacting feet slip against anisotropic viscous
     ground, with per-foot tangential, normal, and yaw resistance."""
 
-    geometry: LeggedModel
-    slip_tangential: np.ndarray
-    slip_normal: np.ndarray
-    slip_yaw: np.ndarray
-
-    def __post_init__(self) -> None:
-        f = self.geometry.n_feet
-        for name in ("slip_tangential", "slip_normal", "slip_yaw"):
-            val = getattr(self, name)
+    def __init__(self, geometry: LeggedModel, slip_tangential: np.ndarray, slip_normal: np.ndarray,
+                 slip_yaw: np.ndarray) -> None:
+        f = geometry.n_feet
+        coefficients = {"slip_tangential": slip_tangential, "slip_normal": slip_normal, "slip_yaw": slip_yaw}
+        for name, val in coefficients.items():
             val = _readonly(np.full(f, val, dtype=float) if np.ndim(val) == 0 else val)
             if val.shape != (f,):
                 raise ValueError(f"{name} must be scalar or (f,), got {val.shape}")
             if not np.all(val > 0.0):
                 raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, val)
+            coefficients[name] = val
+        self.__dict__.update(geometry=geometry, **coefficients)
 
     @property
     def shape_dim(self) -> int:

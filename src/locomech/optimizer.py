@@ -11,13 +11,13 @@ deterministic per seed whatever numpy is installed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from ._numerics import _uniforms
+from ._record import FrozenRecord, Record
 from .connection import SingularConstraint
 from .integrator import integrate_gait, integrate_gaits, net_displacement
 from .shapespace import FourierGait
@@ -32,28 +32,22 @@ DIRECTIONS = {
 SLOT_KINDS = ("mean", "cos", "sin")
 
 
-@dataclass(frozen=True)
-class GaitFamily:
+class GaitFamily(FrozenRecord):
     """Bounded parameterization of closed gaits.
 
     build(p) must return a valid gait for every p inside [lower, upper];
     Fourier templates make closure automatic.
     """
 
-    build: Callable[[np.ndarray], object]
-    lower: np.ndarray
-    upper: np.ndarray
-    names: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+    def __init__(self, build: Callable[[np.ndarray], object], lower: np.ndarray, upper: np.ndarray,
+                 names: tuple[str, ...] = ()) -> None:
+        lower = np.atleast_1d(np.asarray(lower, dtype=float))
+        upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be two equal-length vectors")
         if not np.all(lower < upper):
             raise ValueError("need lower < upper in every coordinate")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        self.__dict__.update(build=build, lower=lower, upper=upper, names=names)
 
     @property
     def n_params(self) -> int:
@@ -146,15 +140,16 @@ def _scorer(direction: str) -> Callable[[object], float]:
     return lambda traj: DIRECTIONS[direction](net_displacement(traj))
 
 
-@dataclass
-class OptimizationReport:
+class OptimizationReport(Record):
     """Search outcome with the full, deterministic evaluation history."""
 
-    best_params: np.ndarray
-    best_value: float
-    evaluations: int
-    history: list[tuple[np.ndarray, float]]
-    termination: str
+    def __init__(self, best_params: np.ndarray, best_value: float, evaluations: int,
+                 history: list[tuple[np.ndarray, float]], termination: str) -> None:
+        self.best_params = best_params
+        self.best_value = best_value
+        self.evaluations = evaluations
+        self.history = history
+        self.termination = termination
 
 
 def _restart(simplex: np.ndarray, project):

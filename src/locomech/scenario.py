@@ -22,12 +22,12 @@ import math
 import re
 import reprlib
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import yaml
 
+from ._record import Record
 from .connection import MAX_NODES, ConstraintConnection, JacobianConnection
 from .integrator import MAX_STEPS, steps_per_cycle
 from .models import (
@@ -57,21 +57,23 @@ class ScenarioError(Exception):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass
-class Scenario:
-    raw: dict
-    seed: int
-    out_dir: str
-    provider: object
-    gait: object
-    step: float
-    event_tol: float
-    cycles: int
-    sweep: dict | None = None
-    optimize: dict | None = None
-    verify: dict | None = None
-    grid: GridSpec | None = None
-    family: GaitFamily | None = None
+class Scenario(Record):
+    def __init__(self, raw: dict, seed: int, out_dir: str, provider: object, gait: object, step: float,
+                 event_tol: float, cycles: int, sweep: dict | None = None, optimize: dict | None = None,
+                 verify: dict | None = None, grid: GridSpec | None = None, family: GaitFamily | None = None) -> None:
+        self.raw = raw
+        self.seed = seed
+        self.out_dir = out_dir
+        self.provider = provider
+        self.gait = gait
+        self.step = step
+        self.event_tol = event_tol
+        self.cycles = cycles
+        self.sweep = sweep
+        self.optimize = optimize
+        self.verify = verify
+        self.grid = grid
+        self.family = family
 
     @property
     def dim(self) -> int:

@@ -10,10 +10,11 @@ rates; `reparameterize` retimes either form through any warp as a polyline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from ._record import FrozenRecord
 
 
 def _readonly(a, shape=None) -> np.ndarray:
@@ -43,41 +44,31 @@ class _Sampled:
         return r[0], rdot[0]
 
 
-@dataclass(frozen=True)
-class FourierGait(_Sampled):
+class FourierGait(_Sampled, FrozenRecord):
     """Loop r_i(t) = mean_i + sum_k cos[k,i] cos(2 pi k t/T) + sin[k,i] sin(2 pi k t/T)."""
 
-    period: float
-    mean: np.ndarray
-    cos: np.ndarray = None
-    sin: np.ndarray = None
-    # 2 pi k / T for harmonic k = 1..K, fixed once the gait is built
-    angular_rates: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not (self.period > 0.0 and np.isfinite(self.period)):
-            raise ValueError(f"gait period must be positive and finite, got {self.period}")
-        mean = _readonly(np.atleast_1d(self.mean))
+    def __init__(self, period: float, mean: np.ndarray, cos: np.ndarray = None, sin: np.ndarray = None) -> None:
+        if not (period > 0.0 and np.isfinite(period)):
+            raise ValueError(f"gait period must be positive and finite, got {period}")
+        mean = _readonly(np.atleast_1d(mean))
         d = mean.shape[0]
         # absent or empty coefficients are no harmonics; the shorter array is padded with zero rows
         cos, sin = (np.array(np.zeros((0, d)) if c is None or not np.size(c) else c, float, ndmin=2)
-                    for c in (self.cos, self.sin))
+                    for c in (cos, sin))
         k = max(len(cos), len(sin))
         if cos.shape[1:] != (d,) or sin.shape[1:] != (d,):
             raise ValueError("harmonic coefficient arrays must have shape (K, d)")
         cos, sin = (_readonly(np.vstack([c, np.zeros((k - len(c), d))])) for c in (cos, sin))
         if not (np.isfinite(mean).all() and np.isfinite(cos).all() and np.isfinite(sin).all()):
             raise ValueError("gait mean and harmonic coefficients must be finite")
-        object.__setattr__(self, "period", float(self.period))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cos", cos)
-        object.__setattr__(self, "sin", sin)
+        period = float(period)
         # a subnormal period overflows the rates to inf; every rate the gait
         # then samples is NaN, which integrate_gait rejects as a non-finite
         # shape rate, so the overflow warning is not printed here
         with np.errstate(over="ignore"):
-            rates = 2.0 * np.pi * np.arange(1, k + 1) / self.period
-        object.__setattr__(self, "angular_rates", _readonly(rates))
+            rates = 2.0 * np.pi * np.arange(1, k + 1) / period
+        # angular_rates, 2 pi k / T for harmonic k = 1..K, is no field, so repr and == leave it out
+        self.__dict__.update(period=period, mean=mean, cos=cos, sin=sin, angular_rates=_readonly(rates))
 
     @property
     def dim(self) -> int:
@@ -100,17 +91,13 @@ class FourierGait(_Sampled):
         return r, rdot
 
 
-@dataclass(frozen=True)
-class WaypointGait(_Sampled):
+class WaypointGait(_Sampled, FrozenRecord):
     """Closed polyline: segment i runs points[i] -> points[(i+1) % m] over
     [times[i], times[i+1]]; the loop ends back at points[0] at t = period."""
 
-    points: np.ndarray
-    times: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = _readonly(np.atleast_2d(self.points))
-        times = _readonly(np.atleast_1d(self.times))
+    def __init__(self, points: np.ndarray, times: np.ndarray) -> None:
+        pts = _readonly(np.atleast_2d(points))
+        times = _readonly(np.atleast_1d(times))
         if not pts.shape[0]:
             raise ValueError("a waypoint gait needs at least one waypoint")
         if not np.isfinite(pts).all():
@@ -126,8 +113,7 @@ class WaypointGait(_Sampled):
             raise ValueError("knot times must start at 0")
         if not np.all(np.diff(times) > 0.0):
             raise ValueError("knot times must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "times", times)
+        self.__dict__.update(points=pts, times=times)
 
     @property
     def period(self) -> float:
@@ -169,8 +155,7 @@ class SmoothstepGait(_Sampled):
 
     Its rate factor is w'(t) = 6u(1 - u) in closed form, so the loop traces
     the base's path over the same period, at rest at t = 0 and t = T.  It
-    has no knots.  It is a plain class: a dataclass would add about 0.5 ms
-    to every import.
+    has no knots.
     """
 
     def __init__(self, base: FourierGait) -> None:

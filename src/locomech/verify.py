@@ -14,25 +14,21 @@ step) and a waypoint gait through reparameterize, so neither moves the path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
 
 from ._numerics import _uniforms
+from ._record import FrozenRecord
 from .connection import SingularConstraint, _balance_scale, _max_abs, linear_constraint_connection
 from .integrator import integrate_gait, net_displacement, pose_increments
 from .liegroup import compose, log
 from .shapespace import FourierGait, SmoothstepGait, reparameterize, reversed_gait, smoothstep
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
-    suite: str
-    check: str
-    value: float
-    threshold: float
-    passed: bool
+class VerifyCheck(FrozenRecord):
+    def __init__(self, suite: str, check: str, value: float, threshold: float, passed: bool) -> None:
+        self.__dict__.update(suite=suite, check=check, value=value, threshold=threshold, passed=passed)
 
 
 def _check(suite: str, check: str, value: float, threshold: float) -> VerifyCheck:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -169,6 +170,22 @@ class TestSimulate:
         code, err = run_in_a_process(tmp_path, text, "simulate", "scenario.yaml", "--out", "out")
         assert code == 0 and b"multiple stance switches" in err
         assert len(err) <= 1024
+        # one line per warning, naming no source file
+        lines = err.decode().splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert b".py" not in err
+
+    def test_warnings_print_once_each_in_the_order_raised_before_the_error(self, tmp_path, monkeypatch, capsys):
+        def command(scenario):
+            warnings.warn("first", UserWarning)
+            warnings.warn("second", UserWarning)
+            warnings.warn("first", UserWarning)
+            raise SingularConstraint("stop")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", command)
+        path = write_scenario(tmp_path, swimmer_doc())
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == "warning: first\nwarning: second\nnumerical abort: stop\n"
 
     def test_zero_gait_identity_column(self, tmp_path):
         doc = swimmer_doc()
@@ -964,14 +981,15 @@ for command in ("simulate", "sweep", "optimize", "verify"):
     if command == "simulate" or getattr(scenario, command) is not None:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli._COMMANDS[command](scenario) == 0, command
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps({"added": sorted(set(sys.modules) - before), "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in SCENARIOS.glob("*.yaml")))
 def test_commands_import_nothing_after_loading_their_document(tmp_path, name):
     # a document's blocks import their modules at load, so no command of that
-    # document imports one, whatever the other documents load
+    # document imports one, whatever the other documents load; the records are
+    # plain classes, so no module imports dataclasses
     src = str(Path(cli.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", _ONE_DOCUMENT_IMPORT_GUARD, str(tmp_path / "out"), str(SCENARIOS / f"{name}.yaml")],
@@ -980,7 +998,7 @@ def test_commands_import_nothing_after_loading_their_document(tmp_path, name):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    assert json.loads(proc.stdout) == {"added": [], "dataclasses": False}
 
 
 def _small_search(doc):

@@ -14,9 +14,7 @@ that walker's gait through a singular shape (exit 3).  Each run is a
 fresh ``python -m locomech.cli`` process on the chosen source tree, in its
 own scratch directory, with only relative paths on its command line, and a
 4 GB address space, so a count that escapes its check fails in the run.
-A warning names its source file and line; the source tree's path in
-stderr reads ``<src>``, so checkouts at two paths compare alike.  Each run
-prints
+Each run prints
 
     <run> exit=<code> <artifact>=<sha256> ... stdout=<sha256> stderr=<sha256>
 
@@ -131,7 +129,7 @@ def run(src: Path, text: str | bytes, args: list[str]) -> tuple[int, dict[str, b
         )
         out = Path(tmp, "out")
         outputs = {f.name: f.read_bytes() for f in (sorted(out.iterdir()) if out.is_dir() else [])}
-    outputs.update(stdout=proc.stdout, stderr=proc.stderr.replace(str(src).encode(), b"<src>"))
+    outputs.update(stdout=proc.stdout, stderr=proc.stderr)
     return proc.returncode, outputs
 
 
