@@ -14,17 +14,24 @@ that walker's gait through a singular shape (exit 3).  Each run is a
 fresh ``python -m locomech.cli`` process on the chosen source tree, in its
 own scratch directory, with only relative paths on its command line, and a
 4 GB address space, so a count that escapes its check fails in the run.
-Each run prints
+The first line names what the digests depend on: the Python, numpy and
+PyYAML versions, whether PyYAML has libyaml, and the platform.  Then each
+run prints
 
     <run> exit=<code> <artifact>=<sha256> ... stdout=<sha256> stderr=<sha256>
 
-with the artifacts in name order (only those the run wrote).  The perfbench
-documents are read through ``perfbench/workloads.py`` of this checkout, so
-both sides of a comparison run the same documents:
+with the artifacts in name order (only those the run wrote).  The digests
+of this checkout are committed as ``tools/digests.txt``, so a change to an
+output shows as a diff of that file, and
 
-    python tools/artifact_digests.py > change.txt
+    python tools/artifact_digests.py | diff tools/digests.txt -
+
+checks every run.  The perfbench documents are read through
+``perfbench/workloads.py`` of this checkout, so both sides of a comparison
+of two source trees run the same documents:
+
     python tools/artifact_digests.py --src ../parent/src > parent.txt
-    diff parent.txt change.txt
+    python tools/artifact_digests.py | diff parent.txt -
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -41,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy  # noqa: E402
 import yaml  # noqa: E402
 from workloads import ARTIFACTS, COMMANDS, WORKLOADS, scenario_documents  # noqa: E402
 
@@ -89,10 +98,11 @@ def _runs(seeds):
     stuck = {**walker, "gait": {"kind": "fourier", "mean": [-2.17, 1.86], "sin": [[0.1, 0.0]]}}
     yield "error/singular_walker/simulate", _dump(stuck), ["simulate", *_ARGS, "--step", "0.01"]
     yield "error/not_utf8/simulate", b'schema: 1\nmodel: {kind: swimmer}\ngait: "\xff"\n', ["simulate", *_ARGS]
-    # a 100,000-link arm held still: np.eye of one shape's probes would take 74.5 GiB
-    arm = {"model": {"kind": "jacobian", "map": "arm_com", "lengths": [1.0] * 100_000, "masses": [1.0] * 100_000},
-           "gait": {"kind": "fourier", "mean": [1.0] * 100_000}}
-    yield "error/arm_links/simulate", _dump(arm), ["simulate", *_ARGS]
+    # a 100,000-link arm held still: np.eye of one shape's probes would take 74.5 GiB.  It is written
+    # in flow style, which safe_dump would take seconds to emit
+    ones = "[%s]" % ", ".join(["1.0"] * 100_000)
+    arm = f"model: {{kind: jacobian, map: arm_com, lengths: {ones}, masses: {ones}}}\ngait: {{kind: fourier, mean: {ones}}}\n"
+    yield "error/arm_links/simulate", arm, ["simulate", *_ARGS]
     cycles = {**doc, "integrator": {**doc["integrator"], "cycles": int("7" * 4000)}}
     yield "error/cycles_digits/simulate", _dump(cycles), ["simulate", *_ARGS]
     yield "error/out_nul/simulate", _dump({**doc, "out": "a\0b"}), ["simulate", "scenario.yaml"]
@@ -106,6 +116,14 @@ def _runs(seeds):
         ("base_60_schema", "schema: 1", f"schema: {base_60}"),
     ):
         yield f"error/{name}/simulate", _dump(doc).replace(f"{old}\n", f"{new}\n"), ["simulate", *_ARGS]
+
+
+def header() -> str:
+    """The first output line: the versions and the platform that the digests depend on."""
+    return (
+        f"# python {platform.python_version()} numpy {numpy.__version__} pyyaml {yaml.__version__}"
+        f" libyaml {'yes' if yaml.__with_libyaml__ else 'no'} platform {platform.system()}-{platform.machine()}"
+    )
 
 
 def _four_gigabytes() -> None:
@@ -144,6 +162,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to run (default: this checkout's)")
     parser.add_argument("--seeds", type=int, default=8, help="perfbench seeds 0..N-1 (default 8)")
     args = parser.parse_args(argv)
+    print(header(), flush=True)
     for run in _runs(range(args.seeds)):
         print(digest(args.src.resolve(), *run), flush=True)
     return 0
