@@ -142,25 +142,10 @@ def _finite(value, path: str) -> float:
     return value
 
 
-# YAML 1.1 reads exponent notation as a number only with a dot in the mantissa
-# and a sign on the exponent: 1e-9 and 1.0e9 load as strings
-_YAML_EXPONENT = re.compile(r"([-+]?[0-9][0-9_]*)(\.[0-9_]*)?[eE]([-+]?)([0-9]+)")
-
-
-def _yaml_hint(value) -> str:
-    """How to write a string such as 1e-9 that YAML 1.1 did not read as a number, else ''."""
-    m = _YAML_EXPONENT.fullmatch(value) if isinstance(value, str) else None
-    if m is None:
-        return ""
-    spelled = f"{m[1]}{m[2] or '.0'}e{m[3] or '+'}{m[4]}"
-    return f"; YAML 1.1 reads {value!r} as a string (exponents need a dot and a sign), write {spelled}"
-
-
 def _floats(value, path: str, length=None) -> list[float]:
     """Finite floats of a list of length plain numbers (bools excluded), else ScenarioError at path."""
     if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-        hints = map(_yaml_hint, value) if isinstance(value, list) else ()
-        raise ScenarioError(path, "expected a list of numbers" + next(filter(None, hints), ""))
+        raise ScenarioError(path, "expected a list of numbers")
     if length is not None and len(value) != length:
         raise ScenarioError(path, f"expected {length} entries")
     return [_finite(v, path) for v in value]
@@ -200,7 +185,7 @@ def _choice(names, default=None):
 def _number(default=None, positive=False, maximum=None):
     def convert(value, where, seen):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(where, "expected a number" + _yaml_hint(value))
+            raise ScenarioError(where, "expected a number")
         value = _finite(value, where)
         if positive and value <= 0.0:
             raise ScenarioError(where, "must be positive")
@@ -604,24 +589,42 @@ def _too_deep(text: str, loader) -> bool:
     return False
 
 
-def _construct_int(loader, node) -> int:
-    """PyYAML's int, with Python's digit limit on base 60 too: PyYAML builds that by arithmetic, not int(str)."""
-    text, limit = loader.construct_scalar(node), sys.get_int_max_str_digits()
-    if limit and ":" in text:
-        # a ':' multiplies by 60 (a digit or more), so limit of them are refused before the quadratic build
-        if text.count(":") >= limit or abs(yaml.SafeLoader.construct_yaml_int(loader, node)) >= 10**limit:
-            raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion")
-    return yaml.SafeLoader.construct_yaml_int(loader, node)
+# YAML 1.2's core scalars, without octal and hex: (tag, spelling, first characters, value of the text).  Any
+# other plain scalar is a string, and a scalar tagged with a row's tag must be spelled as the row says
+_CORE_SCALARS = (
+    ("null", "~|null|Null|NULL|", ["~", "n", "N", ""], lambda text: None),
+    ("bool", "true|True|TRUE|false|False|FALSE", "tTfF", lambda text: text[0] in "tT"),
+    ("int", "[-+]?[0-9]+", "-+0123456789", int),
+    ("float", r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?|[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)",
+     "-+.0123456789", lambda text: float(text.replace(".", "") if text[-1] in "fFnN" else text)),
+)
 
 
-def _limited(base):
-    """A subclass of the safe loader base that builds ints with _construct_int."""
-    loader = type(base.__name__, (base,), {})
-    loader.add_constructor("tag:yaml.org,2002:int", _construct_int)
+def _core_scalar(spelling, value, loader, node):
+    """A row's constructor: value(text) of a scalar spelled as the row says, else a YAML error."""
+    text = loader.construct_scalar(node)
+    if not spelling.match(text):
+        raise yaml.constructor.ConstructorError(None, None, f"{_QUOTE.repr(text)} is not a {node.tag}", node.start_mark)
+    return value(text)
+
+
+def _core_loader(base):
+    """A subclass of the safe loader base that builds strings, lists, mappings (no << merge) and _CORE_SCALARS only."""
+    core, safe = "tag:yaml.org,2002:", yaml.SafeLoader
+    loader = type(base.__name__, (base,), {
+        "yaml_implicit_resolvers": {},
+        "yaml_constructors": {None: safe.construct_undefined, core + "str": safe.construct_yaml_str,
+                              core + "seq": safe.construct_yaml_seq, core + "map": safe.construct_yaml_map},
+        "construct_mapping": yaml.constructor.BaseConstructor.construct_mapping,
+    })
+    for tag, pattern, first, value in _CORE_SCALARS:
+        spelling = re.compile(rf"(?:{pattern})\Z")
+        loader.add_implicit_resolver(core + tag, spelling, first)
+        loader.add_constructor(core + tag, functools.partial(_core_scalar, spelling, value))
     return loader
 
 
-_PY_LOADER, _C_LOADER = _limited(yaml.SafeLoader), _limited(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+_PY_LOADER, _C_LOADER = _core_loader(yaml.SafeLoader), _core_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_scenario(source, overrides: dict | None = None) -> Scenario:
@@ -637,7 +640,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         try:
             with open(source, encoding="utf-8") as handle:
                 text = handle.read()
-                # libyaml parses for PyYAML's safe constructor; a text with a tab (PyYAML rejects one after a plain
+                # libyaml parses for the core-scalar constructors; a text with a tab (PyYAML rejects one after a plain
                 # scalar, libyaml reads it) goes to the Python parser, which also rereads the file to word any error
                 loader = _PY_LOADER if "\t" in text else _C_LOADER
                 if _too_deep(text, loader):
@@ -651,8 +654,8 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
             raise ScenarioError("<file>", str(exc)) from exc
         except UnicodeDecodeError as exc:
             raise ScenarioError("<file>", f"not UTF-8 text: byte {exc.start} of {handle.name} ({exc.reason})") from exc
-        except (ValueError, OverflowError, RecursionError) as exc:
-            # PyYAML builds dates, time-zone offsets and integers with Python's checks; its Python composer recurses
+        except (ValueError, RecursionError) as exc:
+            # int() holds Python's digit limit; PyYAML's Python composer recurses
             raise ScenarioError("<file>", f"not loadable as YAML: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ScenarioError("<file>", f"not parseable as YAML: {exc}") from exc

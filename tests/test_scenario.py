@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import os
 import resource
@@ -26,7 +27,7 @@ from locomech import (
 from locomech.analysis import MAX_NODES
 from locomech.models import mirrored_slip_walker, three_link_swimmer, two_leg_crawler
 from locomech.optimizer import amplitude_phase_family
-from locomech.scenario import _FAMILIES, _MODELS
+from locomech.scenario import _C_LOADER, _FAMILIES, _MODELS, _PY_LOADER
 from fuzzing import SCENARIOS, SHIPPED_DOCS, alias_chain, mutated_documents
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -611,10 +612,10 @@ def test_a_file_that_is_not_utf8_exits_two(tmp_path):
     assert proc.stderr == f"scenario error: <file>: not UTF-8 text: byte 40 of {path} (invalid start byte)\n"
 
 
-# (line of swimmer_circle.yaml, its replacement, the start of the one stderr line)
+# (line of swimmer_circle.yaml, its replacement, the start of the one stderr line); a date is a string
 _UNBUILDABLE = {
-    "impossible_date": ("seed: 0", "seed: 2001-02-30", "<file>: not loadable as YAML: day is out of range for month"),
-    "offset_past_a_day": ("seed: 0", "seed: 2001-12-14t21:59:43.10-25:00", "<file>: not loadable as YAML: offset must be"),
+    "impossible_date": ("seed: 0", "seed: 2001-02-30", "<root>.seed: expected an integer"),
+    "offset_past_a_day": ("seed: 0", "seed: 2001-12-14t21:59:43.10-25:00", "<root>.seed: expected an integer"),
     "5000_digits": ("seed: 0", "seed: " + "7" * 5000, "<file>: not loadable as YAML: Exceeds the limit (4300 digits)"),
     "flow_list_30000_deep": ("seed: 0", "seed: " + "[" * 30000 + "1" + "]" * 30000, "<file>: nested more than 200 levels deep"),
     "flow_map_30000_deep": ("seed: 0", "seed: " + "{a: " * 30000 + "1" + "}" * 30000, "<file>: nested more than 200 levels deep"),
@@ -682,22 +683,23 @@ def _base_60(value: int) -> str:
     return ":".join(map(str, [value, *reversed(parts)]))
 
 
-# "1" and 2700 ":0" parts, about 4800 digits: PyYAML builds a base-60 value by arithmetic, past int()'s digit check
+# "1" and 2700 ":0" parts, a YAML 1.1 base-60 spelling of about 4800 digits, which YAML 1.2 reads as a string
 _LONG_BASE_60 = "1" + ":0" * 2700
 
-# (shipped scenario, command, the line whose value is replaced by _LONG_BASE_60)
+# (shipped scenario, command, the line whose value is replaced by _LONG_BASE_60, the one stderr line)
 _BASE_60_INPUTS = {
-    "schema": ("swimmer_circle.yaml", "simulate", "schema: 1"),
-    "seed": ("swimmer_circle.yaml", "simulate", "seed: 0"),
-    "restarts": ("swimmer_optimize.yaml", "optimize", "restarts: 4"),
-    "budget": ("swimmer_optimize.yaml", "optimize", "budget: 500"),
-    "cycles": ("swimmer_circle.yaml", "simulate", "cycles: 1"),
+    "schema": ("swimmer_circle.yaml", "simulate", "schema: 1",
+               "schema: unsupported schema version '1:0:0:0:0:0:...0:0:0:0:0:0:0'"),
+    "seed": ("swimmer_circle.yaml", "simulate", "seed: 0", "<root>.seed: expected an integer"),
+    "restarts": ("swimmer_optimize.yaml", "optimize", "restarts: 4", "optimize.restarts: expected an integer"),
+    "budget": ("swimmer_optimize.yaml", "optimize", "budget: 500", "optimize.budget: expected an integer"),
+    "cycles": ("swimmer_circle.yaml", "simulate", "cycles: 1", "integrator.cycles: expected an integer"),
 }
 
 
 @pytest.mark.parametrize("name", _BASE_60_INPUTS)
 def test_a_base_60_integer_past_the_digit_limit_exits_two_with_one_line(tmp_path, name):
-    scenario, command, line = _BASE_60_INPUTS[name]
+    scenario, command, line, message = _BASE_60_INPUTS[name]
     text = (SCENARIOS / scenario).read_text()
     assert text.count(line) == 1
     path = tmp_path / "scenario.yaml"
@@ -709,23 +711,93 @@ def test_a_base_60_integer_past_the_digit_limit_exits_two_with_one_line(tmp_path
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    limit = sys.get_int_max_str_digits()
-    message = f"<file>: not loadable as YAML: Exceeds the limit ({limit} digits) for integer string conversion"
     assert proc.stderr == f"scenario error: {message}\n"
 
 
 @pytest.mark.parametrize("tab", ["", '\nout: "a\tb"'])
-def test_a_base_60_integer_loads_up_to_the_digit_limit_at_either_parser(tmp_path, tab):
+def test_a_base_60_spelling_is_a_string_at_either_parser(tmp_path, tab):
     text = (SCENARIOS / "swimmer_circle.yaml").read_text()
     path = tmp_path / "scenario.yaml"
     limit = sys.get_int_max_str_digits()
-    path.write_text(text.replace("seed: 0", f"seed: {_base_60(10**limit - 1)}{tab}"))
-    assert load_scenario(str(path)).seed == 10**limit - 1
-    # one digit more, and as many ':' parts as the limit (refused before it is built)
-    for seed in (_base_60(10**limit), "1" + ":0" * limit, "1" + ":0" * 100_000):
+    for seed in ("1:30", _base_60(10**limit - 1), _base_60(10**limit), "1" + ":0" * limit, "1" + ":0" * 100_000):
         path.write_text(text.replace("seed: 0", f"seed: {seed}{tab}"))
-        with pytest.raises(ScenarioError, match=rf"^<file>: not loadable as YAML: Exceeds the limit \({limit} digits\)"):
+        with pytest.raises(ScenarioError, match=r"^<root>\.seed: expected an integer$"):
             load_scenario(str(path))
+
+
+_NOT_YAML = "<file>: not parseable as YAML: "
+_NO_CONSTRUCTOR = _NOT_YAML + "could not determine a constructor for the tag"
+
+# (line of swimmer_circle.yaml, its replacement, the value at a key of the loaded scenario's raw document,
+# or the ScenarioError): YAML 1.2's core scalars without octal and hex, and no YAML 1.1 type
+_CORE_SCALARS = {
+    "exponent_without_a_dot": ("event_tol: 1.0e-10", "event_tol: 1e-9", ("integrator", "event_tol"), 1e-9),
+    "exponent_without_a_sign": ("step: 1.0e-3", "step: 1E-3", ("integrator", "step"), 1e-3),
+    "leading_zero_is_decimal": ("seed: 0", "seed: 010", ("seed",), 10),
+    "signed_integer": ("seed: 0", "seed: +7", ("seed",), 7),
+    "dotted_float": ("box: 1.2", "box: .5", ("verify", "box"), 0.5),
+    "true_in_capitals": ("curvature: true", "curvature: TRUE", ("sweep", "curvature"), True),
+    "tilde_is_null": ("seed: 0", "seed: ~", None, "<root>.seed: missing value"),
+    "null_in_capitals": ("seed: 0", "seed: NULL", None, "<root>.seed: missing value"),
+    "empty_is_null": ("seed: 0", "seed:", None, "<root>.seed: missing value"),
+    "hex": ("seed: 0", "seed: 0x1f", None, "<root>.seed: expected an integer"),
+    "octal": ("seed: 0", "seed: 0o17", None, "<root>.seed: expected an integer"),
+    "underscores": ("seed: 0", "seed: 1_000", None, "<root>.seed: expected an integer"),
+    "base_60": ("seed: 0", "seed: 1:30", None, "<root>.seed: expected an integer"),
+    "date": ("seed: 0", "seed: 2002-12-14", None, "<root>.seed: expected an integer"),
+    "yes": ("curvature: true", "curvature: yes", None, "sweep.curvature: expected true or false"),
+    "no": ("curvature: true", "curvature: no", None, "sweep.curvature: expected true or false"),
+    "on": ("curvature: true", "curvature: on", None, "sweep.curvature: expected true or false"),
+    "off": ("curvature: true", "curvature: off", None, "sweep.curvature: expected true or false"),
+    "float_underscores": ("box: 1.2", "box: 1_0.5", None, "verify.box: expected a number"),
+    "nan_without_a_dot": ("box: 1.2", "box: nan", None, "verify.box: expected a number"),
+    "merge_key": ("seed: 0", "<<: {seed: 1}", None, "<root>.<<: unknown key"),
+    "set_tag": ("seed: 0", "seed: !!set {a, b}", None, _NO_CONSTRUCTOR),
+    "timestamp_tag": ("seed: 0", "seed: !!timestamp 2001-12-14", None, _NO_CONSTRUCTOR),
+    "binary_tag": ("seed: 0", "seed: !!binary aGVsbG8=", None, _NO_CONSTRUCTOR),
+    "explicit_merge_key": ("seed: 0", "!!merge <<: {seed: 1}", None, _NO_CONSTRUCTOR),
+    "int_tag_on_hex": ("seed: 0", "seed: !!int 0x1f", None, f"{_NOT_YAML}'0x1f' is not a tag:yaml.org,2002:int"),
+    "bool_tag_on_yes": ("curvature: true", "curvature: !!bool yes", None,
+                        f"{_NOT_YAML}'yes' is not a tag:yaml.org,2002:bool"),
+    "float_tag_on_base_60": ("box: 1.2", "box: !!float " + _LONG_BASE_60, None,
+                             f"{_NOT_YAML}'1:0:0:0:0:0:...0:0:0:0:0:0:0' is not a tag:yaml.org,2002:float"),
+    "int_tag_on_an_int": ("seed: 0", "seed: !!int 12", ("seed",), 12),
+    "float_tag_on_an_int": ("box: 1.2", "box: !!float 1", ("verify", "box"), 1.0),
+    "str_tag_on_an_int": ("seed: 0", "seed: !!str 12", None, "<root>.seed: expected an integer"),
+}
+
+
+@pytest.mark.parametrize("tab", ["", '\nout: "a\tb"'])
+@pytest.mark.parametrize("name", _CORE_SCALARS)
+def test_the_loaders_read_the_core_scalars_only_at_either_parser(tmp_path, name, tab):
+    old, new, keys, expected = _CORE_SCALARS[name]
+    path = tmp_path / "scenario.yaml"
+    # the tab line goes last, past the indented blocks
+    path.write_text(_edited("swimmer_circle.yaml", old, new) + tab)
+    if keys is None:
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(str(path))
+        assert str(caught.value).startswith(expected)
+    else:
+        value = load_scenario(str(path)).raw
+        for key in keys:
+            value = value[key]
+        assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("tab", ["", '\nout: "a\tb"'])
+def test_an_int_tag_past_the_digit_limit_exits_two_at_either_parser(tmp_path, tab):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(_edited("swimmer_circle.yaml", "seed: 0", "seed: !!int " + "7" * 5000 + tab))
+    proc = subprocess.run(
+        [sys.executable, "-m", "locomech.cli", "simulate", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("scenario error: <file>: not loadable as YAML: Exceeds the limit (4300 digits)")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) <= 1024
 
 
 def _edited(scenario: str, old: str, new: str) -> str:
@@ -794,3 +866,28 @@ def test_an_arm_of_the_most_links_runs_the_most_steps_in_two_gigabytes(tmp_path)
         preexec_fn=_two_gigabytes,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# JSON's values, with strings of the basic multilingual plane but no surrogates or DEL: json.dumps writes a DEL
+# as it is, and YAML does not allow one in a stream.  A key is at most 100 characters, 602 once escaped,
+# since YAML reads an implicit key of at most 1024
+_BMP_TEXT = st.characters(max_codepoint=0xFFFF, exclude_categories=("Cs",), exclude_characters="\x7f")
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10**30, 10**30)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(_BMP_TEXT),
+    lambda children: st.lists(children) | st.dictionaries(st.text(_BMP_TEXT, max_size=100), children),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from([0.0, -0.0]) | _JSON_VALUES)
+def test_both_loaders_read_json_text_as_json_does(value):
+    text = json.dumps(value, ensure_ascii=True)
+    # json.dumps of each side tells 1 from 1.0 and 0.0 from -0.0
+    expected = json.dumps(json.loads(text))
+    assert json.dumps(yaml.load(text, _C_LOADER)) == expected
+    assert json.dumps(yaml.load(text, _PY_LOADER)) == expected

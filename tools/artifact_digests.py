@@ -6,9 +6,11 @@ a sweep of a slipping walker near the planted limit whose grid holds
 singular nodes, a crawler whose one-step cycles each hold several stance
 switches, run for 1000 cycles, and a fixed set of runs that must fail: an
 unknown key, a malformed sweep window, an ``--out`` that is a file, a
-document that is not UTF-8, an impossible date, a list nested 25,000 deep,
-a base-60 seed and schema of about 4800 digits, a cycle count of 4000
-digits, an arm of 100,000 links, an ``out`` with a null byte and one of
+document that is not UTF-8, a seed spelled as an impossible date, a list
+nested 25,000 deep, a seed and a schema spelled as YAML 1.1 base-60
+numbers of about 4800 digits (the date and the base-60 spellings are
+strings, so each is a field type error), a cycle count of 4000 digits, an
+arm of 100,000 links, an ``out`` with a null byte and one of
 100,000 characters (exit 2), and a gait whose stage twists overflow and
 that walker's gait through a singular shape (exit 3).  Each run is a
 fresh ``python -m locomech.cli`` process on the chosen source tree, in its
@@ -101,13 +103,15 @@ def _runs(seeds):
     # a 100,000-link arm held still: np.eye of one shape's probes would take 74.5 GiB.  It is written
     # in flow style, which safe_dump would take seconds to emit
     ones = "[%s]" % ", ".join(["1.0"] * 100_000)
-    arm = f"model: {{kind: jacobian, map: arm_com, lengths: {ones}, masses: {ones}}}\ngait: {{kind: fourier, mean: {ones}}}\n"
+    arm = f"model: {{kind: jacobian, map: arm_com, lengths: {ones}, masses: {ones}}}\n" \
+          f"gait: {{kind: fourier, mean: {ones}}}\n"
     yield "error/arm_links/simulate", arm, ["simulate", *_ARGS]
     cycles = {**doc, "integrator": {**doc["integrator"], "cycles": int("7" * 4000)}}
     yield "error/cycles_digits/simulate", _dump(cycles), ["simulate", *_ARGS]
     yield "error/out_nul/simulate", _dump({**doc, "out": "a\0b"}), ["simulate", "scenario.yaml"]
     yield "error/out_long/simulate", _dump({**doc, "out": "x" * 100_000}), ["simulate", "scenario.yaml"]
-    # YAML that safe_dump never writes, in place of the seed or the schema; base 60 here is about 4800 digits
+    # YAML that safe_dump never writes, in place of the seed or the schema.  The date and the YAML 1.1 base-60
+    # number (about 4800 digits) are strings in YAML 1.2, so each exits 2 as a field type error
     base_60 = "1" + ":0" * 2700
     for name, old, new in (
         ("bad_date", "seed: 0", "seed: 2001-02-30"),
