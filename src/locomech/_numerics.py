@@ -7,6 +7,7 @@ lets default_rng's generator change between numpy versions.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -83,8 +84,9 @@ def _legval(x: np.ndarray, c: list) -> np.ndarray:
     return c0 + c1 * x
 
 
+@functools.lru_cache(maxsize=32)
 def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the q-point rule: numpy.polynomial.legendre.leggauss(q), bitwise.
+    """Nodes and weights of the q-point rule, cached and read-only: numpy.polynomial.legendre.leggauss(q), bitwise.
 
     The scaled companion matrix's eigenvalues, one Newton step, and the
     weights from P_q' and P_{q-1}, symmetrised; numpy tests it to q = 100.
@@ -105,4 +107,6 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
     w *= 2.0 / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w

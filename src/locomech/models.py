@@ -168,17 +168,9 @@ class DragModel(FrozenRecord):
         return ConstraintConnection(lambda r: build_drag_constraints(self, r), self.shape_dim)
 
 
-@functools.lru_cache(maxsize=32)
-def _gauss_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = _gauss_legendre(q)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def build_drag_constraints(model: DragModel, r) -> ConstraintSystem:
     """Gauss-Legendre quadrature of the drag balance over every link."""
-    nodes, weights = _gauss_nodes(model.quadrature)
+    nodes, weights = _gauss_legendre(model.quadrature)
 
     def gauss(lengths):
         half = 0.5 * lengths[:, None]

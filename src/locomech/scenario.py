@@ -323,8 +323,6 @@ _MODELS = {
     "many_legged": ({"feet": _integer(minimum=2, maximum=10_000), **_DRAG_CHAIN}, _many_legged),
 }
 
-MODEL_KINDS = tuple(_MODELS)
-
 # sampling holds about 25 bytes per time and harmonic row at d = 2 (tracemalloc, 10 to 1000 rows
 # over 2001 times), and a step samples two times: 100 rows add about 5 KB a step
 _harmonics = _optional(_rows(lambda seen: len(seen["mean"]), "rows", most=100))
@@ -344,8 +342,8 @@ _GAITS = {
 }
 
 
-def _check_time_axis(period: float, step: float, event_tol: float, cycles: int) -> None:
-    """Reject a run past MAX_STEPS, or an event tolerance below the float spacing at its end time."""
+def _check_time_axis(period: float, step: float, event_tol: float, cycles: int) -> dict:
+    """A run's settings, once it fits MAX_STEPS at period and event_tol is at least the float spacing at its end."""
     with _errors_at("integrator.step"):
         steps_per_cycle(period, step, cycles)
     spacing = math.ulp(period * cycles)
@@ -355,6 +353,7 @@ def _check_time_axis(period: float, step: float, event_tol: float, cycles: int) 
             f"{event_tol!r} is below the float spacing {spacing!r} at t = {period * cycles!r}"
             " (period times cycles); a switch time cannot be located that finely",
         )
+    return {"step": step, "event_tol": event_tol, "cycles": cycles}
 
 
 _INTEGRATOR = (
@@ -446,8 +445,10 @@ def _slot_family(gait, slots, lower, upper) -> GaitFamily:
         return fourier_slot_family(gait, [tuple(s) for s in slots], lower, upper)
 
 
-def _amplitude_phase(period, amplitude, phase) -> GaitFamily:
+def _amplitude_phase(integrator, period, amplitude, phase) -> GaitFamily:
     from .optimizer import amplitude_phase_family
+    # the search integrates at its own period
+    _check_time_axis(period, **integrator)
     return amplitude_phase_family(period, tuple(amplitude), tuple(phase))
 
 
@@ -455,6 +456,7 @@ _FAMILIES = {
     "amplitude_phase": (
         {"period": _positive(1.0), "amplitude": _interval([0.1, 1.2]), "phase": _interval([-math.pi, math.pi])},
         _amplitude_phase,
+        "integrator",
     ),
     "fourier_slots": (
         {
@@ -683,9 +685,6 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     for name in _BLOCKS:
         if name in doc:
             resolved[name], built[name] = _read_block(doc[name], name, built)
-    if "optimize" in resolved:
-        # the amplitude/phase search integrates at its own period
-        _check_time_axis(resolved["optimize"].get("period", built["gait"].period), **resolved["integrator"])
     return Scenario(
         raw=resolved,
         seed=seed,

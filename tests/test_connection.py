@@ -40,7 +40,7 @@ from locomech import (
     wavy_pose_map,
 )
 from locomech.connection import _CHUNK_ROWS, _JACOBIAN_ROWS, _cond_estimate, connection_by_stance
-from locomech.scenario import MODEL_KINDS
+from locomech.scenario import _MODELS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -289,7 +289,7 @@ _KIND_BLOCKS = {
 
 
 def test_kind_blocks_cover_every_model_kind():
-    assert {name.split(":")[0] for name in _KIND_BLOCKS} == set(MODEL_KINDS)
+    assert {name.split(":")[0] for name in _KIND_BLOCKS} == set(_MODELS)
 
 
 @pytest.mark.parametrize("name", sorted(_KIND_BLOCKS))

@@ -18,5 +18,5 @@ def test_every_run_but_the_perfbench_documents_matches_its_committed_digest():
     # each run is its own CLI process; four at a time
     with ThreadPoolExecutor(4) as pool:
         fresh = list(pool.map(lambda run: digest(ROOT / "src", *run), runs))
-    assert len(runs) == 36
+    assert len(runs) == 37
     assert fresh == [lines[label] for label, *_ in runs]

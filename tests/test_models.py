@@ -34,7 +34,8 @@ from locomech import (
     two_leg_crawler,
     wavy_pose_map,
 )
-from locomech.models import _gauss_nodes, _link_frames, _viscous_balance
+from locomech._numerics import _gauss_legendre
+from locomech.models import _link_frames, _viscous_balance
 
 
 def pose_close(pose, xyt, tol=1e-12):
@@ -463,7 +464,7 @@ def test_gauss_spin_is_the_exact_integral(q):
     # numpy's rounded nodes and weights carry their own error: on the 8-point
     # rule, sum w x^2 is 7.75 eps from 2/3 in exact arithmetic; the balance
     # may add 2 eps to it
-    nodes, weights = _gauss_nodes(q)
+    nodes, weights = _gauss_legendre(q)
     rule = sum(Fraction(w) * Fraction(x) ** 2 for x, w in zip(nodes, weights))
     assert _eps_off(system.m[2, 2], exact) <= 2.0 + _eps_off(rule, Fraction(2, 3))
 

@@ -66,6 +66,10 @@ def test_rule_is_leggauss():
     # q = 1..100 is the range numpy tests leggauss over, and the scenario bound
     for q in range(1, 101):
         nodes, weights = _gauss_legendre(q)
+        again = _gauss_legendre(q)
+        # one cached table per q, shared by every caller, so no caller may write to it
+        assert again[0] is nodes and again[1] is weights, q
+        assert not nodes.flags.writeable and not weights.flags.writeable, q
         want_nodes, want_weights = np.polynomial.legendre.leggauss(q)
         assert nodes.tobytes() == want_nodes.tobytes(), q
         assert weights.tobytes() == want_weights.tobytes(), q

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from locomech import (
@@ -559,10 +559,10 @@ def _outcome(load, *args):
 
 
 def _python_parser_load(path):
-    """load_scenario of the file as PyYAML's pure-Python safe_load reads it."""
+    """load_scenario of the file as the package's pure-Python loader reads it."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = yaml.safe_load(handle)
+            doc = yaml.load(handle, _PY_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError("<file>", f"not parseable as YAML: {exc}") from exc
     return load_scenario(doc)
@@ -590,6 +590,9 @@ def edited_yaml(draw):
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(edited_yaml())
+# a float without a dot, which YAML 1.1 reads as a string
+@example(yaml.safe_dump(yaml.safe_load((SCENARIOS / "swimmer_circle.yaml").read_text()))
+         .replace("event_tol: 1.0e-10", "event_tol: 1e-10"))
 def test_the_libyaml_parser_reads_every_text_as_the_python_parser(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.yaml"
@@ -597,17 +600,23 @@ def test_the_libyaml_parser_reads_every_text_as_the_python_parser(text):
         assert _outcome(load_scenario, str(path)) == _outcome(_python_parser_load, str(path))
 
 
+def _cli(command, path, tmp_path, *extra, preexec_fn=None):
+    """The completed `python -m locomech.cli command path --out tmp_path/out *extra` of this checkout, as text."""
+    return subprocess.run(
+        [sys.executable, "-m", "locomech.cli", command, str(path), "--out", str(tmp_path / "out"), *extra],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=preexec_fn,
+    )
+
+
 def test_a_file_that_is_not_utf8_exits_two(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_bytes(b'schema: 1\nmodel: {kind: swimmer}\ngait: "\xff"\n')
     with pytest.raises(ScenarioError, match=r"^<file>: not UTF-8 text: byte 40 of .*bad\.yaml \(invalid start byte\)$"):
         load_scenario(str(path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "locomech.cli", "simulate", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
+    proc = _cli("simulate", path, tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == f"scenario error: <file>: not UTF-8 text: byte 40 of {path} (invalid start byte)\n"
 
@@ -636,12 +645,7 @@ def test_a_document_yaml_cannot_build_or_quote_exits_two_with_one_short_line(tmp
     assert old in text
     path = tmp_path / "scenario.yaml"
     path.write_text(text.replace(old, new))
-    proc = subprocess.run(
-        [sys.executable, "-m", "locomech.cli", "simulate", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
+    proc = _cli("simulate", path, tmp_path)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"scenario error: {message}")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n") and len(proc.stderr.encode()) <= 1024
@@ -704,12 +708,7 @@ def test_a_base_60_integer_past_the_digit_limit_exits_two_with_one_line(tmp_path
     assert text.count(line) == 1
     path = tmp_path / "scenario.yaml"
     path.write_text(text.replace(line, f"{line.split(':')[0]}: {_LONG_BASE_60}"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "locomech.cli", command, str(path), "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
+    proc = _cli(command, path, tmp_path)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"scenario error: {message}\n"
 
@@ -789,12 +788,7 @@ def test_the_loaders_read_the_core_scalars_only_at_either_parser(tmp_path, name,
 def test_an_int_tag_past_the_digit_limit_exits_two_at_either_parser(tmp_path, tab):
     path = tmp_path / "scenario.yaml"
     path.write_text(_edited("swimmer_circle.yaml", "seed: 0", "seed: !!int " + "7" * 5000 + tab))
-    proc = subprocess.run(
-        [sys.executable, "-m", "locomech.cli", "simulate", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
+    proc = _cli("simulate", path, tmp_path)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("scenario error: <file>: not loadable as YAML: Exceeds the limit (4300 digits)")
     assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) <= 1024
@@ -837,13 +831,7 @@ def test_a_count_past_its_maximum_exits_two_with_one_short_line(tmp_path, name):
     command, text, extra, message = _COUNTS_PAST_THEIR_MAXIMUM[name]
     path = tmp_path / "scenario.yaml"
     path.write_text(text())
-    proc = subprocess.run(
-        [sys.executable, "-m", "locomech.cli", command, str(path), "--out", str(tmp_path / "out"), *extra],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        preexec_fn=_two_gigabytes,
-    )
+    proc = _cli(command, path, tmp_path, *extra, preexec_fn=_two_gigabytes)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"scenario error: {message}\n")
     assert len(proc.stderr.encode()) <= 1024
 
@@ -858,13 +846,7 @@ def test_an_arm_of_the_most_links_runs_the_most_steps_in_two_gigabytes(tmp_path)
         "integrator: {step: 1.0e-6}\n"
         "verify: {suites: [loop_closure]}\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "locomech.cli", "verify", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        preexec_fn=_two_gigabytes,
-    )
+    proc = _cli("verify", path, tmp_path, preexec_fn=_two_gigabytes)
     assert (proc.returncode, proc.stderr) == (0, "")
 
 

@@ -5,7 +5,8 @@ workload document at the given seeds under the commands its workload runs,
 a sweep of a slipping walker near the planted limit whose grid holds
 singular nodes, a crawler whose one-step cycles each hold several stance
 switches, run for 1000 cycles, and a fixed set of runs that must fail: an
-unknown key, a malformed sweep window, an ``--out`` that is a file, a
+unknown key, a malformed sweep window, an amplitude/phase search whose
+period takes more than the most steps, an ``--out`` that is a file, a
 document that is not UTF-8, a seed spelled as an impossible date, a list
 nested 25,000 deep, a seed and a schema spelled as YAML 1.1 base-60
 numbers of about 4800 digits (the date and the base-60 spellings are
@@ -95,6 +96,9 @@ def _runs(seeds):
     overflow = {**doc, "gait": {**doc["gait"], "cos": [[0.0, -1.0e160]], "sin": [[1.0e160, 0.0]]}}
     yield "error/unknown_key/simulate", _dump({**doc, "colour": "red"}), ["simulate", *_ARGS]
     yield "error/sweep_window/sweep", _dump(window), ["sweep", *_ARGS]
+    search = yaml.safe_load((ROOT / "scenarios" / "swimmer_optimize.yaml").read_text())
+    search["optimize"]["period"] = 1.0e9
+    yield "error/search_period/optimize", _dump(search), ["optimize", *_ARGS]
     yield "error/out_is_a_file/sweep", _dump(doc), ["sweep", "scenario.yaml", "--out", "scenario.yaml"]
     yield "error/overflow/simulate", _dump(overflow), ["simulate", *_ARGS, "--step", "0.05"]
     stuck = {**walker, "gait": {"kind": "fourier", "mean": [-2.17, 1.86], "sin": [[0.1, 0.0]]}}
