@@ -6,11 +6,9 @@ grid, optimize searches a gait family, and verify runs invariant suites.
 All output is plain CSV or JSON with a short metadata header (schema
 version and scenario hash, never timestamps), floats printed as %.17g so
 files reparse to the exact in-memory doubles and reruns are byte-identical.
-Every CSV is one _write_table call: header keys and named columns.  A float
-column of any CSV whose values repeat is formatted once per distinct bit
-pattern, which gives the same bytes.  CSV files are written row by row from
-arrays computed before the file is opened, so an abort leaves no partial
-file.
+Every CSV is one _write_table call, from arrays computed before the file is
+opened, so an abort leaves no partial file.  A CSV float of exponent -4 to
+16 is spelled by an exact array kernel, any other by '%.17g': the same bytes.
 
 Exit codes: 0 success, 1 invariant failure, 2 scenario validation error
 (including an output location that cannot be created, an artifact that
@@ -22,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -35,8 +34,8 @@ from .scenario import _QUOTE, SCHEMA_VERSION, Scenario, ScenarioError, load_scen
 
 _TWIST_AXES = ("vx", "vy", "om")
 
-# rows per slab of a CSV table, each one .tolist() per column and one write,
-# so the Python objects held at once stay bounded however long the table
+# rows per slab of a CSV table, each built as one byte matrix and written
+# with one write, so the memory held at once stays bounded however long the table
 _SLAB_ROWS = 512
 
 # cells in the strided sample that decides whether a float column is worth
@@ -64,33 +63,84 @@ def _header(scenario: Scenario, command: str) -> dict:
     return {"schema": SCHEMA_VERSION, "scenario": f"sha256:{scenario.sha}", "command": command}
 
 
+@functools.cache
+def _layout():
+    """The tables of _spell_floats, built on first use: 10**k for k = -4..20 as doubles, each the first double not
+    below it; the bytes "d.d.d.d." of each four-digit group, then "-0.000d." of each lead digit d; and, by
+    (X + 4) * 17 + last, the mask of the bytes kept."""
+    digit = 0x2E30 + np.arange(10, dtype=np.uint64)  # a digit's byte, then "."
+    pairs = (digit[:, None] | digit << 16).ravel()
+    words = np.concatenate([(pairs[:, None] | pairs << 32).ravel(), int.from_bytes(b"-0.000", "little") | digit << 48])
+    words = words.astype("<u8")  # so that its bytes read in this order on any host
+    x, last, d = np.arange(-4, 17)[:, None, None], np.arange(17)[:, None], np.arange(17)
+    keep = np.zeros((21, 17, 40), dtype=bool)
+    keep[..., 6::2] = d <= np.maximum(x, last)  # slot 6 + 2d holds digit d
+    keep[..., 7::2] = (d == x) & (last > x)  # and the slot after it a point
+    keep[..., 1:6] = x < [0, 0, -1, -2, -3]  # "0." and -X-1 zeros
+    return np.array([float(f"1e{k}") for k in range(-4, 21)]), words, keep.reshape(-1, 40)
+
+
+def _byte_rows(strings, width=None):
+    """The UTF-8 bytes of each string as a zero-padded row (width wide, if given) and the mask of its length."""
+    encoded = [s.encode() for s in strings]
+    rows, lengths = np.array(encoded, dtype=f"S{width or ''}"), np.fromiter(map(len, encoded), np.intp, len(encoded))
+    return rows.view(np.uint8).reshape(len(encoded), rows.itemsize), np.arange(rows.itemsize) < lengths[:, None]
+
+
+def _spell_floats(x: np.ndarray):
+    """The bytes of '%.17g' % v of each double v of x, in a 40-byte window each, and the mask of those kept.
+
+    A finite v of exponent X in [-4, 16] is spelled without dtoa: X by bisection of the powers of ten, then
+    |v| * 10**(16 - X), exact by Dekker's two-product, rounds half to even to v's 17 digits.  The window holds
+    "-0.000" and each digit then a point; it keeps the sign if v < 0, "0." and -X-1 zeros if X < 0, the digits
+    through the units and the last nonzero one, and the point if a kept digit follows it.  Every other v is
+    spelled by '%.17g'.  The last byte, kept, is left for a separator."""
+    if len(x) < 64:  # numpy's cost per call exceeds dtoa's on so few doubles
+        spelled, keep = _byte_rows(["%.17g" % v for v in x.tolist()], 40)
+        return spelled, keep | (np.arange(40) == 39)
+    powers, words, keep = _layout()
+    a = np.abs(x)
+    exponent = np.searchsorted(powers[:22], a, side="right") - 5  # the exact X, or -5 or 17 out of range
+    ok = (exponent >= -4) & (exponent <= 16)
+    a, exponent = np.where(ok, a, 1.0), np.where(ok, exponent, 0)  # 1.0 scales to 1e16 at X = 0
+    scale = powers[20 - exponent]
+    product = a * scale
+    a1, s1 = (v * 134217729.0 - (v * 134217729.0 - v) for v in (a, scale))  # Veltkamp's 26-bit high parts
+    error = ((a1 * s1 - product) + a1 * (scale - s1) + (a - a1) * s1) + (a - a1) * (scale - s1)  # Dekker's
+    # product is an even integer (>= 2**53), so rounding error half to even rounds the exact product so; no
+    # double of the range is within 5e-18 of 10**(X + 1), relatively, so n never rounds up to 10**17
+    n = product.astype(np.int64) + np.rint(error).astype(np.int64)
+    groups = np.empty((len(x), 5), dtype=np.intp)  # the lead digit, then the last 16 digits four to a group
+    for k in (4, 3, 2, 1):
+        n, groups[:, k] = np.divmod(n, 10**4)
+    groups[:, 0] = n + 10**4
+    spelled = words.take(groups).view(np.uint8)
+    last = 16 - (spelled[:, 38:5:-2] != ord("0")).argmax(1)  # the last nonzero digit
+    keep = keep.take((exponent + 4) * 17 + last, axis=0)
+    keep[:, 0], keep[:, -1] = x < 0, True
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        spelled[bad, :-1], keep[bad, :-1] = _byte_rows(["%.17g" % v for v in x[bad].tolist()], 39)
+    return spelled, keep
+
+
 def _pool_column(cells: np.ndarray):
     """None, or the spelled pool of a float column and each cell's index into it.
 
     A column is pooled when a strided sample of fewer than _PROBE_CELLS of
     its cells holds at most half as many distinct bit patterns; otherwise
-    it is left to %.17g cell by cell.  A pool holds the %.17g string of each
-    distinct bit pattern (not value, so -0.0, 0.0 and NaN payloads stay
-    apart), and the index has the narrowest unsigned dtype that reaches it.
+    it is left to _spell_floats slab by slab.  A pool holds the %.17g string
+    of each distinct bit pattern (not value, so -0.0, 0.0 and NaN payloads
+    stay apart), and the index has the narrowest unsigned dtype that reaches it.
     """
     bits = cells.view(np.int64)
     sample = np.sort(bits[:: len(bits) // _PROBE_CELLS + 1])
     if 2 * (1 + np.count_nonzero(sample[1:] != sample[:-1])) > len(sample):
         return None
     patterns, index = np.unique(bits, return_inverse=True)
-    spelled = np.array(["%.17g" % v for v in patterns.view(np.float64).tolist()], dtype=object)
-    return spelled, index.astype(np.min_scalar_type(len(patterns) - 1))
-
-
-def _column_plan(cells):
-    """The template slot of a table column and a function from a row slice to its plain Python cells."""
-    if isinstance(cells, list):
-        return "%s", cells.__getitem__
-    pool = _pool_column(cells) if cells.dtype.kind == "f" else None
-    if pool is None:
-        return ("%.17g" if cells.dtype.kind == "f" else "%d"), lambda rows: cells[rows].tolist()
-    spelled, index = pool
-    return "%s", lambda rows: spelled.take(index[rows]).tolist()
+    spelled, keep = _spell_floats(patterns.view(np.float64))
+    spelled[:, -1] = ord(" ")
+    return spelled.compress(keep.ravel()).tobytes().decode().split(), index.astype(np.min_scalar_type(index.max()))
 
 
 def _bad_out(verb: str, path: str, exc: Exception) -> ScenarioError:
@@ -101,9 +151,9 @@ def _bad_out(verb: str, path: str, exc: Exception) -> ScenarioError:
 
 @contextlib.contextmanager
 def _artifact(path: str):
-    """An output file open for writing; an OSError from opening, writing or closing it is a bad `out`."""
+    """An output file open for writing bytes; an OSError from opening, writing or closing it is a bad `out`."""
     try:
-        with open(path, "w", newline="") as handle:
+        with open(path, "wb") as handle:
             yield handle
     except OSError as exc:
         raise _bad_out("write", path, exc) from None
@@ -113,25 +163,35 @@ def _write_table(path: str, header: dict, columns: dict) -> None:
     """Write header as `# key=value` lines, the column names, then one CSV row per cell index.
 
     columns maps each name to its cells in row order: a float array, spelled
-    %.17g (the bytes of format(x, ".17g")) or, when its values repeat, once
-    per distinct bit pattern (_pool_column); an int or bool array, spelled
-    %d; or a list of cells that are already strings.  Rows go out in slabs
-    of _SLAB_ROWS.  Every cell is computed before the call, so nothing that
-    can abort runs once the file is open.
-    """
-    slots, cuts = zip(*map(_column_plan, columns.values()))
-    template = ",".join(slots) + "\n"
+    %.17g (the bytes of format(x, ".17g")) by _spell_floats's kernel in its
+    range and by '%.17g' outside it, once per distinct bit pattern if its
+    values repeat (_pool_column); or a pair of a list of strings and an int
+    or bool array of each cell's index into it.  Each slab of _SLAB_ROWS
+    rows is one byte matrix, each cell and its separator in its column's
+    window, written by its kept bytes.  Every cell is computed before the
+    call, so nothing that can abort runs once the file is open."""
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    pools = [cells if isinstance(cells, tuple) else _pool_column(cells) for cells in columns.values()]
+    windows = [pool and (*_byte_rows([cell + sep for cell in pool[0]]), pool[1]) for pool, sep in zip(pools, seps)]
+    floats = [cells for cells, pool in zip(columns.values(), pools) if pool is None]
     with _artifact(path) as handle:
-        handle.write("".join(f"# {key}={value}\n" for key, value in header.items()) + ",".join(columns) + "\n")
-        for lo in range(0, len(next(iter(columns.values()))), _SLAB_ROWS):
+        handle.write(("".join(f"# {k}={v}\n" for k, v in header.items()) + ",".join(columns) + "\n").encode())
+        for lo in range(0, len(windows[0][2]) if windows[0] else len(floats[0]), _SLAB_ROWS):
             rows = slice(lo, lo + _SLAB_ROWS)
-            handle.write("".join(map(template.__mod__, zip(*(cut(rows) for cut in cuts)))))
+            if floats:  # the slab's cells of every float column left unpooled, row by row, in one call
+                stacked = np.column_stack([cells[rows] for cells in floats]).ravel()
+                spelled, keep = (m.reshape(-1, len(floats), 40) for m in _spell_floats(stacked))
+                spelled[:, :, -1] = [ord(sep) for sep, pool in zip(seps, pools) if pool is None]
+                found = zip(spelled.swapaxes(0, 1), keep.swapaxes(0, 1))
+            parts = [[m.take(w[2][rows], axis=0) for m in w[:2]] if w else next(found) for w in windows]
+            spelled, keep = (np.concatenate(part, axis=1) for part in zip(*parts))
+            # 64 rows a call, so that compress's index array (8 bytes a kept byte) stays small
+            handle.write(b"".join(spelled[c:c + 64].compress(keep[c:c + 64].ravel()) for c in range(0, len(keep), 64)))
 
 
 def _write_json(path: str, payload: dict) -> None:
     with _artifact(path) as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _write_trajectory(path: str, header: dict, traj) -> None:
@@ -140,8 +200,8 @@ def _write_trajectory(path: str, header: dict, traj) -> None:
     columns = dict(zip(("t", "x", "y", "theta"), [traj.times, *traj.pose_array]))
     columns.update((f"r{k + 1}", traj.shapes[:, k]) for k in range(dim))
     columns.update(zip(("xi_vx", "xi_vy", "xi_omega"), traj.twists.T))
-    spelled = {label: _contact_str(label) for label in set(traj.contacts)}
-    columns["contact_set"] = [spelled[label] for label in traj.contacts]
+    codes = {label: code for code, label in enumerate(dict.fromkeys(traj.contacts))}
+    columns["contact_set"] = (list(map(_contact_str, codes)), np.fromiter(map(codes.get, traj.contacts), np.intp))
     _write_table(path, {**header, "dim": dim}, columns)
 
 
@@ -149,12 +209,12 @@ def _write_field(path: str, header: dict, field, curv) -> None:
     """Write field.csv: one row per grid node in row-major order."""
     n1, n2, _, dim = field.conn.shape
     i, j = np.indices((n1, n2), dtype=np.int32).reshape(2, n1 * n2)
-    columns = {"i": i, "j": j, "r1": field.axis1[i], "r2": field.axis2[j]}
+    columns = {"i": (list(map(str, range(n1))), i), "j": (list(map(str, range(n2))), j),
+               "r1": field.axis1[i], "r2": field.axis2[j]}
     names = [f"A_{axis}_{k + 1}" for axis in _TWIST_AXES for k in range(dim)]
     columns.update(zip(names, field.conn.reshape(n1 * n2, 3 * dim).T))
-    spelled = np.array([_contact_str(label) for label in field.catalog], dtype=object)
-    columns["contact_set"] = spelled.take(field.contacts.ravel()).tolist()
-    columns["singular"] = field.singular.ravel()
+    columns["contact_set"] = ([_contact_str(label) for label in field.catalog], field.contacts.ravel())
+    columns["singular"] = (["0", "1"], field.singular.ravel())
     if curv is not None:
         columns.update(zip(("D_vx", "D_vy", "D_omega"), curv.values.reshape(n1 * n2, 3).T))
     header = {**header, "counts": f"{n1}x{n2}", "dim": dim, "curvature": int(curv is not None)}
@@ -218,11 +278,11 @@ def cmd_verify(scenario: Scenario) -> int:
     """run invariant suites; nonzero exit on failure"""
     rows = _cli.run_verify(scenario)
     columns = {
-        "suite": [row.suite for row in rows],
-        "check": [row.check for row in rows],
+        "suite": ([row.suite for row in rows], np.arange(len(rows))),
+        "check": ([row.check for row in rows], np.arange(len(rows))),
         "value": np.array([row.value for row in rows], dtype=float),
         "threshold": np.array([row.threshold for row in rows], dtype=float),
-        "passed": np.array([row.passed for row in rows], dtype=bool),
+        "passed": (["0", "1"], np.array([row.passed for row in rows], dtype=bool)),
     }
     _write_table(os.path.join(scenario.out_dir, "verify.csv"), _header(scenario, "verify"), columns)
     lines = "".join(

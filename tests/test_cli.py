@@ -10,13 +10,14 @@ import sys
 import tempfile
 import types
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import locomech.cli as cli
@@ -1408,3 +1409,69 @@ def test_crawler_square_trajectory_pools_its_repeated_columns(tmp_path):
     assert (tmp_path / "trajectory.csv").read_bytes() == text.encode()
     pools = _pools(np.column_stack([traj.times, traj.pose_array.T, traj.shapes, traj.twists]))
     assert [pool is not None for pool in pools] == [False] * 4 + [True, False] + [True] * 3
+
+
+def _kernel_text(values) -> str:
+    """The spellings _spell_floats gives values, one a line, as the numeric kernel and not its short path.
+
+    The kernel leaves tables of under 64 doubles to '%.17g', so values are
+    repeated to at least 64 and the first len(values) windows kept.
+    """
+    values = np.asarray(values, dtype=float)
+    spelled, keep = cli._spell_floats(np.resize(values, max(64, len(values))))
+    spelled[:, -1] = ord("\n")
+    return spelled[: len(values)].compress(keep[: len(values)].ravel()).tobytes().decode()
+
+
+def _reference_text(values) -> str:
+    return "".join(map("{:.17g}\n".format, np.asarray(values, dtype=float).tolist()))
+
+
+_POWERS = [float(f"1e{k}") for k in range(-4, 17)]
+# in and around the kernel's range [1e-4, 1e17), of either sign, and any double at all
+_AROUND = st.floats(min_value=1e-5, max_value=1e18)
+_KERNEL_FLOATS = st.one_of(_AROUND, _AROUND.map(lambda v: -v), st.floats(width=64))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(_KERNEL_FLOATS, min_size=1, max_size=100))
+# the range's ends and the doubles just below them
+@example([1e-4, math.nextafter(1e-4, 0.0), 1e17, math.nextafter(1e17, 0.0)])
+# every power of ten in the range and both its neighbours
+@example([v for p in _POWERS for v in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf))])
+# exact ties, which round half to even: ...0.2 and ...0.8
+@example([1000000000000000.25, 1000000000000000.75, -1000000000000000.25])
+# 17th digits that round up through a run of nines (122.222999999999999... is 122.223), fifteen of
+# them for 1.2 (1.19999999999999995559...); none carries into a power of ten (see below)
+@example([0.000122223, 0.122223, 12.22223, 122.223, -122.223, 1.2, -0.00012, 1.2e16])
+# signed zeros, NaN, infinities and subnormals, which '%.17g' spells
+@example([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308])
+def test_float_kernel_spells_as_format_17g(values):
+    assert _kernel_text(values) == _reference_text(values)
+
+
+def test_the_kernel_finds_each_exponent_from_the_first_double_of_its_decade():
+    # its bisection takes float(10**k) as the first double at or above 10**k, for k = -4..17
+    for k in range(-4, 18):
+        first = float(f"1e{k}")
+        assert Fraction(math.nextafter(first, 0.0)) < Fraction(10) ** k <= Fraction(first)
+
+
+def test_no_double_in_the_kernel_range_rounds_up_to_a_power_of_ten():
+    # a 17-digit round-up to 10**(X + 1) would need a double within 5e-18 of it, relatively, and none is:
+    # the double below each power of ten to 1e17 keeps 17 nines-led digits, so the kernel needs no carry
+    below = [math.nextafter(p, 0.0) for p in _POWERS[1:] + [1e17]]
+    assert all(format(v, ".17e").startswith("9.99999999999999") for v in below)
+    assert _kernel_text(below) == _reference_text(below)
+
+
+def test_float_kernel_matches_format_17g_on_a_million_bit_patterns():
+    rng = np.random.default_rng(20261021)
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+    # nine in ten get a binary exponent from 2**-17 to 2**59, in and around the kernel's range
+    near = rng.random(bits.size) < 0.9
+    exponents = rng.integers(1023 - 17, 1023 + 60, bits.size, dtype=np.uint64)
+    bits[near] = bits[near] & ~np.uint64(0x7FF << 52) | exponents[near] << np.uint64(52)
+    values = bits.view(np.float64)
+    for chunk in np.array_split(values, 16):
+        assert _kernel_text(chunk) == _reference_text(chunk)

@@ -4,19 +4,21 @@ The runs are every shipped scenario under every command, every perfbench
 workload document at the given seeds under the commands its workload runs,
 a sweep of a slipping walker near the planted limit whose grid holds
 singular nodes, a crawler whose one-step cycles each hold several stance
-switches, run for 1000 cycles, and a fixed set of runs that must fail: an
-unknown key, a malformed sweep window, an amplitude/phase search whose
-period takes more than the most steps, an ``--out`` that is a file, a
-document that is not UTF-8, a seed spelled as an impossible date, a list
-nested 25,000 deep, a seed and a schema spelled as YAML 1.1 base-60
-numbers of about 4800 digits (the date and the base-60 spellings are
-strings, so each is a field type error), a cycle count of 4000 digits, an
-arm of 100,000 links, an ``out`` with a null byte and one of
-100,000 characters (exit 2), and a gait whose stage twists overflow and
-that walker's gait through a singular shape (exit 3).  Each run is a
-fresh ``python -m locomech.cli`` process on the chosen source tree, in its
-own scratch directory, with only relative paths on its command line, and a
-4 GB address space, so a count that escapes its check fails in the run.
+switches, run for 1000 cycles, a swimmer sweep over a window of +-2e-4,
+which straddles 1e-4, the low end of the CSV float kernel's range, and a
+fixed set of runs that must fail: an unknown key, a malformed sweep
+window, an amplitude/phase search whose period takes more than the most
+steps, an ``--out`` that is a file, a document that is not UTF-8, a seed
+spelled as an impossible date, a list nested 25,000 deep, a seed and a
+schema spelled as YAML 1.1 base-60 numbers of about 4800 digits (the date
+and the base-60 spellings are strings, so each is a field type error), a
+cycle count of 4000 digits, an arm of 100,000 links, an ``out`` with a
+null byte and one of 100,000 characters (exit 2), and a gait whose stage
+twists overflow and that walker's gait through a singular shape (exit 3).
+Each run is a fresh ``python -m locomech.cli`` process on the chosen source
+tree, in its own scratch directory, with only relative paths on its command
+line, and a 4 GB address space, so a count that escapes its check fails in
+the run.
 The first line names what the digests depend on: the Python, numpy and
 PyYAML versions, whether PyYAML has libyaml, and the platform.  Then each
 run prints
@@ -92,6 +94,8 @@ def _runs(seeds):
              "integrator": {"step": 1.0, "cycles": 1000}}
     yield "multi_switch/simulate", _dump(multi), ["simulate", *_ARGS]
     doc = yaml.safe_load((ROOT / "scenarios" / "swimmer_circle.yaml").read_text())
+    tiny = {**doc, "sweep": {"lo": [-2.0e-4, -2.0e-4], "hi": [2.0e-4, 2.0e-4], "counts": [41, 41], "curvature": True}}
+    yield "tiny_window/sweep", _dump(tiny), ["sweep", *_ARGS]
     window = {**doc, "sweep": {**doc["sweep"], "lo": [-1.0, 0.5], "hi": [1.0, 0.2]}}
     overflow = {**doc, "gait": {**doc["gait"], "cos": [[0.0, -1.0e160]], "sin": [[1.0e160, 0.0]]}}
     yield "error/unknown_key/simulate", _dump({**doc, "colour": "red"}), ["simulate", *_ARGS]
