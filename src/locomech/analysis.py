@@ -16,7 +16,7 @@ import numpy as np
 
 from ._numerics import _gauss_legendre
 from ._record import FrozenRecord, Record
-from .connection import MAX_NODES, SingularConstraint, connection_by_stance
+from .connection import MAX_NODES, _finite_rows, connection_by_stance
 from .integrator import integrate_gait, net_displacement
 from .liegroup import Twist, bracket_many
 from .shapespace import WaypointGait
@@ -208,11 +208,7 @@ def _loop_polygon(gait, samples: int) -> np.ndarray:
 
 def _connections(provider, shapes: np.ndarray) -> np.ndarray:
     """A at every row of shapes on the stance it selects; a non-finite row raises."""
-    a = connection_by_stance(provider, shapes, provider.contacts_many(shapes))
-    bad = ~np.isfinite(a).all(axis=(1, 2))
-    if bad.any():
-        raise SingularConstraint(f"non-finite connection at shape {shapes[bad.argmax()].tolist()}")
-    return a
+    return _finite_rows(connection_by_stance(provider, shapes, provider.contacts_many(shapes)), shapes)
 
 
 def _line_integral(provider, gait, samples: int) -> np.ndarray:

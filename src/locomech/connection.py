@@ -252,6 +252,14 @@ def connection_by_stance(provider, shapes, codes) -> np.ndarray:
     return out
 
 
+def _finite_rows(a: np.ndarray, shapes: np.ndarray) -> np.ndarray:
+    """a, (N, 3, d), or SingularConstraint naming the first row of shapes whose connection is not finite."""
+    bad = ~np.isfinite(a).all(axis=(1, 2))
+    if bad.any():
+        raise SingularConstraint(f"non-finite connection at shape {shapes[bad.argmax()].tolist()}")
+    return a
+
+
 def _in_row_blocks(connection, shapes, rows: int) -> np.ndarray:
     """connection(shapes), (..., 3, d), over blocks of `rows` rows of an (N, d) array.
 

@@ -7,15 +7,13 @@ ordering of every connection matrix in this package.
 
 The ``*_many`` kernels take triples of broadcastable float components, e.g. a
 (3, ...) array, and return (3, ...) arrays; pose angles must lie in (-pi, pi].
-inverse, exp, log and bracket are their one-column case.  compose keeps its own
-float formula: compose_chain is bitwise the chain of compose calls, NaN signs
-included, and numpy's array arithmetic passes NaN signs on unlike float's.
+compose, inverse, exp, log and bracket are their one-column case, so each
+formula has one copy.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 import numpy as np
 
@@ -86,28 +84,22 @@ class Twist(FrozenRecord):
 
 def compose(g1: Pose, g2: Pose) -> Pose:
     """Group product: apply g2 first, then g1."""
-    c, s = math.cos(g1.theta), math.sin(g1.theta)
-    return Pose(
-        g1.x + c * g2.x - s * g2.y,
-        g1.y + s * g2.x + c * g2.y,
-        g1.theta + g2.theta,
-    )
+    return _one_column(Pose, compose_many, (g1.x, g1.y, g1.theta), (g2.x, g2.y, g2.theta))
 
 
 def compose_chain(increments) -> np.ndarray:
     """Running products from the identity of m chains of (3, m, n) increments, as (3, m, n + 1); (3, n) as (3, n + 1).
 
-    Column k + 1 of a chain is compose(column k, Pose(*increment k)), bitwise:
-    angles are sums wrapped as Pose wraps them, and x and y running sums of
-    compose's terms.  x adds -(s iy) where compose subtracts s iy, which flips
-    a NaN's sign, so increments that are not all finite take compose itself.
+    Column k + 1 of a chain is compose(column k, Pose(*increment k)), bitwise
+    for finite increments: angles are sums wrapped as Pose wraps them, and x
+    and y running sums of compose's terms.  From the first non-finite column
+    on, an entry is inf or NaN where compose's is and keeps compose's bits
+    elsewhere, a NaN's sign aside, and no warning is issued; an infinite
+    angle raises ValueError, as Pose does.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim == 2:
         return compose_chain(inc[:, None])[:, 0]
-    if not np.isfinite(inc).all():
-        chains = [accumulate(map(Pose, *chain), compose, initial=Pose()) for chain in inc.transpose(1, 0, 2).tolist()]
-        return np.array([[(g.x, g.y, g.theta) for g in chain] for chain in chains]).transpose(2, 0, 1)
     ix, iy, ith = inc
     th = np.concatenate([np.zeros((len(ith), 1)), wrap_many(ith)], axis=1)
     # a sum inside (-pi, pi] is its own wrap, so angles are running sums, restarted
@@ -121,10 +113,11 @@ def compose_chain(increments) -> np.ndarray:
             if m < len(run):
                 row[k + m] = normalize_angle(run[m])
             k, size = k + m - (m == len(run)), 2 * m  # k: the last angle set
-    c, s = np.cos(th[:, :-1]), np.sin(th[:, :-1])
-    terms = np.zeros((2, len(th), 2 * th.shape[1] - 1))
-    terms[0, :, 1::2], terms[0, :, 2::2], terms[1, :, 1::2], terms[1, :, 2::2] = c * ix, -(s * iy), s * ix, c * iy
-    return np.concatenate([np.cumsum(terms, axis=2)[:, :, ::2], th[None]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = np.cos(th[:, :-1]), np.sin(th[:, :-1])
+        terms = np.zeros((2, len(th), 2 * th.shape[1] - 1))
+        terms[0, :, 1::2], terms[0, :, 2::2], terms[1, :, 1::2], terms[1, :, 2::2] = c * ix, -(s * iy), s * ix, c * iy
+        return np.concatenate([np.cumsum(terms, axis=2)[:, :, ::2], th[None]])
 
 
 def _one_column(record, kernel, *parts):

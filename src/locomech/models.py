@@ -307,10 +307,9 @@ def build_contact_map(model: LeggedModel, c) -> PoseMap:
 
     One planted flat foot fully determines the body pose: the map is the
     inverse of the foot pose in body coordinates.  Two planted feet act as
-    pins; the body pose solves the two-point pinning in the frame anchored at
-    the lower-indexed foot with x toward the other, and is NaN where the pins
-    coincide.  Both maps are written in array form; the pin angle keeps
-    math.atan2 per row, which np.arctan2 does not match bitwise.
+    pins: the map is the inverse of the body-frame pose at the lower-indexed
+    foot with x toward the other, NaN where the pins coincide; its angle
+    keeps math.atan2 per row, which np.arctan2 does not match bitwise.
     LeggedModel.stance_connection is their exact derivative.
     """
     feet = _stance_feet(c, model.n_feet)
@@ -326,10 +325,7 @@ def build_contact_map(model: LeggedModel, c) -> PoseMap:
 
     def pinned(shapes: np.ndarray) -> np.ndarray:
         p, d = _pin_line(model, i, j, shapes)
-        beta = np.array([-math.atan2(y, x) for x, y in d.tolist()])
-        cb, sb = np.cos(beta), np.sin(beta)
-        px, py = p.T
-        return np.stack([-(cb * px - sb * py), -(sb * px + cb * py), wrap_many(beta)])
+        return inverse_many((p[:, 0], p[:, 1], np.array([math.atan2(y, x) for x, y in d.tolist()])))
 
     return PoseMap.from_many(pinned, model.shape_dim)
 

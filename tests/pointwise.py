@@ -2,9 +2,10 @@
 
 Pointwise gives a provider defined one shape at a time its batched calls;
 reference_plan is the one-switch-at-a-time stance-switch search over one
-cycle, on the step grid of reference_cycle_grid; reference_compose_chain is the
-pose product as one float loop; reference_nelder_mead runs the optimizer's
-restarts one after another.
+cycle, on the step grid of reference_cycle_grid; reference_compose is the pose
+product in plain floats, and reference_compose_chain its running product as
+one float loop; reference_nelder_mead runs the optimizer's restarts one after
+another.
 """
 
 import math
@@ -134,13 +135,19 @@ def reference_plan(provider, gait, step, event_tol):
     return times, contacts, events
 
 
+def reference_compose(g1, g2) -> tuple:
+    """The pose product of two (x, y, theta) triples as plain-float expressions, the angle sum wrapped."""
+    (x1, y1, t1), (x2, y2, t2) = g1, g2
+    c, s = math.cos(t1), math.sin(t1)
+    return x1 + c * x2 - s * y2, y1 + s * x2 + c * y2, normalize_angle(t1 + t2)
+
+
 def reference_compose_chain(increments) -> np.ndarray:
-    """The running pose product as one plain-float loop of compose's expressions, as (3, n + 1)."""
+    """The running pose product as one plain-float loop of reference_compose, as (3, n + 1)."""
     x = y = th = 0.0
     xs, ys, ths = [x], [y], [th]
     for ix, iy, ith in zip(*np.asarray(increments, dtype=float).tolist()):
-        c, s = math.cos(th), math.sin(th)
-        x, y, th = x + c * ix - s * iy, y + s * ix + c * iy, normalize_angle(th + normalize_angle(ith))
+        x, y, th = reference_compose((x, y, th), (ix, iy, normalize_angle(ith)))
         xs.append(x)
         ys.append(y)
         ths.append(th)

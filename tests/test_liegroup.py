@@ -32,7 +32,7 @@ from locomech.liegroup import (
     log_many,
     wrap_many,
 )
-from pointwise import reference_compose_chain
+from pointwise import reference_compose, reference_compose_chain
 
 
 def test_exp_quarter_turn_unit_drive():
@@ -348,6 +348,21 @@ def test_wrap_many_is_normalize_angle_bitwise(angles):
     assert got.tobytes() == np.array([normalize_angle(t) for t in angles]).tobytes()
 
 
+@KERNELS
+@given(wide_poses, wide_poses)
+@example(Pose(1.0, -2.0, math.pi), Pose(0.5, 0.25, math.pi))
+@example(Pose(0.0, 1.0, -0.5 * math.pi), Pose(2.0, 0.0, -0.5 * math.pi))
+@example(Pose(-1.0, 3.0, 3.0), Pose(1.0, 1.0, 3.0))
+@example(Pose(2.0, -1.0, -3.0), Pose(-0.5, 0.5, -2.5))
+@example(Pose(1.0, 1.0, math.pi), Pose(-1.0, 0.0, math.nextafter(math.pi, 0.0)))
+def test_compose_is_the_plain_float_formula_bitwise(a, b):
+    # compose has no formula of its own: its one kernel column is the float expressions,
+    # on both sides of +-pi and where the angle sum wraps (pi + pi to 0, -pi/2 - pi/2 to pi)
+    g = compose(a, b)
+    want = reference_compose((a.x, a.y, a.theta), (b.x, b.y, b.theta))
+    assert np.array([g.x, g.y, g.theta]).tobytes() == np.array(want).tobytes()
+
+
 def test_kernel_inputs_cover_both_series_branches_and_the_wrap():
     # the strategies above must reach the cases the kernels special-case
     xi = twist_parts([Twist(1.0, 2.0, w) for w in (0.5 * _SMALL_ANGLE, 2.0 * _SMALL_ANGLE, 7.0)])
@@ -369,9 +384,29 @@ chain_angles = st.one_of(
 chain_increments = st.lists(st.tuples(chain_coords, chain_coords, chain_angles), max_size=16)
 
 
-def compose_chain_reference(incs):
-    """The Pose chain compose_chain replaces, as (3, n + 1); ValueError where Pose cannot wrap an angle."""
-    return pose_parts(list(accumulate((Pose(*inc) for inc in incs), compose, initial=Pose())))
+def compose_chain_reference(increments):
+    """The Pose chain of (3, n) increments, as (3, n + 1); ValueError where Pose cannot wrap an angle."""
+    return pose_parts(list(accumulate(map(Pose, *increments.tolist()), compose, initial=Pose())))
+
+
+def assert_the_chain(incs, reference):
+    """compose_chain against reference: bitwise for finite increments; past a non-finite one,
+    NaN where reference is NaN, whatever its sign, and every other entry bitwise, inf included."""
+    increments = np.array(incs, dtype=float).reshape(-1, 3).T
+    try:
+        want = reference(increments)
+    except ValueError:
+        # an infinite angle has no wrap, for Pose and for the loop alike
+        with pytest.raises(ValueError):
+            compose_chain(increments)
+        return
+    got = compose_chain(increments)
+    if np.isfinite(increments).all():
+        assert_bitwise(got, want)
+        return
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert_bitwise(np.where(nan, 0.0, got), np.where(nan, 0.0, want))
 
 
 @KERNELS
@@ -382,16 +417,8 @@ def compose_chain_reference(incs):
 @example([(1.0, 1.0, math.inf)])
 @example([])
 def test_compose_chain_is_the_compose_chain_bitwise(incs):
-    increments = np.array(incs, dtype=float).reshape(-1, 3).T
-    try:
-        want = compose_chain_reference(incs)
-    except ValueError:
-        # an infinite angle has no wrap, for Pose and for the loop alike
-        with pytest.raises(ValueError):
-            compose_chain(increments)
-        return
-    # the same float operations in the same order give the same bits, NaNs included
-    assert_bitwise(compose_chain(increments), want)
+    # the same float operations in the same order give the same bits, a NaN's sign aside
+    assert_the_chain(incs, compose_chain_reference)
 
 
 # increments that wrap the angle on every step, sit on +-pi, or step by a
@@ -404,17 +431,6 @@ wrapping_angles = st.one_of(
 run_increments = st.lists(st.tuples(chain_coords, chain_coords, st.one_of(chain_angles, wrapping_angles)), max_size=40)
 
 
-def assert_the_float_loop(incs):
-    increments = np.array(incs, dtype=float).reshape(-1, 3).T
-    try:
-        want = reference_compose_chain(increments)
-    except ValueError:
-        with pytest.raises(ValueError):
-            compose_chain(increments)
-        return
-    assert_bitwise(compose_chain(increments), want)
-
-
 @settings(KERNELS, max_examples=120)
 @given(run_increments)
 @example([(1.0, 0.5, 3.0)] * 40)
@@ -424,7 +440,7 @@ def assert_the_float_loop(incs):
 @example([(1.0, 2.0, 0.5), (math.inf, 0.0, 0.5), (0.0, math.inf, 0.5), (1.0, -math.inf, 3.0)])
 def test_compose_chain_is_the_float_loop_bitwise(incs):
     # the running sums restart at every wrap, however often it comes
-    assert_the_float_loop(incs)
+    assert_the_chain(incs, reference_compose_chain)
 
 
 def test_compose_chain_wrapping_often_on_a_long_path():
