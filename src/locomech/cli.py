@@ -12,14 +12,17 @@ opened, so an abort leaves no partial file.  A CSV float of exponent -4 to
 
 Exit codes: 0 success, 1 invariant failure, 2 scenario validation error
 (including an output location that cannot be created, an artifact that
-fails to open, write or close, and a stdout that cannot be written), 3
-numerical abort (a shape with no connection, or a non-finite value).
+fails to open, write or close, and a stdout that is closed or cannot be
+written), 3 numerical abort (a shape with no connection, or a non-finite
+value).  A stderr line that cannot be written is dropped, so it leaves the
+exit code as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -159,6 +162,25 @@ def _artifact(path: str):
         raise _bad_out("write", path, exc) from None
 
 
+def _put(stream, text: str) -> None:
+    """Write text to a standard stream and flush it; OSError if it cannot, or if the stream is None (closed at
+    start).  A stream that failed is sent to the null device, so what stays buffered does not fail again at exit."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
+def _say(line: str) -> None:
+    """Write one line to stderr; a line that cannot be written is dropped, so the exit code stays the run's."""
+    with contextlib.suppress(OSError):
+        _put(sys.stderr, line + "\n")
+
+
 def _write_table(path: str, header: dict, columns: dict) -> None:
     """Write header as `# key=value` lines, the column names, then one CSV row per cell index.
 
@@ -291,11 +313,8 @@ def cmd_verify(scenario: Scenario) -> int:
         for row in rows
     )
     try:
-        sys.stdout.write(lines)
-        sys.stdout.flush()
+        _put(sys.stdout, lines)
     except OSError as exc:
-        # what stays buffered goes to the null device when the interpreter exits
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ScenarioError("out", f"cannot write stdout: {exc.strerror or exc}") from None
     return 0 if all(row.passed for row in rows) else 1
 
@@ -337,7 +356,7 @@ def main(argv=None) -> int:
     def show(message, *_) -> None:
         if str(message) not in shown:
             shown.add(str(message))
-            print(f"warning: {message}", file=sys.stderr)
+            _say(f"warning: {message}")
 
     with warnings.catch_warnings():
         warnings.showwarning = show
@@ -352,10 +371,10 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](scenario)
         except ScenarioError as exc:
             # a YAML syntax error spans lines, and so may a path: the report is one line
-            print("scenario error:", " ".join(part.strip() for part in str(exc).splitlines()), file=sys.stderr)
+            _say("scenario error: " + " ".join(part.strip() for part in str(exc).splitlines()))
             return 2
         except SingularConstraint as exc:
-            print(f"numerical abort: {exc}", file=sys.stderr)
+            _say(f"numerical abort: {exc}")
             return 3
 
 

@@ -12,12 +12,13 @@ Only a step whose midpoint or end leaves its start's stance is split at the
 switch time, and integration resumes with the new piece from the same pose,
 so the pose path stays continuous; all switches are bisected together, one
 coding call per level.  A stance's label is looked up only for the events
-and Trajectory.contacts.  Gaits integrated together (integrate_gaits), in
-batches of at most MAX_STEPS steps, share one connection_by_stance call
-over every step's start and midpoint and each end that is not its gait's
-next start, array passes for the step exponents and their exponentials,
-and one liegroup.compose_chain call for the pose products.  The poses are
-kept as one read-only (3, n + 1) array, read by Trajectory.poses.
+and Trajectory.contacts.  Gaits integrated together (integrate_gaits), each
+over its own cycle count, in batches of at most MAX_STEPS steps, share one
+connection_by_stance call over every step's start and midpoint and each end
+that is not its gait's next start, array passes for the step exponents and
+their exponentials, and one liegroup.compose_chain call for the pose
+products.  The poses are kept as one read-only (3, n + 1) array, read by
+Trajectory.poses.
 """
 
 from __future__ import annotations
@@ -154,28 +155,37 @@ def integrate_gait(provider, gait, cycles: int = 1, step: float = 1e-3, event_to
     return next(integrate_gaits(provider, [gait], cycles, step, event_tol))
 
 
-def integrate_gaits(provider, gaits, cycles: int = 1, step: float = 1e-3, event_tol: float = 1e-10):
+def integrate_gaits(provider, gaits, cycles=1, step: float = 1e-3, event_tol: float = 1e-10):
     """Yield integrate_gait of each gait in turn, bitwise: each is planned alone, then finished in batches.
 
-    A gait's rows depend on it alone.  A batch holds at most MAX_STEPS steps
-    in all (or one gait); a singular batch raises its first failing stage's error.
+    cycles is one count for every gait or one count per gait, broadcast as
+    numpy broadcasts.  A gait's rows depend on it alone.  A batch holds at
+    most MAX_STEPS steps in all (or one gait); a singular batch raises its
+    first failing stage's error.
     """
-    if cycles < 1:
-        raise ValueError(f"cycle count must be at least 1, got {cycles}")
+    for count in np.ravel(cycles).tolist():
+        if count < 1:
+            raise ValueError(f"cycle count must be at least 1, got {count}")
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive, got {step}")
     if not (event_tol > 0.0 and np.isfinite(event_tol)):
         raise ValueError(f"event tolerance must be positive and finite, got {event_tol}")
     batch, size = [], 0
-    for gait in gaits:
-        plan = _plan(provider, gait, cycles, step, event_tol)
-        if batch and size + (len(plan[3]) - 1) * cycles > MAX_STEPS:
-            yield from _finish(provider, batch, cycles, step, event_tol)
+    for gait, count in zip(gaits, np.broadcast_to(cycles, len(gaits)).tolist()):
+        # a gait whose nominal steps cannot join the batch waits for the batch to
+        # finish, so that one batch's plans are held at a time
+        if batch and size + steps_per_cycle(gait.period, step, count) * count > MAX_STEPS:
+            yield from _finish(provider, batch, step, event_tol)
+            batch, size = [], 0
+        plan = _plan(provider, gait, count, step, event_tol)
+        # its planned rows, knots and switch rows included, may still not fit
+        if batch and size + (len(plan[4]) - 1) * count > MAX_STEPS:
+            yield from _finish(provider, batch, step, event_tol)
             batch, size = [], 0
         batch.append(plan)
-        size += (len(plan[3]) - 1) * cycles
+        size += (len(plan[4]) - 1) * count
     if batch:
-        yield from _finish(provider, batch, cycles, step, event_tol)
+        yield from _finish(provider, batch, step, event_tol)
 
 
 def _sample(gait, ts, side: str = "right"):
@@ -208,7 +218,7 @@ def _step_grid(period: float, h: float, n_steps: int, knots) -> np.ndarray:
 
 
 def _plan(provider, gait, cycles: int, step: float, event_tol: float):
-    """(gait, n_steps, h, t, row_codes, switch_rows, events, sampled) of one cycle: step j runs from t[j] to t[j + 1].
+    """(gait, cycles, n_steps, h, t, row_codes, switch_rows, events, sampled) of one cycle; step j: t[j] to t[j + 1].
 
     Step j runs on stance provider.catalog[row_codes[j]]; the plan reads
     stance codes alone.  switch_rows marks the rows a switch adds to the grid.
@@ -287,21 +297,21 @@ def _plan(provider, gait, cycles: int, step: float, event_tol: float):
                 f"multiple stance switches inside one step near t={t_switch:.6g}; splitting at each switch",
                 RuntimeWarning,
             )
-    return [gait, n_steps, h, t, row_codes, switch_rows, events, None if found else sampled]
+    return [gait, cycles, n_steps, h, t, row_codes, switch_rows, events, None if found else sampled]
 
 
-def _finish(provider, plans, cycles, step, event_tol) -> list:
+def _finish(provider, plans, step, event_tol) -> list:
     """Evaluate and combine one cycle of each planned gait, each array pass over the rows of all of them.
 
     A gait is periodic, so its last row (shape, stance, twist) is its first
-    row's, and its trajectory takes its cycle's step-start rows `cycles` times,
-    then its first row; its pose chain repeats the cycle's increments
-    `cycles` times.  Each plan's sampled is popped as its stages are laid out.
+    row's, and its trajectory takes its cycle's step-start rows its plan's
+    `cycles` times, then its first row; its pose chain repeats the cycle's
+    increments as often.  Each plan's sampled is popped as its stages are laid out.
     """
     # -- evaluate: of N steps in all, step k has stages 3k, 3k + 1, 3k + 2 (start,
     # midpoint, end, on its start's stance; the end takes the left-limit rate, as a
     # step end may be a waypoint corner).  Gait i's stages are lo[i]:hi[i].
-    n = np.array([len(t) - 1 for _, _, _, t, *_ in plans])
+    n = np.array([len(t) - 1 for _, _, _, _, t, *_ in plans])
     hi = 3 * np.cumsum(n)
     lo = hi - 3 * n
     stage_times = np.empty(hi[-1])
@@ -309,7 +319,7 @@ def _finish(provider, plans, cycles, step, event_tol) -> list:
     codes = np.empty(len(stage_times) // 3, dtype=np.int32)
     for plan, a, b, k in zip(plans, lo, hi, n):
         sampled = plan.pop()
-        gait, _, _, t, row_codes, *_ = plan
+        gait, _, _, _, t, row_codes, *_ = plan
         # each gait is sampled at its rows and midpoints once, by its plan if it
         # had no switch; an end row is a row's sample, except at a waypoint knot
         # or the period end, where a waypoint gait's left limit differs from it
@@ -359,7 +369,7 @@ def _finish(provider, plans, cycles, step, event_tol) -> list:
     # twists can still combine into an overflowing exponent or pose; a step
     # is named by its start's time and shape.
     with np.errstate(over="ignore", invalid="ignore"):
-        lengths = np.concatenate([t[1:] - t[:-1] for _, _, _, t, *_ in plans])
+        lengths = np.concatenate([t[1:] - t[:-1] for _, _, _, _, t, *_ in plans])
         u = _rkmk4_exponents(lengths, *(stage_twists[i::3].T for i in range(3)))
         # the step starts' shapes and twists, copied so the stage arrays can be freed
         start_shapes, start_twists = stage_shapes[::3].copy(), stage_twists[::3].copy()
@@ -367,15 +377,17 @@ def _finish(provider, plans, cycles, step, event_tol) -> list:
         del stage_times, stage_shapes, stage_twists
         # a gait's chain takes its cycle's increments `cycles` times; a shorter
         # chain ends in identity steps, which leave its poses as they are
+        reps = np.array([plan[1] for plan in plans])
+        chains = reps * n
         repeat = np.s_[:]
-        if cycles > 1:
-            repeat = np.concatenate([a + np.arange(cycles * k) % k for a, k in zip(lo // 3, n)])
-        increments = np.zeros((3, len(n), cycles * n.max()))
-        increments[:, np.arange(cycles * n.max()) < cycles * n[:, None]] = exp_many(u)[:, repeat]
+        if (reps > 1).any():
+            repeat = np.concatenate([a + np.arange(m) % k for a, k, m in zip(lo // 3, n, chains)])
+        increments = np.zeros((3, len(n), chains.max()))
+        increments[:, np.arange(chains.max()) < chains[:, None]] = exp_many(u)[:, repeat]
         poses = compose_chain(increments)
     out = []
     for plan, g, a, k, top, m in zip(plans, poses.swapaxes(0, 1), lo // 3, n, tops, counts):
-        gait, n_steps, h, t, row_codes, switch_rows, events = plan
+        gait, cycles, n_steps, h, t, row_codes, switch_rows, events = plan
         g = np.ascontiguousarray(g[:, :cycles * k + 1])
         # the step-start rows `cycles` times, then the first row, which closes the cycle
         rows = np.arange(cycles * k + 1) % k

@@ -707,6 +707,41 @@ class TestExitCodes:
             os.close(write)
         assert (code, err) == (2, "scenario error: out: cannot write stdout: Broken pipe\n")
 
+    @staticmethod
+    def _run_without(fd, how, args):
+        """Run the CLI in a fresh process whose fd (1 or 2) is closed, or open read-only; its exit code and stdout."""
+
+        def setup():
+            if how == "closed":
+                os.close(fd)
+            else:
+                os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+
+        proc = subprocess.run([sys.executable, "-m", "locomech.cli", *args], preexec_fn=setup,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        return proc.returncode, proc.stdout if fd == 2 else proc.stderr
+
+    @pytest.mark.parametrize("how", ["closed", "read-only"])
+    def test_stdout_that_is_closed_is_two(self, tmp_path, how):
+        # a closed stdout is None in Python, and once escaped as an AttributeError traceback with exit 1
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "rotate_translate_closure.yaml"
+        code, err = self._run_without(1, how, ["verify", str(scenario), "--out", str(tmp_path / "run")])
+        assert (code, err) == (2, b"scenario error: out: cannot write stdout: Bad file descriptor\n")
+
+    @pytest.mark.parametrize("how", ["closed", "read-only"])
+    def test_stderr_that_cannot_be_written_keeps_the_exit_code(self, tmp_path, how):
+        # a warning or error line that cannot be written is dropped: it once
+        # raised OSError, so a warning run exited 1 instead of 0 and a bad scenario 1 instead of 2
+        multi = {"model": {"kind": "crawler"}, "gait": {"kind": "fourier", "period": 1.0, "mean": [0.0, 0.0],
+                                                         "sin": [[0.4, 0.0]], "cos": [[0.0, 0.4]]},
+                 "integrator": {"step": 1.0, "cycles": 3}}
+        good = write_scenario(tmp_path, multi, "multi.yaml")
+        bad = write_scenario(tmp_path, {**multi, "colour": "red"}, "bad.yaml")
+        # nothing reaches stdout in place of stderr
+        assert self._run_without(2, how, ["simulate", good, "--out", str(tmp_path / "run")]) == (0, b"")
+        assert (tmp_path / "run" / "trajectory.csv").exists()
+        assert self._run_without(2, how, ["simulate", bad, "--out", str(tmp_path / "bad")]) == (2, b"")
+
     def test_numerical_abort_is_three(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise SingularConstraint("fabricated abort for the exit-code path")

@@ -1317,5 +1317,47 @@ def test_a_batch_over_the_step_ceiling_is_split(monkeypatch, ceiling, batches):
     assert sizes == batches
 
 
+# a waypoint gait with knots, a gait whose one step holds two stance switches, and a smooth gait
+MIXED_GAITS = [square_gait(), FourierGait(0.1, [0.0, 0.0], cos=[[0.0, 0.1]], sin=[[0.5, 0.0]]), CIRCLE_HALF]
+
+
+@pytest.mark.parametrize(
+    ("ceiling", "calls"),
+    [
+        (MAX_STEPS, ["plan", "plan", "plan", "finish 3"]),
+        # 42 + 3 rows; the third gait's nominal 2 x 10 steps cannot join them
+        (45, ["plan", "plan", "finish 2", "plan", "finish 1"]),
+        # the second gait's nominal step fits beside the first's 42 rows, its three planned rows do not
+        (43, ["plan", "plan", "finish 1", "plan", "finish 2"]),
+    ],
+)
+def test_mixed_cycle_counts_give_the_separate_trajectories(monkeypatch, ceiling, calls):
+    # on the crawler each gait runs its own count, 3, 1 and 2 cycles, and is
+    # still its separate integration, in a batch split by rows or not
+    provider, cycles = BATCH_PROVIDERS["crawler"], [3, 1, 2]
+    with warnings.catch_warnings(record=True) as alone_warnings:
+        warnings.simplefilter("always")
+        want = [integrate_gait(provider, gait, count, 0.1) for gait, count in zip(MIXED_GAITS, cycles)]
+    log, plan, finish = [], integrator._plan, integrator._finish
+    monkeypatch.setattr(integrator, "_plan", lambda *args: log.append("plan") or plan(*args))
+    monkeypatch.setattr(integrator, "_finish", lambda provider, plans, *args: log.append(f"finish {len(plans)}")
+                        or finish(provider, plans, *args))
+    monkeypatch.setattr(integrator, "MAX_STEPS", ceiling)
+    with warnings.catch_warnings(record=True) as batch_warnings:
+        warnings.simplefilter("always")
+        got = list(integrate_gaits(provider, MIXED_GAITS, cycles, 0.1))
+    assert [str(w.message) for w in batch_warnings] == [str(w.message) for w in alone_warnings]
+    assert len(got) == len(want)
+    for traj, expected in zip(got, want):
+        assert_same_trajectory(traj, expected)
+    assert log == calls
+
+
+@pytest.mark.parametrize("cycles", [[1, 0, 2], [2, 3, -1], 0])
+def test_a_cycle_count_below_one_for_any_gait_is_rejected(cycles):
+    with pytest.raises(ValueError, match="cycle count must be at least 1, got (0|-1)$"):
+        list(integrate_gaits(BATCH_PROVIDERS["swimmer"], MIXED_GAITS, cycles, 0.1))
+
+
 def test_an_empty_batch_integrates_nothing():
     assert list(integrate_gaits(BATCH_PROVIDERS["swimmer"], [], step=0.05)) == []

@@ -1,4 +1,4 @@
-"""A verify run integrates the scenario's gait once and shares it among its suites."""
+"""A verify run integrates every run its suites read in one integrate_gaits call, and each suite reads those runs."""
 
 from pathlib import Path
 
@@ -42,44 +42,67 @@ def bits(rows):
     return [(r.suite, r.check, r.value.hex(), r.threshold.hex(), r.passed) for r in rows]
 
 
+def integrate(scenario, gait, cycles):
+    """The gait integrated alone, at the scenario's step and event tolerance."""
+    return integrate_gait(scenario.provider, gait, cycles, scenario.step, scenario.event_tol)
+
+
+def separate_runs(scenario, runs, cycles=1):
+    """Each of the named runs integrated alone: the base over the given cycles, the others over one."""
+    return [integrate(scenario, verify._RUNS[run](scenario)[0], cycles if run == "base" else 1) for run in runs]
+
+
 def rows_on_a_separate_one_cycle_run(scenario):
-    """Every suite's rows, the one-cycle suites reading their own one-cycle integration."""
+    """Every suite's rows, each suite reading its own integrations, the one-cycle suites a one-cycle base."""
     rows = []
     for name in scenario.verify["suites"]:
-        cycles = scenario.cycles if name == "continuity" else 1
-        rows += verify.SUITES[name](scenario, lambda cycles=cycles: verify._integrate(scenario, cycles=cycles))
+        suite, runs = verify.SUITES[name]
+        rows += suite(scenario, *separate_runs(scenario, runs, scenario.cycles if name == "continuity" else 1))
     return rows
 
 
+def counted_batches(monkeypatch):
+    """The gait count of each integrate_gaits call verify makes, from here on."""
+    batches, integrate_gaits = [], verify.integrate_gaits
+
+    def counted(provider, gaits, *args):
+        batches.append(len(gaits))
+        return integrate_gaits(provider, gaits, *args)
+
+    monkeypatch.setattr(verify, "integrate_gaits", counted)
+    return batches
+
+
 @pytest.mark.parametrize(
-    "make, integrations",
+    "make, gaits",
     [(crawler_square, 2), (walker_with_every_suite, 3), (crawler_with_every_integrating_suite, 3)],
 )
-def test_shared_first_cycle_gives_the_rows_of_a_separate_one_cycle_run(tmp_path, monkeypatch, make, integrations):
-    # crawler_square runs reversal and continuity; a separate one-cycle base
-    # made these 3, 4 and 4 integrations
+def test_shared_first_cycle_gives_the_rows_of_a_separate_one_cycle_run(tmp_path, monkeypatch, make, gaits):
+    # crawler_square runs reversal and continuity; separate integrate_gait
+    # calls made these 2, 3 and 3 integrations, and a one-cycle base one more
     scenario = make(tmp_path)
-    count = [0]
-
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return integrate_gait(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "integrate_gait", counted)
+    batches = counted_batches(monkeypatch)
     rows = run_verify(scenario)
-    assert count[0] == integrations
+    assert batches == [gaits]
     assert len(rows) == len(rows_on_a_separate_one_cycle_run(scenario)) > 0
     assert bits(rows) == bits(rows_on_a_separate_one_cycle_run(scenario))
     # the events of the one-cycle run, the crawler's last at its cycle end
     counts = [r.value for r in rows if r.check == "event_count"]
-    assert counts in ([], [float(len(verify._integrate(scenario, cycles=1).events))])
+    assert counts in ([], [float(len(integrate(scenario, scenario.gait, 1).events))])
+
+
+def test_a_residual_only_run_integrates_nothing(tmp_path, monkeypatch):
+    scenario = with_suites(tmp_path, "walker_mirror", ["residual"], 2)
+    batches = counted_batches(monkeypatch)
+    assert [(r.suite, r.check) for r in run_verify(scenario)] == [("residual", "constraint_balance")]
+    assert batches == []
 
 
 @pytest.mark.parametrize("make", [crawler_square, walker_with_every_suite])
 def test_first_cycle_is_bitwise_the_one_cycle_run(tmp_path, make):
     scenario = make(tmp_path)
-    full = verify._integrate(scenario, scenario.cycles)
-    alone = verify._integrate(scenario, cycles=1)
+    full = integrate(scenario, scenario.gait, scenario.cycles)
+    alone = integrate(scenario, scenario.gait, 1)
     m = full.cycle_indices[1]
     assert alone.cycle_indices == [0, m]
     for name in ("times", "shapes", "twists"):
@@ -98,7 +121,7 @@ def test_residual_suite_builds_its_balances_once_and_labels_nothing(monkeypatch)
     builds, labels = [], []
     monkeypatch.setattr(provider, "builder", lambda r: builds.append(len(r)) or builder(r))
     monkeypatch.setattr(provider, "contacts_many", lambda shapes: labels.append(len(shapes)))
-    (row,) = verify._suite_residual(scenario, None)
+    (row,) = verify._suite_residual(scenario)
     count = scenario.verify["shapes"]
     assert (builds, labels) == ([count], [])
     # the value the provider's own connection rows give, bitwise
@@ -115,7 +138,7 @@ FOURIER_PACING = ["walker_mirror", "swimmer_circle", "rotate_translate_closure"]
 
 
 def pacing_gap(scenario):
-    (row,) = verify._suite_pacing(scenario, lambda: verify._integrate(scenario, 1))
+    (row,) = verify._suite_pacing(scenario, *separate_runs(scenario, ("base", "warped")))
     return row.value
 
 

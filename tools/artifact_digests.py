@@ -4,7 +4,8 @@ The runs are every shipped scenario under every command, every perfbench
 workload document at the given seeds under the commands its workload runs,
 a sweep of a slipping walker near the planted limit whose grid holds
 singular nodes, a crawler whose one-step cycles each hold several stance
-switches, run for 1000 cycles, a swimmer sweep over a window of +-2e-4,
+switches, simulated for 1000 cycles and verified by every suite that
+integrates (one batch of a 1000-cycle run and two one-cycle runs), a swimmer sweep over a window of +-2e-4,
 which straddles 1e-4, the low end of the CSV float kernel's range, and a
 fixed set of runs that must fail: an unknown key, a malformed sweep
 window, an amplitude/phase search whose period takes more than the most
@@ -93,6 +94,9 @@ def _runs(seeds):
              "gait": {"kind": "fourier", "period": 1.0, "mean": [0.0, 0.0], "sin": [[0.4, 0.0]], "cos": [[0.0, 0.4]]},
              "integrator": {"step": 1.0, "cycles": 1000}}
     yield "multi_switch/simulate", _dump(multi), ["simulate", *_ARGS]
+    # one batch of the 1000-cycle run and the one-cycle reversed and retimed runs, each plan warning
+    suites = ["loop_closure", "single_piece", "reversal", "pacing", "continuity"]
+    yield "multi_switch/verify", _dump({**multi, "verify": {"suites": suites}}), ["verify", *_ARGS]
     doc = yaml.safe_load((ROOT / "scenarios" / "swimmer_circle.yaml").read_text())
     tiny = {**doc, "sweep": {"lo": [-2.0e-4, -2.0e-4], "hi": [2.0e-4, 2.0e-4], "counts": [41, 41], "curvature": True}}
     yield "tiny_window/sweep", _dump(tiny), ["sweep", *_ARGS]
